@@ -365,8 +365,8 @@ func run() int {
 		},
 		Progress: func(ev warplda.TrainEvent) {
 			if p := ev.Eval; p != nil {
-				fmt.Printf("iter %4d  logLik %.6e  time %8.2fs  %6.2f Mtoken/s (interval %6.2f)\n",
-					p.Iter, p.LogLik, p.Elapsed.Seconds(), p.TokensSec/1e6, p.IntervalTokensSec/1e6)
+				fmt.Printf("iter %4d  logLik %.6e  time %8.2fs  %6.2f Mtoken/s (interval %6.2f)%s\n",
+					p.Iter, p.LogLik, p.Elapsed.Seconds(), p.TokensSec/1e6, p.IntervalTokensSec/1e6, acceptRates(s))
 			}
 			if ev.Checkpoint != "" {
 				fmt.Printf("checkpoint: iter %d -> %s\n", ev.Iter, ev.Checkpoint)
@@ -510,6 +510,19 @@ func run() int {
 // inode-aware change detection.
 func sourceStamp(st os.FileInfo) string {
 	return fmt.Sprintf("%d %d\n", st.Size(), st.ModTime().UnixNano())
+}
+
+// acceptRates renders the MH acceptance rates of the sampler's last
+// pass for the progress line, or nothing for a sampler that does not
+// count them. A rate collapsing towards zero is the classic silent
+// WarpLDA failure: the chains stop moving while throughput looks fine.
+func acceptRates(s warplda.Sampler) string {
+	ps, ok := s.(interface{ PassStats() warplda.PassStats })
+	if !ok {
+		return ""
+	}
+	word, doc := ps.PassStats().AcceptRates()
+	return fmt.Sprintf("  accept word %.3f doc %.3f", word, doc)
 }
 
 // openOrBuildCache returns the mapped corpus for corpusPath's

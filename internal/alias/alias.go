@@ -109,23 +109,6 @@ func (t *Table) Build(weights []float64) {
 	t.large = t.large[:0]
 }
 
-// BuildCounts is Build for integer weights plus a uniform smoothing term
-// added to every outcome. It avoids materializing a float slice on the
-// caller side: weight(i) = float64(counts[i]) + smooth.
-func (t *Table) BuildCounts(counts []int32, smooth float64) {
-	k := len(counts)
-	if k == 0 {
-		panic("alias: BuildCounts with empty counts")
-	}
-	// Reuse prob as the weight buffer; Build reads weights before writing
-	// prob entries it hasn't consumed yet, so pass a distinct slice.
-	w := make([]float64, k)
-	for i, c := range counts {
-		w[i] = float64(c) + smooth
-	}
-	t.Build(w)
-}
-
 // Draw samples an outcome in O(1) using two uniform draws from r.
 func (t *Table) Draw(r *rng.RNG) int {
 	i := r.Intn(len(t.prob))
@@ -174,4 +157,43 @@ func (s *SparseTable) K() int { return len(s.outcomes) }
 // Draw samples an outcome in O(1).
 func (s *SparseTable) Draw(r *rng.RNG) int32 {
 	return s.outcomes[s.inner.Draw(r)]
+}
+
+// Packed is an alias table laid out for loops that draw far more often
+// than they build: one 16-byte bin carries the threshold and both
+// outcomes, so a draw touches one cache line and takes its randomness
+// from a single generator word the caller supplies.
+type Packed []Bin
+
+// Bin is one alias bin: outcome Hit with probability Prob, else Miss.
+type Bin struct {
+	Prob      float64
+	Hit, Miss int32
+}
+
+// Pack appends the table to dst in packed form, naming outcome i
+// outcomes[i] (or i itself when outcomes is nil).
+func (t *Table) Pack(dst Packed, outcomes []int32) Packed {
+	for i, p := range t.prob {
+		b := Bin{Prob: p, Hit: t.first[i], Miss: t.second[i]}
+		if outcomes != nil {
+			b.Hit, b.Miss = outcomes[b.Hit], outcomes[b.Miss]
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// Draw samples an outcome from the word x: the high half selects the
+// bin by multiply-shift (bias at most len(p)/2³²), the low half is the
+// threshold uniform. Table.Draw and SparseTable.Draw keep their own
+// two-call generator consumption, which serving and the baselines'
+// reproducible streams depend on.
+func (p Packed) Draw(x uint64) int32 {
+	b := p[(x>>32)*uint64(len(p))>>32]
+	t := b.Miss
+	if float64(uint32(x))*(1.0/(1<<32)) < b.Prob {
+		t = b.Hit // a conditional move: the coin is a coin toss for the predictor too
+	}
+	return t
 }

@@ -8,14 +8,22 @@ import (
 	"warplda/internal/rng"
 )
 
-// chiSquareOK draws n samples and checks empirical frequencies against the
-// normalized weights with a generous z-test per bucket.
+// chiSquareOK draws n samples through each draw routine (Draw, and the
+// packed form fed one generator word) and checks empirical frequencies
+// against the normalized weights with a generous z-test per bucket.
 func chiSquareOK(t *testing.T, tab *Table, weights []float64, n int) {
 	t.Helper()
 	r := rng.New(99)
+	t.Run("Draw", func(t *testing.T) { frequenciesOK(t, func() int { return tab.Draw(r) }, weights, n) })
+	packed := tab.Pack(nil, nil)
+	t.Run("Packed", func(t *testing.T) { frequenciesOK(t, func() int { return int(packed.Draw(r.Uint64())) }, weights, n) })
+}
+
+func frequenciesOK(t *testing.T, draw func() int, weights []float64, n int) {
+	t.Helper()
 	counts := make([]int, len(weights))
 	for i := 0; i < n; i++ {
-		v := tab.Draw(r)
+		v := draw()
 		if v < 0 || v >= len(weights) {
 			t.Fatalf("draw %d out of range", v)
 		}
@@ -100,12 +108,19 @@ func TestRebuildReuses(t *testing.T) {
 	chiSquareOK(t, tab, []float64{5, 1}, 30000)
 }
 
-func TestBuildCounts(t *testing.T) {
-	counts := []int32{0, 3, 1}
-	tab := &Table{}
-	tab.BuildCounts(counts, 0.5)
-	w := []float64{0.5, 3.5, 1.5}
-	chiSquareOK(t, tab, w, 60000)
+// Draw must keep consuming exactly two calls (Intn then Float64): serving and the
+// baselines replay streams that depend on it.
+func TestDrawConsumption(t *testing.T) {
+	tab := New([]float64{0.1, 10, 1, 5, 0.01, 3})
+	r, want := rng.New(8), rng.New(8)
+	for i := 0; i < 100; i++ {
+		tab.Draw(r)
+		want.Intn(tab.K())
+		want.Float64()
+	}
+	if r.State() != want.State() {
+		t.Fatal("Draw no longer consumes one Intn and one Float64")
+	}
 }
 
 func TestBuildEmptyPanics(t *testing.T) {
@@ -131,6 +146,20 @@ func TestSparseTable(t *testing.T) {
 	if counts[42] < counts[7] || counts[42] < counts[3] {
 		t.Fatalf("outcome 42 (weight 2) drawn less than weight-1 outcomes: %v", counts)
 	}
+}
+
+// Pack with an outcome list must name bins the way SparseTable does.
+func TestPackedNamesOutcomes(t *testing.T) {
+	outcomes, weights := []int32{7, 42, 3}, []float64{1, 2, 1}
+	packed := New(weights).Pack(make(Packed, 0, 3), outcomes)
+	r := rng.New(5)
+	index := map[int32]int{7: 0, 42: 1, 3: 2}
+	frequenciesOK(t, func() int {
+		if i, ok := index[packed.Draw(r.Uint64())]; ok {
+			return i
+		}
+		return -1
+	}, weights, 40000)
 }
 
 func TestSparseTableMismatchedPanics(t *testing.T) {

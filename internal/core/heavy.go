@@ -1,23 +1,27 @@
 // Staged intra-word parallelism (Section 5.4) for heavy columns.
 //
 // A column whose term frequency exceeds max(K, 1024) would skew any
-// per-worker column partition, so all workers cooperate on it. The
-// previous implementation processed heavy columns one at a time, with
-// two goroutine-spawn barriers per column and the counting and alias
-// build serialized on a lead worker — on corpora with thousands of
-// heavy words that serial fraction and barrier storm erased the gain
-// of adding threads. The plan here restores scalability:
+// per-worker column partition, so all workers cooperate on it. One
+// column at a time would cost two barriers per column and leave the
+// counting and the alias build to a lead worker; on corpora with
+// thousands of heavy words that serial fraction and barrier storm
+// erase the gain of adding threads. So:
 //
 //   - heavy columns are processed in batches, so each barrier is
 //     amortized over every column in the batch (five barriers per
-//     batch instead of two per column);
+//     batch);
 //   - each column is cut into L2-sized segments that are greedy-
 //     partitioned across workers (sparse.GreedyPartition), so no
-//     stage has a serial section: counting, chains, recounting,
+//     stage has a serial section: counting, chains with their recount,
 //     alias builds, and draws all run on all workers;
 //   - partial counts live in per-worker cache-line-padded lanes of
 //     one backing array, merged by per-column owners — the same
 //     false-sharing discipline as the ckAcc delta buffers.
+//
+// The stages hold no sampling code of their own: a segment is a
+// contiguous run of entries, and stages 1, 3 and 5 hand it to the same
+// count, chain and drawAlias kernels (kernel.go) that wordColumn runs
+// on a whole column, with a lane as the count row.
 //
 // The whole schedule is precomputed once at construction and is
 // deterministic in (corpus, Config), preserving bit-exact resume.
@@ -57,10 +61,7 @@ type heavyPlan struct {
 
 	// Per batch-column proposal samplers, rebuilt each word phase by the
 	// column's owner.
-	pCount  []float64
-	tabs    []alias.SparseTable
-	topics  [][]int32
-	weights [][]float64
+	tabs []alias.Packed
 }
 
 // buildHeavyPlan cuts w.heavyCols into batches and L2-sized segments
@@ -80,10 +81,7 @@ func (w *Warp) buildHeavyPlan() *heavyPlan {
 		batchCap: batchCap,
 		partial:  make([]int32, n*batchCap*stride),
 		merged:   make([]int32, batchCap*stride),
-		pCount:   make([]float64, batchCap),
-		tabs:     make([]alias.SparseTable, batchCap),
-		topics:   make([][]int32, batchCap),
-		weights:  make([][]float64, batchCap),
+		tabs:     make([]alias.Packed, batchCap),
 	}
 	for start := 0; start < len(w.heavyCols); start += batchCap {
 		end := min(start+batchCap, len(w.heavyCols))
@@ -154,15 +152,23 @@ func (p *heavyPlan) mergeInto(c, workers, k int) []int32 {
 	return m
 }
 
-// runHeavy executes the word phase for every heavy column: the same
-// chain-then-draw semantics as wordColumn, staged so all workers stay
+// segment returns the payloads of heavy segment s of batch b.
+func (w *Warp) segment(b *heavyBatch, s heavySeg) []int32 {
+	stride := w.m.Stride
+	return w.m.Column(b.cols[s.c]).Payload()[s.lo*stride : s.hi*stride]
+}
+
+// heavyPhase executes the word phase for every heavy column: the same
+// count, chain, draw kernels as wordColumn, staged so all workers stay
 // busy. c_k stays frozen throughout, and each batch column's c_w is
 // frozen over its MH chains exactly as in the serial path.
-func (w *Warp) runHeavy() {
-	n := len(w.workers)
-	K := w.cfg.K
-	beta, betaBar := w.cfg.Beta, w.betaBar
+func (w *Warp) heavyPhase() {
 	p := w.heavy
+	if p == nil {
+		return
+	}
+	n := len(w.workers)
+	K, stride := w.cfg.K, w.m.Stride
 
 	for bi := range p.batches {
 		b := &p.batches[bi]
@@ -172,11 +178,8 @@ func (w *Warp) runHeavy() {
 		w.parallelWorkers(func(wi int, wk *worker) {
 			zeroLanes(p, wi, len(b.cols))
 			for _, s := range b.segs[wi] {
-				part := p.lane(wi, s.c)
-				v := w.m.Column(b.cols[s.c])
-				for i := s.lo; i < s.hi; i++ {
-					part[v.Data(i)[0]]++
-				}
+				part := wk.laneRow(p.lane(wi, s.c))
+				count(w.segment(b, s), nil, stride, &part)
 			}
 		})
 
@@ -187,36 +190,16 @@ func (w *Warp) runHeavy() {
 			}
 		})
 
-		// Stage 3: MH chains against the frozen merged counts, then
-		// recount the updated assignments into the partial lanes.
+		// Stage 3: MH chains against the frozen merged counts, recounting
+		// the updated assignments into the partial lanes.
 		w.parallelWorkers(func(wi int, wk *worker) {
-			for _, s := range b.segs[wi] {
-				cw := p.merged[s.c*p.stride : s.c*p.stride+K]
-				v := w.m.Column(b.cols[s.c])
-				for i := s.lo; i < s.hi; i++ {
-					data := v.Data(i)
-					z := data[0]
-					for j := 1; j < len(data); j++ {
-						t := data[j]
-						if t == z {
-							continue
-						}
-						pi := (float64(cw[t]) + beta) / (float64(cw[z]) + beta) *
-							(float64(w.ck[z]) + betaBar) / (float64(w.ck[t]) + betaBar)
-						if pi >= 1 || wk.r.Float64() < pi {
-							z = t
-						}
-					}
-					data[0] = z
-				}
-			}
 			zeroLanes(p, wi, len(b.cols))
 			for _, s := range b.segs[wi] {
-				part := p.lane(wi, s.c)
-				v := w.m.Column(b.cols[s.c])
-				for i := s.lo; i < s.hi; i++ {
-					part[v.Data(i)[0]]++
-				}
+				cw := countRow{c: p.merged[s.c*p.stride : s.c*p.stride+K]}
+				part := wk.laneRow(p.lane(wi, s.c))
+				proposed, accepted := chain(w.segment(b, s), nil, stride, cw, &part, w.betas, w.ckb, wk.r)
+				wk.pass.WordProposals += int64(proposed)
+				wk.pass.WordAccepts += int64(accepted)
 			}
 		})
 
@@ -225,37 +208,22 @@ func (w *Warp) runHeavy() {
 		w.parallelWorkers(func(wi int, wk *worker) {
 			for _, c := range b.colsOf[wi] {
 				m := p.mergeInto(c, n, K)
-				lw := w.m.Column(b.cols[c]).Len()
-				topics := p.topics[c][:0]
-				weights := p.weights[c][:0]
+				topics, weights := wk.topics[:0], wk.weights[:0]
 				for t := 0; t < K; t++ {
 					if m[t] != 0 {
 						topics = append(topics, int32(t))
 						weights = append(weights, float64(m[t]))
 					}
 				}
-				p.topics[c], p.weights[c] = topics, weights
-				p.tabs[c].Build(topics, weights)
-				p.pCount[c] = float64(lw) / (float64(lw) + float64(K)*beta)
+				wk.topics, wk.weights = appendSmooth(topics, weights, float64(K)*w.cfg.Beta)
+				p.tabs[c] = wk.proposalTable(p.tabs[c], wk.topics, wk.weights)
 			}
 		})
 
 		// Stage 5: proposal draws. The alias tables are read-only here.
 		w.parallelWorkers(func(wi int, wk *worker) {
 			for _, s := range b.segs[wi] {
-				tab := &p.tabs[s.c]
-				pc := p.pCount[s.c]
-				v := w.m.Column(b.cols[s.c])
-				for i := s.lo; i < s.hi; i++ {
-					data := v.Data(i)
-					for j := 1; j < len(data); j++ {
-						if wk.r.Float64() < pc {
-							data[j] = tab.Draw(wk.r)
-						} else {
-							data[j] = int32(wk.r.Intn(K))
-						}
-					}
-				}
+				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], nil, K, wk.r)
 			}
 		})
 	}

@@ -1,0 +1,231 @@
+// The per-token kernels: every phase, serial, threaded, or staged, is a
+// sequence of calls to chain ("finish the pending MH chains of these
+// entries") and to one of the two draw routines ("draw M fresh
+// proposals for these entries"). They work on concrete data — the
+// matrix's payload array, a row's entry-index slice, a countRow held by
+// value, a copy of the generator — so the token loops contain no
+// interface call, no per-entry view construction and no division.
+//
+// A run of entries is (data, idx): with idx nil, the entries are the
+// contiguous payloads data[i*stride:(i+1)*stride] of a column or a
+// heavy-column segment; otherwise entry i is data[idx[i]*stride:], the
+// PCSR indirection of a row into the whole payload array.
+package core
+
+import (
+	"warplda/internal/alias"
+	"warplda/internal/rng"
+	"warplda/internal/tcount"
+)
+
+// countRow is the topic-count vector of the row or column being
+// visited (c_d or c_w): a direct-indexed array with a touched list when
+// K ≤ DenseThreshold, else the Section 5.4 hash table. The branch on
+// the representation in every access is constant over a run, so it is
+// predicted. (Instantiating the kernels generically over two row types
+// was measured first: gc passes a dictionary per shape and calls the
+// row's methods through it, which is the dispatch this type exists to
+// avoid. The kernels also take a countRow apart into locals, because gc
+// keeps a struct of this size in memory and copies it per method call.)
+type countRow struct {
+	c       []int32      // counts by topic; nil selects h
+	touched []int32      // topics with c[k] > 0 in first-touch order; cap K+1, see tally
+	h       *tcount.Hash // Section 5.4 table
+}
+
+func newCountRow(k int, hash bool) countRow {
+	if hash {
+		return countRow{h: tcount.NewHash(64)}
+	}
+	return countRow{c: make([]int32, k), touched: make([]int32, 0, k+1)}
+}
+
+// lookup reads topic k of a row given as its two representations.
+func lookup(c []int32, h *tcount.Hash, k int32) int32 {
+	if c != nil {
+		return c[k]
+	}
+	return h.Get(k)
+}
+
+// tally adds one to c[z], where touched[:nt] lists the topics counted
+// so far, and returns the new nt. z is stored past the end of the list
+// first and kept only if it is new, which turns an unpredictable branch
+// into a conditional increment; the list never holds more than K
+// topics, so with capacity K+1 the store is always in range.
+func tally(c, touched []int32, nt int, z int32) int {
+	touched[nt] = z
+	if c[z] == 0 {
+		nt++
+	}
+	c[z]++
+	return nt
+}
+
+// reset empties the row for a visit of l tokens over k topics.
+func (r *countRow) reset(k, l int) {
+	if r.c == nil {
+		r.h.ResetFor(k, l)
+		return
+	}
+	for _, t := range r.touched {
+		r.c[t] = 0
+	}
+	r.touched = r.touched[:0]
+}
+
+// appendNonZero appends the row's support to topics and the matching
+// counts to weights, the input of a sparse alias build.
+func (r countRow) appendNonZero(topics []int32, weights []float64) ([]int32, []float64) {
+	if r.c == nil {
+		r.h.NonZero(func(k, c int32) {
+			topics = append(topics, k)
+			weights = append(weights, float64(c))
+		})
+		return topics, weights
+	}
+	for _, k := range r.touched {
+		topics = append(topics, k)
+		weights = append(weights, float64(r.c[k]))
+	}
+	return topics, weights
+}
+
+// entries returns the number of entries in the run (data, idx).
+func entries(data, idx []int32, stride int) int {
+	if idx != nil {
+		return len(idx)
+	}
+	return len(data) / stride
+}
+
+// entryAt returns the index into data/stride of the run's i-th entry.
+func entryAt(idx []int32, i int) int {
+	if idx != nil {
+		return int(idx[i])
+	}
+	return i
+}
+
+// count adds the current assignment of every entry of a run to row.
+func count(data, idx []int32, stride int, row *countRow) {
+	c, h := row.c, row.h
+	touched, nt := row.touched[:cap(row.touched)], len(row.touched)
+	for i, n := 0, entries(data, idx, stride); i < n; i++ {
+		if z := data[entryAt(idx, i)*stride]; c != nil {
+			nt = tally(c, touched, nt, z)
+		} else {
+			h.Incr(z)
+		}
+	}
+	row.touched = touched[:nt]
+}
+
+// unit maps a generator word to a uniform float64 in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
+
+// smoothTopic is the outcome a proposal table reserves for "draw from
+// the smoothing part of the mixture instead" (uniform, or α-weighted).
+const smoothTopic = -1
+
+// chain finishes the MH chains of a run of entries: for each entry it
+// walks the M pending proposals from the current assignment s, moving
+// to proposal t with the acceptance rate of Eq. 7,
+//
+//	π = (C_xt + prior_t)(C_s + β̄) / ((C_xs + prior_s)(C_t + β̄)),
+//
+// where cur holds the frozen C_x of the visited row or column and
+// ckb[k] = C_k + β̄. The decision is taken without dividing: accept iff
+// num ≥ den or u·den < num. The resulting assignment is stored and
+// counted into next (the recount of a column, or a plain count lane).
+// It returns the number of proposals that differed from the state they
+// were offered to, and how many of those were accepted.
+func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, ckb []float64, r *rng.RNG) (proposed, accepted int) {
+	g := *r // the generator state stays in registers over the loop
+	cc, ch := cur.c, cur.h
+	nc, nh := next.c, next.h
+	touched, nt := next.touched[:cap(next.touched)], len(next.touched)
+	for i, n := 0, entries(data, idx, stride); i < n; i++ {
+		p := entryAt(idx, i)
+		e := data[p*stride : (p+1)*stride]
+		s := e[0]
+		cs := float64(lookup(cc, ch, s)) + prior[s]
+		for _, t := range e[1:] {
+			if t == s {
+				continue
+			}
+			proposed++
+			ct := float64(lookup(cc, ch, t)) + prior[t]
+			num, den := ct*ckb[s], cs*ckb[t]
+			if num >= den || unit(g.Uint64())*den < num {
+				s, cs = t, ct
+				accepted++
+			}
+		}
+		e[0] = s
+		if nc != nil {
+			nt = tally(nc, touched, nt, s)
+		} else {
+			nh.Incr(s)
+		}
+	}
+	*r, next.touched = g, touched[:nt]
+	return proposed, accepted
+}
+
+// drawAlias overwrites the M proposals of every entry with draws from
+// tab, one generator word each. Where tab yields smoothTopic the
+// proposal comes from the smoothing part instead: smooth if non-nil,
+// else uniform over k topics.
+func drawAlias(data, idx []int32, stride int, tab, smooth alias.Packed, k int, r *rng.RNG) {
+	g := *r
+	for i, n := 0, entries(data, idx, stride); i < n; i++ {
+		p := entryAt(idx, i)
+		e := data[p*stride+1 : (p+1)*stride]
+		for j := range e {
+			t := tab.Draw(g.Uint64())
+			if t == smoothTopic {
+				t = drawSmooth(g.Uint64(), smooth, k)
+			}
+			e[j] = t
+		}
+	}
+	*r = g
+}
+
+// drawSmooth draws from the smoothing part of a proposal with the
+// word x: the alias table over α when there is one, else uniform.
+func drawSmooth(x uint64, smooth alias.Packed, k int) int32 {
+	if smooth != nil {
+		return smooth.Draw(x)
+	}
+	return int32((x >> 32) * uint64(k) >> 32)
+}
+
+// drawPositions overwrites the M proposals of every entry of a row with
+// draws from q^doc ∝ C_dk + α_k by random positioning (Section 4.3): one
+// generator word per proposal, whose high half is the mixture coin —
+// with probability pCount = L_d/(L_d + ᾱ) copy the assignment of a
+// uniformly chosen token of the row — and whose low half is that
+// token's position, or the uniform topic of the smoothing part.
+func drawPositions(data, idx []int32, stride int, pCount float64, smooth alias.Packed, k int, r *rng.RNG) {
+	g := *r
+	coin := uint64(pCount * (1 << 32))
+	ld, uk := uint64(len(idx)), uint64(k)
+	for _, p := range idx {
+		e := data[int(p)*stride+1 : (int(p)+1)*stride]
+		for j := range e {
+			x := g.Uint64()
+			lo := x & (1<<32 - 1)
+			switch {
+			case x>>32 < coin:
+				e[j] = data[int(idx[lo*ld>>32])*stride]
+			case smooth != nil:
+				e[j] = smooth.Draw(g.Uint64())
+			default:
+				e[j] = int32(lo * uk >> 32)
+			}
+		}
+	}
+	*r = g
+}

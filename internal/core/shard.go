@@ -184,6 +184,7 @@ func (w *Warp) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, er
 		ck[full[i]]++
 	}
 	copy(w.ck, ck)
+	w.refreshCkb()
 	if oldP == len(w.workers) {
 		for i, wk := range w.workers {
 			wk.r.SetState(rngs[i])

@@ -22,6 +22,12 @@
 // stored: c_w and c_d are recomputed on the fly for the row/column being
 // visited, in a reused buffer that fits in cache.
 //
+// Iterate runs heavy → wordPhase → docPhase → merge. A phase visits its
+// columns or rows in three sweeps — count, finish chains (recounting as
+// it goes), draw — and every sweep is one of the kernels in kernel.go,
+// which work on the raw payload array; this file only decides, once per
+// column or row, which count row and which draw routine they get.
+//
 // Threading model (docs/PERFORMANCE.md): work is cut into contiguous
 // chunks whose token payloads fit in a per-core L2 budget, assigned to
 // workers with the deterministic greedy partitioner; each worker
@@ -40,7 +46,6 @@ import (
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
 	"warplda/internal/sparse"
-	"warplda/internal/tcount"
 )
 
 // Cache-layout constants of the threaded passes.
@@ -101,13 +106,15 @@ type Warp struct {
 	// current assignment z followed by M proposals.
 	m *sparse.Matrix
 
-	ck     []int32 // global topic counts, frozen during an iteration
-	ckNext []int32 // accumulator for the next iteration's ck
+	ck     []int32   // global topic counts, frozen during an iteration
+	ckNext []int32   // accumulator for the next iteration's ck
+	ckb    []float64 // ck[k] + β̄, the factor the acceptance rates read
+	betas  []float64 // β for every topic: the word phase's prior vector
 
 	betaBar  float64
 	alphaBar float64
 	alphas   []float64    // per-topic prior (symmetric expansion if needed)
-	alphaTab *alias.Table // q_doc smoothing part for asymmetric α (nil = uniform)
+	alphaTab alias.Packed // q_doc smoothing part for asymmetric α (nil = uniform)
 
 	workers  []*worker
 	ckDeltas []int32 // backing array of the per-worker ckAcc views, padded
@@ -121,12 +128,15 @@ type Warp struct {
 // worker carries the per-goroutine scratch state.
 type worker struct {
 	r       *rng.RNG
-	counter tcount.Counter
-	topics  []int32   // nonzero topic ids of the current row
-	weights []float64 // matching weights for the alias build
-	tab     alias.SparseTable
-	dense   alias.Table
-	ckAcc   []int32 // view into Warp.ckDeltas, one padded lane per worker
+	cur     countRow  // c_w or c_d of the column or row being visited
+	next    countRow  // its recount after the chains, for the proposal table
+	spare   []int32   // touched list of lane rows, which nobody reads
+	topics  []int32   // outcomes of the proposal table being built
+	weights []float64 // matching weights
+	build   alias.Table
+	tab     alias.Packed // the proposal table the draws read
+	ckAcc   []int32      // view into Warp.ckDeltas, one padded lane per worker
+	pass    PassStats    // this worker's share of the current pass
 
 	colChunks [][2]int // column ranges [start, end) owned in the word phase
 	rowChunks [][2]int // row ranges owned in the doc phase
@@ -162,12 +172,17 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 		c:        c,
 		ck:       make([]int32, cfg.K),
 		ckNext:   make([]int32, cfg.K),
+		ckb:      make([]float64, cfg.K),
+		betas:    make([]float64, cfg.K),
 		betaBar:  cfg.Beta * float64(c.NumWords()),
 		alphaBar: cfg.AlphaBar(),
 		alphas:   cfg.Alphas(),
 	}
 	if cfg.AlphaVec != nil {
-		w.alphaTab = alias.New(cfg.AlphaVec)
+		w.alphaTab = alias.New(cfg.AlphaVec).Pack(nil, nil)
+	}
+	for k := range w.betas {
+		w.betas[k] = cfg.Beta
 	}
 
 	b := sparse.NewBuilder(max(1, c.NumDocs()), c.NumWords(), cfg.M+1)
@@ -196,8 +211,17 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 		}
 	})
 
+	w.refreshCkb()
 	w.buildWorkers(r)
 	return w, nil
+}
+
+// refreshCkb rebuilds the C_k + β̄ table after ck changed: once per
+// iteration at the merge point, and after a restore.
+func (w *Warp) refreshCkb() {
+	for k, c := range w.ck {
+		w.ckb[k] = float64(c) + w.betaBar
+	}
 }
 
 // buildWorkers derives the whole static thread schedule from the corpus
@@ -243,19 +267,15 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	// cross-thread traffic the accumulators generate.
 	stride := ckLaneStride(w.cfg.K)
 	w.ckDeltas = make([]int32, n*stride)
+	hash := w.opts.ForceHash || w.cfg.K > w.opts.DenseThreshold
 	for i := 0; i < n; i++ {
-		wk := &worker{
+		w.workers[i] = &worker{
 			r:     r.Split(),
+			cur:   newCountRow(w.cfg.K, hash),
+			next:  newCountRow(w.cfg.K, hash),
+			spare: make([]int32, 0, w.cfg.K+1),
 			ckAcc: w.ckDeltas[i*stride : i*stride+w.cfg.K : i*stride+w.cfg.K],
 		}
-		if w.opts.ForceHash {
-			wk.counter = tcount.NewHash(64)
-		} else if w.cfg.K <= w.opts.DenseThreshold {
-			wk.counter = tcount.NewDense(w.cfg.K)
-		} else {
-			wk.counter = tcount.NewHash(256)
-		}
-		w.workers[i] = wk
 	}
 
 	// Work chunks: contiguous ranges sized so one chunk's token payloads
@@ -355,35 +375,82 @@ func (w *Warp) Name() string { return "WarpLDA" }
 // K returns the configured topic count.
 func (w *Warp) K() int { return w.cfg.K }
 
-// Iterate implements sampler.Sampler: one word phase then one doc phase,
-// after which the global count vector is refreshed (the M-step). The
-// per-worker delta buffers are merged exactly once, here — the phases
-// themselves never write shared memory.
-func (w *Warp) Iterate() {
-	if w.heavy != nil {
-		w.runHeavy()
+// PassStats counts what the last Iterate did. A proposal here is an MH
+// step whose proposed topic differed from the chain's current state (a
+// step that proposes the state itself changes nothing either way), so
+// an acceptance rate near zero means the chains have stopped moving.
+type PassStats struct {
+	WordProposals, WordAccepts int64 // word phase: chains of the doc proposals
+	DocProposals, DocAccepts   int64 // doc phase: chains of the word proposals
+	HeavyColumns               int   // columns that took the staged path
+}
+
+// AcceptRates returns the share of proposals accepted in each phase (0
+// when a phase made none).
+func (s PassStats) AcceptRates() (word, doc float64) {
+	if s.WordProposals > 0 {
+		word = float64(s.WordAccepts) / float64(s.WordProposals)
 	}
-	w.runPhase(func(wk *worker) {
-		for _, rg := range wk.colChunks {
-			for col := rg[0]; col < rg[1]; col++ {
-				if !w.isHeavy[col] {
-					w.wordColumn(wk, col)
-				}
-			}
-		}
-	})
+	if s.DocProposals > 0 {
+		doc = float64(s.DocAccepts) / float64(s.DocProposals)
+	}
+	return word, doc
+}
+
+// PassStats returns the counts of the last Iterate.
+func (w *Warp) PassStats() PassStats {
+	ps := PassStats{HeavyColumns: len(w.heavyCols)}
 	for _, wk := range w.workers {
-		clear(wk.ckAcc)
+		ps.WordProposals += wk.pass.WordProposals
+		ps.WordAccepts += wk.pass.WordAccepts
+		ps.DocProposals += wk.pass.DocProposals
+		ps.DocAccepts += wk.pass.DocAccepts
 	}
-	w.runPhase(func(wk *worker) {
-		for _, rg := range wk.rowChunks {
-			for row := rg[0]; row < rg[1]; row++ {
-				w.docRow(wk, row)
+	return ps
+}
+
+// Iterate implements sampler.Sampler: the word phase (heavy columns
+// first, through the staged passes of heavy.go) then the doc phase,
+// after which the global count vector is refreshed (the M-step). The
+// per-worker delta buffers are merged exactly once, in merge — the
+// phases themselves never write shared memory.
+func (w *Warp) Iterate() {
+	for _, wk := range w.workers {
+		wk.pass = PassStats{}
+	}
+	w.heavyPhase()
+	w.wordPhase()
+	w.docPhase()
+	w.merge()
+}
+
+func (w *Warp) wordPhase() { w.runPhase((*Warp).wordChunks) }
+func (w *Warp) docPhase()  { w.runPhase((*Warp).docChunks) }
+
+// wordChunks is one worker's share of the word phase.
+func (w *Warp) wordChunks(wk *worker) {
+	for _, rg := range wk.colChunks {
+		for col := rg[0]; col < rg[1]; col++ {
+			if !w.isHeavy[col] {
+				w.wordColumn(wk, col)
 			}
 		}
-	})
-	// M-step: merge the per-worker delta lanes into the next iteration's
-	// ck (the single cross-thread merge point of the pass).
+	}
+}
+
+// docChunks is one worker's share of the doc phase.
+func (w *Warp) docChunks(wk *worker) {
+	clear(wk.ckAcc)
+	for _, rg := range wk.rowChunks {
+		for row := rg[0]; row < rg[1]; row++ {
+			w.docRow(wk, row)
+		}
+	}
+}
+
+// merge is the M-step: the per-worker delta lanes summed into the next
+// iteration's ck, the single cross-thread merge point of the pass.
+func (w *Warp) merge() {
 	clear(w.ckNext)
 	for _, wk := range w.workers {
 		for k, v := range wk.ckAcc {
@@ -391,11 +458,15 @@ func (w *Warp) Iterate() {
 		}
 	}
 	w.ck, w.ckNext = w.ckNext, w.ck
+	w.refreshCkb()
 }
 
-func (w *Warp) runPhase(fn func(*worker)) {
+// runPhase runs fn for every worker, concurrently when there are
+// several. (fn is a method expression, not a closure, so the serial
+// pass allocates nothing.)
+func (w *Warp) runPhase(fn func(*Warp, *worker)) {
 	if len(w.workers) == 1 {
-		fn(w.workers[0])
+		fn(w, w.workers[0])
 		return
 	}
 	var wg sync.WaitGroup
@@ -403,193 +474,102 @@ func (w *Warp) runPhase(fn func(*worker)) {
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
-			fn(wk)
+			fn(w, wk)
 		}(wk)
 	}
 	wg.Wait()
 }
 
-// wordColumn processes one word: finish the doc-proposal chains for its
-// tokens using the word acceptance rate (Eq. 7, π^doc), then rebuild c_w
-// and draw M fresh word proposals per token.
+// laneRow views a plain K-sized count lane (the worker's C_k delta
+// lane, a heavy column's partial lane) as a dense countRow, so the
+// kernels can count into it.
+func (wk *worker) laneRow(lane []int32) countRow {
+	return countRow{c: lane, touched: wk.spare[:0]}
+}
+
+// wordColumn processes one word: count c_w, finish the doc-proposal
+// chains against it with the word acceptance rate (Eq. 7, π^doc) while
+// recounting, then draw M fresh word proposals per token from
+// q^word ∝ C_wk + β.
 func (w *Warp) wordColumn(wk *worker, col int) {
-	v := w.m.Column(col)
-	lw := v.Len()
+	seg := w.m.Column(col).Payload()
+	stride, k := w.m.Stride, w.cfg.K
+	lw := len(seg) / stride
 	if lw == 0 {
 		return
 	}
-	beta, betaBar := w.cfg.Beta, w.betaBar
-	cw := wk.counter
-	resetCounter(cw, w.cfg.K, lw)
-	for i := 0; i < lw; i++ {
-		cw.Incr(v.Data(i)[0])
-	}
+	wk.cur.reset(k, lw)
+	wk.next.reset(k, lw)
+	count(seg, nil, stride, &wk.cur)
+	proposed, accepted := chain(seg, nil, stride, wk.cur, &wk.next, w.betas, w.ckb, wk.r)
+	wk.pass.WordProposals += int64(proposed)
+	wk.pass.WordAccepts += int64(accepted)
 
-	// Accept/reject the proposals drawn in the previous doc phase. c_w
-	// stays frozen over the chains (delayed update within the E-step).
-	for i := 0; i < lw; i++ {
-		data := v.Data(i)
-		s := data[0]
-		for j := 1; j < len(data); j++ {
-			t := data[j]
-			if t == s {
-				continue
-			}
-			pi := (float64(cw.Get(t)) + beta) / (float64(cw.Get(s)) + beta) *
-				(float64(w.ck[s]) + betaBar) / (float64(w.ck[t]) + betaBar)
-			if pi >= 1 || wk.r.Float64() < pi {
-				s = t
-			}
-		}
-		data[0] = s
-	}
-
-	// Recompute c_w from the updated assignments and build the word
-	// proposal sampler q^word ∝ C_wk + β (mixture of the sparse count
-	// part and the uniform smoothing part).
-	resetCounter(cw, w.cfg.K, lw)
-	for i := 0; i < lw; i++ {
-		cw.Incr(v.Data(i)[0])
-	}
-
+	topics, weights := wk.topics[:0], wk.weights[:0]
 	if w.opts.DisableSparseAlias {
-		// Ablation: dense K-sized alias table, O(K) per word.
-		weights := growF(&wk.weights, w.cfg.K)
-		for k := range weights {
-			weights[k] = beta
+		// Ablation: a table over all K topics, O(K) per word.
+		for t := int32(0); int(t) < k; t++ {
+			topics = append(topics, t)
+			weights = append(weights, float64(lookup(wk.next.c, wk.next.h, t))+w.cfg.Beta)
 		}
-		cw.NonZero(func(k, c int32) { weights[k] += float64(c) })
-		wk.dense.Build(weights)
-		for i := 0; i < lw; i++ {
-			data := v.Data(i)
-			for j := 1; j < len(data); j++ {
-				data[j] = int32(wk.dense.Draw(wk.r))
-			}
-		}
-		return
+	} else {
+		topics, weights = wk.next.appendNonZero(topics, weights)
+		topics, weights = appendSmooth(topics, weights, float64(k)*w.cfg.Beta)
 	}
-
-	wk.topics = wk.topics[:0]
-	wk.weights = wk.weights[:0]
-	cw.NonZero(func(k, c int32) {
-		wk.topics = append(wk.topics, k)
-		wk.weights = append(wk.weights, float64(c))
-	})
-	wk.tab.Build(wk.topics, wk.weights)
-	// Mixture weight of the count part: ZA = Lw, ZB = Kβ.
-	pCount := float64(lw) / (float64(lw) + float64(w.cfg.K)*beta)
-	for i := 0; i < lw; i++ {
-		data := v.Data(i)
-		for j := 1; j < len(data); j++ {
-			if wk.r.Float64() < pCount {
-				data[j] = wk.tab.Draw(wk.r)
-			} else {
-				data[j] = int32(wk.r.Intn(w.cfg.K))
-			}
-		}
-	}
+	wk.topics, wk.weights = topics, weights
+	wk.tab = wk.proposalTable(wk.tab, topics, weights)
+	drawAlias(seg, nil, stride, wk.tab, nil, k, wk.r)
 }
 
-// docRow processes one document: finish the word-proposal chains using
-// the doc acceptance rate (Eq. 7, π^word), draw M fresh doc proposals per
-// token by random positioning, and accumulate this document's counts into
-// the worker's delta lane.
+// proposalTable builds the alias table over (topics, weights) into dst.
+func (wk *worker) proposalTable(dst alias.Packed, topics []int32, weights []float64) alias.Packed {
+	wk.build.Build(weights)
+	return wk.build.Pack(dst[:0], topics)
+}
+
+// appendSmooth adds the smoothing part of a proposal mixture (mass Kβ
+// or ᾱ) to a sparse table's input as the single outcome smoothTopic, so
+// that one alias draw decides both the mixture coin and the count part.
+func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []float64) {
+	return append(topics, smoothTopic), append(weights, mass)
+}
+
+// docRow processes one document: count c_d, finish the word-proposal
+// chains against it with the doc acceptance rate (Eq. 7, π^word) while
+// accumulating the new assignments into the worker's delta lane, then
+// draw M fresh doc proposals per token from q^doc ∝ C_dk + α_k.
 func (w *Warp) docRow(wk *worker, row int) {
-	v := w.m.RowOf(row)
-	ld := v.Len()
+	idx := w.m.RowOf(row).Entries()
+	ld := len(idx)
 	if ld == 0 {
 		return
 	}
-	alphas, betaBar := w.alphas, w.betaBar
-	cd := wk.counter
-	resetCounter(cd, w.cfg.K, ld)
-	for i := 0; i < ld; i++ {
-		cd.Incr(v.Data(i)[0])
-	}
-
-	for i := 0; i < ld; i++ {
-		data := v.Data(i)
-		s := data[0]
-		for j := 1; j < len(data); j++ {
-			t := data[j]
-			if t == s {
-				continue
-			}
-			pi := (float64(cd.Get(t)) + alphas[t]) / (float64(cd.Get(s)) + alphas[s]) *
-				(float64(w.ck[s]) + betaBar) / (float64(w.ck[t]) + betaBar)
-			if pi >= 1 || wk.r.Float64() < pi {
-				s = t
-			}
-		}
-		data[0] = s
-	}
-
-	// Draw doc proposals q^doc ∝ C_dk + α, either by random positioning
-	// on the updated assignments (default) or from a rebuilt sparse alias
-	// table (ablation): ZA = Ld, ZB = Kα.
-	pCount := float64(ld) / (float64(ld) + w.alphaBar)
+	data, stride, k := w.m.Payloads(), w.m.Stride, w.cfg.K
+	wk.cur.reset(k, ld)
+	count(data, idx, stride, &wk.cur)
+	lane := wk.laneRow(wk.ckAcc)
+	next := &lane
 	if w.opts.DocProposalAlias {
-		resetCounter(cd, w.cfg.K, ld)
-		for i := 0; i < ld; i++ {
-			cd.Incr(v.Data(i)[0])
-		}
-		wk.topics = wk.topics[:0]
-		wk.weights = wk.weights[:0]
-		cd.NonZero(func(k, c int32) {
-			wk.topics = append(wk.topics, k)
-			wk.weights = append(wk.weights, float64(c))
-		})
-		wk.tab.Build(wk.topics, wk.weights)
-		for i := 0; i < ld; i++ {
-			data := v.Data(i)
-			for j := 1; j < len(data); j++ {
-				if wk.r.Float64() < pCount {
-					data[j] = wk.tab.Draw(wk.r)
-				} else {
-					data[j] = w.drawAlphaPart(wk.r)
-				}
-			}
-			wk.ckAcc[data[0]]++
-		}
+		wk.next.reset(k, ld)
+		next = &wk.next
+	}
+	proposed, accepted := chain(data, idx, stride, wk.cur, next, w.alphas, w.ckb, wk.r)
+	wk.pass.DocProposals += int64(proposed)
+	wk.pass.DocAccepts += int64(accepted)
+
+	if !w.opts.DocProposalAlias {
+		drawPositions(data, idx, stride, float64(ld)/(float64(ld)+w.alphaBar), w.alphaTab, k, wk.r)
 		return
 	}
-	for i := 0; i < ld; i++ {
-		data := v.Data(i)
-		for j := 1; j < len(data); j++ {
-			if wk.r.Float64() < pCount {
-				data[j] = v.Data(wk.r.Intn(ld))[0]
-			} else {
-				data[j] = w.drawAlphaPart(wk.r)
-			}
-		}
-		wk.ckAcc[data[0]]++
+	// Ablation: a sparse alias table over the recounted c_d instead of
+	// random positioning (Section 4.3 lists both as O(1) options).
+	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
+	for i, t := range topics {
+		wk.ckAcc[t] += int32(weights[i])
 	}
-}
-
-// drawAlphaPart samples from the smoothing part of q_doc: uniform for a
-// symmetric prior, an alias draw over α for an asymmetric one.
-func (w *Warp) drawAlphaPart(r *rng.RNG) int32 {
-	if w.alphaTab != nil {
-		return int32(w.alphaTab.Draw(r))
-	}
-	return int32(r.Intn(w.cfg.K))
-}
-
-// resetCounter prepares a per-row counter for a row of length l.
-func resetCounter(c tcount.Counter, k, l int) {
-	if h, ok := c.(*tcount.Hash); ok {
-		h.ResetFor(k, l)
-		return
-	}
-	c.Reset()
-}
-
-func growF(s *[]float64, n int) []float64 {
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
-	return *s
+	wk.topics, wk.weights = appendSmooth(topics, weights, w.alphaBar)
+	wk.tab = wk.proposalTable(wk.tab, wk.topics, wk.weights)
+	drawAlias(data, idx, stride, wk.tab, w.alphaTab, k, wk.r)
 }
 
 // Assignments implements sampler.Sampler. The returned matrix is aligned
@@ -673,6 +653,7 @@ func (w *Warp) RestoreFrom(in io.Reader) error {
 	}
 	copy(w.m.Payloads(), payload)
 	copy(w.ck, ck)
+	w.refreshCkb()
 	for i, wk := range w.workers {
 		wk.r.SetState(rngs[i])
 	}

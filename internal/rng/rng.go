@@ -9,7 +9,10 @@
 // single seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** pseudo-random number generator. The zero value is
 // not a valid generator; use New.
@@ -69,6 +72,9 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
+	if uint64(n) > math.MaxUint32 {
+		return int(r.uint64n(uint64(n)))
+	}
 	// Lemire's multiply-shift rejection method: unbiased and avoids the
 	// modulo instruction on the fast path.
 	v := uint64(uint32(n))
@@ -81,6 +87,19 @@ func (r *RNG) Intn(n int) int {
 		}
 	}
 	return int(x >> 32)
+}
+
+// uint64n is Intn for bounds that do not fit 32 bits: the same
+// rejection method on whole 64-bit words with a 128-bit product.
+func (r *RNG) uint64n(n uint64) uint64 {
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
+		}
+	}
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,38 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// A bound that does not fit 32 bits used to be truncated (Intn(1<<32)
+// returned 0 forever). It must stay in range, use the whole range, and
+// leave the 32-bit path's stream consumption alone.
+func TestIntnBeyond32Bits(t *testing.T) {
+	if bits.UintSize < 64 {
+		t.Skip("int is 32 bits")
+	}
+	r := New(9)
+	for _, n := range []uint64{1 << 32, 1<<32 + 1, 3 << 40, 1<<62 + 12345} {
+		var above, distinct = 0, map[int]bool{}
+		for i := 0; i < 2000; i++ {
+			v := r.Intn(int(n))
+			if v < 0 || uint64(v) >= n {
+				t.Fatalf("Intn(%d) = %d out of range", n, v)
+			}
+			if uint64(v) >= n/2 {
+				above++
+			}
+			distinct[v] = true
+		}
+		if above < 850 || above > 1150 || len(distinct) < 1990 {
+			t.Fatalf("Intn(%d): %d of 2000 draws in the upper half, %d distinct", n, above, len(distinct))
+		}
+	}
+	a, b := New(4), New(4)
+	a.Intn(1 << 20)
+	b.Uint32()
+	if a.State() != b.State() {
+		t.Fatal("Intn below 1<<32 no longer consumes one 32-bit draw")
+	}
 }
 
 func TestIntnUniform(t *testing.T) {

@@ -200,6 +200,14 @@ func (v ColView) Data(i int) []int32 {
 	return v.m.data[s : s+int32(v.m.Stride)]
 }
 
+// Payload returns the column's payloads as one contiguous slice of
+// Len()*Stride values — entry i occupies [i*Stride, (i+1)*Stride) — so
+// a per-token loop can walk it without building a slice per entry.
+func (v ColView) Payload() []int32 {
+	s := int(v.m.Stride)
+	return v.m.data[int(v.start)*s : int(v.start+v.n)*s]
+}
+
 // RowView is the indirect view of a row's entries, in column order.
 type RowView struct {
 	m     *Matrix
@@ -229,6 +237,12 @@ func (v RowView) Data(i int) []int32 {
 func (v RowView) EntryIndex(i int) int {
 	return int(v.m.rowPtr[v.start+int32(i)])
 }
+
+// Entries returns the CSC entry indices of the row's entries, in column
+// order: EntryIndex(i) for every i as one slice of the PCSR array. The
+// payload of entry e occupies Payloads()[e*Stride : (e+1)*Stride].
+// Callers must not modify it.
+func (v RowView) Entries() []int32 { return v.m.rowPtr[v.start : v.start+v.n] }
 
 // Column returns the view of column c.
 func (m *Matrix) Column(c int) ColView {

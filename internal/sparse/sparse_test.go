@@ -99,6 +99,35 @@ func TestRowAndColumnSeeSameData(t *testing.T) {
 	}
 }
 
+// The bulk accessors must alias exactly the storage the per-entry views
+// expose: Payload()[i*Stride:] is Data(i), and Entries()[i] addresses
+// RowView.Data(i) inside Payloads().
+func TestBulkAccessorsAliasEntryViews(t *testing.T) {
+	m, _ := buildRandom(5, 12, 9, 150, 3)
+	m.VisitByColumn(func(_ int, v ColView) {
+		p := v.Payload()
+		if len(p) != v.Len()*m.Stride {
+			t.Fatalf("Payload has %d values for %d entries of stride %d", len(p), v.Len(), m.Stride)
+		}
+		for i := 0; i < v.Len(); i++ {
+			if &p[i*m.Stride] != &v.Data(i)[0] {
+				t.Fatalf("Payload entry %d is not Data(%d)", i, i)
+			}
+		}
+	})
+	m.VisitByRow(func(_ int, v RowView) {
+		e := v.Entries()
+		if len(e) != v.Len() {
+			t.Fatalf("Entries has %d indices for %d entries", len(e), v.Len())
+		}
+		for i := range e {
+			if int(e[i]) != v.EntryIndex(i) || &m.Payloads()[int(e[i])*m.Stride] != &v.Data(i)[0] {
+				t.Fatalf("Entries[%d] does not address Data(%d)", i, i)
+			}
+		}
+	})
+}
+
 func TestMutationVisibleAcrossViews(t *testing.T) {
 	b := NewBuilder(2, 2, 1)
 	b.AddEntry(1, 0)

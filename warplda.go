@@ -66,6 +66,12 @@ type Config = sampler.Config
 // Sampler is one LDA inference algorithm bound to a corpus.
 type Sampler = sampler.Sampler
 
+// PassStats counts the MH proposals and accepts of a sampler's last
+// pass, per phase. The WarpLDA sampler provides them through a
+// PassStats() method; an acceptance rate near zero means its chains
+// have stopped moving.
+type PassStats = core.PassStats
+
 // Run is the recorded trace of a training run; Point is one evaluation.
 type (
 	Run   = sampler.Run
