@@ -263,8 +263,13 @@ func TestCloseDrainsAdmittedRequests(t *testing.T) {
 			defer wg.Done()
 			recs[i] = doInfer(s, fmt.Sprintf(`{"docs": [[%d,1,2]]}`, i))
 		}(i)
+		if i == 0 {
+			// The first request loads the model and enters the gated
+			// dispatch; sent alongside it, the others can arrive mid-load
+			// and be refused, and the queue never reaches two.
+			<-entered
+		}
 	}
-	<-entered
 	waitUntil(t, 5*time.Second, "requests to queue", func() bool {
 		return s.batcherFor("news").QueueLen() == 2
 	})
@@ -313,6 +318,12 @@ func TestPublishUnderLoadUsesWarmSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	// Load the model before the traffic starts: a request that arrives
+	// while the first one is still loading it is refused (503 mid-load),
+	// which is admission control and not a failed swap.
+	if rec := doInfer(s, `{"docs": [[0,1,2]]}`); rec.Code != http.StatusOK {
+		t.Fatalf("first request: status %d", rec.Code)
+	}
 
 	var (
 		wg       sync.WaitGroup

@@ -180,15 +180,20 @@ func (d *Distributed) Iterate() {
 // worker processes its shard group by group and ships tokens to their
 // next owner in blocks of blockTokens as soon as the block fills, while
 // the remaining groups are still being computed. Receivers drain their
-// channels concurrently into buffers pre-sized from the destination
-// partition's known token counts; channels close when every sender is
-// done.
+// channels concurrently; channels close when every sender is done. A
+// receiver keeps the blocks apart by sender and lays them out in sender
+// order afterwards, so its shard does not depend on how the senders'
+// blocks interleaved on the channel and a run is a function of the seed.
 func (d *Distributed) phaseAndExchange(shards [][]Token, byRow bool, recvTokens []int64,
 	process func(wk *PhaseWorker, group []Token), owner func(Token) int32) [][]Token {
 
-	chans := make([]chan []Token, d.p)
+	type block struct {
+		from   int
+		tokens []Token
+	}
+	chans := make([]chan block, d.p)
 	for i := range chans {
-		chans[i] = make(chan []Token, 2*d.p)
+		chans[i] = make(chan block, 2*d.p)
 	}
 
 	var senders sync.WaitGroup
@@ -205,14 +210,14 @@ func (d *Distributed) phaseAndExchange(shards [][]Token, byRow bool, recvTokens 
 					o := owner(t)
 					buckets[o] = append(buckets[o], t)
 					if len(buckets[o]) >= d.blockTokens {
-						chans[o] <- buckets[o]
+						chans[o] <- block{i, buckets[o]}
 						buckets[o] = nil
 					}
 				}
 			})
 			for o, b := range buckets {
 				if len(b) > 0 {
-					chans[o] <- b
+					chans[o] <- block{i, b}
 				}
 			}
 		}(i, wk)
@@ -230,9 +235,16 @@ func (d *Distributed) phaseAndExchange(shards [][]Token, byRow bool, recvTokens 
 		receivers.Add(1)
 		go func(i int) {
 			defer receivers.Done()
-			out[i] = make([]Token, 0, recvTokens[i])
+			bySender := make([][][]Token, d.p)
 			for b := range chans[i] {
-				out[i] = append(out[i], b...)
+				bySender[b.from] = append(bySender[b.from], b.tokens)
+			}
+			// Pre-sized from the destination partition's known token count.
+			out[i] = make([]Token, 0, recvTokens[i])
+			for _, blocks := range bySender {
+				for _, b := range blocks {
+					out[i] = append(out[i], b...)
+				}
 			}
 		}(i)
 	}
@@ -255,11 +267,10 @@ const distStateTag = "dist\x01"
 
 // StateTo implements sampler.Sampler: each worker's token shard (cells
 // plus payloads, in shard order), the replicated global counts, and the
-// per-worker RNG streams. With one worker a restored sampler resumes
-// bit-identically; with several, the channel-interleaved block exchange
-// makes even an uninterrupted run's token ordering nondeterministic, so
-// resume is exact in distribution but not in bits — same as two
-// back-to-back runs of the live sampler.
+// per-worker RNG streams. Shards are laid out in sender order whatever
+// the interleaving of the block exchange (phaseAndExchange), so a run is
+// a function of its seed and a sampler restored at the same worker count
+// resumes bit-identically.
 func (d *Distributed) StateTo(out io.Writer) error {
 	e := sampler.NewEnc(out)
 	e.Tag(distStateTag)

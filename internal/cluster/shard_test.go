@@ -117,8 +117,7 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 
 // Same worker count: the restore must be exact — shards byte-for-byte,
 // RNG streams included — so a p→p resume continues precisely the saved
-// trajectory (the live multi-worker exchange is itself
-// channel-interleaved, so exactness is defined by state identity).
+// trajectory.
 func TestSameTopologyRestoreIsExact(t *testing.T) {
 	c := simCorpus()
 	cfg := sampler.PaperDefaults(6)
@@ -145,27 +144,13 @@ func TestSameTopologyRestoreIsExact(t *testing.T) {
 			t.Fatalf("worker %d RNG stream not restored", i)
 		}
 	}
-	// And single worker end to end: continuation is bit-identical.
-	one, err := NewDistributed(c, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// And end to end: continuation is bit-identical.
 	for i := 0; i < 3; i++ {
-		one.Iterate()
+		src.Iterate()
+		dst.Iterate()
 	}
-	re, err := NewDistributed(c, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := re.RestoreShards(3, readers(shardBlobs(t, one))); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		one.Iterate()
-		re.Iterate()
-	}
-	if !reflect.DeepEqual(one.Assignments(), re.Assignments()) {
-		t.Fatal("single-worker shard-restored run diverged")
+	if !reflect.DeepEqual(src.Assignments(), dst.Assignments()) {
+		t.Fatal("shard-restored run diverged")
 	}
 }
 

@@ -121,9 +121,6 @@ func count(data, idx []int32, stride int, row *countRow) {
 	row.touched = touched[:nt]
 }
 
-// unit maps a generator word to a uniform float64 in [0, 1).
-func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
-
 // smoothTopic is the outcome a proposal table reserves for "draw from
 // the smoothing part of the mixture instead" (uniform, or α-weighted).
 const smoothTopic = -1
@@ -157,7 +154,7 @@ func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, c
 			proposed++
 			ct := float64(lookup(cc, ch, t)) + prior[t]
 			num, den := ct*ckb[s], cs*ckb[t]
-			if num >= den || unit(g.Uint64())*den < num {
+			if num >= den || rng.Unit(g.Uint64())*den < num {
 				s, cs = t, ct
 				accepted++
 			}

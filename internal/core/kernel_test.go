@@ -43,7 +43,7 @@ func TestChainAgreesWithEq7(t *testing.T) {
 		pi, _ := new(big.Float).Quo(num, den).Float64()
 
 		seed := src.Uint64()
-		u := unit(rng.New(seed).Uint64())
+		u := rng.Unit(rng.New(seed).Uint64())
 		if math.Abs(u-pi) < 1e-9*pi || math.Abs(pi-1) < 1e-9 {
 			continue
 		}

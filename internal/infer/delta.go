@@ -9,23 +9,25 @@ package infer
 // reload — the request path never pays a cold O(V·K) build.
 //
 // Which words must be rebuilt is subtler than "words with changed
-// cells": the per-word proposal weights are C_wk/(C_k+β̄), so a word's
-// table is stale whenever ANY topic it has support on changed its
-// global count C_k — which continued training almost always does
-// broadly. Byte-identical equivalence with a freshly built engine (the
-// property the equivalence suite enforces) therefore requires
-// rebuilding
+// cells": a word's table weighs its support C_wk/(C_k+β̄) against the
+// smoothing mass Σ_k β/(C_k+β̄), so it is stale whenever ANY topic
+// changed its global count C_k — which continued training always does.
+// Only a word without support is exempt: its table is the single
+// smoothTopic bin whatever that mass is. Byte-identical equivalence with
+// a freshly built engine (the property the equivalence suite enforces)
+// therefore requires rebuilding
 //
-//	touched(w) ⇔ some cell (w,·) changed ∨ ∃k: C_k changed ∧ C_wk > 0
+//	touched(w) ⇔ some cell (w,·) changed ∨ (some C_k changed ∧ ∃k: C_wk > 0)
 //
-// and sharing the rest. Untouched words see bit-identical inputs to
-// alias.SparseTable.Build, and the build is deterministic, so sharing
-// the old table IS the fresh table. The shared smoothing table and
-// C_k+β̄ row are rebuilt unconditionally (O(K), trivial).
+// and sharing the rest. Untouched words see bit-identical inputs to the
+// table build, and the build is deterministic, so sharing the old table
+// IS the fresh table. The shared smoothing table and C_k+β̄ row are
+// rebuilt unconditionally (O(K), trivial).
 
 import (
 	"fmt"
 
+	"warplda/internal/alias"
 	"warplda/internal/fsio"
 )
 
@@ -76,7 +78,7 @@ func (e *Engine) ApplyDelta(d *fsio.ModelDelta) (*Engine, int, error) {
 	}
 	newCk := make([]int64, p.K)
 	copy(newCk, d.Ck)
-	var ckChanged []int
+	ckChanged := false
 	for k := 0; k < p.K; k++ {
 		if newCk[k] < 0 {
 			return nil, 0, fmt.Errorf("infer: delta topic count Ck[%d] = %d, want >= 0", k, newCk[k])
@@ -84,67 +86,22 @@ func (e *Engine) ApplyDelta(d *fsio.ModelDelta) (*Engine, int, error) {
 		if newCk[k] != p.Ck[k]+sumAdds[k] {
 			return nil, 0, fmt.Errorf("infer: delta Ck[%d] = %d inconsistent with cell adds (%d%+d)", k, newCk[k], p.Ck[k], sumAdds[k])
 		}
-		if newCk[k] != p.Ck[k] {
-			ckChanged = append(ckChanged, k)
-		}
+		ckChanged = ckChanged || newCk[k] != p.Ck[k]
 	}
 
+	// Share the untouched words' tables (read-only after construction);
+	// buildTables builds the rest. A table of one bin has no support.
+	words := make([]alias.Packed, p.V)
+	for w := range words {
+		if !cellTouched[w] && !(ckChanged && len(e.words[w]) > 1) {
+			words[w] = e.words[w]
+		}
+	}
 	ne := &Engine{
-		p:        Params{V: p.V, K: p.K, Alpha: p.Alpha, Beta: p.Beta, Cw: newCw, Ck: newCk},
-		alphaBar: e.alphaBar,
-		ckBar:    make([]float64, p.K),
-		words:    make([]wordTab, p.V),
-		mh:       e.mh,
-		workers:  e.workers,
+		p:       Params{V: p.V, K: p.K, Alpha: p.Alpha, Beta: p.Beta, Cw: newCw, Ck: newCk},
+		words:   words,
+		mh:      e.mh,
+		workers: e.workers,
 	}
-	betaBar := p.Beta * float64(p.V)
-	smoothW := make([]float64, p.K)
-	for k := 0; k < p.K; k++ {
-		ne.ckBar[k] = float64(newCk[k]) + betaBar
-		smoothW[k] = p.Beta / ne.ckBar[k]
-		ne.zbSmooth += smoothW[k]
-	}
-	ne.smooth.Build(smoothW)
-
-	rebuilt := 0
-	var topics []int32
-	var weights []float64
-	for w := 0; w < p.V; w++ {
-		touched := cellTouched[w]
-		if !touched {
-			// The word's cells are unchanged; its table is stale only if
-			// a topic it has support on changed its denominator C_k+β̄.
-			row := p.Cw[w*p.K : (w+1)*p.K]
-			for _, k := range ckChanged {
-				if row[k] > 0 {
-					touched = true
-					break
-				}
-			}
-		}
-		if !touched {
-			// Bit-identical inputs ⇒ the old table IS what a fresh build
-			// would produce; share it (struct copy shares the backing
-			// slices, which are read-only after construction).
-			ne.words[w] = e.words[w]
-			continue
-		}
-		rebuilt++
-		row := newCw[w*p.K : (w+1)*p.K]
-		topics, weights = topics[:0], weights[:0]
-		var za float64
-		for k, c := range row {
-			if c > 0 {
-				q := float64(c) / ne.ckBar[k]
-				topics = append(topics, int32(k))
-				weights = append(weights, q)
-				za += q
-			}
-		}
-		if len(topics) > 0 {
-			ne.words[w].tab.Build(topics, weights)
-		}
-		ne.words[w].za = za
-	}
-	return ne, rebuilt, nil
+	return ne, ne.buildTables(), nil
 }

@@ -13,17 +13,31 @@
 // the paper), which is O(1) per token:
 //
 //   - word proposal  q_word(k) ∝ Φ̂_wk — because Φ̂ is frozen, this is
-//     drawn from per-word sparse alias tables built ONCE per engine and
+//     drawn from per-word alias tables built ONCE per engine and
 //     amortized across every request. And because the proposal equals
 //     the word-dependent factor of the target exactly, its acceptance
 //     ratio collapses to (c_dt+α)/(c_ds+α): no Φ̂ lookups at all.
 //   - doc proposal   q_doc(k) ∝ c_dk + α — drawn by random positioning
-//     over the document's current assignments (no table build), with
-//     the standard LightLDA acceptance correction.
+//     over the document's current assignments (no table build). It
+//     equals the document-dependent factor of the target, so its
+//     acceptance ratio collapses to Φ̂_wt/Φ̂_ws: no c_d lookups at all.
+//
+// The tables and the per-token loop are the training kernel's
+// (internal/core/kernel.go). A word owns one alias.Packed of 16-byte
+// bins over its support C_wk/(C_k+β̄) plus one smoothTopic outcome that
+// carries the mass Σ_k β/(C_k+β̄) all words share; that outcome redirects
+// the draw to the engine's one K-bin table over β/(C_k+β̄). A proposal
+// costs one generator word (doc: mixture coin in the high half, token
+// position or uniform topic in the low half; word: bin and threshold)
+// and an acceptance test cross-multiplies instead of dividing; runChain
+// derives the rates. The chain a given (doc, sweeps, seed) follows is
+// therefore a property of the build: answers are reproducible between
+// engines of one build, not across builds that change how the
+// generator is consumed.
 //
 // Engines are safe for concurrent use: all shared state is read-only
 // after construction, and InferBatch shards a batch of documents across
-// a worker pool with per-worker RNG and scratch state, mirroring
+// a worker pool with per-worker scratch state, mirroring
 // core.Warp.runPhase.
 package infer
 
@@ -63,24 +77,19 @@ type Options struct {
 // sweeps < 1, matching Model.DocTopics' historical default.
 const DefaultSweeps = 5
 
-// wordTab is word w's half of the proposal mixture: a sparse alias
-// table over the topics with C_wk > 0, weighted C_wk/(C_k+β̄), plus the
-// count-part mass za. The smoothing part β/(C_k+β̄) is shared by all
-// words (Engine.smooth).
-type wordTab struct {
-	tab alias.SparseTable
-	za  float64
-}
+// smoothTopic is the outcome a word's table reserves for "draw from the
+// smoothing part β/(C_k+β̄) instead", which is the same for every word.
+const smoothTopic = -1
 
 // Engine answers fold-in queries against one frozen model. Construction
 // is O(V·K); queries are O(MHSteps) per token. Safe for concurrent use.
 type Engine struct {
 	p        Params
 	alphaBar float64
-	ckBar    []float64 // C_k + β̄
-	words    []wordTab
-	smooth   alias.Table
-	zbSmooth float64
+	ckBar    []float64      // C_k + β̄
+	words    []alias.Packed // word w: C_wk/(C_k+β̄) over its support, zbSmooth on smoothTopic
+	smooth   alias.Packed   // β/(C_k+β̄) over all K topics
+	zbSmooth float64        // Σ_k β/(C_k+β̄)
 	mh       int
 	workers  int
 
@@ -123,53 +132,62 @@ func NewEngine(p Params, opts Options) (*Engine, error) {
 	if len(p.Ck) != p.K {
 		return nil, fmt.Errorf("infer: len(Ck) = %d, want K = %d", len(p.Ck), p.K)
 	}
-	e := &Engine{
-		p:        p,
-		alphaBar: p.Alpha * float64(p.K),
-		ckBar:    make([]float64, p.K),
-		words:    make([]wordTab, p.V),
-		mh:       opts.MHSteps,
-		workers:  opts.Workers,
+	for k, c := range p.Ck {
+		if c < 0 {
+			return nil, fmt.Errorf("infer: negative topic count Ck[%d] = %d", k, c)
+		}
 	}
+	e := &Engine{p: p, words: make([]alias.Packed, p.V), mh: opts.MHSteps, workers: opts.Workers}
 	if e.mh < 1 {
 		e.mh = 2
 	}
 	if e.workers < 1 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
+	e.buildTables()
+	return e, nil
+}
 
+// buildTables derives everything the chain reads from e.p: C_k+β̄, the
+// smoothing table, and the table of every word whose entry in e.words
+// is still nil (ApplyDelta fills in the ones it shares beforehand). It
+// returns the number of word tables built. Every table goes through one
+// scratch alias.Table, so the engine retains only the packed bins.
+func (e *Engine) buildTables() (built int) {
+	p := e.p
+	e.alphaBar = p.Alpha * float64(p.K)
+	e.ckBar = make([]float64, p.K)
+
+	var tab alias.Table
 	betaBar := p.Beta * float64(p.V)
-	smoothW := make([]float64, p.K)
-	for k := 0; k < p.K; k++ {
-		if p.Ck[k] < 0 {
-			return nil, fmt.Errorf("infer: negative topic count Ck[%d] = %d", k, p.Ck[k])
-		}
+	weights := make([]float64, p.K, p.K+1)
+	for k := range weights {
 		e.ckBar[k] = float64(p.Ck[k]) + betaBar
-		smoothW[k] = p.Beta / e.ckBar[k]
-		e.zbSmooth += smoothW[k]
+		weights[k] = p.Beta / e.ckBar[k]
+		e.zbSmooth += weights[k]
 	}
-	e.smooth.Build(smoothW)
+	tab.Build(weights)
+	e.smooth = tab.Pack(make(alias.Packed, 0, p.K), nil)
 
-	var topics []int32
-	var weights []float64
-	for w := 0; w < p.V; w++ {
-		row := p.Cw[w*p.K : (w+1)*p.K]
+	topics := make([]int32, 0, p.K+1)
+	for w := range e.words {
+		if e.words[w] != nil {
+			continue
+		}
+		built++
 		topics, weights = topics[:0], weights[:0]
-		var za float64
-		for k, c := range row {
+		for k, c := range p.Cw[w*p.K : (w+1)*p.K] {
 			if c > 0 {
-				q := float64(c) / e.ckBar[k]
 				topics = append(topics, int32(k))
-				weights = append(weights, q)
-				za += q
+				weights = append(weights, float64(c)/e.ckBar[k])
 			}
 		}
-		if len(topics) > 0 {
-			e.words[w].tab.Build(topics, weights)
-		}
-		e.words[w].za = za
+		topics = append(topics, smoothTopic)
+		weights = append(weights, e.zbSmooth)
+		tab.Build(weights)
+		e.words[w] = tab.Pack(make(alias.Packed, 0, len(topics)), topics)
 	}
-	return e, nil
+	return built
 }
 
 // K returns the engine's topic count.
@@ -194,39 +212,24 @@ func (e *Engine) Count(w, k int) int32 { return e.p.Cw[w*e.p.K+k] }
 func (e *Engine) TopicTokens(k int) int64 { return e.p.Ck[k] }
 
 // Phi evaluates the frozen point estimate Φ̂_wk = (C_wk+β)/(C_k+β̄).
-func (e *Engine) Phi(w, k int) float64 { return e.phi(int32(w), int32(k)) }
+func (e *Engine) Phi(w, k int) float64 {
+	return (float64(e.p.Cw[w*e.p.K+k]) + e.p.Beta) / e.ckBar[k]
+}
 
-// MemoryBytes estimates the engine's own resident memory: the shared
-// smoothing table, C_k+β̄ row, and every per-word sparse alias table.
-// It excludes the Params count slices, which the engine retains but
-// does not own (Model.SizeBytes accounts for those). Multi-model
-// serving layers use the sum of both to enforce an LRU byte budget.
+// MemoryBytes is the memory the engine owns: the C_k+β̄ row, the
+// smoothing table, and per word one slice header plus 16 bytes per
+// alias bin (its support and the smoothTopic outcome). It excludes the
+// Params count slices, which the engine retains but does not own
+// (Model.SizeBytes accounts for those). Multi-model serving layers use
+// the sum of both to enforce an LRU byte budget.
 func (e *Engine) MemoryBytes() int64 {
-	// Per alias bin: prob float64 + first/second int32 (Table), and the
-	// outcome id (SparseTable). The fixed per-table struct overhead is
-	// folded into a small constant per word.
-	const binBytes = 8 + 4 + 4
-	n := int64(len(e.ckBar))*8 + int64(e.smooth.K())*binBytes
-	for w := range e.words {
-		wt := &e.words[w]
-		n += 24 // wordTab struct: za + table headers, amortized
-		n += int64(wt.tab.K()) * (binBytes + 4)
+	const binBytes, sliceHeader = 16, 24
+	n := int64(len(e.ckBar))*8 + int64(len(e.smooth))*binBytes
+	n += int64(len(e.words)) * sliceHeader
+	for _, tab := range e.words {
+		n += int64(len(tab)) * binBytes
 	}
 	return n
-}
-
-// drawWord samples from q_word(k) ∝ Φ̂_wk in O(1).
-func (e *Engine) drawWord(w int32, r *rng.RNG) int32 {
-	wt := &e.words[w]
-	if wt.za > 0 && r.Float64()*(wt.za+e.zbSmooth) < wt.za {
-		return wt.tab.Draw(r)
-	}
-	return int32(e.smooth.Draw(r))
-}
-
-// phi evaluates Φ̂_wk.
-func (e *Engine) phi(w, k int32) float64 {
-	return (float64(e.p.Cw[int(w)*e.p.K+int(k)]) + e.p.Beta) / e.ckBar[k]
 }
 
 func (e *Engine) validateDoc(doc []int32) error {
@@ -238,31 +241,28 @@ func (e *Engine) validateDoc(doc []int32) error {
 	return nil
 }
 
-// scratch is the per-worker (or per-call) reusable state.
+// scratch is the per-worker (or per-call) reusable chain state: the
+// assignment vector and the doc-topic counts.
 type scratch struct {
 	z  []int32
 	cd []int32
-	r  *rng.RNG
 }
 
-func newScratch(k int) *scratch { return &scratch{cd: make([]int32, k), r: rng.New(0)} }
-
 // getScratch takes a scratch from the engine's pool (allocating on
-// first use); putScratch returns it. The contained RNG must be
-// reseeded by the caller before every chain.
+// first use); putScratch returns it.
 func (e *Engine) getScratch() *scratch {
 	if sc, ok := e.scratchPool.Get().(*scratch); ok {
 		return sc
 	}
-	return newScratch(e.p.K)
+	return &scratch{cd: make([]int32, e.p.K)}
 }
 
 func (e *Engine) putScratch(sc *scratch) { e.scratchPool.Put(sc) }
 
-// inferInto runs the fold-in chain for one document and writes θ̂ into
-// theta (length K). doc must be pre-validated; r and sc must not be
-// shared across concurrent calls.
-func (e *Engine) inferInto(doc []int32, sweeps int, r *rng.RNG, sc *scratch, theta []float64) {
+// inferInto runs the fold-in chain for one document from seed and
+// writes θ̂ into theta (length K). doc must be pre-validated; sc must
+// not be shared across concurrent calls.
+func (e *Engine) inferInto(doc []int32, sweeps int, seed uint64, sc *scratch, theta []float64) {
 	k := e.p.K
 	ld := len(doc)
 	if ld == 0 {
@@ -271,75 +271,88 @@ func (e *Engine) inferInto(doc []int32, sweeps int, r *rng.RNG, sc *scratch, the
 		}
 		return
 	}
-	e.runChain(doc, sweeps, r, sc)
+	e.runChain(doc, sweeps, seed, sc)
 	alpha := e.p.Alpha
 	for t := 0; t < k; t++ {
 		theta[t] = (float64(sc.cd[t]) + alpha) / (float64(ld) + e.alphaBar)
 	}
 }
 
-// runChain runs the MH fold-in chain for one non-empty document,
-// leaving the final doc-topic counts in sc.cd. It is the shared core of
-// the dense (inferInto) and sparse (InferSparse) extraction paths.
-func (e *Engine) runChain(doc []int32, sweeps int, r *rng.RNG, sc *scratch) {
+// runChain runs the MH fold-in chain for one non-empty document from
+// seed, leaving the final assignments in sc.z and their counts in
+// sc.cd. It is the shared core of the dense (inferInto) and sparse
+// (InferSparse) extraction paths.
+//
+// Per token and MH step it offers a doc proposal and then a word
+// proposal to the chain state cur. With c_d excluding the token being
+// resampled, the target is p(k) ∝ (c_dk+α)(C_wk+β)/(C_k+β̄). The doc
+// proposal is drawn by random positioning over z, and z[n] always holds
+// cur, so q_doc(k | cur) ∝ c_dk + α + [k==cur]: between two different
+// topics the proposal ratio is exactly the target's document factor and
+// the acceptance rate is Φ̂_wt/Φ̂_wcur. (Leaving the token's old topic in
+// z for all its steps and correcting the rate with [k==old] terms, as
+// LightLDA does, makes the proposal depend on the state the step
+// started from without the rate knowing; its stationary distribution is
+// off by O(1/L_d), which TestFoldInMatchesExactPosterior sees.) The
+// word proposal is ∝ Φ̂_wk exactly, so its rate is (c_dt+α)/(c_dcur+α).
+// Both are decided without dividing: accept iff num ≥ den or u·den < num.
+func (e *Engine) runChain(doc []int32, sweeps int, seed uint64, sc *scratch) {
 	k := e.p.K
 	ld := len(doc)
 	if sweeps < 1 {
 		sweeps = DefaultSweeps
 	}
-	alpha := e.p.Alpha
 	if cap(sc.z) < ld {
 		sc.z = make([]int32, ld)
 	}
 	z := sc.z[:ld]
 	cd := sc.cd
 	clear(cd)
-	for n := range doc {
-		z[n] = int32(r.Intn(k))
-		cd[z[n]]++
+
+	var g rng.RNG // a local, so its state stays in registers over the loop
+	g.Seed(seed)
+	uk, uld := uint64(k), uint64(ld)
+	for n := range z {
+		t := int32(g.Uint64() >> 32 * uk >> 32)
+		z[n] = t
+		cd[t]++
 	}
-	pDocCount := float64(ld) / (float64(ld) + e.alphaBar)
+	alpha, beta := e.p.Alpha, e.p.Beta
+	ckb, smooth, mh := e.ckBar, e.smooth, e.mh
+	coin := uint64(float64(ld) / (float64(ld) + e.alphaBar) * (1 << 32))
 	for s := 0; s < sweeps; s++ {
 		for n, w := range doc {
-			old := z[n]
-			cd[old]-- // counts exclude the token being resampled
-			cur := old
-			for step := 0; step < e.mh; step++ {
-				// --- Doc proposal: random positioning over z, which
-				// still holds the removed token's old topic, so
-				// q_doc(k) = c_dk + α + [k==old] (token included).
-				var t int32
-				if r.Float64() < pDocCount {
-					t = z[r.Intn(ld)]
-				} else {
-					t = int32(r.Intn(k))
+			cw, tab := e.p.Cw[int(w)*k:(int(w)+1)*k], e.words[w]
+			cur := z[n]
+			cd[cur]-- // counts exclude the token being resampled
+			for step := 0; step < mh; step++ {
+				// Doc proposal: coin in the high half of one word,
+				// position or uniform topic in the low half.
+				x := g.Uint64()
+				lo := x & (1<<32 - 1)
+				t := int32(lo * uk >> 32)
+				if x>>32 < coin {
+					t = z[lo*uld>>32]
 				}
 				if t != cur {
-					qdT := float64(cd[t]) + alpha
-					qdCur := float64(cd[cur]) + alpha
-					if t == old {
-						qdT++
-					}
-					if cur == old {
-						qdCur++
-					}
-					pi := (float64(cd[t]) + alpha) * e.phi(w, t) * qdCur /
-						((float64(cd[cur]) + alpha) * e.phi(w, cur) * qdT)
-					if pi >= 1 || r.Float64() < pi {
-						cur = t
+					num := (float64(cw[t]) + beta) * ckb[cur]
+					den := (float64(cw[cur]) + beta) * ckb[t]
+					if num >= den || rng.Unit(g.Uint64())*den < num {
+						cur, z[n] = t, t
 					}
 				}
-				// --- Word proposal: q_word ∝ Φ̂_wk exactly, so the Φ̂
-				// factors cancel out of the acceptance ratio.
-				t = e.drawWord(w, r)
+				// Word proposal.
+				t = tab.Draw(g.Uint64())
+				if t == smoothTopic {
+					t = smooth.Draw(g.Uint64())
+				}
 				if t != cur {
-					pi := (float64(cd[t]) + alpha) / (float64(cd[cur]) + alpha)
-					if pi >= 1 || r.Float64() < pi {
-						cur = t
+					num, den := float64(cd[t])+alpha, float64(cd[cur])+alpha
+					if num >= den || rng.Unit(g.Uint64())*den < num {
+						cur, z[n] = t, t
 					}
 				}
 			}
-			z[n] = cur
 			cd[cur]++
 		}
 	}
@@ -356,8 +369,7 @@ func (e *Engine) Infer(doc []int32, sweeps int, seed uint64) ([]float64, error) 
 	e.statDocs.Add(1)
 	theta := make([]float64, e.p.K)
 	sc := e.getScratch()
-	sc.r.Seed(seed)
-	e.inferInto(doc, sweeps, sc.r, sc, theta)
+	e.inferInto(doc, sweeps, seed, sc, theta)
 	e.putScratch(sc)
 	return theta, nil
 }
@@ -438,7 +450,7 @@ func docSeed(seed uint64, doc []int32) uint64 {
 // count. An invalid document fails the whole batch before any work
 // runs.
 func (e *Engine) InferBatch(docs [][]int32, sweeps int, seed uint64) ([][]float64, error) {
-	return e.inferBatch(docs, func(int) int { return sweeps }, seed)
+	return e.inferBatch(docs, sweeps, nil, seed)
 }
 
 // InferBatchSweeps is InferBatch with a per-document sweep count
@@ -451,10 +463,13 @@ func (e *Engine) InferBatchSweeps(docs [][]int32, sweeps []int, seed uint64) ([]
 	if len(sweeps) != len(docs) {
 		return nil, fmt.Errorf("infer: %d sweep counts for %d docs", len(sweeps), len(docs))
 	}
-	return e.inferBatch(docs, func(i int) int { return sweeps[i] }, seed)
+	return e.inferBatch(docs, 0, sweeps, seed)
 }
 
-func (e *Engine) inferBatch(docs [][]int32, sweepsFor func(int) int, seed uint64) ([][]float64, error) {
+// inferBatch folds docs in with perDoc[i] sweeps each, or sweeps when
+// perDoc is nil. The θ̂ rows are cut from one slab, and the serial path
+// builds no closure, so a batch on one worker allocates twice.
+func (e *Engine) inferBatch(docs [][]int32, sweeps int, perDoc []int, seed uint64) ([][]float64, error) {
 	for i, doc := range docs {
 		if err := e.validateDoc(doc); err != nil {
 			return nil, fmt.Errorf("doc %d: %w", i, err)
@@ -462,7 +477,12 @@ func (e *Engine) inferBatch(docs [][]int32, sweepsFor func(int) int, seed uint64
 	}
 	e.statDispatches.Add(1)
 	e.statDocs.Add(int64(len(docs)))
+	k := e.p.K
 	out := make([][]float64, len(docs))
+	slab := make([]float64, len(docs)*k)
+	for i := range out {
+		out[i] = slab[i*k : (i+1)*k : (i+1)*k]
+	}
 	workers := e.workers
 	if workers > len(docs) {
 		workers = len(docs)
@@ -470,10 +490,7 @@ func (e *Engine) inferBatch(docs [][]int32, sweepsFor func(int) int, seed uint64
 	if workers <= 1 {
 		sc := e.getScratch()
 		for i, doc := range docs {
-			theta := make([]float64, e.p.K)
-			sc.r.Seed(docSeed(seed, doc))
-			e.inferInto(doc, sweepsFor(i), sc.r, sc, theta)
-			out[i] = theta
+			e.foldDoc(doc, sweeps, perDoc, i, seed, sc, out[i])
 		}
 		e.putScratch(sc)
 		return out, nil
@@ -491,13 +508,19 @@ func (e *Engine) inferBatch(docs [][]int32, sweepsFor func(int) int, seed uint64
 				if i >= len(docs) {
 					return
 				}
-				theta := make([]float64, e.p.K)
-				sc.r.Seed(docSeed(seed, docs[i]))
-				e.inferInto(docs[i], sweepsFor(i), sc.r, sc, theta)
-				out[i] = theta
+				e.foldDoc(docs[i], sweeps, perDoc, i, seed, sc, out[i])
 			}
 		}()
 	}
 	wg.Wait()
 	return out, nil
+}
+
+// foldDoc is one document of a batch: document i's own sweep count when
+// the batch has them, and a seed derived from its content.
+func (e *Engine) foldDoc(doc []int32, sweeps int, perDoc []int, i int, seed uint64, sc *scratch, theta []float64) {
+	if perDoc != nil {
+		sweeps = perDoc[i]
+	}
+	e.inferInto(doc, sweeps, docSeed(seed, doc), sc, theta)
 }

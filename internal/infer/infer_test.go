@@ -19,42 +19,45 @@ var trainCache struct {
 	err  error
 }
 
-// trainedParams trains WarpLDA on a synthetic corpus (once per test
-// binary) and extracts the frozen count matrices the way
-// warplda.Snapshot does. All tests read the counts; none mutate them.
+// trainParams trains WarpLDA (M=2) on a synthetic corpus and extracts
+// the frozen count matrices the way warplda.Snapshot does.
+func trainParams(sc corpus.SyntheticConfig, k, iters int) (infer.Params, *corpus.Corpus, error) {
+	c, err := corpus.GenerateLDA(sc)
+	if err != nil {
+		return infer.Params{}, nil, err
+	}
+	cfg := sampler.PaperDefaults(k)
+	cfg.M = 2
+	w, err := core.New(c, cfg)
+	if err != nil {
+		return infer.Params{}, nil, err
+	}
+	for i := 0; i < iters; i++ {
+		w.Iterate()
+	}
+	p := infer.Params{
+		V: c.V, K: k, Alpha: cfg.Alpha, Beta: cfg.Beta,
+		Cw: make([]int32, c.V*k),
+		Ck: make([]int64, k),
+	}
+	z := w.Assignments()
+	for d, doc := range c.Docs {
+		for n, word := range doc {
+			p.Cw[int(word)*k+int(z[d][n])]++
+			p.Ck[z[d][n]]++
+		}
+	}
+	return p, c, nil
+}
+
+// trainedParams is the K=8 model most tests share (trained once per
+// test binary). All tests read the counts; none mutate them.
 func trainedParams(t testing.TB, alpha float64) (infer.Params, *corpus.Corpus) {
 	t.Helper()
 	trainCache.once.Do(func() {
-		c, err := corpus.GenerateLDA(corpus.SyntheticConfig{
+		trainCache.p, trainCache.c, trainCache.err = trainParams(corpus.SyntheticConfig{
 			D: 400, V: 500, K: 8, MeanLen: 100, Alpha: 0.1, Beta: 0.01, Seed: 3,
-		})
-		if err != nil {
-			trainCache.err = err
-			return
-		}
-		cfg := sampler.PaperDefaults(8)
-		cfg.M = 2
-		w, err := core.New(c, cfg)
-		if err != nil {
-			trainCache.err = err
-			return
-		}
-		for i := 0; i < 60; i++ {
-			w.Iterate()
-		}
-		p := infer.Params{
-			V: c.V, K: cfg.K, Beta: cfg.Beta,
-			Cw: make([]int32, c.V*cfg.K),
-			Ck: make([]int64, cfg.K),
-		}
-		z := w.Assignments()
-		for d, doc := range c.Docs {
-			for n, word := range doc {
-				p.Cw[int(word)*cfg.K+int(z[d][n])]++
-				p.Ck[z[d][n]]++
-			}
-		}
-		trainCache.p, trainCache.c = p, c
+		}, 8, 60)
 	})
 	if trainCache.err != nil {
 		t.Fatal(trainCache.err)
@@ -331,9 +334,9 @@ func TestEngineStatsCount(t *testing.T) {
 }
 
 // TestInferSteadyStateAllocs is the allocation gate for the serving
-// hot path: after warm-up, a single-doc batch must allocate only the
-// result slices (θ̂ and the out slice), with chain scratch and RNG
-// coming from the engine's pool.
+// hot path: after warm-up a batch on one worker allocates the out slice
+// and one slab holding every θ̂ row, whatever its size, with the chain
+// scratch coming from the engine's pool.
 func TestInferSteadyStateAllocs(t *testing.T) {
 	p, _ := trainedParams(t, 0.1)
 	eng, err := infer.NewEngine(p, infer.Options{Workers: 1})
@@ -341,28 +344,29 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-	// Best of a few attempts: a GC (or a race-detector-induced P
-	// migration) mid-measurement can empty the scratch pool and charge a
-	// refill to one attempt; the gate is that steady state is
-	// *achievable*, not that the collector never runs.
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := eng.InferBatch([][]int32{doc}, 5, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for try := 0; allocs > 4 && try < 4; try++ {
-		if a := testing.AllocsPerRun(200, func() {
-			if _, err := eng.InferBatch([][]int32{doc}, 5, 7); err != nil {
-				t.Fatal(err)
-			}
-		}); a < allocs {
-			allocs = a
-		}
+	batch16 := make([][]int32, 16)
+	for i := range batch16 {
+		batch16[i] = doc
 	}
-	// out slice + theta + rounding slack; the pre-pool path allocated
-	// scratch (z + cd) and an RNG on every call on top of these.
-	if allocs > 4 {
-		t.Errorf("steady-state single-doc InferBatch does %.1f allocs/op, want <= 4", allocs)
+	for _, docs := range [][][]int32{{doc}, batch16} {
+		measure := func() float64 {
+			return testing.AllocsPerRun(200, func() {
+				if _, err := eng.InferBatch(docs, 5, 7); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Best of a few attempts: a GC (or a race-detector-induced P
+		// migration) mid-measurement can empty the scratch pool and charge
+		// a refill to one attempt; the gate is that steady state is
+		// *achievable*, not that the collector never runs.
+		allocs := measure()
+		for try := 0; allocs > 2 && try < 4; try++ {
+			allocs = min(allocs, measure())
+		}
+		if allocs > 2 {
+			t.Errorf("steady-state InferBatch of %d docs does %.1f allocs/op, want <= 2", len(docs), allocs)
+		}
 	}
 }
 

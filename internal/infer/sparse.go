@@ -1,9 +1,6 @@
 package infer
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file is the analytics-side view of the fold-in engine: instead
 // of a dense θ̂ over all K topics, InferSparse returns only the topics
@@ -76,22 +73,25 @@ func (e *Engine) InferSparse(doc []int32, sweeps int, seed uint64) ([]ThetaEntry
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	sc.r.Seed(docSeed(seed, doc))
-	e.runChain(doc, sweeps, sc.r, sc)
+	e.runChain(doc, sweeps, docSeed(seed, doc), sc)
 	return sparseTheta(sc.cd, len(doc)), nil
 }
 
-// sparseTheta extracts the non-zero entries of the doc-topic counts.
+// sparseTheta extracts the non-zero entries of the doc-topic counts;
+// cd is scanned in topic order, so the result is sorted by topic.
 func sparseTheta(cd []int32, ld int) []ThetaEntry {
-	var out []ThetaEntry
+	n := 0
+	for _, c := range cd {
+		if c > 0 {
+			n++
+		}
+	}
+	out := make([]ThetaEntry, 0, n)
 	inv := 1 / float64(ld)
 	for k, c := range cd {
 		if c > 0 {
 			out = append(out, ThetaEntry{Topic: int32(k), Weight: float64(c) * inv})
 		}
 	}
-	// cd is scanned in topic order, so out is already sorted; the sort
-	// is a no-op safeguard for future extraction paths.
-	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
 	return out
 }

@@ -82,13 +82,13 @@ func (r *Registry) foldNext(name string) bool {
 			"delta %s: header generation %d under a .dlt.%d name", filepath.Base(path), d.Gen, next))
 		return false
 	}
-	if d.BaseFP != snap.fp {
+	if fp := snap.fp(); d.BaseFP != fp {
 		// Foreign or stale base: the delta was diffed against a state
 		// this registry is not serving (e.g. leftovers from before a
 		// rebase that raced the poller).
 		r.rejectDelta(name, next, fi, fmt.Sprintf(
 			"delta %s: base fingerprint %016x does not match served state %016x",
-			filepath.Base(path), d.BaseFP, snap.fp))
+			filepath.Base(path), d.BaseFP, fp))
 		return false
 	}
 
@@ -104,12 +104,13 @@ func (r *Registry) foldNext(name string) bool {
 		Cfg: om.Cfg, V: om.V, Vocab: om.Vocab,
 		Cw: cw, Ck: ck, LogLik: d.LogLik,
 	}
+	newFP := d.NewFP // copied out, so the snapshot does not keep the delta's cells alive
 	ns := &Snapshot{
 		Model:  nm,
 		Engine: eng,
 		Vocab:  snap.Vocab, // a delta never changes the vocabulary
 		Bytes:  nm.SizeBytes() + eng.MemoryBytes(),
-		fp:     d.NewFP,
+		fp:     func() uint64 { return newFP },
 	}
 	dur := time.Since(start)
 

@@ -94,10 +94,13 @@ type Snapshot struct {
 	// incremented by every hot reload, eviction-reload, and delta fold.
 	Version int
 
-	// fp is the chain fingerprint of the snapshot's count state
+	// fp returns the chain fingerprint of the snapshot's count state
 	// (fsio.ModelFingerprint for a file load, the delta's NewFP for a
 	// folded snapshot) — the value the next delta's BaseFP must match.
-	fp uint64
+	// A file load hashes its V·K cells only when the poller first meets
+	// a delta for it (sync.OnceValue), not while a start or a reload is
+	// waiting for the snapshot.
+	fp func() uint64
 }
 
 // entry states. An entry exists for every name ever acquired (plus
@@ -418,8 +421,8 @@ func (r *Registry) readAndBuild(name, path string) (*Snapshot, time.Duration, er
 		Engine: eng,
 		Bytes:  m.SizeBytes() + eng.MemoryBytes(),
 		// The chain fingerprint anchors delta folding: the first delta's
-		// BaseFP must equal it. Computed here, off the registry lock.
-		fp: fsio.ModelFingerprint(m.V, m.Cfg.K, m.Cw, m.Ck),
+		// BaseFP must equal it.
+		fp: sync.OnceValue(func() uint64 { return fsio.ModelFingerprint(m.V, m.Cfg.K, m.Cw, m.Ck) }),
 	}
 	if m.Vocab != nil {
 		snap.Vocab = make(map[string]int32, len(m.Vocab))

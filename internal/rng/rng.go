@@ -102,10 +102,13 @@ func (r *RNG) uint64n(n uint64) uint64 {
 	return hi
 }
 
+// Unit maps a generator word to a uniform float64 in [0, 1) through its
+// high 53 bits. Loops that keep a copy of the generator in registers
+// call it on the words they draw themselves.
+func Unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
+
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *RNG) Float64() float64 { return Unit(r.Uint64()) }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (r *RNG) Bernoulli(p float64) bool {
