@@ -213,11 +213,9 @@ func BenchmarkWarpLDATrainIteration(b *testing.B) {
 	b.ReportMetric(float64(tokens*b.N)/b.Elapsed().Seconds(), "tokens/s")
 }
 
-// --- BenchmarkSample*: the hot-path family the bench-regression CI
-// lane tracks (go test -bench=BenchmarkSample -benchtime=3x -count=3,
-// post-processed by cmd/bench-ci into BENCH_<sha>.json and gated
-// against ci/bench-baseline.json). Keep names stable: the baseline is
-// keyed by them. ---
+// --- BenchmarkSample*: the sampling hot path as plain Go benchmarks
+// (go test -bench=BenchmarkSample -run '^$' .). Figures that compare
+// commits come from benchmark/run.sh, not from these. ---
 
 // sampleBenchCorpus is larger than the ablation corpus so per-iteration
 // time dominates setup even at -benchtime=3x.
@@ -260,13 +258,9 @@ func BenchmarkSampleWarpThreaded(b *testing.B) {
 	benchSample(b, sampleBenchCorpus(b), 4)
 }
 
-// BenchmarkSampleWarpScaling is the thread-scaling matrix the
-// thread-scaling CI lane records: the same corpus sampled at 1, 2, 4,
-// and 8 threads. cmd/bench-ci recognizes the /threads=N sub-benchmark
-// names, folds them into a speedup-vs-threads curve in BENCH_<sha>.json,
-// and gates the curve (absolute -min-speedup floors, armed only on
-// runners with enough cores, plus regression against the baseline's
-// curve). See docs/PERFORMANCE.md.
+// BenchmarkSampleWarpScaling samples the same corpus at 1, 2, 4, and 8
+// threads; the tokens/s of the /threads=N sub-benchmarks over
+// /threads=1 is the speedup curve on the machine it runs on.
 func BenchmarkSampleWarpScaling(b *testing.B) {
 	c := sampleBenchCorpus(b)
 	for _, th := range []int{1, 2, 4, 8} {

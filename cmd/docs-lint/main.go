@@ -238,7 +238,7 @@ var inlineLinkTextRE = regexp.MustCompile(`\[([^\]]*)\]\([^)]*\)`)
 // inline-link targets, lowercase, remove every rune that is not a
 // letter, digit, space, hyphen or underscore, then turn spaces into
 // hyphens. Backticks and other punctuation simply vanish, so
-// "## Reading `BENCH_<sha>.json`" slugs to "reading-bench_shajson".
+// "## Reading `LOAD_<sha>.json`" slugs to "reading-load_shajson".
 func anchorSlug(heading string) string {
 	heading = inlineLinkTextRE.ReplaceAllString(heading, "$1")
 	heading = strings.ToLower(heading)

@@ -66,7 +66,7 @@ func TestCheckMarkdown(t *testing.T) {
 func TestHeadingAnchors(t *testing.T) {
 	doc := strings.Join([]string{
 		"# WarpLDA in Go",
-		"## Reading `BENCH_<sha>.json`",
+		"## Reading `LOAD_<sha>.json`",
 		"## Setup",
 		"## Setup", // duplicate: GitHub appends -1
 		"### A link [inside](x.md) a heading",
@@ -79,7 +79,7 @@ func TestHeadingAnchors(t *testing.T) {
 	got := headingAnchors(doc)
 	want := []string{
 		"warplda-in-go",
-		"reading-bench_shajson",
+		"reading-load_shajson",
 		"setup",
 		"setup-1",
 		"a-link-inside-a-heading",

@@ -7,8 +7,7 @@
 //	warplda-bench -list              # list experiment ids
 //
 // Full-size runs take minutes per experiment on one core; quick runs
-// finish in seconds each. See EXPERIMENTS.md for the paper-vs-measured
-// record of each experiment.
+// finish in seconds each.
 package main
 
 import (

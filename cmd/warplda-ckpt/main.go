@@ -30,11 +30,8 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,7 +40,6 @@ import (
 
 	"warplda"
 	"warplda/internal/fsio"
-	"warplda/internal/sampler"
 	"warplda/internal/train"
 )
 
@@ -180,7 +176,7 @@ func cmdVerify(args []string) error {
 	printEnvelope(ck)
 	if ck.IsSharded() {
 		for i := range ck.ShardFiles {
-			if err := verifyShard(ck, i); err != nil {
+			if err := ck.VerifyShard(i); err != nil {
 				return fmt.Errorf("shard %d (%s): %w", i, ck.ShardFiles[i], err)
 			}
 			fmt.Printf("shard %d (%s): %d bytes, crc %08x: OK\n",
@@ -215,82 +211,6 @@ func printEnvelope(ck *train.Checkpoint) {
 	if ck.IsSharded() {
 		fmt.Printf("shards       %d\n", len(ck.ShardFiles))
 	}
-}
-
-// shardMagic mirrors internal/train's per-shard file magic; the layout
-// is pinned by docs/FORMATS.md and the format tests.
-const shardMagic = "WARPSHRD\x01"
-
-// verifyShard streams one shard file through the full resume-time
-// check sequence (the same one train's lazyShardReader runs before a
-// byte reaches the sampler): recorded size, magic, CRC32 trailer over
-// the body, the manifest's CRC for this slot, and the header's
-// iteration / fingerprint / position fields.
-func verifyShard(ck *train.Checkpoint, i int) error {
-	f, err := os.Open(filepath.Join(ck.Dir, ck.ShardFiles[i]))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() != ck.ShardSizes[i] {
-		return fmt.Errorf("%d bytes, manifest records %d", st.Size(), ck.ShardSizes[i])
-	}
-	const headerLen = 4 * 8
-	bodyLen := st.Size() - int64(len(shardMagic)) - 4
-	if bodyLen < headerLen {
-		return fmt.Errorf("not a checkpoint shard file (too short)")
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return err
-	}
-	if string(magic) != shardMagic {
-		return fmt.Errorf("not a checkpoint shard file (bad magic)")
-	}
-	header := make([]byte, headerLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(header)
-	if _, err := io.Copy(crc, io.LimitReader(br, bodyLen-headerLen)); err != nil {
-		return err
-	}
-	var trailerBuf [4]byte
-	if _, err := io.ReadFull(br, trailerBuf[:]); err != nil {
-		return err
-	}
-	trailer := binary.LittleEndian.Uint32(trailerBuf[:])
-	if got := crc.Sum32(); got != trailer {
-		return fmt.Errorf("checksum mismatch (file %08x, computed %08x): torn or corrupt file", trailer, got)
-	}
-	if trailer != ck.ShardCRCs[i] {
-		return fmt.Errorf("checksum %08x does not match manifest's %08x: foreign shard file", trailer, ck.ShardCRCs[i])
-	}
-	d := sampler.NewDec(bytes.NewReader(header))
-	iter := d.Int()
-	fp := uint32(d.U64())
-	idx := d.Int()
-	count := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if iter != ck.Iter {
-		return fmt.Errorf("written at iteration %d, manifest says %d", iter, ck.Iter)
-	}
-	if fp != ck.Fingerprint {
-		return fmt.Errorf("corpus fingerprint %08x, manifest says %08x", fp, ck.Fingerprint)
-	}
-	if idx != i || count != len(ck.ShardFiles) {
-		return fmt.Errorf("identifies as %d of %d, manifest places it at %d of %d",
-			idx, count, i, len(ck.ShardFiles))
-	}
-	return nil
 }
 
 func cmdDeltas(args []string) error {

@@ -1,16 +1,15 @@
 // Command warplda-loadgen drives HTTP load against a running
-// warplda-serve instance and gates CI on serving-latency and
-// throughput regressions. It is the serve-path counterpart of
-// cmd/bench-ci: where bench-ci gates the sampler's tokens/s, loadgen
-// gates the end-to-end request path — admission queue, request
-// coalescing, engine dispatch, JSON encode — under realistic
-// concurrency.
+// warplda-serve instance and checks the run against absolute budgets.
+// It is the operator's load tool for the end-to-end request path —
+// admission queue, request coalescing, engine dispatch, JSON encode —
+// under realistic concurrency; performance across commits is measured
+// by benchmark/ (see docs/PERFORMANCE.md), not here.
 //
 // Two load modes:
 //
 //   - closed (default): -concurrency workers each keep exactly one
 //     request in flight; offered load adapts to the server's speed.
-//     Stable, the right mode for regression gating.
+//     Stable, the right mode for a latency budget.
 //   - open: requests fire at a fixed -rate regardless of completions
 //     (in-flight capped at -concurrency; ticks past the cap count as
 //     client drops). Shows shedding behavior past saturation.
@@ -33,20 +32,17 @@
 //
 //	warplda-loadgen -url http://localhost:8080 -model news \
 //	  -duration 30s -concurrency 8 -doc-mix 16:0.7,128:0.3 \
-//	  -out LOAD_$GITHUB_SHA.json \
-//	  -baseline ci/load-baseline.json -p99-budget 200ms -gate-min-cpus 4
+//	  -out LOAD_$GITHUB_SHA.json -p99-budget 200ms -max-errors 0
 //
-// Gates (all optional, armed only when the runner has at least
-// -gate-min-cpus CPUs — latency budgets measured on starved CI
-// containers gate noise, not code):
+// Budgets (all optional; one that is given fails the run, exit 1, on
+// any machine):
 //
 //   - -p99-budget: absolute P99 latency ceiling.
 //   - -min-throughput: absolute requests/s floor.
-//   - -baseline + -max-regression: relative P99/throughput gate against
-//     a committed LOAD report, informational when the environment class
-//     (GOOS/GOARCH/Go version/CPUs) differs, exactly like bench-ci.
+//   - -max-errors: ceiling on failed requests (non-2xx other than a
+//     shed 503, plus transport errors).
 //
-// -update-baseline writes the report as the new committed baseline.
+// A run with no successful request always fails.
 package main
 
 import (
@@ -75,9 +71,8 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// CPUs is runtime.NumCPU() on the load-generating side. Latency
-	// gates arm against it: P99 measured on a starved runner says
-	// nothing about the code (see envMatches and -gate-min-cpus).
+	// CPUs is runtime.NumCPU() on the load-generating side, recorded so
+	// a reader can judge the latencies; no budget depends on it.
 	CPUs int `json:"cpus"`
 
 	Mode        string  `json:"mode"`
@@ -452,69 +447,50 @@ func discoverModel(c *config) error {
 	return nil
 }
 
-// envMatches reports whether the baseline was recorded in a comparable
-// environment class, mirroring bench-ci: on mismatch the comparison is
-// informational until the baseline is refreshed from this class.
-func envMatches(base, cur *Report) (bool, string) {
-	switch {
-	case workloadOf(base) != workloadOf(cur):
-		return false, fmt.Sprintf("baseline workload %q vs %q", workloadOf(base), workloadOf(cur))
-	case base.GOOS != cur.GOOS:
-		return false, fmt.Sprintf("baseline GOOS %s vs %s", base.GOOS, cur.GOOS)
-	case base.GOARCH != cur.GOARCH:
-		return false, fmt.Sprintf("baseline GOARCH %s vs %s", base.GOARCH, cur.GOARCH)
-	case base.GoVersion != cur.GoVersion:
-		return false, fmt.Sprintf("baseline recorded with %s, running %s", base.GoVersion, cur.GoVersion)
-	case base.CPUs != cur.CPUs:
-		return false, fmt.Sprintf("baseline recorded on %d CPUs, running on %d", base.CPUs, cur.CPUs)
-	}
-	return true, ""
+// budgets are the absolute limits a run is held to; the zero value of
+// p99 and minThroughput, and a negative maxErrors, mean "not given".
+type budgets struct {
+	p99           time.Duration
+	minThroughput float64
+	maxErrors     int64
 }
 
-// workloadOf normalizes the workload field: baselines recorded before
-// it existed were all infer runs.
-func workloadOf(r *Report) string {
-	if r.Workload == "" {
-		return "infer"
-	}
-	return r.Workload
-}
-
-// gate applies the absolute and baseline gates to rep and returns the
-// violations. Baseline may be nil (no relative gate).
-func gate(rep, base *Report, p99Budget time.Duration, minThroughput, maxRegress float64) (violations []string) {
+// gate returns rep's budget violations. A run with no successful
+// request is one whatever the budgets: nothing was measured. Shed 503s
+// never count against maxErrors — admission control is allowed to say
+// no.
+func gate(rep *Report, b budgets) (violations []string) {
 	if rep.OK == 0 {
-		return []string{"no successful requests: nothing measured"}
+		return []string{fmt.Sprintf("no successful requests (%d shed, %d errors): nothing measured", rep.Shed, rep.Errors)}
 	}
-	if p99Budget > 0 && rep.LatencyUs.P99 > p99Budget.Microseconds() {
+	if b.maxErrors >= 0 && rep.Errors > b.maxErrors {
+		violations = append(violations, fmt.Sprintf(
+			"%d failed requests (budget %d): the serve path broke under load", rep.Errors, b.maxErrors))
+	}
+	if b.p99 > 0 && rep.LatencyUs.P99 > b.p99.Microseconds() {
 		violations = append(violations, fmt.Sprintf(
 			"P99 %.1fms over budget %.1fms",
-			float64(rep.LatencyUs.P99)/1000, float64(p99Budget.Microseconds())/1000))
+			float64(rep.LatencyUs.P99)/1000, float64(b.p99.Microseconds())/1000))
 	}
-	if minThroughput > 0 && rep.ThroughputRPS < minThroughput {
+	if b.minThroughput > 0 && rep.ThroughputRPS < b.minThroughput {
 		violations = append(violations, fmt.Sprintf(
-			"throughput %.1f req/s under floor %.1f req/s", rep.ThroughputRPS, minThroughput))
-	}
-	if base != nil {
-		if base.ThroughputRPS > 0 {
-			drop := (base.ThroughputRPS - rep.ThroughputRPS) / base.ThroughputRPS
-			if drop > maxRegress {
-				violations = append(violations, fmt.Sprintf(
-					"throughput %.1f req/s is %.1f%% below baseline %.1f req/s (max %.1f%%)",
-					rep.ThroughputRPS, drop*100, base.ThroughputRPS, maxRegress*100))
-			}
-		}
-		if base.LatencyUs.P99 > 0 {
-			growth := float64(rep.LatencyUs.P99-base.LatencyUs.P99) / float64(base.LatencyUs.P99)
-			if growth > maxRegress {
-				violations = append(violations, fmt.Sprintf(
-					"P99 %.1fms is %.1f%% above baseline %.1fms (max %.1f%%)",
-					float64(rep.LatencyUs.P99)/1000, growth*100,
-					float64(base.LatencyUs.P99)/1000, maxRegress*100))
-			}
-		}
+			"throughput %.1f req/s under floor %.1f req/s", rep.ThroughputRPS, b.minThroughput))
 	}
 	return violations
+}
+
+// verdict prints gate's findings to w and returns the process exit
+// code: 1 on any violation, whatever machine the run was on.
+func verdict(w io.Writer, rep *Report, b budgets) int {
+	violations := gate(rep, b)
+	for _, v := range violations {
+		fmt.Fprintf(w, "warplda-loadgen: FAIL: %s\n", v)
+	}
+	if len(violations) > 0 {
+		return 1
+	}
+	fmt.Fprintln(w, "warplda-loadgen: within budget")
+	return 0
 }
 
 func writeJSONFile(path string, v any) error {
@@ -548,13 +524,9 @@ func main() {
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 		out         = flag.String("out", "", "write the LOAD_<sha>.json report here")
 		sha         = flag.String("sha", os.Getenv("GITHUB_SHA"), "commit sha recorded in the report")
-		baselineF   = flag.String("baseline", "", "committed baseline LOAD report to gate against")
-		maxRegress  = flag.Float64("max-regression", 0.25, "maximum fractional P99/throughput regression vs the baseline")
-		updateBase  = flag.String("update-baseline", "", "write a fresh baseline report here and exit")
 		p99Budget   = flag.Duration("p99-budget", 0, "absolute P99 latency ceiling (0 = off)")
 		minThrough  = flag.Float64("min-throughput", 0, "absolute requests/s floor (0 = off)")
-		maxErrors   = flag.Int64("max-errors", -1, "fail if failed requests (non-2xx/non-503 plus transport errors) exceed this; -1 = off — always armed, unlike the perf gates")
-		gateMinCPUs = flag.Int("gate-min-cpus", 4, "arm the gates only when the runner has at least this many CPUs; below it violations are informational")
+		maxErrors   = flag.Int64("max-errors", -1, "fail if failed requests (non-2xx/non-503 plus transport errors) exceed this (-1 = off)")
 	)
 	flag.Parse()
 
@@ -604,73 +576,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if rep.OK == 0 {
-		// Not a gating question: zero successes means the target is down
-		// or misconfigured, on any runner size.
-		fatal(fmt.Errorf("no successful requests (%d shed, %d errors) — is %s serving?", rep.Shed, rep.Errors, *url))
-	}
-	if *maxErrors >= 0 && rep.Errors > *maxErrors {
-		// Like ok == 0, this arms regardless of runner size: a failed
-		// request is a correctness failure (a live refresh broke a
-		// response), not a latency measurement. Shed 503s stay exempt —
-		// admission control is allowed to say no.
-		fatal(fmt.Errorf("%d failed requests (budget %d) — the serve path broke under load", rep.Errors, *maxErrors))
-	}
 	rep.SHA = *sha
 	fmt.Printf("warplda-loadgen: %s %s %d workers, %.1fs: %d ok, %d shed, %d errors, %.1f req/s, P50 %.1fms P95 %.1fms P99 %.1fms\n",
-		rep.Mode, workloadOf(rep), rep.Concurrency, rep.DurationSec, rep.OK, rep.Shed, rep.Errors, rep.ThroughputRPS,
+		rep.Mode, rep.Workload, rep.Concurrency, rep.DurationSec, rep.OK, rep.Shed, rep.Errors, rep.ThroughputRPS,
 		float64(rep.LatencyUs.P50)/1000, float64(rep.LatencyUs.P95)/1000, float64(rep.LatencyUs.P99)/1000)
-
-	if *updateBase != "" {
-		if err := writeJSONFile(*updateBase, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("warplda-loadgen: baseline %s updated\n", *updateBase)
-		return
-	}
 	if *out != "" {
 		if err := writeJSONFile(*out, rep); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("warplda-loadgen: wrote %s\n", *out)
 	}
-
-	var base *Report
-	baseComparable := true
-	if *baselineF != "" {
-		data, err := os.ReadFile(*baselineF)
-		if err != nil {
-			fatal(err)
-		}
-		base = &Report{}
-		if err := json.Unmarshal(data, base); err != nil {
-			fatal(fmt.Errorf("parsing baseline %s: %w", *baselineF, err))
-		}
-		var why string
-		if baseComparable, why = envMatches(base, rep); !baseComparable {
-			fmt.Fprintf(os.Stderr, "warplda-loadgen: warning: %s — baseline comparison is informational; refresh with -update-baseline from this environment\n", why)
-		}
-	}
-
-	violations := gate(rep, base, *p99Budget, *minThrough, *maxRegress)
-	if len(violations) == 0 {
-		fmt.Println("warplda-loadgen: all gates passed")
-		return
-	}
-	// Arm the gates only on big-enough runners AND a comparable
-	// baseline class: a P99 from a starved 1-CPU container measures the
-	// scheduler, not the serve path.
-	armed := runtime.NumCPU() >= *gateMinCPUs && baseComparable
-	for _, v := range violations {
-		if armed {
-			fmt.Fprintf(os.Stderr, "warplda-loadgen: REGRESSION: %s\n", v)
-		} else {
-			fmt.Fprintf(os.Stderr, "warplda-loadgen: (not gated) %s\n", v)
-		}
-	}
-	if armed {
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "warplda-loadgen: gates informational (runner has %d CPUs, gating needs %d and a comparable baseline)\n",
-		runtime.NumCPU(), *gateMinCPUs)
+	os.Exit(verdict(os.Stderr, rep, budgets{p99: *p99Budget, minThroughput: *minThrough, maxErrors: *maxErrors}))
 }

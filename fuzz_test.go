@@ -26,7 +26,7 @@ func FuzzReadModel(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add([]byte(modelMagic))
-	f.Add([]byte(modelMagicV1))
+	f.Add([]byte("WARPLDA\x01"))
 	f.Add([]byte{})
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	flipped := append([]byte(nil), valid.Bytes()...)

@@ -6,8 +6,7 @@
 // reduced ("quick") versions so the whole suite regenerates in minutes
 // on one core.
 //
-// Scale substitutions relative to the paper are listed in DESIGN.md and
-// recorded per experiment in EXPERIMENTS.md.
+// Scale substitutions relative to the paper are listed in DESIGN.md.
 package exp
 
 import (

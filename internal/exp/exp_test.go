@@ -161,8 +161,7 @@ func TestFig5Shape(t *testing.T) {
 		// sub-second run can invert it. The log-likelihood improvement
 		// checks above stay unconditional; the throughput comparison is
 		// opt-in via WARPLDA_EXP_STRICT=1 (set it on dedicated perf
-		// runners; tracked alongside the bench-regression lane, which
-		// gates the same property with statistics instead of one sample).
+		// runners).
 		if os.Getenv("WARPLDA_EXP_STRICT") != "" {
 			if w, l := cur["WarpLDA"], cur["LightLDA"]; w != nil && l != nil && w.seen && l.seen {
 				if w.lastThr <= l.lastThr {

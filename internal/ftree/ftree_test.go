@@ -182,9 +182,8 @@ func BenchmarkSet(b *testing.B) {
 	}
 }
 
-// Named to stay out of the BenchmarkSample* family the bench-regression
-// CI lane gates: a nanosecond-scale micro-bench at -benchtime=3x is
-// pure timer noise and would flap a 25% throughput gate.
+// Named to stay out of the BenchmarkSample* family (-bench=BenchmarkSample
+// selects whole sampling passes, not nanosecond-scale micro-benchmarks).
 func BenchmarkFTreeDraw(b *testing.B) {
 	tr := New(1 << 16)
 	r := rng.New(1)

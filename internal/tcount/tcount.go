@@ -273,21 +273,3 @@ func (h *Hash) ResetFor(k, l int) {
 	h.used = 0
 	h.nonzero = 0
 }
-
-// ForRow returns a Counter suited to a row of length l over k topics:
-// dense when k is small enough that a dense array is cheaper to clear
-// than a hash table, hash otherwise. threshold is the dense cutoff in
-// topics; 1024 is a reasonable default.
-func ForRow(k, l, threshold int) Counter {
-	if k <= threshold || 2*l >= k {
-		return NewDense(k)
-	}
-	return NewHash(min(k, 2*l) / 2)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -134,18 +134,6 @@ func TestCapacityFor(t *testing.T) {
 	}
 }
 
-func TestForRowSelection(t *testing.T) {
-	if _, ok := ForRow(100, 5, 1024).(*Dense); !ok {
-		t.Error("small K should pick Dense")
-	}
-	if _, ok := ForRow(1_000_000, 10, 1024).(*Hash); !ok {
-		t.Error("large K, short row should pick Hash")
-	}
-	if _, ok := ForRow(2000, 5000, 1024).(*Dense); !ok {
-		t.Error("row longer than K/2 should pick Dense")
-	}
-}
-
 // Property: for any op sequence, sum of counts equals incrs-decrs.
 func TestHashSumProperty(t *testing.T) {
 	f := func(seed uint64) bool {

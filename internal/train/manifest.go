@@ -442,53 +442,90 @@ func (s *lazyShardReader) close() {
 
 // open runs the verification pass and positions the body reader.
 func (s *lazyShardReader) open() error {
-	ck, i := s.ck, s.i
-	f, err := os.Open(filepath.Join(ck.Dir, ck.ShardFiles[i]))
+	f, err := os.Open(filepath.Join(s.ck.Dir, s.ck.ShardFiles[s.i]))
 	if err != nil {
 		return err
 	}
 	s.f = f
-	st, err := f.Stat()
+	streamLen, err := s.ck.verifyShard(s.i, f)
 	if err != nil {
 		return err
 	}
+	// Verified: rewind past magic and header and serve the stream.
+	if _, err := f.Seek(int64(len(shardMagic))+shardHeaderLen, io.SeekStart); err != nil {
+		return err
+	}
+	s.body = bufio.NewReaderSize(io.LimitReader(f, streamLen), 1<<16)
+	return nil
+}
+
+// VerifyShard streams shard i's file through every file-level check a
+// resume runs before a byte of it reaches the sampler — recorded size,
+// magic, CRC32 trailer over the body, the manifest's CRC for this slot,
+// and the header's iteration / corpus fingerprint / position — without
+// restoring any state, so a multi-GB shard verifies with one copy
+// buffer resident.
+func (ck *Checkpoint) VerifyShard(i int) error {
+	f, err := os.Open(filepath.Join(ck.Dir, ck.ShardFiles[i]))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = ck.verifyShard(i, f)
+	return err
+}
+
+// shardHeaderLen is the fixed-size header that opens a WARPSHRD body:
+// iteration, corpus fingerprint, shard index, shard count (3 int64s +
+// 1 uint64).
+const shardHeaderLen = 4 * 8
+
+// verifyShard is the one verification pass over shard i's file, shared
+// by restore (lazyShardReader.open) and VerifyShard. It reads f from
+// its start to its end and returns the length of the sampler-level
+// stream that follows the shard header.
+func (ck *Checkpoint) verifyShard(i int, f *os.File) (streamLen int64, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	if st.Size() != ck.ShardSizes[i] {
-		return fmt.Errorf("%d bytes, manifest records %d: truncated or foreign shard file", st.Size(), ck.ShardSizes[i])
+		return 0, fmt.Errorf("%d bytes, manifest records %d: truncated or foreign shard file", st.Size(), ck.ShardSizes[i])
 	}
 	bodyLen := st.Size() - int64(len(shardMagic)) - 4
-	if bodyLen < 4*8 {
-		return fmt.Errorf("not a checkpoint shard file (too short)")
+	if bodyLen < shardHeaderLen {
+		return 0, fmt.Errorf("not a checkpoint shard file (too short)")
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(shardMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return err
+		return 0, err
 	}
 	if string(magic) != shardMagic {
-		return fmt.Errorf("not a checkpoint shard file (bad magic)")
+		return 0, fmt.Errorf("not a checkpoint shard file (bad magic)")
 	}
-	// Stream the body through the checksum; keep the fixed-size shard
-	// header (3 int64s + 1 uint64) aside for the envelope checks.
+	// Stream the body through the checksum; keep the shard header aside
+	// for the envelope checks.
 	crc := crc32.NewIEEE()
-	header := make([]byte, 4*8)
+	header := make([]byte, shardHeaderLen)
 	if _, err := io.ReadFull(br, header); err != nil {
-		return err
+		return 0, err
 	}
 	crc.Write(header)
-	if _, err := io.Copy(crc, io.LimitReader(br, bodyLen-4*8)); err != nil {
-		return err
+	if _, err := io.Copy(crc, io.LimitReader(br, bodyLen-shardHeaderLen)); err != nil {
+		return 0, err
 	}
 	var trailerBuf [4]byte
 	if _, err := io.ReadFull(br, trailerBuf[:]); err != nil {
-		return err
+		return 0, err
 	}
 	trailer := binary.LittleEndian.Uint32(trailerBuf[:])
 	got := crc.Sum32()
 	if got != trailer {
-		return fmt.Errorf("shard checksum mismatch (file %08x, computed %08x): torn or corrupt file", trailer, got)
+		return 0, fmt.Errorf("shard checksum mismatch (file %08x, computed %08x): torn or corrupt file", trailer, got)
 	}
 	if got != ck.ShardCRCs[i] {
-		return fmt.Errorf("shard checksum %08x does not match manifest's %08x: foreign shard file", got, ck.ShardCRCs[i])
+		return 0, fmt.Errorf("shard checksum %08x does not match manifest's %08x: foreign shard file", got, ck.ShardCRCs[i])
 	}
 	d := sampler.NewDec(bytes.NewReader(header))
 	iter := d.Int()
@@ -496,22 +533,17 @@ func (s *lazyShardReader) open() error {
 	idx := d.Int()
 	count := d.Int()
 	if err := d.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	if iter != ck.Iter {
-		return fmt.Errorf("shard written at iteration %d, manifest says %d: foreign shard file", iter, ck.Iter)
+		return 0, fmt.Errorf("shard written at iteration %d, manifest says %d: foreign shard file", iter, ck.Iter)
 	}
 	if fp != ck.Fingerprint {
-		return fmt.Errorf("shard corpus fingerprint %08x does not match manifest's %08x: foreign shard file", fp, ck.Fingerprint)
+		return 0, fmt.Errorf("shard corpus fingerprint %08x does not match manifest's %08x: foreign shard file", fp, ck.Fingerprint)
 	}
 	if idx != i || count != len(ck.ShardFiles) {
-		return fmt.Errorf("shard identifies as %d of %d, manifest places it at %d of %d: foreign or reordered shard file",
+		return 0, fmt.Errorf("shard identifies as %d of %d, manifest places it at %d of %d: foreign or reordered shard file",
 			idx, count, i, len(ck.ShardFiles))
 	}
-	// Verified: rewind past magic and header and serve the stream.
-	if _, err := f.Seek(int64(len(shardMagic))+4*8, io.SeekStart); err != nil {
-		return err
-	}
-	s.body = bufio.NewReaderSize(io.LimitReader(f, bodyLen-4*8), 1<<16)
-	return nil
+	return bodyLen - shardHeaderLen, nil
 }

@@ -11,24 +11,17 @@ import (
 	"warplda/internal/fsio"
 )
 
-// Model file format magics. The version byte is bumped on incompatible
-// changes; ReadModel accepts every version listed here.
-//
-//   - v1: magic, header (V, K, α, β, logLik), Cw, Ck, vocabulary block.
-//   - v2: the same body, followed by a little-endian uint32 CRC32 (IEEE)
-//     trailer over every body byte after the magic. The checksum lets a
-//     reloading server reject torn or corrupted files instead of
-//     serving garbage.
-const (
-	modelMagicV1 = "WARPLDA\x01"
-	modelMagic   = "WARPLDA\x02" // current write format
-)
+// modelMagic opens a model file; the version byte is bumped on
+// incompatible changes. After it come the header (V, K, α, β, logLik),
+// Cw, Ck, the vocabulary block, and a little-endian uint32 CRC32 (IEEE)
+// trailer over every byte after the magic. The checksum lets a
+// reloading server reject torn or corrupted files instead of serving
+// garbage.
+const modelMagic = "WARPLDA\x02"
 
 // WriteTo serializes the model in a compact binary format (little
 // endian): header, config, counts, optional vocabulary, CRC32 trailer.
-// It implements io.WriterTo and always writes the current (v2,
-// checksummed) format; ReadModel also accepts the pre-checksum v1
-// layout.
+// It implements io.WriterTo.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -96,10 +89,10 @@ func (m *Model) WriteFile(path string) (int64, error) {
 	return fsio.AtomicWriteFile(path, ".warplda-model-*", m.WriteTo)
 }
 
-// ReadModel deserializes a model written by WriteTo. It accepts the
-// current checksummed format and the legacy v1 layout; for checksummed
-// files a trailer mismatch (torn write, bit rot) is an error before any
-// model is returned.
+// ReadModel deserializes a model written by WriteTo. A trailer
+// mismatch (torn write, bit rot) is an error before any model is
+// returned. The pre-checksum v1 layout is refused by name: with no
+// trailer, a damaged v1 file could not be told from a sound one.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(modelMagic))
@@ -107,31 +100,30 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("warplda: reading model header: %w", err)
 	}
 	switch string(magic) {
-	case modelMagicV1:
-		return readModelBody(br)
 	case modelMagic:
-		cr := fsio.NewCRCReader(br)
-		m, err := readModelBody(cr)
-		if err != nil {
-			return nil, err
-		}
-		var want uint32
-		if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-			return nil, fmt.Errorf("warplda: reading model checksum: %w", err)
-		}
-		if got := cr.Sum32(); got != want {
-			return nil, fmt.Errorf("warplda: model checksum mismatch (file %08x, computed %08x): torn or corrupt file", want, got)
-		}
-		return m, nil
+	case "WARPLDA\x01":
+		return nil, fmt.Errorf("warplda: pre-checksum v1 snapshot: re-save with a current warplda-train")
 	default:
 		return nil, fmt.Errorf("warplda: not a model file (bad magic)")
 	}
+	cr := fsio.NewCRCReader(br)
+	m, err := readModelBody(cr)
+	if err != nil {
+		return nil, err
+	}
+	var want uint32
+	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+		return nil, fmt.Errorf("warplda: reading model checksum: %w", err)
+	}
+	if got := cr.Sum32(); got != want {
+		return nil, fmt.Errorf("warplda: model checksum mismatch (file %08x, computed %08x): torn or corrupt file", want, got)
+	}
+	return m, nil
 }
 
-// readModelBody parses the post-magic body shared by every format
-// version and validates that the result can be served: plausible dims,
-// finite positive priors (a NaN/Inf prior would make every Φ̂ entry
-// NaN), and non-negative counts.
+// readModelBody parses the post-magic body and validates that the
+// result can be served: plausible dims, finite positive priors (a
+// NaN/Inf prior would make every Φ̂ entry NaN), and non-negative counts.
 func readModelBody(r io.Reader) (*Model, error) {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
 	var v64, k64 int64
