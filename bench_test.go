@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
 // evaluation (quick-size variants; run cmd/warplda-bench for full size),
-// plus ablation benchmarks for the design choices DESIGN.md calls out.
+// plus ablation benchmarks for the options of core.Options.
 //
 //	go test -bench=. -benchmem
 package warplda
@@ -44,7 +44,7 @@ func BenchmarkFig9a(b *testing.B)  { benchExp(b, "fig9a") }
 func BenchmarkFig9b(b *testing.B)  { benchExp(b, "fig9b") }
 func BenchmarkFig9cd(b *testing.B) { benchExp(b, "fig9cd") }
 
-// --- Ablation benchmarks (DESIGN.md "design choices to ablate") ---
+// --- Ablation benchmarks (one pair per field of core.Options) ---
 
 func ablationCorpus(b *testing.B) *Corpus {
 	b.Helper()
@@ -72,16 +72,6 @@ func benchWarpOptions(b *testing.B, k int, opts core.Options) {
 		w.Iterate()
 	}
 	b.ReportMetric(float64(tokens*b.N)/b.Elapsed().Seconds(), "tokens/s")
-}
-
-// Hash-table vs dense-array row counters (Section 5.4): at K=4096 with
-// short rows the hash table's O(min(K,2L)) clear beats the dense array.
-func BenchmarkAblationDenseCounter(b *testing.B) {
-	benchWarpOptions(b, 4096, core.Options{DenseThreshold: 1 << 30})
-}
-
-func BenchmarkAblationHashCounter(b *testing.B) {
-	benchWarpOptions(b, 4096, core.Options{ForceHash: true})
 }
 
 // Doc proposal: random positioning (paper's default) vs per-document

@@ -4,7 +4,7 @@
 // an alltoall block exchange between unlike phases.
 //
 // The paper runs on Tianhe-2 over MPI/InfiniBand; here the cluster is
-// simulated in-process (DESIGN.md substitution 3): the sampling math is
+// simulated in-process: the sampling math is
 // executed for real (so convergence traces are genuine), worker message
 // exchange runs on goroutines and channels, and wall-clock speedups are
 // replaced by a *modeled time* combining measured per-token compute cost,

@@ -37,7 +37,9 @@ type PhaseWorker struct {
 
 // NewPhaseWorker builds a worker's scratch state for k topics with the
 // given RNG stream. The group counter is dense for small K and hashed
-// beyond 1024 topics, matching the shared-memory sampler's choice.
+// beyond 1024 topics; the shared-memory sampler (internal/core) no
+// longer makes that choice — its rows are arrays at every K — and this
+// path keeps it until it runs core's kernels (ROADMAP item 1).
 func NewPhaseWorker(k int, r *rng.RNG) *PhaseWorker {
 	wk := &PhaseWorker{R: r, CkAcc: make([]int32, k)}
 	if k <= 1024 {

@@ -15,37 +15,26 @@ package core
 import (
 	"warplda/internal/alias"
 	"warplda/internal/rng"
-	"warplda/internal/tcount"
 )
 
 // countRow is the topic-count vector of the row or column being
-// visited (c_d or c_w): a direct-indexed array with a touched list when
-// K ≤ DenseThreshold, else the Section 5.4 hash table. The branch on
-// the representation in every access is constant over a run, so it is
-// predicted. (Instantiating the kernels generically over two row types
-// was measured first: gc passes a dictionary per shape and calls the
-// row's methods through it, which is the dispatch this type exists to
-// avoid. The kernels also take a countRow apart into locals, because gc
-// keeps a struct of this size in memory and copies it per method call.)
+// visited (c_d or c_w): a direct-indexed array of K counts and the list
+// of topics touched since the last reset, at every K. The list is what
+// the paper's Section 5.4 hash table is for — clearing costs O(topics
+// touched) and the support comes out in O(K_w) for the sparse alias
+// build — without probe loops in the token loops; an MH step reads
+// C_k + β̄ and the prior at two random topics anyway, so the randomly
+// accessed scope is O(K) with either (docs/PERFORMANCE.md has the
+// sweep over K that decided it). The kernels take a countRow apart into
+// locals, because gc keeps a struct of this size in memory and copies
+// it per method call.
 type countRow struct {
-	c       []int32      // counts by topic; nil selects h
-	touched []int32      // topics with c[k] > 0 in first-touch order; cap K+1, see tally
-	h       *tcount.Hash // Section 5.4 table
+	c       []int32 // counts by topic
+	touched []int32 // topics with c[k] > 0 in first-touch order; cap K+1, see tally
 }
 
-func newCountRow(k int, hash bool) countRow {
-	if hash {
-		return countRow{h: tcount.NewHash(64)}
-	}
+func newCountRow(k int) countRow {
 	return countRow{c: make([]int32, k), touched: make([]int32, 0, k+1)}
-}
-
-// lookup reads topic k of a row given as its two representations.
-func lookup(c []int32, h *tcount.Hash, k int32) int32 {
-	if c != nil {
-		return c[k]
-	}
-	return h.Get(k)
 }
 
 // tally adds one to c[z], where touched[:nt] lists the topics counted
@@ -62,12 +51,8 @@ func tally(c, touched []int32, nt int, z int32) int {
 	return nt
 }
 
-// reset empties the row for a visit of l tokens over k topics.
-func (r *countRow) reset(k, l int) {
-	if r.c == nil {
-		r.h.ResetFor(k, l)
-		return
-	}
+// reset empties the row in O(topics touched).
+func (r *countRow) reset() {
 	for _, t := range r.touched {
 		r.c[t] = 0
 	}
@@ -77,13 +62,6 @@ func (r *countRow) reset(k, l int) {
 // appendNonZero appends the row's support to topics and the matching
 // counts to weights, the input of a sparse alias build.
 func (r countRow) appendNonZero(topics []int32, weights []float64) ([]int32, []float64) {
-	if r.c == nil {
-		r.h.NonZero(func(k, c int32) {
-			topics = append(topics, k)
-			weights = append(weights, float64(c))
-		})
-		return topics, weights
-	}
 	for _, k := range r.touched {
 		topics = append(topics, k)
 		weights = append(weights, float64(r.c[k]))
@@ -109,14 +87,10 @@ func entryAt(idx []int32, i int) int {
 
 // count adds the current assignment of every entry of a run to row.
 func count(data, idx []int32, stride int, row *countRow) {
-	c, h := row.c, row.h
+	c := row.c
 	touched, nt := row.touched[:cap(row.touched)], len(row.touched)
 	for i, n := 0, entries(data, idx, stride); i < n; i++ {
-		if z := data[entryAt(idx, i)*stride]; c != nil {
-			nt = tally(c, touched, nt, z)
-		} else {
-			h.Incr(z)
-		}
+		nt = tally(c, touched, nt, data[entryAt(idx, i)*stride])
 	}
 	row.touched = touched[:nt]
 }
@@ -139,20 +113,19 @@ const smoothTopic = -1
 // were offered to, and how many of those were accepted.
 func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, ckb []float64, r *rng.RNG) (proposed, accepted int) {
 	g := *r // the generator state stays in registers over the loop
-	cc, ch := cur.c, cur.h
-	nc, nh := next.c, next.h
+	cc, nc := cur.c, next.c
 	touched, nt := next.touched[:cap(next.touched)], len(next.touched)
 	for i, n := 0, entries(data, idx, stride); i < n; i++ {
 		p := entryAt(idx, i)
 		e := data[p*stride : (p+1)*stride]
 		s := e[0]
-		cs := float64(lookup(cc, ch, s)) + prior[s]
+		cs := float64(cc[s]) + prior[s]
 		for _, t := range e[1:] {
 			if t == s {
 				continue
 			}
 			proposed++
-			ct := float64(lookup(cc, ch, t)) + prior[t]
+			ct := float64(cc[t]) + prior[t]
 			num, den := ct*ckb[s], cs*ckb[t]
 			if num >= den || rng.Unit(g.Uint64())*den < num {
 				s, cs = t, ct
@@ -160,11 +133,7 @@ func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, c
 			}
 		}
 		e[0] = s
-		if nc != nil {
-			nt = tally(nc, touched, nt, s)
-		} else {
-			nh.Incr(s)
-		}
+		nt = tally(nc, touched, nt, s)
 	}
 	*r, next.touched = g, touched[:nt]
 	return proposed, accepted

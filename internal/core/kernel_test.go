@@ -10,78 +10,74 @@ import (
 	"warplda/internal/corpus"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
-	"warplda/internal/tcount"
 )
 
 // The chain kernel decides "accept" without dividing. On random counts,
 // global counts, priors and generator states it must take exactly the
 // decision of Eq. 7 — accept iff π ≥ 1 or u < π, with π evaluated here
-// in 200-bit arithmetic — for both row representations, and must count
-// the outcome, recount it into next, and consume one generator word
-// only when π < 1. Cases within 1e-9 of a tie are skipped.
+// in 200-bit arithmetic — at small and at large K, and must count the
+// outcome, recount it into next, and consume one generator word only
+// when π < 1. Cases within 1e-9 of a tie are skipped. (A step reads the
+// row, the prior and C_k + β̄ at its two topics only, so a trial
+// randomizes those two slots of K-sized arrays.)
 func TestChainAgreesWithEq7(t *testing.T) {
-	const k = 16
-	src := rng.New(2024)
-	decided := 0
-	for trial := 0; trial < 20000; trial++ {
+	for _, k := range []int{16, 2048, 65536} {
+		src := rng.New(2024)
 		counts := make([]int32, k)
 		prior, ckb := make([]float64, k), make([]float64, k)
-		betaBar := 0.01 + 100*src.Float64()
-		for i := range counts {
-			if src.Intn(3) > 0 {
-				counts[i] = int32(src.Intn(1 << uint(1+src.Intn(12))))
+		next := newCountRow(k)
+		decided := 0
+		for trial := 0; trial < 20000; trial++ {
+			s, tt := int32(src.Intn(k)), int32(src.Intn(k))
+			if s == tt {
+				continue
 			}
-			prior[i] = 0.001 + 5*src.Float64()
-			ckb[i] = float64(src.Intn(1<<uint(1+src.Intn(20)))) + betaBar
-		}
-		s, tt := int32(src.Intn(k)), int32(src.Intn(k))
-		if s == tt {
-			continue
-		}
-		num := new(big.Float).SetPrec(200).Mul(big.NewFloat(float64(counts[tt])+prior[tt]), big.NewFloat(ckb[s]))
-		den := new(big.Float).SetPrec(200).Mul(big.NewFloat(float64(counts[s])+prior[s]), big.NewFloat(ckb[tt]))
-		pi, _ := new(big.Float).Quo(num, den).Float64()
-
-		seed := src.Uint64()
-		u := rng.Unit(rng.New(seed).Uint64())
-		if math.Abs(u-pi) < 1e-9*pi || math.Abs(pi-1) < 1e-9 {
-			continue
-		}
-		decided++
-		want := pi >= 1 || u < pi
-
-		hash := tcount.NewHash(k)
-		for topic, c := range counts {
-			for ; c > 0; c-- {
-				hash.Incr(int32(topic))
+			betaBar := 0.01 + 100*src.Float64()
+			for _, i := range []int32{s, tt} {
+				counts[i] = 0
+				if src.Intn(3) > 0 {
+					counts[i] = int32(src.Intn(1 << uint(1+src.Intn(12))))
+				}
+				prior[i] = 0.001 + 5*src.Float64()
+				ckb[i] = float64(src.Intn(1<<uint(1+src.Intn(20)))) + betaBar
 			}
-		}
-		for name, cur := range map[string]countRow{"dense": {c: counts}, "hash": {h: hash}} {
+			num := new(big.Float).SetPrec(200).Mul(big.NewFloat(float64(counts[tt])+prior[tt]), big.NewFloat(ckb[s]))
+			den := new(big.Float).SetPrec(200).Mul(big.NewFloat(float64(counts[s])+prior[s]), big.NewFloat(ckb[tt]))
+			pi, _ := new(big.Float).Quo(num, den).Float64()
+
+			seed := src.Uint64()
+			u := rng.Unit(rng.New(seed).Uint64())
+			if math.Abs(u-pi) < 1e-9*pi || math.Abs(pi-1) < 1e-9 {
+				continue
+			}
+			decided++
+			want := pi >= 1 || u < pi
+
 			data := []int32{s, tt}
-			next := countRow{c: make([]int32, k), touched: make([]int32, 0, k+1)}
+			next.reset()
 			r := rng.New(seed)
-			proposed, accepted := chain(data, nil, 2, cur, &next, prior, ckb, r)
+			proposed, accepted := chain(data, nil, 2, countRow{c: counts}, &next, prior, ckb, r)
 			got := data[0] == tt
 			if got != want || (data[0] != s && data[0] != tt) {
-				t.Fatalf("%s: π=%g u=%g: assignment %d→%d, want accept=%v", name, pi, u, s, data[0], want)
+				t.Fatalf("K=%d: π=%g u=%g: assignment %d→%d, want accept=%v", k, pi, u, s, data[0], want)
 			}
 			if proposed != 1 || (accepted == 1) != want {
-				t.Fatalf("%s: proposed=%d accepted=%d, want 1 and %v", name, proposed, accepted, want)
+				t.Fatalf("K=%d: proposed=%d accepted=%d, want 1 and %v", k, proposed, accepted, want)
 			}
-			if next.c[data[0]] != 1 || !reflect.DeepEqual(next.touched, []int32{data[0]}) {
-				t.Fatalf("%s: recount %v touched %v after assigning %d", name, next.c, next.touched, data[0])
+			if next.c[data[0]] != 1 || next.c[s]+next.c[tt] != 1 || !reflect.DeepEqual(next.touched, []int32{data[0]}) {
+				t.Fatalf("K=%d: recount touched %v after assigning %d", k, next.touched, data[0])
 			}
 			fresh := rng.New(seed)
 			if pi < 1 {
 				fresh.Uint64()
 			}
 			if r.State() != fresh.State() {
-				t.Fatalf("%s: π=%g consumed the wrong number of generator words", name, pi)
+				t.Fatalf("K=%d: π=%g consumed the wrong number of generator words", k, pi)
 			}
 		}
-	}
-	if decided < 15000 {
-		t.Fatalf("only %d of 20000 trials were away from ties", decided)
+		if decided < 15000 {
+			t.Fatalf("K=%d: only %d of 20000 trials were away from ties", k, decided)
+		}
 	}
 }
 
@@ -147,9 +143,10 @@ func (pt *proposalTally) check(t *testing.T, what string) {
 // q^word ∝ C_wk + β of its word, and after a doc phase from
 // q^doc ∝ C_dk + α_k of its document, with the counts those of the
 // assignments the phase left behind. Mixing long and short documents
-// makes both the count part and the smoothing part carry real mass; the
-// cases cover both row representations, the asymmetric prior, the
-// proposal ablations and the staged heavy path.
+// makes both the count part and the smoothing part carry real mass (the
+// priors scale with 1/K, so they do at every K); the cases cover small
+// and large K, the asymmetric prior, the proposal ablations and the
+// staged heavy path.
 func TestProposalsFollowTheirDistributions(t *testing.T) {
 	c := &corpus.Corpus{V: 40}
 	for d := 0; d < 400; d++ {
@@ -163,25 +160,34 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 		}
 		c.Docs = append(c.Docs, doc)
 	}
-	const k = 6
-	alphaVec := []float64{0.05, 0.2, 0.5, 1, 2, 4}
 	cases := []struct {
 		name     string
+		k        int // 0 means 6
 		opts     Options
-		alphaVec []float64
+		alphaVec bool
 		threads  int
 	}{
 		{name: "dense"},
-		{name: "hash", opts: Options{ForceHash: true}},
-		{name: "alphavec", alphaVec: alphaVec},
+		{name: "K2048", k: 2048},
+		{name: "alphavec", alphaVec: true},
 		{name: "dense-alias", opts: Options{DisableSparseAlias: true}},
 		{name: "doc-alias", opts: Options{DocProposalAlias: true}},
-		{name: "doc-alias-alphavec", opts: Options{DocProposalAlias: true}, alphaVec: alphaVec},
+		{name: "doc-alias-alphavec", opts: Options{DocProposalAlias: true}, alphaVec: true},
+		{name: "doc-alias-alphavec-K2048", k: 2048, opts: Options{DocProposalAlias: true}, alphaVec: true},
 		{name: "heavy", threads: 3},
 	}
+	alphaPattern := []float64{0.05, 0.2, 0.5, 1, 2, 4}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := sampler.Config{K: k, Alpha: 0.7, Beta: 2, M: 6, Seed: 5, Threads: tc.threads, AlphaVec: tc.alphaVec}
+			k := max(tc.k, 6)
+			scale := 6 / float64(k)
+			cfg := sampler.Config{K: k, Alpha: 0.7 * scale, Beta: 2 * scale, M: 6, Seed: 5, Threads: tc.threads}
+			if tc.alphaVec {
+				cfg.AlphaVec = make([]float64, k)
+				for i := range cfg.AlphaVec {
+					cfg.AlphaVec[i] = alphaPattern[i%6] * scale
+				}
+			}
 			w, err := NewWithOptions(c, cfg, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -232,44 +238,47 @@ func heavyMixCorpus() *corpus.Corpus {
 	return c
 }
 
-// After every Iterate, whatever the count-row representation, prior,
-// ablation option or thread count, the global counts must be the
-// histogram of the assignments and account for every token, and the
-// pass statistics must describe the pass.
+// After every Iterate, whatever the topic count, prior, ablation option
+// or thread count, the global counts must be the histogram of the
+// assignments and account for every token, and the pass statistics must
+// describe the pass.
 func TestIterateKeepsCountsConsistent(t *testing.T) {
 	c := heavyMixCorpus()
 	total := int32(c.NumTokens())
-	alphaVec := make([]float64, 12)
-	for k := range alphaVec {
-		alphaVec[k] = 0.05 * float64(k+1)
-	}
 	cases := []struct {
 		name     string
+		k        int // 0 means 12
 		opts     Options
-		alphaVec []float64
+		alphaVec bool
 	}{
 		{name: "dense"},
-		{name: "hash", opts: Options{ForceHash: true}},
-		{name: "hash-by-threshold", opts: Options{DenseThreshold: 4}},
-		{name: "alphavec", alphaVec: alphaVec},
+		{name: "K2048", k: 2048},
+		{name: "K65536", k: 65536},
+		{name: "alphavec", alphaVec: true},
 		{name: "dense-alias", opts: Options{DisableSparseAlias: true}},
 		{name: "doc-alias", opts: Options{DocProposalAlias: true}},
-		{name: "doc-alias-hash-alphavec", opts: Options{DocProposalAlias: true, ForceHash: true}, alphaVec: alphaVec},
+		{name: "doc-alias-alphavec-K2048", k: 2048, opts: Options{DocProposalAlias: true}, alphaVec: true},
 		{name: "shuffled", opts: Options{ShuffleTokens: true}},
 		{name: "no-intra-word", opts: Options{DisableIntraWord: true}},
 	}
 	for _, tc := range cases {
 		for _, threads := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/threads=%d", tc.name, threads), func(t *testing.T) {
-				cfg := defaultCfg(12)
+				cfg := defaultCfg(max(tc.k, 12))
 				cfg.Threads = threads
-				cfg.AlphaVec = tc.alphaVec
+				if tc.alphaVec {
+					cfg.AlphaVec = make([]float64, cfg.K)
+					for k := range cfg.AlphaVec {
+						cfg.AlphaVec[k] = 0.05 * float64(k%12+1)
+					}
+				}
 				w, err := NewWithOptions(c, cfg, tc.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Word 0 occurs 1920 times: heavy while that exceeds max(K, 1024).
 				wantHeavy := 0
-				if threads > 1 && !tc.opts.DisableIntraWord {
+				if threads > 1 && !tc.opts.DisableIntraWord && cfg.K < 1920 {
 					wantHeavy = 1
 				}
 				for it := 0; it < 6; it++ {
@@ -303,12 +312,97 @@ func TestIterateKeepsCountsConsistent(t *testing.T) {
 	}
 }
 
+// Every visit counts into the same two K-sized rows, so each must start
+// all-zero: a count left behind would leak one column's c_w into the
+// next column's acceptance rates and proposal table, and no check on
+// c_k would see it. At a K far above any row's length, with and without
+// the staged heavy path: during a pass a row holds exactly the visited
+// column's or document's tokens, and after it a reset leaves nothing.
+func TestRowsCleanBetweenVisits(t *testing.T) {
+	const k = 65536
+	// Word 0 occurs 1100·60 > K times; the other 79 words about 55 times.
+	c := &corpus.Corpus{V: 80, Docs: make([][]int32, 1100)}
+	for d := range c.Docs {
+		doc := make([]int32, 64)
+		for n := 60; n < len(doc); n++ {
+			doc[n] = int32(1 + (d*7+n)%79)
+		}
+		c.Docs[d] = doc
+	}
+	for _, threads := range []int{1, 3} {
+		cfg := defaultCfg(k)
+		cfg.Threads = threads
+		w, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (threads > 1) != (len(w.heavyCols) == 1) {
+			t.Fatalf("threads=%d: heavy columns %v", threads, w.heavyCols)
+		}
+		for i := 0; i < 3; i++ {
+			w.Iterate()
+		}
+
+		// One more pass, a visit at a time.
+		holds := func(what string, l int, rows ...countRow) {
+			t.Helper()
+			for _, r := range rows {
+				sum := 0
+				for _, topic := range r.touched {
+					sum += int(r.c[topic])
+				}
+				if len(r.touched) > l || sum != l {
+					t.Fatalf("threads=%d: after %s of %d tokens a row lists %d topics holding %d", threads, what, l, len(r.touched), sum)
+				}
+			}
+		}
+		w.heavyPhase()
+		for _, wk := range w.workers {
+			for _, rg := range wk.colChunks {
+				for col := rg[0]; col < rg[1]; col++ {
+					if lw := w.m.Column(col).Len(); lw > 0 && !w.isHeavy[col] {
+						w.wordColumn(wk, col)
+						holds("a column", lw, wk.cur, wk.next)
+					}
+				}
+			}
+		}
+		for _, wk := range w.workers {
+			clear(wk.ckAcc)
+			for _, rg := range wk.rowChunks {
+				for row := rg[0]; row < rg[1]; row++ {
+					w.docRow(wk, row)
+					holds("a document", len(c.Docs[row]), wk.cur)
+				}
+			}
+		}
+		w.merge()
+		if !reflect.DeepEqual(w.GlobalCounts(), countsFromAssignments(w.Assignments(), k)) {
+			t.Fatalf("threads=%d: the visit-at-a-time pass broke the global counts", threads)
+		}
+
+		for wi, wk := range w.workers {
+			for _, r := range []*countRow{&wk.cur, &wk.next} {
+				r.reset()
+				if len(r.touched) != 0 {
+					t.Fatalf("threads=%d worker %d: reset left %d touched topics", threads, wi, len(r.touched))
+				}
+				for topic, n := range r.c {
+					if n != 0 {
+						t.Fatalf("threads=%d worker %d: reset left c[%d] = %d", threads, wi, topic, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // The serial pass must not allocate once its scratch has grown: every
 // buffer the kernels use belongs to the worker.
 func TestSerialIterateDoesNotAllocate(t *testing.T) {
 	c := testCorpus(21)
-	for name, opts := range map[string]Options{"dense": {}, "hash": {ForceHash: true}} {
-		w, err := NewWithOptions(c, defaultCfg(16), opts)
+	for _, k := range []int{16, 65536} {
+		w, err := New(c, defaultCfg(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +410,7 @@ func TestSerialIterateDoesNotAllocate(t *testing.T) {
 			w.Iterate()
 		}
 		if allocs := testing.AllocsPerRun(5, w.Iterate); allocs != 0 {
-			t.Errorf("%s: Iterate allocates %v times per pass in steady state", name, allocs)
+			t.Errorf("K=%d: Iterate allocates %v times per pass in steady state", k, allocs)
 		}
 	}
 }

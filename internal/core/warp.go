@@ -65,14 +65,11 @@ const (
 )
 
 // Options tune implementation details of the sampler. The zero value is
-// the paper's configuration.
+// the paper's configuration with one departure: Section 5.4 keeps c_d
+// and c_w in a hash table, and here they are a K-sized array with a
+// touched list at every K (countRow in kernel.go), which was faster in
+// every cell of a sweep up to K = 2²⁰ (docs/PERFORMANCE.md).
 type Options struct {
-	// DenseThreshold is the topic count below which per-row counters use
-	// a dense array instead of the Section 5.4 hash table. 0 means 1024.
-	DenseThreshold int
-	// ForceHash forces hash-table counters regardless of K (for the
-	// hash-vs-dense ablation).
-	ForceHash bool
 	// DisableSparseAlias replaces the sparse alias table for the word
 	// proposal with a dense K-sized table (ablation; O(K) per word).
 	DisableSparseAlias bool
@@ -158,9 +155,6 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 	}
 	if err := corpus.ValidateProvider(c); err != nil {
 		return nil, err
-	}
-	if opts.DenseThreshold <= 0 {
-		opts.DenseThreshold = 1024
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
@@ -267,12 +261,11 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	// cross-thread traffic the accumulators generate.
 	stride := ckLaneStride(w.cfg.K)
 	w.ckDeltas = make([]int32, n*stride)
-	hash := w.opts.ForceHash || w.cfg.K > w.opts.DenseThreshold
 	for i := 0; i < n; i++ {
 		w.workers[i] = &worker{
 			r:     r.Split(),
-			cur:   newCountRow(w.cfg.K, hash),
-			next:  newCountRow(w.cfg.K, hash),
+			cur:   newCountRow(w.cfg.K),
+			next:  newCountRow(w.cfg.K),
 			spare: make([]int32, 0, w.cfg.K+1),
 			ckAcc: w.ckDeltas[i*stride : i*stride+w.cfg.K : i*stride+w.cfg.K],
 		}
@@ -481,8 +474,8 @@ func (w *Warp) runPhase(fn func(*Warp, *worker)) {
 }
 
 // laneRow views a plain K-sized count lane (the worker's C_k delta
-// lane, a heavy column's partial lane) as a dense countRow, so the
-// kernels can count into it.
+// lane, a heavy column's partial lane) as a countRow, so the kernels
+// can count into it.
 func (wk *worker) laneRow(lane []int32) countRow {
 	return countRow{c: lane, touched: wk.spare[:0]}
 }
@@ -498,8 +491,8 @@ func (w *Warp) wordColumn(wk *worker, col int) {
 	if lw == 0 {
 		return
 	}
-	wk.cur.reset(k, lw)
-	wk.next.reset(k, lw)
+	wk.cur.reset()
+	wk.next.reset()
 	count(seg, nil, stride, &wk.cur)
 	proposed, accepted := chain(seg, nil, stride, wk.cur, &wk.next, w.betas, w.ckb, wk.r)
 	wk.pass.WordProposals += int64(proposed)
@@ -508,9 +501,9 @@ func (w *Warp) wordColumn(wk *worker, col int) {
 	topics, weights := wk.topics[:0], wk.weights[:0]
 	if w.opts.DisableSparseAlias {
 		// Ablation: a table over all K topics, O(K) per word.
-		for t := int32(0); int(t) < k; t++ {
-			topics = append(topics, t)
-			weights = append(weights, float64(lookup(wk.next.c, wk.next.h, t))+w.cfg.Beta)
+		for t, c := range wk.next.c {
+			topics = append(topics, int32(t))
+			weights = append(weights, float64(c)+w.cfg.Beta)
 		}
 	} else {
 		topics, weights = wk.next.appendNonZero(topics, weights)
@@ -545,12 +538,12 @@ func (w *Warp) docRow(wk *worker, row int) {
 		return
 	}
 	data, stride, k := w.m.Payloads(), w.m.Stride, w.cfg.K
-	wk.cur.reset(k, ld)
+	wk.cur.reset()
 	count(data, idx, stride, &wk.cur)
 	lane := wk.laneRow(wk.ckAcc)
 	next := &lane
 	if w.opts.DocProposalAlias {
-		wk.next.reset(k, ld)
+		wk.next.reset()
 		next = &wk.next
 	}
 	proposed, accepted := chain(data, idx, stride, wk.cur, next, w.alphas, w.ckb, wk.r)

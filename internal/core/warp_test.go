@@ -223,27 +223,6 @@ func TestParallelMatchesInvariants(t *testing.T) {
 	}
 }
 
-func TestHashCounterPathConverges(t *testing.T) {
-	c := testCorpus(9)
-	cfg := defaultCfg(8)
-	w, err := NewWithOptions(c, cfg, Options{ForceHash: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	for i := 0; i < 20; i++ {
-		w.Iterate()
-	}
-	after := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	if after <= before {
-		t.Fatalf("hash-counter path did not converge: %.1f -> %.1f", before, after)
-	}
-	want := countsFromAssignments(w.Assignments(), cfg.K)
-	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
-		t.Fatal("hash-counter ck inconsistent")
-	}
-}
-
 func TestDenseAliasAblationConverges(t *testing.T) {
 	c := testCorpus(10)
 	cfg := defaultCfg(8)
@@ -261,9 +240,9 @@ func TestDenseAliasAblationConverges(t *testing.T) {
 	}
 }
 
-func TestLargeKUsesHashAndConverges(t *testing.T) {
+func TestLargeKConverges(t *testing.T) {
 	c := testCorpus(11)
-	cfg := sampler.PaperDefaults(2048) // above DenseThreshold
+	cfg := sampler.PaperDefaults(2048) // more topics than any row has tokens
 	cfg.M = 1
 	w, err := New(c, cfg)
 	if err != nil {
@@ -276,6 +255,10 @@ func TestLargeKUsesHashAndConverges(t *testing.T) {
 	after := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
 	if after <= before {
 		t.Fatalf("large-K run did not converge: %.1f -> %.1f", before, after)
+	}
+	want := countsFromAssignments(w.Assignments(), cfg.K)
+	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
+		t.Fatal("large-K ck inconsistent")
 	}
 }
 
@@ -515,6 +498,12 @@ func TestStateResumeBitIdenticalThreaded(t *testing.T) {
 	cfg := defaultCfg(8)
 	cfg.Threads = 3
 	resumePair(t, testCorpus(21), cfg, 4)
+}
+
+func TestStateResumeBitIdenticalLargeK(t *testing.T) {
+	cfg := defaultCfg(1536) // word 0 of the corpus (1920 tokens) is still heavy
+	cfg.Threads = 3
+	resumePair(t, heavyTailCorpus(), cfg, 3)
 }
 
 func TestStateResumeBitIdenticalAsymmetricAlpha(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // SyntheticConfig parameterizes GenerateLDA. The generator draws a corpus
 // from the LDA generative process itself, so samplers have real latent
 // structure to recover — the stand-in for the paper's NYTimes / PubMed /
-// ClueWeb12 corpora (see DESIGN.md, substitution 1).
+// ClueWeb12 corpora.
 type SyntheticConfig struct {
 	D       int     // number of documents
 	V       int     // vocabulary size

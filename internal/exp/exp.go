@@ -6,7 +6,8 @@
 // reduced ("quick") versions so the whole suite regenerates in minutes
 // on one core.
 //
-// Scale substitutions relative to the paper are listed in DESIGN.md.
+// Where a report substitutes for the paper's setup (synthetic corpora, a
+// software cache simulator, a modeled cluster) its function says so.
 package exp
 
 import (

@@ -16,7 +16,7 @@ import (
 // this host may have fewer cores, so the report shows both the measured
 // wall-clock speedup (meaningful only up to the host's core count) and
 // the modeled speedup from the work-partition balance with the paper's
-// parallel efficiency (DESIGN.md substitution 3).
+// parallel efficiency.
 func Fig9a(o Options) (*Report, error) {
 	r := &Report{ID: "fig9a", Title: "Multi-threading speedup (NYTimes-like)"}
 	nyc := corpus.NYTimesLike(pick(o, 0.0015, 0.005))

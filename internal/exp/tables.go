@@ -73,8 +73,8 @@ func Table2(o Options) (*Report, error) {
 }
 
 // Table3 reproduces the dataset statistics table for the synthetic
-// stand-in corpora (see DESIGN.md substitution 1), plus the power-law
-// head share the paper quotes for ClueWeb12.
+// stand-in corpora, plus the power-law head share the paper quotes for
+// ClueWeb12.
 func Table3(o Options) (*Report, error) {
 	r := &Report{ID: "table3", Title: "Statistics of datasets (synthetic stand-ins)"}
 	scaleNYT := pick(o, 0.002, 0.01)
@@ -103,7 +103,7 @@ func Table3(o Options) (*Report, error) {
 }
 
 // Table4 reproduces the L3 cache miss-rate comparison with the software
-// cache simulator (DESIGN.md substitution 2): the cache geometry is the
+// cache simulator: the cache geometry is the
 // paper's Ivy Bridge scaled down by the same factor as the corpora, so
 // the ratio of count-matrix size to L3 size matches the paper's regime.
 func Table4(o Options) (*Report, error) {
