@@ -1,22 +1,23 @@
-// Package cluster simulates the distributed runtime of Section 5.3: P
+// Package cluster implements the distributed runtime of Section 5.3: P
 // workers over a D×V token matrix split into P×P partitions, with
 // VisitByRow owning row slices, VisitByColumn owning column slices, and
 // an alltoall block exchange between unlike phases.
 //
-// The paper runs on Tianhe-2 over MPI/InfiniBand; here the cluster is
-// simulated in-process: the sampling math is
-// executed for real (so convergence traces are genuine), worker message
-// exchange runs on goroutines and channels, and wall-clock speedups are
-// replaced by a *modeled time* combining measured per-token compute cost,
-// the partition's load balance, and a network model for the bytes each
-// worker must move. Communication and computation overlap, as the 2-level
-// blocking of Section 5.3.2 achieves.
+// The paper runs on Tianhe-2 over MPI/InfiniBand. Here Distributed runs
+// the sharded execution in-process — P Workers (phase.go) exchanging
+// their blocks through shared memory — and internal/dist runs the same
+// Worker in separate processes over TCP. Sim is the cost model behind
+// the scaling figures: the sampling runs for real on core.Warp (so
+// convergence traces are genuine), and wall-clock speedups are replaced
+// by a *modeled time* combining one measured per-token compute cost, the
+// partition's load balance, and a network model for the bytes each
+// worker must move. Communication and computation overlap, as the
+// 2-level blocking of Section 5.3.2 achieves.
 package cluster
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"warplda/internal/core"
@@ -50,10 +51,10 @@ type Config struct {
 // Stats describes one simulated iteration.
 type Stats struct {
 	// WallSeconds is the measured single-machine execution time of the
-	// iteration's real sampling work.
+	// iteration's real sampling work (zero from Model).
 	WallSeconds float64
-	// ComputeSeconds is the modeled compute time: per-token cost derived
-	// from WallSeconds, scaled by the heaviest worker's token share.
+	// ComputeSeconds is the modeled compute time: the per-token cost
+	// scaled by the heaviest worker's token share.
 	ComputeSeconds float64
 	// CommSeconds is the modeled alltoall + allreduce time of the
 	// heaviest sender.
@@ -181,34 +182,29 @@ func (s *Sim) RestoreFrom(r io.Reader) error {
 }
 
 // Iterate implements sampler.Sampler: it executes the real sampling
-// iteration, exchanges block descriptors between the worker goroutines
-// (the in-process stand-in for MPI_Ialltoall), and accumulates modeled
-// time. Use IterateStats to also receive the cost breakdown.
+// iteration and accumulates its modeled time. Use IterateStats to also
+// receive the cost breakdown.
 func (s *Sim) Iterate() { s.IterateStats() }
 
-// IterateStats is Iterate returning the iteration's Stats.
+// IterateStats is Iterate returning the iteration's Stats: Model of the
+// per-token cost measured on this iteration. One iteration touches every
+// token twice (word phase + doc phase), so that cost is wall/(2T).
 func (s *Sim) IterateStats() Stats {
 	start := time.Now()
 	s.warp.Iterate()
 	wall := time.Since(start).Seconds()
+	st := s.Model(wall / float64(2*max(1, s.tokens)))
+	st.WallSeconds = wall
+	s.modeledSeconds += st.ModeledSeconds
+	return st
+}
 
-	// Exercise the message plane: each worker ships its off-diagonal
-	// block descriptors to the peers that own them next phase.
-	payload := func(i int) []int64 { return []int64{s.sendRowToCol[i]} }
-	Alltoall(s.cfg.Workers, func(i, j int) []int64 {
-		if i == j {
-			return nil
-		}
-		return payload(i)
-	})
-
-	// One iteration touches every token twice (word phase + doc phase),
-	// so the per-phase per-token cost is wall/(2T). Each phase's compute
-	// is bounded by its heaviest worker.
-	perPhaseToken := wall / (2 * float64(max64(1, int64(s.tokens))))
-	maxCol := maxOf(s.colLoad)
-	maxRow := maxOf(s.rowLoad)
-	compute := (float64(maxCol) + float64(maxRow)) * perPhaseToken
+// Model returns the Stats of one iteration on this topology if sampling
+// costs perPhaseTokenSec per token and phase on every worker: each
+// phase's compute is bounded by its heaviest worker, and the traffic by
+// the heaviest sender.
+func (s *Sim) Model(perPhaseTokenSec float64) Stats {
+	compute := float64(maxOf(s.colLoad)+maxOf(s.rowLoad)) * perPhaseTokenSec
 
 	// Two boundaries per iteration (row→col, col→row) plus the c_k
 	// allreduce (2·K·4 bytes per worker, log P rounds approximated flat).
@@ -230,16 +226,13 @@ func (s *Sim) IterateStats() Stats {
 	for i := range s.sendRowToCol {
 		bytes += s.sendRowToCol[i] + s.sendColToRow[i]
 	}
-	st := Stats{
-		WallSeconds:    wall,
+	return Stats{
 		ComputeSeconds: compute,
 		CommSeconds:    comm,
 		ModeledSeconds: modeled,
 		BytesMoved:     bytes,
 		Imbalance:      maxImbalance(s.rowLoad, s.colLoad),
 	}
-	s.modeledSeconds += modeled
-	return st
 }
 
 // ModeledSeconds returns cumulative modeled time over all iterations.
@@ -270,59 +263,4 @@ func maxOf(s []int64) int64 {
 		}
 	}
 	return m
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Alltoall runs p goroutine workers that each send a payload to every
-// other worker over channels and collect what the others sent to them —
-// the in-process equivalent of MPI_Ialltoall. It returns recv[j][i] =
-// payload(i, j). It is used by Sim each iteration and exported for tests
-// and for building other simulated collectives.
-func Alltoall(p int, payload func(i, j int) []int64) [][][]int64 {
-	chans := make([]chan msg, p)
-	for i := range chans {
-		chans[i] = make(chan msg, p)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < p; j++ {
-				if i == j {
-					continue
-				}
-				chans[j] <- msg{from: i, data: payload(i, j)}
-			}
-		}(i)
-	}
-	recv := make([][][]int64, p)
-	for j := range recv {
-		recv[j] = make([][]int64, p)
-	}
-	var rg sync.WaitGroup
-	for j := 0; j < p; j++ {
-		rg.Add(1)
-		go func(j int) {
-			defer rg.Done()
-			for n := 0; n < p-1; n++ {
-				m := <-chans[j]
-				recv[j][m.from] = m.data
-			}
-		}(j)
-	}
-	wg.Wait()
-	rg.Wait()
-	return recv
-}
-
-type msg struct {
-	from int
-	data []int64
 }

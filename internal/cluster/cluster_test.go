@@ -18,34 +18,6 @@ func simCorpus() *corpus.Corpus {
 	return c
 }
 
-func TestAlltoallDeliversEverything(t *testing.T) {
-	for _, p := range []int{2, 3, 8} {
-		recv := Alltoall(p, func(i, j int) []int64 {
-			return []int64{int64(i*100 + j)}
-		})
-		for j := 0; j < p; j++ {
-			for i := 0; i < p; i++ {
-				if i == j {
-					if recv[j][i] != nil {
-						t.Fatalf("p=%d: self message delivered", p)
-					}
-					continue
-				}
-				if len(recv[j][i]) != 1 || recv[j][i][0] != int64(i*100+j) {
-					t.Fatalf("p=%d: recv[%d][%d] = %v", p, j, i, recv[j][i])
-				}
-			}
-		}
-	}
-}
-
-func TestAlltoallSingleWorker(t *testing.T) {
-	recv := Alltoall(1, func(i, j int) []int64 { return []int64{9} })
-	if len(recv) != 1 || recv[0][0] != nil {
-		t.Fatal("single worker should exchange nothing")
-	}
-}
-
 func TestSimConvergesLikeSingleMachine(t *testing.T) {
 	c := simCorpus()
 	cfg := sampler.PaperDefaults(6)

@@ -3,67 +3,67 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
+	"warplda/internal/core"
 	"warplda/internal/corpus"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
 	"warplda/internal/sparse"
-	"warplda/internal/tcount"
 )
-
-// Token is one token's record in the sharded representation: its cell in
-// the D×V matrix plus the payload (assignment z followed by M proposals).
-type Token struct {
-	D, W int32
-	Data []int32
-}
 
 // Distributed runs WarpLDA with *physically sharded* state, the actual
 // execution model of Section 5.3: each of P workers owns a disjoint set
 // of token entries; the word phase runs with entries partitioned by
 // column owner, the doc phase with entries partitioned by row owner, and
 // between unlike phases every off-diagonal block is shipped to its next
-// owner over channels (the in-process MPI_Ialltoall). The only replicated
-// state is the K-dim global count vector, allreduced once per iteration —
-// exactly the paper's claim that nothing else is shared.
+// owner (the in-process MPI_Ialltoall: the sender copies each finished
+// block into its own window of the receiver's next slab). The only
+// replicated state is the K-dim global count vector, allreduced once per
+// iteration — exactly the paper's claim that nothing else is shared.
 //
-// Distributed and core.Warp implement the same algorithm; core.Warp is
-// the optimized shared-memory path, Distributed the sharded path whose
-// convergence the Figure 6 / 9 experiments rely on. The phase bodies
-// themselves live in phase.go and are shared with the live multi-process
-// mode (internal/dist), which replaces the channels with TCP.
+// Distributed and core.Warp implement the same algorithm with the same
+// kernels: each worker is a Worker (phase.go) running core's phase runs,
+// and TestTwoPassLawMatchesExact holds both to one exact law. core.Warp
+// is the shared-memory path, Distributed the sharded one; the Figure 6
+// and 9 experiments use Sim, which times core.Warp under a cost model.
+// The live multi-process mode (internal/dist) runs the same Worker with
+// TCP in place of the windows.
 type Distributed struct {
 	cfg  sampler.Config
 	c    *corpus.Corpus
 	p    int
-	cols *sparse.Partition
-	rows *sparse.Partition
+	top  *Topology
+	pass *core.Pass
 
-	// byCol[i] holds worker i's tokens, grouped for the word phase.
-	byCol [][]Token
-	ck    []int32
+	// shards[i] holds worker i's tokens in word-phase position (grouped
+	// by column owner); next[i] is the slab the exchange fills for the
+	// coming phase, and the two swap after every phase.
+	shards, next []Slab
+	ck           []int32
 
-	// rowTokens/colTokens are the exact token counts each worker owns in
-	// the doc and word phase respectively — known from the partition, and
-	// used to pre-size the receive buffers of the block exchange.
-	rowTokens []int64
-	colTokens []int64
+	// win[ph][i][j] is where sender i's tokens start in receiver j's slab
+	// after phase ph (0 word, 1 doc), and recv[ph][j] is receiver j's
+	// token count — both known from the partition. Laying the blocks out
+	// by sender makes a run a function of its seed whatever the schedule.
+	win  [2][][]int
+	recv [2][]int
 
 	// blockTokens is the send-block granularity of the pipelined
 	// exchange: Section 5.3.2 divides each partition into B×B blocks
 	// (B ∈ [2,10]) so finished blocks ship while later ones compute.
 	blockTokens int
 
-	workers []*PhaseWorker
+	workers []*Worker
 
 	// Assignments regroup scratch, built lazily on first call and reused
 	// by every later one (the eval loop calls Assignments every reporting
 	// interval; rebuilding a tokens-sized map each time dominated eval).
 	asgBuf   [][]int32
-	docOff   []int     // cumulative doc offsets into the flat gather buffers
+	docOff   []int     // cumulative doc offsets into the flat gather buffer
 	docOrder [][]int32 // per doc, token positions ordered by word id
-	gw, gz   []int32   // per-call (word, topic) gather buffers, len NumTokens
+	gather   []uint64  // per-call (word, topic) pairs, len NumTokens
 	fill     []int32   // per-doc gather fill counters
 }
 
@@ -81,45 +81,79 @@ func NewDistributed(c *corpus.Corpus, cfg sampler.Config, p int) (*Distributed, 
 	if p < 1 {
 		return nil, fmt.Errorf("cluster: %d workers", p)
 	}
-	d := &Distributed{cfg: cfg, c: c, p: p, ck: make([]int32, cfg.K)}
+	d := &Distributed{
+		cfg:    cfg,
+		c:      c,
+		p:      p,
+		pass:   core.NewPass(cfg, c.V),
+		ck:     make([]int32, cfg.K),
+		shards: make([]Slab, p),
+		next:   make([]Slab, p),
+	}
 
-	tf := c.TermFrequencies()
-	d.cols = sparse.GreedyPartition(tf, p)
 	dl := make([]int, c.NumDocs())
 	for di, doc := range c.Docs {
 		dl[di] = len(doc)
 	}
-	d.rows = sparse.GreedyPartition(dl, p)
-	d.rowTokens = d.rows.Loads(dl)
-	d.colTokens = d.cols.Loads(tf)
+	cols := sparse.GreedyPartition(c.TermFrequencies(), p)
+	rows := sparse.GreedyPartition(dl, p)
+	d.top = NewTopology(rows.Assign, cols.Assign, p)
 
-	// Shard tokens by column owner with random initial assignments.
-	r := rng.New(cfg.Seed)
-	d.byCol = make([][]Token, p)
-	for i := range d.byCol {
-		d.byCol[i] = make([]Token, 0, d.colTokens[i])
+	// cross[i][j] counts the tokens of column owner i and row owner j.
+	cross := make([][]int, p)
+	for i := range cross {
+		cross[i] = make([]int, p)
 	}
 	for di, doc := range c.Docs {
 		for _, w := range doc {
+			cross[cols.Assign[w]][rows.Assign[di]]++
+		}
+	}
+	d.win[0], d.recv[0] = windows(p, func(i, j int) int { return cross[i][j] })
+	d.win[1], d.recv[1] = windows(p, func(i, j int) int { return cross[j][i] })
+
+	// Shard tokens by column owner with random initial assignments;
+	// proposals start equal to z so the first word phase's chains are
+	// no-ops.
+	stride := cfg.M + 1
+	for i := range d.shards {
+		d.shards[i] = makeSlab(d.recv[1][i], stride)
+	}
+	r := rng.New(cfg.Seed)
+	for di, doc := range c.Docs {
+		for _, w := range doc {
 			z := int32(r.Intn(cfg.K))
-			data := make([]int32, cfg.M+1)
-			for j := range data {
-				data[j] = z
-			}
 			d.ck[z]++
-			owner := d.cols.Assign[w]
-			d.byCol[owner] = append(d.byCol[owner], Token{D: int32(di), W: w, Data: data})
+			sh := &d.shards[cols.Assign[w]]
+			sh.D = append(sh.D, int32(di))
+			sh.W = append(sh.W, w)
+			for j := 0; j < stride; j++ {
+				sh.Data = append(sh.Data, z)
+			}
 		}
 	}
 
-	// B = 5 blocks per partition side (the middle of the paper's [2,10]).
 	d.blockTokens = BlockTokens(c.NumTokens(), p)
-
-	d.workers = make([]*PhaseWorker, p)
+	d.workers = make([]*Worker, p)
 	for i := range d.workers {
-		d.workers[i] = NewPhaseWorker(cfg.K, r.Split())
+		d.workers[i] = NewWorker(i, p, cfg.K, cfg.M, r.Split())
 	}
 	return d, nil
+}
+
+// windows lays out, for every receiver j, the tokens of the senders i
+// in sender order, where n(i, j) is how many i sends j: it returns each
+// sender's start offset per receiver, and each receiver's total.
+func windows(p int, n func(i, j int) int) (win [][]int, total []int) {
+	win, total = make([][]int, p), make([]int, p)
+	for i := range win {
+		win[i] = make([]int, p)
+		for j := range win[i] {
+			win[i][j] = total[j]
+			total[j] += n(i, j)
+		}
+	}
+	return win, total
 }
 
 // BlockTokens returns the send-block granularity of the pipelined
@@ -145,29 +179,16 @@ func (d *Distributed) Name() string { return "WarpLDA-sharded" }
 // exchange uses. The returned slices are the sampler's own and must not
 // be mutated.
 func (d *Distributed) Partitions() (rows, cols []int32) {
-	return d.rows.Assign, d.cols.Assign
+	return d.top.Rows, d.top.Cols
 }
 
 // Iterate implements sampler.Sampler: a pipelined word phase streaming
 // its finished blocks to the row owners, then a pipelined doc phase
 // streaming back to the column owners, then the ck allreduce.
 func (d *Distributed) Iterate() {
-	env := &PhaseEnv{Cfg: d.cfg, V: d.c.V, CK: d.ck}
-
-	// --- Word phase, overlapped with the col→row exchange ---
-	byRow := d.phaseAndExchange(d.byCol, false, d.rowTokens,
-		func(wk *PhaseWorker, group []Token) { env.WordGroup(wk, group) },
-		func(t Token) int32 { return d.rows.Assign[t.D] })
-
-	// --- Doc phase, overlapped with the row→col exchange ---
-	for _, wk := range d.workers {
-		clear(wk.CkAcc)
-	}
-	d.byCol = d.phaseAndExchange(byRow, true, d.colTokens,
-		func(wk *PhaseWorker, group []Token) { env.DocGroup(wk, group) },
-		func(t Token) int32 { return d.cols.Assign[t.W] })
-
-	// --- Allreduce ck ---
+	d.pass.Freeze(d.ck)
+	d.exchange(0)
+	d.exchange(1)
 	clear(d.ck)
 	for _, wk := range d.workers {
 		for k, v := range wk.CkAcc {
@@ -176,88 +197,32 @@ func (d *Distributed) Iterate() {
 	}
 }
 
-// phaseAndExchange runs one phase with the Section 5.3.2 overlap: each
-// worker processes its shard group by group and ships tokens to their
-// next owner in blocks of blockTokens as soon as the block fills, while
-// the remaining groups are still being computed. Receivers drain their
-// channels concurrently; channels close when every sender is done. A
-// receiver keeps the blocks apart by sender and lays them out in sender
-// order afterwards, so its shard does not depend on how the senders'
-// blocks interleaved on the channel and a run is a function of the seed.
-func (d *Distributed) phaseAndExchange(shards [][]Token, byRow bool, recvTokens []int64,
-	process func(wk *PhaseWorker, group []Token), owner func(Token) int32) [][]Token {
-
-	type block struct {
-		from   int
-		tokens []Token
+// exchange runs phase ph (0 word, 1 doc) on every worker at once. Each
+// ships its finished blocks straight into its windows of the receivers'
+// next slabs, which then become the shards.
+func (d *Distributed) exchange(ph int) {
+	stride := d.cfg.M + 1
+	for j := range d.next {
+		d.next[j].resize(d.recv[ph][j], stride)
 	}
-	chans := make([]chan block, d.p)
-	for i := range chans {
-		chans[i] = make(chan block, 2*d.p)
-	}
-
-	var senders sync.WaitGroup
+	var wg sync.WaitGroup
 	for i, wk := range d.workers {
-		senders.Add(1)
-		go func(i int, wk *PhaseWorker) {
-			defer senders.Done()
-			GroupSort(shards[i], byRow)
-			buckets := make([][]Token, d.p)
-			ForGroups(shards[i], byRow, func(group []Token) {
-				process(wk, group)
-				// Route the finished group's tokens; full blocks ship now.
-				for _, t := range group {
-					o := owner(t)
-					buckets[o] = append(buckets[o], t)
-					if len(buckets[o]) >= d.blockTokens {
-						chans[o] <- block{i, buckets[o]}
-						buckets[o] = nil
-					}
-				}
+		wg.Add(1)
+		go func(i int, wk *Worker) {
+			defer wg.Done()
+			at := slices.Clone(d.win[ph][i])
+			err := wk.Phase(d.pass, d.top, &d.shards[i], ph == 0, d.blockTokens, func(o int, b *Slab) error {
+				d.next[o].put(at[o], b, stride)
+				at[o] += b.Len()
+				return nil
 			})
-			for o, b := range buckets {
-				if len(b) > 0 {
-					chans[o] <- block{i, b}
-				}
+			if err != nil {
+				panic(err) // every way into the shards checks ownership
 			}
 		}(i, wk)
 	}
-	go func() {
-		senders.Wait()
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-
-	out := make([][]Token, d.p)
-	var receivers sync.WaitGroup
-	for i := 0; i < d.p; i++ {
-		receivers.Add(1)
-		go func(i int) {
-			defer receivers.Done()
-			bySender := make([][][]Token, d.p)
-			for b := range chans[i] {
-				bySender[b.from] = append(bySender[b.from], b.tokens)
-			}
-			// Pre-sized from the destination partition's known token count.
-			out[i] = make([]Token, 0, recvTokens[i])
-			for _, blocks := range bySender {
-				for _, b := range blocks {
-					out[i] = append(out[i], b...)
-				}
-			}
-		}(i)
-	}
-	receivers.Wait()
-	return out
-}
-
-func resetCounter(c tcount.Counter, k, l int) {
-	if h, ok := c.(*tcount.Hash); ok {
-		h.ResetFor(k, l)
-		return
-	}
-	c.Reset()
+	wg.Wait()
+	d.shards, d.next = d.next, d.shards
 }
 
 // GlobalCounts returns a copy of the replicated ck vector.
@@ -268,9 +233,8 @@ const distStateTag = "dist\x01"
 // StateTo implements sampler.Sampler: each worker's token shard (cells
 // plus payloads, in shard order), the replicated global counts, and the
 // per-worker RNG streams. Shards are laid out in sender order whatever
-// the interleaving of the block exchange (phaseAndExchange), so a run is
-// a function of its seed and a sampler restored at the same worker count
-// resumes bit-identically.
+// the schedule of the exchange, so a run is a function of its seed and a
+// sampler restored at the same worker count resumes bit-identically.
 func (d *Distributed) StateTo(out io.Writer) error {
 	e := sampler.NewEnc(out)
 	e.Tag(distStateTag)
@@ -280,21 +244,9 @@ func (d *Distributed) StateTo(out io.Writer) error {
 	for _, wk := range d.workers {
 		e.RNG(wk.R)
 	}
-	// Each shard as three flat arrays (cells then payloads) rather than
-	// per-token slices: at millions of tokens, per-token framing would
-	// dominate both the allocation count and the file size.
-	var ds, ws, payload []int32
-	for _, shard := range d.byCol {
-		e.Int(len(shard))
-		ds, ws, payload = ds[:0], ws[:0], payload[:0]
-		for _, t := range shard {
-			ds = append(ds, t.D)
-			ws = append(ws, t.W)
-			payload = append(payload, t.Data...)
-		}
-		e.I32s(ds)
-		e.I32s(ws)
-		e.I32s(payload)
+	for i := range d.shards {
+		e.Int(d.shards[i].Len())
+		writeSlab(e, &d.shards[i])
 	}
 	return e.Err()
 }
@@ -317,7 +269,7 @@ func (d *Distributed) RestoreFrom(in io.Reader) error {
 	for i := range rngs {
 		rngs[i] = dec.RNGState()
 	}
-	byCol := make([][]Token, d.p)
+	shards := make([]Slab, d.p)
 	total := 0
 	stride := d.cfg.M + 1
 	for i := 0; i < d.p && dec.Err() == nil; i++ {
@@ -329,25 +281,21 @@ func (d *Distributed) RestoreFrom(in io.Reader) error {
 			return fmt.Errorf("cluster: state shard %d has implausible %d tokens", i, n)
 		}
 		total += n
-		ds := dec.I32sLen("token docs", n)
-		ws := dec.I32sLen("token words", n)
-		payload := dec.I32sLen("token payloads", n*stride)
-		dec.CheckTopics("token payloads", payload, d.cfg.K)
+		sh := Slab{D: dec.I32sLen("token docs", n), W: dec.I32sLen("token words", n)}
+		sh.Data = dec.I32sLen("token payloads", n*stride)
+		dec.CheckTopics("token payloads", sh.Data, d.cfg.K)
 		if dec.Err() != nil {
 			break
 		}
-		shard := make([]Token, n)
-		for j := 0; j < n; j++ {
-			di, w := ds[j], ws[j]
-			if di < 0 || int(di) >= d.c.NumDocs() || w < 0 || int(w) >= d.c.V {
-				return fmt.Errorf("cluster: state token at cell (%d,%d) outside corpus", di, w)
-			}
-			if d.cols.Assign[w] != int32(i) {
-				return fmt.Errorf("cluster: state token of word %d in shard %d, owner is %d", w, i, d.cols.Assign[w])
-			}
-			shard[j] = Token{D: di, W: w, Data: payload[j*stride : (j+1)*stride : (j+1)*stride]}
+		if err := checkCells(&sh, d.c.NumDocs(), d.c.V); err != nil {
+			return err
 		}
-		byCol[i] = shard
+		for _, w := range sh.W {
+			if d.top.Cols[w] != int32(i) {
+				return fmt.Errorf("cluster: state token of word %d in shard %d, owner is %d", w, i, d.top.Cols[w])
+			}
+		}
+		shards[i] = sh
 	}
 	if err := dec.Err(); err != nil {
 		return err
@@ -358,14 +306,14 @@ func (d *Distributed) RestoreFrom(in io.Reader) error {
 	// The state's (doc, word) multiset must be exactly the corpus —
 	// per-cell in-range checks and the total alone would still accept a
 	// blob that duplicates one cell's token and drops another's.
-	if err := d.validateTokenMultiset(byCol); err != nil {
+	if err := d.validateTokenMultiset(shards); err != nil {
 		return err
 	}
 	// ck must match the assignment histogram.
 	count := make([]int32, d.cfg.K)
-	for _, shard := range byCol {
-		for _, t := range shard {
-			count[t.Data[0]]++
+	for _, sh := range shards {
+		for i := 0; i < len(sh.Data); i += stride {
+			count[sh.Data[i]]++
 		}
 	}
 	for k := range count {
@@ -373,13 +321,17 @@ func (d *Distributed) RestoreFrom(in io.Reader) error {
 			return fmt.Errorf("cluster: state global counts disagree with assignments at topic %d", k)
 		}
 	}
-	d.byCol = byCol
+	d.shards = shards
 	copy(d.ck, ck)
 	for i, wk := range d.workers {
 		wk.R.SetState(rngs[i])
 	}
 	return nil
 }
+
+// pair packs two non-negative int32 so that packed values order as the
+// pairs do lexicographically.
+func pair(hi, lo int32) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
 // initAssignmentScratch builds the regroup scratch Assignments reuses
 // across calls: the output buffer, the flat per-doc gather windows, and
@@ -394,44 +346,46 @@ func (d *Distributed) initAssignmentScratch() {
 	for di, doc := range d.c.Docs {
 		d.asgBuf[di] = make([]int32, len(doc))
 		d.docOff[di+1] = d.docOff[di] + len(doc)
-		order := make([]int32, len(doc))
-		words := append([]int32(nil), doc...)
-		for n := range order {
-			order[n] = int32(n)
+		byWord := make([]uint64, len(doc))
+		for n, w := range doc {
+			byWord[n] = pair(w, int32(n))
 		}
-		sortByWord(words, order)
+		slices.Sort(byWord)
+		order := make([]int32, len(doc))
+		for j, x := range byWord {
+			order[j] = int32(uint32(x))
+		}
 		d.docOrder[di] = order
 	}
-	total := d.docOff[nd]
-	d.gw = make([]int32, total)
-	d.gz = make([]int32, total)
+	d.gather = make([]uint64, d.docOff[nd])
 }
 
 // Assignments implements sampler.Sampler. Tokens are scrambled across
 // shards, so assignments are regrouped per (doc, word) cell; within a
 // cell topics are interchangeable, which keeps the log joint likelihood
 // well defined. The regroup is a gather into flat per-doc windows plus
-// a by-word sort against each document's precomputed word order — all
-// scratch is allocated once and reused, so the eval loop's periodic
-// calls cost no steady-state allocation.
+// a sort by (word, topic) against each document's precomputed word
+// order, so a cell yields its topics in ascending order whichever shards
+// held them — the matrix is a function of the token multiset, not of the
+// topology. All scratch is allocated once and reused, so the eval loop's
+// periodic calls cost no steady-state allocation.
 func (d *Distributed) Assignments() [][]int32 {
 	if d.asgBuf == nil {
 		d.initAssignmentScratch()
 	}
 	clear(d.fill)
-	for _, shard := range d.byCol {
-		for _, t := range shard {
-			slot := d.docOff[t.D] + int(d.fill[t.D])
-			d.fill[t.D]++
-			d.gw[slot], d.gz[slot] = t.W, t.Data[0]
+	stride := d.cfg.M + 1
+	for _, sh := range d.shards {
+		for i, di := range sh.D {
+			d.gather[d.docOff[di]+int(d.fill[di])] = pair(sh.W[i], sh.Data[i*stride])
+			d.fill[di]++
 		}
 	}
-	for di := range d.asgBuf {
-		lo, hi := d.docOff[di], d.docOff[di+1]
-		sortByWord(d.gw[lo:hi], d.gz[lo:hi])
-		out, ord := d.asgBuf[di], d.docOrder[di]
-		for j := range out {
-			out[ord[j]] = d.gz[lo+j]
+	for di, out := range d.asgBuf {
+		cells := d.gather[d.docOff[di]:d.docOff[di+1]]
+		slices.Sort(cells)
+		for j, x := range cells {
+			out[d.docOrder[di][j]] = int32(uint32(x))
 		}
 	}
 	return d.asgBuf

@@ -48,8 +48,8 @@ func TestDistributedConservesTokens(t *testing.T) {
 		}
 		// No token lost or duplicated across exchanges.
 		n := 0
-		for _, shard := range d.byCol {
-			n += len(shard)
+		for i := range d.shards {
+			n += d.shards[i].Len()
 		}
 		if n != int(total) {
 			t.Fatalf("iteration %d: %d tokens in shards, want %d", i, n, total)
@@ -174,26 +174,38 @@ func TestDistributedRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestGroupSortAndForGroups(t *testing.T) {
-	ts := []Token{
-		{D: 3, W: 9}, {D: 1, W: 5}, {D: 3, W: 2}, {D: 2, W: 7}, {D: 1, W: 1},
+// The counting sort behind a phase: it must copy every token of a
+// worker's shard into the group of its key's rank — each group complete
+// and holding one key, the groups in key order, the offsets tiling the
+// shard — and keep shard order within a group.
+func TestGroupingIsStableAndTiles(t *testing.T) {
+	// Documents 0, 2, 3, 5 belong to worker 1 (ranks 0..3); 1 and 4 to 0.
+	rows := []int32{1, 0, 1, 1, 0, 1}
+	top := NewTopology(rows, []int32{0}, 2)
+	sh := Slab{D: []int32{5, 0, 3, 5, 0, 0, 3, 2, 5}, W: make([]int32, 9)}
+	for i := range sh.W {
+		sh.W[i] = int32(i) // the token's shard position, to check the order
 	}
-	GroupSort(ts, true)
-	var order []int32
-	mixed := false
-	ForGroups(ts, true, func(g []Token) {
-		order = append(order, g[0].D)
-		for _, tok := range g {
-			if tok.D != g[0].D {
-				mixed = true
-			}
-		}
-	})
-	if mixed {
-		t.Fatal("group contains mixed keys")
+	sh.Data = append([]int32(nil), sh.W...)
+	wk := NewWorker(1, 2, 4, 0, nil)
+	if err := wk.group(&sh, sh.D, top.Rows, top.rowRank, top.rowKeys[1]); err != nil {
+		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("group order %v", order)
+	if got, want := wk.start, []int32{0, 3, 4, 6, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("group offsets %v, want %v", got, want)
+	}
+	want := Slab{
+		D:    []int32{0, 0, 0, 2, 3, 3, 5, 5, 5},
+		W:    []int32{1, 4, 5, 7, 2, 6, 0, 3, 8},
+		Data: []int32{1, 4, 5, 7, 2, 6, 0, 3, 8},
+	}
+	if !reflect.DeepEqual(wk.grouped, want) {
+		t.Fatalf("grouped shard %+v, want %+v", wk.grouped, want)
+	}
+	// A key another worker owns is refused, not grouped.
+	foreign := Slab{D: []int32{0, 4}, W: make([]int32, 2), Data: make([]int32, 2)}
+	if err := wk.group(&foreign, foreign.D, top.Rows, top.rowRank, top.rowKeys[1]); err == nil {
+		t.Fatal("a foreign key was grouped")
 	}
 }
 
@@ -372,10 +384,10 @@ func TestDistributedRestoreRejectsWrongTokenMultiset(t *testing.T) {
 	// Duplicate one cell and drop another within the same shard: topics
 	// are untouched, so the ck histogram still matches.
 	tampered := false
-	for _, shard := range d.byCol {
-		for j := 1; j < len(shard); j++ {
-			if shard[j].D != shard[0].D || shard[j].W != shard[0].W {
-				shard[j].D, shard[j].W = shard[0].D, shard[0].W
+	for _, sh := range d.shards {
+		for j := 1; j < sh.Len(); j++ {
+			if sh.D[j] != sh.D[0] || sh.W[j] != sh.W[0] {
+				sh.D[j], sh.W[j] = sh.D[0], sh.W[0]
 				tampered = true
 				break
 			}

@@ -1,275 +1,230 @@
-// Shared phase bodies of the Section 5.3 execution model. The
-// in-process Distributed sampler (distributed.go) and the live
-// multi-process worker (internal/dist) run the SAME sampling code: the
-// word-phase and doc-phase group bodies below, over the same Token
-// representation, grouped by the same sort. Distributed wires them to
-// goroutines and channels; the live worker wires them to the TCP block
-// exchange — so the convergence behavior proven by the in-process tests
-// carries over to the wire protocol unchanged.
+// The Section 5.3 worker, shared by the in-process Distributed sampler
+// (distributed.go) and the live multi-process worker (internal/dist). A
+// worker keeps its shard as one flat Slab. Each phase copies it into key
+// order with a stable counting sort over the keys the worker owns, so
+// every word's or document's tokens are one contiguous run, as a column
+// is in core's CSC matrix, and runs internal/core's phase runs
+// (core.Pass.WordRun / DocRun, the kernels of the shared-memory sampler)
+// over each run. Worker.Phase is the one phase driver — group, run,
+// route, ship in blocks — and the two transports differ only in the ship
+// callback: Distributed copies a block into its receiver's window of the
+// next slab, the live worker sends it as a Block frame through the
+// coordinator.
 package cluster
 
 import (
-	"warplda/internal/alias"
+	"fmt"
+
+	"warplda/internal/core"
 	"warplda/internal/rng"
-	"warplda/internal/sampler"
-	"warplda/internal/tcount"
 )
 
-// PhaseWorker is one worker's scratch state for running phase bodies:
-// its RNG stream, the per-group topic counter, alias-table build
-// buffers, and the per-pass global-count accumulator. In the in-process
-// sampler there are P of these behind channels; in the live mode each
-// worker process owns exactly one.
-type PhaseWorker struct {
-	// R is the worker's RNG stream. It is part of the sampler's
-	// checkpointed state: restore sets it, elastic resume re-derives it.
-	R *rng.RNG
-	// CkAcc accumulates the worker's contribution to the next global
-	// topic-count vector during the doc phase; the per-pass allreduce
-	// sums it across workers.
+// Slab is a run of tokens as three flat arrays, in the section order of
+// the dshd stream: token i sits at cell (D[i], W[i]) of the D×V matrix
+// and owns the payload Data[i*(1+M):(i+1)*(1+M)], its assignment
+// followed by its M pending proposals.
+type Slab struct {
+	D, W, Data []int32
+}
+
+// Len returns the number of tokens.
+func (s *Slab) Len() int { return len(s.D) }
+
+// Append appends every token of o.
+func (s *Slab) Append(o Slab) {
+	s.D = append(s.D, o.D...)
+	s.W = append(s.W, o.W...)
+	s.Data = append(s.Data, o.Data...)
+}
+
+// Reset empties the slab and keeps its capacity.
+func (s *Slab) Reset() { s.D, s.W, s.Data = s.D[:0], s.W[:0], s.Data[:0] }
+
+// appendToken appends token i of o.
+func (s *Slab) appendToken(o *Slab, i, stride int) {
+	s.D = append(s.D, o.D[i])
+	s.W = append(s.W, o.W[i])
+	s.Data = append(s.Data, o.Data[i*stride:(i+1)*stride]...)
+}
+
+// makeSlab returns an empty slab with room for n tokens.
+func makeSlab(n, stride int) Slab {
+	return Slab{D: make([]int32, 0, n), W: make([]int32, 0, n), Data: make([]int32, 0, n*stride)}
+}
+
+// resize sets the slab's length to n tokens, reusing its arrays when
+// they are large enough.
+func (s *Slab) resize(n, stride int) {
+	if cap(s.D) < n {
+		*s = makeSlab(n, stride)
+	}
+	s.D, s.W, s.Data = s.D[:n], s.W[:n], s.Data[:n*stride]
+}
+
+// put copies b into the slab from token position at on.
+func (s *Slab) put(at int, b *Slab, stride int) {
+	copy(s.D[at:], b.D)
+	copy(s.W[at:], b.W)
+	copy(s.Data[at*stride:], b.Data)
+}
+
+// Topology is the routing of one worker count: the owner of every
+// document (row) and word (column), and each one's rank among the keys
+// its owner holds — the dense key range of the counting sort that groups
+// a shard, computed once per topology.
+type Topology struct {
+	Rows, Cols       []int32 // owner of each document / word
+	rowRank, colRank []int32
+	rowKeys, colKeys []int // keys held per owner
+}
+
+// NewTopology ranks the keys of the owner maps rows and cols over p
+// workers. The maps are kept, not copied.
+func NewTopology(rows, cols []int32, p int) *Topology {
+	t := &Topology{Rows: rows, Cols: cols, rowKeys: make([]int, p), colKeys: make([]int, p)}
+	t.rowRank = rank(rows, t.rowKeys)
+	t.colRank = rank(cols, t.colKeys)
+	return t
+}
+
+// rank returns each key's position among the keys of its owner, in key
+// order, and counts the keys of every owner into n.
+func rank(owner []int32, n []int) []int32 {
+	r := make([]int32, len(owner))
+	for key, o := range owner {
+		r[key] = int32(n[o])
+		n[o]++
+	}
+	return r
+}
+
+// Worker is one Section 5.3 worker: core's phase-run scratch — whose R
+// is the worker's RNG stream, part of the sampler's checkpointed state —
+// its contribution to the next global topic counts, and the phase
+// driver's grouping and routing scratch.
+type Worker struct {
+	*core.Worker
+	// CkAcc is the histogram of the assignments the last doc phase left
+	// behind; the per-pass allreduce sums it across workers.
 	CkAcc []int32
 
-	counter tcount.Counter
-	topics  []int32
-	weights []float64
-	tab     alias.SparseTable
+	slot, stride int
+	grouped      Slab    // the shard, grouped by key
+	start        []int32 // group g is grouped's tokens start[g]:start[g+1]
+	iota         []int32 // 0, 1, 2, …: see rowIndex
+	buckets      []Slab  // per owner: routed tokens not shipped yet
 }
 
-// NewPhaseWorker builds a worker's scratch state for k topics with the
-// given RNG stream. The group counter is dense for small K and hashed
-// beyond 1024 topics; the shared-memory sampler (internal/core) no
-// longer makes that choice — its rows are arrays at every K — and this
-// path keeps it until it runs core's kernels (ROADMAP item 1).
-func NewPhaseWorker(k int, r *rng.RNG) *PhaseWorker {
-	wk := &PhaseWorker{R: r, CkAcc: make([]int32, k)}
-	if k <= 1024 {
-		wk.counter = tcount.NewDense(k)
+// NewWorker returns the worker in slot of p for k topics and m
+// proposals per token, drawing from r.
+func NewWorker(slot, p, k, m int, r *rng.RNG) *Worker {
+	return &Worker{
+		Worker:  core.NewWorker(k, r),
+		CkAcc:   make([]int32, k),
+		slot:    slot,
+		stride:  m + 1,
+		buckets: make([]Slab, p),
+	}
+}
+
+// Phase runs one phase over the shard sh. The word phase (word true)
+// groups sh by word and routes each finished token to its document's
+// owner; the doc phase groups by document, leaves the histogram of the
+// new assignments in CkAcc, and routes to the word's owner. A token for
+// owner o joins o's bucket, which ship receives whenever it holds
+// blockTokens tokens and once more at the end if it is not empty — the
+// blocked overlap of Section 5.3.2; ship must be done with the bucket
+// when it returns. Phase fails on a token whose key the worker does not
+// own, and with the first error of ship.
+func (wk *Worker) Phase(pass *core.Pass, top *Topology, sh *Slab, word bool, blockTokens int, ship func(o int, b *Slab) error) error {
+	keys, owner, rank, n := sh.D, top.Rows, top.rowRank, top.rowKeys[wk.slot]
+	dest := top.Cols
+	if word {
+		keys, owner, rank, n = sh.W, top.Cols, top.colRank, top.colKeys[wk.slot]
+		dest = top.Rows
 	} else {
-		wk.counter = tcount.NewHash(256)
+		clear(wk.CkAcc)
 	}
-	return wk
+	if err := wk.group(sh, keys, owner, rank, n); err != nil {
+		return err
+	}
+	gs, s := &wk.grouped, wk.stride
+	route := gs.W
+	if word {
+		route = gs.D
+	}
+	for g := 0; g < n; g++ {
+		lo, hi := int(wk.start[g]), int(wk.start[g+1])
+		if lo == hi {
+			continue
+		}
+		if data := gs.Data[lo*s : hi*s]; word {
+			pass.WordRun(wk.Worker, data, nil, s)
+		} else {
+			pass.DocRun(wk.Worker, data, wk.rowIndex(hi-lo), s, wk.CkAcc)
+		}
+		for i := lo; i < hi; i++ {
+			o := dest[route[i]]
+			b := &wk.buckets[o]
+			b.appendToken(gs, i, s)
+			if b.Len() >= blockTokens {
+				if err := ship(int(o), b); err != nil {
+					return err
+				}
+				b.Reset()
+			}
+		}
+	}
+	for o := range wk.buckets {
+		if b := &wk.buckets[o]; b.Len() > 0 {
+			if err := ship(o, b); err != nil {
+				return err
+			}
+			b.Reset()
+		}
+	}
+	return nil
 }
 
-// PhaseEnv is the frozen per-pass context a phase body needs beyond the
-// worker's own scratch: the hyper-parameters, the vocabulary size, and
-// the pass's global topic-count vector (replicated, read-only during
-// the pass — the paper's only shared state).
-type PhaseEnv struct {
-	Cfg sampler.Config
-	V   int
-	CK  []int32
+// group copies the shard into grouped, ordered by the rank of each
+// token's key with a stable counting sort, and sets start to the n
+// group offsets.
+func (wk *Worker) group(sh *Slab, keys, owner, rank []int32, n int) error {
+	if cap(wk.start) < n+1 {
+		wk.start = make([]int32, n+1)
+	}
+	start := wk.start[:n+1]
+	clear(start)
+	for _, key := range keys {
+		if int(owner[key]) != wk.slot {
+			return fmt.Errorf("cluster: worker %d holds a token of key %d, owner is %d", wk.slot, key, owner[key])
+		}
+		start[rank[key]+1]++
+	}
+	for g := 1; g <= n; g++ {
+		start[g] += start[g-1]
+	}
+	s, gs := wk.stride, &wk.grouped
+	gs.resize(len(keys), s)
+	for i, key := range keys {
+		r := rank[key]
+		j := int(start[r])
+		start[r]++
+		gs.D[j], gs.W[j] = sh.D[i], sh.W[i]
+		copy(gs.Data[j*s:(j+1)*s], sh.Data[i*s:(i+1)*s])
+	}
+	// Placing moved every start[g] to the old start[g+1]; shift back.
+	copy(start[1:], start[:n])
+	start[0] = 0
+	wk.start = start
+	return nil
 }
 
-// WordGroup is the word-phase body for one word's tokens: finish the
-// doc-proposal chains (π^doc), rebuild c_w, draw M word proposals.
-func (e *PhaseEnv) WordGroup(wk *PhaseWorker, group []Token) {
-	k := e.Cfg.K
-	beta := e.Cfg.Beta
-	betaBar := beta * float64(e.V)
-	lw := len(group)
-	cw := wk.counter
-	resetCounter(cw, k, lw)
-	for _, t := range group {
-		cw.Incr(t.Data[0])
+// rowIndex returns 0, 1, …, n-1: a group's entries as the row index
+// through which DocRun's positioning draw picks a token.
+func (wk *Worker) rowIndex(n int) []int32 {
+	for i := len(wk.iota); i < n; i++ {
+		wk.iota = append(wk.iota, int32(i))
 	}
-	for _, t := range group {
-		s := t.Data[0]
-		for j := 1; j < len(t.Data); j++ {
-			prop := t.Data[j]
-			if prop == s {
-				continue
-			}
-			pi := (float64(cw.Get(prop)) + beta) / (float64(cw.Get(s)) + beta) *
-				(float64(e.CK[s]) + betaBar) / (float64(e.CK[prop]) + betaBar)
-			if pi >= 1 || wk.R.Float64() < pi {
-				s = prop
-			}
-		}
-		t.Data[0] = s
-	}
-	resetCounter(cw, k, lw)
-	for _, t := range group {
-		cw.Incr(t.Data[0])
-	}
-	wk.topics = wk.topics[:0]
-	wk.weights = wk.weights[:0]
-	cw.NonZero(func(kk, c int32) {
-		wk.topics = append(wk.topics, kk)
-		wk.weights = append(wk.weights, float64(c))
-	})
-	wk.tab.Build(wk.topics, wk.weights)
-	pCount := float64(lw) / (float64(lw) + float64(k)*beta)
-	for _, t := range group {
-		for j := 1; j < len(t.Data); j++ {
-			if wk.R.Float64() < pCount {
-				t.Data[j] = wk.tab.Draw(wk.R)
-			} else {
-				t.Data[j] = int32(wk.R.Intn(k))
-			}
-		}
-	}
-}
-
-// DocGroup is the doc-phase body for one document's tokens: finish the
-// word-proposal chains (π^word), draw M doc proposals by positioning,
-// accumulate the worker's ck contribution.
-func (e *PhaseEnv) DocGroup(wk *PhaseWorker, group []Token) {
-	k := e.Cfg.K
-	alpha := e.Cfg.Alpha
-	betaBar := e.Cfg.Beta * float64(e.V)
-	ld := len(group)
-	cd := wk.counter
-	resetCounter(cd, k, ld)
-	for _, t := range group {
-		cd.Incr(t.Data[0])
-	}
-	for _, t := range group {
-		s := t.Data[0]
-		for j := 1; j < len(t.Data); j++ {
-			prop := t.Data[j]
-			if prop == s {
-				continue
-			}
-			pi := (float64(cd.Get(prop)) + alpha) / (float64(cd.Get(s)) + alpha) *
-				(float64(e.CK[s]) + betaBar) / (float64(e.CK[prop]) + betaBar)
-			if pi >= 1 || wk.R.Float64() < pi {
-				s = prop
-			}
-		}
-		t.Data[0] = s
-	}
-	pCount := float64(ld) / (float64(ld) + alpha*float64(k))
-	for _, t := range group {
-		for j := 1; j < len(t.Data); j++ {
-			if wk.R.Float64() < pCount {
-				t.Data[j] = group[wk.R.Intn(ld)].Data[0]
-			} else {
-				t.Data[j] = int32(wk.R.Intn(k))
-			}
-		}
-		wk.CkAcc[t.Data[0]]++
-	}
-}
-
-// GroupSort sorts tokens by doc (byRow) or word (byCol) with a simple
-// in-place quicksort so same-key tokens are contiguous — the grouping
-// both phase bodies require of their input.
-func GroupSort(ts []Token, byRow bool) {
-	key := func(t Token) int32 {
-		if byRow {
-			return t.D
-		}
-		return t.W
-	}
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			pivot := key(ts[(lo+hi)/2])
-			i, j := lo, hi
-			for i <= j {
-				for key(ts[i]) < pivot {
-					i++
-				}
-				for key(ts[j]) > pivot {
-					j--
-				}
-				if i <= j {
-					ts[i], ts[j] = ts[j], ts[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j
-			}
-		}
-		for i := lo + 1; i <= hi; i++ {
-			for j := i; j > lo && key(ts[j]) < key(ts[j-1]); j-- {
-				ts[j], ts[j-1] = ts[j-1], ts[j]
-			}
-		}
-	}
-	if len(ts) > 1 {
-		qs(0, len(ts)-1)
-	}
-}
-
-// ForGroups calls fn on each maximal run of equal-key tokens (equal doc
-// when byRow, equal word otherwise). The input must be GroupSort-ed by
-// the same key.
-func ForGroups(ts []Token, byRow bool, fn func(group []Token)) {
-	key := func(t Token) int32 {
-		if byRow {
-			return t.D
-		}
-		return t.W
-	}
-	for lo := 0; lo < len(ts); {
-		hi := lo + 1
-		for hi < len(ts) && key(ts[hi]) == key(ts[lo]) {
-			hi++
-		}
-		fn(ts[lo:hi])
-		lo = hi
-	}
-}
-
-// sortByWord sorts the parallel (word, payload) pairs by (word, payload)
-// lexicographically — the regroup pass behind Assignments. Ordering by
-// the payload too makes the result canonical: a (doc, word) cell with
-// duplicate tokens yields its topics in ascending order no matter which
-// shards held them, so the regrouped assignment matrix is a pure
-// function of the token multiset, not of the topology that produced it.
-// Same quicksort shape as GroupSort, over two parallel slices.
-func sortByWord(ws, zs []int32) {
-	less := func(i, j int) bool {
-		return ws[i] < ws[j] || (ws[i] == ws[j] && zs[i] < zs[j])
-	}
-	lessPair := func(i int, w, z int32) bool {
-		return ws[i] < w || (ws[i] == w && zs[i] < z)
-	}
-	greaterPair := func(i int, w, z int32) bool {
-		return ws[i] > w || (ws[i] == w && zs[i] > z)
-	}
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			pw, pz := ws[(lo+hi)/2], zs[(lo+hi)/2]
-			i, j := lo, hi
-			for i <= j {
-				for lessPair(i, pw, pz) {
-					i++
-				}
-				for greaterPair(j, pw, pz) {
-					j--
-				}
-				if i <= j {
-					ws[i], ws[j] = ws[j], ws[i]
-					zs[i], zs[j] = zs[j], zs[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j
-			}
-		}
-		for i := lo + 1; i <= hi; i++ {
-			for j := i; j > lo && less(j, j-1); j-- {
-				ws[j], ws[j-1] = ws[j-1], ws[j]
-				zs[j], zs[j-1] = zs[j-1], zs[j]
-			}
-		}
-	}
-	if len(ws) > 1 {
-		qs(0, len(ws)-1)
-	}
+	return wk.iota[:n]
 }

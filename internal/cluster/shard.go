@@ -52,15 +52,11 @@ type WorkerState struct {
 	// RNGState is the owning worker's RNG stream.
 	RNGState [4]uint64
 	// Tokens is the shard body, in shard order.
-	Tokens []Token
+	Tokens Slab
 }
 
-// EncodeWorkerState writes st as a dshd stream. The three flat sections
-// (docs, words, payloads) are streamed in bounded chunks rather than
-// materialized: all P shards serialize concurrently at checkpoint time,
-// so per-shard flat copies would cost a full extra state-sized
-// allocation exactly when checkpointing a state near the memory
-// ceiling.
+// EncodeWorkerState writes st as a dshd stream: the header, then the
+// slab's three arrays as the docs, words and payloads sections.
 func EncodeWorkerState(w io.Writer, st *WorkerState) error {
 	e := sampler.NewEnc(w)
 	e.Tag(shardStateTag)
@@ -70,39 +66,35 @@ func EncodeWorkerState(w io.Writer, st *WorkerState) error {
 	for _, u := range st.RNGState {
 		e.U64(u)
 	}
-	shard := st.Tokens
-	e.Int(len(shard))
-	const chunk = 1 << 15
-	buf := make([]int32, 0, chunk)
-	flush := func() {
-		if len(buf) > 0 {
-			e.RawI32s(buf)
-			buf = buf[:0]
-		}
-	}
-	e.Int(len(shard)) // I32s-compatible length prefix of the docs section
-	for _, t := range shard {
-		if buf = append(buf, t.D); len(buf) == chunk {
-			flush()
-		}
-	}
-	flush()
-	e.Int(len(shard))
-	for _, t := range shard {
-		if buf = append(buf, t.W); len(buf) == chunk {
-			flush()
-		}
-	}
-	flush()
-	e.Int(len(shard) * (st.M + 1))
-	for _, t := range shard {
-		if len(buf)+len(t.Data) > chunk {
-			flush()
-		}
-		buf = append(buf, t.Data...)
-	}
-	flush()
+	e.Int(st.Tokens.Len())
+	writeSlab(e, &st.Tokens)
 	return e.Err()
+}
+
+// writeSlab writes the slab's three arrays as I32s sections, each
+// streamed in bounded chunks: all P shards serialize concurrently at
+// checkpoint time, and encoding a section in one piece would cost a
+// byte copy of the whole state exactly when checkpointing a state near
+// the memory ceiling.
+func writeSlab(e *sampler.Enc, s *Slab) {
+	const chunk = 1 << 15
+	for _, a := range [][]int32{s.D, s.W, s.Data} {
+		e.Int(len(a))
+		for ; len(a) > 0; a = a[min(chunk, len(a)):] {
+			e.RawI32s(a[:min(chunk, len(a))])
+		}
+	}
+}
+
+// checkCells reports the first token of s whose cell lies outside a
+// numDocs × v matrix.
+func checkCells(s *Slab, numDocs, v int) error {
+	for j, di := range s.D {
+		if w := s.W[j]; di < 0 || int(di) >= numDocs || w < 0 || int(w) >= v {
+			return fmt.Errorf("cluster: shard token at cell (%d,%d) outside corpus", di, w)
+		}
+	}
+	return nil
 }
 
 // DecodeWorkerState reads one dshd stream and validates it structurally
@@ -129,23 +121,16 @@ func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerSta
 	if n < 0 || n > maxTokens {
 		return nil, fmt.Errorf("cluster: shard has implausible %d tokens", n)
 	}
-	stride := m + 1
-	ds := dec.I32sLen("token docs", n)
-	ws := dec.I32sLen("token words", n)
-	payload := dec.I32sLen("token payloads", n*stride)
-	dec.CheckTopics("token payloads", payload, k)
+	st.Tokens.D = dec.I32sLen("token docs", n)
+	st.Tokens.W = dec.I32sLen("token words", n)
+	st.Tokens.Data = dec.I32sLen("token payloads", n*(m+1))
+	dec.CheckTopics("token payloads", st.Tokens.Data, k)
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	toks := make([]Token, n)
-	for j := 0; j < n; j++ {
-		di, w := ds[j], ws[j]
-		if di < 0 || int(di) >= numDocs || w < 0 || int(w) >= v {
-			return nil, fmt.Errorf("cluster: shard token at cell (%d,%d) outside corpus", di, w)
-		}
-		toks[j] = Token{D: di, W: w, Data: payload[j*stride : (j+1)*stride : (j+1)*stride]}
+	if err := checkCells(&st.Tokens, numDocs, v); err != nil {
+		return nil, err
 	}
-	st.Tokens = toks
 	return st, nil
 }
 
@@ -165,7 +150,7 @@ func (d *Distributed) ShardTo(i int, w io.Writer) error {
 		Workers:  d.p,
 		M:        d.cfg.M,
 		RNGState: d.workers[i].R.State(),
-		Tokens:   d.byCol[i],
+		Tokens:   d.shards[i],
 	})
 }
 
@@ -187,6 +172,7 @@ func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded b
 		return false, fmt.Errorf("cluster: restore with %d shards", oldP)
 	}
 	states := make([]*WorkerState, oldP)
+	all := make([]Slab, oldP)
 	total := 0
 	for i, r := range shards {
 		st, err := DecodeWorkerState(r, d.cfg.K, d.cfg.M, d.c.NumDocs(), d.c.V, d.c.NumTokens()-total)
@@ -199,15 +185,11 @@ func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded b
 		if st.Workers != oldP {
 			return false, fmt.Errorf("cluster: shard %d was written under %d workers, restore supplies %d shards", i, st.Workers, oldP)
 		}
-		total += len(st.Tokens)
-		states[i] = st
+		total += st.Tokens.Len()
+		states[i], all[i] = st, st.Tokens
 	}
 	if total != d.c.NumTokens() {
 		return false, fmt.Errorf("cluster: shards hold %d tokens, corpus has %d", total, d.c.NumTokens())
-	}
-	all := make([][]Token, oldP)
-	for i, st := range states {
-		all[i] = st.Tokens
 	}
 	if err := d.validateTokenMultiset(all); err != nil {
 		return false, err
@@ -216,17 +198,21 @@ func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded b
 	// Rebalance: route every token to its owner under the CURRENT column
 	// partition. Shard order is preserved within each new owner, so an
 	// unchanged topology reproduces the saved shards exactly.
-	byCol := make([][]Token, d.p)
+	stride := d.cfg.M + 1
+	byCol := make([]Slab, d.p)
+	for i := range byCol {
+		byCol[i] = makeSlab(d.recv[1][i], stride)
+	}
 	ck := make([]int32, d.cfg.K)
-	for _, toks := range all {
-		for _, t := range toks {
-			owner := d.cols.Assign[t.W]
-			byCol[owner] = append(byCol[owner], t)
-			ck[t.Data[0]]++
+	for i := range all {
+		sh := &all[i]
+		for j, w := range sh.W {
+			byCol[d.top.Cols[w]].appendToken(sh, j, stride)
+			ck[sh.Data[j*stride]]++
 		}
 	}
 
-	d.byCol = byCol
+	d.shards = byCol
 	copy(d.ck, ck)
 	if oldP == d.p {
 		for i, wk := range d.workers {
@@ -244,18 +230,18 @@ func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded b
 // exactly the corpus — per-cell range checks and the total alone would
 // still accept a state that duplicates one cell's token and drops
 // another's. Shared by RestoreFrom and RestoreShards.
-func (d *Distributed) validateTokenMultiset(shards [][]Token) error {
+func (d *Distributed) validateTokenMultiset(shards []Slab) error {
 	cells := make(map[int64]int32, d.c.NumTokens())
 	for di, doc := range d.c.Docs {
 		for _, w := range doc {
 			cells[int64(di)<<32|int64(uint32(w))]++
 		}
 	}
-	for _, shard := range shards {
-		for _, t := range shard {
-			key := int64(t.D)<<32 | int64(uint32(t.W))
+	for _, sh := range shards {
+		for j, di := range sh.D {
+			key := int64(di)<<32 | int64(uint32(sh.W[j]))
 			if cells[key] == 0 {
-				return fmt.Errorf("cluster: state has extra token at cell (%d,%d)", t.D, t.W)
+				return fmt.Errorf("cluster: state has extra token at cell (%d,%d)", di, sh.W[j])
 			}
 			cells[key]--
 		}

@@ -80,10 +80,10 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("restored log-likelihood %v, want %v", got, wantLL)
 			}
 			// Every token must land with its owner under the NEW partition.
-			for i, shard := range dst.byCol {
-				for _, tok := range shard {
-					if dst.cols.Assign[tok.W] != int32(i) {
-						t.Fatalf("token of word %d rebalanced into shard %d, owner is %d", tok.W, i, dst.cols.Assign[tok.W])
+			for i, sh := range dst.shards {
+				for _, w := range sh.W {
+					if dst.top.Cols[w] != int32(i) {
+						t.Fatalf("token of word %d rebalanced into shard %d, owner is %d", w, i, dst.top.Cols[w])
 					}
 				}
 			}
@@ -136,7 +136,7 @@ func TestSameTopologyRestoreIsExact(t *testing.T) {
 	if reseeded, err := dst.RestoreShards(3, readers(shardBlobs(t, src))); err != nil || reseeded {
 		t.Fatalf("reseeded=%v err=%v, want false/nil", reseeded, err)
 	}
-	if !reflect.DeepEqual(dst.byCol, src.byCol) {
+	if !reflect.DeepEqual(dst.shards, src.shards) {
 		t.Fatal("restored shards differ from saved shards")
 	}
 	for i := range src.workers {

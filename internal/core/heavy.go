@@ -197,9 +197,9 @@ func (w *Warp) heavyPhase() {
 			for _, s := range b.segs[wi] {
 				cw := countRow{c: p.merged[s.c*p.stride : s.c*p.stride+K]}
 				part := wk.laneRow(p.lane(wi, s.c))
-				proposed, accepted := chain(w.segment(b, s), nil, stride, cw, &part, w.betas, w.ckb, wk.r)
-				wk.pass.WordProposals += int64(proposed)
-				wk.pass.WordAccepts += int64(accepted)
+				proposed, accepted := chain(w.segment(b, s), nil, stride, cw, &part, w.pass.betas, w.pass.ckb, wk.R)
+				wk.stats.WordProposals += int64(proposed)
+				wk.stats.WordAccepts += int64(accepted)
 			}
 		})
 
@@ -223,7 +223,7 @@ func (w *Warp) heavyPhase() {
 		// Stage 5: proposal draws. The alias tables are read-only here.
 		w.parallelWorkers(func(wi int, wk *worker) {
 			for _, s := range b.segs[wi] {
-				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], nil, K, wk.r)
+				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], nil, K, wk.R)
 			}
 		})
 	}

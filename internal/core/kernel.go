@@ -1,6 +1,6 @@
-// The per-token kernels: every phase, serial, threaded, or staged, is a
-// sequence of calls to chain ("finish the pending MH chains of these
-// entries") and to one of the two draw routines ("draw M fresh
+// The per-token kernels: every phase, serial, threaded, staged or
+// sharded, is a sequence of calls to chain ("finish the pending MH chains
+// of these entries") and to one of the two draw routines ("draw M fresh
 // proposals for these entries"). They work on concrete data — the
 // matrix's payload array, a row's entry-index slice, a countRow held by
 // value, a copy of the generator — so the token loops contain no
@@ -9,12 +9,20 @@
 // A run of entries is (data, idx): with idx nil, the entries are the
 // contiguous payloads data[i*stride:(i+1)*stride] of a column or a
 // heavy-column segment; otherwise entry i is data[idx[i]*stride:], the
-// PCSR indirection of a row into the whole payload array.
+// PCSR indirection of a row into the whole payload array, or of a word's
+// or document's group into a Section 5.3 worker's token slab.
+//
+// WordRun and DocRun are the two phase runs — count, chain, table, draw
+// for one word's or one document's entries — over a Pass (the frozen
+// priors and C_k + β̄) and a Worker (one goroutine's scratch). Warp's
+// wordColumn and docRow call them, and so does internal/cluster's phase
+// driver; the staged heavy path (heavy.go) calls the kernels directly.
 package core
 
 import (
 	"warplda/internal/alias"
 	"warplda/internal/rng"
+	"warplda/internal/sampler"
 )
 
 // countRow is the topic-count vector of the row or column being
@@ -194,4 +202,146 @@ func drawPositions(data, idx []int32, stride int, pCount float64, smooth alias.P
 		}
 	}
 	*r = g
+}
+
+// Pass is what every phase run of one pass reads and none writes: the
+// priors of the two acceptance rates and proposal distributions, and
+// C_k + β̄, which only Freeze changes (once per pass, at the merge).
+type Pass struct {
+	k                       int
+	beta, betaBar, alphaBar float64
+	betas, alphas           []float64    // per-topic priors of the word and the doc phase
+	alphaTab                alias.Packed // q^doc smoothing part for asymmetric α (nil = uniform)
+	ckb                     []float64    // C_k + β̄
+	denseAlias, docAlias    bool         // the proposal-table ablations of Options
+}
+
+// NewPass builds the pass context of cfg over a vocabulary of v words,
+// honouring cfg.AlphaVec. Freeze must set C_k before the first run.
+func NewPass(cfg sampler.Config, v int) *Pass {
+	p := &Pass{
+		k:        cfg.K,
+		beta:     cfg.Beta,
+		alphaBar: cfg.AlphaBar(),
+		betaBar:  cfg.Beta * float64(v),
+		betas:    make([]float64, cfg.K),
+		alphas:   cfg.Alphas(),
+		ckb:      make([]float64, cfg.K),
+	}
+	if cfg.AlphaVec != nil {
+		p.alphaTab = alias.New(cfg.AlphaVec).Pack(nil, nil)
+	}
+	for k := range p.betas {
+		p.betas[k] = cfg.Beta
+	}
+	return p
+}
+
+// Freeze sets the global topic counts C_k the coming pass reads.
+func (p *Pass) Freeze(ck []int32) {
+	for k, c := range ck {
+		p.ckb[k] = float64(c) + p.betaBar
+	}
+}
+
+// Worker is one goroutine's scratch for phase runs: its generator, the
+// counts of the visited word or document and their recount, and the
+// proposal table with its build buffers. Only R's state outlives a run.
+type Worker struct {
+	R       *rng.RNG
+	cur     countRow  // c_w or c_d of the column or row being visited
+	next    countRow  // its recount after the chains, for the proposal table
+	spare   []int32   // touched list of lane rows, which nobody reads
+	topics  []int32   // outcomes of the proposal table being built
+	weights []float64 // matching weights
+	build   alias.Table
+	tab     alias.Packed // the proposal table the draws read
+}
+
+// NewWorker returns the scratch for k topics drawing from r.
+func NewWorker(k int, r *rng.RNG) *Worker {
+	return &Worker{R: r, cur: newCountRow(k), next: newCountRow(k), spare: make([]int32, 0, k+1)}
+}
+
+// laneRow views a plain K-sized count lane (a C_k contribution lane, a
+// heavy column's partial lane) as a countRow, so the kernels can count
+// into it.
+func (wk *Worker) laneRow(lane []int32) countRow {
+	return countRow{c: lane, touched: wk.spare[:0]}
+}
+
+// proposalTable builds the alias table over (topics, weights) into dst.
+func (wk *Worker) proposalTable(dst alias.Packed, topics []int32, weights []float64) alias.Packed {
+	wk.build.Build(weights)
+	return wk.build.Pack(dst[:0], topics)
+}
+
+// appendSmooth adds the smoothing part of a proposal mixture (mass Kβ
+// or ᾱ) to a sparse table's input as the single outcome smoothTopic, so
+// that one alias draw decides both the mixture coin and the count part.
+func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []float64) {
+	return append(topics, smoothTopic), append(weights, mass)
+}
+
+// WordRun is the word phase of one word, whose entries are the
+// non-empty run (data, idx): count c_w, finish the doc-proposal chains
+// against it with the word acceptance rate (Eq. 7, π^doc) while
+// recounting, then draw M fresh word proposals per entry from
+// q^word ∝ C_wk + β of the recount. It returns chain's statistics.
+func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, accepted int) {
+	wk.cur.reset()
+	wk.next.reset()
+	count(data, idx, stride, &wk.cur)
+	proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.betas, p.ckb, wk.R)
+
+	topics, weights := wk.topics[:0], wk.weights[:0]
+	if p.denseAlias {
+		// Ablation: a table over all K topics, O(K) per word.
+		for t, c := range wk.next.c {
+			topics = append(topics, int32(t))
+			weights = append(weights, float64(c)+p.beta)
+		}
+	} else {
+		topics, weights = wk.next.appendNonZero(topics, weights)
+		topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
+	}
+	wk.topics, wk.weights = topics, weights
+	wk.tab = wk.proposalTable(wk.tab, topics, weights)
+	drawAlias(data, idx, stride, wk.tab, nil, p.k, wk.R)
+	return proposed, accepted
+}
+
+// DocRun is the doc phase of one document, whose entries are the
+// non-empty run (data, idx) with idx not nil (the positioning draw picks
+// entries through it): count c_d, finish the word-proposal chains
+// against it with the doc acceptance rate (Eq. 7, π^word) while adding
+// the new assignments to lane (the caller's C_k contribution), then draw
+// M fresh doc proposals per entry from q^doc ∝ C_dk + α_k. It returns
+// chain's statistics.
+func (p *Pass) DocRun(wk *Worker, data, idx []int32, stride int, lane []int32) (proposed, accepted int) {
+	wk.cur.reset()
+	count(data, idx, stride, &wk.cur)
+	acc := wk.laneRow(lane)
+	next := &acc
+	if p.docAlias {
+		wk.next.reset()
+		next = &wk.next
+	}
+	proposed, accepted = chain(data, idx, stride, wk.cur, next, p.alphas, p.ckb, wk.R)
+
+	if !p.docAlias {
+		ld := float64(len(idx))
+		drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, wk.R)
+		return proposed, accepted
+	}
+	// Ablation: a sparse alias table over the recounted c_d instead of
+	// random positioning (Section 4.3 lists both as O(1) options).
+	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
+	for i, t := range topics {
+		lane[t] += int32(weights[i])
+	}
+	wk.topics, wk.weights = appendSmooth(topics, weights, p.alphaBar)
+	wk.tab = wk.proposalTable(wk.tab, wk.topics, wk.weights)
+	drawAlias(data, idx, stride, wk.tab, p.alphaTab, p.k, wk.R)
+	return proposed, accepted
 }

@@ -202,14 +202,14 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 			w.wordPhase()
 			word := newProposalTally(k)
 			for col := 0; col < c.V; col++ {
-				word.add(groupOf(w.m.Column(col).Payload(), nil, w.m.Stride, w.betas))
+				word.add(groupOf(w.m.Column(col).Payload(), nil, w.m.Stride, w.pass.betas))
 			}
 			word.check(t, "word phase")
 
 			w.docPhase()
 			doc := newProposalTally(k)
 			for row := range c.Docs {
-				doc.add(groupOf(w.m.Payloads(), w.m.RowOf(row).Entries(), w.m.Stride, w.alphas))
+				doc.add(groupOf(w.m.Payloads(), w.m.RowOf(row).Entries(), w.m.Stride, w.pass.alphas))
 			}
 			doc.check(t, "doc phase")
 			w.merge()

@@ -50,7 +50,7 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 	e.Int(i)
 	e.Int(len(w.workers))
 	e.Int(w.cfg.M)
-	e.RNG(wk.r)
+	e.RNG(wk.R)
 	e.Int(len(wk.rowChunks))
 	stride := w.cfg.M + 1
 	total := 0
@@ -184,15 +184,15 @@ func (w *Warp) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, er
 		ck[full[i]]++
 	}
 	copy(w.ck, ck)
-	w.refreshCkb()
+	w.pass.Freeze(w.ck)
 	if oldP == len(w.workers) {
 		for i, wk := range w.workers {
-			wk.r.SetState(rngs[i])
+			wk.R.SetState(rngs[i])
 		}
 		return false, nil
 	}
 	for wi, wk := range w.workers {
-		wk.r = rng.Derive(w.cfg.Seed, salt, uint64(len(w.workers)), uint64(wi))
+		wk.R = rng.Derive(w.cfg.Seed, salt, uint64(len(w.workers)), uint64(wi))
 	}
 	return true, nil
 }

@@ -22,11 +22,11 @@
 // stored: c_w and c_d are recomputed on the fly for the row/column being
 // visited, in a reused buffer that fits in cache.
 //
-// Iterate runs heavy → wordPhase → docPhase → merge. A phase visits its
-// columns or rows in three sweeps — count, finish chains (recounting as
-// it goes), draw — and every sweep is one of the kernels in kernel.go,
-// which work on the raw payload array; this file only decides, once per
-// column or row, which count row and which draw routine they get.
+// Iterate runs heavy → wordPhase → docPhase → merge. A phase hands each
+// of its columns or rows to WordRun or DocRun (kernel.go), which visit
+// it in three sweeps — count, finish chains (recounting as it goes),
+// draw — each one kernel over the raw payload array; this file only
+// schedules the columns and rows across the workers.
 //
 // Threading model (docs/PERFORMANCE.md): work is cut into contiguous
 // chunks whose token payloads fit in a per-core L2 budget, assigned to
@@ -41,7 +41,6 @@ import (
 	"io"
 	"sync"
 
-	"warplda/internal/alias"
 	"warplda/internal/corpus"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
@@ -103,15 +102,9 @@ type Warp struct {
 	// current assignment z followed by M proposals.
 	m *sparse.Matrix
 
-	ck     []int32   // global topic counts, frozen during an iteration
-	ckNext []int32   // accumulator for the next iteration's ck
-	ckb    []float64 // ck[k] + β̄, the factor the acceptance rates read
-	betas  []float64 // β for every topic: the word phase's prior vector
-
-	betaBar  float64
-	alphaBar float64
-	alphas   []float64    // per-topic prior (symmetric expansion if needed)
-	alphaTab alias.Packed // q_doc smoothing part for asymmetric α (nil = uniform)
+	ck     []int32 // global topic counts, frozen during an iteration
+	ckNext []int32 // accumulator for the next iteration's ck
+	pass   *Pass   // the priors and ck + β̄, the factor the acceptance rates read
 
 	workers  []*worker
 	ckDeltas []int32 // backing array of the per-worker ckAcc views, padded
@@ -122,18 +115,12 @@ type Warp struct {
 	heavy     *heavyPlan // staged schedule for heavyCols (nil if none)
 }
 
-// worker carries the per-goroutine scratch state.
+// worker carries the per-goroutine state: the phase-run scratch and
+// what the thread schedule gives it.
 type worker struct {
-	r       *rng.RNG
-	cur     countRow  // c_w or c_d of the column or row being visited
-	next    countRow  // its recount after the chains, for the proposal table
-	spare   []int32   // touched list of lane rows, which nobody reads
-	topics  []int32   // outcomes of the proposal table being built
-	weights []float64 // matching weights
-	build   alias.Table
-	tab     alias.Packed // the proposal table the draws read
-	ckAcc   []int32      // view into Warp.ckDeltas, one padded lane per worker
-	pass    PassStats    // this worker's share of the current pass
+	Worker
+	ckAcc []int32   // view into Warp.ckDeltas, one padded lane per worker
+	stats PassStats // this worker's share of the current pass
 
 	colChunks [][2]int // column ranges [start, end) owned in the word phase
 	rowChunks [][2]int // row ranges owned in the doc phase
@@ -161,23 +148,14 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 	}
 
 	w := &Warp{
-		cfg:      cfg,
-		opts:     opts,
-		c:        c,
-		ck:       make([]int32, cfg.K),
-		ckNext:   make([]int32, cfg.K),
-		ckb:      make([]float64, cfg.K),
-		betas:    make([]float64, cfg.K),
-		betaBar:  cfg.Beta * float64(c.NumWords()),
-		alphaBar: cfg.AlphaBar(),
-		alphas:   cfg.Alphas(),
+		cfg:    cfg,
+		opts:   opts,
+		c:      c,
+		ck:     make([]int32, cfg.K),
+		ckNext: make([]int32, cfg.K),
+		pass:   NewPass(cfg, c.NumWords()),
 	}
-	if cfg.AlphaVec != nil {
-		w.alphaTab = alias.New(cfg.AlphaVec).Pack(nil, nil)
-	}
-	for k := range w.betas {
-		w.betas[k] = cfg.Beta
-	}
+	w.pass.denseAlias, w.pass.docAlias = opts.DisableSparseAlias, opts.DocProposalAlias
 
 	b := sparse.NewBuilder(max(1, c.NumDocs()), c.NumWords(), cfg.M+1)
 	for d, nd := 0, c.NumDocs(); d < nd; d++ {
@@ -205,17 +183,9 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 		}
 	})
 
-	w.refreshCkb()
+	w.pass.Freeze(w.ck)
 	w.buildWorkers(r)
 	return w, nil
-}
-
-// refreshCkb rebuilds the C_k + β̄ table after ck changed: once per
-// iteration at the merge point, and after a restore.
-func (w *Warp) refreshCkb() {
-	for k, c := range w.ck {
-		w.ckb[k] = float64(c) + w.betaBar
-	}
 }
 
 // buildWorkers derives the whole static thread schedule from the corpus
@@ -263,11 +233,8 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	w.ckDeltas = make([]int32, n*stride)
 	for i := 0; i < n; i++ {
 		w.workers[i] = &worker{
-			r:     r.Split(),
-			cur:   newCountRow(w.cfg.K),
-			next:  newCountRow(w.cfg.K),
-			spare: make([]int32, 0, w.cfg.K+1),
-			ckAcc: w.ckDeltas[i*stride : i*stride+w.cfg.K : i*stride+w.cfg.K],
+			Worker: *NewWorker(w.cfg.K, r.Split()),
+			ckAcc:  w.ckDeltas[i*stride : i*stride+w.cfg.K : i*stride+w.cfg.K],
 		}
 	}
 
@@ -394,10 +361,10 @@ func (s PassStats) AcceptRates() (word, doc float64) {
 func (w *Warp) PassStats() PassStats {
 	ps := PassStats{HeavyColumns: len(w.heavyCols)}
 	for _, wk := range w.workers {
-		ps.WordProposals += wk.pass.WordProposals
-		ps.WordAccepts += wk.pass.WordAccepts
-		ps.DocProposals += wk.pass.DocProposals
-		ps.DocAccepts += wk.pass.DocAccepts
+		ps.WordProposals += wk.stats.WordProposals
+		ps.WordAccepts += wk.stats.WordAccepts
+		ps.DocProposals += wk.stats.DocProposals
+		ps.DocAccepts += wk.stats.DocAccepts
 	}
 	return ps
 }
@@ -409,7 +376,7 @@ func (w *Warp) PassStats() PassStats {
 // phases themselves never write shared memory.
 func (w *Warp) Iterate() {
 	for _, wk := range w.workers {
-		wk.pass = PassStats{}
+		wk.stats = PassStats{}
 	}
 	w.heavyPhase()
 	w.wordPhase()
@@ -451,7 +418,7 @@ func (w *Warp) merge() {
 		}
 	}
 	w.ck, w.ckNext = w.ckNext, w.ck
-	w.refreshCkb()
+	w.pass.Freeze(w.ck)
 }
 
 // runPhase runs fn for every worker, concurrently when there are
@@ -473,96 +440,27 @@ func (w *Warp) runPhase(fn func(*Warp, *worker)) {
 	wg.Wait()
 }
 
-// laneRow views a plain K-sized count lane (the worker's C_k delta
-// lane, a heavy column's partial lane) as a countRow, so the kernels
-// can count into it.
-func (wk *worker) laneRow(lane []int32) countRow {
-	return countRow{c: lane, touched: wk.spare[:0]}
-}
-
-// wordColumn processes one word: count c_w, finish the doc-proposal
-// chains against it with the word acceptance rate (Eq. 7, π^doc) while
-// recounting, then draw M fresh word proposals per token from
-// q^word ∝ C_wk + β.
+// wordColumn runs the word phase of one column (WordRun).
 func (w *Warp) wordColumn(wk *worker, col int) {
 	seg := w.m.Column(col).Payload()
-	stride, k := w.m.Stride, w.cfg.K
-	lw := len(seg) / stride
-	if lw == 0 {
+	if len(seg) == 0 {
 		return
 	}
-	wk.cur.reset()
-	wk.next.reset()
-	count(seg, nil, stride, &wk.cur)
-	proposed, accepted := chain(seg, nil, stride, wk.cur, &wk.next, w.betas, w.ckb, wk.r)
-	wk.pass.WordProposals += int64(proposed)
-	wk.pass.WordAccepts += int64(accepted)
-
-	topics, weights := wk.topics[:0], wk.weights[:0]
-	if w.opts.DisableSparseAlias {
-		// Ablation: a table over all K topics, O(K) per word.
-		for t, c := range wk.next.c {
-			topics = append(topics, int32(t))
-			weights = append(weights, float64(c)+w.cfg.Beta)
-		}
-	} else {
-		topics, weights = wk.next.appendNonZero(topics, weights)
-		topics, weights = appendSmooth(topics, weights, float64(k)*w.cfg.Beta)
-	}
-	wk.topics, wk.weights = topics, weights
-	wk.tab = wk.proposalTable(wk.tab, topics, weights)
-	drawAlias(seg, nil, stride, wk.tab, nil, k, wk.r)
+	proposed, accepted := w.pass.WordRun(&wk.Worker, seg, nil, w.m.Stride)
+	wk.stats.WordProposals += int64(proposed)
+	wk.stats.WordAccepts += int64(accepted)
 }
 
-// proposalTable builds the alias table over (topics, weights) into dst.
-func (wk *worker) proposalTable(dst alias.Packed, topics []int32, weights []float64) alias.Packed {
-	wk.build.Build(weights)
-	return wk.build.Pack(dst[:0], topics)
-}
-
-// appendSmooth adds the smoothing part of a proposal mixture (mass Kβ
-// or ᾱ) to a sparse table's input as the single outcome smoothTopic, so
-// that one alias draw decides both the mixture coin and the count part.
-func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []float64) {
-	return append(topics, smoothTopic), append(weights, mass)
-}
-
-// docRow processes one document: count c_d, finish the word-proposal
-// chains against it with the doc acceptance rate (Eq. 7, π^word) while
-// accumulating the new assignments into the worker's delta lane, then
-// draw M fresh doc proposals per token from q^doc ∝ C_dk + α_k.
+// docRow runs the doc phase of one row (DocRun), accumulating the new
+// assignments into the worker's delta lane.
 func (w *Warp) docRow(wk *worker, row int) {
 	idx := w.m.RowOf(row).Entries()
-	ld := len(idx)
-	if ld == 0 {
+	if len(idx) == 0 {
 		return
 	}
-	data, stride, k := w.m.Payloads(), w.m.Stride, w.cfg.K
-	wk.cur.reset()
-	count(data, idx, stride, &wk.cur)
-	lane := wk.laneRow(wk.ckAcc)
-	next := &lane
-	if w.opts.DocProposalAlias {
-		wk.next.reset()
-		next = &wk.next
-	}
-	proposed, accepted := chain(data, idx, stride, wk.cur, next, w.alphas, w.ckb, wk.r)
-	wk.pass.DocProposals += int64(proposed)
-	wk.pass.DocAccepts += int64(accepted)
-
-	if !w.opts.DocProposalAlias {
-		drawPositions(data, idx, stride, float64(ld)/(float64(ld)+w.alphaBar), w.alphaTab, k, wk.r)
-		return
-	}
-	// Ablation: a sparse alias table over the recounted c_d instead of
-	// random positioning (Section 4.3 lists both as O(1) options).
-	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
-	for i, t := range topics {
-		wk.ckAcc[t] += int32(weights[i])
-	}
-	wk.topics, wk.weights = appendSmooth(topics, weights, w.alphaBar)
-	wk.tab = wk.proposalTable(wk.tab, wk.topics, wk.weights)
-	drawAlias(data, idx, stride, wk.tab, w.alphaTab, k, wk.r)
+	proposed, accepted := w.pass.DocRun(&wk.Worker, w.m.Payloads(), idx, w.m.Stride, wk.ckAcc)
+	wk.stats.DocProposals += int64(proposed)
+	wk.stats.DocAccepts += int64(accepted)
 }
 
 // Assignments implements sampler.Sampler. The returned matrix is aligned
@@ -605,7 +503,7 @@ func (w *Warp) StateTo(out io.Writer) error {
 	e.I32s(w.m.Payloads())
 	e.I32s(w.ck)
 	for _, wk := range w.workers {
-		e.RNG(wk.r)
+		e.RNG(wk.R)
 	}
 	return e.Err()
 }
@@ -646,9 +544,9 @@ func (w *Warp) RestoreFrom(in io.Reader) error {
 	}
 	copy(w.m.Payloads(), payload)
 	copy(w.ck, ck)
-	w.refreshCkb()
+	w.pass.Freeze(w.ck)
 	for i, wk := range w.workers {
-		wk.r.SetState(rngs[i])
+		wk.R.SetState(rngs[i])
 	}
 	return nil
 }

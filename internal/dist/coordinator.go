@@ -92,6 +92,10 @@ func (cc CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	if cc.Cfg.M < 1 {
 		return cc, fmt.Errorf("dist: M = %d, want >= 1", cc.Cfg.M)
 	}
+	if cc.Cfg.AlphaVec != nil {
+		// Assign carries one scalar α; a vector would need a new protocol.
+		return cc, errors.New("dist: the live cluster trains with a symmetric prior; AlphaVec is not supported")
+	}
 	if cc.Iters < 1 {
 		return cc, fmt.Errorf("dist: %d iterations", cc.Iters)
 	}

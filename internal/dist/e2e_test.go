@@ -103,6 +103,19 @@ func testWorkerConfig(t *testing.T, addr, id string) WorkerConfig {
 	}
 }
 
+// Assign carries a scalar α, so a coordinator must refuse an asymmetric
+// prior by name rather than train the workers on the scalar one.
+func TestCoordinatorRefusesAlphaVec(t *testing.T) {
+	cfg := e2eConfig()
+	cfg.AlphaVec = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	_, err := NewCoordinator(CoordinatorConfig{
+		Addr: "127.0.0.1:0", Corpus: e2eCorpus(t), Cfg: cfg, Iters: 1, CheckpointDir: t.TempDir(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "AlphaVec") {
+		t.Fatalf("coordinator with AlphaVec: err = %v, want a refusal naming AlphaVec", err)
+	}
+}
+
 // TestTwoWorkersMatchInProcess is the acceptance criterion: a
 // coordinator plus two workers over loopback TCP reach a log likelihood
 // within the elastic tolerance of the single-process distributed

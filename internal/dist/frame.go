@@ -1,9 +1,10 @@
 // Package dist is the live multi-process execution mode of the
 // Section 5.3 design: a coordinator process owns the corpus, the
 // partitions, and the sharded checkpoint directory; worker processes
-// own disjoint token shards and run the SAME phase bodies as the
-// in-process sampler (internal/cluster's PhaseEnv), exchanging
-// off-diagonal token blocks over TCP instead of channels. The only
+// own disjoint token shards and run the SAME phase driver as the
+// in-process sampler (internal/cluster's Worker, over internal/core's
+// kernels), exchanging off-diagonal token blocks over TCP instead of
+// shared memory. The only
 // replicated state is the K-dim global count vector, aggregated from
 // per-worker deltas once per pass — exactly the paper's claim.
 //

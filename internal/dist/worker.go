@@ -1,8 +1,9 @@
 // The worker process runtime. A worker is a pure compute node: it never
 // sees the corpus, only its token shard (delivered as a dshd stream in
 // Assign), the routing tables, and the pass-by-pass global counts. It
-// runs the shared phase bodies from internal/cluster over its tokens
-// and ships finished off-diagonal blocks through the coordinator.
+// is a cluster.Worker — the Section 5.3 phase driver the in-process
+// Distributed sampler runs, over internal/core's kernels — whose
+// finished off-diagonal blocks ship through the coordinator.
 //
 // Resilience model: the worker retries its connection with bounded
 // exponential backoff and re-registers under the same ID (idempotent —
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"warplda/internal/cluster"
+	"warplda/internal/core"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
 )
@@ -152,11 +154,11 @@ type wsession struct {
 	slot, p     int
 	scfg        sampler.Config
 	v, numDocs  int
-	numTokens   int
 	blockTokens int
-	rows, cols  []int32
-	tokens      []cluster.Token
-	wk          *cluster.PhaseWorker
+	top         *cluster.Topology
+	pass        *core.Pass
+	shard, recv cluster.Slab // the tokens held, and the next phase's being received
+	wk          *cluster.Worker
 }
 
 func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
@@ -212,8 +214,8 @@ func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
 // reset discards epoch state; the worker idles until the next Assign.
 func (s *wsession) reset() {
 	s.wk = nil
-	s.tokens = nil
-	s.rows, s.cols = nil, nil
+	s.shard, s.recv = cluster.Slab{}, cluster.Slab{}
+	s.top, s.pass = nil, nil
 }
 
 // send writes one frame under the write deadline and flushes it.
@@ -263,8 +265,8 @@ func (s *wsession) next() (MsgType, []byte, error) {
 }
 
 // handleAssign adopts a new epoch: decode and validate the shard
-// stream, rebuild the phase worker around the assigned RNG stream, and
-// store the routing tables.
+// stream, rebuild the worker around the assigned RNG stream, and rank
+// the routing tables.
 func (s *wsession) handleAssign(payload []byte) error {
 	a, err := DecodeAssign(payload)
 	if err != nil {
@@ -280,15 +282,16 @@ func (s *wsession) handleAssign(payload []byte) error {
 	s.epoch = a.Epoch
 	s.slot, s.p = a.Slot, a.P
 	s.scfg = sampler.Config{K: a.K, Alpha: a.Alpha, Beta: a.Beta, M: a.M, Seed: a.Seed}
-	s.v, s.numDocs, s.numTokens = a.V, a.NumDocs, a.NumTokens
+	s.v, s.numDocs = a.V, a.NumDocs
 	s.blockTokens = a.BlockTokens
-	s.rows, s.cols = a.Rows, a.Cols
-	s.tokens = st.Tokens
+	s.top = cluster.NewTopology(a.Rows, a.Cols, a.P)
+	s.pass = core.NewPass(s.scfg, a.V)
+	s.shard = st.Tokens
 	r := rng.New(a.Seed)
 	r.SetState(st.RNGState)
-	s.wk = cluster.NewPhaseWorker(a.K, r)
+	s.wk = cluster.NewWorker(a.Slot, a.P, a.K, a.M, r)
 	s.wc.Logf("dist: worker %s: assigned slot %d/%d at iter %d (epoch %d, %d tokens)",
-		s.wc.ID, a.Slot, a.P, a.Iter, a.Epoch, len(st.Tokens))
+		s.wc.ID, a.Slot, a.P, a.Iter, a.Epoch, st.Tokens.Len())
 	return nil
 }
 
@@ -307,7 +310,7 @@ func (s *wsession) handleShardReq(payload []byte) error {
 		Workers:  s.p,
 		M:        s.scfg.M,
 		RNGState: s.wk.R.State(),
-		Tokens:   s.tokens,
+		Tokens:   s.shard,
 	}); err != nil {
 		return err
 	}
@@ -328,89 +331,36 @@ func (s *wsession) runPass(payload []byte) error {
 	if ps.Epoch != s.epoch {
 		return nil // stale
 	}
-	env := &cluster.PhaseEnv{Cfg: s.scfg, V: s.v, CK: ps.CK}
-	kept, err := s.phase(env, ps.Iter, PhaseWord)
-	if err != nil {
-		return err
+	s.pass.Freeze(ps.CK)
+	for _, phase := range []int{PhaseWord, PhaseDoc} {
+		if err := s.phase(ps.Iter, phase); err != nil {
+			return err
+		}
 	}
-	s.tokens = kept
-	clear(s.wk.CkAcc)
-	kept, err = s.phase(env, ps.Iter, PhaseDoc)
-	if err != nil {
-		return err
-	}
-	s.tokens = kept
 	return s.send(MsgPassEnd, (&PassEnd{Epoch: s.epoch, Iter: ps.Iter, From: s.slot, CkAcc: s.wk.CkAcc}).Encode())
 }
 
-// phase runs one phase body over the local tokens, routing finished
-// tokens to their next owner in blocks as soon as each fills (the
-// paper's compute/communication overlap), then drains incoming blocks
-// until the coordinator's barrier.
-func (s *wsession) phase(env *cluster.PhaseEnv, iter, phase int) ([]cluster.Token, error) {
-	byRow := phase == PhaseDoc
-	cluster.GroupSort(s.tokens, byRow)
-	kept := make([]cluster.Token, 0, len(s.tokens))
-	buckets := make([][]cluster.Token, s.p)
-	stride := s.scfg.M + 1
-	flush := func(o int) error {
-		b := buckets[o]
-		if len(b) == 0 {
+// phase runs one phase of cluster.Worker's driver over the local shard,
+// sending each block bound for another worker as soon as it fills (the
+// paper's compute/communication overlap) and keeping its own, then
+// drains incoming blocks into the next shard until the coordinator's
+// barrier.
+func (s *wsession) phase(iter, phase int) error {
+	recv := &s.recv
+	recv.Reset()
+	err := s.wk.Phase(s.pass, s.top, &s.shard, phase == PhaseWord, s.blockTokens, func(o int, b *cluster.Slab) error {
+		if o == s.slot {
+			recv.Append(*b)
 			return nil
 		}
-		msg := &Block{
-			Epoch: s.epoch, Iter: iter, Phase: phase, From: s.slot, To: o,
-			DS:      make([]int32, len(b)),
-			WS:      make([]int32, len(b)),
-			Payload: make([]int32, 0, len(b)*stride),
-		}
-		for j, t := range b {
-			msg.DS[j], msg.WS[j] = t.D, t.W
-			msg.Payload = append(msg.Payload, t.Data...)
-		}
-		buckets[o] = b[:0]
+		msg := &Block{Epoch: s.epoch, Iter: iter, Phase: phase, From: s.slot, To: o, DS: b.D, WS: b.W, Payload: b.Data}
 		return s.send(MsgBlock, msg.Encode())
-	}
-	var sendErr error
-	cluster.ForGroups(s.tokens, byRow, func(group []cluster.Token) {
-		if sendErr != nil {
-			return
-		}
-		if phase == PhaseWord {
-			env.WordGroup(s.wk, group)
-		} else {
-			env.DocGroup(s.wk, group)
-		}
-		for _, t := range group {
-			var o int32
-			if phase == PhaseWord {
-				o = s.rows[t.D]
-			} else {
-				o = s.cols[t.W]
-			}
-			if int(o) == s.slot {
-				kept = append(kept, t)
-				continue
-			}
-			buckets[o] = append(buckets[o], t)
-			if len(buckets[o]) >= s.blockTokens {
-				if err := flush(int(o)); err != nil {
-					sendErr = err
-					return
-				}
-			}
-		}
 	})
-	if sendErr != nil {
-		return nil, sendErr
-	}
-	for o := range buckets {
-		if err := flush(o); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return err
 	}
 	if err := s.send(MsgPhaseDone, (&Sync{Epoch: s.epoch, Iter: iter, Phase: phase, From: s.slot}).Encode()); err != nil {
-		return nil, err
+		return err
 	}
 	// Drain incoming blocks until the barrier. The coordinator sends the
 	// barrier only after every worker's PhaseDone, and per-connection
@@ -418,35 +368,30 @@ func (s *wsession) phase(env *cluster.PhaseEnv, iter, phase int) ([]cluster.Toke
 	for {
 		typ, payload, err := s.next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch typ {
 		case MsgBlock:
 			b, err := DecodeBlock(payload, s.scfg.K, s.scfg.M, s.numDocs, s.v)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if b.Epoch != s.epoch || b.Phase != phase {
 				continue // stale
 			}
-			for j := range b.DS {
-				kept = append(kept, cluster.Token{
-					D:    b.DS[j],
-					W:    b.WS[j],
-					Data: b.Payload[j*stride : (j+1)*stride : (j+1)*stride],
-				})
-			}
+			recv.Append(cluster.Slab{D: b.DS, W: b.WS, Data: b.Payload})
 		case MsgBarrier:
 			sy, err := DecodeSync(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if sy.Epoch != s.epoch || sy.Phase != phase {
 				continue // stale
 			}
-			return kept, nil
+			s.shard, s.recv = s.recv, s.shard
+			return nil
 		default:
-			return nil, fmt.Errorf("dist: unexpected %s while draining %d-phase blocks", typ, phase)
+			return fmt.Errorf("dist: unexpected %s while draining %d-phase blocks", typ, phase)
 		}
 	}
 }

@@ -95,6 +95,9 @@ func balanceSpeedup(weights []int, n int) float64 {
 
 // Fig9b reproduces the multi-machine speedup figure on the PubMed-like
 // corpus: modeled throughput of the simulated cluster at 1..16 workers.
+// One iteration on one worker measures the per-token cost; every worker
+// count is modeled from it, so the speedup column depends only on the
+// seed and the counts, not on how loaded the machine was per row.
 func Fig9b(o Options) (*Report, error) {
 	r := &Report{ID: "fig9b", Title: "Distributed speedup (PubMed-like, modeled)"}
 	pm := corpus.PubMedLike(pick(o, 0.00008, 0.0003))
@@ -107,7 +110,7 @@ func Fig9b(o Options) (*Report, error) {
 	workersList := []int{1, 2, 4, 8, 16}
 	tokens := c.NumTokens()
 	r.addf("%8s %18s %10s %12s", "workers", "Mtoken/s(model)", "speedup", "imbalance")
-	var base float64
+	var base, perPhaseToken float64
 	for _, p := range workersList {
 		cfg := sampler.PaperDefaults(k)
 		cfg.M = 1
@@ -116,7 +119,10 @@ func Fig9b(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := sim.IterateStats()
+		if p == 1 {
+			perPhaseToken = sim.IterateStats().WallSeconds / float64(2*tokens)
+		}
+		st := sim.Model(perPhaseToken)
 		thr := st.ModeledThroughput(tokens)
 		if p == 1 {
 			base = thr
