@@ -111,7 +111,7 @@ type Worker struct {
 	slot, stride int
 	grouped      Slab    // the shard, grouped by key
 	start        []int32 // group g is grouped's tokens start[g]:start[g+1]
-	iota         []int32 // 0, 1, 2, …: see rowIndex
+	ident        []int32 // 0, 1, 2, …: see rowIndex
 	buckets      []Slab  // per owner: routed tokens not shipped yet
 }
 
@@ -223,8 +223,8 @@ func (wk *Worker) group(sh *Slab, keys, owner, rank []int32, n int) error {
 // rowIndex returns 0, 1, …, n-1: a group's entries as the row index
 // through which DocRun's positioning draw picks a token.
 func (wk *Worker) rowIndex(n int) []int32 {
-	for i := len(wk.iota); i < n; i++ {
-		wk.iota = append(wk.iota, int32(i))
+	for i := len(wk.ident); i < n; i++ {
+		wk.ident = append(wk.ident, int32(i))
 	}
-	return wk.iota[:n]
+	return wk.ident[:n]
 }
