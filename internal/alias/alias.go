@@ -9,7 +9,11 @@
 // keep each draw to one cache line.
 package alias
 
-import "warplda/internal/rng"
+import (
+	"math"
+
+	"warplda/internal/rng"
+)
 
 // Table is an alias table over outcomes 0..K-1. The zero value is an empty
 // table; use Build or New to populate it. Tables may be reused across
@@ -188,12 +192,13 @@ func (t *Table) Pack(dst Packed, outcomes []int32) Packed {
 // bin by multiply-shift (bias at most len(p)/2³²), the low half is the
 // threshold uniform. Table.Draw and SparseTable.Draw keep their own
 // two-call generator consumption, which serving and the baselines'
-// reproducible streams depend on.
+// reproducible streams depend on. The coin is a coin toss for the
+// predictor too, so the outcome is selected by the sign of u − Prob
+// (negative iff u < Prob): gc keeps a branch, not a conditional move,
+// where the drawn topic goes on to address a load, as in the fold-in
+// chain.
 func (p Packed) Draw(x uint64) int32 {
 	b := p[(x>>32)*uint64(len(p))>>32]
-	t := b.Miss
-	if float64(uint32(x))*(1.0/(1<<32)) < b.Prob {
-		t = b.Hit // a conditional move: the coin is a coin toss for the predictor too
-	}
-	return t
+	hit := int32(int64(math.Float64bits(float64(uint32(x))*(1.0/(1<<32))-b.Prob)) >> 63)
+	return b.Miss ^ (b.Miss^b.Hit)&hit
 }

@@ -162,6 +162,34 @@ func TestPackedNamesOutcomes(t *testing.T) {
 	}, weights, 40000)
 }
 
+// A packed bin yields Hit iff the low half's uniform u is below Prob,
+// Miss otherwise (u = Prob included), whatever the outcomes' signs: the
+// select is a sign-bit mask, not a comparison.
+func TestPackedDrawSelectsByThreshold(t *testing.T) {
+	bin := Packed{{Prob: 0.25, Hit: -1, Miss: 7}}
+	for _, tc := range []struct {
+		lo   uint32
+		want int32
+	}{
+		{0, -1},
+		{1<<30 - 1, -1},
+		{1 << 30, 7}, // u = 0.25 exactly
+		{1<<32 - 1, 7},
+	} {
+		if got := bin.Draw(0xdeadbeef<<32 | uint64(tc.lo)); got != tc.want {
+			t.Errorf("u = %d/2³²: Draw = %d, want %d", tc.lo, got, tc.want)
+		}
+	}
+	for _, b := range []Bin{{Prob: 1, Hit: 3, Miss: -1}, {Prob: 0, Hit: -1, Miss: 3}} {
+		if got := (Packed{b}).Draw(1<<32 - 1); got != 3 {
+			t.Errorf("Prob %g: Draw at the largest u = %d, want 3", b.Prob, got)
+		}
+		if got := (Packed{b}).Draw(0); got != 3 {
+			t.Errorf("Prob %g: Draw at u = 0 = %d, want 3", b.Prob, got)
+		}
+	}
+}
+
 func TestSparseTableMismatchedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -20,6 +20,8 @@
 package core
 
 import (
+	"math"
+
 	"warplda/internal/alias"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
@@ -114,37 +116,48 @@ const smoothTopic = -1
 //	π = (C_xt + prior_t)(C_s + β̄) / ((C_xs + prior_s)(C_t + β̄)),
 //
 // where cur holds the frozen C_x of the visited row or column and
-// ckb[k] = C_k + β̄. The decision is taken without dividing: accept iff
-// num ≥ den or u·den < num. The resulting assignment is stored and
-// counted into next (the recount of a column, or a plain count lane).
-// It returns the number of proposals that differed from the state they
-// were offered to, and how many of those were accepted.
+// ckb[k] = C_k + β̄. Every step reads one generator word u and takes t
+// iff u·den ≤ num (rng.AcceptMask), a proposal equal to the state
+// included, where it changes nothing. The accept/reject decision is a
+// mask that selects the next state (s and the bits of C_xs + prior_s)
+// and the statistics, so the loop has no data-dependent branch: each
+// decision is a coin toss the predictor would miss. The resulting
+// assignment is stored and counted into next (the recount of a column,
+// or a plain count lane). It returns the number of proposals that
+// differed from the state they were offered to, and how many of those
+// were accepted.
 func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, ckb []float64, r *rng.RNG) (proposed, accepted int) {
 	g := *r // the generator state stays in registers over the loop
 	cc, nc := cur.c, next.c
+	prior, ckb = prior[:len(cc)], ckb[:len(cc)] // one bounds check per topic read
 	touched, nt := next.touched[:cap(next.touched)], len(next.touched)
 	for i, n := 0, entries(data, idx, stride); i < n; i++ {
 		p := entryAt(idx, i)
 		e := data[p*stride : (p+1)*stride]
 		s := e[0]
-		cs := float64(cc[s]) + prior[s]
+		cs := math.Float64bits(float64(cc[s]) + prior[s])
+		var st uint64 // the entry's moves (high half) and acceptances (low half)
 		for _, t := range e[1:] {
-			if t == s {
-				continue
-			}
-			proposed++
 			ct := float64(cc[t]) + prior[t]
-			num, den := ct*ckb[s], cs*ckb[t]
-			if num >= den || rng.Unit(g.Uint64())*den < num {
-				s, cs = t, ct
-				accepted++
-			}
+			take := rng.AcceptMask(g.Uint64(), ct*ckb[s], math.Float64frombits(cs)*ckb[t])
+			moved := uint64(differs(s, t))
+			st += moved<<32 | moved&take
+			s ^= (s ^ t) & int32(take)
+			cs ^= (cs ^ math.Float64bits(ct)) & take
 		}
+		proposed += int(st >> 32)
+		accepted += int(uint32(st))
 		e[0] = s
 		nt = tally(nc, touched, nt, s)
 	}
 	*r, next.touched = g, touched[:nt]
 	return proposed, accepted
+}
+
+// differs is 1 when a ≠ b and 0 otherwise, computed without a branch.
+func differs(a, b int32) int {
+	d := uint32(a ^ b)
+	return int((d | -d) >> 31)
 }
 
 // drawAlias overwrites the M proposals of every entry with draws from
@@ -181,24 +194,39 @@ func drawSmooth(x uint64, smooth alias.Packed, k int) int32 {
 // generator word per proposal, whose high half is the mixture coin —
 // with probability pCount = L_d/(L_d + ᾱ) copy the assignment of a
 // uniformly chosen token of the row — and whose low half is that
-// token's position, or the uniform topic of the smoothing part.
+// token's position, or the uniform topic of the smoothing part. With a
+// symmetric α the coin selects between the positioned token's topic and
+// the uniform topic, both computed from the low half (the position is
+// always in range), so the loop has no data-dependent branch. An
+// asymmetric α's smoothing part is an alias draw on a second word, which
+// only the coin's losers pay; that loop keeps its branch.
 func drawPositions(data, idx []int32, stride int, pCount float64, smooth alias.Packed, k int, r *rng.RNG) {
 	g := *r
 	coin := uint64(pCount * (1 << 32))
 	ld, uk := uint64(len(idx)), uint64(k)
+	if smooth != nil {
+		for _, p := range idx {
+			e := data[int(p)*stride+1 : (int(p)+1)*stride]
+			for j := range e {
+				x := g.Uint64()
+				if x>>32 < coin {
+					e[j] = data[int(idx[(x&(1<<32-1))*ld>>32])*stride]
+				} else {
+					e[j] = smooth.Draw(g.Uint64())
+				}
+			}
+		}
+		*r = g
+		return
+	}
 	for _, p := range idx {
 		e := data[int(p)*stride+1 : (int(p)+1)*stride]
 		for j := range e {
 			x := g.Uint64()
 			lo := x & (1<<32 - 1)
-			switch {
-			case x>>32 < coin:
-				e[j] = data[int(idx[lo*ld>>32])*stride]
-			case smooth != nil:
-				e[j] = smooth.Draw(g.Uint64())
-			default:
-				e[j] = int32(lo * uk >> 32)
-			}
+			t := int32(lo * uk >> 32)
+			// The coin as a mask: all ones iff x>>32 < coin.
+			e[j] = t ^ (t^data[int(idx[lo*ld>>32])*stride])&int32(int64(x>>32-coin)>>63)
 		}
 	}
 	*r = g

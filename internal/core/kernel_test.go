@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"reflect"
+	"slices"
 	"testing"
 
 	"warplda/internal/corpus"
@@ -12,25 +13,27 @@ import (
 	"warplda/internal/sampler"
 )
 
-// The chain kernel decides "accept" without dividing. On random counts,
-// global counts, priors and generator states it must take exactly the
-// decision of Eq. 7 — accept iff π ≥ 1 or u < π, with π evaluated here
-// in 200-bit arithmetic — at small and at large K, and must count the
-// outcome, recount it into next, and consume one generator word only
-// when π < 1. Cases within 1e-9 of a tie are skipped. (A step reads the
-// row, the prior and C_k + β̄ at its two topics only, so a trial
-// randomizes those two slots of K-sized arrays.)
+// The chain kernel decides "accept" without dividing and without a
+// branch. On random counts, global counts, priors and generator states
+// it must take exactly the decision of Eq. 7 — accept iff π ≥ 1 or
+// u < π, with π evaluated here in 200-bit arithmetic — at small and at
+// large K, count the outcome, recount it into next, and consume exactly
+// one generator word per MH step, whatever π. A proposal equal to the
+// state reads its word too and changes nothing. Cases within 1e-9 of a
+// tie are skipped. (A step reads the row, the prior and C_k + β̄ at its
+// two topics only, so a trial randomizes those two slots of K-sized
+// arrays.)
 func TestChainAgreesWithEq7(t *testing.T) {
 	for _, k := range []int{16, 2048, 65536} {
 		src := rng.New(2024)
 		counts := make([]int32, k)
 		prior, ckb := make([]float64, k), make([]float64, k)
 		next := newCountRow(k)
-		decided := 0
+		decided, same := 0, 0
 		for trial := 0; trial < 20000; trial++ {
 			s, tt := int32(src.Intn(k)), int32(src.Intn(k))
-			if s == tt {
-				continue
+			if trial%8 == 0 {
+				tt = s
 			}
 			betaBar := 0.01 + 100*src.Float64()
 			for _, i := range []int32{s, tt} {
@@ -47,16 +50,27 @@ func TestChainAgreesWithEq7(t *testing.T) {
 
 			seed := src.Uint64()
 			u := rng.Unit(rng.New(seed).Uint64())
+			data := []int32{s, tt}
+			next.reset()
+			r := rng.New(seed)
+			proposed, accepted := chain(data, nil, 2, countRow{c: counts}, &next, prior, ckb, r)
+			fresh := rng.New(seed)
+			fresh.Uint64()
+			if r.State() != fresh.State() {
+				t.Fatalf("K=%d: π=%g: the step did not consume exactly one generator word", k, pi)
+			}
+			if s == tt {
+				same++
+				if data[0] != s || proposed != 0 || accepted != 0 || !reflect.DeepEqual(next.touched, []int32{s}) {
+					t.Fatalf("K=%d: a proposal equal to the state %d left %d, proposed=%d accepted=%d, recount %v", k, s, data[0], proposed, accepted, next.touched)
+				}
+				continue
+			}
 			if math.Abs(u-pi) < 1e-9*pi || math.Abs(pi-1) < 1e-9 {
 				continue
 			}
 			decided++
 			want := pi >= 1 || u < pi
-
-			data := []int32{s, tt}
-			next.reset()
-			r := rng.New(seed)
-			proposed, accepted := chain(data, nil, 2, countRow{c: counts}, &next, prior, ckb, r)
 			got := data[0] == tt
 			if got != want || (data[0] != s && data[0] != tt) {
 				t.Fatalf("K=%d: π=%g u=%g: assignment %d→%d, want accept=%v", k, pi, u, s, data[0], want)
@@ -67,17 +81,120 @@ func TestChainAgreesWithEq7(t *testing.T) {
 			if next.c[data[0]] != 1 || next.c[s]+next.c[tt] != 1 || !reflect.DeepEqual(next.touched, []int32{data[0]}) {
 				t.Fatalf("K=%d: recount touched %v after assigning %d", k, next.touched, data[0])
 			}
-			fresh := rng.New(seed)
-			if pi < 1 {
-				fresh.Uint64()
+		}
+		if decided < 15000 || same < 2000 {
+			t.Fatalf("K=%d: only %d of 20000 trials were away from ties, %d proposed the state", k, decided, same)
+		}
+	}
+}
+
+// branchyChain is chain written the plain way, with a branch per
+// decision: one generator word per step, skip a proposal equal to the
+// state, accept iff u·den ≤ num. It also returns how many steps with a
+// proposal other than the state were ties, num = den or u·den = num.
+func branchyChain(data, idx []int32, stride int, cur []int32, next *countRow, prior, ckb []float64, r *rng.RNG) (proposed, accepted, ties int) {
+	for i, n := 0, entries(data, idx, stride); i < n; i++ {
+		e := data[entryAt(idx, i)*stride:][:stride]
+		s := e[0]
+		for _, t := range e[1:] {
+			u := rng.Unit(r.Uint64())
+			if t == s {
+				continue
 			}
-			if r.State() != fresh.State() {
-				t.Fatalf("K=%d: π=%g consumed the wrong number of generator words", k, pi)
+			proposed++
+			num := (float64(cur[t]) + prior[t]) * ckb[s]
+			den := (float64(cur[s]) + prior[s]) * ckb[t]
+			if num == den || u*den == num {
+				ties++
+			}
+			if u*den <= num {
+				s = t
+				accepted++
 			}
 		}
-		if decided < 15000 {
-			t.Fatalf("K=%d: only %d of 20000 trials were away from ties", k, decided)
+		e[0] = s
+		if next.c[s] == 0 {
+			next.touched = append(next.touched, s)
 		}
+		next.c[s]++
+	}
+	return proposed, accepted, ties
+}
+
+// Fed the same generator words, chain must leave exactly what
+// branchyChain leaves: assignments, recount, touched list, statistics
+// and generator state. Runs are random — with and without an entry
+// index, M from 1 to 4, rows that already hold counts — and draw their
+// topics, counts, priors and C_k + β̄ from small sets, so that proposals
+// equal to the state and rates of exactly 1 are common. A step whose
+// word lands exactly on u·den = num (a prior made from that word) must
+// accept.
+func TestChainMatchesBranchyReference(t *testing.T) {
+	src := rng.New(7)
+	ties := 0
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + src.Intn(12)
+		if trial%3 == 0 {
+			k = 300
+		}
+		cur := make([]int32, k)
+		prior, ckb := make([]float64, k), make([]float64, k)
+		for i := range cur {
+			cur[i] = int32(src.Intn(3))
+			prior[i] = []float64{0.5, 1, 1.5}[src.Intn(3)]
+			ckb[i] = []float64{2, 3, 4}[src.Intn(3)]
+		}
+		stride, n := 2+src.Intn(4), 1+src.Intn(20)
+		data := make([]int32, (n+3)*stride) // an index skips three entries
+		for i := range data {
+			data[i] = int32(src.Intn(min(k, 4)))
+		}
+		var idx []int32
+		if src.Intn(2) == 0 {
+			perm := make([]int32, n+3)
+			for i := range perm {
+				j := src.Intn(i + 1)
+				perm[i], perm[j] = perm[j], int32(i)
+			}
+			idx = perm[:n]
+		} else {
+			data = data[:n*stride]
+		}
+		held := make([]int32, src.Intn(4))
+		for i := range held {
+			held[i] = int32(src.Intn(k))
+		}
+		rows := [2]countRow{newCountRow(k), newCountRow(k)}
+		for i := range rows {
+			count(held, nil, 1, &rows[i])
+		}
+
+		seed := src.Uint64()
+		got, want := slices.Clone(data), slices.Clone(data)
+		rGot, rWant := rng.New(seed), rng.New(seed)
+		proposed, accepted := chain(got, idx, stride, countRow{c: cur}, &rows[0], prior, ckb, rGot)
+		wantProposed, wantAccepted, tied := branchyChain(want, idx, stride, cur, &rows[1], prior, ckb, rWant)
+		ties += tied
+		if !slices.Equal(got, want) || proposed != wantProposed || accepted != wantAccepted {
+			t.Fatalf("trial %d (K=%d, stride %d, index %v): chain left %v with %d/%d accepted, the reference %v with %d/%d",
+				trial, k, stride, idx != nil, got, accepted, proposed, want, wantAccepted, wantProposed)
+		}
+		if !slices.Equal(rows[0].c, rows[1].c) || !slices.Equal(rows[0].touched, rows[1].touched) || rGot.State() != rWant.State() {
+			t.Fatalf("trial %d: recount %v touched %v, reference %v touched %v; generators equal: %v",
+				trial, rows[0].c, rows[0].touched, rows[1].c, rows[1].touched, rGot.State() == rWant.State())
+		}
+	}
+	if ties < 1000 {
+		t.Fatalf("only %d tied steps in the random runs", ties)
+	}
+
+	const seed = 99
+	u := rng.Unit(rng.New(seed).Uint64())
+	data, next := []int32{0, 1}, newCountRow(2)
+	// num = (0 + u)·1 and den = (0 + 1)·1, so u·den = num exactly.
+	proposed, accepted := chain(data, nil, 2, countRow{c: []int32{0, 0}}, &next, []float64{1, u}, []float64{1, 1}, rng.New(seed))
+	if u == 0 || data[0] != 1 || proposed != 1 || accepted != 1 {
+		t.Fatalf("u·den = num (u = %g): assignment %d, %d of %d accepted; want the step taken", u, data[0], accepted, proposed)
 	}
 }
 

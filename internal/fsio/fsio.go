@@ -13,14 +13,17 @@ import (
 	"path/filepath"
 )
 
-// AtomicWriteFile writes a file via temp-file + fsync + rename: a
-// process hot-watching path can never observe a partial write — it sees
-// the old complete file or the new complete file — and a crash
-// mid-write leaves the previous file intact. pattern names the temp
-// file (os.CreateTemp semantics; use a dot-prefix so watchers skip it).
-// write's byte count is returned on success.
+// AtomicWriteFile writes a file via temp-file + fsync + rename + fsync
+// of the directory: a process hot-watching path can never observe a
+// partial write — it sees the old complete file or the new complete
+// file — a crash mid-write leaves the previous file intact, and once it
+// returns nil the new name survives a crash too (the rename is in the
+// directory, which the second fsync makes durable). pattern names the
+// temp file (os.CreateTemp semantics; use a dot-prefix so watchers skip
+// it). write's byte count is returned on success.
 func AtomicWriteFile(path, pattern string, write func(io.Writer) (int64, error)) (int64, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), pattern)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return 0, err
 	}
@@ -39,7 +42,24 @@ func AtomicWriteFile(path, pattern string, write func(io.Writer) (int64, error))
 		os.Remove(tmp)
 		return 0, err
 	}
+	if err := syncDir(dir); err != nil {
+		return 0, err
+	}
 	return n, nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // CRCReader hashes exactly the bytes its consumer reads, so a trailing

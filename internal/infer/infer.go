@@ -295,7 +295,12 @@ func (e *Engine) inferInto(doc []int32, sweeps int, seed uint64, sc *scratch, th
 // started from without the rate knowing; its stationary distribution is
 // off by O(1/L_d), which TestFoldInMatchesExactPosterior sees.) The
 // word proposal is ∝ Φ̂_wk exactly, so its rate is (c_dt+α)/(c_dcur+α).
-// Both are decided without dividing: accept iff num ≥ den or u·den < num.
+// Both are decided by rng.AcceptMask on one generator word per step,
+// whether or not the proposal equals cur: accept iff u·den ≤ num. The
+// mask selects the next state, and the doc proposal's mixture coin
+// selects between the positioned token's topic and the uniform topic,
+// so the only data-dependent branch left is the word proposal's rare
+// redirect to the smoothing table.
 func (e *Engine) runChain(doc []int32, sweeps int, seed uint64, sc *scratch) {
 	k := e.p.K
 	ld := len(doc)
@@ -327,31 +332,25 @@ func (e *Engine) runChain(doc []int32, sweeps int, seed uint64, sc *scratch) {
 			cd[cur]-- // counts exclude the token being resampled
 			for step := 0; step < mh; step++ {
 				// Doc proposal: coin in the high half of one word,
-				// position or uniform topic in the low half.
+				// position or uniform topic in the low half. The coin is
+				// a mask (all ones iff x>>32 < coin): gc would branch on
+				// it, as t goes on to address loads.
 				x := g.Uint64()
 				lo := x & (1<<32 - 1)
 				t := int32(lo * uk >> 32)
-				if x>>32 < coin {
-					t = z[lo*uld>>32]
-				}
-				if t != cur {
-					num := (float64(cw[t]) + beta) * ckb[cur]
-					den := (float64(cw[cur]) + beta) * ckb[t]
-					if num >= den || rng.Unit(g.Uint64())*den < num {
-						cur, z[n] = t, t
-					}
-				}
-				// Word proposal.
+				t ^= (t ^ z[lo*uld>>32]) & int32(int64(x>>32-coin)>>63)
+				num := (float64(cw[t]) + beta) * ckb[cur]
+				den := (float64(cw[cur]) + beta) * ckb[t]
+				cur ^= (cur ^ t) & int32(rng.AcceptMask(g.Uint64(), num, den))
+				// Word proposal. z[n] need not hold cur yet: only the
+				// next doc proposal reads it.
 				t = tab.Draw(g.Uint64())
 				if t == smoothTopic {
 					t = smooth.Draw(g.Uint64())
 				}
-				if t != cur {
-					num, den := float64(cd[t])+alpha, float64(cd[cur])+alpha
-					if num >= den || rng.Unit(g.Uint64())*den < num {
-						cur, z[n] = t, t
-					}
-				}
+				num, den = float64(cd[t])+alpha, float64(cd[cur])+alpha
+				cur ^= (cur ^ t) & int32(rng.AcceptMask(g.Uint64(), num, den))
+				z[n] = cur
 			}
 			cd[cur]++
 		}

@@ -107,6 +107,18 @@ func (r *RNG) uint64n(n uint64) uint64 {
 // call it on the words they draw themselves.
 func Unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
+// AcceptMask is the Metropolis–Hastings decision of a proposal whose
+// acceptance rate is π = num/den (den > 0), taken on the generator word
+// x without dividing and without a branch: all ones when u·den ≤ num for
+// u = Unit(x), else zero. Since u < 1 it accepts every π ≥ 1 step; for
+// π < 1 it accepts with probability π (the tie u·den = num has measure
+// 2⁻⁵³). The decision is the sign bit of num − u·den, and the explicit
+// conversion keeps the product rounded on its own, so no target fuses
+// it into the subtraction. Kernels select their next state with the mask.
+func AcceptMask(x uint64, num, den float64) uint64 {
+	return ^uint64(int64(math.Float64bits(num-float64(Unit(x)*den))) >> 63)
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 { return Unit(r.Uint64()) }
 

@@ -157,6 +157,51 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// AcceptMask takes a step iff u·den ≤ num: always at u = 0, always at
+// π ≥ 1 (u < 1, so also at the largest u), on the exact tie u·den = num,
+// and with probability π otherwise. The mask is all ones or zero.
+func TestAcceptMask(t *testing.T) {
+	const all = ^uint64(0)
+	top := Unit(all) // 1 − 2⁻⁵³
+	cases := []struct {
+		name     string
+		x        uint64
+		num, den float64
+		want     uint64
+	}{
+		{"u=0, num≪den", 0, 1e-300, 1, all},
+		{"u=0, num≫den", 0, 1e300, 1e-300, all},
+		{"largest u, num=den", all, 3.5, 3.5, all},
+		{"largest u, num≫den", all, 1e300, 1e-300, all},
+		{"largest u, u·den=num", all, top, 1, all},
+		{"largest u, u·den just above num", all, math.Nextafter(top, 0), 1, 0},
+		{"largest u, num≪den", all, 1e-300, 1, 0},
+		{"u=1/2, num=den/2", 1 << 63, 1, 2, all},
+		{"u=1/2, num just below den/2", 1 << 63, math.Nextafter(1, 0), 2, 0},
+	}
+	for _, tc := range cases {
+		if got := AcceptMask(tc.x, tc.num, tc.den); got != tc.want {
+			t.Errorf("%s: AcceptMask = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+
+	r := New(31)
+	const draws, pi = 200000, 0.3
+	taken := 0
+	for i := 0; i < draws; i++ {
+		switch AcceptMask(r.Uint64(), 3*pi, 3) {
+		case all:
+			taken++
+		case 0:
+		default:
+			t.Fatal("AcceptMask returned a mask that is neither all ones nor zero")
+		}
+	}
+	if sd := math.Sqrt(draws * pi * (1 - pi)); math.Abs(float64(taken)-draws*pi) > 5*sd {
+		t.Fatalf("accepted %d of %d steps at π = %g, want %.0f ± %.0f", taken, draws, pi, draws*pi, sd)
+	}
+}
+
 func TestBernoulliEdges(t *testing.T) {
 	r := New(9)
 	for i := 0; i < 100; i++ {
