@@ -1,6 +1,6 @@
 // Command warplda-ckpt inspects the checkpoints a training run leaves
-// behind (see docs/FORMATS.md for the WARPCKPT, WARPSHRD, and WARPMANI
-// layouts):
+// behind (see docs/FORMATS.md for the WARPMANI, WARPSHRD, and legacy
+// WARPCKPT layouts):
 //
 //	warplda-ckpt list   -dir ckpts           # retained checkpoints: iter, kind, shards, bytes
 //	warplda-ckpt verify -dir ckpts           # deep-verify the newest checkpoint
@@ -8,12 +8,16 @@
 //	warplda-ckpt diff   -dir ckpts -a 20 -b 40
 //	warplda-ckpt deltas -publish models/news    # inspect the WARPDLT chain
 //
-// list shows what ListCheckpoints would offer a resuming run. verify
-// goes further than resume-time validation does by default: beyond the
-// manifest's own CRC and shard presence/size checks, it streams every
-// shard file end to end — magic, CRC32 trailer, the manifest's
-// recorded CRC (catching a self-consistent shard swapped in from a
-// different checkpoint), and the header's iteration / corpus
+// list shows what ListCheckpoints would offer a resuming run: every
+// checkpoint a current trainer writes is a manifest directory (kind
+// "sharded" — one shard for a sampler without sharded state, so
+// -threads may change on its resume), and kind "file" is a legacy
+// single-file WARPCKPT checkpoint, still resumable at its own -threads.
+// verify goes further than resume-time validation does by default:
+// beyond the manifest's own CRC and shard presence/size checks, it
+// streams every shard file end to end — magic, CRC32 trailer, the
+// manifest's recorded CRC (catching a self-consistent shard swapped in
+// from a different checkpoint), and the header's iteration / corpus
 // fingerprint / position — without restoring any state, so a multi-GB
 // checkpoint verifies in O(shard buffer) memory. diff compares two
 // checkpoints' envelopes: sampler, config, progress, corpus identity,
@@ -169,7 +173,9 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	ck, err := loadEnvelope(e)
+	// Load restores no state: it CRC-checks a manifest and confirms its
+	// shards' presence and sizes, or CRC-checks a legacy file whole.
+	ck, err := train.Load(e.Path)
 	if err != nil {
 		return err
 	}
@@ -185,16 +191,6 @@ func cmdVerify(args []string) error {
 	}
 	fmt.Printf("%s: OK\n", e.Path)
 	return nil
-}
-
-// loadEnvelope reads a checkpoint's envelope without restoring state:
-// train.Load CRC-checks the whole single-file shape; ReadManifest
-// CRC-checks the manifest and confirms shard presence/size.
-func loadEnvelope(e train.CheckpointEntry) (*train.Checkpoint, error) {
-	if e.Sharded {
-		return train.ReadManifest(e.Path)
-	}
-	return train.Load(e.Path)
 }
 
 func printEnvelope(ck *train.Checkpoint) {
@@ -329,11 +325,11 @@ func cmdDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	cka, err := loadEnvelope(ea)
+	cka, err := train.Load(ea.Path)
 	if err != nil {
 		return err
 	}
-	ckb, err := loadEnvelope(eb)
+	ckb, err := train.Load(eb.Path)
 	if err != nil {
 		return err
 	}

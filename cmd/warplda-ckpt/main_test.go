@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"warplda"
+	"warplda/internal/baselines"
 	"warplda/internal/cluster"
-	"warplda/internal/core"
 	"warplda/internal/corpus"
 	"warplda/internal/sampler"
 	"warplda/internal/train"
@@ -18,9 +18,10 @@ import (
 
 // buildCheckpoints produces a realistic retention directory: two
 // sharded checkpoints (iterations 2 and 4, written by a 2-worker
-// distributed run) plus a hand-assembled single-file checkpoint at
-// iteration 6 — the shape a dir reaches when a run is migrated between
-// sampler kinds.
+// distributed run) plus the legacy single-file WARPCKPT fixture at
+// iteration 6 (testdata/golden/legacy.ckpt, written by the last release
+// with that writer) — the shape a dir reaches when a run from before
+// the manifest-only container continues under a current trainer.
 func buildCheckpoints(t *testing.T) (string, sampler.Config) {
 	t.Helper()
 	c, err := corpus.GenerateLDA(corpus.SyntheticConfig{
@@ -44,27 +45,11 @@ func buildCheckpoints(t *testing.T) (string, sampler.Config) {
 		t.Fatal(err)
 	}
 
-	w, err := core.New(c, cfg)
+	legacy, err := os.ReadFile("../../testdata/golden/legacy.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := train.Run(w, c, cfg, train.Options{Iters: 6, EvalEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var state bytes.Buffer
-	if err := w.StateTo(&state); err != nil {
-		t.Fatal(err)
-	}
-	ck := &train.Checkpoint{
-		Sampler:     w.Name(),
-		Cfg:         cfg,
-		Iter:        res.Iter,
-		Trace:       res.Run,
-		Fingerprint: train.CorpusFingerprint(c),
-		State:       state.Bytes(),
-	}
-	if _, err := ck.WriteFile(filepath.Join(dir, "checkpoint-00000006.ckpt")); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint-00000006.ckpt"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir, cfg
@@ -328,5 +313,65 @@ func TestCkptDeltas(t *testing.T) {
 	}
 	if !strings.Contains(out, "no delta files") {
 		t.Fatalf("empty chain: %q", out)
+	}
+}
+
+// TestCkptCLIOneShard: a baseline sampler's checkpoint is a one-shard
+// manifest — list and verify show it as such, and a flipped byte in the
+// shard fails verify naming shard 0.
+func TestCkptCLIOneShard(t *testing.T) {
+	c, err := corpus.GenerateLDA(corpus.SyntheticConfig{
+		D: 40, V: 50, K: 4, MeanLen: 15, Alpha: 0.1, Beta: 0.05, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sampler.PaperDefaults(4)
+	g, err := baselines.NewCGS(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := train.Run(g, c, cfg, train.Options{Iters: 2, CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := captureStdout(t, func() error { return cmdList([]string{"-dir", dir}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("list printed %d lines, want header + 1:\n%s", len(lines), out)
+	}
+	if f := strings.Fields(lines[1]); len(f) < 3 || f[1] != "sharded" || f[2] != "1" {
+		t.Fatalf("cgs checkpoint listed as %q, want kind sharded with 1 shard", lines[1])
+	}
+
+	out, err = captureStdout(t, func() error { return cmdVerify([]string{"-dir", dir}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sampler      CGS", "shards       1", "shard 0 (shard-000.ckpt)", ": OK"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("verify output missing %q:\n%s", want, out)
+		}
+	}
+
+	shard := filepath.Join(dir, "checkpoint-00000002", "shard-000.ckpt")
+	raw, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(shard, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = captureStdout(t, func() error { return cmdVerify([]string{"-dir", dir}) })
+	if err == nil {
+		t.Fatal("verify accepted a corrupt shard")
+	}
+	if !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("corruption error does not name shard 0 and the checksum: %v", err)
 	}
 }

@@ -22,13 +22,14 @@
 //	^C (or kubectl delete pod, spot preemption, ...)
 //	warplda-train -corpus c.uci -iters 500 -checkpoint-dir ckpt/ -resume ckpt/
 //
-// The warplda and distributed samplers checkpoint *sharded*: each
-// worker writes its own shard file, bound by a CRC-trailed manifest
-// (docs/FORMATS.md), and resume is elastic — a checkpoint written at
-// one -threads count resumes at another, repartitioning the state and
-// deterministically reseeding the worker RNG streams (bit-identical
-// when the count matches, statistically equivalent and explicitly
-// logged when not):
+// Every checkpoint is a directory of shard files bound by a CRC-trailed
+// manifest (docs/FORMATS.md): each worker of the warplda and
+// distributed samplers writes its own shard, any other sampler writes
+// one. Resume is elastic — a checkpoint written at one -threads count
+// resumes at another; the warplda and distributed samplers repartition
+// the state and deterministically reseed the worker RNG streams
+// (bit-identical when the count matches, statistically equivalent and
+// explicitly logged when not), the others ignore -threads:
 //
 //	warplda-train -corpus c.uci -threads 2 -checkpoint-dir ckpt/
 //	warplda-train -corpus c.uci -threads 8 -checkpoint-dir ckpt/ -resume ckpt/
@@ -247,8 +248,9 @@ func run() int {
 		// explicitly set AND disagrees with the checkpoint is rejected —
 		// silently training with different values than the user asked for
 		// would be worse than an error. The one sanctioned exception is
-		// -threads against a *sharded* checkpoint: worker topology is
-		// exactly what elastic resume may change.
+		// -threads against a manifest checkpoint (anything but a legacy
+		// single-file one): worker topology is exactly what elastic
+		// resume may change.
 		set := map[string]bool{}
 		flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
 		elasticThreads := set["threads"] && *threads != ck.Cfg.Threads && ck.IsSharded()
@@ -264,7 +266,7 @@ func run() int {
 			{"threads", *threads != ck.Cfg.Threads && !elasticThreads, *threads, ck.Cfg.Threads},
 		} {
 			if set[conflict.flag] && conflict.bad {
-				return fatal(fmt.Errorf("-%s %v conflicts with the checkpoint's %v; drop the flag to resume (checkpoints carry their hyper-parameters; -threads may change only against sharded checkpoints)",
+				return fatal(fmt.Errorf("-%s %v conflicts with the checkpoint's %v; drop the flag to resume (checkpoints carry their hyper-parameters; -threads may change except against a legacy single-file checkpoint)",
 					conflict.flag, conflict.got, conflict.want))
 			}
 		}
@@ -277,7 +279,7 @@ func run() int {
 			ck.Sampler, ck.Iter, ck.Elapsed.Round(time.Millisecond),
 			cfg.K, cfg.M, cfg.Seed, cfg.Threads)
 		if elasticThreads {
-			fmt.Fprintf(os.Stderr, "warplda-train: elastic resume: checkpoint has %d workers, run uses %d; state will be rebalanced\n",
+			fmt.Fprintf(os.Stderr, "warplda-train: elastic resume: checkpoint was written with -threads %d, run uses %d\n",
 				ck.Cfg.Threads, cfg.Threads)
 		}
 	}

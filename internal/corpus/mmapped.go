@@ -3,10 +3,11 @@ package corpus
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"unsafe"
+
+	"warplda/internal/fsio"
 )
 
 // MappedCorpus is a read-only corpus view over a memory-mapped
@@ -82,13 +83,14 @@ func newMapped(data []byte, path string) (*MappedCorpus, error) {
 	if len(data) < cacheHeaderSize+8+4 {
 		return fail("truncated cache (%d bytes)", len(data))
 	}
-	if string(data[:8]) != cacheMagic {
-		return fail("not a .warpcorpus cache (bad magic)")
+	body, err := fsio.ImageBody(data, cacheMagic)
+	if err != nil {
+		return fail("not a .warpcorpus cache: %v", err)
 	}
-	d64 := binary.LittleEndian.Uint64(data[8:])
-	v64 := binary.LittleEndian.Uint64(data[16:])
-	t64 := binary.LittleEndian.Uint64(data[24:])
-	fp64 := binary.LittleEndian.Uint64(data[32:])
+	d64 := binary.LittleEndian.Uint64(body[0:])
+	v64 := binary.LittleEndian.Uint64(body[8:])
+	t64 := binary.LittleEndian.Uint64(body[16:])
+	fp64 := binary.LittleEndian.Uint64(body[24:])
 	const maxDim = math.MaxInt64 / 8
 	if d64 > maxDim || t64 > maxDim || v64 == 0 || v64 > math.MaxInt32 || fp64 > math.MaxUint32 {
 		return fail("implausible header D=%d V=%d T=%d fp=%#x", d64, v64, t64, fp64)
@@ -98,12 +100,10 @@ func newMapped(data []byte, path string) (*MappedCorpus, error) {
 	if int64(len(data)) != want {
 		return fail("cache is %d bytes, header geometry wants %d (D=%d T=%d)", len(data), want, d, t)
 	}
-
-	// CRC trailer over everything after the magic.
-	body := data[8 : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != wantCRC {
-		return fail("checksum mismatch (file %08x, computed %08x): torn or corrupt cache", wantCRC, got)
+	// The geometry holds, so the checksum pass over the mapping (which
+	// also warms the page cache) covers exactly the sections below.
+	if _, err := fsio.CheckImage(data, cacheMagic); err != nil {
+		return fail("%v", err)
 	}
 
 	offBytes := data[cacheHeaderSize : cacheHeaderSize+(d+1)*8]

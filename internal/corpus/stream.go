@@ -11,6 +11,9 @@
 //	...        tokens  T × i32       flattened word ids, doc-major
 //	trailer    u32 CRC32 (IEEE) over every byte after the magic
 //
+// (the fsio envelope: fsio.WriteEnvelope writes it, fsio.CheckImage
+// checks the mapped image in place).
+//
 // The sections are 8-byte aligned so the mapped file can be viewed
 // directly as []int64 / []int32. The fingerprint field is the exact
 // corpus-identity hash checkpoints bind to (fingerprint.go), computed
@@ -185,32 +188,23 @@ func BuildCache(docword io.Reader, cachePath string, opts StreamOptions) (*Cache
 // after the magic).
 func writeCacheFile(w io.Writer, info *CacheInfo, offPath, tokPath string, bufSize int) (int64, error) {
 	bw := bufio.NewWriterSize(w, bufSize)
-	cw := fsio.NewCRCWriter(bw)
-	if _, err := bw.WriteString(cacheMagic); err != nil {
-		return 0, err
+	n, _, err := fsio.WriteEnvelope(bw, cacheMagic, func(w io.Writer) error {
+		var hdr [32]byte
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(info.D))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(info.V))
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(info.T))
+		binary.LittleEndian.PutUint64(hdr[24:], uint64(info.Fingerprint))
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		if err := copySpill(w, offPath, int64(info.D+1)*8); err != nil {
+			return err
+		}
+		return copySpill(w, tokPath, int64(info.T)*4)
+	})
+	if err != nil {
+		return n, err
 	}
-	var hdr [32]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(info.D))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(info.V))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(info.T))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(info.Fingerprint))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	wantOff := int64(info.D+1) * 8
-	if err := copySpill(cw, offPath, wantOff); err != nil {
-		return 0, err
-	}
-	wantTok := int64(info.T) * 4
-	if err := copySpill(cw, tokPath, wantTok); err != nil {
-		return 0, err
-	}
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], cw.Sum32())
-	if _, err := bw.Write(tr[:]); err != nil {
-		return 0, err
-	}
-	n := int64(cacheHeaderSize) + wantOff + wantTok + 4
 	return n, bw.Flush()
 }
 

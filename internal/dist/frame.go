@@ -20,7 +20,8 @@
 //
 //	"WRPF" | type (1 byte) | payload length (uint32 LE) | payload | CRC32
 //
-// with the IEEE CRC32 trailer covering type, length, and payload. The
+// with the IEEE CRC32 trailer covering type, length, and payload — the
+// fsio envelope, whose body is everything after the magic. The
 // byte-level specification lives in docs/FORMATS.md next to the
 // WARPSHRD shard format, which travels verbatim inside Assign and
 // ShardState payloads.
@@ -29,8 +30,9 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"warplda/internal/fsio"
 )
 
 // frameMagic starts every frame; a connection that yields anything else
@@ -41,17 +43,6 @@ const frameMagic = "WRPF"
 // allocation happens: a corrupt or hostile length prefix must not
 // trigger a multi-gigabyte allocation ahead of the CRC check.
 const MaxFramePayload = 1 << 30
-
-// frameAllocChunk bounds how far ReadFrame's payload buffer grows ahead
-// of the bytes actually read.
-const frameAllocChunk = 64 << 10
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // MsgType identifies a frame's payload schema (see proto.go).
 type MsgType uint8
@@ -119,62 +110,44 @@ func WriteFrame(w io.Writer, typ MsgType, payload []byte) error {
 	if len(payload) > MaxFramePayload {
 		return fmt.Errorf("dist: %s frame payload %d bytes exceeds limit %d", typ, len(payload), MaxFramePayload)
 	}
-	var hdr [9]byte
-	copy(hdr[:4], frameMagic)
-	hdr[4] = byte(typ)
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:9])
-	crc.Write(payload)
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr [5]byte
+	hdr[0] = byte(typ)
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	_, _, err := fsio.WriteEnvelope(w, frameMagic, func(w io.Writer) error {
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		_, err := w.Write(payload)
 		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	_, err := w.Write(trailer[:])
+	})
 	return err
 }
 
 // ReadFrame reads one frame from r, verifying magic and CRC before the
 // payload is returned. A frame failing either check poisons the stream
-// (framing is lost), so callers must drop the connection on error.
+// (framing is lost), so callers must drop the connection on error. The
+// payload grows as bytes arrive (fsio.ReadSlice): a header claiming a
+// gigabyte then hanging up costs one chunk, not the claim.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	er, err := fsio.NewReader(r, frameMagic)
+	if err != nil {
 		return 0, nil, err
 	}
-	if string(hdr[:4]) != frameMagic {
-		return 0, nil, fmt.Errorf("dist: bad frame magic %q", hdr[:4])
+	var hdr [5]byte
+	if _, err := io.ReadFull(er, hdr[:]); err != nil {
+		return 0, nil, err
 	}
-	typ := MsgType(hdr[4])
-	n := binary.LittleEndian.Uint32(hdr[5:9])
+	typ := MsgType(hdr[0])
+	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > MaxFramePayload {
 		return 0, nil, fmt.Errorf("dist: %s frame declares %d-byte payload, limit %d", typ, n, MaxFramePayload)
 	}
-	// Grow the payload buffer as bytes actually arrive instead of
-	// trusting the length prefix: a hostile or corrupt header claiming
-	// a gigabyte then hanging up costs one chunk, not the claim.
-	payload := make([]byte, 0, minInt(int(n), frameAllocChunk))
-	for len(payload) < int(n) {
-		g := minInt(int(n)-len(payload), frameAllocChunk)
-		off := len(payload)
-		payload = append(payload, make([]byte, g)...)
-		if _, err := io.ReadFull(r, payload[off:]); err != nil {
-			return 0, nil, fmt.Errorf("dist: reading %s payload: %w", typ, err)
-		}
+	payload, err := fsio.ReadSlice[byte](er, int(n))
+	if err != nil {
+		return 0, nil, fmt.Errorf("dist: reading %s payload: %w", typ, err)
 	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return 0, nil, fmt.Errorf("dist: reading %s trailer: %w", typ, err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:9])
-	crc.Write(payload)
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-		return 0, nil, fmt.Errorf("dist: %s frame checksum mismatch (wire %08x, computed %08x)", typ, want, got)
+	if err := er.Close(); err != nil {
+		return 0, nil, fmt.Errorf("dist: %s frame %w", typ, err)
 	}
 	return typ, payload, nil
 }

@@ -191,66 +191,37 @@ func (d *ModelDelta) WriteDelta(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(DeltaMagic); err != nil {
-		return 0, err
-	}
-	n := int64(len(DeltaMagic))
-	cw := NewCRCWriter(bw)
-	write := func(v any) error {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
+	n, _, err := WriteEnvelope(bw, DeltaMagic, func(w io.Writer) error {
+		for _, v := range []any{
+			int64(d.V), int64(d.K), d.Gen, d.BaseFP, d.NewFP, d.Iter, d.LogLik,
+			int64(len(d.Cells)), d.Cells, d.Ck,
+		} {
+			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+				return err
+			}
 		}
-		n += int64(binary.Size(v))
 		return nil
-	}
-	for _, v := range []any{
-		int64(d.V), int64(d.K), d.Gen, d.BaseFP, d.NewFP, d.Iter, d.LogLik,
-		int64(len(d.Cells)),
-	} {
-		if err := write(v); err != nil {
-			return n, err
-		}
-	}
-	for _, c := range d.Cells {
-		if err := write([3]int32{c.W, c.T, c.Add}); err != nil {
-			return n, err
-		}
-	}
-	if err := write(d.Ck); err != nil {
+	})
+	if err != nil {
 		return n, err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.Sum32()); err != nil {
-		return n, err
-	}
-	n += 4
 	return n, bw.Flush()
 }
 
-// deltaAllocChunk bounds how many entries a reader allocates ahead of
-// the bytes actually arriving, so a truncated or hostile file fails
-// with a small footprint instead of committing the full declared size.
-const deltaAllocChunk = 64 << 10
-
 // ReadDelta deserializes one WARPDLT file: magic, body, CRC trailer,
 // then Validate. Allocation is bounded by the bytes actually read, not
-// by the header's declared counts, so a hostile input can neither
-// panic the decoder nor over-allocate.
+// by the header's declared counts (ReadSlice), so a hostile input can
+// neither panic the decoder nor over-allocate.
 func ReadDelta(r io.Reader) (*ModelDelta, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(DeltaMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	er, err := NewReader(bufio.NewReader(r), DeltaMagic)
+	if err != nil {
 		return nil, fmt.Errorf("fsio: reading delta header: %w", err)
 	}
-	if string(magic) != DeltaMagic {
-		return nil, fmt.Errorf("fsio: not a model delta (bad magic)")
-	}
-	cr := NewCRCReader(br)
-	read := func(v any) error { return binary.Read(cr, binary.LittleEndian, v) }
 	var v64, k64, gen, iter, nCells int64
 	var baseFP, newFP uint64
 	var logLik float64
 	for _, p := range []any{&v64, &k64, &gen, &baseFP, &newFP, &iter, &logLik, &nCells} {
-		if err := read(p); err != nil {
+		if err := binary.Read(er, binary.LittleEndian, p); err != nil {
 			return nil, fmt.Errorf("fsio: reading delta header: %w", err)
 		}
 	}
@@ -265,43 +236,19 @@ func ReadDelta(r io.Reader) (*ModelDelta, error) {
 		V: int(v64), K: int(k64), Gen: gen,
 		BaseFP: baseFP, NewFP: newFP, Iter: iter, LogLik: logLik,
 	}
-	// Chunked growth: pre-size to at most one chunk and extend as bytes
-	// arrive, so the allocation high-water mark tracks the file's real
-	// size, not the header's claim.
-	d.Cells = make([]DeltaCell, 0, min64(nCells, deltaAllocChunk))
-	var raw [3]int32
-	for i := int64(0); i < nCells; i++ {
-		if err := read(&raw); err != nil {
-			return nil, fmt.Errorf("fsio: reading delta cell %d/%d: %w", i, nCells, err)
-		}
-		d.Cells = append(d.Cells, DeltaCell{W: raw[0], T: raw[1], Add: raw[2]})
+	if d.Cells, err = ReadSlice[DeltaCell](er, int(nCells)); err != nil {
+		return nil, fmt.Errorf("fsio: reading delta cells: %w", err)
 	}
-	d.Ck = make([]int64, 0, min64(k64, deltaAllocChunk))
-	for t := int64(0); t < k64; t++ {
-		var c int64
-		if err := read(&c); err != nil {
-			return nil, fmt.Errorf("fsio: reading delta topic counts: %w", err)
-		}
-		d.Ck = append(d.Ck, c)
+	if d.Ck, err = ReadSlice[int64](er, int(k64)); err != nil {
+		return nil, fmt.Errorf("fsio: reading delta topic counts: %w", err)
 	}
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("fsio: reading delta checksum: %w", err)
-	}
-	if got := cr.Sum32(); got != want {
-		return nil, fmt.Errorf("fsio: delta checksum mismatch (file %08x, computed %08x): torn or corrupt file", want, got)
+	if err := er.Close(); err != nil {
+		return nil, fmt.Errorf("fsio: delta %w", err)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // DiffCounts computes the delta cells between two count matrices of the

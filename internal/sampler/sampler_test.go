@@ -3,6 +3,7 @@ package sampler
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -338,5 +339,43 @@ func TestTrainImprovesOnFake(t *testing.T) {
 	first, last := run.Points[0].LogLik, run.Final().LogLik
 	if last <= first {
 		t.Fatalf("concentrating assignments did not raise LL: %g -> %g", first, last)
+	}
+}
+
+// Every length-prefixed slice read grows with the bytes actually
+// present: a 2³¹−1 prefix over 16 bytes of data — a corrupt checkpoint
+// before its checksum is checked, or a wire payload no checksum
+// authenticates — fails at the end of the input having allocated one
+// chunk of the widest element type and its decode buffer (1 MiB), not
+// 8–16 GiB at make().
+func TestDecHostileLengthAllocatesLittle(t *testing.T) {
+	const claim = 1<<31 - 1
+	for name, read := range map[string]func(d *Dec){
+		"I32s":    func(d *Dec) { d.I32s("x") },
+		"I32sLen": func(d *Dec) { d.I32sLen("x", claim) },
+		"F64s":    func(d *Dec) { d.F64s("x") },
+		"F64sLen": func(d *Dec) { d.F64sLen("x", claim) },
+		"F32sLen": func(d *Dec) { d.F32sLen("x", claim) },
+		"I32Mat":  func(d *Dec) { d.I32Mat("x") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var in bytes.Buffer
+			e := NewEnc(&in)
+			e.Int(claim)
+			e.Int(1)
+			e.Int(2)
+			d := NewDec(bytes.NewReader(in.Bytes()))
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			read(d)
+			runtime.ReadMemStats(&after)
+			if d.Err() == nil {
+				t.Fatal("24-byte input with a 2³¹−1 length prefix accepted")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+				t.Fatalf("allocated %d bytes, want < 2 MiB", got)
+			}
+		})
 	}
 }

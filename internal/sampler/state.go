@@ -19,13 +19,16 @@ import (
 	"fmt"
 	"io"
 
+	"warplda/internal/fsio"
 	"warplda/internal/rng"
 )
 
-// maxStateElems caps any single length prefix read by Dec. It exists so
-// a corrupted prefix cannot trigger a multi-terabyte allocation before
-// the checksum mismatch is noticed; 1<<31 entries is far above any
-// corpus this in-memory implementation can hold anyway.
+// maxStateElems caps any single length prefix read by Dec; 1<<31
+// entries is far above any corpus this in-memory implementation can
+// hold. Below the cap, slices are read through fsio.ReadSlice, so a
+// corrupt or hostile prefix — in a checkpoint before its checksum is
+// checked, or in a wire payload, which no checksum authenticates —
+// allocates in proportion to the bytes actually present.
 const maxStateElems = 1 << 31
 
 // Enc writes binary sampler state. The first error sticks; check Err
@@ -214,25 +217,14 @@ func (d *Dec) I32s(what string) []int32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	s := make([]int32, n)
-	d.read(s)
-	return s
+	return readSlice[int32](d, what, n)
 }
 
 // I32sLen reads a length-prefixed []int32 and fails unless its length
 // is exactly want — the dimension check that catches a state blob saved
 // under a different K, V, or corpus.
 func (d *Dec) I32sLen(what string, want int) []int32 {
-	n := d.length(what)
-	if d.err == nil && n != want {
-		d.fail("sampler state: %s has %d entries, want %d", what, n, want)
-	}
-	if d.err != nil {
-		return nil
-	}
-	s := make([]int32, n)
-	d.read(s)
-	return s
+	return readSliceLen[int32](d, what, want)
 }
 
 // F64s reads a length-prefixed []float64.
@@ -241,28 +233,23 @@ func (d *Dec) F64s(what string) []float64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	s := make([]float64, n)
-	d.read(s)
-	return s
+	return readSlice[float64](d, what, n)
 }
 
 // F64sLen reads a length-prefixed []float64 of exactly want entries —
 // like I32sLen, the dimension check runs before the allocation.
 func (d *Dec) F64sLen(what string, want int) []float64 {
-	n := d.length(what)
-	if d.err == nil && n != want {
-		d.fail("sampler state: %s has %d entries, want %d", what, n, want)
-	}
-	if d.err != nil {
-		return nil
-	}
-	s := make([]float64, n)
-	d.read(s)
-	return s
+	return readSliceLen[float64](d, what, want)
 }
 
 // F32sLen reads a length-prefixed []float32 of exactly want entries.
 func (d *Dec) F32sLen(what string, want int) []float32 {
+	return readSliceLen[float32](d, what, want)
+}
+
+// readSliceLen reads a length prefix, fails unless it equals want, then
+// reads the values.
+func readSliceLen[T any](d *Dec, what string, want int) []T {
 	n := d.length(what)
 	if d.err == nil && n != want {
 		d.fail("sampler state: %s has %d entries, want %d", what, n, want)
@@ -270,23 +257,33 @@ func (d *Dec) F32sLen(what string, want int) []float32 {
 	if d.err != nil {
 		return nil
 	}
-	s := make([]float32, n)
-	d.read(s)
+	return readSlice[T](d, what, n)
+}
+
+// readSlice reads n values through fsio.ReadSlice.
+func readSlice[T any](d *Dec, what string, n int) []T {
+	s, err := fsio.ReadSlice[T](d.r, n)
+	if err != nil {
+		d.fail("sampler state: reading %s: %w", what, err)
+	}
 	return s
 }
 
-// I32Mat reads a length-prefixed matrix written by Enc.I32Mat.
+// I32Mat reads a length-prefixed matrix written by Enc.I32Mat. Rows are
+// appended as they decode, so a hostile row count costs what the input
+// holds.
 func (d *Dec) I32Mat(what string) [][]int32 {
 	n := d.length(what)
 	if d.err != nil {
 		return nil
 	}
-	m := make([][]int32, n)
-	for i := range m {
-		m[i] = d.I32s(what)
+	m := [][]int32{}
+	for i := 0; i < n; i++ {
+		row := d.I32s(what)
 		if d.err != nil {
 			return nil
 		}
+		m = append(m, row)
 	}
 	return m
 }

@@ -1,23 +1,20 @@
-// Checkpoint file format. A checkpoint is everything a crashed or
-// killed training run needs to continue as if nothing happened: the
-// sampler's identity and configuration, the loop progress (iteration
-// counter, elapsed sampling time, convergence trace), a fingerprint of
-// the corpus it was training on, and the sampler's complete serialized
-// state (assignments, pending proposals, caches, RNG streams).
+// Checkpoint envelope and the legacy single-file format. A checkpoint
+// is everything a crashed or killed training run needs to continue as
+// if nothing happened: the sampler's identity and configuration, the
+// loop progress (iteration counter, elapsed sampling time, convergence
+// trace), a fingerprint of the corpus it was training on, and the
+// sampler's complete serialized state (assignments, pending proposals,
+// caches, RNG streams).
 //
-// The on-disk layout mirrors the model snapshot format (model_io.go):
-// a versioned magic, a little-endian body, and a CRC32 (IEEE) trailer
-// over every body byte after the magic. Files land via temp file +
-// fsync + atomic rename, so a run killed mid-checkpoint leaves the
-// previous checkpoint intact and a torn write can never be resumed
-// from — it fails the checksum instead.
+// Every checkpoint is written as a WARPMANI manifest plus WARPSHRD
+// shards (manifest.go). The single-file WARPCKPT format that earlier
+// releases wrote is read-only: Read and Load still accept it, and
+// train.Run restores it through the sampler's RestoreFrom.
 package train
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -31,31 +28,30 @@ import (
 )
 
 const (
-	// ckptMagic versions the checkpoint layout; bumped on incompatible
-	// changes.
+	// ckptMagic opens a legacy single-file checkpoint.
 	ckptMagic = "WARPCKPT\x01"
-	// DefaultFileName is the checkpoint file written inside a checkpoint
-	// directory. A single name (plus the atomic rename) means a run
-	// always resumes from the newest complete checkpoint and disk usage
-	// stays bounded at one snapshot.
+	// DefaultFileName is the unstamped single-file checkpoint releases
+	// before checkpoint retention wrote inside a checkpoint directory;
+	// Load falls back to it when nothing stamped exists.
 	DefaultFileName = "checkpoint.ckpt"
 
 	// maxTracePoints and maxTopics bound allocations driven by decoded
-	// length fields that the CRC trailer has not yet vouched for (the
-	// trailer is only checked after the body is read). Both are far
-	// beyond any real run — the paper's largest K is 10^6 — while
-	// keeping the worst-case corrupt-file allocation small.
+	// length fields. Both envelope readers check the trailer before
+	// decoding, so these only stop a well-checksummed hostile file. Both
+	// are far beyond any real run — the paper's largest K is 10^6 —
+	// while keeping the worst-case allocation small.
 	maxTracePoints = 1 << 20
 	maxTopics      = 1 << 22
 )
 
-// Checkpoint is a resumable training snapshot. It comes in two on-disk
-// shapes sharing one envelope (sampler identity, config, loop progress,
-// corpus fingerprint): a single WARPCKPT file whose body ends with the
-// sampler's full serialized state, or — for samplers implementing
-// sampler.Sharded — a directory of per-worker WARPSHRD shard files
-// bound together by a CRC-trailed WARPMANI manifest (see manifest.go
-// and docs/FORMATS.md).
+// Checkpoint is a resumable training snapshot: an envelope (sampler
+// identity, config, loop progress, corpus fingerprint) and the
+// sampler's state. Written checkpoints are directories of WARPSHRD
+// shard files bound together by a CRC-trailed WARPMANI manifest — one
+// shard per worker of a sampler.Sharded, one shard holding StateTo's
+// stream for any other sampler (see manifest.go and docs/FORMATS.md).
+// A legacy single-file WARPCKPT checkpoint, read by Read, carries the
+// state in State instead.
 type Checkpoint struct {
 	// Sampler is the algorithm name (sampler.Sampler.Name) the state
 	// belongs to; resuming into a different algorithm is refused.
@@ -70,12 +66,13 @@ type Checkpoint struct {
 	// Fingerprint identifies the corpus (see CorpusFingerprint); a
 	// checkpoint resumed against a different corpus is refused.
 	Fingerprint uint32
-	// State is the sampler's opaque serialized state (StateTo output).
-	// Nil for sharded checkpoints, whose state lives in the shard files.
+	// State is a legacy WARPCKPT checkpoint's serialized sampler state
+	// (StateTo output). Nil for manifest checkpoints, whose state lives
+	// in the shard files.
 	State []byte
 
-	// Dir is the sharded checkpoint's directory; empty for single-file
-	// checkpoints.
+	// Dir is the manifest checkpoint's directory; empty for a legacy
+	// single-file checkpoint.
 	Dir string
 	// ShardFiles, ShardSizes and ShardCRCs are the manifest's shard
 	// table: file name (relative to Dir), total byte size, and CRC32
@@ -88,8 +85,9 @@ type Checkpoint struct {
 	ShardCRCs  []uint32
 }
 
-// IsSharded reports whether the checkpoint's state is split into
-// per-worker shard files bound by a manifest.
+// IsSharded reports whether the checkpoint is a manifest with shard
+// files, the shape every checkpoint is written in, rather than a
+// legacy WARPCKPT file.
 func (ck *Checkpoint) IsSharded() bool { return len(ck.ShardFiles) > 0 }
 
 // CorpusFingerprint hashes the corpus identity a checkpoint is bound
@@ -106,93 +104,27 @@ func CorpusFingerprint(c corpus.Provider) uint32 {
 	return corpus.FingerprintOf(c)
 }
 
-// writeTo serializes the checkpoint envelope — magic, header, then the
-// sampler state emitted by state directly into the checksummed stream,
-// then the CRC32 trailer. The state is the last body section and
-// carries no length prefix (it runs to the trailer), precisely so it
-// can be *streamed*: a periodic checkpoint of a billion-token sampler
-// must not buffer a second copy of its state in memory.
-func (ck *Checkpoint) writeTo(w io.Writer, state func(io.Writer) error) (int64, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(ckptMagic); err != nil {
-		return 0, err
-	}
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(bw, crc)}
-	e := sampler.NewEnc(cw)
-	encodeEnvelope(e, ck)
-	if err := e.Err(); err != nil {
-		return int64(len(ckptMagic)) + cw.n, err
-	}
-	if err := state(cw); err != nil {
-		return int64(len(ckptMagic)) + cw.n, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return int64(len(ckptMagic)) + cw.n, err
-	}
-	return int64(len(ckptMagic)) + cw.n + 4, bw.Flush()
-}
-
-// WriteTo serializes the checkpoint with its in-memory State blob.
-func (ck *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	return ck.writeTo(w, func(sw io.Writer) error {
-		_, err := sw.Write(ck.State)
-		return err
-	})
-}
-
-// WriteFile writes the checkpoint to path atomically (temp file in the
-// target directory, fsync, rename) so an interrupted write can never
-// clobber the previous good checkpoint.
-func (ck *Checkpoint) WriteFile(path string) (int64, error) {
-	return fsio.AtomicWriteFile(path, ".warplda-ckpt-*", ck.WriteTo)
-}
-
-// writeFileStreaming is WriteFile with the sampler state streamed by
-// state instead of materialized in ck.State — the trainer's hot path.
-func (ck *Checkpoint) writeFileStreaming(path string, state func(io.Writer) error) (int64, error) {
-	return fsio.AtomicWriteFile(path, ".warplda-ckpt-*", func(w io.Writer) (int64, error) {
-		return ck.writeTo(w, state)
-	})
-}
-
-// Read deserializes a checkpoint, verifying the CRC32 trailer before
-// returning: a torn or bit-rotted file is an error, never a resumable
-// state.
+// Read deserializes a legacy single-file WARPCKPT checkpoint — magic,
+// envelope, the sampler state running to the trailer, CRC32 trailer —
+// verifying the trailer before decoding anything: a torn or bit-rotted
+// file is an error, never a resumable state.
 func Read(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("train: reading checkpoint header: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("train: reading checkpoint: %w", err)
 	}
-	if string(magic) != ckptMagic {
-		return nil, fmt.Errorf("train: not a checkpoint file (bad magic)")
+	body, err := fsio.CheckImage(raw, ckptMagic)
+	if err != nil {
+		return nil, fmt.Errorf("train: checkpoint: %w", err)
 	}
-	cr := fsio.NewCRCReader(br)
-	d := sampler.NewDec(cr)
+	br := bytes.NewReader(body)
+	d := sampler.NewDec(br)
 	ck := &Checkpoint{}
 	decodeEnvelope(d, ck)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("train: corrupt checkpoint: %w", err)
 	}
-	// The sampler state is the rest of the body, up to the 4-byte CRC
-	// trailer. It has no length prefix (the writer streams it), and
-	// io.ReadAll grows with the data actually present, so a truncated
-	// file costs only what it holds. Read from the plain reader — the
-	// trailer must not be hashed — and feed the CRC afterwards.
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("train: reading checkpoint state: %w", err)
-	}
-	if len(rest) < 4 {
-		return nil, fmt.Errorf("train: corrupt checkpoint: truncated before checksum trailer")
-	}
-	ck.State = rest[:len(rest)-4]
-	cr.CRC.Write(ck.State)
-	want := binary.LittleEndian.Uint32(rest[len(rest)-4:])
-	if got := cr.Sum32(); got != want {
-		return nil, fmt.Errorf("train: checkpoint checksum mismatch (file %08x, computed %08x): torn or corrupt file", want, got)
-	}
+	ck.State = body[len(body)-br.Len():]
 	if err := validateCheckpoint(ck); err != nil {
 		return nil, err
 	}
@@ -201,13 +133,13 @@ func Read(r io.Reader) (*Checkpoint, error) {
 
 // Load reads a checkpoint from path, which may be:
 //
-//   - a WARPCKPT file (including the legacy unstamped DefaultFileName);
-//   - a sharded checkpoint directory (contains ManifestFileName) or its
+//   - a checkpoint directory (contains ManifestFileName) or its
 //     manifest file directly;
+//   - a legacy WARPCKPT file (stamped, or the unstamped DefaultFileName);
 //   - a checkpoint *collection* directory — what -checkpoint-dir
 //     accumulates under keep-last-N retention — in which case the
-//     newest iteration-stamped checkpoint (single-file or sharded) is
-//     loaded, falling back to the legacy DefaultFileName.
+//     newest iteration-stamped checkpoint (of either shape) is loaded,
+//     falling back to the legacy DefaultFileName.
 func Load(path string) (*Checkpoint, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err == nil {
@@ -249,11 +181,12 @@ func (ck *Checkpoint) Verify(samplerName string, fingerprint uint32, cfg sampler
 	return ck.verify(samplerName, fingerprint, cfg, false)
 }
 
-// VerifyElastic is Verify for elastic sharded resume: identical except
+// VerifyElastic is Verify for manifest checkpoints: identical except
 // that cfg.Threads may differ from the checkpoint's — the worker
 // topology is exactly what an elastic resume is allowed to change. The
 // shard files themselves still pin the topology they were written
-// under; sampler.Sharded.RestoreShards owns the rebalancing.
+// under; sampler.Sharded.RestoreShards owns the rebalancing, and a
+// sampler that never reads Threads restores its one shard unchanged.
 func (ck *Checkpoint) VerifyElastic(samplerName string, fingerprint uint32, cfg sampler.Config) error {
 	return ck.verify(samplerName, fingerprint, cfg, true)
 }
@@ -311,8 +244,8 @@ func validateCheckpoint(ck *Checkpoint) error {
 
 // encodeEnvelope writes the fields shared by both checkpoint shapes —
 // sampler identity, config, loop progress, trace, corpus fingerprint —
-// in the WARPCKPT body order. The manifest (manifest.go) reuses it, so
-// a sharded checkpoint's metadata reads identically to a single file's.
+// in the WARPCKPT body order. The manifest (manifest.go) carries the
+// same bytes, so both shapes decode through decodeEnvelope.
 func encodeEnvelope(e *sampler.Enc, ck *Checkpoint) {
 	e.Str(ck.Sampler)
 	encodeConfig(e, ck.Cfg)
@@ -338,10 +271,9 @@ func decodeEnvelope(d *sampler.Dec, ck *Checkpoint) {
 	ck.Elapsed = time.Duration(d.Int())
 	ck.Trace.Sampler = d.Str("trace sampler name", 1<<10)
 	nPoints := d.Int()
-	// ck.Iter is itself untrusted until the CRC verifies, so the
-	// allocation bound must be a constant: a corrupt count fails here
-	// instead of OOM-ing on make(). Consistency with Iter is re-checked
-	// post-CRC in validateCheckpoint.
+	// The allocation bound is a constant, not ck.Iter: a hostile count
+	// fails here instead of OOM-ing on make(). Consistency with Iter is
+	// checked in validateCheckpoint.
 	if d.Err() == nil && (nPoints < 0 || nPoints > maxTracePoints) {
 		d.Failf("implausible trace length %d", nPoints)
 	}
@@ -413,16 +345,4 @@ func configsEqual(a, b sampler.Config) bool {
 		}
 	}
 	return true
-}
-
-// countWriter counts bytes for WriteTo's return value.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -2,6 +2,7 @@ package train_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,39 +12,32 @@ import (
 	"warplda/internal/train"
 )
 
-// writeTestCheckpoint trains a few iterations and returns the raw bytes
-// of a valid single-file checkpoint plus the (corpus, config) it
-// belongs to. Live Warp checkpoints are written as sharded directories
-// (core.Warp is sampler.Sharded), so the single-file envelope under
-// test is assembled by hand here — it remains the on-disk format of
-// legacy checkpoints and of non-sharded samplers, and Read must keep
-// rejecting every class of damage to it.
-func writeTestCheckpoint(t *testing.T) ([]byte, *checkpointEnv) {
+// legacyCheckpoint returns the bytes of the committed WARPCKPT fixture
+// — a 6-iteration WarpLDA run on the golden corpus, written by the last
+// release with a single-file writer (testdata/golden/generate.go) —
+// plus the (corpus, config) it belongs to. The format is read-only
+// now, and Read must keep rejecting every class of damage to it.
+func legacyCheckpoint(t *testing.T) ([]byte, *checkpointEnv) {
 	t.Helper()
-	env := &checkpointEnv{c: testCorpus(20), cfg: testCfg(6)}
-	w := newWarp(t, env.c, env.cfg)
-	res, err := train.Run(w, env.c, env.cfg, train.Options{Iters: 3, EvalEvery: 1})
+	raw, err := os.ReadFile(filepath.Join(goldenDir, "legacy.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var state bytes.Buffer
-	if err := w.StateTo(&state); err != nil {
+	ck, err := train.Read(bytes.NewReader(raw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ck := &train.Checkpoint{
-		Sampler:     w.Name(),
-		Cfg:         env.cfg,
-		Iter:        res.Iter,
-		Trace:       res.Run,
-		Fingerprint: train.CorpusFingerprint(env.c),
-		State:       state.Bytes(),
-	}
-	var buf bytes.Buffer
-	if _, err := ck.WriteTo(&buf); err != nil {
+	mc, err := corpus.OpenMapped(filepath.Join(goldenDir, "corpus.warpcorpus"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), env
+	defer mc.Close()
+	return raw, &checkpointEnv{c: corpus.Materialize(mc), cfg: ck.Cfg}
 }
+
+// goldenDir holds one fixture per durable format (see golden_test.go at
+// the repository root).
+const goldenDir = "../../testdata/golden"
 
 type checkpointEnv struct {
 	c   *corpus.Corpus
@@ -54,7 +48,7 @@ type checkpointEnv struct {
 // class of on-disk damage must be rejected at Read time — resume never
 // trains on garbage.
 func TestCheckpointCorruption(t *testing.T) {
-	raw, _ := writeTestCheckpoint(t)
+	raw, _ := legacyCheckpoint(t)
 
 	if _, err := train.Read(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
@@ -103,7 +97,7 @@ func TestCheckpointCorruption(t *testing.T) {
 // state blob is damaged must fail at restore time and leave the target
 // sampler untouched and usable.
 func TestCheckpointBadStateBlobFailsCleanly(t *testing.T) {
-	raw, env := writeTestCheckpoint(t)
+	raw, env := legacyCheckpoint(t)
 	ck, err := train.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -120,21 +114,13 @@ func TestCheckpointBadStateBlobFailsCleanly(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
+			// The envelope is intact, so only the state-blob validation can
+			// catch the damage.
 			bad := *ck
 			bad.State = mutate(append([]byte(nil), ck.State...))
-			// Round-trip through disk: the envelope re-checksums cleanly, so
-			// only the state-blob validation can catch it.
-			path := filepath.Join(t.TempDir(), train.DefaultFileName)
-			if _, err := bad.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := train.Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
 			target := newWarp(t, env.c, env.cfg)
 			before := sampler.CopyAssignments(target.Assignments())
-			if _, err := train.Run(target, env.c, env.cfg, train.Options{Iters: 6, ResumeFrom: loaded}); err == nil {
+			if _, err := train.Run(target, env.c, env.cfg, train.Options{Iters: 6, ResumeFrom: &bad}); err == nil {
 				t.Fatal("damaged state blob accepted")
 			}
 			if !reflect.DeepEqual(before, target.Assignments()) {
@@ -193,7 +179,7 @@ func TestCheckpointHugeLengthsFailFast(t *testing.T) {
 		}
 	})
 	t.Run("stream ends before trailer", func(t *testing.T) {
-		raw, _ := writeTestCheckpoint(t)
+		raw, _ := legacyCheckpoint(t)
 		ck, err := train.Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)

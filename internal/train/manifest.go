@@ -1,14 +1,13 @@
-// Sharded checkpoint format. A sampler implementing sampler.Sharded
-// (the distributed sampler) does not funnel its state through one
-// writer: each worker's shard lands in its own WARPSHRD file, written
-// concurrently, and a WARPMANI manifest — written last, atomically —
-// binds them into one checkpoint. The manifest carries the same
-// envelope as a WARPCKPT file plus a shard table (file name, size,
-// CRC32 of every shard), so resume can validate every shard against
-// the manifest before any state reaches the sampler: a truncated,
-// bit-rotted, or foreign shard file (swapped in from another
-// checkpoint, even a self-consistent one) is rejected by the table,
-// not discovered mid-restore.
+// The checkpoint container. Every checkpoint is a directory of WARPSHRD
+// shard files bound by a WARPMANI manifest. A sampler implementing
+// sampler.Sharded writes one shard per worker, concurrently; any other
+// sampler is one shard whose stream is StateTo's (oneShard). The
+// manifest — written last, atomically — carries the checkpoint
+// envelope plus a shard table (file name, size, CRC32 of every shard),
+// so resume can validate every shard against the manifest before any
+// state reaches the sampler: a truncated, bit-rotted, or foreign shard
+// file (swapped in from another checkpoint, even a self-consistent
+// one) is rejected by the table, not discovered mid-restore.
 //
 // On-disk layout of one sharded checkpoint at iteration I inside a
 // checkpoint directory:
@@ -21,18 +20,16 @@
 //
 // The manifest's atomic rename is the checkpoint's commit point: a
 // crash mid-write leaves a directory without a manifest, which Load
-// ignores and the next retention sweep removes. Single-file samplers
-// use iteration-stamped WARPCKPT files (checkpoint-0000000I.ckpt) in
-// the same directory; both shapes rotate under the keep-last-N policy.
+// ignores and the next retention sweep removes. Legacy single-file
+// WARPCKPT checkpoints (checkpoint-0000000I.ckpt) in the same directory
+// are still listed, loaded and rotated under the keep-last-N policy.
 // Byte-level specifications live in docs/FORMATS.md.
 package train
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -59,19 +56,13 @@ const (
 	maxShards = 1 << 16
 )
 
-// stampedPrefix + 8-digit zero-padded iteration is the naming scheme of
-// retained checkpoints: checkpoint-00000042.ckpt (single file) and
-// checkpoint-00000042/ (sharded directory).
-const stampedPrefix = "checkpoint-"
-
+// "checkpoint-" + 8-digit zero-padded iteration is the naming scheme of
+// retained checkpoints: checkpoint-00000042/ (manifest directory) and
+// checkpoint-00000042.ckpt (legacy single file).
 var stampedRE = regexp.MustCompile(`^checkpoint-(\d{8,})(\.ckpt)?$`)
 
-// stampedName returns the single-file checkpoint name for iteration i.
-func stampedName(iter int) string { return fmt.Sprintf("%s%08d.ckpt", stampedPrefix, iter) }
-
-// stampedDirName returns the sharded checkpoint directory name for
-// iteration i.
-func stampedDirName(iter int) string { return fmt.Sprintf("%s%08d", stampedPrefix, iter) }
+// stampedDirName returns the checkpoint directory name for iteration i.
+func stampedDirName(iter int) string { return fmt.Sprintf("checkpoint-%08d", iter) }
 
 // shardFileName returns shard i's file name inside a checkpoint
 // directory.
@@ -82,9 +73,10 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.ckpt", i) }
 type CheckpointEntry struct {
 	// Iter is the iteration the checkpoint was written at.
 	Iter int
-	// Path is the checkpoint file (single-file) or directory (sharded).
+	// Path is the checkpoint directory (or legacy single file).
 	Path string
-	// Sharded reports the directory shape.
+	// Sharded reports the directory shape; false is a legacy WARPCKPT
+	// file.
 	Sharded bool
 }
 
@@ -123,14 +115,15 @@ func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
 	return out, nil
 }
 
-// pruneCheckpoints enforces keep-last-N retention in dir after a
-// successful checkpoint at iteration current: all but the newest keep
-// stamped checkpoints are deleted, as are torn sharded directories
-// (no manifest) other than the current iteration's. The checkpoint
-// just written is never deleted. Removal failures are reported but the
-// checkpoint itself already committed, so the caller may choose to
-// continue training.
-func pruneCheckpoints(dir string, keep, current int) error {
+// PruneCheckpoints enforces keep-last-N retention in dir after a
+// successful checkpoint at iteration current — the trainer and the
+// live coordinator run it after every checkpoint they write: all but
+// the newest keep stamped checkpoints are deleted, as are torn
+// directories (no manifest) other than the current iteration's. The
+// checkpoint just written is never deleted. Removal failures are
+// reported but the checkpoint itself already committed, so the caller
+// may choose to continue training.
+func PruneCheckpoints(dir string, keep, current int) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -170,31 +163,14 @@ func pruneCheckpoints(dir string, keep, current int) error {
 	return firstErr
 }
 
-// WriteSharded writes one complete sharded checkpoint for sh into
-// <dir>/checkpoint-<iter>/ and returns the checkpoint directory path.
-// It is the exported face of the trainer's own checkpoint step for
-// external orchestrators (the live coordinator, recovery tooling): the
-// caller fills the checkpoint's envelope — Sampler, Cfg, Iter, Elapsed,
-// Trace, Fingerprint — and this writes every shard concurrently, then
-// the manifest, atomically, last (the commit point).
+// WriteSharded writes one complete checkpoint for sh into
+// <dir>/checkpoint-<iter>/ and returns the checkpoint directory path:
+// every shard concurrently through fsio.AtomicWriteFile, then the
+// manifest, atomically, last (the commit point). The caller fills the
+// checkpoint's envelope — Sampler, Cfg, Iter, Elapsed, Trace,
+// Fingerprint; the trainer's own checkpoint step, the live coordinator
+// and recovery tooling all write through it.
 func (ck *Checkpoint) WriteSharded(dir string, sh sampler.Sharded) (string, error) {
-	return ck.writeSharded(dir, sh)
-}
-
-// PruneCheckpoints enforces keep-last-N retention in dir after a
-// successful checkpoint at iteration current, exactly as the trainer
-// does between iterations: all but the newest keep stamped checkpoints
-// are deleted, as are torn sharded directories other than the current
-// iteration's. The checkpoint just written is never deleted.
-func PruneCheckpoints(dir string, keep, current int) error {
-	return pruneCheckpoints(dir, keep, current)
-}
-
-// writeSharded writes one complete sharded checkpoint for sh into
-// <dir>/checkpoint-<iter>/: every shard concurrently through
-// fsio.AtomicWriteFile, then the manifest, atomically, last. It
-// returns the checkpoint directory path.
-func (ck *Checkpoint) writeSharded(dir string, sh sampler.Sharded) (string, error) {
 	ckDir := filepath.Join(dir, stampedDirName(ck.Iter))
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
 		return "", err
@@ -247,27 +223,19 @@ func (ck *Checkpoint) writeSharded(dir string, sh sampler.Sharded) (string, erro
 // total size and the trailer value — the identity the manifest records.
 func writeShardFile(path string, ck *Checkpoint, i, p int, sh sampler.Sharded) (size int64, crc uint32, err error) {
 	size, err = fsio.AtomicWriteFile(path, ".warplda-shard-*", func(w io.Writer) (int64, error) {
-		if _, err := io.WriteString(w, shardMagic); err != nil {
-			return 0, err
-		}
-		hw := fsio.NewCRCWriter(w)
-		cw := &countWriter{w: hw}
-		e := sampler.NewEnc(cw)
-		e.Int(ck.Iter)
-		e.U64(uint64(ck.Fingerprint))
-		e.Int(i)
-		e.Int(p)
-		if err := e.Err(); err != nil {
-			return 0, err
-		}
-		if err := sh.ShardTo(i, cw); err != nil {
-			return 0, err
-		}
-		crc = hw.Sum32()
-		if err := binary.Write(w, binary.LittleEndian, crc); err != nil {
-			return 0, err
-		}
-		return int64(len(shardMagic)) + cw.n + 4, nil
+		n, sum, err := fsio.WriteEnvelope(w, shardMagic, func(w io.Writer) error {
+			e := sampler.NewEnc(w)
+			e.Int(ck.Iter)
+			e.U64(uint64(ck.Fingerprint))
+			e.Int(i)
+			e.Int(p)
+			if err := e.Err(); err != nil {
+				return err
+			}
+			return sh.ShardTo(i, w)
+		})
+		crc = sum
+		return n, err
 	})
 	return size, crc, err
 }
@@ -275,35 +243,18 @@ func writeShardFile(path string, ck *Checkpoint, i, p int, sh sampler.Sharded) (
 // writeManifestTo serializes the WARPMANI manifest: magic, the shared
 // checkpoint envelope, the shard table, CRC32 trailer.
 func (ck *Checkpoint) writeManifestTo(w io.Writer) (int64, error) {
-	if _, err := io.WriteString(w, manifestMagic); err != nil {
-		return 0, err
-	}
-	crc := crc32.NewIEEE()
-	cw := &countWriter{w: io.MultiWriter(w, crc)}
-	e := sampler.NewEnc(cw)
-	encodeEnvelope(e, ck)
-	e.Int(len(ck.ShardFiles))
-	for i, name := range ck.ShardFiles {
-		e.Str(name)
-		e.Int(int(ck.ShardSizes[i]))
-		e.U64(uint64(ck.ShardCRCs[i]))
-	}
-	if err := e.Err(); err != nil {
-		return 0, err
-	}
-	if err := binary.Write(w, binary.LittleEndian, crc.Sum32()); err != nil {
-		return 0, err
-	}
-	return int64(len(manifestMagic)) + cw.n + 4, nil
-}
-
-// WriteManifestFile writes the checkpoint's manifest alone to path
-// (atomically). The trainer writes manifests only through writeSharded
-// — shards first, manifest as the commit point — but recovery tooling
-// (and tests) may need to re-emit a manifest for an existing shard set.
-func (ck *Checkpoint) WriteManifestFile(path string) error {
-	_, err := fsio.AtomicWriteFile(path, ".warplda-manifest-*", ck.writeManifestTo)
-	return err
+	n, _, err := fsio.WriteEnvelope(w, manifestMagic, func(w io.Writer) error {
+		e := sampler.NewEnc(w)
+		encodeEnvelope(e, ck)
+		e.Int(len(ck.ShardFiles))
+		for i, name := range ck.ShardFiles {
+			e.Str(name)
+			e.Int(int(ck.ShardSizes[i]))
+			e.U64(uint64(ck.ShardCRCs[i]))
+		}
+		return e.Err()
+	})
+	return n, err
 }
 
 // ReadManifest loads the sharded checkpoint rooted at dir: the
@@ -317,13 +268,9 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(manifestMagic)+4 || string(raw[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("%s: not a checkpoint manifest (bad magic)", path)
-	}
-	body := raw[len(manifestMagic) : len(raw)-4]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%s: manifest checksum mismatch (file %08x, computed %08x): torn or corrupt file", path, want, got)
+	body, err := fsio.CheckImage(raw, manifestMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%s: manifest %w", path, err)
 	}
 	d := sampler.NewDec(bytes.NewReader(body))
 	ck := &Checkpoint{Dir: dir}
@@ -492,48 +439,32 @@ func (ck *Checkpoint) verifyShard(i int, f *os.File) (streamLen int64, err error
 	if st.Size() != ck.ShardSizes[i] {
 		return 0, fmt.Errorf("%d bytes, manifest records %d: truncated or foreign shard file", st.Size(), ck.ShardSizes[i])
 	}
-	bodyLen := st.Size() - int64(len(shardMagic)) - 4
-	if bodyLen < shardHeaderLen {
+	streamLen = st.Size() - int64(len(shardMagic)) - shardHeaderLen - 4
+	if streamLen < 0 {
 		return 0, fmt.Errorf("not a checkpoint shard file (too short)")
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	magic := make([]byte, len(shardMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, err
+	er, err := fsio.NewReader(bufio.NewReaderSize(f, 1<<16), shardMagic)
+	if err != nil {
+		return 0, fmt.Errorf("not a checkpoint shard file: %w", err)
 	}
-	if string(magic) != shardMagic {
-		return 0, fmt.Errorf("not a checkpoint shard file (bad magic)")
-	}
-	// Stream the body through the checksum; keep the shard header aside
-	// for the envelope checks.
-	crc := crc32.NewIEEE()
-	header := make([]byte, shardHeaderLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return 0, err
-	}
-	crc.Write(header)
-	if _, err := io.Copy(crc, io.LimitReader(br, bodyLen-shardHeaderLen)); err != nil {
-		return 0, err
-	}
-	var trailerBuf [4]byte
-	if _, err := io.ReadFull(br, trailerBuf[:]); err != nil {
-		return 0, err
-	}
-	trailer := binary.LittleEndian.Uint32(trailerBuf[:])
-	got := crc.Sum32()
-	if got != trailer {
-		return 0, fmt.Errorf("shard checksum mismatch (file %08x, computed %08x): torn or corrupt file", trailer, got)
-	}
-	if got != ck.ShardCRCs[i] {
-		return 0, fmt.Errorf("shard checksum %08x does not match manifest's %08x: foreign shard file", got, ck.ShardCRCs[i])
-	}
-	d := sampler.NewDec(bytes.NewReader(header))
+	// Decode the header on the way through the checksum; it is checked
+	// against the manifest once the trailer has vouched for it.
+	d := sampler.NewDec(er)
 	iter := d.Int()
 	fp := uint32(d.U64())
 	idx := d.Int()
 	count := d.Int()
 	if err := d.Err(); err != nil {
 		return 0, err
+	}
+	if _, err := io.CopyN(io.Discard, er, streamLen); err != nil {
+		return 0, err
+	}
+	if err := er.Close(); err != nil {
+		return 0, fmt.Errorf("shard %w", err)
+	}
+	if got := er.Sum32(); got != ck.ShardCRCs[i] {
+		return 0, fmt.Errorf("shard checksum %08x does not match manifest's %08x: foreign shard file", got, ck.ShardCRCs[i])
 	}
 	if iter != ck.Iter {
 		return 0, fmt.Errorf("shard written at iteration %d, manifest says %d: foreign shard file", iter, ck.Iter)
@@ -545,5 +476,29 @@ func (ck *Checkpoint) verifyShard(i int, f *os.File) (streamLen int64, err error
 		return 0, fmt.Errorf("shard identifies as %d of %d, manifest places it at %d of %d: foreign or reordered shard file",
 			idx, count, i, len(ck.ShardFiles))
 	}
-	return bodyLen - shardHeaderLen, nil
+	return streamLen, nil
+}
+
+// oneShard presents a sampler without sharded state — the baselines,
+// cluster.Sim — as a one-shard sampler.Sharded, so every checkpoint is
+// a manifest: shard 0's stream is StateTo's, and restore is RestoreFrom
+// of that one verified stream.
+type oneShard struct{ sampler.Sampler }
+
+func (oneShard) NumShards() int                     { return 1 }
+func (o oneShard) ShardTo(_ int, w io.Writer) error { return o.StateTo(w) }
+func (o oneShard) RestoreShards(_ uint64, shards []io.Reader) (bool, error) {
+	if len(shards) != 1 {
+		return false, fmt.Errorf("train: %d shards, sampler %q restores from one", len(shards), o.Name())
+	}
+	return false, o.RestoreFrom(shards[0])
+}
+
+// asSharded returns s itself when it has sharded state, else s as one
+// shard.
+func asSharded(s sampler.Sampler) sampler.Sharded {
+	if sh, ok := s.(sampler.Sharded); ok {
+		return sh
+	}
+	return oneShard{s}
 }

@@ -454,11 +454,9 @@ func TestLegacyShardedNameStillResumes(t *testing.T) {
 }
 
 // The legacy unstamped checkpoint.ckpt written by earlier releases
-// still loads — both directly and via its directory. (Live Warp runs
-// now checkpoint as sharded directories, so the single-file fixture is
-// built by writeTestCheckpoint.)
+// still loads via its directory and resumes.
 func TestLegacyCheckpointStillLoads(t *testing.T) {
-	raw, env := writeTestCheckpoint(t)
+	raw, env := legacyCheckpoint(t)
 	legacyDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(legacyDir, train.DefaultFileName), raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -467,7 +465,7 @@ func TestLegacyCheckpointStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy checkpoint directory rejected: %v", err)
 	}
-	if _, err := train.Run(newWarp(t, env.c, env.cfg), env.c, env.cfg, train.Options{Iters: 6, ResumeFrom: ck2}); err != nil {
+	if _, err := train.Run(newWarp(t, env.c, env.cfg), env.c, env.cfg, train.Options{Iters: 8, ResumeFrom: ck2}); err != nil {
 		t.Fatal(err)
 	}
 }

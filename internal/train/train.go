@@ -4,8 +4,9 @@
 // production job needs on top of it:
 //
 //   - periodic checkpoints — CRC-trailed, atomically renamed snapshots
-//     of the sampler's complete state, so a crashed or killed run
-//     resumes bit-identically to one that was never interrupted;
+//     of the sampler's complete state, one manifest-bound container for
+//     every sampler, so a crashed or killed run resumes bit-identically
+//     to one that was never interrupted;
 //   - cooperative interruption — a Stop channel (wired to SIGINT /
 //     SIGTERM by cmd/warplda-train) that finishes the current
 //     iteration, checkpoints, and returns instead of dying mid-pass;
@@ -42,7 +43,7 @@ type Options struct {
 	// evaluated.
 	EvalEvery int
 	// CheckpointDir, when non-empty, is the directory that receives
-	// checkpoint snapshots (as DefaultFileName, atomically replaced).
+	// iteration-stamped checkpoint directories.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint interval in iterations. <= 0
 	// with a CheckpointDir means checkpoints are written only at
@@ -74,9 +75,10 @@ type Options struct {
 	// checkpoint path if one was written.
 	Progress func(Event)
 	// ResumeFrom, when non-nil, is a checkpoint to continue from. It
-	// must match the sampler's algorithm, the corpus, and cfg exactly
-	// (Checkpoint.Verify); the sampler's state is replaced before the
-	// first iteration.
+	// must match the sampler's algorithm, the corpus, and cfg — exactly
+	// (Checkpoint.Verify) for a legacy WARPCKPT file, up to Threads
+	// (Checkpoint.VerifyElastic) for a manifest; the sampler's state is
+	// replaced before the first iteration.
 	ResumeFrom *Checkpoint
 }
 
@@ -127,10 +129,7 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			return Result{}, fmt.Errorf("train: checkpoint is at iteration %d, past the %d-iteration target", ck.Iter, opts.Iters)
 		}
 		if ck.IsSharded() {
-			sh, ok := s.(sampler.Sharded)
-			if !ok {
-				return Result{}, fmt.Errorf("train: checkpoint is sharded (%d shards) but sampler %q does not support sharded state", len(ck.ShardFiles), s.Name())
-			}
+			sh := asSharded(s)
 			if err := ck.VerifyElastic(s.Name(), fingerprint, cfg); err != nil {
 				return Result{}, err
 			}
@@ -142,7 +141,7 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 				opts.Logf("elastic resume: repartitioned %d-shard checkpoint across %d workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
 					len(ck.ShardFiles), sh.NumShards())
 			}
-		} else {
+		} else { // a legacy WARPCKPT file
 			if err := ck.Verify(s.Name(), fingerprint, cfg); err != nil {
 				return Result{}, err
 			}
@@ -172,7 +171,7 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			res.Run, res.Iter = loop.Trace, loop.Iter
 			return "", fmt.Errorf("train: writing checkpoint at iteration %d: %w", loop.Iter, err)
 		}
-		if err := pruneCheckpoints(opts.CheckpointDir, opts.CheckpointKeep, loop.Iter); err != nil && opts.Logf != nil {
+		if err := PruneCheckpoints(opts.CheckpointDir, opts.CheckpointKeep, loop.Iter); err != nil && opts.Logf != nil {
 			// The checkpoint itself committed; a failed rotation costs
 			// disk, not progress.
 			opts.Logf("checkpoint retention: %v", err)
@@ -233,10 +232,9 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 }
 
 // writeCheckpoint snapshots the loop into CheckpointDir under an
-// iteration-stamped name. Samplers with sharded state write one file
-// per worker concurrently plus a manifest (manifest.go); everything
-// else streams its state straight into a single checksummed,
-// atomically renamed file — either way checkpointing costs O(1) extra
+// iteration-stamped directory: one shard file per worker of a sharded
+// sampler, written concurrently, or one shard holding StateTo's stream,
+// then the manifest (manifest.go) — either way streamed, O(1) extra
 // memory regardless of state size.
 func writeCheckpoint(loop *sampler.Loop, fingerprint uint32, dir string) (string, error) {
 	ck := &Checkpoint{
@@ -247,14 +245,7 @@ func writeCheckpoint(loop *sampler.Loop, fingerprint uint32, dir string) (string
 		Trace:       loop.Trace,
 		Fingerprint: fingerprint,
 	}
-	if sh, ok := loop.Sampler.(sampler.Sharded); ok {
-		return ck.writeSharded(dir, sh)
-	}
-	path := filepath.Join(dir, stampedName(loop.Iter))
-	if _, err := ck.writeFileStreaming(path, loop.Sampler.StateTo); err != nil {
-		return "", err
-	}
-	return path, nil
+	return ck.WriteSharded(dir, asSharded(loop.Sampler))
 }
 
 // publishNameRE is the set of *base* model names -publish accepts. It

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -13,10 +12,9 @@ import (
 
 // modelMagic opens a model file; the version byte is bumped on
 // incompatible changes. After it come the header (V, K, α, β, logLik),
-// Cw, Ck, the vocabulary block, and a little-endian uint32 CRC32 (IEEE)
-// trailer over every byte after the magic. The checksum lets a
-// reloading server reject torn or corrupted files instead of serving
-// garbage.
+// Cw, Ck, the vocabulary block, and the fsio envelope's CRC32 trailer
+// over every byte after the magic. The checksum lets a reloading server
+// reject torn or corrupted files instead of serving garbage.
 const modelMagic = "WARPLDA\x02"
 
 // WriteTo serializes the model in a compact binary format (little
@@ -24,60 +22,34 @@ const modelMagic = "WARPLDA\x02"
 // It implements io.WriterTo.
 func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var n int64
-	if _, err := bw.WriteString(modelMagic); err != nil {
+	n, _, err := fsio.WriteEnvelope(bw, modelMagic, m.writeBody)
+	if err != nil {
 		return n, err
 	}
-	n += int64(len(modelMagic))
-	// Everything after the magic is checksummed; the trailer itself is not.
-	crc := crc32.NewIEEE()
-	out := io.MultiWriter(bw, crc)
-	write := func(v any) error {
-		if err := binary.Write(out, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	hdr := []any{
-		int64(m.V), int64(m.Cfg.K),
-		m.Cfg.Alpha, m.Cfg.Beta, m.LogLik,
-	}
-	for _, v := range hdr {
-		if err := write(v); err != nil {
-			return n, err
-		}
-	}
-	if err := write(m.Cw); err != nil {
-		return n, err
-	}
-	if err := write(m.Ck); err != nil {
-		return n, err
-	}
-	// Vocabulary block: count, then length-prefixed words.
+	return n, bw.Flush()
+}
+
+// writeBody writes everything between the magic and the trailer; the
+// vocabulary block is a flag, then length-prefixed words.
+func (m *Model) writeBody(w io.Writer) error {
 	hasVocab := int64(0)
 	if m.Vocab != nil {
 		hasVocab = 1
 	}
-	if err := write(hasVocab); err != nil {
-		return n, err
-	}
-	if hasVocab == 1 {
-		for _, word := range m.Vocab {
-			if err := write(int32(len(word))); err != nil {
-				return n, err
-			}
-			if _, err := out.Write([]byte(word)); err != nil {
-				return n, err
-			}
-			n += int64(len(word))
+	for _, v := range []any{int64(m.V), int64(m.Cfg.K), m.Cfg.Alpha, m.Cfg.Beta, m.LogLik, m.Cw, m.Ck, hasVocab} {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return n, err
+	for _, word := range m.Vocab {
+		if err := binary.Write(w, binary.LittleEndian, int32(len(word))); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, word); err != nil {
+			return err
+		}
 	}
-	n += 4
-	return n, bw.Flush()
+	return nil
 }
 
 // WriteFile writes the model snapshot to path atomically: a temp file
@@ -95,28 +67,19 @@ func (m *Model) WriteFile(path string) (int64, error) {
 // trailer, a damaged v1 file could not be told from a sound one.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if magic, _ := br.Peek(len(modelMagic)); string(magic) == "WARPLDA\x01" {
+		return nil, fmt.Errorf("warplda: pre-checksum v1 snapshot: re-save with a current warplda-train")
+	}
+	er, err := fsio.NewReader(br, modelMagic)
+	if err != nil {
 		return nil, fmt.Errorf("warplda: reading model header: %w", err)
 	}
-	switch string(magic) {
-	case modelMagic:
-	case "WARPLDA\x01":
-		return nil, fmt.Errorf("warplda: pre-checksum v1 snapshot: re-save with a current warplda-train")
-	default:
-		return nil, fmt.Errorf("warplda: not a model file (bad magic)")
-	}
-	cr := fsio.NewCRCReader(br)
-	m, err := readModelBody(cr)
+	m, err := readModelBody(er)
 	if err != nil {
 		return nil, err
 	}
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("warplda: reading model checksum: %w", err)
-	}
-	if got := cr.Sum32(); got != want {
-		return nil, fmt.Errorf("warplda: model checksum mismatch (file %08x, computed %08x): torn or corrupt file", want, got)
+	if err := er.Close(); err != nil {
+		return nil, fmt.Errorf("warplda: model %w", err)
 	}
 	return m, nil
 }
@@ -148,27 +111,12 @@ func readModelBody(r io.Reader) (*Model, error) {
 		V:      int(v64),
 		LogLik: logLik,
 	}
-	// The count matrices are read in bounded chunks so the allocation
-	// high-water mark tracks the bytes actually arriving: a truncated or
-	// hostile file whose header claims V×K = 2³¹ fails with a small
-	// footprint instead of committing gigabytes up front.
-	total := int(v64 * k64)
-	buf := make([]int32, minInt(total, modelAllocChunk))
-	m.Cw = make([]int32, 0, minInt(total, modelAllocChunk))
-	for len(m.Cw) < total {
-		n := minInt(total-len(m.Cw), len(buf))
-		if err := read(buf[:n]); err != nil {
-			return nil, fmt.Errorf("warplda: reading counts: %w", err)
-		}
-		m.Cw = append(m.Cw, buf[:n]...)
+	var err error
+	if m.Cw, err = fsio.ReadSlice[int32](r, int(v64*k64)); err != nil {
+		return nil, fmt.Errorf("warplda: reading counts: %w", err)
 	}
-	m.Ck = make([]int64, 0, minInt(int(k64), modelAllocChunk))
-	for len(m.Ck) < int(k64) {
-		var c int64
-		if err := read(&c); err != nil {
-			return nil, fmt.Errorf("warplda: reading counts: %w", err)
-		}
-		m.Ck = append(m.Ck, c)
+	if m.Ck, err = fsio.ReadSlice[int64](r, int(k64)); err != nil {
+		return nil, fmt.Errorf("warplda: reading counts: %w", err)
 	}
 	for i, c := range m.Cw {
 		if c < 0 {
@@ -187,7 +135,7 @@ func readModelBody(r io.Reader) (*Model, error) {
 	switch hasVocab {
 	case 0:
 	case 1:
-		m.Vocab = make([]string, 0, minInt(int(v64), modelAllocChunk))
+		m.Vocab = make([]string, 0, min(int(v64), fsio.AllocChunk))
 		for i := 0; i < int(v64); i++ {
 			var l int32
 			if err := read(&l); err != nil {
@@ -206,18 +154,6 @@ func readModelBody(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("warplda: corrupt vocabulary flag %d", hasVocab)
 	}
 	return m, nil
-}
-
-// modelAllocChunk bounds how many count entries readModelBody allocates
-// ahead of the bytes actually read (the same defense fsio.ReadDelta
-// applies to WARPDLT files).
-const modelAllocChunk = 64 << 10
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // HeldOutPerplexity evaluates the model on unseen documents: each test
