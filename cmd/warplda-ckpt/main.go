@@ -1,27 +1,24 @@
 // Command warplda-ckpt inspects the checkpoints a training run leaves
-// behind (see docs/FORMATS.md for the WARPMANI, WARPSHRD, and legacy
-// WARPCKPT layouts):
+// behind (see docs/FORMATS.md for the WARPMANI and WARPSHRD layouts):
 //
-//	warplda-ckpt list   -dir ckpts           # retained checkpoints: iter, kind, shards, bytes
+//	warplda-ckpt list   -dir ckpts           # retained checkpoints: iter, shards, bytes
 //	warplda-ckpt verify -dir ckpts           # deep-verify the newest checkpoint
 //	warplda-ckpt verify -dir ckpts -iter 40  # ... or a specific iteration
 //	warplda-ckpt diff   -dir ckpts -a 20 -b 40
 //	warplda-ckpt deltas -publish models/news    # inspect the WARPDLT chain
 //
 // list shows what ListCheckpoints would offer a resuming run: every
-// checkpoint a current trainer writes is a manifest directory (kind
-// "sharded" — one shard for a sampler without sharded state, so
-// -threads may change on its resume), and kind "file" is a legacy
-// single-file WARPCKPT checkpoint, still resumable at its own -threads.
-// verify goes further than resume-time validation does by default:
-// beyond the manifest's own CRC and shard presence/size checks, it
-// streams every shard file end to end — magic, CRC32 trailer, the
-// manifest's recorded CRC (catching a self-consistent shard swapped in
-// from a different checkpoint), and the header's iteration / corpus
-// fingerprint / position — without restoring any state, so a multi-GB
-// checkpoint verifies in O(shard buffer) memory. diff compares two
-// checkpoints' envelopes: sampler, config, progress, corpus identity,
-// shard layout, and last traced log likelihood.
+// complete checkpoint directory and its shard count (one for a sampler
+// without sharded state). verify goes further than resume-time
+// validation does by default: beyond the manifest's own CRC and shard
+// presence/size checks, it streams every shard file end to end — magic,
+// CRC32 trailer, the manifest's recorded CRC (catching a
+// self-consistent shard swapped in from a different checkpoint), and
+// the header's iteration / corpus fingerprint / position — without
+// restoring any state, so a multi-GB checkpoint verifies in O(shard
+// buffer) memory. diff compares two checkpoints' envelopes: sampler,
+// config, progress, corpus identity, shard layout, and last traced log
+// likelihood.
 //
 // deltas inspects a publish target's incremental-refresh chain: the
 // WARPDLT files -publish-delta leaves next to the base snapshot. Every
@@ -101,32 +98,20 @@ func cmdList(args []string) error {
 		return nil
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ITER\tKIND\tSHARDS\tBYTES\tPATH")
+	fmt.Fprintln(tw, "ITER\tSHARDS\tBYTES\tPATH")
 	for _, e := range entries {
-		kind, shards := "file", "-"
-		if e.Sharded {
-			kind = "sharded"
-			if ck, err := train.ReadManifest(e.Path); err == nil {
-				shards = fmt.Sprint(len(ck.ShardFiles))
-			} else {
-				shards = "?"
-			}
+		shards := "?"
+		if ck, err := train.ReadManifest(e.Path); err == nil {
+			shards = fmt.Sprint(len(ck.ShardFiles))
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%s\n", e.Iter, kind, shards, checkpointBytes(e), e.Path)
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%s\n", e.Iter, shards, checkpointBytes(e), e.Path)
 	}
 	return tw.Flush()
 }
 
-// checkpointBytes sums a checkpoint's on-disk size (manifest included
-// for the sharded shape); 0 if anything is unreadable.
+// checkpointBytes sums a checkpoint's on-disk size, manifest included;
+// 0 if anything is unreadable.
 func checkpointBytes(e train.CheckpointEntry) int64 {
-	if !e.Sharded {
-		st, err := os.Stat(e.Path)
-		if err != nil {
-			return 0
-		}
-		return st.Size()
-	}
 	var total int64
 	des, err := os.ReadDir(e.Path)
 	if err != nil {
@@ -173,21 +158,19 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Load restores no state: it CRC-checks a manifest and confirms its
-	// shards' presence and sizes, or CRC-checks a legacy file whole.
+	// Load restores no state: it CRC-checks the manifest and confirms
+	// its shards' presence and sizes.
 	ck, err := train.Load(e.Path)
 	if err != nil {
 		return err
 	}
 	printEnvelope(ck)
-	if ck.IsSharded() {
-		for i := range ck.ShardFiles {
-			if err := ck.VerifyShard(i); err != nil {
-				return fmt.Errorf("shard %d (%s): %w", i, ck.ShardFiles[i], err)
-			}
-			fmt.Printf("shard %d (%s): %d bytes, crc %08x: OK\n",
-				i, ck.ShardFiles[i], ck.ShardSizes[i], ck.ShardCRCs[i])
+	for i := range ck.ShardFiles {
+		if err := ck.VerifyShard(i); err != nil {
+			return fmt.Errorf("shard %d (%s): %w", i, ck.ShardFiles[i], err)
 		}
+		fmt.Printf("shard %d (%s): %d bytes, crc %08x: OK\n",
+			i, ck.ShardFiles[i], ck.ShardSizes[i], ck.ShardCRCs[i])
 	}
 	fmt.Printf("%s: OK\n", e.Path)
 	return nil
@@ -204,9 +187,7 @@ func printEnvelope(ck *train.Checkpoint) {
 		p := ck.Trace.Points[n-1]
 		fmt.Printf("last eval    iter=%d logLik=%.6e tokens/s=%.3e\n", p.Iter, p.LogLik, p.TokensSec)
 	}
-	if ck.IsSharded() {
-		fmt.Printf("shards       %d\n", len(ck.ShardFiles))
-	}
+	fmt.Printf("shards       %d\n", len(ck.ShardFiles))
 }
 
 func cmdDeltas(args []string) error {

@@ -17,11 +17,8 @@ import (
 )
 
 // buildCheckpoints produces a realistic retention directory: two
-// sharded checkpoints (iterations 2 and 4, written by a 2-worker
-// distributed run) plus the legacy single-file WARPCKPT fixture at
-// iteration 6 (testdata/golden/legacy.ckpt, written by the last release
-// with that writer) — the shape a dir reaches when a run from before
-// the manifest-only container continues under a current trainer.
+// checkpoints (iterations 2 and 4) of a 2-worker distributed run, and
+// one at iteration 6 written after an elastic resume onto 3 workers.
 func buildCheckpoints(t *testing.T) (string, sampler.Config) {
 	t.Helper()
 	c, err := corpus.GenerateLDA(corpus.SyntheticConfig{
@@ -45,11 +42,19 @@ func buildCheckpoints(t *testing.T) (string, sampler.Config) {
 		t.Fatal(err)
 	}
 
-	legacy, err := os.ReadFile("../../testdata/golden/legacy.ckpt")
+	ck, err := train.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint-00000006.ckpt"), legacy, 0o644); err != nil {
+	cfg3 := cfg
+	cfg3.Threads = 3
+	d3, err := cluster.NewDistributed(c, cfg3, cfg3.Threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := train.Run(d3, c, cfg3, train.Options{
+		Iters: 6, EvalEvery: 2, CheckpointDir: dir, CheckpointKeep: 3, ResumeFrom: ck,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return dir, cfg
@@ -89,15 +94,15 @@ func TestCkptCLI(t *testing.T) {
 		if len(lines) != 4 { // header + 3 checkpoints
 			t.Fatalf("list printed %d lines, want 4:\n%s", len(lines), out)
 		}
-		for _, want := range []string{"ITER", "sharded", "file", "checkpoint-00000006.ckpt"} {
+		for _, want := range []string{"ITER", "SHARDS", "checkpoint-00000006"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("list output missing %q:\n%s", want, out)
 			}
 		}
-		// Each sharded row reports the worker count as its shard count.
-		for _, l := range lines[1:] {
-			if strings.Contains(l, "sharded") && !strings.Contains(l, "2") {
-				t.Fatalf("sharded row without shard count: %q", l)
+		// Each row reports its run's worker count as its shard count.
+		for i, want := range []string{"2", "2", "3"} {
+			if f := strings.Fields(lines[i+1]); len(f) < 2 || f[1] != want {
+				t.Fatalf("row %q: want %s shards", lines[i+1], want)
 			}
 		}
 	})
@@ -155,7 +160,7 @@ func TestCkptCLI(t *testing.T) {
 		}
 	})
 
-	t.Run("diff sharded vs single-file", func(t *testing.T) {
+	t.Run("diff across worker counts", func(t *testing.T) {
 		out, err := captureStdout(t, func() error {
 			return cmdDiff([]string{"-dir", dir, "-a", "4", "-b", "6"})
 		})
@@ -164,7 +169,7 @@ func TestCkptCLI(t *testing.T) {
 		}
 		for _, l := range strings.Split(out, "\n") {
 			if strings.HasPrefix(l, "shards") && !strings.Contains(l, "differs") {
-				t.Fatalf("shard layouts 2 vs 0 not flagged: %q", l)
+				t.Fatalf("shard layouts 2 vs 3 not flagged: %q", l)
 			}
 		}
 	})
@@ -344,8 +349,8 @@ func TestCkptCLIOneShard(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("list printed %d lines, want header + 1:\n%s", len(lines), out)
 	}
-	if f := strings.Fields(lines[1]); len(f) < 3 || f[1] != "sharded" || f[2] != "1" {
-		t.Fatalf("cgs checkpoint listed as %q, want kind sharded with 1 shard", lines[1])
+	if f := strings.Fields(lines[1]); len(f) < 2 || f[1] != "1" {
+		t.Fatalf("cgs checkpoint listed as %q, want 1 shard", lines[1])
 	}
 
 	out, err = captureStdout(t, func() error { return cmdVerify([]string{"-dir", dir}) })

@@ -16,9 +16,9 @@
 //
 // Documents are synthetic: lengths drawn from the -doc-mix
 // distribution, word ids uniform over the target model's vocabulary
-// (discovered via GET /models/{name}, or set with -vocab).
+// (discovered via GET /v1/models/{name}, or set with -vocab).
 // Per-request latency lands in a log-linear histogram (~3% relative
-// error, matching the server's own /stats view).
+// error, matching the server's own /v1/stats view).
 //
 // -workload picks the request mix: "infer" (the default) posts
 // fold-in documents; "query" exercises the /v1 topic-analytics routes
@@ -420,7 +420,7 @@ func discoverModel(c *config) error {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	resp, err := c.client.Get(c.statsURL + "/models/" + c.model)
+	resp, err := c.client.Get(c.statsURL + "/v1/models/" + c.model)
 	if err != nil {
 		return fmt.Errorf("discovering model dimensions: %w", err)
 	}
@@ -509,7 +509,7 @@ func fatal(err error) {
 func main() {
 	var (
 		url         = flag.String("url", "http://localhost:8080", "base URL of the warplda-serve instance")
-		model       = flag.String("model", "", "model name (default: the server's /infer default route)")
+		model       = flag.String("model", "", "model name (default: the server's default model, POST /v1/infer)")
 		mode        = flag.String("mode", "closed", "load mode: closed (workers, one request in flight each) or open (fixed -rate)")
 		workload    = flag.String("workload", "infer", "request mix: infer (fold-in documents) or query (topwords/similar/vocab analytics; requires -model)")
 		concurrency = flag.Int("concurrency", 8, "closed: worker count; open: max requests in flight")
@@ -518,7 +518,7 @@ func main() {
 		warmup      = flag.Duration("warmup", time.Second, "warmup load before measuring (0 disables)")
 		docMix      = flag.String("doc-mix", "16:0.7,128:0.3", "document length mix LEN:WEIGHT,...")
 		sweeps      = flag.Int("sweeps", 0, "per-request sweep count (0 = server default)")
-		vocab       = flag.Int("vocab", 0, "word-id range for synthetic documents (0 = discover via /models/{name})")
+		vocab       = flag.Int("vocab", 0, "word-id range for synthetic documents (0 = discover via /v1/models/{name})")
 		seed        = flag.Int64("seed", 1, "document generator seed")
 		deadlineMs  = flag.Int("deadline-ms", 0, "X-Deadline-Ms header on every request (0 = none)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
@@ -543,9 +543,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown workload %q (want infer or query)", *workload))
 	}
-	inferURL := strings.TrimRight(*url, "/") + "/infer"
+	inferURL := strings.TrimRight(*url, "/") + "/v1/infer"
 	if *model != "" {
-		inferURL = strings.TrimRight(*url, "/") + "/models/" + *model + "/infer"
+		inferURL = strings.TrimRight(*url, "/") + "/v1/models/" + *model + "/infer"
 	}
 	cfg := &config{
 		url:         inferURL,

@@ -118,7 +118,7 @@ func TestVerdictFailsOnSmallMachine(t *testing.T) {
 }
 
 // fakeServe emulates the warplda-serve surface loadgen touches: POST
-// inference (with an optional slow/shed script) and GET /models/{name}.
+// inference (with an optional slow/shed script) and GET /v1/models/{name}.
 func fakeServe(t *testing.T, vocab int, handler func(w http.ResponseWriter, r *http.Request) bool) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -129,9 +129,9 @@ func fakeServe(t *testing.T, vocab int, handler func(w http.ResponseWriter, r *h
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"model":"news","version":1,"topics":[[0.9,0.1]],"top":[0],"took_ms":0.1}`))
 	}
-	mux.HandleFunc("POST /infer", infer)
-	mux.HandleFunc("POST /models/{name}/infer", infer)
-	mux.HandleFunc("GET /models/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/infer", infer)
+	mux.HandleFunc("POST /v1/models/{name}/infer", infer)
+	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"name": r.PathValue("name"), "state": "ready", "v": vocab, "k": 4})
 	})
 	srv := httptest.NewServer(mux)
@@ -142,7 +142,7 @@ func fakeServe(t *testing.T, vocab int, handler func(w http.ResponseWriter, r *h
 func testConfig(srv *httptest.Server, mode string) *config {
 	mix, _ := parseDocMix("4:1")
 	return &config{
-		url:         srv.URL + "/models/news/infer",
+		url:         srv.URL + "/v1/models/news/infer",
 		statsURL:    srv.URL,
 		model:       "news",
 		mode:        mode,
@@ -174,7 +174,7 @@ func TestRunClosedLoopSmoke(t *testing.T) {
 		return true
 	})
 	cfg := testConfig(srv, "closed")
-	cfg.vocab = 0 // exercise discovery against GET /models/news
+	cfg.vocab = 0 // exercise discovery against GET /v1/models/news
 	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +263,10 @@ func TestRunQueryWorkload(t *testing.T) {
 		vocabQ.Add(1)
 		w.Write(page)
 	})
-	mux.HandleFunc("POST /models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"model":"news","version":1,"topics":[[1]],"top":[0],"took_ms":0.1}`))
 	})
-	mux.HandleFunc("GET /models/{name}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/models/{name}", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]any{"name": "news", "state": "ready", "v": 50, "k": 4})
 	})
 	srv := httptest.NewServer(mux)

@@ -39,7 +39,7 @@ func waitUntil(t testing.TB, d time.Duration, what string, cond func() bool) {
 // doInfer runs one inference request without t.Fatal-ing, so it is safe
 // from non-test goroutines. hdr is optional "Key: Value" pairs.
 func doInfer(h http.Handler, body string, hdr ...string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body))
 	for i := 0; i+1 < len(hdr); i += 2 {
 		req.Header.Set(hdr[i], hdr[i+1])
 	}
@@ -120,12 +120,12 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 	}
 
 	var st statsResponse
-	if rec := getJSON(t, s, "/stats", &st); rec.Code != http.StatusOK {
-		t.Fatalf("/stats: %d", rec.Code)
+	if rec := getJSON(t, s, "/v1/stats", &st); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/stats: %d", rec.Code)
 	}
 	bi, ok := st.Batchers["news"]
 	if !ok {
-		t.Fatal("/stats has no batcher entry for news")
+		t.Fatal("/v1/stats has no batcher entry for news")
 	}
 	if bi.Submitted != n || bi.BatchedDocs != n {
 		t.Fatalf("batcher stats = %+v, want %d submitted and batched", bi, n)
@@ -187,14 +187,14 @@ func TestQueueFullShedsWhileAdminResponds(t *testing.T) {
 	}
 
 	// Health and admin stay responsive while inference is saturated.
-	if rec := getJSON(t, s, "/healthz", nil); rec.Code != http.StatusOK {
-		t.Fatalf("/healthz under saturation: %d", rec.Code)
+	if rec := getJSON(t, s, "/v1/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/healthz under saturation: %d", rec.Code)
 	}
-	if rec := getJSON(t, s, "/models", nil); rec.Code != http.StatusOK {
-		t.Fatalf("/models under saturation: %d", rec.Code)
+	if rec := getJSON(t, s, "/v1/models", nil); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/models under saturation: %d", rec.Code)
 	}
 	var st statsResponse
-	getJSON(t, s, "/stats", &st)
+	getJSON(t, s, "/v1/stats", &st)
 	if st.Batchers["news"].ShedQueueFull < 1 {
 		t.Fatalf("stats = %+v, want ShedQueueFull >= 1", st.Batchers["news"])
 	}
@@ -241,7 +241,7 @@ func TestDeadlineExceededWhileQueued(t *testing.T) {
 		t.Fatal("deadline 503 has no Retry-After")
 	}
 	var st statsResponse
-	getJSON(t, s, "/stats", &st)
+	getJSON(t, s, "/v1/stats", &st)
 	if st.Batchers["news"].ShedDeadline < 1 {
 		t.Fatalf("stats = %+v, want ShedDeadline >= 1", st.Batchers["news"])
 	}

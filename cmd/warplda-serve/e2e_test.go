@@ -75,10 +75,10 @@ func TestEndToEndTrainSaveServePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 5. Query over real HTTP: legacy route and per-model route must
+	// 5. Query over real HTTP: default route and per-model route must
 	// both return exactly the golden distributions.
 	body := `{"docs": [[0,1,2,0,1],[3,4,5,3]]}`
-	for _, route := range []string{"/infer", "/models/news/infer"} {
+	for _, route := range []string{"/v1/infer", "/v1/models/news/infer"} {
 		resp, err := http.Post(ts.URL+route, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestEndToEndTrainSaveServePipeline(t *testing.T) {
 	}
 
 	// 6. The admin plane saw all of it.
-	resp, err := http.Get(ts.URL + "/models/news")
+	resp, err := http.Get(ts.URL + "/v1/models/news")
 	if err != nil {
 		t.Fatal(err)
 	}

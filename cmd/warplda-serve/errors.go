@@ -15,8 +15,7 @@ import (
 // envelope, {"error":{"code","message","retry_after_ms?"}}. The code is
 // a stable machine-readable label (clients branch on it; the message is
 // for humans and may change); retry_after_ms mirrors the Retry-After
-// header on retryable 503s. Legacy alias routes serve byte-identical
-// envelopes. The full code list is part of docs/API.md.
+// header on retryable 503s. The full code list is part of docs/API.md.
 const (
 	codeBadRequest       = "bad_request"        // 400: malformed body, params, cursor, deadline header
 	codeNotFound         = "not_found"          // 404: unknown model, version, or route resource

@@ -18,11 +18,10 @@
 //
 //	warplda-serve -model models/news.bin -addr :8080
 //
-// The API is versioned under /v1 (the older unversioned paths remain
-// as aliases; see docs/API.md for the full route table, the uniform
-// error envelope, and the pagination rules). Infer against the default
-// model or any model by name; raw text works when the model was
-// trained with a vocabulary:
+// The API is versioned under /v1 (see docs/API.md for the full route
+// table, the uniform error envelope, and the pagination rules). Infer
+// against the default model or any model by name; raw text works when
+// the model was trained with a vocabulary:
 //
 //	curl -s localhost:8080/v1/infer -d '{"docs": [[0, 5, 7, 5]]}'
 //	curl -s localhost:8080/v1/models/news/infer -d '{"texts": ["stock market prices"], "sweeps": 30}'
@@ -62,7 +61,7 @@ func main() {
 	var (
 		modelPath = flag.String("model", "", "single model snapshot to serve (legacy; alternative to -models-dir)")
 		modelsDir = flag.String("models-dir", "", "directory of model snapshots: <name>.bin or <name>/model.bin")
-		defModel  = flag.String("default", "", "model name the legacy /infer route serves (default: the only/first model, or the -model file's name)")
+		defModel  = flag.String("default", "", "model name POST /v1/infer serves (default: the only/first model, or the -model file's name)")
 		maxBytes  = flag.Int64("max-model-bytes", 0, "LRU byte budget across resident models (0 = unlimited)")
 		reloadIv  = flag.Duration("reload-interval", 2*time.Second, "poll period for hot-reloading changed model files (0 disables)")
 		addr      = flag.String("addr", ":8080", "listen address")

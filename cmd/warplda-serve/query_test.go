@@ -305,11 +305,6 @@ func TestQueryStatsAndGate(t *testing.T) {
 	if !ok || g.Admitted != 3 || g.Active != 0 {
 		t.Fatalf("query_gates = %+v", st.QueryGates)
 	}
-	// Legacy /stats carries the same fields.
-	var legacy statsResponse
-	if rec := getJSON(t, h, "/stats", &legacy); rec.Code != http.StatusOK || legacy.QueriesServed != 3 {
-		t.Fatalf("legacy stats: %+v", legacy)
-	}
 }
 
 // TestQueryVersionPinning serves a versioned name directly: the drift

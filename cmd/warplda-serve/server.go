@@ -153,9 +153,8 @@ type statsResponse struct {
 }
 
 // Server routes multi-model inference, analytics-query, and admin
-// traffic onto a registry. The canonical surface lives under /v1/; the
-// pre-versioning paths remain as thin aliases serving byte-identical
-// responses (see docs/API.md). It implements http.Handler; Drain flips
+// traffic onto a registry. Every route lives under /v1/ (see
+// docs/API.md). It implements http.Handler; Drain flips
 // it into the shutting-down state in which inference and query
 // requests are refused with 503 while in-flight ones complete.
 type Server struct {
@@ -205,23 +204,18 @@ func NewServer(reg *registry.Registry, opts ServeOptions) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 
-	// The canonical routes live under /v1; every pre-versioning path is
-	// kept as an alias bound to the same handler, so the two surfaces
-	// cannot drift apart. Registration happens via aliased(), which
-	// mounts "METHOD /v1<path>" and "METHOD <path>" together plus the
-	// method-less 405 fallbacks that keep wrong-method requests on the
-	// JSON error contract (ServeMux's own 405 is plain text).
-	aliased := func(method, path string, h http.HandlerFunc) {
-		for _, p := range []string{"/v1" + path, path} {
-			mux.HandleFunc(method+" "+p, h)
-			p := p
-			mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Allow", method)
-				writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, 0, "use %s %s", method, p)
-			})
-		}
+	// route mounts "METHOD /v1<path>" plus a method-less fallback that
+	// keeps a wrong-method request on the JSON error contract
+	// (ServeMux's own 405 is plain text).
+	route := func(method, path string, h http.HandlerFunc) {
+		path = "/v1" + path
+		mux.HandleFunc(method+" "+path, h)
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", method)
+			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, 0, "use %s %s", method, path)
+		})
 	}
-	aliased("POST", "/infer", func(w http.ResponseWriter, r *http.Request) {
+	route("POST", "/infer", func(w http.ResponseWriter, r *http.Request) {
 		if s.opts.DefaultModel == "" {
 			writeError(w, http.StatusNotFound, codeNotFound, 0,
 				"no default model configured; use /v1/models/{name}/infer")
@@ -229,37 +223,29 @@ func NewServer(reg *registry.Registry, opts ServeOptions) (*Server, error) {
 		}
 		s.handleInfer(w, r, s.opts.DefaultModel)
 	})
-	aliased("POST", "/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
+	route("POST", "/models/{name}/infer", func(w http.ResponseWriter, r *http.Request) {
 		s.handleInfer(w, r, r.PathValue("name"))
 	})
-	aliased("GET", "/models", s.handleModels)
-	aliased("GET", "/models/{name}", s.handleModelInfo)
-	aliased("GET", "/healthz", s.handleHealth)
-	aliased("GET", "/stats", s.handleStats)
-
-	// The analytics query surface is /v1-only (it postdates the API
-	// versioning; there is no legacy path to alias).
+	route("GET", "/models", s.handleModels)
+	route("GET", "/models/{name}", s.handleModelInfo)
+	route("GET", "/healthz", s.handleHealth)
+	route("GET", "/stats", s.handleStats)
 	for kind, method := range map[string]string{
 		"topwords": "GET", "vocab": "GET", "drift": "GET",
 		"topdocs": "POST", "similar": "POST",
 	} {
-		kind, method := kind, method
-		path := "/v1/models/{name}/query/" + kind
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
+		route(method, "/models/{name}/query/"+kind, func(w http.ResponseWriter, r *http.Request) {
 			s.handleQuery(w, r, kind)
-		})
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, 0, "use %s %s", method, path)
 		})
 	}
 	mux.HandleFunc("/v1/models/{name}/query/{kind}", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeNotFound, 0,
 			"unknown query kind %q: want topwords, vocab, drift, topdocs, or similar", r.PathValue("kind"))
 	})
-	// Catch-all so that a path nothing above matched still answers on
-	// the JSON error contract instead of ServeMux's plain-text 404.
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+	// Catch-all so that a path nothing above matched — an unversioned
+	// one included — still answers on the JSON error contract instead
+	// of ServeMux's plain-text 404.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeNotFound, 0, "no route %s", r.URL.Path)
 	})
 	s.mux = mux

@@ -87,7 +87,7 @@ func postJSON(t testing.TB, h http.Handler, path, body string) (*httptest.Respon
 }
 
 func postInfer(t testing.TB, h http.Handler, body string) (*httptest.ResponseRecorder, inferResponse) {
-	return postJSON(t, h, "/infer", body)
+	return postJSON(t, h, "/v1/infer", body)
 }
 
 func getJSON(t testing.TB, h http.Handler, path string, v any) *httptest.ResponseRecorder {
@@ -136,12 +136,12 @@ func TestInferWithTokenIDs(t *testing.T) {
 func TestInferByModelNameMatchesDefaultRoute(t *testing.T) {
 	h, _ := testHandler(t)
 	_, viaDefault := postInfer(t, h, `{"docs": [[0,1,2,3]]}`)
-	rec, viaName := postJSON(t, h, "/models/news/infer", `{"docs": [[0,1,2,3]]}`)
+	rec, viaName := postJSON(t, h, "/v1/models/news/infer", `{"docs": [[0,1,2,3]]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	if !reflect.DeepEqual(viaDefault.Topics, viaName.Topics) {
-		t.Fatal("/infer and /models/news/infer disagree on the same model")
+		t.Fatal("/v1/infer and /models/news/infer disagree on the same model")
 	}
 }
 
@@ -173,14 +173,14 @@ func TestInferRejectsBadRequests(t *testing.T) {
 		body string
 		code int
 	}{
-		"invalid json":      {"/infer", `{"docs": [[0,`, http.StatusBadRequest},
-		"unknown field":     {"/infer", `{"documents": [[0]]}`, http.StatusBadRequest},
-		"both docs+texts":   {"/infer", `{"docs": [[0]], "texts": ["x"]}`, http.StatusBadRequest},
-		"neither":           {"/infer", `{}`, http.StatusBadRequest},
-		"word out of range": {"/infer", `{"docs": [[99999]]}`, http.StatusBadRequest},
-		"over max batch":    {"/infer", `{"docs": [[0],[0],[0],[0],[0],[0],[0],[0],[0]]}`, http.StatusRequestEntityTooLarge},
-		"unknown model":     {"/models/nope/infer", `{"docs": [[0]]}`, http.StatusNotFound},
-		"traversal name":    {"/models/..%2fnews/infer", `{"docs": [[0]]}`, http.StatusNotFound},
+		"invalid json":      {"/v1/infer", `{"docs": [[0,`, http.StatusBadRequest},
+		"unknown field":     {"/v1/infer", `{"documents": [[0]]}`, http.StatusBadRequest},
+		"both docs+texts":   {"/v1/infer", `{"docs": [[0]], "texts": ["x"]}`, http.StatusBadRequest},
+		"neither":           {"/v1/infer", `{}`, http.StatusBadRequest},
+		"word out of range": {"/v1/infer", `{"docs": [[99999]]}`, http.StatusBadRequest},
+		"over max batch":    {"/v1/infer", `{"docs": [[0],[0],[0],[0],[0],[0],[0],[0],[0]]}`, http.StatusRequestEntityTooLarge},
+		"unknown model":     {"/v1/models/nope/infer", `{"docs": [[0]]}`, http.StatusNotFound},
+		"traversal name":    {"/v1/models/..%2fnews/infer", `{"docs": [[0]]}`, http.StatusNotFound},
 	}
 	for name, tc := range cases {
 		rec, _ := postJSON(t, h, tc.path, tc.body)
@@ -190,11 +190,11 @@ func TestInferRejectsBadRequests(t *testing.T) {
 	}
 	// Wrong method: still on the JSON error contract, with Allow set.
 	for path, allow := range map[string]string{
-		"/infer":             "POST",
-		"/models/news/infer": "POST",
-		"/models":            "GET",
-		"/models/news":       "GET",
-		"/healthz":           "GET",
+		"/v1/infer":             "POST",
+		"/v1/models/news/infer": "POST",
+		"/v1/models":            "GET",
+		"/v1/models/news":       "GET",
+		"/v1/healthz":           "GET",
 	} {
 		method := http.MethodGet
 		if allow == "GET" {
@@ -224,7 +224,7 @@ func TestHealthz(t *testing.T) {
 	postInfer(t, h, `{"docs": [[0,1],[2,3]]}`)
 
 	var hr healthResponse
-	rec := getJSON(t, h, "/healthz", &hr)
+	rec := getJSON(t, h, "/v1/healthz", &hr)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -246,8 +246,8 @@ func TestModelsAdminEndpoints(t *testing.T) {
 	postInfer(t, h, `{"docs": [[0,1]]}`)
 
 	var mr modelsResponse
-	if rec := getJSON(t, h, "/models", &mr); rec.Code != http.StatusOK {
-		t.Fatalf("GET /models: %d", rec.Code)
+	if rec := getJSON(t, h, "/v1/models", &mr); rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/models: %d", rec.Code)
 	}
 	if len(mr.Models) != 2 {
 		t.Fatalf("models = %+v", mr.Models)
@@ -267,14 +267,14 @@ func TestModelsAdminEndpoints(t *testing.T) {
 	}
 
 	var mi registry.ModelInfo
-	if rec := getJSON(t, h, "/models/news", &mi); rec.Code != http.StatusOK {
-		t.Fatalf("GET /models/news: %d", rec.Code)
+	if rec := getJSON(t, h, "/v1/models/news", &mi); rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/models/news: %d", rec.Code)
 	}
 	if mi.State != "ready" || mi.LoadMs <= 0 || mi.LoadedAt == "" {
 		t.Fatalf("news info = %+v", mi)
 	}
-	if rec := getJSON(t, h, "/models/nope", nil); rec.Code != http.StatusNotFound {
-		t.Fatalf("GET /models/nope: %d", rec.Code)
+	if rec := getJSON(t, h, "/v1/models/nope", nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/models/nope: %d", rec.Code)
 	}
 }
 
@@ -284,14 +284,14 @@ func TestDrainRefusesInferenceKeepsAdmin(t *testing.T) {
 	if rec, _ := postInfer(t, h, `{"docs": [[0]]}`); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /infer: status %d, want 503", rec.Code)
 	}
-	if rec, _ := postJSON(t, h, "/models/news/infer", `{"docs": [[0]]}`); rec.Code != http.StatusServiceUnavailable {
+	if rec, _ := postJSON(t, h, "/v1/models/news/infer", `{"docs": [[0]]}`); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /models/news/infer: status %d, want 503", rec.Code)
 	}
 	var hr healthResponse
-	if rec := getJSON(t, h, "/healthz", &hr); rec.Code != http.StatusOK || hr.Status != "draining" {
+	if rec := getJSON(t, h, "/v1/healthz", &hr); rec.Code != http.StatusOK || hr.Status != "draining" {
 		t.Fatalf("draining health: %d %+v", rec.Code, hr)
 	}
-	if rec := getJSON(t, h, "/models", nil); rec.Code != http.StatusOK {
+	if rec := getJSON(t, h, "/v1/models", nil); rec.Code != http.StatusOK {
 		t.Fatalf("draining /models: %d", rec.Code)
 	}
 }
@@ -301,9 +301,9 @@ func TestNoDefaultModel404sLegacyRoute(t *testing.T) {
 	h, _ := newTestServer(t, ServeOptions{}, registry.Options{},
 		map[string]*warplda.Model{"news": m}, "")
 	if rec, _ := postInfer(t, h, `{"docs": [[0]]}`); rec.Code != http.StatusNotFound {
-		t.Fatalf("legacy route without default: %d, want 404", rec.Code)
+		t.Fatalf("default route without a default model: %d, want 404", rec.Code)
 	}
-	if rec, _ := postJSON(t, h, "/models/news/infer", `{"docs": [[0]]}`); rec.Code != http.StatusOK {
+	if rec, _ := postJSON(t, h, "/v1/models/news/infer", `{"docs": [[0]]}`); rec.Code != http.StatusOK {
 		t.Fatalf("named route: %d, want 200", rec.Code)
 	}
 }

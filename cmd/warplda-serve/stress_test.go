@@ -34,7 +34,7 @@ func trainStressModel(t testing.TB, k int, seed uint64) *warplda.Model {
 }
 
 // TestHotReloadUnderLoad is the serving-layer torture test: N
-// goroutines hammer POST /infer while the model file is atomically
+// goroutines hammer POST /v1/infer while the model file is atomically
 // replaced several times under them. Every response must be a valid
 // 200 from SOME complete model generation — never an error, never a
 // torn hybrid — and the registry must register every swap. Run under
@@ -89,7 +89,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				req := httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body))
+				req := httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body))
 				rec := httptest.NewRecorder()
 				sv.ServeHTTP(rec, req)
 				requests.Add(1)
@@ -164,7 +164,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 // TestEvictionsObservableUnderLoad drives the registry past its byte
 // budget through the HTTP plane and checks the acceptance invariant:
 // resident bytes never exceed the budget and the evictions are visible
-// via GET /models.
+// via GET /v1/models.
 func TestEvictionsObservableUnderLoad(t *testing.T) {
 	m := trainStressModel(t, 2, 3)
 	eng, err := warplda.NewInferEngine(m, warplda.InferOptions{})
@@ -183,7 +183,7 @@ func TestEvictionsObservableUnderLoad(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4; i++ {
-			rec, _ := postJSON(t, h, fmt.Sprintf("/models/m%d/infer", i), `{"docs": [[0,1,2]]}`)
+			rec, _ := postJSON(t, h, fmt.Sprintf("/v1/models/m%d/infer", i), `{"docs": [[0,1,2]]}`)
 			if rec.Code != http.StatusOK {
 				t.Fatalf("round %d m%d: status %d: %s", round, i, rec.Code, rec.Body)
 			}
@@ -194,8 +194,8 @@ func TestEvictionsObservableUnderLoad(t *testing.T) {
 	}
 
 	var mr modelsResponse
-	if rec := getJSON(t, h, "/models", &mr); rec.Code != http.StatusOK {
-		t.Fatalf("GET /models: %d", rec.Code)
+	if rec := getJSON(t, h, "/v1/models", &mr); rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/models: %d", rec.Code)
 	}
 	var evictions, ready int
 	for _, mi := range mr.Models {

@@ -51,7 +51,7 @@ func TestSlowBodyRequestIsCutOff(t *testing.T) {
 	// Headers complete promptly; the declared body would take ~100 s at
 	// our dribble rate, so only the server's ReadTimeout can end this.
 	_, err = fmt.Fprintf(conn,
-		"POST /infer HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: 2000\r\n\r\n")
+		"POST /v1/infer HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: 2000\r\n\r\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,7 +90,7 @@ func TestV1RetryableEnvelope(t *testing.T) {
 	h.Drain()
 	for _, tc := range []struct{ method, path, body string }{
 		{"POST", "/v1/infer", `{"docs": [[0]]}`},
-		{"POST", "/infer", `{"docs": [[0]]}`},
+		{"POST", "/v1/models/news/infer", `{"docs": [[0]]}`},
 		{"GET", "/v1/models/news/query/topwords", ""},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
@@ -139,43 +138,22 @@ func TestRetryAfterMirrorsHeader(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasParity pins that the pre-versioning paths serve the
-// same responses as their /v1 forms: byte-identical admin bodies, and
-// identical inference results (took_ms aside, which times each call).
-func TestLegacyAliasParity(t *testing.T) {
+// TestUnversionedPathsNotFound pins that the pre-/v1 paths are gone,
+// not half-served: a client still calling them gets a 404 on the JSON
+// error contract, naming the path, instead of ServeMux's plain text.
+func TestUnversionedPathsNotFound(t *testing.T) {
 	h, _ := testHandler(t)
-	for _, path := range []string{"/healthz", "/models", "/models/news"} {
-		legacy := httptest.NewRecorder()
-		h.ServeHTTP(legacy, httptest.NewRequest("GET", path, nil))
-		v1 := httptest.NewRecorder()
-		h.ServeHTTP(v1, httptest.NewRequest("GET", "/v1"+path, nil))
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s: status %d / %d", path, legacy.Code, v1.Code)
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/healthz", ""},
+		{"POST", "/infer", `{"docs": [[0]]}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", tc.method, tc.path, rec.Code)
 		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Fatalf("%s: legacy and /v1 bodies differ:\n%s\n%s", path, legacy.Body, v1.Body)
-		}
-	}
-
-	// Inference parity: deterministic engine, so topics/top must match.
-	rec1, legacy := postJSON(t, h, "/models/news/infer", `{"docs": [[0,1,2]]}`)
-	rec2, v1 := postJSON(t, h, "/v1/models/news/infer", `{"docs": [[0,1,2]]}`)
-	if rec1.Code != 200 || rec2.Code != 200 {
-		t.Fatalf("status %d / %d", rec1.Code, rec2.Code)
-	}
-	legacy.TookMs, v1.TookMs = 0, 0
-	if !reflect.DeepEqual(legacy, v1) {
-		t.Fatalf("legacy %+v != v1 %+v", legacy, v1)
-	}
-
-	// Error parity: same status and code either side.
-	for _, p := range []string{"/models/nope/infer", "/v1/models/nope/infer"} {
-		rec, _ := postJSON(t, h, p, `{"docs": [[0]]}`)
-		if rec.Code != 404 {
-			t.Fatalf("%s: status %d", p, rec.Code)
-		}
-		if e := decodeEnvelope(t, rec); e.Code != codeNotFound {
-			t.Fatalf("%s: code %q", p, e.Code)
+		if e := decodeEnvelope(t, rec); e.Code != codeNotFound || !strings.Contains(e.Message, tc.path) {
+			t.Fatalf("%s %s: envelope %+v, want code %q naming the path", tc.method, tc.path, e, codeNotFound)
 		}
 	}
 }

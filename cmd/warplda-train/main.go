@@ -247,13 +247,11 @@ func run() int {
 		// Unset flags inherit its values; a hyper-parameter flag that was
 		// explicitly set AND disagrees with the checkpoint is rejected —
 		// silently training with different values than the user asked for
-		// would be worse than an error. The one sanctioned exception is
-		// -threads against a manifest checkpoint (anything but a legacy
-		// single-file one): worker topology is exactly what elastic
-		// resume may change.
+		// would be worse than an error. -threads is the exception: worker
+		// topology is exactly what elastic resume may change.
 		set := map[string]bool{}
 		flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-		elasticThreads := set["threads"] && *threads != ck.Cfg.Threads && ck.IsSharded()
+		elasticThreads := set["threads"] && *threads != ck.Cfg.Threads
 		for _, conflict := range []struct {
 			flag string
 			bad  bool
@@ -263,10 +261,9 @@ func run() int {
 			{"topics", *topics != ck.Cfg.K, *topics, ck.Cfg.K},
 			{"m", *m != ck.Cfg.M, *m, ck.Cfg.M},
 			{"seed", *seed != ck.Cfg.Seed, *seed, ck.Cfg.Seed},
-			{"threads", *threads != ck.Cfg.Threads && !elasticThreads, *threads, ck.Cfg.Threads},
 		} {
 			if set[conflict.flag] && conflict.bad {
-				return fatal(fmt.Errorf("-%s %v conflicts with the checkpoint's %v; drop the flag to resume (checkpoints carry their hyper-parameters; -threads may change except against a legacy single-file checkpoint)",
+				return fatal(fmt.Errorf("-%s %v conflicts with the checkpoint's %v; drop the flag to resume (checkpoints carry their hyper-parameters; only -threads may change)",
 					conflict.flag, conflict.got, conflict.want))
 			}
 		}

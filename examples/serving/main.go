@@ -9,8 +9,8 @@
 // multi-model registry directory:
 //
 //	go run ./cmd/warplda-serve -model model.bin &
-//	curl -s localhost:8080/infer -d '{"docs": [[0, 5, 7, 5]]}'
-//	curl -s localhost:8080/models
+//	curl -s localhost:8080/v1/infer -d '{"docs": [[0, 5, 7, 5]]}'
+//	curl -s localhost:8080/v1/models
 package main
 
 import (

@@ -23,8 +23,8 @@ var goldenDir = filepath.Join("testdata", "golden")
 // TestGoldenFixtures reads the fixture of every durable format and, for
 // each format that still has a writer, re-encodes the decoded value and
 // requires the fixture's bytes back: the byte layouts of
-// docs/FORMATS.md do not change. The read-only WARPCKPT fixture and both
-// checkpoint directories must also resume.
+// docs/FORMATS.md do not change. Both checkpoint directories must also
+// resume.
 func TestGoldenFixtures(t *testing.T) {
 	mc, err := corpus.OpenMapped(filepath.Join(goldenDir, "corpus.warpcorpus"))
 	if err != nil {
@@ -96,18 +96,6 @@ func TestGoldenFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBytes(t, re.Bytes(), raw)
-	})
-
-	t.Run("WARPCKPT", func(t *testing.T) {
-		ck, err := train.Load(filepath.Join(goldenDir, "legacy.ckpt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ck.IsSharded() || ck.Sampler != "WarpLDA" || ck.Iter != 6 || ck.Fingerprint != train.CorpusFingerprint(c) {
-			t.Fatalf("legacy checkpoint decoded as %s at iteration %d (sharded %v, fingerprint %08x)",
-				ck.Sampler, ck.Iter, ck.IsSharded(), ck.Fingerprint)
-		}
-		resumeGolden(t, ck, c)
 	})
 
 	for _, name := range []string{"warp", "distributed"} {

@@ -67,12 +67,12 @@ func (a *AliasLDA) Name() string { return "AliasLDA" }
 
 const aliasLDAStateTag = "alia\x01"
 
-// StateTo implements sampler.Sampler. The stale word-proposal machinery
-// is real state: staleQ (the distribution each alias table was built
-// from — the tables themselves are rebuilt from it on restore),
-// staleSum, and the per-word rebuild countdowns, plus the per-document
-// non-zero topic lists whose scan order matters for bit-identical
-// resume.
+// StateTo writes the one-shard checkpoint stream. The stale
+// word-proposal machinery is real state: staleQ (the distribution each
+// alias table was built from — the tables themselves are rebuilt from
+// it on restore), staleSum, and the per-word rebuild countdowns, plus
+// the per-document non-zero topic lists whose scan order matters for
+// bit-identical resume.
 func (a *AliasLDA) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(aliasLDAStateTag)
@@ -91,7 +91,7 @@ func (a *AliasLDA) StateTo(w io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (a *AliasLDA) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(aliasLDAStateTag)

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -30,6 +31,8 @@ func testCfg(k int) sampler.Config {
 // every constructor, behind one signature for table-driven tests.
 type consistencyChecker interface {
 	sampler.Sampler
+	StateTo(w io.Writer) error
+	RestoreFrom(r io.Reader) error
 	check() error
 }
 

@@ -33,9 +33,9 @@ func (g *CGS) Name() string { return "CGS" }
 
 const cgsStateTag = "cgs\x01"
 
-// StateTo implements sampler.Sampler. CGS's only mutable state beyond
-// the counts (which are pure functions of z) is the assignment matrix
-// and the RNG stream.
+// StateTo writes the one-shard checkpoint stream. CGS's only mutable
+// state beyond the counts (which are pure functions of z) is the
+// assignment matrix and the RNG stream.
 func (g *CGS) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(cgsStateTag)
@@ -43,7 +43,7 @@ func (g *CGS) StateTo(w io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (g *CGS) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(cgsStateTag)

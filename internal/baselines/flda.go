@@ -61,10 +61,10 @@ func (f *FPlusLDA) Name() string { return "F+LDA" }
 
 const fldaStateTag = "flda\x01"
 
-// StateTo implements sampler.Sampler. The F+ tree is rebuilt per word
-// inside Iterate and the word-major index is immutable, so beyond the
-// base only the per-document topic lists (scan order matters) are
-// state.
+// StateTo writes the one-shard checkpoint stream. The F+ tree is
+// rebuilt per word inside Iterate and the word-major index is
+// immutable, so beyond the base only the per-document topic lists (scan
+// order matters) are state.
 func (f *FPlusLDA) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(fldaStateTag)
@@ -73,7 +73,7 @@ func (f *FPlusLDA) StateTo(w io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (f *FPlusLDA) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(fldaStateTag)

@@ -119,13 +119,13 @@ func (l *LightLDA) Name() string { return l.variantTag }
 
 const lightLDAStateTag = "lite\x01"
 
-// StateTo implements sampler.Sampler. Beyond the base, LightLDA's stale
-// per-word proposal tables are genuine state: each is serialized as the
-// (topics, counts, weights, za, builtAt) it was built from, together
-// with the token clock that schedules rebuilds, so stock LightLDA's
-// refresh cadence survives a resume exactly. The smoothing table and
-// ckDenom snapshot are rebuilt at the top of every Iterate and need no
-// serialization.
+// StateTo writes the one-shard checkpoint stream. Beyond the base,
+// LightLDA's stale per-word proposal tables are genuine state: each is
+// serialized as the (topics, counts, weights, za, builtAt) it was built
+// from, together with the token clock that schedules rebuilds, so stock
+// LightLDA's refresh cadence survives a resume exactly. The smoothing
+// table and ckDenom snapshot are rebuilt at the top of every Iterate
+// and need no serialization.
 func (l *LightLDA) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(lightLDAStateTag)
@@ -147,7 +147,7 @@ func (l *LightLDA) StateTo(w io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (l *LightLDA) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(lightLDAStateTag)

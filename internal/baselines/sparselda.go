@@ -61,11 +61,11 @@ func (s *SparseLDA) Name() string { return "SparseLDA" }
 
 const sparseLDAStateTag = "sprs\x01"
 
-// StateTo implements sampler.Sampler. Beyond the shared base, the
-// incrementally maintained non-zero topic lists are state: bucket
-// sampling scans them cumulatively, so their *order* (scrambled by
-// swap-remove over the run) matters for bit-identical resume. ssum is
-// rebuilt at the top of every Iterate and so is not serialized.
+// StateTo writes the one-shard checkpoint stream. Beyond the shared
+// base, the incrementally maintained non-zero topic lists are state:
+// bucket sampling scans them cumulatively, so their *order* (scrambled
+// by swap-remove over the run) matters for bit-identical resume. ssum
+// is rebuilt at the top of every Iterate and so is not serialized.
 func (s *SparseLDA) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(sparseLDAStateTag)
@@ -75,7 +75,7 @@ func (s *SparseLDA) StateTo(w io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (s *SparseLDA) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(sparseLDAStateTag)

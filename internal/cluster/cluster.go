@@ -153,9 +153,9 @@ func (s *Sim) Assignments() [][]int32 { return s.warp.Assignments() }
 
 const simStateTag = "sim \x01"
 
-// StateTo implements sampler.Sampler: the wrapped WarpLDA sampler's
-// state plus the accumulated modeled time, so a resumed simulation
-// continues both the chain and its cost accounting.
+// StateTo writes Sim's one-shard checkpoint stream: the wrapped WarpLDA
+// sampler's state plus the accumulated modeled time, so a resumed
+// simulation continues both the chain and its cost accounting.
 func (s *Sim) StateTo(w io.Writer) error {
 	e := sampler.NewEnc(w)
 	e.Tag(simStateTag)
@@ -166,7 +166,7 @@ func (s *Sim) StateTo(w io.Writer) error {
 	return s.warp.StateTo(w)
 }
 
-// RestoreFrom implements sampler.Sampler.
+// RestoreFrom restores what StateTo wrote.
 func (s *Sim) RestoreFrom(r io.Reader) error {
 	d := sampler.NewDec(r)
 	d.Tag(simStateTag)

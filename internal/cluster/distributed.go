@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 
@@ -227,107 +226,6 @@ func (d *Distributed) exchange(ph int) {
 
 // GlobalCounts returns a copy of the replicated ck vector.
 func (d *Distributed) GlobalCounts() []int32 { return append([]int32(nil), d.ck...) }
-
-const distStateTag = "dist\x01"
-
-// StateTo implements sampler.Sampler: each worker's token shard (cells
-// plus payloads, in shard order), the replicated global counts, and the
-// per-worker RNG streams. Shards are laid out in sender order whatever
-// the schedule of the exchange, so a run is a function of its seed and a
-// sampler restored at the same worker count resumes bit-identically.
-func (d *Distributed) StateTo(out io.Writer) error {
-	e := sampler.NewEnc(out)
-	e.Tag(distStateTag)
-	e.Int(d.p)
-	e.Int(d.cfg.M)
-	e.I32s(d.ck)
-	for _, wk := range d.workers {
-		e.RNG(wk.R)
-	}
-	for i := range d.shards {
-		e.Int(d.shards[i].Len())
-		writeSlab(e, &d.shards[i])
-	}
-	return e.Err()
-}
-
-// RestoreFrom implements sampler.Sampler. The state must come from a
-// Distributed sampler with the same corpus, Config, and worker count.
-func (d *Distributed) RestoreFrom(in io.Reader) error {
-	dec := sampler.NewDec(in)
-	dec.Tag(distStateTag)
-	p := dec.Int()
-	m := dec.Int()
-	if dec.Err() == nil && p != d.p {
-		return fmt.Errorf("cluster: state has %d workers, sampler has %d", p, d.p)
-	}
-	if dec.Err() == nil && m != d.cfg.M {
-		return fmt.Errorf("cluster: state has M=%d, sampler has M=%d", m, d.cfg.M)
-	}
-	ck := dec.I32sLen("global counts", d.cfg.K)
-	rngs := make([][4]uint64, d.p)
-	for i := range rngs {
-		rngs[i] = dec.RNGState()
-	}
-	shards := make([]Slab, d.p)
-	total := 0
-	stride := d.cfg.M + 1
-	for i := 0; i < d.p && dec.Err() == nil; i++ {
-		n := dec.Int()
-		if dec.Err() != nil {
-			break
-		}
-		if n < 0 || total+n > d.c.NumTokens() {
-			return fmt.Errorf("cluster: state shard %d has implausible %d tokens", i, n)
-		}
-		total += n
-		sh := Slab{D: dec.I32sLen("token docs", n), W: dec.I32sLen("token words", n)}
-		sh.Data = dec.I32sLen("token payloads", n*stride)
-		dec.CheckTopics("token payloads", sh.Data, d.cfg.K)
-		if dec.Err() != nil {
-			break
-		}
-		if err := checkCells(&sh, d.c.NumDocs(), d.c.V); err != nil {
-			return err
-		}
-		for _, w := range sh.W {
-			if d.top.Cols[w] != int32(i) {
-				return fmt.Errorf("cluster: state token of word %d in shard %d, owner is %d", w, i, d.top.Cols[w])
-			}
-		}
-		shards[i] = sh
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if total != d.c.NumTokens() {
-		return fmt.Errorf("cluster: state has %d tokens, corpus has %d", total, d.c.NumTokens())
-	}
-	// The state's (doc, word) multiset must be exactly the corpus —
-	// per-cell in-range checks and the total alone would still accept a
-	// blob that duplicates one cell's token and drops another's.
-	if err := d.validateTokenMultiset(shards); err != nil {
-		return err
-	}
-	// ck must match the assignment histogram.
-	count := make([]int32, d.cfg.K)
-	for _, sh := range shards {
-		for i := 0; i < len(sh.Data); i += stride {
-			count[sh.Data[i]]++
-		}
-	}
-	for k := range count {
-		if count[k] != ck[k] {
-			return fmt.Errorf("cluster: state global counts disagree with assignments at topic %d", k)
-		}
-	}
-	d.shards = shards
-	copy(d.ck, ck)
-	for i, wk := range d.workers {
-		wk.R.SetState(rngs[i])
-	}
-	return nil
-}
 
 // pair packs two non-negative int32 so that packed values order as the
 // pairs do lexicographically.

@@ -209,123 +209,43 @@ func TestGroupingIsStableAndTiles(t *testing.T) {
 	}
 }
 
-func TestDistributedResumeBitIdenticalSingleWorker(t *testing.T) {
+// A corrupt or mismatched shard set must be refused: shards of one save
+// mixed with shards of a save under another worker count, a sampler
+// with a different M, and a shard cut short anywhere in its stream.
+func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
 	c := simCorpus()
 	cfg := sampler.PaperDefaults(6)
-	cfg.M = 2
-	mk := func() *Distributed {
-		d, err := NewDistributed(c, cfg, 1)
+	cfg.M = 1
+	mk := func(cfg sampler.Config, p int) *Distributed {
+		d, err := NewDistributed(c, cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	full, half, fresh := mk(), mk(), mk()
-	const n = 3
-	for i := 0; i < 2*n; i++ {
-		full.Iterate()
-	}
-	for i := 0; i < n; i++ {
-		half.Iterate()
-	}
-	var buf bytes.Buffer
-	if err := half.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		fresh.Iterate()
-	}
-	if !reflect.DeepEqual(fresh.GlobalCounts(), full.GlobalCounts()) {
-		t.Fatal("single-worker resumed run diverged (global counts)")
-	}
-	if !reflect.DeepEqual(fresh.Assignments(), full.Assignments()) {
-		t.Fatal("single-worker resumed run diverged (assignments)")
-	}
-}
+	d2, d3 := mk(cfg, 2), mk(cfg, 3)
+	d2.Iterate()
+	d3.Iterate()
+	blobs2, blobs3 := shardBlobs(t, d2), shardBlobs(t, d3)
 
-// With several workers the blocks of the exchange arrive in any order,
-// but a receiver lays them out by sender, so the state round-trips
-// losslessly and the restored sampler continues bit-identically.
-func TestDistributedStateRoundTripMultiWorker(t *testing.T) {
-	c := simCorpus()
-	cfg := sampler.PaperDefaults(6)
-	cfg.M = 2
-	d, err := NewDistributed(c, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		d.Iterate()
-	}
-	var buf bytes.Buffer
-	if err := d.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wantCk := d.GlobalCounts()
-	wantLL := eval.LogJoint(c, d.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-
-	fresh, err := NewDistributed(c, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh.GlobalCounts(), wantCk) {
-		t.Fatal("restored global counts differ")
-	}
-	if got := eval.LogJoint(c, fresh.Assignments(), cfg.K, cfg.Alpha, cfg.Beta); got != wantLL {
-		t.Fatalf("restored log-likelihood %v, want %v", got, wantLL)
-	}
-	for i := 0; i < 2; i++ {
-		fresh.Iterate()
-		d.Iterate()
-	}
-	if !reflect.DeepEqual(fresh.GlobalCounts(), d.GlobalCounts()) {
-		t.Fatal("multi-worker resumed run diverged (global counts)")
-	}
-	if !reflect.DeepEqual(fresh.Assignments(), d.Assignments()) {
-		t.Fatal("multi-worker resumed run diverged (assignments)")
-	}
-}
-
-func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
-	c := simCorpus()
-	cfg := sampler.PaperDefaults(6)
-	cfg.M = 1
-	d, err := NewDistributed(c, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Iterate()
-	var buf bytes.Buffer
-	if err := d.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-
-	// Wrong worker count.
-	if d3, err := NewDistributed(c, cfg, 3); err != nil {
-		t.Fatal(err)
-	} else if err := d3.RestoreFrom(bytes.NewReader(blob)); err == nil {
-		t.Error("worker-count mismatch accepted")
+	// Worker-count mismatch: shard 1 was written under 3 workers.
+	mixed := []*bytes.Buffer{blobs2[0], blobs3[1]}
+	if _, err := mk(cfg, 2).RestoreShards(1, readers(mixed)); err == nil {
+		t.Error("shards from saves with different worker counts accepted")
 	}
 	// Wrong M.
 	cfg2 := cfg
 	cfg2.M = 2
-	if dm, err := NewDistributed(c, cfg2, 2); err != nil {
-		t.Fatal(err)
-	} else if err := dm.RestoreFrom(bytes.NewReader(blob)); err == nil {
+	if _, err := mk(cfg2, 2).RestoreShards(1, readers(blobs2)); err == nil {
 		t.Error("M mismatch accepted")
 	}
-	// Truncated.
-	if dt, err := NewDistributed(c, cfg, 2); err != nil {
-		t.Fatal(err)
-	} else if err := dt.RestoreFrom(bytes.NewReader(blob[:len(blob)-11])); err == nil {
-		t.Error("truncated state accepted")
+	// Truncated, at the start, inside the header, mid-body and by one byte.
+	full := blobs2[1].Bytes()
+	for _, n := range []int{0, 5, len(full) / 2, len(full) - 1} {
+		cut := bytes.NewBuffer(full[:n])
+		if _, err := mk(cfg, 2).RestoreShards(1, readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
+			t.Errorf("shard truncated to %d of %d bytes accepted", n, len(full))
+		}
 	}
 }
 
@@ -366,48 +286,5 @@ func TestSimStateRoundTrip(t *testing.T) {
 	// timing differs run to run.
 	if !reflect.DeepEqual(fresh.Assignments(), full.Assignments()) {
 		t.Fatal("resumed Sim diverged from uninterrupted run")
-	}
-}
-
-// A state whose per-cell token multiset differs from the corpus must be
-// rejected even when every cheaper invariant (ranges, shard ownership,
-// totals, ck histogram) still holds.
-func TestDistributedRestoreRejectsWrongTokenMultiset(t *testing.T) {
-	c := simCorpus()
-	cfg := sampler.PaperDefaults(6)
-	cfg.M = 1
-	d, err := NewDistributed(c, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Iterate()
-	// Duplicate one cell and drop another within the same shard: topics
-	// are untouched, so the ck histogram still matches.
-	tampered := false
-	for _, sh := range d.shards {
-		for j := 1; j < sh.Len(); j++ {
-			if sh.D[j] != sh.D[0] || sh.W[j] != sh.W[0] {
-				sh.D[j], sh.W[j] = sh.D[0], sh.W[0]
-				tampered = true
-				break
-			}
-		}
-		if tampered {
-			break
-		}
-	}
-	if !tampered {
-		t.Fatal("could not tamper (degenerate corpus)")
-	}
-	var buf bytes.Buffer
-	if err := d.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewDistributed(c, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreFrom(&buf); err == nil {
-		t.Fatal("wrong token multiset accepted")
 	}
 }

@@ -1,13 +1,10 @@
-// Per-worker shard serialization and elastic restore for Distributed.
-//
-// StateTo/RestoreFrom (distributed.go) funnel every worker's state
-// through one stream and demand an identical worker count on resume.
-// The methods here implement sampler.Sharded instead: each worker
-// serializes its own token shard — so the checkpoint layer can write P
-// files concurrently — and restore accepts ANY saved worker count,
-// repartitioning the tokens across the current topology. Worker RNG
-// streams survive bit-exactly when the count matches and are reseeded
-// via the documented rng.Derive strategy when it does not.
+// Per-worker shard serialization and elastic restore for Distributed,
+// its one state encoding. The methods here implement sampler.Sharded:
+// each worker serializes its own token shard — so the checkpoint layer
+// can write P files concurrently — and restore accepts ANY saved worker
+// count, repartitioning the tokens across the current topology. Worker
+// RNG streams survive bit-exactly when the count matches and are
+// reseeded via the documented rng.Derive strategy when it does not.
 //
 // The stream itself is factored out as EncodeWorkerState and
 // DecodeWorkerState so the live multi-process mode (internal/dist) can
@@ -229,7 +226,7 @@ func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded b
 // validateTokenMultiset checks that the tokens' (doc, word) multiset is
 // exactly the corpus — per-cell range checks and the total alone would
 // still accept a state that duplicates one cell's token and drops
-// another's. Shared by RestoreFrom and RestoreShards.
+// another's.
 func (d *Distributed) validateTokenMultiset(shards []Slab) error {
 	cells := make(map[int64]int32, d.c.NumTokens())
 	for di, doc := range d.c.Docs {

@@ -117,40 +117,52 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 
 // Same worker count: the restore must be exact — shards byte-for-byte,
 // RNG streams included — so a p→p resume continues precisely the saved
-// trajectory.
+// trajectory. With several workers the blocks of the exchange arrive in
+// any order, but a receiver lays them out by sender, so this holds at
+// p > 1 as well as at p = 1.
 func TestSameTopologyRestoreIsExact(t *testing.T) {
 	c := simCorpus()
 	cfg := sampler.PaperDefaults(6)
 	cfg.M = 2
-	src, err := NewDistributed(c, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		src.Iterate()
-	}
-	dst, err := NewDistributed(c, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reseeded, err := dst.RestoreShards(3, readers(shardBlobs(t, src))); err != nil || reseeded {
-		t.Fatalf("reseeded=%v err=%v, want false/nil", reseeded, err)
-	}
-	if !reflect.DeepEqual(dst.shards, src.shards) {
-		t.Fatal("restored shards differ from saved shards")
-	}
-	for i := range src.workers {
-		if dst.workers[i].R.State() != src.workers[i].R.State() {
-			t.Fatalf("worker %d RNG stream not restored", i)
-		}
-	}
-	// And end to end: continuation is bit-identical.
-	for i := 0; i < 3; i++ {
-		src.Iterate()
-		dst.Iterate()
-	}
-	if !reflect.DeepEqual(src.Assignments(), dst.Assignments()) {
-		t.Fatal("shard-restored run diverged")
+	for _, p := range []int{1, 3} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			src, err := NewDistributed(c, cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				src.Iterate()
+			}
+			dst, err := NewDistributed(c, cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reseeded, err := dst.RestoreShards(3, readers(shardBlobs(t, src))); err != nil || reseeded {
+				t.Fatalf("reseeded=%v err=%v, want false/nil", reseeded, err)
+			}
+			if !reflect.DeepEqual(dst.shards, src.shards) {
+				t.Fatal("restored shards differ from saved shards")
+			}
+			if !reflect.DeepEqual(dst.GlobalCounts(), src.GlobalCounts()) {
+				t.Fatal("restored global counts differ")
+			}
+			for i := range src.workers {
+				if dst.workers[i].R.State() != src.workers[i].R.State() {
+					t.Fatalf("worker %d RNG stream not restored", i)
+				}
+			}
+			// And end to end: continuation is bit-identical.
+			for i := 0; i < 3; i++ {
+				src.Iterate()
+				dst.Iterate()
+			}
+			if !reflect.DeepEqual(src.GlobalCounts(), dst.GlobalCounts()) {
+				t.Fatal("shard-restored run diverged (global counts)")
+			}
+			if !reflect.DeepEqual(src.Assignments(), dst.Assignments()) {
+				t.Fatal("shard-restored run diverged (assignments)")
+			}
+		})
 	}
 }
 
@@ -203,6 +215,33 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 		}
 		if _, err := d2.RestoreShards(1, readers(blobs)); err == nil {
 			t.Fatal("M mismatch accepted")
+		}
+	})
+	// A shard set whose per-cell token multiset differs from the corpus
+	// must be refused even when every cheaper invariant (ranges, shard
+	// ownership, totals) still holds.
+	t.Run("wrong token multiset", func(t *testing.T) {
+		d := fresh()
+		d.Iterate()
+		// Duplicate one cell and drop another within the same shard:
+		// topics are untouched, so the count histogram still matches.
+		tampered := false
+		for _, sh := range d.shards {
+			for j := 1; j < sh.Len() && !tampered; j++ {
+				if sh.D[j] != sh.D[0] || sh.W[j] != sh.W[0] {
+					sh.D[j], sh.W[j] = sh.D[0], sh.W[0]
+					tampered = true
+				}
+			}
+			if tampered {
+				break
+			}
+		}
+		if !tampered {
+			t.Fatal("could not tamper (degenerate corpus)")
+		}
+		if _, err := fresh().RestoreShards(1, readers(shardBlobs(t, d))); err == nil {
+			t.Fatal("wrong token multiset accepted")
 		}
 	})
 	t.Run("bad shard index", func(t *testing.T) {

@@ -2,7 +2,7 @@
 //
 // StateTo/RestoreFrom (warp.go) funnel the whole state through one
 // stream and demand an identical worker count on resume. The methods
-// here implement sampler.Sharded instead, mirroring the distributed
+// here implement sampler.Sharded, mirroring the distributed
 // sampler's semantics (internal/cluster/shard.go) for the shared-memory
 // sampler: each worker serializes the documents it owns in the doc
 // phase, and restore accepts ANY saved worker count, because the token

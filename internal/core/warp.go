@@ -490,12 +490,13 @@ func (w *Warp) GlobalCounts() []int32 {
 // warpStateTag versions the serialized state layout of StateTo.
 const warpStateTag = "warp\x01"
 
-// StateTo implements sampler.Sampler: it serializes every token's
-// payload (assignment + M pending proposals), the frozen global count
-// vector, and each worker's RNG stream. Together with the corpus and
-// Config (which rebuild all derived structure deterministically) that
-// is the sampler's complete mutable state: a fresh Warp restored from
-// it continues the chain bit-identically.
+// StateTo serializes every token's payload (assignment + M pending
+// proposals), the frozen global count vector, and each worker's RNG
+// stream. Together with the corpus and Config (which rebuild all
+// derived structure deterministically) that is the sampler's complete
+// mutable state: a fresh Warp restored from it continues the chain
+// bit-identically. It is the stream cluster.Sim's one-shard checkpoint
+// wraps; Warp's own checkpoints are sharded (shard.go).
 func (w *Warp) StateTo(out io.Writer) error {
 	e := sampler.NewEnc(out)
 	e.Tag(warpStateTag)
@@ -508,7 +509,7 @@ func (w *Warp) StateTo(out io.Writer) error {
 	return e.Err()
 }
 
-// RestoreFrom implements sampler.Sampler. The state must come from a
+// RestoreFrom restores what StateTo wrote. The state must come from a
 // Warp over the same corpus and Config (worker count included — the
 // RNG streams are per worker). Everything is decoded and validated
 // before any live state is replaced, so a corrupt snapshot leaves the

@@ -739,7 +739,7 @@ func (co *Coordinator) loadOrInit(p int) (*cluster.Distributed, int, error) {
 	}
 	cfgP := co.cfg.Cfg
 	cfgP.Threads = p
-	if err := ckpt.VerifyElastic(shadow.Name(), co.fp, cfgP); err != nil {
+	if err := ckpt.Verify(shadow.Name(), co.fp, cfgP); err != nil {
 		return nil, 0, err
 	}
 	reseeded, err := ckpt.RestoreInto(shadow)

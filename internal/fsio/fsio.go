@@ -6,8 +6,8 @@
 // bytes actually read; files land by atomic rename. The formats —
 // WARPLDA model snapshots, WARPDLT model deltas (delta.go), WARPCRP
 // corpus caches, WARPMANI checkpoint manifests, WARPSHRD checkpoint
-// shards, legacy WARPCKPT checkpoints (read only) and WRPF cluster
-// frames — keep only their headers and payloads and call:
+// shards and WRPF cluster frames — keep only their headers and payloads
+// and call:
 //
 //   - WriteEnvelope: magic, the body through a CRC, the trailer;
 //   - NewReader: the magic, then a Reader that hashes exactly the bytes

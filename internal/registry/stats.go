@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Introspection for the GET /models admin API: per-model lifecycle
+// Introspection for the GET /v1/models admin API: per-model lifecycle
 // stats and registry-wide accounting. Everything here is a consistent
 // point-in-time copy taken under the registry lock; the JSON tags are
 // the wire format cmd/warplda-serve exposes.

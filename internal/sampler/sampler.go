@@ -96,37 +96,26 @@ type Sampler interface {
 	// corpus.Docs. Implementations may return an internal buffer; callers
 	// must not mutate it and must copy if they need it across Iterate calls.
 	Assignments() [][]int32
-	// StateTo serializes the sampler's complete mutable state —
-	// assignments, pending proposals, derived caches, RNG streams — so
-	// that a sampler constructed over the same corpus and Config and
-	// restored with RestoreFrom continues the run exactly where this one
-	// stands. Must only be called between Iterate calls.
-	StateTo(w io.Writer) error
-	// RestoreFrom replaces the sampler's state with one written by
-	// StateTo on a sampler of the same algorithm, corpus, and Config.
-	// On error the sampler's prior state is left untouched (restores
-	// validate fully before committing anything).
-	RestoreFrom(r io.Reader) error
 }
 
 // Sharded is implemented by samplers whose mutable state is divided
 // among workers — physically partitioned tokens in the distributed
 // execution model, or per-worker row ranges of a shared token matrix
 // in the threaded shared-memory sampler. It is what lets the
-// checkpoint layer write one file per worker concurrently — instead
-// of funnelling every shard through StateTo's single stream — and
-// resume across topology changes (a different -threads).
+// checkpoint layer write one file per worker concurrently and resume
+// across topology changes (a different -threads).
 //
-// The shard streams written by ShardTo are a complete alternative
-// encoding of the sampler's state: restoring all of them via
-// RestoreShards is equivalent to RestoreFrom of a StateTo blob.
+// The shard streams written by ShardTo together hold the sampler's
+// complete mutable state — assignments, pending proposals, RNG
+// streams — so restoring all of them via RestoreShards continues the
+// run where it stood.
 type Sharded interface {
 	Sampler
 	// NumShards returns the number of state shards (the worker count).
 	NumShards() int
 	// ShardTo serializes shard i's state (its tokens or rows plus the
-	// owning worker's RNG stream). Like StateTo, it must only be called
-	// between Iterate calls. Distinct shards may be written concurrently.
+	// owning worker's RNG stream). It must only be called between
+	// Iterate calls. Distinct shards may be written concurrently.
 	ShardTo(i int, w io.Writer) error
 	// RestoreShards replaces the sampler's state with the union of the
 	// given shard streams, written by ShardTo on a sampler of the same

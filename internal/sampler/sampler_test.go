@@ -195,7 +195,7 @@ func TestLoopResumeMatchesUninterrupted(t *testing.T) {
 		half.Eval(false)
 	}
 	var buf bytes.Buffer
-	if err := half.Sampler.StateTo(&buf); err != nil {
+	if err := half.Sampler.(*fakeSampler).StateTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fresh := newFake(c)

@@ -1,57 +1,39 @@
-// Checkpoint envelope and the legacy single-file format. A checkpoint
-// is everything a crashed or killed training run needs to continue as
-// if nothing happened: the sampler's identity and configuration, the
-// loop progress (iteration counter, elapsed sampling time, convergence
-// trace), a fingerprint of the corpus it was training on, and the
-// sampler's complete serialized state (assignments, pending proposals,
-// caches, RNG streams).
-//
-// Every checkpoint is written as a WARPMANI manifest plus WARPSHRD
-// shards (manifest.go). The single-file WARPCKPT format that earlier
-// releases wrote is read-only: Read and Load still accept it, and
-// train.Run restores it through the sampler's RestoreFrom.
+// Checkpoint envelope. A checkpoint is everything a crashed or killed
+// training run needs to continue as if nothing happened: the sampler's
+// identity and configuration, the loop progress (iteration counter,
+// elapsed sampling time, convergence trace), a fingerprint of the
+// corpus it was training on, and the sampler's complete serialized
+// state (assignments, pending proposals, caches, RNG streams) in the
+// WARPSHRD shard files a WARPMANI manifest binds (manifest.go).
 package train
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"regexp"
 	"time"
 
 	"warplda/internal/corpus"
-	"warplda/internal/fsio"
 	"warplda/internal/sampler"
 )
 
 const (
-	// ckptMagic opens a legacy single-file checkpoint.
-	ckptMagic = "WARPCKPT\x01"
-	// DefaultFileName is the unstamped single-file checkpoint releases
-	// before checkpoint retention wrote inside a checkpoint directory;
-	// Load falls back to it when nothing stamped exists.
-	DefaultFileName = "checkpoint.ckpt"
-
 	// maxTracePoints and maxTopics bound allocations driven by decoded
-	// length fields. Both envelope readers check the trailer before
-	// decoding, so these only stop a well-checksummed hostile file. Both
-	// are far beyond any real run — the paper's largest K is 10^6 —
-	// while keeping the worst-case allocation small.
+	// length fields. ReadManifest checks the trailer before decoding, so
+	// these only stop a well-checksummed hostile file. Both are far
+	// beyond any real run — the paper's largest K is 10^6 — while keeping
+	// the worst-case allocation small.
 	maxTracePoints = 1 << 20
 	maxTopics      = 1 << 22
 )
 
 // Checkpoint is a resumable training snapshot: an envelope (sampler
-// identity, config, loop progress, corpus fingerprint) and the
-// sampler's state. Written checkpoints are directories of WARPSHRD
+// identity, config, loop progress, corpus fingerprint) and the shard
+// table of the sampler's state. On disk it is a directory of WARPSHRD
 // shard files bound together by a CRC-trailed WARPMANI manifest — one
-// shard per worker of a sampler.Sharded, one shard holding StateTo's
-// stream for any other sampler (see manifest.go and docs/FORMATS.md).
-// A legacy single-file WARPCKPT checkpoint, read by Read, carries the
-// state in State instead.
+// shard per worker of a sampler.Sharded, one shard holding the state
+// stream of any other sampler (see manifest.go and docs/FORMATS.md).
 type Checkpoint struct {
 	// Sampler is the algorithm name (sampler.Sampler.Name) the state
 	// belongs to; resuming into a different algorithm is refused.
@@ -66,13 +48,8 @@ type Checkpoint struct {
 	// Fingerprint identifies the corpus (see CorpusFingerprint); a
 	// checkpoint resumed against a different corpus is refused.
 	Fingerprint uint32
-	// State is a legacy WARPCKPT checkpoint's serialized sampler state
-	// (StateTo output). Nil for manifest checkpoints, whose state lives
-	// in the shard files.
-	State []byte
 
-	// Dir is the manifest checkpoint's directory; empty for a legacy
-	// single-file checkpoint.
+	// Dir is the checkpoint's directory.
 	Dir string
 	// ShardFiles, ShardSizes and ShardCRCs are the manifest's shard
 	// table: file name (relative to Dir), total byte size, and CRC32
@@ -84,11 +61,6 @@ type Checkpoint struct {
 	ShardSizes []int64
 	ShardCRCs  []uint32
 }
-
-// IsSharded reports whether the checkpoint is a manifest with shard
-// files, the shape every checkpoint is written in, rather than a
-// legacy WARPCKPT file.
-func (ck *Checkpoint) IsSharded() bool { return len(ck.ShardFiles) > 0 }
 
 // CorpusFingerprint hashes the corpus identity a checkpoint is bound
 // to: dimensions, document lengths, and every token, so resuming
@@ -104,116 +76,45 @@ func CorpusFingerprint(c corpus.Provider) uint32 {
 	return corpus.FingerprintOf(c)
 }
 
-// Read deserializes a legacy single-file WARPCKPT checkpoint — magic,
-// envelope, the sampler state running to the trailer, CRC32 trailer —
-// verifying the trailer before decoding anything: a torn or bit-rotted
-// file is an error, never a resumable state.
-func Read(r io.Reader) (*Checkpoint, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("train: reading checkpoint: %w", err)
-	}
-	body, err := fsio.CheckImage(raw, ckptMagic)
-	if err != nil {
-		return nil, fmt.Errorf("train: checkpoint: %w", err)
-	}
-	br := bytes.NewReader(body)
-	d := sampler.NewDec(br)
-	ck := &Checkpoint{}
-	decodeEnvelope(d, ck)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("train: corrupt checkpoint: %w", err)
-	}
-	ck.State = body[len(body)-br.Len():]
-	if err := validateCheckpoint(ck); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// Load reads a checkpoint from path, which may be:
-//
-//   - a checkpoint directory (contains ManifestFileName) or its
-//     manifest file directly;
-//   - a legacy WARPCKPT file (stamped, or the unstamped DefaultFileName);
-//   - a checkpoint *collection* directory — what -checkpoint-dir
-//     accumulates under keep-last-N retention — in which case the
-//     newest iteration-stamped checkpoint (of either shape) is loaded,
-//     falling back to the legacy DefaultFileName.
+// Load reads a checkpoint from path, which may be a checkpoint
+// directory (it contains ManifestFileName), its manifest file, or a
+// checkpoint *collection* directory — what -checkpoint-dir accumulates
+// under keep-last-N retention — in which case the newest complete
+// checkpoint is loaded.
 func Load(path string) (*Checkpoint, error) {
-	if st, err := os.Stat(path); err == nil && st.IsDir() {
-		if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err == nil {
-			return ReadManifest(path)
-		}
-		entries, err := ListCheckpoints(path)
-		if err != nil {
-			return nil, err
-		}
-		if len(entries) > 0 {
-			newest := entries[len(entries)-1]
-			if newest.Sharded {
-				return ReadManifest(newest.Path)
-			}
-			path = newest.Path
-		} else {
-			path = filepath.Join(path, DefaultFileName)
-		}
-	}
 	if filepath.Base(path) == ManifestFileName {
 		return ReadManifest(filepath.Dir(path))
 	}
-	f, err := os.Open(path)
+	if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err == nil {
+		return ReadManifest(path)
+	}
+	entries, err := ListCheckpoints(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	ck, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("%s: no complete checkpoint", path)
 	}
-	return ck, nil
+	return ReadManifest(entries[len(entries)-1].Path)
 }
 
 // Verify checks that the checkpoint belongs to this (sampler, corpus
 // fingerprint, config) triple. It is the gate train.Run applies before
-// restoring any state.
+// restoring any state. cfg.Threads may differ from the checkpoint's:
+// the worker topology is exactly what an elastic resume is allowed to
+// change. The shard files themselves still pin the topology they were
+// written under; sampler.Sharded.RestoreShards owns the rebalancing,
+// and a sampler that never reads Threads restores its one shard
+// unchanged.
 func (ck *Checkpoint) Verify(samplerName string, fingerprint uint32, cfg sampler.Config) error {
-	return ck.verify(samplerName, fingerprint, cfg, false)
-}
-
-// VerifyElastic is Verify for manifest checkpoints: identical except
-// that cfg.Threads may differ from the checkpoint's — the worker
-// topology is exactly what an elastic resume is allowed to change. The
-// shard files themselves still pin the topology they were written
-// under; sampler.Sharded.RestoreShards owns the rebalancing, and a
-// sampler that never reads Threads restores its one shard unchanged.
-func (ck *Checkpoint) VerifyElastic(samplerName string, fingerprint uint32, cfg sampler.Config) error {
-	return ck.verify(samplerName, fingerprint, cfg, true)
-}
-
-// legacyShardedNameRE matches the distributed sampler's pre-elastic
-// name, which embedded the worker count ("WarpLDA-sharded[3]"). The
-// suffix was dropped so checkpoints survive topology changes; old
-// checkpoints carrying it must stay resumable, so verification strips
-// it before comparing (the state blob itself still pins the worker
-// count — RestoreFrom rejects a mismatch).
-var legacyShardedNameRE = regexp.MustCompile(`^(WarpLDA-sharded)\[\d+\]$`)
-
-func (ck *Checkpoint) verify(samplerName string, fingerprint uint32, cfg sampler.Config, elastic bool) error {
-	ckName := ck.Sampler
-	if m := legacyShardedNameRE.FindStringSubmatch(ckName); m != nil {
-		ckName = m[1]
-	}
-	if ckName != samplerName {
+	if ck.Sampler != samplerName {
 		return fmt.Errorf("train: checkpoint was written by sampler %q, resuming %q", ck.Sampler, samplerName)
 	}
 	if ck.Fingerprint != fingerprint {
 		return fmt.Errorf("train: checkpoint corpus fingerprint %08x does not match training corpus %08x", ck.Fingerprint, fingerprint)
 	}
 	ckCfg := ck.Cfg
-	if elastic {
-		ckCfg.Threads = cfg.Threads
-	}
+	ckCfg.Threads = cfg.Threads
 	if !configsEqual(ckCfg, cfg) {
 		return fmt.Errorf("train: checkpoint config %+v does not match run config %+v", ck.Cfg, cfg)
 	}
@@ -242,10 +143,9 @@ func validateCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// encodeEnvelope writes the fields shared by both checkpoint shapes —
-// sampler identity, config, loop progress, trace, corpus fingerprint —
-// in the WARPCKPT body order. The manifest (manifest.go) carries the
-// same bytes, so both shapes decode through decodeEnvelope.
+// encodeEnvelope writes the checkpoint envelope that opens a manifest
+// body: sampler identity, config, loop progress, trace, corpus
+// fingerprint.
 func encodeEnvelope(e *sampler.Enc, ck *Checkpoint) {
 	e.Str(ck.Sampler)
 	encodeConfig(e, ck.Cfg)

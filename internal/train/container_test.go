@@ -61,9 +61,9 @@ func TestOneShardCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ck.IsSharded() || len(ck.ShardFiles) != 1 || ck.Iter != n {
-				t.Fatalf("checkpoint: sharded=%v shards=%d iter=%d, want a 1-shard manifest at %d",
-					ck.IsSharded(), len(ck.ShardFiles), ck.Iter, n)
+			if len(ck.ShardFiles) != 1 || ck.Iter != n {
+				t.Fatalf("checkpoint: shards=%d iter=%d, want a 1-shard manifest at %d",
+					len(ck.ShardFiles), ck.Iter, n)
 			}
 
 			resume := func(cfg sampler.Config) {

@@ -2,6 +2,14 @@ package train
 
 import "warplda/internal/fsio"
 
+// The decoder's allocation bounds, for tests that build manifests just
+// past them.
+const (
+	MaxTracePoints = maxTracePoints
+	MaxTopics      = maxTopics
+	MaxShards      = maxShards
+)
+
 // WriteManifestFile writes the checkpoint's manifest alone to path,
 // atomically. The trainer writes manifests only through WriteSharded —
 // shards first, manifest as the commit point — so this exists for tests

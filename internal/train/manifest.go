@@ -1,7 +1,7 @@
 // The checkpoint container. Every checkpoint is a directory of WARPSHRD
 // shard files bound by a WARPMANI manifest. A sampler implementing
 // sampler.Sharded writes one shard per worker, concurrently; any other
-// sampler is one shard whose stream is StateTo's (oneShard). The
+// sampler is one shard holding its state stream (oneShard). The
 // manifest — written last, atomically — carries the checkpoint
 // envelope plus a shard table (file name, size, CRC32 of every shard),
 // so resume can validate every shard against the manifest before any
@@ -20,10 +20,8 @@
 //
 // The manifest's atomic rename is the checkpoint's commit point: a
 // crash mid-write leaves a directory without a manifest, which Load
-// ignores and the next retention sweep removes. Legacy single-file
-// WARPCKPT checkpoints (checkpoint-0000000I.ckpt) in the same directory
-// are still listed, loaded and rotated under the keep-last-N policy.
-// Byte-level specifications live in docs/FORMATS.md.
+// ignores and the next retention sweep removes. Byte-level
+// specifications live in docs/FORMATS.md.
 package train
 
 import (
@@ -57,9 +55,8 @@ const (
 )
 
 // "checkpoint-" + 8-digit zero-padded iteration is the naming scheme of
-// retained checkpoints: checkpoint-00000042/ (manifest directory) and
-// checkpoint-00000042.ckpt (legacy single file).
-var stampedRE = regexp.MustCompile(`^checkpoint-(\d{8,})(\.ckpt)?$`)
+// retained checkpoint directories: checkpoint-00000042/.
+var stampedRE = regexp.MustCompile(`^checkpoint-(\d{8,})$`)
 
 // stampedDirName returns the checkpoint directory name for iteration i.
 func stampedDirName(iter int) string { return fmt.Sprintf("checkpoint-%08d", iter) }
@@ -73,18 +70,13 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.ckpt", i) }
 type CheckpointEntry struct {
 	// Iter is the iteration the checkpoint was written at.
 	Iter int
-	// Path is the checkpoint directory (or legacy single file).
+	// Path is the checkpoint directory.
 	Path string
-	// Sharded reports the directory shape; false is a legacy WARPCKPT
-	// file.
-	Sharded bool
 }
 
 // ListCheckpoints returns dir's iteration-stamped checkpoints sorted by
-// iteration (oldest first). Sharded directories count only when their
-// manifest exists — a directory without one is a torn write, not a
-// checkpoint. The legacy unstamped DefaultFileName is not listed; Load
-// falls back to it when nothing stamped exists.
+// iteration (oldest first). A directory counts only when its manifest
+// exists — a directory without one is a torn write, not a checkpoint.
 func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -93,7 +85,7 @@ func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
 	var out []CheckpointEntry
 	for _, de := range des {
 		m := stampedRE.FindStringSubmatch(de.Name())
-		if m == nil {
+		if m == nil || !de.IsDir() {
 			continue
 		}
 		iter, err := strconv.Atoi(m[1])
@@ -101,15 +93,10 @@ func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
-		switch {
-		case de.IsDir() && m[2] == "":
-			if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err != nil {
-				continue // torn: no manifest
-			}
-			out = append(out, CheckpointEntry{Iter: iter, Path: path, Sharded: true})
-		case !de.IsDir() && m[2] == ".ckpt":
-			out = append(out, CheckpointEntry{Iter: iter, Path: path, Sharded: false})
+		if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err != nil {
+			continue // torn: no manifest
 		}
+		out = append(out, CheckpointEntry{Iter: iter, Path: path})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
 	return out, nil
@@ -143,14 +130,14 @@ func PruneCheckpoints(dir string, keep, current int) error {
 		}
 		rm(e.Path)
 	}
-	// Torn sharded directories: stamped dirs ListCheckpoints skipped.
+	// Torn directories: stamped dirs ListCheckpoints skipped.
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return firstErr
 	}
 	for _, de := range des {
 		m := stampedRE.FindStringSubmatch(de.Name())
-		if m == nil || !de.IsDir() || m[2] != "" {
+		if m == nil || !de.IsDir() {
 			continue
 		}
 		if iter, err := strconv.Atoi(m[1]); err != nil || iter == current {
@@ -313,7 +300,7 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// RestoreInto restores the sharded checkpoint's state into sh,
+// RestoreInto restores the checkpoint's state into sh,
 // rebalancing across a changed worker count. Every shard file is read
 // and checked — magic, CRC trailer, the manifest's recorded CRC (which
 // catches a self-consistent shard swapped in from a *different*
@@ -331,9 +318,6 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 // a shard's first byte reaches the decoder, and RestoreShards itself
 // validates the union of all shards before committing any state.
 func (ck *Checkpoint) RestoreInto(sh sampler.Sharded) (reseeded bool, err error) {
-	if !ck.IsSharded() {
-		return false, fmt.Errorf("train: checkpoint is not sharded")
-	}
 	readers := make([]io.Reader, len(ck.ShardFiles))
 	shards := make([]*lazyShardReader, len(ck.ShardFiles))
 	for i := range ck.ShardFiles {
@@ -479,11 +463,23 @@ func (ck *Checkpoint) verifyShard(i int, f *os.File) (streamLen int64, err error
 	return streamLen, nil
 }
 
-// oneShard presents a sampler without sharded state — the baselines,
-// cluster.Sim — as a one-shard sampler.Sharded, so every checkpoint is
-// a manifest: shard 0's stream is StateTo's, and restore is RestoreFrom
-// of that one verified stream.
-type oneShard struct{ sampler.Sampler }
+// stateful is what a sampler without sharded state — the baselines,
+// cluster.Sim — must offer to be checkpointed: its complete mutable
+// state as one stream. StateTo writes it between Iterate calls, so that
+// a sampler built over the same corpus and Config and restored with
+// RestoreFrom continues the run exactly where this one stands;
+// RestoreFrom validates fully before committing, so on error the
+// sampler's prior state is untouched.
+type stateful interface {
+	sampler.Sampler
+	StateTo(w io.Writer) error
+	RestoreFrom(r io.Reader) error
+}
+
+// oneShard presents a stateful sampler as a one-shard sampler.Sharded,
+// so every checkpoint is a manifest: shard 0's stream is StateTo's, and
+// restore is RestoreFrom of that one verified stream.
+type oneShard struct{ stateful }
 
 func (oneShard) NumShards() int                     { return 1 }
 func (o oneShard) ShardTo(_ int, w io.Writer) error { return o.StateTo(w) }
@@ -494,11 +490,14 @@ func (o oneShard) RestoreShards(_ uint64, shards []io.Reader) (bool, error) {
 	return false, o.RestoreFrom(shards[0])
 }
 
-// asSharded returns s itself when it has sharded state, else s as one
-// shard.
-func asSharded(s sampler.Sampler) sampler.Sharded {
-	if sh, ok := s.(sampler.Sharded); ok {
-		return sh
+// asSharded returns s itself when it has sharded state, s as one shard
+// when it is stateful, and an error when it is neither.
+func asSharded(s sampler.Sampler) (sampler.Sharded, error) {
+	switch s := s.(type) {
+	case sampler.Sharded:
+		return s, nil
+	case stateful:
+		return oneShard{s}, nil
 	}
-	return oneShard{s}
+	return nil, fmt.Errorf("train: sampler %q has no checkpointable state (neither sampler.Sharded nor a StateTo/RestoreFrom pair)", s.Name())
 }

@@ -1,7 +1,6 @@
 package train_test
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -59,9 +58,6 @@ func TestShardedCheckpointElasticResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ck.IsSharded() {
-				t.Fatal("distributed checkpoint is not sharded")
-			}
 			if len(ck.ShardFiles) != tc.oldP {
 				t.Fatalf("%d shard files, want %d", len(ck.ShardFiles), tc.oldP)
 			}
@@ -108,9 +104,8 @@ func TestShardedCheckpointElasticResume(t *testing.T) {
 	}
 }
 
-// A sharded checkpoint resumed into a sampler without sharded state
-// must fail cleanly, as must an elastic thread change against a
-// single-file checkpoint.
+// A distributed checkpoint resumed into another algorithm's sampler
+// must fail cleanly.
 func TestShardedCheckpointWrongSampler(t *testing.T) {
 	c := testCorpus(41)
 	cfg := testCfg(6)
@@ -148,8 +143,8 @@ func TestShardedCheckpointCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || !entries[0].Sharded || !entries[1].Sharded {
-		t.Fatalf("retained %+v, want two sharded checkpoints", entries)
+	if len(entries) != 2 {
+		t.Fatalf("retained %+v, want two checkpoints", entries)
 	}
 	oldDir, newDir := entries[0].Path, entries[1].Path
 
@@ -298,8 +293,8 @@ func TestShardedCheckpointCorruption(t *testing.T) {
 	})
 }
 
-// TestCheckpointRotation: keep-last-N retention holds for both
-// checkpoint shapes, including across an interrupt, and torn sharded
+// TestCheckpointRotation: keep-last-N retention holds for one-shard
+// and multi-shard checkpoints, including across an interrupt, and torn
 // directories are swept.
 func TestCheckpointRotation(t *testing.T) {
 	c := testCorpus(43)
@@ -419,53 +414,5 @@ func TestShardedCheckpointRewriteSameIteration(t *testing.T) {
 	}
 	if _, err := train.Run(newDist(t, c, cfg), c, cfg, train.Options{Iters: 6, ResumeFrom: ck2}); err != nil {
 		t.Fatalf("rewritten checkpoint does not resume: %v", err)
-	}
-}
-
-// Checkpoints from releases where the distributed sampler's name
-// embedded the worker count ("WarpLDA-sharded[2]") must still verify
-// and resume at the same topology.
-func TestLegacyShardedNameStillResumes(t *testing.T) {
-	c := testCorpus(46)
-	cfg := testCfg(6)
-	cfg.Threads = 2
-	d := newDist(t, c, cfg)
-	d.Iterate()
-	d.Iterate()
-	var state bytes.Buffer
-	if err := d.StateTo(&state); err != nil {
-		t.Fatal(err)
-	}
-	ck := &train.Checkpoint{
-		Sampler:     "WarpLDA-sharded[2]",
-		Cfg:         cfg,
-		Iter:        2,
-		Fingerprint: train.CorpusFingerprint(c),
-		State:       state.Bytes(),
-	}
-	if _, err := train.Run(newDist(t, c, cfg), c, cfg, train.Options{Iters: 4, ResumeFrom: ck}); err != nil {
-		t.Fatalf("legacy-named checkpoint rejected: %v", err)
-	}
-	// The legacy name must not be conflated with a different algorithm.
-	ck.Sampler = "WarpLDA-sharded[2]x"
-	if _, err := train.Run(newDist(t, c, cfg), c, cfg, train.Options{Iters: 4, ResumeFrom: ck}); err == nil {
-		t.Fatal("malformed legacy name accepted")
-	}
-}
-
-// The legacy unstamped checkpoint.ckpt written by earlier releases
-// still loads via its directory and resumes.
-func TestLegacyCheckpointStillLoads(t *testing.T) {
-	raw, env := legacyCheckpoint(t)
-	legacyDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacyDir, train.DefaultFileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := train.Load(legacyDir)
-	if err != nil {
-		t.Fatalf("legacy checkpoint directory rejected: %v", err)
-	}
-	if _, err := train.Run(newWarp(t, env.c, env.cfg), env.c, env.cfg, train.Options{Iters: 8, ResumeFrom: ck2}); err != nil {
-		t.Fatal(err)
 	}
 }

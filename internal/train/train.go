@@ -15,7 +15,6 @@
 package train
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -75,10 +74,9 @@ type Options struct {
 	// checkpoint path if one was written.
 	Progress func(Event)
 	// ResumeFrom, when non-nil, is a checkpoint to continue from. It
-	// must match the sampler's algorithm, the corpus, and cfg — exactly
-	// (Checkpoint.Verify) for a legacy WARPCKPT file, up to Threads
-	// (Checkpoint.VerifyElastic) for a manifest; the sampler's state is
-	// replaced before the first iteration.
+	// must match the sampler's algorithm, the corpus, and cfg up to
+	// Threads (Checkpoint.Verify); the sampler's state is replaced before
+	// the first iteration.
 	ResumeFrom *Checkpoint
 }
 
@@ -114,8 +112,11 @@ type Result struct {
 // Run trains s on c until opts.Iters iterations complete, the budget is
 // exhausted, or a stop is requested — checkpointing along the way when
 // configured. c may be any corpus provider (in-memory, or the mapped
-// out-of-core cache) and must be the corpus s was built over. The
-// returned Result is valid (trace so far, stop reason) for every
+// out-of-core cache) and must be the corpus s was built over. A run
+// that checkpoints or resumes needs s to have checkpointable state
+// (sampler.Sharded, or the StateTo/RestoreFrom pair of a one-shard
+// checkpoint); one without it fails here, before its first iteration.
+// The returned Result is valid (trace so far, stop reason) for every
 // non-error return.
 func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options) (Result, error) {
 	if opts.Iters <= 0 {
@@ -124,30 +125,27 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 	loop := sampler.NewLoop(s, c, cfg, opts.EvalEvery)
 	fingerprint := CorpusFingerprint(c)
 
+	var sh sampler.Sharded
+	if opts.CheckpointDir != "" || opts.ResumeFrom != nil {
+		var err error
+		if sh, err = asSharded(s); err != nil {
+			return Result{}, err
+		}
+	}
 	if ck := opts.ResumeFrom; ck != nil {
 		if ck.Iter > opts.Iters {
 			return Result{}, fmt.Errorf("train: checkpoint is at iteration %d, past the %d-iteration target", ck.Iter, opts.Iters)
 		}
-		if ck.IsSharded() {
-			sh := asSharded(s)
-			if err := ck.VerifyElastic(s.Name(), fingerprint, cfg); err != nil {
-				return Result{}, err
-			}
-			reseeded, err := ck.RestoreInto(sh)
-			if err != nil {
-				return Result{}, fmt.Errorf("train: restoring sharded state: %w", err)
-			}
-			if reseeded && opts.Logf != nil {
-				opts.Logf("elastic resume: repartitioned %d-shard checkpoint across %d workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
-					len(ck.ShardFiles), sh.NumShards())
-			}
-		} else { // a legacy WARPCKPT file
-			if err := ck.Verify(s.Name(), fingerprint, cfg); err != nil {
-				return Result{}, err
-			}
-			if err := s.RestoreFrom(bytes.NewReader(ck.State)); err != nil {
-				return Result{}, fmt.Errorf("train: restoring sampler state: %w", err)
-			}
+		if err := ck.Verify(s.Name(), fingerprint, cfg); err != nil {
+			return Result{}, err
+		}
+		reseeded, err := ck.RestoreInto(sh)
+		if err != nil {
+			return Result{}, fmt.Errorf("train: restoring sharded state: %w", err)
+		}
+		if reseeded && opts.Logf != nil {
+			opts.Logf("elastic resume: repartitioned %d-shard checkpoint across %d workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
+				len(ck.ShardFiles), sh.NumShards())
 		}
 		loop.SetProgress(ck.Iter, ck.Elapsed, ck.Trace)
 	}
@@ -166,7 +164,7 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		if opts.CheckpointDir == "" {
 			return "", nil
 		}
-		path, err := writeCheckpoint(loop, fingerprint, opts.CheckpointDir)
+		path, err := writeCheckpoint(loop, sh, fingerprint, opts.CheckpointDir)
 		if err != nil {
 			res.Run, res.Iter = loop.Trace, loop.Iter
 			return "", fmt.Errorf("train: writing checkpoint at iteration %d: %w", loop.Iter, err)
@@ -231,12 +229,12 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 	return res, nil
 }
 
-// writeCheckpoint snapshots the loop into CheckpointDir under an
-// iteration-stamped directory: one shard file per worker of a sharded
-// sampler, written concurrently, or one shard holding StateTo's stream,
-// then the manifest (manifest.go) — either way streamed, O(1) extra
-// memory regardless of state size.
-func writeCheckpoint(loop *sampler.Loop, fingerprint uint32, dir string) (string, error) {
+// writeCheckpoint snapshots the loop's sampler, as sh, into
+// CheckpointDir under an iteration-stamped directory: one shard file per
+// worker of a sharded sampler, written concurrently, or one shard
+// holding StateTo's stream, then the manifest (manifest.go) — either way
+// streamed, O(1) extra memory regardless of state size.
+func writeCheckpoint(loop *sampler.Loop, sh sampler.Sharded, fingerprint uint32, dir string) (string, error) {
 	ck := &Checkpoint{
 		Sampler:     loop.Sampler.Name(),
 		Cfg:         loop.Cfg,
@@ -245,7 +243,7 @@ func writeCheckpoint(loop *sampler.Loop, fingerprint uint32, dir string) (string
 		Trace:       loop.Trace,
 		Fingerprint: fingerprint,
 	}
-	return ck.WriteSharded(dir, asSharded(loop.Sampler))
+	return ck.WriteSharded(dir, sh)
 }
 
 // publishNameRE is the set of *base* model names -publish accepts. It

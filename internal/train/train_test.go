@@ -231,6 +231,16 @@ func TestRunValidatesOptions(t *testing.T) {
 	if _, err := train.Run(newWarp(t, c, cfg), c, cfg, train.Options{Iters: 0}); err == nil {
 		t.Fatal("Iters=0 accepted")
 	}
+	// A sampler with neither sharded state nor a state stream cannot be
+	// checkpointed: the run fails before its first iteration, not at its
+	// first checkpoint.
+	opaque := struct{ sampler.Sampler }{newWarp(t, c, cfg)}
+	if _, err := train.Run(opaque, c, cfg, train.Options{
+		Iters: 2, CheckpointDir: t.TempDir(),
+		Progress: func(train.Event) { t.Fatal("iterated a sampler it cannot checkpoint") },
+	}); err == nil {
+		t.Fatal("sampler without checkpointable state accepted")
+	}
 }
 
 func TestResumeVerifies(t *testing.T) {

@@ -1,8 +1,7 @@
 // Command generate writes the golden fixtures of golden_test.go: one
 // tiny file (or checkpoint directory) per durable format, written by
-// the writers of commit ba1d440 — the last commit with a WARPCKPT
-// writer. The go tool skips testdata/, so this program is only ever
-// run by hand, inside a checkout of that commit:
+// the writers of commit ba1d440. The go tool skips testdata/, so this
+// program is only ever run by hand, inside a checkout of that commit:
 //
 //	git clone -q <this repository> /tmp/parent && cd /tmp/parent && git checkout -q ba1d440
 //	mkdir gen && cp <this repository>/testdata/golden/generate.go gen/main.go
@@ -74,25 +73,10 @@ func main() {
 	cfg.M = 1
 	cfg.Seed = 7
 
-	// WARPCKPT: a single-file WarpLDA checkpoint at iteration 6.
-	cfg.Threads = 1
-	w, err := core.New(c, cfg)
-	must(err)
-	res, err := train.Run(w, c, cfg, train.Options{Iters: 6, EvalEvery: 2})
-	must(err)
-	var state bytes.Buffer
-	must(w.StateTo(&state))
-	ck := &train.Checkpoint{
-		Sampler: w.Name(), Cfg: cfg, Iter: res.Iter, Elapsed: res.Run.Final().Elapsed,
-		Trace: res.Run, Fingerprint: train.CorpusFingerprint(c), State: state.Bytes(),
-	}
-	_, err = ck.WriteFile(filepath.Join(out, "legacy.ckpt"))
-	must(err)
-
 	// WARPMANI + WARPSHRD: sharded checkpoints at iteration 2 of a
 	// 2-thread WarpLDA run and of a 2-worker distributed run.
 	cfg.Threads = 2
-	w, err = core.New(c, cfg)
+	w, err := core.New(c, cfg)
 	must(err)
 	_, err = train.Run(w, c, cfg, train.Options{Iters: 2, EvalEvery: 1, CheckpointDir: filepath.Join(out, "warp")})
 	must(err)

@@ -220,8 +220,10 @@ func TrainCheckpointed(s Sampler, c CorpusProvider, cfg Config, opts TrainOption
 	return train.Run(s, c, cfg, opts)
 }
 
-// LoadCheckpoint reads a checkpoint file (or the default checkpoint of
-// a checkpoint directory), verifying its checksum.
+// LoadCheckpoint reads a checkpoint directory, its manifest file, or the
+// newest complete checkpoint of a -checkpoint-dir collection, verifying
+// the manifest's checksum and that every shard it lists is present at
+// its recorded size.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return train.Load(path) }
 
 // PublishModelPath resolves a "<model-dir>/<name>" publish spec to the
@@ -255,9 +257,8 @@ func PruneModelVersions(spec string, keep int) ([]string, error) {
 }
 
 // ListCheckpoints returns the iteration-stamped checkpoints retained in
-// a checkpoint directory (oldest first), each entry naming its path and
-// whether it is a sharded (manifest + shard files) checkpoint. See
-// docs/FORMATS.md for both on-disk shapes.
+// a checkpoint directory (oldest first), each entry naming its
+// iteration and path. See docs/FORMATS.md for the on-disk layout.
 func ListCheckpoints(dir string) ([]train.CheckpointEntry, error) {
 	return train.ListCheckpoints(dir)
 }
