@@ -49,17 +49,16 @@ func doInfer(h http.Handler, body string, hdr ...string) *httptest.ResponseRecor
 }
 
 // TestCoalescingMergesConcurrentRequests is the acceptance test for
-// request coalescing: N concurrent single-document HTTP requests are
-// answered from fewer than N engine dispatches, and every response is
-// byte-identical to what uncoalesced inference produces.
+// request coalescing: with the first of N single-document HTTP
+// requests held in its dispatch, the other N-1 queue and are answered
+// from one more engine dispatch, and every response is byte-identical
+// to what uncoalesced inference produces.
 func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 	const n = 8
 	m := trainTestModel(t)
-	s, reg := newTestServer(t, ServeOptions{
-		Coalesce:    true,
-		BatchLinger: 25 * time.Millisecond, // generous so slow-starting goroutines still coalesce
-	}, registry.Options{}, map[string]*warplda.Model{"news": m}, "news")
+	s, reg := newTestServer(t, ServeOptions{Coalesce: true}, registry.Options{}, map[string]*warplda.Model{"news": m}, "news")
 	t.Cleanup(s.Close)
+	entered, release := gateDispatch(s)
 
 	docs := make([][]int32, n)
 	for i := range docs {
@@ -84,18 +83,22 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 
 	var (
 		wg   sync.WaitGroup
-		gate = make(chan struct{})
 		recs = make([]*httptest.ResponseRecorder, n)
 	)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-gate
 			recs[i] = doInfer(s, fmt.Sprintf(`{"docs": [[%d,%d,%d]]}`, docs[i][0], docs[i][1], docs[i][2]))
 		}(i)
+		if i == 0 {
+			<-entered
+		}
 	}
-	close(gate)
+	waitUntil(t, 5*time.Second, "requests to queue behind the held dispatch", func() bool {
+		return s.batcherFor("news").QueueLen() == n-1
+	})
+	close(release)
 	wg.Wait()
 
 	for i, rec := range recs {
@@ -115,8 +118,8 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 	if got := after.Docs - before.Docs; got != n {
 		t.Fatalf("engine saw %d docs, want %d", got, n)
 	}
-	if got := after.Dispatches - before.Dispatches; got >= n {
-		t.Fatalf("%d requests took %d dispatches; coalescing merged nothing", n, got)
+	if got := after.Dispatches - before.Dispatches; got != 2 {
+		t.Fatalf("%d requests took %d dispatches, want 2 (one held, one of the %d queued behind it)", n, got, n-1)
 	}
 
 	var st statsResponse
@@ -143,8 +146,15 @@ func gateServer(t *testing.T, opts ServeOptions) (*Server, chan struct{}, chan s
 	opts.Coalesce = true
 	s, _ := newTestServer(t, opts, registry.Options{}, map[string]*warplda.Model{"news": m}, "news")
 	t.Cleanup(s.Close)
-	entered := make(chan struct{}, 64)
-	release := make(chan struct{})
+	entered, release := gateDispatch(s)
+	return s, entered, release
+}
+
+// gateDispatch makes s's coalesced dispatches signal entered and block
+// until release is closed. Install it before the first request.
+func gateDispatch(s *Server) (entered, release chan struct{}) {
+	entered = make(chan struct{}, 64)
+	release = make(chan struct{})
 	s.dispatchWrap = func(d infer.Dispatch) infer.Dispatch {
 		return func(docs [][]int32, sweeps []int) ([][]float64, any, error) {
 			entered <- struct{}{}
@@ -152,7 +162,7 @@ func gateServer(t *testing.T, opts ServeOptions) (*Server, chan struct{}, chan s
 			return d(docs, sweeps)
 		}
 	}
-	return s, entered, release
+	return entered, release
 }
 
 func TestQueueFullShedsWhileAdminResponds(t *testing.T) {

@@ -71,8 +71,7 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 1024, "maximum documents per request")
 		seed      = flag.Uint64("seed", 42, "base RNG seed (responses are deterministic in it)")
 		coalesce  = flag.Bool("coalesce", true, "merge concurrent single-document requests into batched engine dispatches")
-		batchMax  = flag.Int("batch-max", 32, "documents per coalesced dispatch")
-		linger    = flag.Duration("batch-linger", time.Millisecond, "how long a forming batch waits for more requests")
+		batchMax  = flag.Int("batch-max", 32, "at most this many documents per coalesced dispatch")
 		queueDep  = flag.Int("queue-depth", 256, "admission queue bound per model; beyond it requests shed with 503")
 		deadline  = flag.Duration("default-deadline", 0, "server-side deadline for requests without X-Deadline-Ms (0 = none)")
 		qLimit    = flag.Int("query-limit", 50, "default rows per query page when the request sets no limit")
@@ -122,7 +121,6 @@ func main() {
 		Seed:            *seed,
 		Coalesce:        *coalesce,
 		BatchMax:        *batchMax,
-		BatchLinger:     *linger,
 		QueueDepth:      *queueDep,
 		DefaultDeadline: *deadline,
 

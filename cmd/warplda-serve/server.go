@@ -42,14 +42,14 @@ type ServeOptions struct {
 	// seeds depend only on Seed and the document content, never on batch
 	// composition). Multi-document requests always dispatch directly.
 	Coalesce bool
-	// BatchMax, BatchLinger, and QueueDepth tune the batcher: documents
-	// per dispatch (0 = 32), how long a forming batch waits for company
-	// (0 = 1ms), and the bounded admission queue beyond which requests
-	// are shed with 503 (0 = 256). QueueDepth also bounds the per-model
-	// query gate (concurrent analytics queries), Coalesce or not.
-	BatchMax    int
-	BatchLinger time.Duration
-	QueueDepth  int
+	// BatchMax and QueueDepth tune the batcher: at most this many
+	// documents per dispatch (0 = 32), and the bounded admission queue
+	// beyond which requests are shed with 503 (0 = 256). The batcher
+	// never waits for company: whenever it is idle it dispatches what is
+	// queued. QueueDepth also bounds the per-model query gate
+	// (concurrent analytics queries), Coalesce or not.
+	BatchMax   int
+	QueueDepth int
 	// DefaultDeadline is the admission deadline applied to inference and
 	// query requests that do not carry an X-Deadline-Ms header. A
 	// request whose deadline passes while it waits for admission is shed
@@ -304,7 +304,6 @@ func (s *Server) batcherFor(name string) *infer.Batcher {
 	}
 	b := infer.NewBatcher(dispatch, infer.BatcherOptions{
 		MaxBatch:   s.opts.BatchMax,
-		Linger:     s.opts.BatchLinger,
 		QueueDepth: s.opts.QueueDepth,
 	})
 	s.batchers[name] = b

@@ -39,13 +39,10 @@ type Dispatch func(docs [][]int32, sweeps []int) (thetas [][]float64, tag any, e
 // BatcherOptions tune a Batcher. The zero value picks the defaults
 // documented per field.
 type BatcherOptions struct {
-	// MaxBatch caps the documents per dispatch. 0 means 32.
+	// MaxBatch caps the documents per dispatch. 0 means 32. No timer
+	// holds a batch open: an idle collector dispatches at once whatever
+	// is queued, up to MaxBatch.
 	MaxBatch int
-	// Linger is how long a forming batch waits for more requests after
-	// its first before dispatching anyway. 0 means 1ms. The linger is
-	// a latency floor only under light load — a full batch dispatches
-	// immediately.
-	Linger time.Duration
 	// QueueDepth bounds the admission queue (requests admitted but not
 	// yet dispatched). 0 means 256. Beyond it, Do fails fast with
 	// ErrQueueFull.
@@ -55,9 +52,6 @@ type BatcherOptions struct {
 func (o BatcherOptions) withDefaults() BatcherOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 32
-	}
-	if o.Linger <= 0 {
-		o.Linger = time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
@@ -77,7 +71,8 @@ type BatcherStats struct {
 	// MaxBatchSeen is the largest single dispatch so far.
 	MaxBatchSeen int64 `json:"max_batch_seen"`
 	// ShedQueueFull counts requests refused at admission; ShedDeadline
-	// counts requests dropped because their deadline passed in queue.
+	// counts requests whose deadline passed, at admission (never
+	// Submitted) or in queue (Submitted, never batched).
 	ShedQueueFull int64 `json:"shed_queue_full"`
 	ShedDeadline  int64 `json:"shed_deadline"`
 	// Fallbacks counts per-request isolation dispatches after a failed
@@ -150,15 +145,18 @@ func (b *Batcher) Do(doc []int32, sweeps int, deadline time.Time) ([]float64, an
 		b.mu.RUnlock()
 		return nil, nil, ErrBatcherClosed
 	}
+	// Counted before the send: once queued, the collector may batch the
+	// request before this goroutine runs again.
+	b.submitted.Add(1)
 	select {
 	case b.queue <- req:
 		b.mu.RUnlock()
 	default:
 		b.mu.RUnlock()
+		b.submitted.Add(-1)
 		b.shedQueueFull.Add(1)
 		return nil, nil, ErrQueueFull
 	}
-	b.submitted.Add(1)
 	out := <-req.done
 	return out.theta, out.tag, out.err
 }
@@ -167,10 +165,11 @@ func (b *Batcher) Do(doc []int32, sweeps int, deadline time.Time) ([]float64, an
 // not yet picked up by the collector).
 func (b *Batcher) QueueLen() int { return len(b.queue) }
 
-// Stats returns the cumulative counters.
+// Stats returns the cumulative counters. Submitted is loaded last, so
+// a read never shows more batched or queue-shed requests than were
+// admitted.
 func (b *Batcher) Stats() BatcherStats {
-	return BatcherStats{
-		Submitted:     b.submitted.Load(),
+	st := BatcherStats{
 		Batches:       b.batches.Load(),
 		BatchedDocs:   b.batchedDocs.Load(),
 		MaxBatchSeen:  b.maxBatchSeen.Load(),
@@ -178,6 +177,8 @@ func (b *Batcher) Stats() BatcherStats {
 		ShedDeadline:  b.shedDeadline.Load(),
 		Fallbacks:     b.fallbacks.Load(),
 	}
+	st.Submitted = b.submitted.Load()
+	return st
 }
 
 // Close stops admission (further Do calls fail with ErrBatcherClosed),
@@ -196,67 +197,43 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// run is the collector goroutine: take one request, linger for more,
-// dispatch, repeat. On stop it drains the queue (everything admitted
-// before Close completes) and exits.
+// run is the collector goroutine: take the first queued request, fill
+// the batch from what is already queued behind it, dispatch, repeat.
+// It never waits for company, so a batch holds the requests that
+// arrived during the previous dispatch and its size follows the
+// arrival rate. On stop it dispatches until the queue is empty
+// (everything admitted before Close completes) and exits.
 func (b *Batcher) run() {
 	defer close(b.done)
 	for {
+		var first *batchReq
 		select {
+		case first = <-b.queue:
 		case <-b.stop:
-			b.drainQueue()
-			return
-		case r := <-b.queue:
-			b.collectAndDispatch(r)
+			select {
+			case first = <-b.queue:
+			default:
+				return
+			}
 		}
+		b.dispatchBatch(b.fill(first))
 	}
 }
 
-// collectAndDispatch forms a batch starting from first: up to MaxBatch
-// requests, waiting at most Linger past the first. Stop cuts the
-// linger short (the batch still dispatches; the queue drain follows in
-// run).
-func (b *Batcher) collectAndDispatch(first *batchReq) {
+// fill returns first plus the requests queued behind it, up to
+// MaxBatch, without blocking.
+func (b *Batcher) fill(first *batchReq) []*batchReq {
 	reqs := make([]*batchReq, 1, b.opts.MaxBatch)
 	reqs[0] = first
-	timer := time.NewTimer(b.opts.Linger)
-	defer timer.Stop()
-collect:
 	for len(reqs) < b.opts.MaxBatch {
 		select {
 		case r := <-b.queue:
 			reqs = append(reqs, r)
-		case <-timer.C:
-			break collect
-		case <-b.stop:
-			break collect
-		}
-	}
-	b.dispatchBatch(reqs)
-}
-
-// drainQueue dispatches whatever is still queued at Close time, in
-// MaxBatch-sized groups with no linger.
-func (b *Batcher) drainQueue() {
-	for {
-		select {
-		case r := <-b.queue:
-			reqs := make([]*batchReq, 1, b.opts.MaxBatch)
-			reqs[0] = r
-		fill:
-			for len(reqs) < b.opts.MaxBatch {
-				select {
-				case r2 := <-b.queue:
-					reqs = append(reqs, r2)
-				default:
-					break fill
-				}
-			}
-			b.dispatchBatch(reqs)
 		default:
-			return
+			return reqs
 		}
 	}
+	return reqs
 }
 
 // dispatchBatch sheds queue-expired requests, dispatches the rest as

@@ -21,10 +21,11 @@ func engineDispatch(e *infer.Engine, seed uint64, tag any) infer.Dispatch {
 }
 
 // TestBatcherCoalescesConcurrentRequests is the coalescing acceptance
-// test: N concurrent single-doc requests through the batcher are
-// answered from fewer than N engine dispatches (observable via engine
-// stats), and every request's result is byte-identical to uncoalesced
-// inference with the same seed. Run under -race in CI.
+// test: with the first of N single-doc requests held in its dispatch,
+// the other N-1 queue behind it and go out as one engine dispatch (two
+// in all, observable via engine stats), and every request's result is
+// byte-identical to uncoalesced inference with the same seed. Run
+// under -race in CI.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	p, _ := trainedParams(t, 0.1)
 	eng, err := infer.NewEngine(p, infer.Options{Workers: 2})
@@ -48,8 +49,10 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	}
 	base := eng.Stats()
 
-	b := infer.NewBatcher(engineDispatch(eng, seed, "tag"), infer.BatcherOptions{
-		MaxBatch: n, Linger: 100 * time.Millisecond,
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	b := infer.NewBatcher(gated(engineDispatch(eng, seed, "tag"), entered, release), infer.BatcherOptions{
+		MaxBatch: n,
 	})
 	defer b.Close()
 
@@ -57,13 +60,20 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	got := make([][]float64, n)
 	tags := make([]any, n)
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	do := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			got[i], tags[i], errs[i] = b.Do(docs[i], 5, time.Time{})
-		}(i)
+		}()
 	}
+	do(0)
+	<-entered
+	for i := 1; i < n; i++ {
+		do(i)
+	}
+	waitQueueLen(t, b, n-1)
+	close(release)
 	wg.Wait()
 
 	for i := 0; i < n; i++ {
@@ -77,44 +87,48 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 			t.Errorf("request %d: coalesced result differs from uncoalesced inference", i)
 		}
 	}
-	dispatches := eng.Stats().Dispatches - base.Dispatches
-	if dispatches >= n {
-		t.Errorf("%d requests took %d engine dispatches; coalescing never happened", n, dispatches)
+	if dispatches := eng.Stats().Dispatches - base.Dispatches; dispatches != 2 {
+		t.Errorf("%d requests took %d engine dispatches, want 2 (one held, one of the %d queued behind it)", n, dispatches, n-1)
 	}
 	if docsRun := eng.Stats().Docs - base.Docs; docsRun != n {
 		t.Errorf("engine ran %d docs, want %d", docsRun, n)
 	}
 	st := b.Stats()
-	if st.Submitted != n || st.BatchedDocs != n || st.Batches >= n || st.MaxBatchSeen < 2 {
-		t.Errorf("batcher stats %+v inconsistent with coalescing %d requests", st, n)
+	if st.Submitted != n || st.BatchedDocs != n || st.Batches != 2 || st.MaxBatchSeen != n-1 {
+		t.Errorf("batcher stats %+v, want %d submitted and batched in 2 batches of at most %d", st, n, n-1)
 	}
-	t.Logf("%d requests in %d dispatches (max batch %d)", n, dispatches, st.MaxBatchSeen)
 }
 
-// gatedDispatch blocks every dispatch until release is closed,
-// signalling entry on entered.
-func gatedDispatch(entered chan<- struct{}, release <-chan struct{}) infer.Dispatch {
+// gated wraps d so that each call signals entered (when it has room)
+// and waits until release is closed; once it is, calls pass through.
+func gated(d infer.Dispatch, entered chan<- struct{}, release <-chan struct{}) infer.Dispatch {
 	return func(docs [][]int32, sweeps []int) ([][]float64, any, error) {
 		select {
 		case entered <- struct{}{}:
 		default:
 		}
 		<-release
-		out := make([][]float64, len(docs))
-		for i := range out {
-			out[i] = []float64{1}
-		}
-		return out, nil, nil
+		return d(docs, sweeps)
 	}
 }
 
-// startBlockedBatcher builds a batcher whose first request is stuck in
-// dispatch (collector busy), so subsequent requests queue.
-func startBlockedBatcher(t *testing.T, opts infer.BatcherOptions) (b *infer.Batcher, release chan struct{}, firstDone chan error) {
+// onesDispatch answers every document with θ = [1].
+func onesDispatch(docs [][]int32, _ []int) ([][]float64, any, error) {
+	out := make([][]float64, len(docs))
+	for i := range out {
+		out[i] = []float64{1}
+	}
+	return out, nil, nil
+}
+
+// startBlockedBatcher builds a batcher over d whose first request is
+// stuck in dispatch (collector busy) until release is closed, so
+// subsequent requests queue.
+func startBlockedBatcher(t *testing.T, d infer.Dispatch, opts infer.BatcherOptions) (b *infer.Batcher, release chan struct{}, firstDone chan error) {
 	t.Helper()
 	entered := make(chan struct{}, 1)
 	release = make(chan struct{})
-	b = infer.NewBatcher(gatedDispatch(entered, release), opts)
+	b = infer.NewBatcher(gated(d, entered, release), opts)
 	firstDone = make(chan error, 1)
 	go func() {
 		_, _, err := b.Do([]int32{0}, 1, time.Time{})
@@ -140,9 +154,60 @@ func waitQueueLen(t *testing.T, b *infer.Batcher, n int) {
 	}
 }
 
+// TestBatcherFillRule pins the dispatch-when-idle rule: a lone request
+// on an idle batcher goes out alone at once, and requests queued
+// behind a busy dispatch go out MaxBatch at a time, the rest together.
+func TestBatcherFillRule(t *testing.T) {
+	solo := infer.NewBatcher(onesDispatch, infer.BatcherOptions{})
+	if _, _, err := solo.Do([]int32{0}, 1, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	solo.Close()
+	if st := solo.Stats(); st.Batches != 1 || st.MaxBatchSeen != 1 {
+		t.Fatalf("lone request: stats %+v, want one batch of one", st)
+	}
+
+	const maxBatch = 4
+	var mu sync.Mutex
+	var sizes []int
+	record := func(docs [][]int32, sweeps []int) ([][]float64, any, error) {
+		mu.Lock()
+		sizes = append(sizes, len(docs))
+		mu.Unlock()
+		return onesDispatch(docs, sweeps)
+	}
+	b, release, firstDone := startBlockedBatcher(t, record, infer.BatcherOptions{
+		MaxBatch: maxBatch, QueueDepth: 2 * maxBatch,
+	})
+	defer b.Close()
+	const queued = maxBatch + 2
+	results := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		go func() {
+			_, _, err := b.Do([]int32{1}, 1, time.Time{})
+			results <- err
+		}()
+	}
+	waitQueueLen(t, b, queued)
+	close(release)
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	for i := 0; i < queued; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("queued request: %v", err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{1, maxBatch, 2}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("dispatch sizes %v, want %v", sizes, want)
+	}
+}
+
 func TestBatcherQueueFullSheds(t *testing.T) {
-	b, release, firstDone := startBlockedBatcher(t, infer.BatcherOptions{
-		MaxBatch: 1, Linger: time.Millisecond, QueueDepth: 2,
+	b, release, firstDone := startBlockedBatcher(t, onesDispatch, infer.BatcherOptions{
+		MaxBatch: 1, QueueDepth: 2,
 	})
 	defer b.Close()
 
@@ -177,8 +242,8 @@ func TestBatcherQueueFullSheds(t *testing.T) {
 }
 
 func TestBatcherDeadlineShedsQueuedWork(t *testing.T) {
-	b, release, firstDone := startBlockedBatcher(t, infer.BatcherOptions{
-		MaxBatch: 1, Linger: time.Millisecond, QueueDepth: 8,
+	b, release, firstDone := startBlockedBatcher(t, onesDispatch, infer.BatcherOptions{
+		MaxBatch: 1, QueueDepth: 8,
 	})
 	defer b.Close()
 
@@ -221,8 +286,8 @@ func TestBatcherDeadlineShedsQueuedWork(t *testing.T) {
 // TestBatcherCloseDrainsQueuedWork pins the drain contract: Close
 // refuses new requests but completes everything already admitted.
 func TestBatcherCloseDrainsQueuedWork(t *testing.T) {
-	b, release, firstDone := startBlockedBatcher(t, infer.BatcherOptions{
-		MaxBatch: 4, Linger: time.Millisecond, QueueDepth: 8,
+	b, release, firstDone := startBlockedBatcher(t, onesDispatch, infer.BatcherOptions{
+		MaxBatch: 4, QueueDepth: 8,
 	})
 	const queued = 3
 	results := make(chan error, queued)
@@ -260,15 +325,17 @@ func TestBatcherCloseDrainsQueuedWork(t *testing.T) {
 }
 
 // TestBatcherFallbackIsolatesBadDoc: one invalid document coalesced
-// with valid ones fails alone; its neighbors still get answers.
+// with a valid one fails alone; its neighbor still gets an answer.
 func TestBatcherFallbackIsolatesBadDoc(t *testing.T) {
 	p, _ := trainedParams(t, 0.1)
 	eng, err := infer.NewEngine(p, infer.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := infer.NewBatcher(engineDispatch(eng, 7, nil), infer.BatcherOptions{
-		MaxBatch: 4, Linger: 100 * time.Millisecond,
+	// Hold the first dispatch so the good and the bad document queue
+	// behind it and share the next batch.
+	b, release, firstDone := startBlockedBatcher(t, engineDispatch(eng, 7, nil), infer.BatcherOptions{
+		MaxBatch: 4,
 	})
 	defer b.Close()
 
@@ -284,7 +351,12 @@ func TestBatcherFallbackIsolatesBadDoc(t *testing.T) {
 		defer wg.Done()
 		_, _, badErr = b.Do([]int32{int32(p.V) + 5}, 3, time.Time{})
 	}()
+	waitQueueLen(t, b, 2)
+	close(release)
 	wg.Wait()
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first request: %v", err)
+	}
 
 	if goodErr != nil || len(goodTheta) != p.K {
 		t.Fatalf("good request: theta len %d, err %v", len(goodTheta), goodErr)
@@ -292,27 +364,24 @@ func TestBatcherFallbackIsolatesBadDoc(t *testing.T) {
 	if badErr == nil {
 		t.Fatal("invalid doc request succeeded")
 	}
-	if st := b.Stats(); st.Fallbacks == 0 {
-		t.Log("requests did not coalesce (timing); fallback path not exercised")
+	if st := b.Stats(); st.Fallbacks != 2 || st.MaxBatchSeen != 2 {
+		t.Fatalf("stats %+v, want the shared batch of 2 to fall back to 2 single dispatches", st)
 	}
 }
 
 // TestBatcherUnderConcurrentLoad hammers a batcher from many
 // goroutines (race coverage for the stats counters and the
 // collect/drain machinery) and checks conservation: every submitted
-// request is answered exactly once.
+// request is answered exactly once, and no Stats read taken meanwhile
+// shows more batched or queue-shed requests than were submitted.
 func TestBatcherUnderConcurrentLoad(t *testing.T) {
 	var calls atomic.Int64
 	dispatch := func(docs [][]int32, sweeps []int) ([][]float64, any, error) {
 		calls.Add(1)
-		out := make([][]float64, len(docs))
-		for i := range out {
-			out[i] = []float64{float64(len(docs))}
-		}
-		return out, nil, nil
+		return onesDispatch(docs, sweeps)
 	}
-	b := infer.NewBatcher(dispatch, infer.BatcherOptions{MaxBatch: 8, Linger: 200 * time.Microsecond, QueueDepth: 64})
-	const workers, per = 8, 50
+	b := infer.NewBatcher(dispatch, infer.BatcherOptions{MaxBatch: 8, QueueDepth: 64})
+	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	var ok, shed atomic.Int64
 	for w := 0; w < workers; w++ {
@@ -332,7 +401,21 @@ func TestBatcherUnderConcurrentLoad(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if st := b.Stats(); st.Submitted < st.BatchedDocs+st.ShedDeadline {
+			t.Fatalf("stats %+v show more batched or shed than submitted", st)
+		}
+	}
 	b.Close()
 	if got := ok.Load() + shed.Load(); got != workers*per {
 		t.Fatalf("answered %d of %d requests", got, workers*per)
