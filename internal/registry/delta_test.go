@@ -352,3 +352,44 @@ func TestRejectedDeltaRecoversWhenFileReplaced(t *testing.T) {
 		t.Fatalf("DeltasApplied = %d, want 1", st.DeltasApplied)
 	}
 }
+
+// A delta whose folded model no longer fits the byte budget is
+// rejected once: the base keeps serving and idle polls neither re-read
+// nor re-count it.
+func TestOverBudgetDeltaRejectedOnce(t *testing.T) {
+	m0 := tinyModel(t, 16, 1)
+	// Fill every empty cell: each word's alias table grows to K
+	// outcomes, so the folded engine outgrows the base's bytes.
+	m1 := perturbModel(t, m0, 0)
+	for i, c := range m1.Cw {
+		if c == 0 {
+			m1.Cw[i] = 1
+			m1.Ck[i%m1.Cfg.K]++
+		}
+	}
+	dir, r := openTestRegistry(t, Options{MaxBytes: snapshotBytes(t, m0)})
+	writeModel(t, filepath.Join(dir, "news.bin"), m0)
+	s0, err := r.Acquire("news")
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishDelta(t, dir, "news", m0, m1, 1)
+
+	for i := 0; i < 3; i++ {
+		r.pollOnce()
+	}
+	st := r.RegistryStats()
+	if st.DeltaRejected != 1 || st.DeltasApplied != 0 {
+		t.Fatalf("stats = %+v, want 1 rejected / 0 applied", st)
+	}
+	s1, err := r.Acquire("news")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 != s0 {
+		t.Fatal("over-budget delta swapped the snapshot")
+	}
+	if mi, _ := r.Info("news"); mi.Generation != 0 || !strings.Contains(mi.LastError, "budget") {
+		t.Fatalf("info = %+v, want generation 0 and a last_error naming the budget", mi)
+	}
+}

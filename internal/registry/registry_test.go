@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -516,5 +517,106 @@ func TestWarmPrefetchSteadyStateIsIdle(t *testing.T) {
 	st := r.RegistryStats()
 	if st.Prefetched != 0 || st.WarmReady != 0 {
 		t.Fatalf("steady state warmed something: %+v", st)
+	}
+}
+
+// snapshotBytes is the accounted resident size the registry gives m:
+// its counts plus its inference engine's tables.
+func snapshotBytes(t *testing.T, m *warplda.Model) int64 {
+	t.Helper()
+	eng, err := warplda.NewInferEngine(m, warplda.InferOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.SizeBytes() + eng.MemoryBytes()
+}
+
+// A hot reload that grows a model past the room left in the budget
+// evicts the least-recently-used other model, not the one it swapped.
+func TestReloadGrowthEvictsLRUTail(t *testing.T) {
+	small := map[string]*warplda.Model{"a": tinyModel(t, 2, 1), "b": tinyModel(t, 2, 2), "m": tinyModel(t, 2, 3)}
+	big := tinyModel(t, 16, 4)
+	var one int64
+	for _, m := range small {
+		one = max(one, snapshotBytes(t, m))
+	}
+	grown := snapshotBytes(t, big)
+	if 2*grown < 3*one {
+		t.Fatalf("grown model %d bytes is not 1.5× a small one (%d)", grown, one)
+	}
+	// Room for three small models, or the grown one and one small one.
+	budget := grown + one + one/2
+	dir := t.TempDir()
+	for name, m := range small {
+		writeModel(t, filepath.Join(dir, name+".bin"), m)
+	}
+	r, err := Open(dir, Options{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, name := range []string{"a", "b", "m"} {
+		if _, err := r.Acquire(name); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if st := r.RegistryStats(); st.Ready != 3 || st.Evictions != 0 {
+		t.Fatalf("before the reload: %+v", st)
+	}
+
+	writeModel(t, filepath.Join(dir, "m.bin"), big)
+	r.pollOnce()
+
+	st := r.RegistryStats()
+	if st.BytesResident > budget {
+		t.Fatalf("resident %d bytes over budget %d", st.BytesResident, budget)
+	}
+	if st.Evictions != 1 || st.Ready != 2 {
+		t.Fatalf("stats = %+v, want 1 eviction, 2 ready", st)
+	}
+	if mi, _ := r.Info("a"); mi.State != "evicted" {
+		t.Fatalf("a info = %+v, want evicted (LRU tail)", mi)
+	}
+	if mi, _ := r.Info("b"); mi.State != "ready" {
+		t.Fatalf("b info = %+v, want ready", mi)
+	}
+	mi, _ := r.Info("m")
+	if mi.State != "ready" || mi.Version != 2 || mi.K != 16 {
+		t.Fatalf("m info = %+v, want the reloaded K=16 model ready at version 2", mi)
+	}
+}
+
+// A reload whose model alone exceeds the budget is refused: the old
+// snapshot keeps serving at its version and last_error names the budget.
+func TestOverBudgetReloadKeepsOldSnapshot(t *testing.T) {
+	m0, big := tinyModel(t, 2, 1), tinyModel(t, 16, 2)
+	budget := snapshotBytes(t, m0) * 2
+	if snapshotBytes(t, big) <= budget {
+		t.Fatal("grown model fits the budget; the test needs a larger one")
+	}
+	dir, r := openTestRegistry(t, Options{MaxBytes: budget})
+	path := filepath.Join(dir, "m.bin")
+	writeModel(t, path, m0)
+	old, err := r.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	writeModel(t, path, big)
+	r.pollOnce()
+
+	snap, err := r.Acquire("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap != old || snap.Version != 1 {
+		t.Fatalf("over-budget reload swapped the snapshot: version %d", snap.Version)
+	}
+	mi, _ := r.Info("m")
+	if mi.Version != 1 || !strings.Contains(mi.LastError, "budget") {
+		t.Fatalf("info = %+v, want version 1 and a last_error naming the budget", mi)
+	}
+	if st := r.RegistryStats(); st.BytesResident != old.Bytes {
+		t.Fatalf("resident %d bytes, want the old snapshot's %d", st.BytesResident, old.Bytes)
 	}
 }
