@@ -54,17 +54,6 @@ func publishDelta(t *testing.T, dir, name string, prev, next *warplda.Model, gen
 	return r.Path
 }
 
-func TestDeltaNamingMatchesTrain(t *testing.T) {
-	r := &Registry{dir: "pub"}
-	want, err := train.DeltaPath(filepath.Join("pub", "news"), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.deltaPath("news", 7); got != want {
-		t.Fatalf("registry delta path %q, train writes %q", got, want)
-	}
-}
-
 func TestPollerFoldsDeltaChain(t *testing.T) {
 	dir, r := openTestRegistry(t, Options{})
 	m0 := tinyModel(t, 3, 1)

@@ -11,11 +11,20 @@
 // least-recently-used resident models until the newcomer fits, and a
 // model that cannot fit even alone is refused (ErrOverCapacity → 503 at
 // the HTTP layer). A background poller watches each loaded model's file
-// (mtime+size) and hot-reloads it on change with an atomic snapshot
-// swap: in-flight requests finish on the engine they acquired, new
-// requests get the new one, and a torn or corrupt file (caught by the
-// format's CRC32 trailer) leaves the old snapshot serving while the
-// error is surfaced in the model's stats.
+// (size, mtime and inode) and hot-reloads it on change with an atomic
+// snapshot swap: in-flight requests finish on the engine they acquired,
+// new requests get the new one, and a torn, corrupt (caught by the
+// format's CRC32 trailer) or over-budget file leaves the old snapshot
+// serving while the error is surfaced in the model's stats.
+//
+// Four producers make snapshots: cold load (Acquire), hot reload,
+// warm prefetch of a published <name>@<iter> version, and WARPDLT delta
+// fold. Each is a short function over the same three pieces: fileID,
+// one comparable file identity; build, the one read-and-build step
+// (negative cache, warm reuse, budget by file size, read, budget by
+// accounted bytes); and commit, the one install step (version, byte
+// accounting, LRU, eviction). A refused file is cached by its fileID,
+// so an unchanged bad file costs one read, not one per poll tick.
 //
 // All methods are safe for concurrent use. Snapshots are immutable;
 // holders never need to release them (eviction drops the registry's
@@ -27,16 +36,17 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"warplda"
 	"warplda/internal/fsio"
+	"warplda/internal/train"
 )
 
 // Sentinel errors, distinguishable with errors.Is. ErrLoading and
@@ -101,6 +111,39 @@ type Snapshot struct {
 	// a delta for it (sync.OnceValue), not while a start or a reload is
 	// waiting for the snapshot.
 	fp func() uint64
+	// id identifies the model file the snapshot was loaded from, and
+	// gen counts the WARPDLT deltas folded into it since (0 = the file
+	// itself). A fold keeps id: the base file has not changed.
+	id  fileID
+	gen int64
+}
+
+// fileID identifies one generation of a file. The inode leg catches
+// atomic renames whose size and coarse (e.g. 1 s NFS) mtime collide
+// with the loaded generation's: a temp-file+rename deploy always
+// allocates a fresh inode.
+type fileID struct {
+	size  int64
+	mtime int64 // ns
+	ino   uint64
+}
+
+// statID returns the identity of the regular file at path. Stat
+// follows symlinks, so a latest pointer and the versioned file it
+// targets share one identity.
+func statID(path string) (fileID, bool) {
+	fi, err := os.Stat(path)
+	if err != nil || !fi.Mode().IsRegular() {
+		return fileID{}, false
+	}
+	return fileID{fi.Size(), fi.ModTime().UnixNano(), fileIno(fi)}, true
+}
+
+// refusal is one negatively cached failure: the file generation it is
+// keyed by failed at path with err, on behalf of model owner.
+type refusal struct {
+	owner, path string
+	err         error
 }
 
 // entry states. An entry exists for every name ever acquired (plus
@@ -116,42 +159,9 @@ var stateNames = [...]string{"loading", "ready", "evicted", "failed"}
 
 type entry struct {
 	name string
-	path string
 
 	state int
 	snap  *Snapshot // non-nil iff state == stateReady
-
-	// File identity of the loaded snapshot, for change detection. The
-	// inode leg catches atomic renames whose size and coarse mtime
-	// collide with the loaded generation's.
-	fileSize  int64
-	fileMtime time.Time
-	fileIno   uint64
-
-	// Negative cache for stateFailed: the error and the identity of
-	// the file that produced it. While the file is unchanged, Acquire
-	// returns failErr without re-paying the read + O(V·K) engine build
-	// (a client retry loop against a corrupt or over-budget model must
-	// not become a load-build-discard loop).
-	failErr   error
-	failSize  int64
-	failMtime time.Time
-	failIno   uint64
-
-	// Delta chain position of the resident snapshot: gen counts the
-	// WARPDLT deltas folded since the snapshot's file load (0 = the
-	// base itself); snap.fp holds the matching chain fingerprint. Reset
-	// by every file (re)load.
-	gen int64
-
-	// Negative cache for a rejected delta file: while <name>.dlt.<gen+1>
-	// keeps the identity that failed validation, the poller skips it
-	// without re-reading or re-counting the rejection. Cleared by every
-	// install and every successful fold.
-	rejGen   int64
-	rejSize  int64
-	rejMtime time.Time
-	rejIno   uint64
 
 	loadedAt time.Time
 	loadDur  time.Duration
@@ -178,16 +188,22 @@ type Registry struct {
 	evicted int64     // total evictions, for stats
 	closed  bool
 
+	// neg is the negative cache every producer consults: a file
+	// generation that failed to load, to fit the budget, or to fold is
+	// answered from here, without a read, until its file changes. A
+	// path keeps at most one refusal, and commit drops the owner's.
+	neg map[fileID]refusal
+
 	// Warm prefetch state: per base model name, at most one prebuilt
 	// snapshot of the newest versioned sibling (<base>@<iter>.bin) the
-	// poller has seen, keyed and matched by file identity. When the
-	// "latest" pointer swap lands, the reload is answered from here
-	// instead of paying the O(V·K) engine build. See prefetchScan.
-	warm         map[string]*warmEntry
+	// poller has seen. When the "latest" pointer swap lands, build
+	// answers the reload from here instead of paying the O(V·K) engine
+	// build. See prefetch.
+	warm         map[string]*Snapshot
 	prefetched   int64 // warm builds completed
 	prefetchHits int64 // loads answered from a warm snapshot
 
-	// Incremental-refresh accounting (see deltaScan): deltas folded
+	// Incremental-refresh accounting (see foldNext): deltas folded
 	// into live engines, deltas rejected by chain validation, total
 	// fold wall time, and per-word alias tables rebuilt by folds.
 	deltasApplied int64
@@ -197,17 +213,6 @@ type Registry struct {
 
 	stop chan struct{}
 	done chan struct{}
-}
-
-// warmEntry is one prebuilt, not-yet-serving snapshot plus the
-// identity of the file it was built from.
-type warmEntry struct {
-	path  string
-	size  int64
-	mtime time.Time
-	ino   uint64
-	iter  int
-	snap  *Snapshot
 }
 
 // Open validates dir and returns a registry over it. No model is
@@ -226,7 +231,8 @@ func Open(dir string, opts Options) (*Registry, error) {
 		dir:     dir,
 		opts:    opts,
 		entries: make(map[string]*entry),
-		warm:    make(map[string]*warmEntry),
+		neg:     make(map[fileID]refusal),
+		warm:    make(map[string]*Snapshot),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -261,24 +267,24 @@ func (r *Registry) Close() {
 	<-r.done
 }
 
-// resolvePath maps a model name to its file, preferring <dir>/<name>.bin
-// over <dir>/<name>/model.bin.
-func (r *Registry) resolvePath(name string) (string, os.FileInfo, error) {
+// resolvePath maps a model name to its file and that file's identity,
+// preferring <dir>/<name>.bin over <dir>/<name>/model.bin.
+func (r *Registry) resolvePath(name string) (string, fileID, error) {
 	if !nameRE.MatchString(name) || name == "." || name == ".." {
-		return "", nil, fmt.Errorf("registry: %w: %q", ErrBadName, name)
+		return "", fileID{}, fmt.Errorf("registry: %w: %q", ErrBadName, name)
 	}
 	if r.restrict != nil && !r.restrict[name] {
-		return "", nil, fmt.Errorf("registry: %w: %q", ErrNotFound, name)
+		return "", fileID{}, fmt.Errorf("registry: %w: %q", ErrNotFound, name)
 	}
 	for _, p := range []string{
 		filepath.Join(r.dir, name+".bin"),
 		filepath.Join(r.dir, name, "model.bin"),
 	} {
-		if fi, err := os.Stat(p); err == nil && fi.Mode().IsRegular() {
-			return p, fi, nil
+		if id, ok := statID(p); ok {
+			return p, id, nil
 		}
 	}
-	return "", nil, fmt.Errorf("registry: %w: %q", ErrNotFound, name)
+	return "", fileID{}, fmt.Errorf("registry: %w: %q", ErrNotFound, name)
 }
 
 // Acquire returns a snapshot of the named model, loading it first if it
@@ -286,7 +292,8 @@ func (r *Registry) resolvePath(name string) (string, os.FileInfo, error) {
 // goroutine; concurrent Acquires for a model mid-load fail fast with
 // ErrLoading (admission control — the HTTP layer maps it to 503 +
 // Retry-After) instead of queueing unbounded work behind an O(V·K)
-// engine build.
+// engine build. A failed model retries only when its file changes:
+// until then build answers with the cached error.
 func (r *Registry) Acquire(name string) (*Snapshot, error) {
 	r.mu.Lock()
 	if r.closed {
@@ -305,21 +312,8 @@ func (r *Registry) Acquire(name string) (*Snapshot, error) {
 		case stateLoading:
 			r.mu.Unlock()
 			return nil, fmt.Errorf("registry: %w: %q", ErrLoading, name)
-		case stateFailed:
-			// Negative cache: the same file produces the same failure;
-			// don't re-pay the read + engine build for a client retry
-			// loop against a corrupt or over-budget model.
-			if e.failErr != nil && e.path != "" {
-				if fi, serr := os.Stat(e.path); serr == nil && fi.Size() == e.failSize &&
-					fi.ModTime().Equal(e.failMtime) && fileIno(fi) == e.failIno {
-					err := e.failErr
-					r.mu.Unlock()
-					return nil, err
-				}
-			}
-			// File changed (or identity unknown): retry the load.
 		}
-		// evicted, or failed with a changed file: this caller reloads.
+		// evicted or failed: this caller (re)loads.
 	} else {
 		e = &entry{name: name}
 		r.entries[name] = e
@@ -327,29 +321,18 @@ func (r *Registry) Acquire(name string) (*Snapshot, error) {
 	e.state = stateLoading
 	r.mu.Unlock()
 
-	snap, path, fi, dur, err := r.admitAndLoad(name)
+	path, id, err := r.resolvePath(name)
+	var snap *Snapshot
+	var dur time.Duration
+	if err == nil {
+		snap, dur, err = r.build(e, name, path, id)
+	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err == nil && r.opts.MaxBytes > 0 && snap.Bytes > r.opts.MaxBytes {
-		// The file fit but counts + engine tables do not (rare: the
-		// admission check below catches most cases by file size).
-		err = fmt.Errorf("registry: %w: %q needs %d bytes, budget %d",
-			ErrOverCapacity, name, snap.Bytes, r.opts.MaxBytes)
-	}
 	if err != nil {
 		e.state = stateFailed
 		e.lastErr = err.Error()
-		e.failErr = err
-		e.path, e.failSize, e.failMtime, e.failIno = "", 0, time.Time{}, 0
-		if fi != nil {
-			// Remember which file failed so the negative cache holds
-			// until it changes.
-			e.path = path
-			e.failSize = fi.Size()
-			e.failMtime = fi.ModTime()
-			e.failIno = fileIno(fi)
-		}
 		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrBadName) {
 			// Don't let stat failures accumulate forever for names that
 			// never existed.
@@ -357,64 +340,81 @@ func (r *Registry) Acquire(name string) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	e.loads++
-	snap.Version = e.loads
-	r.evictFor(snap.Bytes, e)
-	r.install(e, snap, path, fi, dur)
+	r.commit(e, nil, snap, dur)
 	e.hits++
 	return snap, nil
 }
 
-// admitAndLoad resolves the model file, applies byte-budget admission
-// control BEFORE the expensive read (the file size is a lower bound on
-// the resident size), pre-evicts colder models so peak memory during
-// the load stays near the budget instead of budget + the whole
-// incoming model, then reads the file and builds the engine. On
-// failure it still returns the file identity (when resolvable) so the
-// caller can cache the failure against it.
-func (r *Registry) admitAndLoad(name string) (*Snapshot, string, os.FileInfo, time.Duration, error) {
-	path, fi, err := r.resolvePath(name)
-	if err != nil {
-		return nil, "", nil, 0, err
-	}
-	if r.opts.MaxBytes > 0 {
-		if fi.Size() > r.opts.MaxBytes {
-			return nil, path, fi, 0, fmt.Errorf("registry: %w: %q file is %d bytes, budget %d",
-				ErrOverCapacity, name, fi.Size(), r.opts.MaxBytes)
-		}
-		r.mu.Lock()
-		r.evictFor(fi.Size(), nil)
+// build produces the snapshot of file generation id at path, named
+// name, for entry e. In order: a refusal cached for id answers at once;
+// a warm snapshot of the same file is reused without a read; the file
+// size must fit the byte budget, and a cold load (e not yet resident)
+// first evicts colder models so peak memory stays near the budget
+// instead of budget + the incoming model; then the file is read and its
+// engine built, and the accounted bytes must fit the budget too. A
+// refused file is cached against id for e. Called without r.mu: the read
+// and build are O(V·K) and must not block unrelated lookups.
+func (r *Registry) build(e *entry, name, path string, id fileID) (*Snapshot, time.Duration, error) {
+	r.mu.Lock()
+	if ref, ok := r.neg[id]; ok {
 		r.mu.Unlock()
+		return nil, 0, ref.err
 	}
-	// A prefetched snapshot of this exact file (a versioned publish the
-	// poller warmed) answers the load without the read + engine build.
-	if snap := r.takeWarm(fi); snap != nil {
-		return snap, path, fi, 0, nil
+	for _, w := range r.warm {
+		if w.id == id {
+			// The warm entry stays cached (a versioned name and the latest
+			// pointer may both load the same file); each consumer gets its
+			// own shallow copy, because commit sets Version while the model
+			// and engine are immutable and shared.
+			r.prefetchHits++
+			snap := *w
+			r.mu.Unlock()
+			return &snap, 0, nil
+		}
 	}
-	snap, dur, err := r.readAndBuild(name, path)
+	err := r.overBudget(name, "file is", id.size)
+	if err == nil && e.state == stateLoading {
+		r.evictFor(id.size, nil)
+	}
+	r.mu.Unlock()
+
+	start := time.Now()
+	var snap *Snapshot
+	if err == nil {
+		snap, err = r.readAndBuild(name, path)
+	}
+	if err == nil {
+		err = r.overBudget(name, "needs", snap.Bytes)
+	}
 	if err != nil {
-		return nil, path, fi, 0, err
+		// An OS-level open or read failure may pass by the next try; a
+		// content or budget failure holds until the file changes.
+		if pe := (*fs.PathError)(nil); !errors.As(err, &pe) {
+			r.mu.Lock()
+			r.refuse(e.name, path, id, err)
+			r.mu.Unlock()
+		}
+		return nil, 0, err
 	}
-	return snap, path, fi, dur, nil
+	snap.id = id
+	return snap, time.Since(start), nil
 }
 
 // readAndBuild reads and validates the model file and builds its
-// engine and vocabulary index. Called without the registry lock held:
-// engine construction is O(V·K) and must not block unrelated lookups.
-func (r *Registry) readAndBuild(name, path string) (*Snapshot, time.Duration, error) {
-	start := time.Now()
+// engine and vocabulary index.
+func (r *Registry) readAndBuild(name, path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("registry: loading %q: %w", name, err)
+		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
 	}
 	m, err := warplda.ReadModel(f)
 	f.Close()
 	if err != nil {
-		return nil, 0, fmt.Errorf("registry: loading %q: %w", name, err)
+		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
 	}
 	eng, err := warplda.NewInferEngine(m, r.opts.Infer)
 	if err != nil {
-		return nil, 0, fmt.Errorf("registry: loading %q: %w", name, err)
+		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
 	}
 	snap := &Snapshot{
 		Model:  m,
@@ -430,45 +430,70 @@ func (r *Registry) readAndBuild(name, path string) (*Snapshot, time.Duration, er
 			snap.Vocab[w] = int32(i)
 		}
 	}
-	return snap, time.Since(start), nil
+	return snap, nil
 }
 
-// install makes snap the entry's resident snapshot (first load or hot
-// swap), updating byte accounting and LRU position. Caller holds r.mu.
-func (r *Registry) install(e *entry, snap *Snapshot, path string, fi os.FileInfo, dur time.Duration) {
-	if e.state == stateReady {
-		r.bytes -= e.snap.Bytes
+// overBudget is the byte-budget check every producer shares: n bytes
+// (what names the measure) of model name can never be resident when
+// they alone exceed MaxBytes.
+func (r *Registry) overBudget(name, what string, n int64) error {
+	if r.opts.MaxBytes > 0 && n > r.opts.MaxBytes {
+		return fmt.Errorf("registry: %w: %q %s %d bytes, budget %d",
+			ErrOverCapacity, name, what, n, r.opts.MaxBytes)
 	}
-	e.snap = snap
-	e.path = path
-	e.fileSize = fi.Size()
-	e.fileMtime = fi.ModTime()
-	e.fileIno = fileIno(fi)
-	e.loadedAt = time.Now()
-	e.loadDur = dur
-	e.lastErr = ""
-	e.failErr, e.failSize, e.failMtime, e.failIno = nil, 0, time.Time{}, 0
-	// A file (re)load is a chain base: generation 0, fingerprint of the
-	// loaded counts, no remembered delta rejection.
-	e.gen = 0
-	e.rejGen, e.rejSize, e.rejMtime, e.rejIno = 0, 0, time.Time{}, 0
+	return nil
+}
+
+// refuse caches err for file generation id at path, owned by model
+// owner. A path holds one generation at a time, so a refusal of an
+// older one is dropped. Caller holds r.mu.
+func (r *Registry) refuse(owner, path string, id fileID, err error) {
+	for k, ref := range r.neg {
+		if ref.path == path {
+			delete(r.neg, k)
+		}
+	}
+	r.neg[id] = refusal{owner, path, err}
+}
+
+// commit makes snap e's resident snapshot: the one step every producer
+// ends in. It drops snap and returns false when e no longer holds from,
+// the snapshot the producer started from (nil for a cold load) — an
+// eviction got there first, and the next tick starts over from what is
+// resident then. Otherwise it versions snap, moves the byte accounting
+// and the LRU position, evicts colder models until the budget holds
+// again, and clears e's error and refusals. Caller holds r.mu.
+func (r *Registry) commit(e *entry, from, snap *Snapshot, dur time.Duration) bool {
+	if e.snap != from {
+		return false
+	}
+	if from != nil {
+		r.bytes -= from.Bytes
+	}
 	r.bytes += snap.Bytes
+	e.loads++
+	snap.Version = e.loads
+	e.snap, e.state = snap, stateReady
+	e.loadedAt, e.loadDur, e.lastErr = time.Now(), dur, ""
 	if e.elem == nil {
 		e.elem = r.lru.PushFront(e)
 	} else {
 		r.lru.MoveToFront(e.elem)
 	}
-	e.state = stateReady
+	r.evictFor(0, e)
+	for k, ref := range r.neg {
+		if ref.owner == e.name {
+			delete(r.neg, k)
+		}
+	}
+	return true
 }
 
-// evictFor evicts least-recently-used resident models (never keep,
-// which is the entry being installed) until incoming fits under the
-// byte budget. Caller holds r.mu.
+// evictFor drops least-recently-used resident models (never keep)
+// until incoming more bytes fit under the byte budget. Caller holds
+// r.mu.
 func (r *Registry) evictFor(incoming int64, keep *entry) {
-	if r.opts.MaxBytes <= 0 {
-		return
-	}
-	for r.bytes+incoming > r.opts.MaxBytes {
+	for r.opts.MaxBytes > 0 && r.bytes+incoming > r.opts.MaxBytes {
 		el := r.lru.Back()
 		for el != nil && el.Value.(*entry) == keep {
 			el = el.Prev()
@@ -476,28 +501,24 @@ func (r *Registry) evictFor(incoming int64, keep *entry) {
 		if el == nil {
 			return
 		}
-		r.evict(el.Value.(*entry))
+		v := el.Value.(*entry)
+		r.bytes -= v.snap.Bytes
+		r.lru.Remove(el)
+		v.elem, v.snap, v.state = nil, nil, stateEvicted
+		v.evictions++
+		r.evicted++
 	}
 }
 
-// evict drops e's snapshot. Caller holds r.mu.
-func (r *Registry) evict(e *entry) {
-	r.bytes -= e.snap.Bytes
-	r.lru.Remove(e.elem)
-	e.elem = nil
-	e.snap = nil
-	e.state = stateEvicted
-	e.evictions++
-	r.evicted++
+// resident returns e's serving snapshot, nil when e is not ready.
+func (r *Registry) resident(e *entry) *Snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return e.snap
 }
 
-// pollLoop is the hot-reload watcher: every ReloadInterval it compares
-// each resident model's file identity (size+mtime) against what was
-// loaded and atomically swaps in a fresh snapshot on change. A failed
-// reload (missing file, torn write caught by the CRC trailer, corrupt
-// header) keeps the old snapshot serving and records the error; the
-// next tick retries, so a writer that finishes its atomic rename gets
-// picked up.
+// pollLoop is the hot-reload watcher: every ReloadInterval it runs
+// pollOnce.
 func (r *Registry) pollLoop() {
 	defer close(r.done)
 	t := time.NewTicker(r.opts.ReloadInterval)
@@ -512,218 +533,111 @@ func (r *Registry) pollLoop() {
 	}
 }
 
-// pollOnce runs one reload sweep. Exposed to tests indirectly via the
-// ticker; loads run without the lock so serving never stalls behind an
-// engine build.
+// pollOnce runs the three poller producers over every resident model.
+// Builds run without the lock so serving never stalls behind them.
 func (r *Registry) pollOnce() {
-	type candidate struct {
-		name  string
-		path  string
-		size  int64
-		mtime time.Time
-		ino   uint64
-	}
 	r.mu.Lock()
-	var cands []candidate
+	var ready []*entry
 	for _, e := range r.entries {
 		if e.state == stateReady {
-			cands = append(cands, candidate{e.name, e.path, e.fileSize, e.fileMtime, e.fileIno})
+			ready = append(ready, e)
 		}
 	}
-	r.mu.Unlock()
-
-	// Drop warm snapshots whose base model is no longer resident (the
-	// swap they were built for can't be observed anymore).
-	ready := make(map[string]bool, len(cands))
-	for _, c := range cands {
-		ready[c.name] = true
-	}
-	r.mu.Lock()
+	// A warm snapshot whose base is no longer resident waits for a swap
+	// that can't be observed anymore.
 	for base := range r.warm {
-		if !ready[base] {
+		if e := r.entries[base]; e == nil || e.state != stateReady {
 			delete(r.warm, base)
 		}
 	}
 	r.mu.Unlock()
 
-	// Warm prefetch BEFORE the reload sweep: a publish writes the
-	// versioned <name>@<iter>.bin first and swaps the latest pointer
-	// second, so building the newcomer's engine here means the swap —
-	// often observed later in this very sweep — installs a prebuilt
-	// snapshot instead of paying the cold O(V·K) build.
-	for _, c := range cands {
-		if !strings.Contains(c.name, "@") {
-			r.prefetchScan(c.name, c.size, c.mtime, c.ino)
-		}
-	}
-
-	for _, c := range cands {
-		fi, err := os.Stat(c.path)
-		if err != nil {
-			r.recordReloadError(c.name, fmt.Sprintf("stat: %v", err))
-			continue
-		}
-		// Size, mtime, AND inode: an atomic rename always changes the
-		// inode, so a retrained same-dims model is detected even when
-		// its size matches and a coarse (e.g. 1s NFS) mtime collides.
-		if fi.Size() == c.size && fi.ModTime().Equal(c.mtime) && fileIno(fi) == c.ino {
-			continue
-		}
-		path, pfi, err := r.resolvePath(c.name)
-		if err != nil {
-			r.recordReloadError(c.name, err.Error())
-			continue
-		}
-		snap, dur, err := r.reloadSnapshot(c.name, path, pfi)
-		if err != nil {
-			r.recordReloadError(c.name, err.Error())
-			continue
-		}
-		if r.opts.MaxBytes > 0 && snap.Bytes > r.opts.MaxBytes {
-			// Refusing the swap keeps the budget invariant; the old
-			// snapshot keeps serving.
-			r.recordReloadError(c.name, fmt.Sprintf(
-				"reload refused: model grew to %d bytes, budget is %d", snap.Bytes, r.opts.MaxBytes))
-			continue
-		}
-		r.mu.Lock()
-		e := r.entries[c.name]
-		if e == nil || e.state != stateReady {
-			// Evicted or dropped while we were loading: discard.
-			r.mu.Unlock()
-			continue
-		}
-		e.loads++
-		snap.Version = e.loads
-		r.install(e, snap, path, pfi, dur)
-		// The swap may have grown the model past the budget; evict
-		// colder models to get back under it.
-		r.evictFor(0, e)
-		r.mu.Unlock()
-	}
-
-	// Incremental refresh LAST: a base that was just (re)loaded above
-	// starts a fresh chain, and any pending <name>.dlt.* files fold into
-	// whatever is resident now. Deltas apply only to bare names — a
+	// Prefetch BEFORE reload: a publish writes the versioned
+	// <name>@<iter>.bin first and swaps the latest pointer second, so the
+	// swap — often observed later in this very sweep — installs a
+	// prebuilt snapshot. Deltas LAST: a base just reloaded starts a fresh
+	// chain, and pending <name>.dlt.* files fold into whatever is
+	// resident now. Prefetch and deltas apply only to bare names — a
 	// pinned <name>@<iter> is immutable by definition.
-	for _, c := range cands {
-		if !strings.Contains(c.name, "@") {
-			r.deltaScan(c.name)
+	for _, e := range ready {
+		if !strings.Contains(e.name, "@") {
+			r.prefetch(e)
+		}
+	}
+	for _, e := range ready {
+		r.reload(e)
+	}
+	for _, e := range ready {
+		if !strings.Contains(e.name, "@") {
+			for r.foldNext(e) {
+			}
 		}
 	}
 }
 
-// reloadSnapshot produces the fresh snapshot for a changed model file:
-// from the warm prefetch cache when the new file is one the poller
-// already built (the hot-swap fast path — a publish never pays the
-// engine build on the serving side of the swap), else by reading and
-// building cold.
-func (r *Registry) reloadSnapshot(name, path string, pfi os.FileInfo) (*Snapshot, time.Duration, error) {
-	if snap := r.takeWarm(pfi); snap != nil {
-		return snap, 0, nil
-	}
-	return r.readAndBuild(name, path)
-}
-
-// versionedIterRE extracts the <iter> of a <base>@<iter>.bin sibling.
-var versionedIterRE = regexp.MustCompile(`^@(\d+)\.bin$`)
-
-// prefetchScan looks for versioned siblings <base>@<iter>.bin of a
-// resident base model and prebuilds the newest one's snapshot into the
-// warm cache. curSize/curMtime/curIno identify the file the base model
-// currently serves from: when the newest version IS that file (stat
-// follows the latest symlink, so identities coincide in steady state),
-// there is nothing to warm. The build runs on the poller goroutine,
-// off every request path, while the old snapshot keeps serving.
-func (r *Registry) prefetchScan(base string, curSize int64, curMtime time.Time, curIno uint64) {
-	des, err := os.ReadDir(r.dir)
-	if err != nil {
+// reload is the hot-reload producer: when the file behind e's name is
+// no longer the one its snapshot came from, build the new one and
+// commit it. A refused file (missing, torn, corrupt, over budget) keeps
+// the old snapshot serving and names the reason in last_error; a writer
+// that finishes its atomic rename is picked up on the next tick.
+func (r *Registry) reload(e *entry) {
+	from := r.resident(e)
+	if from == nil {
 		return
 	}
-	bestIter := -1
-	var bestPath string
-	for _, de := range des {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), base+"@") {
-			continue
-		}
-		m := versionedIterRE.FindStringSubmatch(de.Name()[len(base):])
-		if m == nil {
-			continue
-		}
-		iter, err := strconv.Atoi(m[1])
-		if err != nil || iter <= bestIter {
-			continue
-		}
-		bestIter, bestPath = iter, filepath.Join(r.dir, de.Name())
-	}
-	if bestIter < 0 {
+	path, id, err := r.resolvePath(e.name)
+	if err == nil && id == from.id {
 		return
 	}
-	fi, err := os.Stat(bestPath)
-	if err != nil || !fi.Mode().IsRegular() {
-		return
+	var snap *Snapshot
+	var dur time.Duration
+	if err == nil {
+		snap, dur, err = r.build(e, e.name, path, id)
 	}
-	ino := fileIno(fi)
-	if fi.Size() == curSize && fi.ModTime().Equal(curMtime) && ino == curIno {
-		// The newest version is what the base already serves: nothing
-		// pending. Drop any stale warm leftover for this base.
-		r.mu.Lock()
-		delete(r.warm, base)
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	if w := r.warm[base]; w != nil && w.size == fi.Size() && w.mtime.Equal(fi.ModTime()) && w.ino == ino {
-		r.mu.Unlock() // already warmed
-		return
-	}
-	r.mu.Unlock()
-	if r.opts.MaxBytes > 0 && fi.Size() > r.opts.MaxBytes {
-		return // could never serve; don't build it
-	}
-	snap, _, err := r.readAndBuild(fmt.Sprintf("%s@%d", base, bestIter), bestPath)
-	if err != nil {
-		return // torn or mid-write; the next tick retries
-	}
-	if r.opts.MaxBytes > 0 && snap.Bytes > r.opts.MaxBytes {
-		return
-	}
-	r.mu.Lock()
-	r.warm[base] = &warmEntry{
-		path: bestPath, size: fi.Size(), mtime: fi.ModTime(), ino: ino,
-		iter: bestIter, snap: snap,
-	}
-	r.prefetched++
-	r.mu.Unlock()
-}
-
-// takeWarm returns a warm snapshot built from exactly the file fi
-// identifies, or nil. The identity match works across the latest
-// symlink: stat of the swapped pointer resolves to the versioned
-// target's inode, so the pointer swap consumes the snapshot prefetched
-// from the target. The entry stays cached (the versioned name and the
-// latest pointer may both load the same file); each consumer gets its
-// own shallow copy, because install mutates Version while the
-// underlying model and engine are immutable and shared. Stale entries
-// are pruned by the poller (prefetchScan and the eviction sweep).
-func (r *Registry) takeWarm(fi os.FileInfo) *Snapshot {
-	ino := fileIno(fi)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, w := range r.warm {
-		if w.size == fi.Size() && w.mtime.Equal(fi.ModTime()) && w.ino == ino {
-			r.prefetchHits++
-			snap := *w.snap
-			return &snap
-		}
+	if err != nil {
+		e.lastErr = err.Error()
+		return
 	}
-	return nil
+	r.commit(e, from, snap, dur)
 }
 
-func (r *Registry) recordReloadError(name, msg string) {
-	r.mu.Lock()
-	if e := r.entries[name]; e != nil {
-		e.lastErr = msg
+// prefetch is the warm producer: it prebuilds the newest published
+// version <base>@<iter>.bin of resident base e into the warm cache, on
+// the poller goroutine, while the old snapshot keeps serving. Nothing is
+// built when that version is already warm or is the file e serves
+// (stat follows the latest symlink, so the identities coincide in
+// steady state).
+func (r *Registry) prefetch(e *entry) {
+	from := r.resident(e)
+	if from == nil {
+		return
 	}
+	vers, _ := train.ListPublishedVersions(r.dir, e.name)
+	if len(vers) == 0 {
+		return
+	}
+	newest := vers[len(vers)-1].File
+	id, ok := statID(filepath.Join(r.dir, newest))
+	if !ok {
+		return
+	}
+	r.mu.Lock()
+	w := r.warm[e.name]
+	if id == from.id {
+		delete(r.warm, e.name) // nothing pending; drop a stale leftover
+	}
+	r.mu.Unlock()
+	if id == from.id || (w != nil && w.id == id) {
+		return
+	}
+	snap, _, err := r.build(e, strings.TrimSuffix(newest, ".bin"), filepath.Join(r.dir, newest), id)
+	if err != nil {
+		return // cached by build; a rewritten file gets a fresh try
+	}
+	r.mu.Lock()
+	r.warm[e.name] = snap
+	r.prefetched++
 	r.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -618,5 +619,140 @@ func TestOverBudgetReloadKeepsOldSnapshot(t *testing.T) {
 	}
 	if st := r.RegistryStats(); st.BytesResident != old.Bytes {
 		t.Fatalf("resident %d bytes, want the old snapshot's %d", st.BytesResident, old.Bytes)
+	}
+}
+
+// TestRejectedFileIsReadOnce: a file the poller refuses is read once,
+// not once per tick. After the first refusal, 50 idle polls allocate
+// less than the refused file's size (one read of it would cost more),
+// the old snapshot keeps serving, a good file swapped in by atomic
+// rename loads, and that load drops the model's refusals.
+func TestRejectedFileIsReadOnce(t *testing.T) {
+	// K=512 over V=240 words is a ≈0.5 MB file: one read of it dwarfs
+	// a poll's own allocations (a directory listing and a few stats),
+	// even under the race detector, which drops pooled buffers at random.
+	c, err := warplda.GenerateLDA(warplda.SyntheticConfig{D: 30, V: 240, K: 512, MeanLen: 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := warplda.Train(c, warplda.Defaults(512), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigFile := filepath.Join(t.TempDir(), "big.bin")
+	writeModel(t, bigFile, big)
+	bigBytes, err := os.ReadFile(bigFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := tinyModel(t, 3, 9)
+
+	cases := []struct {
+		name     string
+		maxBytes int64
+		setup    func(t *testing.T, dir string) string // returns the served name
+		reject   func(t *testing.T, dir string) string // returns the refused file
+		recover  func(t *testing.T, dir string)
+	}{
+		{
+			name: "torn base rewrite",
+			setup: func(t *testing.T, dir string) string {
+				writeModel(t, filepath.Join(dir, "m.bin"), big)
+				return "m"
+			},
+			reject: func(t *testing.T, dir string) string {
+				p := filepath.Join(dir, "m.bin")
+				if err := os.WriteFile(p, bigBytes[:len(bigBytes)-64], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			},
+			recover: func(t *testing.T, dir string) { writeModel(t, filepath.Join(dir, "m.bin"), good) },
+		},
+		{
+			name: "over-budget reload",
+			// The file fits by size, so it is read once; its engine does not.
+			maxBytes: snapshotBytes(t, big) - 1,
+			setup: func(t *testing.T, dir string) string {
+				writeModel(t, filepath.Join(dir, "m.bin"), tinyModel(t, 2, 1))
+				return "m"
+			},
+			reject: func(t *testing.T, dir string) string {
+				p := filepath.Join(dir, "m.bin")
+				writeModel(t, p, big)
+				return p
+			},
+			recover: func(t *testing.T, dir string) { writeModel(t, filepath.Join(dir, "m.bin"), good) },
+		},
+		{
+			name: "bit-flipped newest version",
+			setup: func(t *testing.T, dir string) string {
+				writeModel(t, filepath.Join(dir, "news@10.bin"), tinyModel(t, 2, 1))
+				symlinkLatest(t, dir, "news", "news@10.bin")
+				return "news"
+			},
+			reject: func(t *testing.T, dir string) string {
+				p := filepath.Join(dir, "news@20.bin")
+				b := append([]byte(nil), bigBytes...)
+				b[len(b)/2] ^= 0x20
+				if err := os.WriteFile(p, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return p
+			},
+			recover: func(t *testing.T, dir string) {
+				writeModel(t, filepath.Join(dir, "news@20.bin"), good)
+				symlinkLatest(t, dir, "news", "news@20.bin")
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, r := openTestRegistry(t, Options{MaxBytes: tc.maxBytes})
+			name := tc.setup(t, dir)
+			old, err := r.Acquire(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(tc.reject(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.pollOnce() // the one read
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 50; i++ {
+				r.pollOnce()
+			}
+			runtime.ReadMemStats(&after)
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("50 idle polls allocated %d bytes; refused file is %d", alloc, fi.Size())
+			if alloc >= uint64(fi.Size()) {
+				t.Fatalf("50 idle polls allocated %d bytes, more than one read of the %d-byte refused file", alloc, fi.Size())
+			}
+			if snap, err := r.Acquire(name); err != nil || snap != old {
+				t.Fatalf("old snapshot stopped serving: %v", err)
+			}
+
+			tc.recover(t, dir)
+			r.pollOnce()
+			snap, err := r.Acquire(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Model.Cfg.K != 3 || snap.Version != 2 {
+				t.Fatalf("good file not loaded: K=%d version=%d", snap.Model.Cfg.K, snap.Version)
+			}
+			if mi, _ := r.Info(name); mi.LastError != "" {
+				t.Fatalf("last_error survived the good load: %q", mi.LastError)
+			}
+			r.mu.Lock()
+			refusals := len(r.neg)
+			r.mu.Unlock()
+			if refusals != 0 {
+				t.Fatalf("%d refusals survived the good load", refusals)
+			}
+		})
 	}
 }

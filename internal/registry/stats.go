@@ -4,8 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
+
+	"warplda/internal/train"
 )
 
 // Introspection for the GET /v1/models admin API: per-model lifecycle
@@ -110,7 +111,7 @@ func (e *entry) info() ModelInfo {
 		mi.K = e.snap.Model.Cfg.K
 		mi.Bytes = e.snap.Bytes
 		mi.Version = e.snap.Version
-		mi.Generation = e.gen
+		mi.Generation = e.snap.gen
 	}
 	if !e.loadedAt.IsZero() {
 		mi.LoadMs = float64(e.loadDur.Microseconds()) / 1000
@@ -146,26 +147,11 @@ func (r *Registry) Versions(base string) []VersionInfo {
 	if strings.Contains(base, "@") {
 		return nil
 	}
-	des, err := os.ReadDir(r.dir)
-	if err != nil {
-		return nil
-	}
+	vers, _ := train.ListPublishedVersions(r.dir, base)
 	var out []VersionInfo
-	for _, de := range des {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), base+"@") {
-			continue
-		}
-		m := versionedIterRE.FindStringSubmatch(de.Name()[len(base):])
-		if m == nil {
-			continue
-		}
-		iter, err := strconv.Atoi(m[1])
-		if err != nil {
-			continue
-		}
-		out = append(out, VersionInfo{Name: base + "@" + m[1], Iter: iter})
+	for _, v := range vers {
+		out = append(out, VersionInfo{Name: strings.TrimSuffix(v.File, ".bin"), Iter: v.Iter})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package train_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -302,5 +303,50 @@ func TestPrunePublishedVersions(t *testing.T) {
 
 	if _, err := train.PrunePublishedVersions(spec, 0); err == nil {
 		t.Fatal("keep=0 accepted; it would delete every version")
+	}
+}
+
+// TestListPublishedVersions pins the one version lister serving and
+// pruning share: numeric order, and only <name>@<digits>.bin files.
+func TestListPublishedVersions(t *testing.T) {
+	cases := []struct {
+		name  string
+		files []string // a trailing "/" makes a directory
+		want  []int
+	}{
+		{"numeric order", []string{"news@10.bin", "news@9.bin", "news@100.bin"}, []int{9, 10, 100}},
+		{"foreign names", []string{"news@5.bin", "news2@5.bin", "news@7b.bin", "news@3.bin/", "news.bin", "news@4.bin.tmp"}, []int{5}},
+		{"none", []string{"other@1.bin"}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, f := range tc.files {
+				p := filepath.Join(dir, f)
+				var err error
+				if f[len(f)-1] == '/' {
+					err = os.Mkdir(p, 0o755)
+				} else {
+					err = os.WriteFile(p, []byte("snapshot"), 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			vers, err := train.ListPublishedVersions(dir, "news")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for _, v := range vers {
+				got = append(got, v.Iter)
+				if want := fmt.Sprintf("news@%d.bin", v.Iter); v.File != want {
+					t.Errorf("file %q, want %q", v.File, want)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("iters %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -15,12 +15,13 @@
 package train
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -346,6 +347,40 @@ func PublishLatest(spec string, iter int) (string, error) {
 // file name, matched against the part after the base name.
 var publishedVersionRE = regexp.MustCompile(`^@(\d+)\.bin$`)
 
+// PublishedVersion is one pinned snapshot <name>@<iter>.bin of a
+// publish target.
+type PublishedVersion struct {
+	Iter int
+	File string // <name>@<iter>.bin, relative to the publish directory
+}
+
+// ListPublishedVersions returns the pinned version snapshots of model
+// name in dir, oldest (lowest iteration) first. Directories and files
+// that are not exactly <name>@<digits>.bin are ignored. Serving (the
+// registry's version list and warm prefetch) and pruning read this one
+// list.
+func ListPublishedVersions(dir, name string) ([]PublishedVersion, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("train: listing versions: %w", err)
+	}
+	var out []PublishedVersion
+	for _, de := range des {
+		if de.IsDir() || !strings.HasPrefix(de.Name(), name+"@") {
+			continue
+		}
+		m := publishedVersionRE.FindStringSubmatch(de.Name()[len(name):])
+		if m == nil {
+			continue
+		}
+		if iter, err := strconv.Atoi(m[1]); err == nil {
+			out = append(out, PublishedVersion{Iter: iter, File: de.Name()})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b PublishedVersion) int { return cmp.Compare(a.Iter, b.Iter) })
+	return out, nil
+}
+
 // PrunePublishedVersions deletes the oldest pinned version snapshots
 // (<name>@<iter>.bin) of a publish target, keeping the newest keep of
 // them. The version the "latest" pointer currently targets survives
@@ -365,39 +400,19 @@ func PrunePublishedVersions(spec string, keep int) ([]string, error) {
 	if target, err := os.Readlink(latest); err == nil {
 		protected = filepath.Base(target)
 	}
-	des, err := os.ReadDir(dir)
+	vers, err := ListPublishedVersions(dir, name)
 	if err != nil {
-		return nil, fmt.Errorf("train: pruning versions: %w", err)
+		return nil, err
 	}
-	type version struct {
-		iter int
-		file string
-	}
-	var vers []version
-	for _, de := range des {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), name+"@") {
-			continue
-		}
-		m := publishedVersionRE.FindStringSubmatch(de.Name()[len(name):])
-		if m == nil {
-			continue
-		}
-		iter, err := strconv.Atoi(m[1])
-		if err != nil {
-			continue
-		}
-		vers = append(vers, version{iter, de.Name()})
-	}
-	sort.Slice(vers, func(i, j int) bool { return vers[i].iter > vers[j].iter })
 	if keep > len(vers) {
 		keep = len(vers)
 	}
 	var pruned []string
-	for _, v := range vers[keep:] {
-		if v.file == protected {
+	for _, v := range vers[:len(vers)-keep] {
+		if v.File == protected {
 			continue
 		}
-		p := filepath.Join(dir, v.file)
+		p := filepath.Join(dir, v.File)
 		if err := os.Remove(p); err != nil {
 			return pruned, fmt.Errorf("train: pruning versions: %w", err)
 		}
