@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"warplda/internal/core"
@@ -233,6 +234,53 @@ func (s *Sim) Model(perPhaseTokenSec float64) Stats {
 		BytesMoved:     bytes,
 		Imbalance:      maxImbalance(s.rowLoad, s.colLoad),
 	}
+}
+
+// Model returns the Stats of one iteration of this topology if sampling
+// costs perPhaseTokenSec per token and phase on every worker: each
+// phase's compute is bounded by its heaviest worker, and each exchange
+// by its heaviest sender over net.
+func (d *Distributed) Model(perPhaseTokenSec float64, net NetworkModel) Stats {
+	word, doc := d.load(0), d.load(1)
+	compute := float64(slices.Max(word)+slices.Max(doc)) * perPhaseTokenSec
+
+	// A shipped token entry is its topic and M proposals, 4 bytes each.
+	// Two boundaries per iteration (word→doc, doc→word) plus the c_k
+	// allreduce (2·K·4 bytes per worker, log P rounds approximated flat).
+	entryBytes := 4 * (d.cfg.M + 1)
+	barrier := net.LatencySec * float64(d.p-1)
+	afterWord := float64(slices.Max(d.ship[0])*entryBytes)/net.BandwidthBytesPerSec + barrier
+	afterDoc := float64(slices.Max(d.ship[1])*entryBytes)/net.BandwidthBytesPerSec + barrier
+	comm := afterDoc + afterWord + float64(8*d.cfg.K)/net.BandwidthBytesPerSec
+
+	// Fully overlapped, the slower plane dominates; the phase-boundary
+	// barriers leave a latency residue.
+	modeled := max(compute, comm) + net.LatencySec*2
+
+	var shipped int
+	for i := range d.ship[0] {
+		shipped += d.ship[0][i] + d.ship[1][i]
+	}
+	return Stats{
+		ComputeSeconds: compute,
+		CommSeconds:    comm,
+		ModeledSeconds: modeled,
+		BytesMoved:     int64(shipped * entryBytes),
+		Imbalance:      max(imbalance(word), imbalance(doc)),
+	}
+}
+
+// load returns how many tokens each worker samples in phase ph (0 word,
+// 1 doc): what the exchange after the other phase delivers to it.
+func (d *Distributed) load(ph int) []int { return d.recv[1-ph] }
+
+// imbalance is sparse.ImbalanceIndex of per-worker token counts.
+func imbalance(loads []int) float64 {
+	l := make([]int64, len(loads))
+	for i, n := range loads {
+		l[i] = int64(n)
+	}
+	return sparse.ImbalanceIndex(l)
 }
 
 // ModeledSeconds returns cumulative modeled time over all iterations.

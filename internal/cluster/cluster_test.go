@@ -133,3 +133,74 @@ func TestSlowNetworkRaisesCommTime(t *testing.T) {
 		t.Fatalf("gigabit comm %.3g not above InfiniBand %.3g", ss.CommSeconds, sf.CommSeconds)
 	}
 }
+
+// Distributed.Model prices the sharded sampler's own topology with
+// Sim's formula: on the corpora of Figs. 6/9cd and 9b, at every worker
+// count the figures use, the two agree to the bit.
+func TestModelMatchesSim(t *testing.T) {
+	for _, sc := range []corpus.SyntheticConfig{corpus.ClueWebLike(6e-7), corpus.PubMedLike(8e-5)} {
+		sc.Seed = 7
+		c, err := corpus.GenerateLDA(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 4, 16, 32, 256} {
+			for _, m := range []int{1, 4} {
+				cfg := sampler.PaperDefaults(64)
+				cfg.M = m
+				cfg.Seed = 7
+				d, err := NewDistributed(c, cfg, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, net := range []NetworkModel{InfiniBand(), Gigabit()} {
+					sim, err := New(c, cfg, Config{Workers: p, Network: net})
+					if err != nil {
+						t.Fatal(err)
+					}
+					const cost = 3.7e-8
+					if got, want := d.Model(cost, net), sim.Model(cost); got != want {
+						t.Fatalf("%d docs, p=%d M=%d %+v: Model = %+v, Sim = %+v", c.NumDocs(), p, m, net, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The counts Model prices are what one iteration really does: before
+// each phase a worker's load is its shard length, and its shipped count
+// is how many of its tokens have another worker as their next owner.
+func TestModelCountsMatchExchange(t *testing.T) {
+	c := simCorpus()
+	cfg := sampler.PaperDefaults(6)
+	for _, p := range []int{1, 3, 8} {
+		d, err := NewDistributed(c, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.pass.Freeze(d.ck)
+		for ph := 0; ph < 2; ph++ {
+			for i := range d.shards {
+				sh := &d.shards[i]
+				if sh.Len() != d.load(ph)[i] {
+					t.Fatalf("p=%d phase %d: worker %d holds %d tokens, load says %d", p, ph, i, sh.Len(), d.load(ph)[i])
+				}
+				away := 0
+				for n := range sh.D {
+					next := d.top.Rows[sh.D[n]]
+					if ph == 1 {
+						next = d.top.Cols[sh.W[n]]
+					}
+					if int(next) != i {
+						away++
+					}
+				}
+				if away != d.ship[ph][i] {
+					t.Fatalf("p=%d phase %d: worker %d ships %d tokens, ship says %d", p, ph, i, away, d.ship[ph][i])
+				}
+			}
+			d.exchange(ph)
+		}
+	}
+}

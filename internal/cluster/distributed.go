@@ -49,6 +49,11 @@ type Distributed struct {
 	win  [2][][]int
 	recv [2][]int
 
+	// ship[ph][i] is how many of the tokens worker i samples in phase ph
+	// go to another worker after it: the off-diagonal blocks of the
+	// partition, which Model prices.
+	ship [2][]int
+
 	// blockTokens is the send-block granularity of the pipelined
 	// exchange: Section 5.3.2 divides each partition into B×B blocks
 	// (B ∈ [2,10]) so finished blocks ship while later ones compute.
@@ -110,6 +115,15 @@ func NewDistributed(c *corpus.Corpus, cfg sampler.Config, p int) (*Distributed, 
 	}
 	d.win[0], d.recv[0] = windows(p, func(i, j int) int { return cross[i][j] })
 	d.win[1], d.recv[1] = windows(p, func(i, j int) int { return cross[j][i] })
+	d.ship = [2][]int{make([]int, p), make([]int, p)}
+	for i := range cross {
+		for j, n := range cross[i] {
+			if i != j {
+				d.ship[0][i] += n
+				d.ship[1][j] += n
+			}
+		}
+	}
 
 	// Shard tokens by column owner with random initial assignments;
 	// proposals start equal to z so the first word phase's chains are
