@@ -1,7 +1,7 @@
-// Distributed: train WarpLDA on the simulated cluster of the paper's
-// Section 5 and inspect the cost breakdown per iteration — load balance
+// Distributed: train WarpLDA sharded over 16 workers as in the paper's
+// Section 5.3 and inspect the cost model of that topology — load balance
 // of the greedy partitioner, alltoall volume, and the modeled iteration
-// time with compute/communication overlap.
+// time with compute/communication overlap on two networks.
 //
 // This example uses internal packages, which is possible because it
 // lives inside the module; it demonstrates the distributed substrate the
@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
@@ -31,20 +32,40 @@ func main() {
 
 	cfg := sampler.PaperDefaults(50)
 	cfg.M = 2
-	sim, err := cluster.New(c, cfg, cluster.Config{Workers: 16, Network: cluster.InfiniBand()})
+
+	// The per-token cost of one phase, measured on one worker after a
+	// warm-up iteration: each iteration samples every token twice.
+	one, err := cluster.NewDistributed(c, cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	one.Iterate()
+	start := time.Now()
+	one.Iterate()
+	cost := time.Since(start).Seconds() / float64(2*c.NumTokens())
+	fmt.Printf("per-phase token cost: %.1f ns\n", cost*1e9)
 
-	fmt.Printf("%4s %14s %12s %12s %12s %10s\n",
-		"iter", "logLik", "compute(s)", "comm(s)", "modeled(s)", "MB moved")
-	for it := 1; it <= 10; it++ {
-		st := sim.IterateStats()
-		ll := eval.LogJoint(c, sim.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-		fmt.Printf("%4d %14.4e %12.6f %12.6f %12.6f %10.2f\n",
-			it, ll, st.ComputeSeconds, st.CommSeconds, st.ModeledSeconds,
-			float64(st.BytesMoved)/1e6)
+	sharded, err := cluster.NewDistributed(c, cfg, 16)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("cumulative modeled time: %.4fs  (imbalance %.4f)\n",
-		sim.ModeledSeconds(), sim.IterateStats().Imbalance)
+	fmt.Printf("%-11s %12s %12s %12s %10s %10s\n",
+		"network", "compute(s)", "comm(s)", "modeled(s)", "MB moved", "imbalance")
+	for _, n := range []struct {
+		name string
+		net  cluster.NetworkModel
+	}{{"InfiniBand", cluster.InfiniBand()}, {"Gigabit", cluster.Gigabit()}} {
+		st := sharded.Model(cost, n.net)
+		fmt.Printf("%-11s %12.6f %12.6f %12.6f %10.2f %10.4f\n",
+			n.name, st.ComputeSeconds, st.CommSeconds, st.ModeledSeconds,
+			float64(st.BytesMoved)/1e6, st.Imbalance)
+	}
+
+	step := sharded.Model(cost, cluster.InfiniBand()).ModeledSeconds
+	fmt.Printf("%4s %14s %16s\n", "iter", "logLik", "modeled time(s)")
+	for it := 1; it <= 10; it++ {
+		sharded.Iterate()
+		ll := eval.LogJoint(c, sharded.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
+		fmt.Printf("%4d %14.4e %16.6f\n", it, ll, float64(it)*step)
+	}
 }

@@ -26,7 +26,7 @@ import (
 // kernels: each worker is a Worker (phase.go) running core's phase runs,
 // and TestTwoPassLawMatchesExact holds both to one exact law. core.Warp
 // is the shared-memory path, Distributed the sharded one; the Figure 6
-// and 9 experiments use Sim, which times core.Warp under a cost model.
+// and 9 experiments run Distributed and price its topology with Model.
 // The live multi-process mode (internal/dist) runs the same Worker with
 // TCP in place of the windows.
 type Distributed struct {

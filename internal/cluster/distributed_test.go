@@ -248,43 +248,3 @@ func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
 		}
 	}
 }
-
-func TestSimStateRoundTrip(t *testing.T) {
-	c := simCorpus()
-	scfg := sampler.PaperDefaults(6)
-	scfg.M = 1
-	mk := func() *Sim {
-		s, err := New(c, scfg, Config{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	full, half, fresh := mk(), mk(), mk()
-	const n = 2
-	for i := 0; i < 2*n; i++ {
-		full.Iterate()
-	}
-	for i := 0; i < n; i++ {
-		half.Iterate()
-	}
-	var buf bytes.Buffer
-	if err := half.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.ModeledSeconds() != half.ModeledSeconds() {
-		t.Fatal("modeled time not restored")
-	}
-	for i := 0; i < n; i++ {
-		fresh.Iterate()
-	}
-	// The wrapped sampler is core.Warp with cfg.Threads workers (1 here):
-	// the chain itself must resume bit-identically even though modeled
-	// timing differs run to run.
-	if !reflect.DeepEqual(fresh.Assignments(), full.Assignments()) {
-		t.Fatal("resumed Sim diverged from uninterrupted run")
-	}
-}

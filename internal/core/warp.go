@@ -495,8 +495,9 @@ const warpStateTag = "warp\x01"
 // stream. Together with the corpus and Config (which rebuild all
 // derived structure deterministically) that is the sampler's complete
 // mutable state: a fresh Warp restored from it continues the chain
-// bit-identically. It is the stream cluster.Sim's one-shard checkpoint
-// wraps; Warp's own checkpoints are sharded (shard.go).
+// bit-identically. Warp's own checkpoints are sharded (shard.go);
+// outside tests, StateTo's one caller is the repository benchmark's
+// state-size probe (benchmark/probes.go).
 func (w *Warp) StateTo(out io.Writer) error {
 	e := sampler.NewEnc(out)
 	e.Tag(warpStateTag)

@@ -13,8 +13,9 @@ import (
 
 // Fig6 reproduces the distributed convergence comparison of Figure 6:
 // WarpLDA (M=4) against LightLDA (M=16) on a ClueWeb12-subset-like
-// corpus over 32 simulated workers. WarpLDA's distributed time comes from
-// the cluster cost model; LightLDA's from the same per-worker compute
+// corpus. WarpLDA runs sharded over 32 workers (cluster.Distributed), and
+// its time is that topology's cost model at the measured per-token cost
+// (shardedTokenCost); LightLDA's comes from the same per-worker compute
 // scaling plus a parameter-server synchronization term for its shared
 // C_w matrix (the system design WarpLDA's Section 5 removes).
 func Fig6(o Options) (*Report, error) {
@@ -33,10 +34,15 @@ func Fig6(o Options) (*Report, error) {
 	warpCfg := sampler.PaperDefaults(k)
 	warpCfg.M = 4
 	warpCfg.Seed = o.seed()
-	sim, err := cluster.New(c, warpCfg, cluster.Config{Workers: workers})
+	sharded, err := cluster.NewDistributed(c, warpCfg, workers)
 	if err != nil {
 		return nil, err
 	}
+	cost, err := shardedTokenCost(c, warpCfg)
+	if err != nil {
+		return nil, err
+	}
+	net := cluster.InfiniBand()
 
 	lightCfg := sampler.PaperDefaults(k)
 	lightCfg.M = 16
@@ -47,19 +53,19 @@ func Fig6(o Options) (*Report, error) {
 	}
 
 	r.addf("%-10s %6s %14s %14s", "sampler", "iter", "logLik", "modeled time(s)")
+	warpStep := sharded.Model(cost, net).ModeledSeconds
 	var warpT float64
 	for it := 1; it <= iters; it++ {
-		st := sim.IterateStats()
-		warpT += st.ModeledSeconds
+		sharded.Iterate()
+		warpT += warpStep
 		if it%every == 0 || it == iters {
-			ll := eval.LogJoint(c, sim.Assignments(), k, warpCfg.Alpha, warpCfg.Beta)
+			ll := eval.LogJoint(c, sharded.Assignments(), k, warpCfg.Alpha, warpCfg.Beta)
 			r.addf("%-10s %6d %14.4e %14.4f", "WarpLDA", it, ll, warpT)
 		}
 	}
 	// LightLDA distributed model: compute = wall/P on the heaviest doc
 	// shard; comm = parameter-server push+pull of word-topic deltas
 	// (8 bytes per MH pair per token) at the same network bandwidth.
-	net := cluster.InfiniBand()
 	tokens := c.NumTokens()
 	var lightT float64
 	for it := 1; it <= iters; it++ {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"warplda/internal/baselines"
-	"warplda/internal/cluster"
 	"warplda/internal/sampler"
 	"warplda/internal/train"
 )
@@ -13,27 +12,23 @@ import (
 // TestOneShardCheckpointResumeBitIdentical: a sampler without sharded
 // state checkpoints through train.Run as a one-shard manifest, and
 // Load → Run resumes it with the trace and assignments of an
-// uninterrupted run, to the bit — for every baseline and cluster.Sim.
-// The baselines never read Threads, so a resume under another -threads
-// is bit-identical too.
+// uninterrupted run, to the bit — for every baseline. The baselines
+// never read Threads, so a resume under another -threads is
+// bit-identical too.
 func TestOneShardCheckpointResumeBitIdentical(t *testing.T) {
 	c := testCorpus(47)
 	cfg := testCfg(6)
 	for _, tc := range []struct {
-		name        string
-		new         func(cfg sampler.Config) (sampler.Sampler, error)
-		threadsFree bool
+		name string
+		new  func(cfg sampler.Config) (sampler.Sampler, error)
 	}{
-		{"cgs", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewCGS(c, cfg) }, true},
-		{"sparselda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewSparseLDA(c, cfg) }, true},
-		{"aliaslda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewAliasLDA(c, cfg) }, true},
-		{"flda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewFPlusLDA(c, cfg) }, true},
+		{"cgs", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewCGS(c, cfg) }},
+		{"sparselda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewSparseLDA(c, cfg) }},
+		{"aliaslda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewAliasLDA(c, cfg) }},
+		{"flda", func(cfg sampler.Config) (sampler.Sampler, error) { return baselines.NewFPlusLDA(c, cfg) }},
 		{"lightlda", func(cfg sampler.Config) (sampler.Sampler, error) {
 			return baselines.NewLightLDA(c, cfg, baselines.LightLDAOptions{})
-		}, true},
-		{"sim", func(cfg sampler.Config) (sampler.Sampler, error) {
-			return cluster.New(c, cfg, cluster.Config{Workers: 4})
-		}, false},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func(cfg sampler.Config) sampler.Sampler {
@@ -79,11 +74,9 @@ func TestOneShardCheckpointResumeBitIdentical(t *testing.T) {
 				}
 			}
 			resume(cfg)
-			if tc.threadsFree {
-				other := cfg
-				other.Threads = 3
-				resume(other)
-			}
+			other := cfg
+			other.Threads = 3
+			resume(other)
 		})
 	}
 }

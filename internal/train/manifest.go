@@ -463,8 +463,8 @@ func (ck *Checkpoint) verifyShard(i int, f *os.File) (streamLen int64, err error
 	return streamLen, nil
 }
 
-// stateful is what a sampler without sharded state — the baselines,
-// cluster.Sim — must offer to be checkpointed: its complete mutable
+// stateful is what a sampler without sharded state — the baselines —
+// must offer to be checkpointed: its complete mutable
 // state as one stream. StateTo writes it between Iterate calls, so that
 // a sampler built over the same corpus and Config and restored with
 // RestoreFrom continues the run exactly where this one stands;
