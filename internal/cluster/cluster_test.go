@@ -75,31 +75,43 @@ func TestModelOnHandBuiltTopology(t *testing.T) {
 	}
 }
 
-// The model's qualitative claims on a real corpus: one worker ships
-// nothing, eight cut the heaviest compute share to at most a quarter, a
-// slower network raises comm alone, the modeled time is not below both
-// planes, and the greedy partition keeps the imbalance index in [0, 1].
-func TestStatsSane(t *testing.T) {
-	c := simCorpus()
-	cfg := sampler.PaperDefaults(6)
-	model := func(p int, net NetworkModel) Stats {
-		d, err := NewDistributed(c, cfg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d.Model(1e-8, net)
+// modelStats prices simCorpus's topology at p workers over net.
+func modelStats(t *testing.T, p int, net NetworkModel) Stats {
+	t.Helper()
+	d, err := NewDistributed(simCorpus(), sampler.PaperDefaults(6), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := model(1, InfiniBand()); st.BytesMoved != 0 {
-		t.Errorf("single worker moved %d bytes", st.BytesMoved)
+	return d.Model(1e-8, net)
+}
+
+func TestSingleWorkerMovesNoBytes(t *testing.T) {
+	if st := modelStats(t, 1, InfiniBand()); st.BytesMoved != 0 {
+		t.Fatalf("single worker moved %d bytes", st.BytesMoved)
 	}
-	if s1, s8 := model(1, InfiniBand()), model(8, InfiniBand()); s8.ComputeSeconds > s1.ComputeSeconds/4 {
-		t.Errorf("8-worker compute %.3g not well below 1-worker %.3g", s8.ComputeSeconds, s1.ComputeSeconds)
+}
+
+// Eight workers cut the heaviest compute share to at most a quarter.
+func TestMoreWorkersLessModeledCompute(t *testing.T) {
+	s1, s8 := modelStats(t, 1, InfiniBand()), modelStats(t, 8, InfiniBand())
+	if s8.ComputeSeconds > s1.ComputeSeconds/4 {
+		t.Fatalf("8-worker compute %.3g not well below 1-worker %.3g", s8.ComputeSeconds, s1.ComputeSeconds)
 	}
-	fast, slow := model(4, InfiniBand()), model(4, Gigabit())
+}
+
+// A slower network raises comm alone.
+func TestSlowNetworkRaisesCommTime(t *testing.T) {
+	fast, slow := modelStats(t, 4, InfiniBand()), modelStats(t, 4, Gigabit())
 	if slow.CommSeconds <= fast.CommSeconds || slow.ComputeSeconds != fast.ComputeSeconds {
-		t.Errorf("gigabit %+v against InfiniBand %+v: want more comm, the same compute", slow, fast)
+		t.Fatalf("gigabit %+v against InfiniBand %+v: want more comm, the same compute", slow, fast)
 	}
-	for _, st := range []Stats{fast, slow} {
+}
+
+// On a real corpus the stats are positive, the modeled time is not below
+// both planes, and the greedy partition keeps the imbalance index in
+// [0, 1].
+func TestStatsSane(t *testing.T) {
+	for _, st := range []Stats{modelStats(t, 4, InfiniBand()), modelStats(t, 4, Gigabit())} {
 		if st.ComputeSeconds <= 0 || st.ModeledSeconds <= 0 || st.BytesMoved <= 0 {
 			t.Errorf("4 workers: non-positive stats %+v", st)
 		}
