@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -452,7 +453,8 @@ func TestIntraWordParallelism(t *testing.T) {
 
 // resumePair runs the checkpoint/resume contract for one configuration:
 // an uninterrupted 2n-iteration run against an n-iteration run whose
-// state is moved into a fresh sampler that runs the remaining n.
+// shards are restored into a fresh sampler of the same thread count,
+// which runs the remaining n.
 func resumePair(t *testing.T, c *corpus.Corpus, cfg sampler.Config, n int) {
 	t.Helper()
 	mk := func() *Warp {
@@ -469,12 +471,12 @@ func resumePair(t *testing.T, c *corpus.Corpus, cfg sampler.Config, n int) {
 	for i := 0; i < n; i++ {
 		half.Iterate()
 	}
-	var buf bytes.Buffer
-	if err := half.StateTo(&buf); err != nil {
+	reseeded, err := fresh.RestoreShards(uint64(n), shardsOf(t, half))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreFrom(&buf); err != nil {
-		t.Fatal(err)
+	if reseeded {
+		t.Fatal("same-topology restore reported a reseed")
 	}
 	if !reflect.DeepEqual(fresh.GlobalCounts(), half.GlobalCounts()) {
 		t.Fatal("global counts differ immediately after restore")
@@ -516,6 +518,8 @@ func TestStateResumeBitIdenticalAsymmetricAlpha(t *testing.T) {
 	resumePair(t, testCorpus(22), cfg, 3)
 }
 
+// TestRestoreRejectsCorruptState: a damaged or mismatched shard set
+// fails before any live state is replaced, and the target stays usable.
 func TestRestoreRejectsCorruptState(t *testing.T) {
 	c := testCorpus(23)
 	cfg := defaultCfg(8)
@@ -524,27 +528,20 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		t.Fatal(err)
 	}
 	donor.Iterate()
-	var buf bytes.Buffer
-	if err := donor.StateTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-
-	badCk := append([]byte(nil), blob...)
-	// Flip an assignment byte so ck no longer matches the histogram: the
-	// payload section starts right after tag(5) + workers(8) + len(8).
-	badCk[5+8+8] ^= 1
+	blob := rawShards(t, donor)[0]
 
 	cases := []struct {
-		name string
-		blob []byte
-		cfg  sampler.Config
+		name   string
+		shards [][]byte
+		cfg    sampler.Config
 	}{
-		{"truncated", blob[:len(blob)-9], cfg},
-		{"bad tag", append([]byte("xxxx\x01"), blob[5:]...), cfg},
-		{"count mismatch", badCk, cfg},
-		{"wrong K", blob, func() sampler.Config { c2 := cfg; c2.K = 9; return c2 }()},
-		{"wrong threads", blob, func() sampler.Config { c2 := cfg; c2.Threads = 4; return c2 }()},
+		{"truncated", [][]byte{blob[:len(blob)-9]}, cfg},
+		{"bad tag", [][]byte{append([]byte("xxxx\x01"), blob[5:]...)}, cfg},
+		// A shard stream carries no K: fewer topics than it uses puts an
+		// assignment out of range (a larger K is Checkpoint.Verify's).
+		{"wrong K", [][]byte{blob}, func() sampler.Config { c2 := cfg; c2.K = 7; return c2 }()},
+		{"wrong M", [][]byte{blob}, func() sampler.Config { c2 := cfg; c2.M = 3; return c2 }()},
+		{"wrong shard count", [][]byte{blob, blob}, cfg},
 	}
 	for _, tc := range cases {
 		target, err := New(c, tc.cfg)
@@ -552,7 +549,11 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := sampler.CopyAssignments(target.Assignments())
-		if err := target.RestoreFrom(bytes.NewReader(tc.blob)); err == nil {
+		readers := make([]io.Reader, len(tc.shards))
+		for i, b := range tc.shards {
+			readers[i] = bytes.NewReader(b)
+		}
+		if _, err := target.RestoreShards(1, readers); err == nil {
 			t.Errorf("%s: corrupt state accepted", tc.name)
 			continue
 		}
