@@ -168,7 +168,7 @@ func run() int {
 		ckptDir    = flag.String("checkpoint-dir", "", "write resumable checkpoints into this directory")
 		ckptEvery  = flag.Int("checkpoint-every", 10, "checkpoint interval in iterations (<= 0: only at interruption and completion)")
 		ckptKeep   = flag.Int("checkpoint-keep", 1, "keep the newest N iteration-stamped checkpoints (older ones are deleted after each successful checkpoint)")
-		resumePath = flag.String("resume", "", "resume from this checkpoint file (or its directory); reuses the checkpoint's configuration — pass the same -algo")
+		resumePath = flag.String("resume", "", "resume from this checkpoint file (or its directory); reuses the checkpoint's configuration — pass the same -algo (warplda and distributed resume each other)")
 		publish    = flag.String("publish", "", "after training, atomically install the model as <model-dir>/<name> for a running warplda-serve")
 		pubKeep    = flag.Int("publish-keep", 0, "keep only the newest N published @version snapshots, never the one latest points at (0 = keep all)")
 		pubDelta   = flag.Bool("publish-delta", false, "with -publish: publish incrementally during training — a full base snapshot once, then a WARPDLT delta file per -checkpoint-every interval that a watching warplda-serve folds into the live engine")

@@ -216,7 +216,7 @@ func (d *Distributed) Iterate() {
 func (d *Distributed) exchange(ph int) {
 	stride := d.cfg.M + 1
 	for j := range d.next {
-		d.next[j].resize(d.recv[ph][j], stride)
+		resize(&d.next[j], d.recv[ph][j], stride)
 	}
 	var wg sync.WaitGroup
 	for i, wk := range d.workers {
@@ -225,7 +225,7 @@ func (d *Distributed) exchange(ph int) {
 			defer wg.Done()
 			at := slices.Clone(d.win[ph][i])
 			err := wk.Phase(d.pass, d.top, &d.shards[i], ph == 0, d.blockTokens, func(o int, b *Slab) error {
-				d.next[o].put(at[o], b, stride)
+				putAt(&d.next[o], at[o], b, stride)
 				at[o] += b.Len()
 				return nil
 			})

@@ -19,29 +19,12 @@ import (
 	"warplda/internal/rng"
 )
 
-// Slab is a run of tokens as three flat arrays, in the section order of
-// the dshd stream: token i sits at cell (D[i], W[i]) of the D×V matrix
-// and owns the payload Data[i*(1+M):(i+1)*(1+M)], its assignment
-// followed by its M pending proposals.
-type Slab struct {
-	D, W, Data []int32
-}
+// Slab is a worker's run of tokens: core's slab, the body of a dshd
+// stream.
+type Slab = core.Slab
 
-// Len returns the number of tokens.
-func (s *Slab) Len() int { return len(s.D) }
-
-// Append appends every token of o.
-func (s *Slab) Append(o Slab) {
-	s.D = append(s.D, o.D...)
-	s.W = append(s.W, o.W...)
-	s.Data = append(s.Data, o.Data...)
-}
-
-// Reset empties the slab and keeps its capacity.
-func (s *Slab) Reset() { s.D, s.W, s.Data = s.D[:0], s.W[:0], s.Data[:0] }
-
-// appendToken appends token i of o.
-func (s *Slab) appendToken(o *Slab, i, stride int) {
+// appendToken appends token i of o to s.
+func appendToken(s, o *Slab, i, stride int) {
 	s.D = append(s.D, o.D[i])
 	s.W = append(s.W, o.W[i])
 	s.Data = append(s.Data, o.Data[i*stride:(i+1)*stride]...)
@@ -54,15 +37,15 @@ func makeSlab(n, stride int) Slab {
 
 // resize sets the slab's length to n tokens, reusing its arrays when
 // they are large enough.
-func (s *Slab) resize(n, stride int) {
+func resize(s *Slab, n, stride int) {
 	if cap(s.D) < n {
 		*s = makeSlab(n, stride)
 	}
 	s.D, s.W, s.Data = s.D[:n], s.W[:n], s.Data[:n*stride]
 }
 
-// put copies b into the slab from token position at on.
-func (s *Slab) put(at int, b *Slab, stride int) {
+// putAt copies b into s from token position at on.
+func putAt(s *Slab, at int, b *Slab, stride int) {
 	copy(s.D[at:], b.D)
 	copy(s.W[at:], b.W)
 	copy(s.Data[at*stride:], b.Data)
@@ -166,7 +149,7 @@ func (wk *Worker) Phase(pass *core.Pass, top *Topology, sh *Slab, word bool, blo
 		for i := lo; i < hi; i++ {
 			o := dest[route[i]]
 			b := &wk.buckets[o]
-			b.appendToken(gs, i, s)
+			appendToken(b, gs, i, s)
 			if b.Len() >= blockTokens {
 				if err := ship(int(o), b); err != nil {
 					return err
@@ -205,7 +188,7 @@ func (wk *Worker) group(sh *Slab, keys, owner, rank []int32, n int) error {
 		start[g] += start[g-1]
 	}
 	s, gs := wk.stride, &wk.grouped
-	gs.resize(len(keys), s)
+	resize(gs, len(keys), s)
 	for i, key := range keys {
 		r := rank[key]
 		j := int(start[r])

@@ -1,198 +1,366 @@
-// Per-worker shard serialization and elastic restore for Warp.
+// The shard stream of both WarpLDA samplers, and core.Warp's side of it.
 //
-// StateTo/RestoreFrom (warp.go) funnel the whole state through one
-// stream and demand an identical worker count on resume. The methods
-// here implement sampler.Sharded, mirroring the distributed
-// sampler's semantics (internal/cluster/shard.go) for the shared-memory
-// sampler: each worker serializes the documents it owns in the doc
-// phase, and restore accepts ANY saved worker count, because the token
-// payloads are keyed by document id rather than by the partition that
-// produced them. Worker RNG streams survive bit-exactly when the thread
-// count matches (the chunk schedule is deterministic in corpus and
-// Config) and are reseeded via rng.Derive when it does not.
+// A dshd stream is one worker's complete state: its place in the
+// topology, its RNG stream, and its tokens, each with its document, word
+// and payload. Warp writes a worker's doc-phase rows; cluster.Distributed
+// and the live workers (internal/dist) write the tokens a worker holds.
+// Since every token carries its cell, any shard set of either sampler,
+// under any worker count, restores into either sampler: DecodeShards
+// checks the set as a whole, and each sampler places the tokens its own
+// way. Worker RNG streams survive bit-exactly when the same sampler wrote
+// the set under the same worker count, and are reseeded via rng.Derive
+// otherwise.
 package core
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 
+	"warplda/internal/corpus"
 	"warplda/internal/rng"
 	"warplda/internal/sampler"
 )
 
-// warpShardTag versions the per-shard stream layout written by ShardTo.
-const warpShardTag = "wshd\x01"
+// shardTag versions the shard stream layout (docs/FORMATS.md).
+const shardTag = "dshd\x01"
 
 // Compile-time check: Warp supports sharded elastic checkpoints.
 var _ sampler.Sharded = (*Warp)(nil)
 
-// NumShards implements sampler.Sharded: one shard per worker. A
-// single-threaded Warp is a valid one-shard topology, so every Warp
-// checkpoint written through the sharded path can later be resumed
-// under any thread count.
+// Slab is a run of tokens as three flat arrays, in the section order of
+// the dshd stream: token i sits at cell (D[i], W[i]) of the D×V matrix
+// and owns the payload Data[i*(1+M):(i+1)*(1+M)], its assignment
+// followed by its M pending proposals.
+type Slab struct {
+	D, W, Data []int32
+}
+
+// Len returns the number of tokens.
+func (s *Slab) Len() int { return len(s.D) }
+
+// Append appends every token of o.
+func (s *Slab) Append(o Slab) {
+	s.D = append(s.D, o.D...)
+	s.W = append(s.W, o.W...)
+	s.Data = append(s.Data, o.Data...)
+}
+
+// Reset empties the slab and keeps its capacity.
+func (s *Slab) Reset() { s.D, s.W, s.Data = s.D[:0], s.W[:0], s.Data[:0] }
+
+// WorkerState is one worker's complete mutable state: its position in
+// the topology, its RNG stream, and the tokens it owns. It is the unit
+// both of sharded checkpoints (ShardTo / RestoreShards) and of the live
+// mode's shard transfer — the coordinator assigns a WorkerState to each
+// joining worker and collects one back at every sync point.
+type WorkerState struct {
+	// Index is the shard's position, Workers the topology's worker
+	// count: a shard in the wrong slot or from another topology fails on
+	// these before any manifest-level check.
+	Index   int
+	Workers int
+	// M is the proposals-per-token count the payloads were written under.
+	M int
+	// RNGState is the owning worker's RNG stream.
+	RNGState [4]uint64
+	// Tokens is the shard body, in shard order.
+	Tokens Slab
+}
+
+// shardChunk bounds the values a section writes at once: all shards of
+// a checkpoint serialize concurrently, and a section encoded in one
+// piece would copy the whole state exactly when checkpointing a state
+// near the memory ceiling.
+const shardChunk = 1 << 15
+
+// shardWriter writes a dshd stream, buffering section values a chunk
+// at a time.
+type shardWriter struct {
+	*sampler.Enc
+	buf []int32
+}
+
+// newShardWriter writes the header of st's stream of n tokens.
+func newShardWriter(out io.Writer, st *WorkerState, n int) *shardWriter {
+	s := &shardWriter{Enc: sampler.NewEnc(out)}
+	s.Tag(shardTag)
+	for _, v := range []int{st.Index, st.Workers, st.M} {
+		s.Int(v)
+	}
+	for _, u := range st.RNGState {
+		s.U64(u)
+	}
+	s.Int(n)
+	return s
+}
+
+// put appends values to the current section, writing out a full chunk
+// first.
+func (s *shardWriter) put(v ...int32) {
+	if len(s.buf)+len(v) > shardChunk {
+		s.flush()
+	}
+	s.buf = append(s.buf, v...)
+}
+
+func (s *shardWriter) flush() {
+	s.RawI32s(s.buf)
+	s.buf = s.buf[:0]
+}
+
+// EncodeWorkerState writes st as a dshd stream: the header, then the
+// slab's three arrays as the docs, words and payloads sections.
+func EncodeWorkerState(w io.Writer, st *WorkerState) error {
+	t := &st.Tokens
+	sw := newShardWriter(w, st, t.Len())
+	for _, a := range [][]int32{t.D, t.W, t.Data} {
+		sw.Int(len(a))
+		for ; len(a) > 0; a = a[min(shardChunk, len(a)):] {
+			sw.RawI32s(a[:min(shardChunk, len(a))])
+		}
+	}
+	return sw.Err()
+}
+
+// decodeHeader reads what follows the tag in both dshd and the legacy
+// wshd: shard index, worker count, M (which must be m), RNG state.
+func decodeHeader(dec *sampler.Dec, m int) *WorkerState {
+	st := &WorkerState{Index: dec.Int(), Workers: dec.Int(), M: dec.Int()}
+	if dec.Err() == nil && st.M != m {
+		dec.Failf("core: shard has M=%d, sampler has M=%d", st.M, m)
+	}
+	st.RNGState = dec.RNGState()
+	return st
+}
+
+// DecodeWorkerState reads one dshd stream and validates it structurally
+// against the given corpus shape: M must match m, every payload topic
+// must be in [0,k), every token cell must lie inside (numDocs, v), and
+// the token count must not exceed maxTokens. Cross-shard invariants —
+// index/topology agreement, the exact corpus token multiset — are
+// DecodeShards' (or, on the wire, the coordinator's sync point's).
+func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerState, error) {
+	dec := sampler.NewDec(r)
+	dec.Tag(shardTag)
+	st := decodeHeader(dec, m)
+	n := dec.Int()
+	if dec.Err() == nil && (n < 0 || n > maxTokens) {
+		dec.Failf("core: shard has implausible %d tokens", n)
+	}
+	st.Tokens = Slab{D: dec.I32sLen("token docs", n), W: dec.I32sLen("token words", n)}
+	st.Tokens.Data = dec.I32sLen("token payloads", n*(m+1))
+	dec.CheckTopics("token payloads", st.Tokens.Data, k)
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	for j, di := range st.Tokens.D {
+		if w := st.Tokens.W[j]; di < 0 || int(di) >= numDocs || w < 0 || int(w) >= v {
+			return nil, fmt.Errorf("core: shard token at cell (%d,%d) outside corpus", di, w)
+		}
+	}
+	return st, nil
+}
+
+// DecodeShards reads a shard set for s — one checkpoint's streams in
+// shard order, from either WarpLDA sampler under any worker count — and
+// checks it whole before the caller commits anything: each stream as
+// DecodeWorkerState does, each in its own slot of one topology, all
+// tokens exactly the corpus's multiset. Token j of the set takes word
+// pos[j] of its document as words(d) lists them, the k-th token of a
+// (d, w) cell the cell's k-th occurrence. adopt reports whether s may
+// take the saved RNG streams: one shard per worker of s, and no reader
+// naming a writer other than s (see sampler.Sharded).
+func DecodeShards(s sampler.Sharded, cfg sampler.Config, c corpus.Provider, words func(d int) []int32, shards []io.Reader) (states []*WorkerState, pos []int32, adopt bool, err error) {
+	if len(shards) < 1 {
+		return nil, nil, false, fmt.Errorf("core: restore with %d shards", len(shards))
+	}
+	adopt = len(shards) == s.NumShards()
+	total := 0
+	for i, r := range shards {
+		if w, ok := r.(interface{ Name() string }); ok && w.Name() != s.Name() {
+			adopt = false
+		}
+		st, err := decodeShard(bufio.NewReader(r), cfg, c, words, c.NumTokens()-total)
+		if err == nil && (st.Index != i || st.Workers != len(shards)) {
+			err = fmt.Errorf("core: shard in position %d of %d identifies as shard %d of %d (foreign or reordered shard file)", i, len(shards), st.Index, st.Workers)
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		total += st.Tokens.Len()
+		states = append(states, st)
+	}
+	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), words)
+	return states, pos, adopt, err
+}
+
+// decodeShard reads one stream of a set: dshd, or the legacy wshd that
+// core.Warp once wrote, read so older checkpoints still resume. wshd
+// has dshd's header, then the worker's doc-phase row ranges (ascending)
+// and their rows' payloads in row order; the words come from words.
+func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words func(int) []int32, maxTokens int) (*WorkerState, error) {
+	if tag, _ := br.Peek(len(shardTag)); string(tag) != "wshd\x01" {
+		return DecodeWorkerState(br, cfg.K, cfg.M, c.NumDocs(), c.NumWords(), maxTokens)
+	}
+	br.Discard(len(shardTag))
+	dec := sampler.NewDec(br)
+	st, docs := decodeHeader(dec, cfg.M), c.NumDocs()
+	ranges := dec.Int()
+	if dec.Err() == nil && (ranges < 0 || ranges > docs) {
+		dec.Failf("core: shard has implausible %d row ranges", ranges)
+	}
+	t, next := &st.Tokens, 0
+	for ; ranges > 0 && dec.Err() == nil; ranges-- {
+		lo, hi := dec.Int(), dec.Int()
+		if dec.Err() == nil && (lo < next || lo >= hi || hi > docs) {
+			dec.Failf("core: shard row range [%d,%d) out of order or outside corpus of %d docs", lo, hi, docs)
+		}
+		for row := lo; row < hi && dec.Err() == nil; row++ {
+			if ws := words(row); t.Len()+len(ws) <= maxTokens {
+				for _, w := range ws {
+					t.D, t.W = append(t.D, int32(row)), append(t.W, w)
+				}
+			} else {
+				dec.Failf("core: shard holds more tokens than the corpus")
+			}
+		}
+		next = hi
+	}
+	t.Data = dec.I32sLen("shard token payloads", t.Len()*(cfg.M+1))
+	dec.CheckTopics("shard token payloads", t.Data, cfg.K)
+	return st, dec.Err()
+}
+
+// matchTokens checks that the tokens of states are exactly the cells of
+// the numDocs documents words lists, and returns each token's place in
+// its document. Tokens are grouped by document (a stable counting sort);
+// within one, head[w] and next chain word w's unclaimed occurrences in
+// order, and each token claims its word's first. Equal counts per
+// document and no token left unmatched make the multisets equal.
+func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32) ([]int32, error) {
+	var ds, ws []int32
+	for _, st := range states {
+		ds, ws = append(ds, st.Tokens.D...), append(ws, st.Tokens.W...)
+	}
+	start := make([]int32, numDocs+2)
+	for _, d := range ds {
+		start[d+2]++
+	}
+	for d := 2; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	byDoc := make([]int32, len(ds))
+	for j, d := range ds {
+		byDoc[start[d+1]] = int32(j)
+		start[d+1]++
+	}
+	pos, head, next := make([]int32, len(ds)), make([]int32, v), []int32(nil)
+	for w := range head {
+		head[w] = -1
+	}
+	for d := 0; d < numDocs; d++ {
+		doc, toks := words(d), byDoc[start[d]:start[d+1]]
+		if len(toks) != len(doc) {
+			return nil, fmt.Errorf("core: shards hold %d tokens of document %d, corpus has %d", len(toks), d, len(doc))
+		}
+		next = append(next[:0], doc...) // sized to doc; every slot is set below
+		for t := len(doc) - 1; t >= 0; t-- {
+			next[t], head[doc[t]] = head[doc[t]], int32(t)
+		}
+		for _, j := range toks {
+			t := head[ws[j]]
+			if t < 0 {
+				return nil, fmt.Errorf("core: state has extra token at cell (%d,%d)", d, ws[j])
+			}
+			pos[j], head[ws[j]] = t, next[t]
+		}
+	}
+	return pos, nil
+}
+
+// NumShards implements sampler.Sharded: one shard per worker, one
+// included.
 func (w *Warp) NumShards() int { return len(w.workers) }
 
-// ShardTo implements sampler.Sharded: worker i's doc-phase row ranges
-// and the token payloads of every document in them, plus its RNG
-// stream. The stream carries the shard index and total worker count, so
-// a shard file restored into the wrong slot — or mixed in from a
-// checkpoint of a different topology — is rejected by RestoreShards
-// even before the manifest-level checks run. Distinct shards may be
-// written concurrently: ShardTo only reads frozen state and worker i's
-// RNG.
+// ShardTo implements sampler.Sharded: worker i's doc-phase rows in row
+// order as a dshd stream, with worker i's RNG stream. The document
+// section is each row id repeated, so it reads no token. Distinct shards
+// may be written concurrently: ShardTo only reads frozen state and
+// worker i's RNG.
 func (w *Warp) ShardTo(i int, out io.Writer) error {
 	if i < 0 || i >= len(w.workers) {
 		return fmt.Errorf("core: shard %d of %d", i, len(w.workers))
 	}
-	wk := w.workers[i]
-	e := sampler.NewEnc(out)
-	e.Tag(warpShardTag)
-	e.Int(i)
-	e.Int(len(w.workers))
-	e.Int(w.cfg.M)
-	e.RNG(wk.R)
-	e.Int(len(wk.rowChunks))
-	stride := w.cfg.M + 1
-	total := 0
+	wk, n := w.workers[i], 0
 	for _, rg := range wk.rowChunks {
-		e.Int(rg[0])
-		e.Int(rg[1])
 		for row := rg[0]; row < rg[1]; row++ {
-			total += w.m.RowOf(row).Len() * stride
+			n += w.m.RowOf(row).Len()
 		}
 	}
-	// The payload section is streamed in bounded chunks rather than
-	// materialized: all shards may serialize concurrently, so per-shard
-	// flat copies would cost a full extra state-sized allocation exactly
-	// when checkpointing a state near the memory ceiling.
-	e.Int(total) // I32s-compatible length prefix
-	const chunk = 1 << 15
-	buf := make([]int32, 0, chunk)
-	for _, rg := range wk.rowChunks {
-		for row := rg[0]; row < rg[1]; row++ {
-			v := w.m.RowOf(row)
-			for t := 0; t < v.Len(); t++ {
-				if len(buf)+stride > chunk {
-					e.RawI32s(buf)
-					buf = buf[:0]
+	sw := newShardWriter(out, &WorkerState{Index: i, Workers: len(w.workers), M: w.cfg.M, RNGState: wk.R.State()}, n)
+	for sec, width := range []int{1, 1, w.cfg.M + 1} {
+		sw.flush()
+		sw.Int(n * width)
+		for _, rg := range wk.rowChunks {
+			for row := rg[0]; row < rg[1]; row++ {
+				for v, t := w.m.RowOf(row), 0; t < v.Len(); t++ {
+					switch sec {
+					case 0:
+						sw.put(int32(row))
+					case 1:
+						sw.put(v.Col(t))
+					default:
+						sw.put(v.Data(t)...)
+					}
 				}
-				buf = append(buf, v.Data(t)...)
 			}
 		}
 	}
-	if len(buf) > 0 {
-		e.RawI32s(buf)
-	}
-	return e.Err()
+	sw.flush()
+	return sw.Err()
 }
 
-// RestoreShards implements sampler.Sharded. shards holds the saved
-// per-worker streams in worker order; their count is the topology the
-// checkpoint was written under and may differ from this sampler's
-// Threads. The decoded row ranges must tile the corpus exactly — every
-// document once, no overlap — and each document's payloads land at the
-// positions the (immutable) matrix structure assigns them, so the
-// restored state is independent of which worker owned which rows.
-// Everything is validated before any live state is replaced. RNG
-// streams are restored exactly when the worker count matches (the
-// chunk schedule is deterministic in corpus and Config); otherwise
-// every worker wi reseeds from rng.Derive(cfg.Seed, salt, threads, wi)
-// and reseeded reports true so the caller can log the loss of
-// bit-exactness.
+// RestoreShards implements sampler.Sharded for the streams of either
+// WarpLDA sampler under any worker count. DecodeShards validates the
+// whole set before any live state is replaced; each token's payload then
+// goes to the CSC entry of the row position it was matched to. RNG
+// streams are restored exactly when DecodeShards allows (the chunk
+// schedule is deterministic in corpus and Config); otherwise worker wi
+// reseeds from rng.Derive(cfg.Seed, salt, threads, wi) and reseeded
+// reports true so the caller can log the loss of bit-exactness.
 func (w *Warp) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, err error) {
-	oldP := len(shards)
-	if oldP < 1 {
-		return false, fmt.Errorf("core: restore with %d shards", oldP)
+	var row []int32
+	rowWords := func(d int) []int32 {
+		row = row[:0]
+		for v, t := w.m.RowOf(d), 0; t < v.Len(); t++ {
+			row = append(row, v.Col(t))
+		}
+		return row
 	}
-	stride := w.cfg.M + 1
-	docs := w.c.NumDocs()
-	rngs := make([][4]uint64, oldP)
-	full := make([]int32, len(w.m.Payloads()))
-	seen := make([]bool, docs)
-	covered := 0
-	for i, r := range shards {
-		dec := sampler.NewDec(r)
-		dec.Tag(warpShardTag)
-		idx := dec.Int()
-		p := dec.Int()
-		m := dec.Int()
-		if dec.Err() == nil && idx != i {
-			return false, fmt.Errorf("core: shard in position %d identifies as shard %d (foreign or reordered shard file)", i, idx)
-		}
-		if dec.Err() == nil && p != oldP {
-			return false, fmt.Errorf("core: shard %d was written under %d workers, restore supplies %d shards", i, p, oldP)
-		}
-		if dec.Err() == nil && m != w.cfg.M {
-			return false, fmt.Errorf("core: shard %d has M=%d, sampler has M=%d", i, m, w.cfg.M)
-		}
-		rngs[i] = dec.RNGState()
-		nChunks := dec.Int()
-		if dec.Err() != nil {
-			return false, dec.Err()
-		}
-		if nChunks < 0 || nChunks > docs {
-			return false, fmt.Errorf("core: shard %d has implausible %d row ranges", i, nChunks)
-		}
-		ranges := make([][2]int, nChunks)
-		tokens := 0
-		for c := range ranges {
-			lo, hi := dec.Int(), dec.Int()
-			if dec.Err() != nil {
-				return false, dec.Err()
-			}
-			if lo < 0 || lo >= hi || hi > docs {
-				return false, fmt.Errorf("core: shard %d row range [%d,%d) outside corpus of %d docs", i, lo, hi, docs)
-			}
-			for row := lo; row < hi; row++ {
-				if seen[row] {
-					return false, fmt.Errorf("core: document %d appears in more than one shard", row)
-				}
-				seen[row] = true
-				tokens += w.m.RowOf(row).Len()
-			}
-			ranges[c] = [2]int{lo, hi}
-			covered += hi - lo
-		}
-		payload := dec.I32sLen("shard token payloads", tokens*stride)
-		dec.CheckTopics("shard token payloads", payload, w.cfg.K)
-		if err := dec.Err(); err != nil {
-			return false, err
-		}
-		// Scatter the row-ordered payloads to their CSC positions.
-		off := 0
-		for _, rg := range ranges {
-			for row := rg[0]; row < rg[1]; row++ {
-				v := w.m.RowOf(row)
-				for t := 0; t < v.Len(); t++ {
-					pos := v.EntryIndex(t) * stride
-					copy(full[pos:pos+stride], payload[off:off+stride])
-					off += stride
-				}
-			}
+	states, pos, adopt, err := DecodeShards(w, w.cfg, w.c, rowWords, shards)
+	if err != nil {
+		return false, err
+	}
+	// Commit: payloads, and the global counts recomputed from the
+	// restored assignments.
+	stride, j := w.cfg.M+1, 0
+	clear(w.ck)
+	for _, st := range states {
+		for i, d := range st.Tokens.D {
+			p := st.Tokens.Data[i*stride : (i+1)*stride]
+			copy(w.m.Payloads()[w.m.RowOf(int(d)).EntryIndex(int(pos[j]))*stride:], p)
+			w.ck[p[0]]++
+			j++
 		}
 	}
-	if covered != docs {
-		return false, fmt.Errorf("core: shards cover %d documents, corpus has %d", covered, docs)
-	}
-
-	// Commit: payloads, then the global counts recomputed from the
-	// restored assignments (slot 0 of every entry) — the same invariant
-	// RestoreFrom checks against an explicit ck section.
-	copy(w.m.Payloads(), full)
-	ck := make([]int32, w.cfg.K)
-	for i := 0; i < len(full); i += stride {
-		ck[full[i]]++
-	}
-	copy(w.ck, ck)
 	w.pass.Freeze(w.ck)
-	if oldP == len(w.workers) {
-		for i, wk := range w.workers {
-			wk.R.SetState(rngs[i])
+	for i, wk := range w.workers {
+		if adopt {
+			wk.R.SetState(states[i].RNGState)
+		} else {
+			wk.R = rng.Derive(w.cfg.Seed, salt, uint64(len(w.workers)), uint64(i))
 		}
-		return false, nil
 	}
-	for wi, wk := range w.workers {
-		wk.R = rng.Derive(w.cfg.Seed, salt, uint64(len(w.workers)), uint64(wi))
-	}
-	return true, nil
+	return !adopt, nil
 }

@@ -487,68 +487,14 @@ func (w *Warp) GlobalCounts() []int32 {
 	return append([]int32(nil), w.ck...)
 }
 
-// warpStateTag versions the serialized state layout of StateTo.
-const warpStateTag = "warp\x01"
-
-// StateTo serializes every token's payload (assignment + M pending
-// proposals), the frozen global count vector, and each worker's RNG
-// stream. Together with the corpus and Config (which rebuild all
-// derived structure deterministically) that is the sampler's complete
-// mutable state: a fresh Warp restored from it continues the chain
-// bit-identically. Warp's own checkpoints are sharded (shard.go);
-// outside tests, StateTo's one caller is the repository benchmark's
-// state-size probe (benchmark/probes.go).
+// StateTo writes every ShardTo stream back to back. Its one caller
+// outside tests is the repository benchmark's state-size probe
+// (benchmark/probes.go); checkpoints write the shards one per file.
 func (w *Warp) StateTo(out io.Writer) error {
-	e := sampler.NewEnc(out)
-	e.Tag(warpStateTag)
-	e.Int(len(w.workers))
-	e.I32s(w.m.Payloads())
-	e.I32s(w.ck)
-	for _, wk := range w.workers {
-		e.RNG(wk.R)
-	}
-	return e.Err()
-}
-
-// RestoreFrom restores what StateTo wrote. The state must come from a
-// Warp over the same corpus and Config (worker count included — the
-// RNG streams are per worker). Everything is decoded and validated
-// before any live state is replaced, so a corrupt snapshot leaves the
-// sampler untouched. For restores across a changed Threads, use the
-// sharded form (shard.go) instead.
-func (w *Warp) RestoreFrom(in io.Reader) error {
-	d := sampler.NewDec(in)
-	d.Tag(warpStateTag)
-	workers := d.Int()
-	if d.Err() == nil && workers != len(w.workers) {
-		return fmt.Errorf("core: state has %d workers, sampler has %d (restore with the same Threads)", workers, len(w.workers))
-	}
-	payload := d.I32sLen("token payloads", len(w.m.Payloads()))
-	ck := d.I32sLen("global counts", w.cfg.K)
-	rngs := make([][4]uint64, len(w.workers))
-	for i := range rngs {
-		rngs[i] = d.RNGState()
-	}
-	d.CheckTopics("token payloads", payload, w.cfg.K)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	// ck must be the topic histogram of the current assignments (payload
-	// slot 0 of every entry) — anything else is a corrupt or foreign state.
-	count := make([]int32, w.cfg.K)
-	for i := 0; i < len(payload); i += w.cfg.M + 1 {
-		count[payload[i]]++
-	}
-	for k := range count {
-		if count[k] != ck[k] {
-			return fmt.Errorf("core: state global counts disagree with assignments at topic %d (%d vs %d)", k, ck[k], count[k])
+	for i := range w.workers {
+		if err := w.ShardTo(i, out); err != nil {
+			return err
 		}
-	}
-	copy(w.m.Payloads(), payload)
-	copy(w.ck, ck)
-	w.pass.Freeze(w.ck)
-	for i, wk := range w.workers {
-		wk.R.SetState(rngs[i])
 	}
 	return nil
 }

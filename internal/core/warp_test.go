@@ -530,6 +530,23 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	donor.Iterate()
 	blob := rawShards(t, donor)[0]
 
+	// A shard stream has no ck section to disagree with the assignments;
+	// what it can get wrong is a token's cell. Moving one token to
+	// another word of its document duplicates one cell and drops another.
+	st, err := DecodeWorkerState(bytes.NewReader(blob), cfg.K, cfg.M, c.NumDocs(), c.V, c.NumTokens())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, moved := &st.Tokens, false
+	for j := 1; j < tk.Len() && !moved; j++ {
+		if tk.D[j] == tk.D[0] && tk.W[j] != tk.W[0] {
+			tk.W[j], moved = tk.W[0], true
+		}
+	}
+	var dup bytes.Buffer
+	if !moved || EncodeWorkerState(&dup, st) != nil {
+		t.Fatal("could not duplicate a cell")
+	}
 	cases := []struct {
 		name   string
 		shards [][]byte
@@ -537,6 +554,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}{
 		{"truncated", [][]byte{blob[:len(blob)-9]}, cfg},
 		{"bad tag", [][]byte{append([]byte("xxxx\x01"), blob[5:]...)}, cfg},
+		{"duplicated cell", [][]byte{dup.Bytes()}, cfg},
 		// A shard stream carries no K: fewer topics than it uses puts an
 		// assignment out of range (a larger K is Checkpoint.Verify's).
 		{"wrong K", [][]byte{blob}, func() sampler.Config { c2 := cfg; c2.K = 7; return c2 }()},

@@ -272,7 +272,7 @@ func (s *wsession) handleAssign(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	st, err := cluster.DecodeWorkerState(bytes.NewReader(a.Shard), a.K, a.M, a.NumDocs, a.V, a.NumTokens)
+	st, err := core.DecodeWorkerState(bytes.NewReader(a.Shard), a.K, a.M, a.NumDocs, a.V, a.NumTokens)
 	if err != nil {
 		return err
 	}
@@ -305,7 +305,7 @@ func (s *wsession) handleShardReq(payload []byte) error {
 		return nil // stale request from a superseded epoch
 	}
 	var b bytes.Buffer
-	if err := cluster.EncodeWorkerState(&b, &cluster.WorkerState{
+	if err := core.EncodeWorkerState(&b, &core.WorkerState{
 		Index:    s.slot,
 		Workers:  s.p,
 		M:        s.scfg.M,

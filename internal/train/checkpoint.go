@@ -105,9 +105,11 @@ func Load(path string) (*Checkpoint, error) {
 // change. The shard files themselves still pin the topology they were
 // written under; sampler.Sharded.RestoreShards owns the rebalancing,
 // and a sampler that never reads Threads restores its one shard
-// unchanged.
+// unchanged. The two WarpLDA samplers resume each other's checkpoints:
+// they write one shard stream and run one chain law, and such a restore
+// reseeds the worker RNG streams as a topology change does.
 func (ck *Checkpoint) Verify(samplerName string, fingerprint uint32, cfg sampler.Config) error {
-	if ck.Sampler != samplerName {
+	if ck.Sampler != samplerName && !(warpLDA[ck.Sampler] && warpLDA[samplerName]) {
 		return fmt.Errorf("train: checkpoint was written by sampler %q, resuming %q", ck.Sampler, samplerName)
 	}
 	if ck.Fingerprint != fingerprint {
@@ -120,6 +122,10 @@ func (ck *Checkpoint) Verify(samplerName string, fingerprint uint32, cfg sampler
 	}
 	return nil
 }
+
+// warpLDA names the samplers whose checkpoints are one shard stream:
+// core.Warp and cluster.Distributed.
+var warpLDA = map[string]bool{"WarpLDA": true, "WarpLDA-sharded": true}
 
 // validateCheckpoint sanity-checks the decoded fields beyond what the
 // CRC can know (the CRC only proves the bytes are what was written).

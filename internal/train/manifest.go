@@ -306,7 +306,7 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 // catches a self-consistent shard swapped in from a *different*
 // checkpoint), and the header's iteration / corpus fingerprint / shard
 // position — before any state reaches the sampler. It returns whether
-// worker RNG streams were reseeded (worker count changed).
+// worker RNG streams were reseeded (worker count or sampler changed).
 //
 // Shards are handed to RestoreShards as lazy readers that verify each
 // file in a streaming pass when first read and only then serve its
@@ -360,6 +360,11 @@ func (s *lazyShardReader) Read(p []byte) (int, error) {
 	}
 	return s.body.Read(p)
 }
+
+// Name reports the sampler that wrote the shard, so a sampler restoring
+// another's checkpoint knows its RNG streams are foreign (see
+// sampler.Sharded).
+func (s *lazyShardReader) Name() string { return s.ck.Sampler }
 
 func (s *lazyShardReader) close() {
 	if s.f != nil {

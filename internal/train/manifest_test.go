@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"warplda/internal/baselines"
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
 	"warplda/internal/sampler"
@@ -105,7 +106,8 @@ func TestShardedCheckpointElasticResume(t *testing.T) {
 }
 
 // A distributed checkpoint resumed into another algorithm's sampler
-// must fail cleanly.
+// must fail cleanly. core.Warp is not one: it shares the shard stream
+// (TestResumeSamplerGuard), so the other algorithm here is a baseline.
 func TestShardedCheckpointWrongSampler(t *testing.T) {
 	c := testCorpus(41)
 	cfg := testCfg(6)
@@ -118,7 +120,11 @@ func TestShardedCheckpointWrongSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := train.Run(newWarp(t, c, cfg), c, cfg, train.Options{Iters: 4, ResumeFrom: ck}); err == nil {
+	g, err := baselines.NewCGS(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := train.Run(g, c, cfg, train.Options{Iters: 4, ResumeFrom: ck}); err == nil {
 		t.Fatal("sharded checkpoint accepted by a non-sharded sampler")
 	}
 }

@@ -145,8 +145,8 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			return Result{}, fmt.Errorf("train: restoring sharded state: %w", err)
 		}
 		if reseeded && opts.Logf != nil {
-			opts.Logf("elastic resume: repartitioned %d-shard checkpoint across %d workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
-				len(ck.ShardFiles), sh.NumShards())
+			opts.Logf("elastic resume: repartitioned %d-shard %s checkpoint across %d %s workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
+				len(ck.ShardFiles), ck.Sampler, sh.NumShards(), s.Name())
 		}
 		loop.SetProgress(ck.Iter, ck.Elapsed, ck.Trace)
 	}

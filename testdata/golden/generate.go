@@ -7,6 +7,12 @@
 //	mkdir gen && cp <this repository>/testdata/golden/generate.go gen/main.go
 //	go run ./gen <this repository>/testdata/golden
 //
+// The one exception is warp-dshd. At ba1d440 core.Warp wrote its legacy
+// wshd shards (the warp fixture); warp-dshd holds the same run written
+// by core.Warp's dshd writer, so it was written by this program inside
+// a checkout of the commit that added that directory, which has that
+// writer, and only that directory was kept.
+//
 // Every input is fixed: a 3-document corpus over V=4 words, K=3 topics,
 // M=1, seed 7. Training wall-clock times land in the checkpoint
 // envelopes, so a rerun writes different checkpoint bytes; the other
@@ -79,6 +85,11 @@ func main() {
 	w, err := core.New(c, cfg)
 	must(err)
 	_, err = train.Run(w, c, cfg, train.Options{Iters: 2, EvalEvery: 1, CheckpointDir: filepath.Join(out, "warp")})
+	must(err)
+	// The same WarpLDA run once more, for warp-dshd (see the top).
+	w, err = core.New(c, cfg)
+	must(err)
+	_, err = train.Run(w, c, cfg, train.Options{Iters: 2, EvalEvery: 1, CheckpointDir: filepath.Join(out, "warp-dshd")})
 	must(err)
 	ds, err := cluster.NewDistributed(c, cfg, cfg.Threads)
 	must(err)
