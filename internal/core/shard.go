@@ -14,6 +14,7 @@ package core
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -68,45 +69,56 @@ type WorkerState struct {
 	Tokens Slab
 }
 
-// shardChunk bounds the values a section writes at once: all shards of
-// a checkpoint serialize concurrently, and a section encoded in one
-// piece would copy the whole state exactly when checkpointing a state
-// near the memory ceiling.
-const shardChunk = 1 << 15
+// shardChunk bounds the bytes a shard writer buffers: all shards of a
+// checkpoint serialize concurrently, and a section encoded in one piece
+// would copy the whole state exactly when checkpointing a state near
+// the memory ceiling.
+const shardChunk = 1 << 17
 
-// shardWriter writes a dshd stream, buffering section values a chunk
-// at a time.
+// shardWriter writes a dshd stream through a one-chunk buffer, in
+// sampler.Enc's little-endian layout without its per-call conversion.
 type shardWriter struct {
-	*sampler.Enc
-	buf []int32
+	out io.Writer
+	buf []byte
+	err error
 }
 
 // newShardWriter writes the header of st's stream of n tokens.
 func newShardWriter(out io.Writer, st *WorkerState, n int) *shardWriter {
-	s := &shardWriter{Enc: sampler.NewEnc(out)}
-	s.Tag(shardTag)
+	s := &shardWriter{out: out, buf: append(make([]byte, 0, shardChunk), shardTag...)}
 	for _, v := range []int{st.Index, st.Workers, st.M} {
-		s.Int(v)
+		s.int(v)
 	}
 	for _, u := range st.RNGState {
-		s.U64(u)
+		s.int(int(u))
 	}
-	s.Int(n)
+	s.int(n)
 	return s
 }
 
-// put appends values to the current section, writing out a full chunk
-// first.
-func (s *shardWriter) put(v ...int32) {
-	if len(s.buf)+len(v) > shardChunk {
+// int appends an int64: a header field or a section's length.
+func (s *shardWriter) int(v int) {
+	if len(s.buf)+8 > cap(s.buf) {
 		s.flush()
 	}
-	s.buf = append(s.buf, v...)
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, uint64(v))
 }
 
-func (s *shardWriter) flush() {
-	s.RawI32s(s.buf)
+// put appends a section value.
+func (s *shardWriter) put(x int32) {
+	if len(s.buf)+4 > cap(s.buf) {
+		s.flush()
+	}
+	s.buf = binary.LittleEndian.AppendUint32(s.buf, uint32(x))
+}
+
+// flush writes the buffer out and returns the first write error.
+func (s *shardWriter) flush() error {
+	if s.err == nil {
+		_, s.err = s.out.Write(s.buf)
+	}
 	s.buf = s.buf[:0]
+	return s.err
 }
 
 // EncodeWorkerState writes st as a dshd stream: the header, then the
@@ -115,12 +127,12 @@ func EncodeWorkerState(w io.Writer, st *WorkerState) error {
 	t := &st.Tokens
 	sw := newShardWriter(w, st, t.Len())
 	for _, a := range [][]int32{t.D, t.W, t.Data} {
-		sw.Int(len(a))
-		for ; len(a) > 0; a = a[min(shardChunk, len(a)):] {
-			sw.RawI32s(a[:min(shardChunk, len(a))])
+		sw.int(len(a))
+		for _, x := range a {
+			sw.put(x)
 		}
 	}
-	return sw.Err()
+	return sw.flush()
 }
 
 // decodeHeader reads what follows the tag in both dshd and the legacy
@@ -300,8 +312,7 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 	}
 	sw := newShardWriter(out, &WorkerState{Index: i, Workers: len(w.workers), M: w.cfg.M, RNGState: wk.R.State()}, n)
 	for sec, width := range []int{1, 1, w.cfg.M + 1} {
-		sw.flush()
-		sw.Int(n * width)
+		sw.int(n * width)
 		for _, rg := range wk.rowChunks {
 			for row := rg[0]; row < rg[1]; row++ {
 				for v, t := w.m.RowOf(row), 0; t < v.Len(); t++ {
@@ -311,14 +322,15 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 					case 1:
 						sw.put(v.Col(t))
 					default:
-						sw.put(v.Data(t)...)
+						for _, x := range v.Data(t) {
+							sw.put(x)
+						}
 					}
 				}
 			}
 		}
 	}
-	sw.flush()
-	return sw.Err()
+	return sw.flush()
 }
 
 // RestoreShards implements sampler.Sharded for the streams of either
