@@ -225,7 +225,10 @@ func (d *Distributed) exchange(ph int) {
 			defer wg.Done()
 			at := slices.Clone(d.win[ph][i])
 			err := wk.Phase(d.pass, d.top, &d.shards[i], ph == 0, d.blockTokens, func(o int, b *Slab) error {
-				putAt(&d.next[o], at[o], b, stride)
+				n := &d.next[o]
+				copy(n.D[at[o]:], b.D)
+				copy(n.W[at[o]:], b.W)
+				copy(n.Data[at[o]*stride:], b.Data)
 				at[o] += b.Len()
 				return nil
 			})

@@ -44,13 +44,6 @@ func resize(s *Slab, n, stride int) {
 	s.D, s.W, s.Data = s.D[:n], s.W[:n], s.Data[:n*stride]
 }
 
-// putAt copies b into s from token position at on.
-func putAt(s *Slab, at int, b *Slab, stride int) {
-	copy(s.D[at:], b.D)
-	copy(s.W[at:], b.W)
-	copy(s.Data[at*stride:], b.Data)
-}
-
 // Topology is the routing of one worker count: the owner of every
 // document (row) and word (column), and each one's rank among the keys
 // its owner holds — the dense key range of the counting sort that groups

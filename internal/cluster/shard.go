@@ -38,18 +38,15 @@ func (d *Distributed) ShardTo(i int, w io.Writer) error {
 	})
 }
 
-// RestoreShards implements sampler.Sharded. shards holds the saved
-// per-worker streams in worker order, from either WarpLDA sampler; their
-// count is the topology the checkpoint was written under and may differ
-// from this sampler's. core.DecodeShards validates the whole set; the
-// tokens are then repartitioned by the current column partition: with
-// the same sampler and worker count that reproduces the saved shards
-// byte for byte (the greedy partition is deterministic in the corpus and
-// worker count), otherwise it is the rebalancing step. RNG streams are
-// restored exactly when DecodeShards says they may be; otherwise every
+// RestoreShards implements sampler.Sharded for the streams of either
+// WarpLDA sampler under any worker count. core.DecodeShards validates
+// the whole set before any state changes; the tokens are then
+// repartitioned by the current column partition, which reproduces the
+// saved shards byte for byte when this sampler wrote them at this worker
+// count (the greedy partition is deterministic in corpus and count).
+// RNG streams are restored exactly when DecodeShards allows; otherwise
 // worker w reseeds from rng.Derive(cfg.Seed, salt, workers, w) and
 // reseeded reports true so the caller can log the loss of bit-exactness.
-// On any error the sampler's prior state is untouched.
 func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, err error) {
 	states, _, adopt, err := core.DecodeShards(d, d.cfg, d.c, d.c.Doc, shards)
 	if err != nil {

@@ -1,15 +1,11 @@
 // The shard stream of both WarpLDA samplers, and core.Warp's side of it.
-//
 // A dshd stream is one worker's complete state: its place in the
-// topology, its RNG stream, and its tokens, each with its document, word
-// and payload. Warp writes a worker's doc-phase rows; cluster.Distributed
-// and the live workers (internal/dist) write the tokens a worker holds.
-// Since every token carries its cell, any shard set of either sampler,
-// under any worker count, restores into either sampler: DecodeShards
-// checks the set as a whole, and each sampler places the tokens its own
-// way. Worker RNG streams survive bit-exactly when the same sampler wrote
-// the set under the same worker count, and are reseeded via rng.Derive
-// otherwise.
+// topology, its RNG stream, and its tokens, each with its cell (document,
+// word) and payload. Warp writes a worker's doc-phase rows;
+// cluster.Distributed and the live workers write the tokens a worker
+// holds. Any shard set of either sampler, under any worker count,
+// restores into either: DecodeShards checks the set as a whole, and each
+// sampler places the tokens its own way.
 package core
 
 import (

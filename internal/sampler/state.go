@@ -78,12 +78,6 @@ func (e *Enc) I32s(s []int32) {
 	e.write(s)
 }
 
-// RawI32s writes s with NO length prefix. It exists for encoders that
-// emit an I32s-compatible section incrementally — write the total
-// length with Int once, then stream the values in bounded chunks —
-// so serializing a huge section never materializes it as one slice.
-func (e *Enc) RawI32s(s []int32) { e.write(s) }
-
 // F64s writes a length-prefixed []float64.
 func (e *Enc) F64s(s []float64) {
 	e.Int(len(s))
