@@ -12,11 +12,7 @@ import (
 
 	"warplda/internal/core"
 	"warplda/internal/rng"
-	"warplda/internal/sampler"
 )
-
-// Compile-time check: Distributed supports sharded elastic checkpoints.
-var _ sampler.Sharded = (*Distributed)(nil)
 
 // NumShards implements sampler.Sharded: one shard per worker.
 func (d *Distributed) NumShards() int { return d.p }

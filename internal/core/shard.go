@@ -22,9 +22,6 @@ import (
 // shardTag versions the shard stream layout (docs/FORMATS.md).
 const shardTag = "dshd\x01"
 
-// Compile-time check: Warp supports sharded elastic checkpoints.
-var _ sampler.Sharded = (*Warp)(nil)
-
 // Slab is a run of tokens as three flat arrays, in the section order of
 // the dshd stream: token i sits at cell (D[i], W[i]) of the D×V matrix
 // and owns the payload Data[i*(1+M):(i+1)*(1+M)], its assignment
@@ -247,41 +244,45 @@ func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words 
 // order, and each token claims its word's first. Equal counts per
 // document and no token left unmatched make the multisets equal.
 func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32) ([]int32, error) {
-	var ds, ws []int32
+	start, n := make([]int32, numDocs+2), 0
 	for _, st := range states {
-		ds, ws = append(ds, st.Tokens.D...), append(ws, st.Tokens.W...)
-	}
-	start := make([]int32, numDocs+2)
-	for _, d := range ds {
-		start[d+2]++
+		n += st.Tokens.Len()
+		for _, d := range st.Tokens.D {
+			start[d+2]++
+		}
 	}
 	for d := 2; d < len(start); d++ {
 		start[d] += start[d-1]
 	}
-	byDoc := make([]int32, len(ds))
-	for j, d := range ds {
-		byDoc[start[d+1]] = int32(j)
-		start[d+1]++
+	// Token index and word, grouped by document: start[d+1] is document
+	// d's fill cursor, and once every token is placed, its end.
+	byDoc, ws, j := make([]int32, n), make([]int32, n), int32(0)
+	for _, st := range states {
+		for i, d := range st.Tokens.D {
+			byDoc[start[d+1]], ws[start[d+1]] = j, st.Tokens.W[i]
+			start[d+1]++
+			j++
+		}
 	}
-	pos, head, next := make([]int32, len(ds)), make([]int32, v), []int32(nil)
+	pos, head, next := make([]int32, n), make([]int32, v), []int32(nil)
 	for w := range head {
 		head[w] = -1
 	}
 	for d := 0; d < numDocs; d++ {
-		doc, toks := words(d), byDoc[start[d]:start[d+1]]
-		if len(toks) != len(doc) {
-			return nil, fmt.Errorf("core: shards hold %d tokens of document %d, corpus has %d", len(toks), d, len(doc))
+		doc, lo, hi := words(d), start[d], start[d+1]
+		if int(hi-lo) != len(doc) {
+			return nil, fmt.Errorf("core: shards hold %d tokens of document %d, corpus has %d", hi-lo, d, len(doc))
 		}
 		next = append(next[:0], doc...) // sized to doc; every slot is set below
 		for t := len(doc) - 1; t >= 0; t-- {
 			next[t], head[doc[t]] = head[doc[t]], int32(t)
 		}
-		for _, j := range toks {
-			t := head[ws[j]]
+		for k := lo; k < hi; k++ {
+			t := head[ws[k]]
 			if t < 0 {
-				return nil, fmt.Errorf("core: state has extra token at cell (%d,%d)", d, ws[j])
+				return nil, fmt.Errorf("core: state has extra token at cell (%d,%d)", d, ws[k])
 			}
-			pos[j], head[ws[j]] = t, next[t]
+			pos[byDoc[k]], head[ws[k]] = t, next[t]
 		}
 	}
 	return pos, nil

@@ -21,6 +21,7 @@ func TestResumeSamplerGuard(t *testing.T) {
 	c := testCorpus(49)
 	cfg := testCfg(6)
 	cfg.Threads = 2
+	// The first two are the WarpLDA samplers.
 	builders := []func() (sampler.Sampler, error){
 		func() (sampler.Sampler, error) { return newWarp(t, c, cfg), nil },
 		func() (sampler.Sampler, error) { return newDist(t, c, cfg), nil },
