@@ -181,19 +181,19 @@ func DecodeShards(s sampler.Sharded, cfg sampler.Config, c corpus.Provider, word
 		return nil, nil, false, fmt.Errorf("core: restore with %d shards", len(shards))
 	}
 	adopt = len(shards) == s.NumShards()
-	total := 0
+	left := c.NumTokens()
 	for i, r := range shards {
 		if w, ok := r.(interface{ Name() string }); ok && w.Name() != s.Name() {
 			adopt = false
 		}
-		st, err := decodeShard(bufio.NewReader(r), cfg, c, words, c.NumTokens()-total)
+		st, err := decodeShard(bufio.NewReader(r), cfg, c, words, left)
 		if err == nil && (st.Index != i || st.Workers != len(shards)) {
 			err = fmt.Errorf("core: shard in position %d of %d identifies as shard %d of %d (foreign or reordered shard file)", i, len(shards), st.Index, st.Workers)
 		}
 		if err != nil {
 			return nil, nil, false, err
 		}
-		total += st.Tokens.Len()
+		left -= st.Tokens.Len()
 		states = append(states, st)
 	}
 	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), words)
@@ -208,7 +208,7 @@ func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words 
 	if tag, _ := br.Peek(len(shardTag)); string(tag) != "wshd\x01" {
 		return DecodeWorkerState(br, cfg.K, cfg.M, c.NumDocs(), c.NumWords(), maxTokens)
 	}
-	br.Discard(len(shardTag))
+	_, _ = br.Discard(len(shardTag)) // cannot fail: Peek buffered the tag
 	dec := sampler.NewDec(br)
 	st, docs := decodeHeader(dec, cfg.M), c.NumDocs()
 	ranges := dec.Int()
