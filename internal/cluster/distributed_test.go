@@ -230,20 +230,20 @@ func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
 
 	// Worker-count mismatch: shard 1 was written under 3 workers.
 	mixed := []*bytes.Buffer{blobs2[0], blobs3[1]}
-	if _, err := mk(cfg, 2).RestoreShards(1, readers(mixed)); err == nil {
+	if _, err := mk(cfg, 2).RestoreShards(1, "WarpLDA-sharded", readers(mixed)); err == nil {
 		t.Error("shards from saves with different worker counts accepted")
 	}
 	// Wrong M.
 	cfg2 := cfg
 	cfg2.M = 2
-	if _, err := mk(cfg2, 2).RestoreShards(1, readers(blobs2)); err == nil {
+	if _, err := mk(cfg2, 2).RestoreShards(1, "WarpLDA-sharded", readers(blobs2)); err == nil {
 		t.Error("M mismatch accepted")
 	}
 	// Truncated, at the start, inside the header, mid-body and by one byte.
 	full := blobs2[1].Bytes()
 	for _, n := range []int{0, 5, len(full) / 2, len(full) - 1} {
 		cut := bytes.NewBuffer(full[:n])
-		if _, err := mk(cfg, 2).RestoreShards(1, readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
+		if _, err := mk(cfg, 2).RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
 			t.Errorf("shard truncated to %d of %d bytes accepted", n, len(full))
 		}
 	}

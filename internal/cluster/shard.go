@@ -35,37 +35,37 @@ func (d *Distributed) ShardTo(i int, w io.Writer) error {
 }
 
 // RestoreShards implements sampler.Sharded for the streams of either
-// WarpLDA sampler under any worker count. core.DecodeShards validates
-// the whole set before any state changes; the tokens are then
+// WarpLDA sampler (from) under any worker count. core.DecodeShards
+// validates the whole set before any state changes; the tokens are then
 // repartitioned by the current column partition, which reproduces the
 // saved shards byte for byte when this sampler wrote them at this worker
-// count (the greedy partition is deterministic in corpus and count).
-// RNG streams are restored exactly when DecodeShards allows; otherwise
-// worker w reseeds from rng.Derive(cfg.Seed, salt, workers, w) and
-// reseeded reports true so the caller can log the loss of bit-exactness.
-func (d *Distributed) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, err error) {
-	states, _, adopt, err := core.DecodeShards(d, d.cfg, d.c, d.c.Doc, shards)
+// count (the greedy partition is deterministic in corpus and count), and
+// only then are the saved RNG streams adopted. Otherwise worker w
+// reseeds from rng.Derive(cfg.Seed, salt, workers, w) and reseeded
+// reports true so the caller can log the loss of bit-exactness.
+func (d *Distributed) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
+	states, _, err := core.DecodeShards(d.cfg, d.c, d.c.Doc, shards)
 	if err != nil {
 		return false, err
 	}
+	adopt := from == d.Name() && len(states) == d.p
 
 	// Rebalance: route every token to its owner under the CURRENT column
-	// partition. Shard order is preserved within each new owner, so an
-	// unchanged topology reproduces the saved shards exactly.
+	// partition, into the shards' own arrays. Shard order is preserved
+	// within each new owner, so an unchanged topology reproduces the
+	// saved shards exactly.
 	stride := d.cfg.M + 1
-	byCol := make([]Slab, d.p)
-	for i := range byCol {
-		byCol[i] = makeSlab(d.recv[1][i], stride)
+	for i := range d.shards {
+		d.shards[i].Reset()
 	}
 	clear(d.ck)
 	for _, st := range states {
 		sh := &st.Tokens
 		for j, w := range sh.W {
-			appendToken(&byCol[d.top.Cols[w]], sh, j, stride)
+			appendToken(&d.shards[d.top.Cols[w]], sh, j, stride)
 			d.ck[sh.Data[j*stride]]++
 		}
 	}
-	d.shards = byCol
 	for i, wk := range d.workers {
 		if adopt {
 			wk.R.SetState(states[i].RNGState)

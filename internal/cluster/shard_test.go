@@ -66,7 +66,7 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reseeded, err := dst.RestoreShards(4, readers(shardBlobs(t, src)))
+			reseeded, err := dst.RestoreShards(4, dst.Name(), readers(shardBlobs(t, src)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestSameTopologyRestoreIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reseeded, err := dst.RestoreShards(3, readers(shardBlobs(t, src))); err != nil || reseeded {
+			if reseeded, err := dst.RestoreShards(3, dst.Name(), readers(shardBlobs(t, src))); err != nil || reseeded {
 				t.Fatalf("reseeded=%v err=%v, want false/nil", reseeded, err)
 			}
 			if !reflect.DeepEqual(dst.shards, src.shards) {
@@ -186,23 +186,23 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 	}
 
 	t.Run("reordered shards", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[1], blobs[0]})); err == nil {
+		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[1], blobs[0]})); err == nil {
 			t.Fatal("swapped shard order accepted")
 		}
 	})
 	t.Run("missing shard", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, readers(blobs[:1])); err == nil {
+		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers(blobs[:1])); err == nil {
 			t.Fatal("missing shard accepted (shard claims 2 workers)")
 		}
 	})
 	t.Run("duplicated shard", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[0], blobs[0]})); err == nil {
+		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[0], blobs[0]})); err == nil {
 			t.Fatal("duplicated shard accepted")
 		}
 	})
 	t.Run("truncated shard", func(t *testing.T) {
 		cut := bytes.NewBuffer(blobs[1].Bytes()[:blobs[1].Len()-9])
-		if _, err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[0], cut})); err == nil {
+		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[0], cut})); err == nil {
 			t.Fatal("truncated shard accepted")
 		}
 	})
@@ -213,7 +213,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d2.RestoreShards(1, readers(blobs)); err == nil {
+		if _, err := d2.RestoreShards(1, d2.Name(), readers(blobs)); err == nil {
 			t.Fatal("M mismatch accepted")
 		}
 	})
@@ -240,7 +240,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 		if !tampered {
 			t.Fatal("could not tamper (degenerate corpus)")
 		}
-		if _, err := fresh().RestoreShards(1, readers(shardBlobs(t, d))); err == nil {
+		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers(shardBlobs(t, d))); err == nil {
 			t.Fatal("wrong token multiset accepted")
 		}
 	})
@@ -253,7 +253,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 	t.Run("failure leaves sampler intact", func(t *testing.T) {
 		d := fresh()
 		before := sampler.CopyAssignments(d.Assignments())
-		if _, err := d.RestoreShards(1, readers(blobs[:1])); err == nil {
+		if _, err := d.RestoreShards(1, d.Name(), readers(blobs[:1])); err == nil {
 			t.Fatal("partial restore accepted")
 		}
 		if !reflect.DeepEqual(before, d.Assignments()) {

@@ -67,7 +67,7 @@ func TestLegacyShardsRejectBadInput(t *testing.T) {
 		for i, s := range streams {
 			readers[i] = bytes.NewReader(s)
 		}
-		reseeded, err := w.RestoreShards(2, readers)
+		reseeded, err := w.RestoreShards(2, w.Name(), readers)
 		return w, before, reseeded, err
 	}
 	if _, _, reseeded, err := restore(t, good); err != nil || reseeded {

@@ -83,18 +83,21 @@ func newShardWriter(out io.Writer, st *WorkerState, n int) *shardWriter {
 		s.int(v)
 	}
 	for _, u := range st.RNGState {
-		s.int(int(u))
+		s.u64(u)
 	}
 	s.int(n)
 	return s
 }
 
 // int appends an int64: a header field or a section's length.
-func (s *shardWriter) int(v int) {
+func (s *shardWriter) int(v int) { s.u64(uint64(v)) }
+
+// u64 appends one 8-byte word.
+func (s *shardWriter) u64(v uint64) {
 	if len(s.buf)+8 > cap(s.buf) {
 		s.flush()
 	}
-	s.buf = binary.LittleEndian.AppendUint64(s.buf, uint64(v))
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
 }
 
 // put appends a section value.
@@ -167,43 +170,39 @@ func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerSta
 	return st, nil
 }
 
-// DecodeShards reads a shard set for s — one checkpoint's streams in
-// shard order, from either WarpLDA sampler under any worker count — and
-// checks it whole before the caller commits anything: each stream as
+// DecodeShards reads a shard set — one checkpoint's streams in shard
+// order, from either WarpLDA sampler under any worker count — and checks
+// it whole before the caller commits anything: each stream as
 // DecodeWorkerState does, each in its own slot of one topology, all
 // tokens exactly the corpus's multiset. Token j of the set takes word
 // pos[j] of its document as words(d) lists them, the k-th token of a
-// (d, w) cell the cell's k-th occurrence. adopt reports whether s may
-// take the saved RNG streams: one shard per worker of s, and no reader
-// naming a writer other than s (see sampler.Sharded).
-func DecodeShards(s sampler.Sharded, cfg sampler.Config, c corpus.Provider, words func(d int) []int32, shards []io.Reader) (states []*WorkerState, pos []int32, adopt bool, err error) {
+// (d, w) cell the cell's k-th occurrence.
+func DecodeShards(cfg sampler.Config, c corpus.Provider, words func(d int) []int32, shards []io.Reader) (states []*WorkerState, pos []int32, err error) {
 	if len(shards) < 1 {
-		return nil, nil, false, fmt.Errorf("core: restore with %d shards", len(shards))
+		return nil, nil, fmt.Errorf("core: restore with %d shards", len(shards))
 	}
-	adopt = len(shards) == s.NumShards()
 	left := c.NumTokens()
 	for i, r := range shards {
-		if w, ok := r.(interface{ Name() string }); ok && w.Name() != s.Name() {
-			adopt = false
-		}
 		st, err := decodeShard(bufio.NewReader(r), cfg, c, words, left)
 		if err == nil && (st.Index != i || st.Workers != len(shards)) {
 			err = fmt.Errorf("core: shard in position %d of %d identifies as shard %d of %d (foreign or reordered shard file)", i, len(shards), st.Index, st.Workers)
 		}
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		left -= st.Tokens.Len()
 		states = append(states, st)
 	}
 	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), words)
-	return states, pos, adopt, err
+	return states, pos, err
 }
 
 // decodeShard reads one stream of a set: dshd, or the legacy wshd that
 // core.Warp once wrote, read so older checkpoints still resume. wshd
 // has dshd's header, then the worker's doc-phase row ranges (ascending)
-// and their rows' payloads in row order; the words come from words.
+// and their rows' payloads in row order. A row of the writer's matrix
+// holds its document's tokens in corpus order, so words must list them
+// in that order: core.Warp's own rows and the corpus's documents both do.
 func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words func(int) []int32, maxTokens int) (*WorkerState, error) {
 	if tag, _ := br.Peek(len(shardTag)); string(tag) != "wshd\x01" {
 		return DecodeWorkerState(br, cfg.K, cfg.M, c.NumDocs(), c.NumWords(), maxTokens)
@@ -244,9 +243,9 @@ func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words 
 // order, and each token claims its word's first. Equal counts per
 // document and no token left unmatched make the multisets equal.
 func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32) ([]int32, error) {
-	start, n := make([]int32, numDocs+2), 0
-	for _, st := range states {
-		n += st.Tokens.Len()
+	start, off := make([]int32, numDocs+2), make([]int32, len(states)+1)
+	for s, st := range states {
+		off[s+1] = off[s] + int32(st.Tokens.Len())
 		for _, d := range st.Tokens.D {
 			start[d+2]++
 		}
@@ -254,14 +253,15 @@ func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32)
 	for d := 2; d < len(start); d++ {
 		start[d] += start[d-1]
 	}
-	// Token index and word, grouped by document: start[d+1] is document
-	// d's fill cursor, and once every token is placed, its end.
-	byDoc, ws, j := make([]int32, n), make([]int32, n), int32(0)
-	for _, st := range states {
+	// Token indices grouped by document: start[d+1] is document d's fill
+	// cursor, and once every token is placed, its end. Token j is token
+	// j-off[s] of states[s].
+	n, s := off[len(states)], 0
+	byDoc := make([]int32, n)
+	for si, st := range states {
 		for i, d := range st.Tokens.D {
-			byDoc[start[d+1]], ws[start[d+1]] = j, st.Tokens.W[i]
+			byDoc[start[d+1]] = off[si] + int32(i)
 			start[d+1]++
-			j++
 		}
 	}
 	pos, head, next := make([]int32, n), make([]int32, v), []int32(nil)
@@ -277,12 +277,16 @@ func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32)
 		for t := len(doc) - 1; t >= 0; t-- {
 			next[t], head[doc[t]] = head[doc[t]], int32(t)
 		}
-		for k := lo; k < hi; k++ {
-			t := head[ws[k]]
-			if t < 0 {
-				return nil, fmt.Errorf("core: state has extra token at cell (%d,%d)", d, ws[k])
+		for _, j := range byDoc[lo:hi] {
+			for j < off[s] || j >= off[s+1] {
+				s = (s + 1) % len(states)
 			}
-			pos[byDoc[k]], head[ws[k]] = t, next[t]
+			w := states[s].Tokens.W[j-off[s]]
+			t := head[w]
+			if t < 0 {
+				return nil, fmt.Errorf("core: state has extra token at cell (%d,%d)", d, w)
+			}
+			pos[j], head[w] = t, next[t]
 		}
 	}
 	return pos, nil
@@ -331,14 +335,15 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 }
 
 // RestoreShards implements sampler.Sharded for the streams of either
-// WarpLDA sampler under any worker count. DecodeShards validates the
-// whole set before any live state is replaced; each token's payload then
-// goes to the CSC entry of the row position it was matched to. RNG
-// streams are restored exactly when DecodeShards allows (the chunk
-// schedule is deterministic in corpus and Config); otherwise worker wi
-// reseeds from rng.Derive(cfg.Seed, salt, threads, wi) and reseeded
-// reports true so the caller can log the loss of bit-exactness.
-func (w *Warp) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, err error) {
+// WarpLDA sampler (from) under any worker count. DecodeShards validates
+// the whole set before any live state is replaced; each token's payload
+// then goes to the CSC entry of the row position it was matched to. RNG
+// streams are restored exactly when this sampler wrote them at this
+// thread count (the chunk schedule is deterministic in corpus and
+// Config); otherwise worker wi reseeds from rng.Derive(cfg.Seed, salt,
+// threads, wi) and reseeded reports true so the caller can log the loss
+// of bit-exactness.
+func (w *Warp) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
 	var row []int32
 	rowWords := func(d int) []int32 {
 		row = row[:0]
@@ -347,10 +352,11 @@ func (w *Warp) RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, er
 		}
 		return row
 	}
-	states, pos, adopt, err := DecodeShards(w, w.cfg, w.c, rowWords, shards)
+	states, pos, err := DecodeShards(w.cfg, w.c, rowWords, shards)
 	if err != nil {
 		return false, err
 	}
+	adopt := from == w.Name() && len(states) == len(w.workers)
 	// Commit: payloads, and the global counts recomputed from the
 	// restored assignments.
 	stride, j := w.cfg.M+1, 0

@@ -66,7 +66,7 @@ func TestWarpSameTopologyRestoreIsExact(t *testing.T) {
 			for i := 0; i < n; i++ {
 				half.Iterate()
 			}
-			reseeded, err := fresh.RestoreShards(uint64(n), shardsOf(t, half))
+			reseeded, err := fresh.RestoreShards(uint64(n), fresh.Name(), shardsOf(t, half))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestWarpElasticRestoreAcrossThreadCounts(t *testing.T) {
 				donor.Iterate()
 			}
 			target := newThreaded(t, 31, tc.to)
-			reseeded, err := target.RestoreShards(5, shardsOf(t, donor))
+			reseeded, err := target.RestoreShards(5, target.Name(), shardsOf(t, donor))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,10 +144,10 @@ func TestWarpElasticReseedDependsOnSalt(t *testing.T) {
 	donor.Iterate()
 	a := newThreaded(t, 32, 3)
 	b := newThreaded(t, 32, 3)
-	if _, err := a.RestoreShards(1, shardsOf(t, donor)); err != nil {
+	if _, err := a.RestoreShards(1, a.Name(), shardsOf(t, donor)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.RestoreShards(2, shardsOf(t, donor)); err != nil {
+	if _, err := b.RestoreShards(2, b.Name(), shardsOf(t, donor)); err != nil {
 		t.Fatal(err)
 	}
 	a.Iterate()
@@ -206,7 +206,7 @@ func TestWarpRestoreShardsRejectsBadInput(t *testing.T) {
 			}
 			target := newThreaded(t, 33, 3)
 			before := sampler.CopyAssignments(target.Assignments())
-			if _, err := target.RestoreShards(1, readers); err == nil {
+			if _, err := target.RestoreShards(1, target.Name(), readers); err == nil {
 				t.Fatal("corrupt shards accepted")
 			}
 			if !reflect.DeepEqual(before, target.Assignments()) {
@@ -227,7 +227,7 @@ func TestWarpRestoreShardsRejectsWrongM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := target.RestoreShards(0, shardsOf(t, donor)); err == nil {
+	if _, err := target.RestoreShards(0, target.Name(), shardsOf(t, donor)); err == nil {
 		t.Fatal("shards with mismatched M accepted")
 	}
 }
@@ -239,5 +239,26 @@ func TestWarpShardToBounds(t *testing.T) {
 	}
 	if err := w.ShardTo(2, io.Discard); err == nil {
 		t.Fatal("out-of-range shard index accepted")
+	}
+}
+
+// TestWorkerStateRoundTrip encodes a worker state whose RNG words use
+// all 64 bits and decodes it back unchanged: the writer must not pass
+// them through int, which is 32 bits on some platforms.
+func TestWorkerStateRoundTrip(t *testing.T) {
+	st := &WorkerState{Index: 1, Workers: 2, M: 1,
+		RNGState: [4]uint64{1<<63 | 5, 1<<40 | 3, ^uint64(0), 7},
+		Tokens:   Slab{D: []int32{0, 2}, W: []int32{3, 1}, Data: []int32{0, 1, 2, 2}},
+	}
+	var b bytes.Buffer
+	if err := EncodeWorkerState(&b, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeWorkerState(&b, 3, 1, 3, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("round trip gave %+v, want %+v", got, st)
 	}
 }

@@ -471,7 +471,7 @@ func resumePair(t *testing.T, c *corpus.Corpus, cfg sampler.Config, n int) {
 	for i := 0; i < n; i++ {
 		half.Iterate()
 	}
-	reseeded, err := fresh.RestoreShards(uint64(n), shardsOf(t, half))
+	reseeded, err := fresh.RestoreShards(uint64(n), fresh.Name(), shardsOf(t, half))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		for i, b := range tc.shards {
 			readers[i] = bytes.NewReader(b)
 		}
-		if _, err := target.RestoreShards(1, readers); err == nil {
+		if _, err := target.RestoreShards(1, target.Name(), readers); err == nil {
 			t.Errorf("%s: corrupt state accepted", tc.name)
 			continue
 		}

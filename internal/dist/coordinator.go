@@ -686,7 +686,7 @@ func (co *Coordinator) syncCheckpoint(ctx context.Context, hb *time.Ticker, shad
 	for i, b := range blobs {
 		readers[i] = bytes.NewReader(b)
 	}
-	if _, err := shadow.RestoreShards(uint64(iter), readers); err != nil {
+	if _, err := shadow.RestoreShards(uint64(iter), shadow.Name(), readers); err != nil {
 		// A worker uploaded state that fails validation: don't trust this
 		// epoch; reform from the last committed checkpoint instead.
 		co.logf("sync at iteration %d rejected: %v; aborting epoch", iter, err)

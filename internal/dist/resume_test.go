@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,4 +203,94 @@ func TestResumeAcrossFourHops(t *testing.T) {
 		t.Fatalf("newest checkpoint is %s at %d, want the live cluster's at 12", ck.Sampler, ck.Iter)
 	}
 	resume(warp1(), withThreads(1), ck, 16)
+}
+
+// TestLegacyShardsRestoreIntoEitherSampler restores legacy wshd shards
+// of a corpus whose documents are not in word order into core.Warp and
+// Distributed, and requires every token back with its own saved (d, w,
+// z, proposals). The wshd streams are rebuilt from a core.Warp's dshd
+// streams: both hold a worker's doc-phase rows in row order, and wshd
+// has the rows' ranges in place of the docs and words sections. Both
+// restores reseed: one changes the worker count, the other the sampler.
+func TestLegacyShardsRestoreIntoEitherSampler(t *testing.T) {
+	c, err := corpus.GenerateLDA(corpus.SyntheticConfig{D: 40, V: 60, K: 4, MeanLen: 12, Alpha: 0.1, Beta: 0.05, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSorted(c.Doc(0)) && slices.IsSorted(c.Doc(1)) {
+		t.Fatal("corpus documents are in word order; the test needs them not to be")
+	}
+	cfg := sampler.PaperDefaults(4)
+	cfg.M = 2
+	cfg.Threads = 2
+	src, err := core.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		src.Iterate()
+	}
+	want, streams := tokenMultiset(t, src, c, cfg), make([][]byte, src.NumShards())
+	for i := range streams {
+		var b bytes.Buffer
+		if err := src.ShardTo(i, &b); err != nil {
+			t.Fatal(err)
+		}
+		st, err := core.DecodeWorkerState(&b, cfg.K, cfg.M, c.NumDocs(), c.V, c.NumTokens())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ranges [][2]int
+		for _, d := range st.Tokens.D {
+			if n := len(ranges); n > 0 && ranges[n-1][1] >= int(d) {
+				ranges[n-1][1] = int(d) + 1
+			} else {
+				ranges = append(ranges, [2]int{int(d), int(d) + 1})
+			}
+		}
+		e := sampler.NewEnc(&b)
+		e.Tag("wshd\x01")
+		for _, v := range []int{st.Index, st.Workers, st.M} {
+			e.Int(v)
+		}
+		for _, u := range st.RNGState {
+			e.U64(u)
+		}
+		e.Int(len(ranges))
+		for _, rg := range ranges {
+			e.Int(rg[0])
+			e.Int(rg[1])
+		}
+		e.I32s(st.Tokens.Data)
+		if e.Err() != nil {
+			t.Fatal(e.Err())
+		}
+		streams[i] = b.Bytes()
+	}
+	restore := func(s sampler.Sharded) {
+		t.Helper()
+		readers := make([]io.Reader, len(streams))
+		for i, b := range streams {
+			readers[i] = bytes.NewReader(b)
+		}
+		reseeded, err := s.RestoreShards(1, src.Name(), readers)
+		if err != nil || !reseeded {
+			t.Fatalf("%s: restore of legacy shards: reseeded=%v err=%v", s.Name(), reseeded, err)
+		}
+		if got := tokenMultiset(t, s, c, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored tokens differ from the saved (d, w, z, proposals)", s.Name())
+		}
+		requireCountsMatch(t, s, cfg.K)
+	}
+	cfg.Threads = 3
+	w, err := core.New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore(w)
+	d, err := cluster.NewDistributed(c, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore(d)
 }

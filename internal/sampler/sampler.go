@@ -118,19 +118,17 @@ type Sharded interface {
 	// Iterate calls. Distinct shards may be written concurrently.
 	ShardTo(i int, w io.Writer) error
 	// RestoreShards replaces the sampler's state with the union of the
-	// given shard streams, written by ShardTo on a sampler of the same
-	// algorithm (or one that shares its shard stream), corpus, and config
-	// over ANY worker count. When the shard count equals NumShards and
-	// the same sampler wrote them, every worker adopts its saved RNG
-	// stream and the restore is exact; otherwise the state is
-	// repartitioned across the current topology and worker streams are
-	// reseeded deterministically from (cfg.Seed, salt, worker) — see
-	// rng.Derive — which the returned reseeded flag reports so callers
-	// can surface the loss of bit-exactness. A shard reader with a
-	// Name() string method names the sampler that wrote it (a
-	// checkpoint's readers do); a reader without one counts as this
-	// sampler's. On error the sampler's prior state is left untouched.
-	RestoreShards(salt uint64, shards []io.Reader) (reseeded bool, err error)
+	// given shard streams, written by ShardTo on the sampler named from
+	// — this algorithm, or one that shares its shard stream — over the
+	// same corpus and config and ANY worker count. When this sampler
+	// wrote them and the shard count equals NumShards, every worker
+	// adopts its saved RNG stream and the restore is exact; otherwise
+	// the state is repartitioned across the current topology and worker
+	// streams are reseeded deterministically from (cfg.Seed, salt,
+	// worker) — see rng.Derive — which the returned reseeded flag
+	// reports so callers can surface the loss of bit-exactness. On
+	// error the sampler's prior state is left untouched.
+	RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error)
 }
 
 // Point is one evaluation of a training run.

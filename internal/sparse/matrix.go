@@ -29,7 +29,7 @@ type Matrix struct {
 	colID    []int32 // len NNZ; column of each entry (for O(1) RowView.Col)
 	data     []int32 // len NNZ*Stride; entry payloads in CSC order
 
-	// PCSR: for each row, the CSC indices of its entries in column order.
+	// PCSR: for each row, the CSC indices of its entries in insertion order.
 	rowStart []int32 // len Rows+1
 	rowPtr   []int32 // len NNZ; CSC index of each row entry
 }
@@ -208,7 +208,8 @@ func (v ColView) Payload() []int32 {
 	return v.m.data[int(v.start)*s : int(v.start+v.n)*s]
 }
 
-// RowView is the indirect view of a row's entries, in column order.
+// RowView is the indirect view of a row's entries, in the order they
+// were added (Freeze keeps it; FreezeShuffled scrambles it).
 type RowView struct {
 	m     *Matrix
 	start int32
@@ -218,7 +219,7 @@ type RowView struct {
 // Len returns the number of entries in the row.
 func (v RowView) Len() int { return int(v.n) }
 
-// Col returns the column id of the i-th entry (ascending in i).
+// Col returns the column id of the i-th entry.
 func (v RowView) Col(i int) int32 {
 	return v.m.colID[v.m.rowPtr[v.start+int32(i)]]
 }

@@ -34,6 +34,26 @@ func TestColumnsSortedByRow(t *testing.T) {
 	}
 }
 
+// TestRowsKeepInsertionOrder pins that Freeze lists a row's entries in
+// the order they were added, not by column: a document's tokens keep
+// their corpus order, which the legacy wshd checkpoint reader relies on.
+func TestRowsKeepInsertionOrder(t *testing.T) {
+	m, ref := buildRandom(4, 10, 30, 200, 1)
+	want := make([][]int32, m.Rows)
+	for _, e := range ref {
+		want[e[0]] = append(want[e[0]], e[1])
+	}
+	m.VisitByRow(func(row int, v RowView) {
+		got := []int32(nil)
+		for i := 0; i < v.Len(); i++ {
+			got = append(got, v.Col(i))
+		}
+		if !reflect.DeepEqual(got, want[row]) {
+			t.Fatalf("row %d lists columns %v, added as %v", row, got, want[row])
+		}
+	})
+}
+
 func TestEntriesPreserved(t *testing.T) {
 	m, ref := buildRandom(2, 20, 25, 300, 1)
 	if m.NNZ() != len(ref) {

@@ -329,7 +329,7 @@ func (ck *Checkpoint) RestoreInto(sh sampler.Sharded) (reseeded bool, err error)
 			s.close()
 		}
 	}()
-	return sh.RestoreShards(uint64(ck.Iter), readers)
+	return sh.RestoreShards(uint64(ck.Iter), ck.Sampler, readers)
 }
 
 // lazyShardReader serves one shard file's sampler-level stream (the
@@ -360,11 +360,6 @@ func (s *lazyShardReader) Read(p []byte) (int, error) {
 	}
 	return s.body.Read(p)
 }
-
-// Name reports the sampler that wrote the shard, so a sampler restoring
-// another's checkpoint knows its RNG streams are foreign (see
-// sampler.Sharded).
-func (s *lazyShardReader) Name() string { return s.ck.Sampler }
 
 func (s *lazyShardReader) close() {
 	if s.f != nil {
@@ -488,7 +483,7 @@ type oneShard struct{ stateful }
 
 func (oneShard) NumShards() int                     { return 1 }
 func (o oneShard) ShardTo(_ int, w io.Writer) error { return o.StateTo(w) }
-func (o oneShard) RestoreShards(_ uint64, shards []io.Reader) (bool, error) {
+func (o oneShard) RestoreShards(_ uint64, _ string, shards []io.Reader) (bool, error) {
 	if len(shards) != 1 {
 		return false, fmt.Errorf("train: %d shards, sampler %q restores from one", len(shards), o.Name())
 	}
