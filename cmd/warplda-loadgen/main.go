@@ -1,8 +1,8 @@
 // Command warplda-loadgen drives HTTP load against a running
 // warplda-serve instance and checks the run against absolute budgets.
 // It is the operator's load tool for the end-to-end request path —
-// admission queue, request coalescing, engine dispatch, JSON encode —
-// under realistic concurrency; performance across commits is measured
+// the model's admission gate, engine fold-in, JSON encode — under
+// realistic concurrency; performance across commits is measured
 // by benchmark/ (see docs/PERFORMANCE.md), not here.
 //
 // Two load modes:

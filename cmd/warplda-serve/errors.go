@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"warplda/internal/infer"
 	"warplda/internal/registry"
 )
 
@@ -73,24 +72,5 @@ func (s *Server) writeRegistryError(w http.ResponseWriter, err error) {
 		// Unreadable/corrupt model file: the caller named a real model,
 		// the server side is broken.
 		writeError(w, http.StatusInternalServerError, codeInternal, 0, "%v", err)
-	}
-}
-
-// writeAdmissionError maps an error from an admission-control component
-// (batcher or query gate) onto HTTP: shed conditions are retryable
-// 503s, validation failures are the caller's 400, registry lifecycle
-// errors keep their usual mapping.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, infer.ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, codeQueueFull, time.Second, "%v", err)
-	case errors.Is(err, infer.ErrDeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, codeDeadlineExceeded, time.Second, "%v", err)
-	case errors.Is(err, infer.ErrBatcherClosed):
-		writeError(w, http.StatusServiceUnavailable, codeDraining, 0, "server is draining")
-	case errors.Is(err, errBadDocs):
-		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-	default:
-		s.writeRegistryError(w, err)
 	}
 }

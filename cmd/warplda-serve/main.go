@@ -70,9 +70,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "inference worker goroutines per model (0 = GOMAXPROCS)")
 		maxBatch  = flag.Int("max-batch", 1024, "maximum documents per request")
 		seed      = flag.Uint64("seed", 42, "base RNG seed (responses are deterministic in it)")
-		coalesce  = flag.Bool("coalesce", true, "merge concurrent single-document requests into batched engine dispatches")
-		batchMax  = flag.Int("batch-max", 32, "at most this many documents per coalesced dispatch")
-		queueDep  = flag.Int("queue-depth", 256, "admission queue bound per model; beyond it requests shed with 503")
+		queueDep  = flag.Int("queue-depth", 256, "admission bound per model: infer and query requests in flight at once; beyond it requests shed with 503")
 		deadline  = flag.Duration("default-deadline", 0, "server-side deadline for requests without X-Deadline-Ms (0 = none)")
 		qLimit    = flag.Int("query-limit", 50, "default rows per query page when the request sets no limit")
 		qMaxLimit = flag.Int("query-max-limit", 500, "hard cap on a query page's row limit")
@@ -119,8 +117,6 @@ func main() {
 		Sweeps:          *sweeps,
 		MaxBatch:        *maxBatch,
 		Seed:            *seed,
-		Coalesce:        *coalesce,
-		BatchMax:        *batchMax,
 		QueueDepth:      *queueDep,
 		DefaultDeadline: *deadline,
 
@@ -150,12 +146,10 @@ func main() {
 	// Close the registry on the error path too: log.Fatalf here would
 	// exit with the hot-reload poller's cleanup never run.
 	if err := srv.Shutdown(ctx); err != nil {
-		sv.Close()
 		reg.Close()
 		log.Printf("warplda-serve: shutdown: %v", err)
 		os.Exit(1)
 	}
-	sv.Close()
 	reg.Close()
 	log.Print("drained; bye")
 }

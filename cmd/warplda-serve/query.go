@@ -14,11 +14,11 @@ import (
 )
 
 // The analytics query surface: GET/POST /v1/models/{name}/query/{kind}.
-// Every query is admitted through the model's Gate (same depth bound
-// and shed semantics as the infer batcher queue), answered from one
-// registry snapshot, and streamed row by row under the configured
-// row/byte budgets — a response is never materialized in full. Pages
-// link via next_cursor; see docs/API.md for the contract.
+// Every query is admitted through the model's gate (the same admit path
+// as inference), answered from the snapshot admission resolved, and
+// streamed row by row under the configured row/byte budgets — a
+// response is never materialized in full. Pages link via next_cursor;
+// see docs/API.md for the contract.
 
 // queryRequest is the POST body of the topdocs and similar kinds. The
 // candidate set is Docs (token ids) or Texts (tokenized against the
@@ -73,40 +73,28 @@ func (s *Server) pageOf(limitStr, cursorStr string) (page, error) {
 func (p page) depth() int { return p.cursor + p.limit + 1 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, kind string) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, 0, "server is draining")
-		return
-	}
 	name := r.PathValue("name")
-	deadline, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-		return
-	}
 	// Admission first: a saturated model sheds cheap and early, before
-	// any body parsing or snapshot work. The slot is held until the
-	// response has streamed — the gate bounds in-flight queries, not
-	// just their setup.
-	release, err := s.gateFor(name).Enter(deadline)
-	if err != nil {
-		s.writeAdmissionError(w, err)
+	// any parameter or body parsing.
+	snap, release, ok := s.admit(w, r, name)
+	if !ok {
 		return
 	}
 	defer release()
 
 	switch kind {
 	case "topwords":
-		s.queryTopWords(w, r, name)
+		s.queryTopWords(w, r, name, snap)
 	case "vocab":
-		s.queryVocab(w, r, name)
+		s.queryVocab(w, r, name, snap)
 	case "drift":
-		s.queryDrift(w, r, name)
+		s.queryDrift(w, r, name, snap)
 	case "topdocs", "similar":
-		s.queryDocs(w, r, name, kind)
+		s.queryDocs(w, r, name, snap, kind)
 	}
 }
 
-func (s *Server) queryTopWords(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) queryTopWords(w http.ResponseWriter, r *http.Request, name string, snap *registry.Snapshot) {
 	q := r.URL.Query()
 	p, err := s.pageOf(q.Get("limit"), q.Get("cursor"))
 	if err != nil {
@@ -118,10 +106,6 @@ func (s *Server) queryTopWords(w http.ResponseWriter, r *http.Request, name stri
 		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
 		return
 	}
-	snap, ok := s.acquire(w, name)
-	if !ok {
-		return
-	}
 	start := time.Now()
 	it, err := query.TopWords(queryModel(snap), topic, p.depth())
 	if err != nil {
@@ -131,15 +115,11 @@ func (s *Server) queryTopWords(w http.ResponseWriter, r *http.Request, name stri
 	streamRows(s, w, name, snap.Version, "", p, it, start)
 }
 
-func (s *Server) queryVocab(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) queryVocab(w http.ResponseWriter, r *http.Request, name string, snap *registry.Snapshot) {
 	q := r.URL.Query()
 	p, err := s.pageOf(q.Get("limit"), q.Get("cursor"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-		return
-	}
-	snap, ok := s.acquire(w, name)
-	if !ok {
 		return
 	}
 	start := time.Now()
@@ -147,7 +127,7 @@ func (s *Server) queryVocab(w http.ResponseWriter, r *http.Request, name string)
 	streamRows(s, w, name, snap.Version, "", p, it, start)
 }
 
-func (s *Server) queryDrift(w http.ResponseWriter, r *http.Request, name string) {
+func (s *Server) queryDrift(w http.ResponseWriter, r *http.Request, name string, snapA *registry.Snapshot) {
 	q := r.URL.Query()
 	p, err := s.pageOf(q.Get("limit"), q.Get("cursor"))
 	if err != nil {
@@ -168,13 +148,10 @@ func (s *Server) queryDrift(w http.ResponseWriter, r *http.Request, name string)
 			return
 		}
 	}
-	// Pin both versions for the duration: snapshots are immutable, so
-	// the comparison is consistent even if either name hot-swaps
-	// mid-stream. <base>@<iter> names pin an exact published iteration.
-	snapA, ok := s.acquire(w, name)
-	if !ok {
-		return
-	}
+	// Pin the second version for the duration too: snapshots are
+	// immutable, so the comparison is consistent even if either name
+	// hot-swaps mid-stream. <base>@<iter> names pin an exact published
+	// iteration.
 	snapB, ok := s.acquire(w, against)
 	if !ok {
 		return
@@ -189,7 +166,7 @@ func (s *Server) queryDrift(w http.ResponseWriter, r *http.Request, name string)
 	streamRows(s, w, name, snapA.Version, extra, p, it, start)
 }
 
-func (s *Server) queryDocs(w http.ResponseWriter, r *http.Request, name, kind string) {
+func (s *Server) queryDocs(w http.ResponseWriter, r *http.Request, name string, snap *registry.Snapshot, kind string) {
 	var req queryRequest
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -207,10 +184,6 @@ func (s *Server) queryDocs(w http.ResponseWriter, r *http.Request, name, kind st
 	p, err := s.pageOf(strconv.Itoa(req.Limit), req.Cursor)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-		return
-	}
-	snap, ok := s.acquire(w, name)
-	if !ok {
 		return
 	}
 	docs, status, err := s.resolveDocs(snap, &inferRequest{Docs: req.Docs, Texts: req.Texts})

@@ -301,9 +301,9 @@ func TestQueryStatsAndGate(t *testing.T) {
 	if st.QueryLatencyUs.Count != 3 {
 		t.Fatalf("query latency count = %d, want 3", st.QueryLatencyUs.Count)
 	}
-	g, ok := st.QueryGates["news"]
+	g, ok := st.Gates["news"]
 	if !ok || g.Admitted != 3 || g.Active != 0 {
-		t.Fatalf("query_gates = %+v", st.QueryGates)
+		t.Fatalf("gates = %+v", st.Gates)
 	}
 }
 
@@ -323,7 +323,6 @@ func TestQueryVersionPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 
 	rec, page := doQuery(t, s, "GET", "/v1/models/news/query/drift?against=news@7", "")
 	if rec.Code != http.StatusOK {

@@ -36,19 +36,10 @@ type ServeOptions struct {
 	// and the document content, so responses are deterministic.
 	Seed uint64
 
-	// Coalesce routes single-document requests through a per-model
-	// batcher that merges concurrent requests into one engine dispatch.
-	// Responses are byte-identical to uncoalesced inference (per-document
-	// seeds depend only on Seed and the document content, never on batch
-	// composition). Multi-document requests always dispatch directly.
-	Coalesce bool
-	// BatchMax and QueueDepth tune the batcher: at most this many
-	// documents per dispatch (0 = 32), and the bounded admission queue
-	// beyond which requests are shed with 503 (0 = 256). The batcher
-	// never waits for company: whenever it is idle it dispatches what is
-	// queued. QueueDepth also bounds the per-model query gate
-	// (concurrent analytics queries), Coalesce or not.
-	BatchMax   int
+	// QueueDepth bounds each model's admission gate: at most this many
+	// infer and query requests of one model hold a slot at once (0 =
+	// 256). Past it, a request without a deadline is shed with 503
+	// queue_full; one with a deadline waits for a slot until it passes.
 	QueueDepth int
 	// DefaultDeadline is the admission deadline applied to inference and
 	// query requests that do not carry an X-Deadline-Ms header. A
@@ -130,12 +121,6 @@ type modelsResponse struct {
 	Models []registry.ModelInfo `json:"models"`
 }
 
-// batcherInfo is one model's request coalescer in the /v1/stats reply.
-type batcherInfo struct {
-	infer.BatcherStats
-	QueueLen int `json:"queue_len"`
-}
-
 // statsResponse is the GET /v1/stats reply: the serving-side view of
 // throughput and latency that cmd/warplda-loadgen and dashboards read.
 // LatencyUs summarizes successful inference handler time and
@@ -148,8 +133,7 @@ type statsResponse struct {
 	LatencyUs      hist.Snapshot              `json:"latency_us"`
 	QueryLatencyUs hist.Snapshot              `json:"query_latency_us"`
 	Registry       registry.Stats             `json:"registry"`
-	Batchers       map[string]batcherInfo     `json:"batchers,omitempty"`
-	QueryGates     map[string]infer.GateStats `json:"query_gates,omitempty"`
+	Gates          map[string]infer.GateStats `json:"gates,omitempty"`
 }
 
 // Server routes multi-model inference, analytics-query, and admin
@@ -171,17 +155,8 @@ type Server struct {
 	latency  *hist.Histogram
 	qlatency *hist.Histogram
 
-	// batchers holds one lazily-created request coalescer per model
-	// name (only when opts.Coalesce). dispatchWrap, when non-nil, wraps
-	// every batcher's dispatch function — a test hook for gating and
-	// fault injection; production leaves it nil.
-	batchMu      sync.Mutex
-	batchers     map[string]*infer.Batcher
-	dispatchWrap func(infer.Dispatch) infer.Dispatch
-
-	// gates holds one lazily-created admission gate per model name for
-	// the query routes, sharing the batcher's QueueDepth bound and shed
-	// semantics (fail fast without a deadline, wait until it otherwise).
+	// gates holds one admission gate per model name, created on the
+	// name's first admitted request (see admit).
 	gateMu sync.Mutex
 	gates  map[string]*infer.Gate
 }
@@ -199,7 +174,6 @@ func NewServer(reg *registry.Registry, opts ServeOptions) (*Server, error) {
 		opts:     opts.withDefaults(),
 		latency:  hist.New(),
 		qlatency: hist.New(),
-		batchers: make(map[string]*infer.Batcher),
 		gates:    make(map[string]*infer.Gate),
 	}
 	mux := http.NewServeMux()
@@ -260,10 +234,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // finish.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// acquire resolves a model name through the registry and maps lifecycle
-// errors onto HTTP admission-control semantics: 404 for names that
-// don't exist, 503 + Retry-After for transient refusals (mid-load,
-// over budget, draining).
+// acquire resolves a model name through the registry, writing the
+// registry's refusal (404, 503 + Retry-After, 500) when it fails.
 func (s *Server) acquire(w http.ResponseWriter, name string) (*registry.Snapshot, bool) {
 	snap, err := s.reg.Acquire(name)
 	if err == nil {
@@ -273,45 +245,38 @@ func (s *Server) acquire(w http.ResponseWriter, name string) (*registry.Snapshot
 	return nil, false
 }
 
-// errBadDocs marks engine-side document validation failures (word ids
-// out of the model's range) crossing the batcher boundary, so the
-// handler can keep them 400 while registry errors stay 404/503.
-var errBadDocs = errors.New("invalid document")
-
-// batcherFor returns the model's request coalescer, creating it on
-// first use. The dispatch closure acquires the registry snapshot per
-// batch, so a hot swap lands between batches — every document in one
-// dispatch is answered by one model version, returned as the tag.
-func (s *Server) batcherFor(name string) *infer.Batcher {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	if b := s.batchers[name]; b != nil {
-		return b
+// admit is the one admission path of every infer and query request.
+// It refuses work while draining, resolves the model — so an unknown
+// name answers 404 and creates no gate — reads the request's deadline
+// and enters the model's gate. On success the caller holds a slot and
+// must call release once the response is written: the gate bounds
+// in-flight work, not just its setup.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, name string) (snap *registry.Snapshot, release func(), ok bool) {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, codeDraining, 0, "server is draining")
+		return nil, nil, false
 	}
-	dispatch := func(docs [][]int32, sweeps []int) ([][]float64, any, error) {
-		snap, err := s.reg.Acquire(name)
-		if err != nil {
-			return nil, nil, err
+	if snap, ok = s.acquire(w, name); !ok {
+		return nil, nil, false
+	}
+	deadline, err := s.requestDeadline(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
+		return nil, nil, false
+	}
+	release, err = s.gateFor(name).Enter(deadline)
+	if err != nil {
+		code := codeQueueFull
+		if errors.Is(err, infer.ErrDeadlineExceeded) {
+			code = codeDeadlineExceeded
 		}
-		thetas, err := snap.Engine.InferBatchSweeps(docs, sweeps, s.opts.Seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", errBadDocs, err)
-		}
-		return thetas, snap, nil
+		writeError(w, http.StatusServiceUnavailable, code, time.Second, "%v", err)
+		return nil, nil, false
 	}
-	if s.dispatchWrap != nil {
-		dispatch = s.dispatchWrap(dispatch)
-	}
-	b := infer.NewBatcher(dispatch, infer.BatcherOptions{
-		MaxBatch:   s.opts.BatchMax,
-		QueueDepth: s.opts.QueueDepth,
-	})
-	s.batchers[name] = b
-	return b
+	return snap, release, true
 }
 
-// gateFor returns the model's query admission gate, creating it on
-// first use with the same depth bound as the batcher queue.
+// gateFor returns the model's admission gate, creating it on first use.
 func (s *Server) gateFor(name string) *infer.Gate {
 	s.gateMu.Lock()
 	defer s.gateMu.Unlock()
@@ -321,20 +286,6 @@ func (s *Server) gateFor(name string) *infer.Gate {
 	g := infer.NewGate(s.opts.QueueDepth)
 	s.gates[name] = g
 	return g
-}
-
-// Close drains every request coalescer: admission stops, queued work
-// completes. Call after the HTTP server has shut down.
-func (s *Server) Close() {
-	s.batchMu.Lock()
-	batchers := make([]*infer.Batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		batchers = append(batchers, b)
-	}
-	s.batchMu.Unlock()
-	for _, b := range batchers {
-		b.Close()
-	}
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -373,19 +324,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueryLatencyUs: s.qlatency.Summary(),
 		Registry:       s.reg.RegistryStats(),
 	}
-	s.batchMu.Lock()
-	if len(s.batchers) > 0 {
-		resp.Batchers = make(map[string]batcherInfo, len(s.batchers))
-		for name, b := range s.batchers {
-			resp.Batchers[name] = batcherInfo{BatcherStats: b.Stats(), QueueLen: b.QueueLen()}
-		}
-	}
-	s.batchMu.Unlock()
 	s.gateMu.Lock()
 	if len(s.gates) > 0 {
-		resp.QueryGates = make(map[string]infer.GateStats, len(s.gates))
+		resp.Gates = make(map[string]infer.GateStats, len(s.gates))
 		for name, g := range s.gates {
-			resp.QueryGates[name] = g.Stats()
+			resp.Gates[name] = g.Stats()
 		}
 	}
 	s.gateMu.Unlock()
@@ -403,10 +346,6 @@ func (s *Server) handleModelInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, name string) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, 0, "server is draining")
-		return
-	}
 	var req inferRequest
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -421,13 +360,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, name string
 		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "bad request body: %v", err)
 		return
 	}
-	// Acquire after the body parse: bad requests stay 4xx even when the
-	// model would also need a load, and parse work never pins a
-	// snapshot.
-	snap, ok := s.acquire(w, name)
+	// Admit after the body parse: bad requests stay 4xx even when the
+	// model would also need a load, and parse work never holds a slot.
+	snap, release, ok := s.admit(w, r, name)
 	if !ok {
 		return
 	}
+	defer release()
 	docs, status, err := s.resolveDocs(snap, &req)
 	if err != nil {
 		code := codeBadRequest
@@ -444,42 +383,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, name string
 	if sweeps > s.opts.MaxSweeps {
 		sweeps = s.opts.MaxSweeps
 	}
-	deadline, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-		return
-	}
 
 	start := time.Now()
-	version := snap.Version
-	var topics [][]float64
-	if s.opts.Coalesce && len(docs) == 1 {
-		// Single-document requests coalesce: concurrent callers share
-		// one engine dispatch. Results are byte-identical to the direct
-		// path (per-document seeds ignore batch composition), and the
-		// answering snapshot comes back as the tag so the response
-		// reports the version that actually served it.
-		theta, tag, derr := s.batcherFor(name).Do(docs[0], sweeps, deadline)
-		if derr != nil {
-			s.writeAdmissionError(w, derr)
-			return
-		}
-		if tsnap, ok := tag.(*registry.Snapshot); ok {
-			version = tsnap.Version
-		}
-		topics = [][]float64{theta}
-	} else {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			writeError(w, http.StatusServiceUnavailable, codeDeadlineExceeded, time.Second,
-				"%v", infer.ErrDeadlineExceeded)
-			return
-		}
-		topics, err = snap.Engine.InferBatch(docs, sweeps, s.opts.Seed)
-		if err != nil {
-			// Word ids out of the model's range are a caller error.
-			writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
-			return
-		}
+	topics, err := snap.Engine.InferBatch(docs, sweeps, s.opts.Seed)
+	if err != nil {
+		// Word ids out of the model's range are a caller error.
+		writeError(w, http.StatusBadRequest, codeBadRequest, 0, "%v", err)
+		return
 	}
 	s.served.Add(int64(len(docs)))
 	s.latency.Record(time.Since(start).Microseconds())
@@ -494,7 +404,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, name string
 	}
 	writeJSON(w, http.StatusOK, inferResponse{
 		Model:   name,
-		Version: version,
+		Version: snap.Version,
 		Topics:  topics,
 		Top:     top,
 		TookMs:  float64(time.Since(start).Microseconds()) / 1000,

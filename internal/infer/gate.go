@@ -5,15 +5,13 @@ import (
 	"time"
 )
 
-// Gate extends the serve path's admission-control contract to work
-// that does not flow through a Batcher — analytics queries, whose unit
-// of work is a whole streamed response rather than one document. It
-// enforces the same two rules with the same sentinel errors: a bounded
-// number of admitted-but-unfinished requests per model (beyond it,
-// fail fast with ErrQueueFull rather than queueing unbounded work),
-// and deadline shedding (a request whose X-Deadline-Ms budget passes
-// before a slot frees is dropped with ErrDeadlineExceeded instead of
-// consuming engine time the client has given up on).
+// Gate is the serve path's per-model admission control: every infer
+// and query request of a model enters its gate. It enforces two rules:
+// a bounded number of admitted-but-unfinished requests per model
+// (beyond it, fail fast with ErrQueueFull rather than queueing
+// unbounded work), and deadline shedding (a request whose X-Deadline-Ms
+// budget passes before a slot frees is dropped with ErrDeadlineExceeded
+// instead of consuming engine time the client has given up on).
 type Gate struct {
 	slots chan struct{}
 
@@ -22,8 +20,8 @@ type Gate struct {
 	shedDeadline atomic.Int64
 }
 
-// GateStats are a Gate's cumulative counters, exposed on GET /stats
-// next to the per-model BatcherStats.
+// GateStats are a Gate's cumulative counters, exposed per model on
+// GET /v1/stats under "gates".
 type GateStats struct {
 	// Admitted counts requests that got a slot.
 	Admitted int64 `json:"admitted"`
