@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
 // evaluation (quick-size variants; run cmd/warplda-bench for full size),
-// plus ablation benchmarks for the options of core.Options.
+// plus serving and training-throughput benchmarks of the public API.
 //
 //	go test -bench=. -benchmem
 package warplda
@@ -11,10 +11,8 @@ import (
 	"sync"
 	"testing"
 
-	"warplda/internal/core"
 	"warplda/internal/exp"
 	"warplda/internal/infer"
-	"warplda/internal/sampler"
 )
 
 // benchExp runs one experiment per benchmark iteration. The reports are
@@ -44,8 +42,7 @@ func BenchmarkFig9a(b *testing.B)  { benchExp(b, "fig9a") }
 func BenchmarkFig9b(b *testing.B)  { benchExp(b, "fig9b") }
 func BenchmarkFig9cd(b *testing.B) { benchExp(b, "fig9cd") }
 
-// --- Ablation benchmarks (one pair per field of core.Options) ---
-
+// ablationCorpus is the corpus of BenchmarkWarpLDATrainIteration.
 func ablationCorpus(b *testing.B) *Corpus {
 	b.Helper()
 	c, err := GenerateLDA(SyntheticConfig{
@@ -55,52 +52,6 @@ func ablationCorpus(b *testing.B) *Corpus {
 		b.Fatal(err)
 	}
 	return c
-}
-
-func benchWarpOptions(b *testing.B, k int, opts core.Options) {
-	c := ablationCorpus(b)
-	cfg := sampler.PaperDefaults(k)
-	cfg.M = 2
-	w, err := core.NewWithOptions(c, cfg, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Iterate() // warm-up
-	tokens := c.NumTokens()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Iterate()
-	}
-	b.ReportMetric(float64(tokens*b.N)/b.Elapsed().Seconds(), "tokens/s")
-}
-
-// Doc proposal: random positioning (paper's default) vs per-document
-// sparse alias table (both O(1) amortized; positioning skips the build).
-func BenchmarkAblationDocPositioning(b *testing.B) {
-	benchWarpOptions(b, 1024, core.Options{})
-}
-
-func BenchmarkAblationDocAlias(b *testing.B) {
-	benchWarpOptions(b, 1024, core.Options{DocProposalAlias: true})
-}
-
-// Word proposal alias: sparse over non-zero c_w (default) vs dense over
-// all K (O(K) per word).
-func BenchmarkAblationSparseAlias(b *testing.B) {
-	benchWarpOptions(b, 4096, core.Options{})
-}
-
-func BenchmarkAblationDenseAlias(b *testing.B) {
-	benchWarpOptions(b, 4096, core.Options{DisableSparseAlias: true})
-}
-
-// Sorted vs shuffled CSC entry order (Section 5.2's cache-line argument).
-func BenchmarkAblationSortedCSC(b *testing.B) {
-	benchWarpOptions(b, 1024, core.Options{})
-}
-
-func BenchmarkAblationShuffledCSC(b *testing.B) {
-	benchWarpOptions(b, 1024, core.Options{ShuffleTokens: true})
 }
 
 // --- Inference serving benchmarks (internal/infer engine) ---

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"warplda/internal/cluster"
@@ -17,14 +19,16 @@ import (
 
 // goldenDir holds one fixture per durable format, written by the
 // writers of commit ba1d440, except warp-dshd (testdata/golden/generate.go
-// is the generator, and its comment the command that ran it).
+// is the generator, and its comment the command that ran it). The warp
+// fixture holds shards of the retired wshd layout, kept as input that
+// must be refused.
 var goldenDir = filepath.Join("testdata", "golden")
 
-// TestGoldenFixtures reads the fixture of every durable format and, for
-// each format that still has a writer, re-encodes the decoded value and
-// requires the fixture's bytes back: the byte layouts of
-// docs/FORMATS.md do not change. Every checkpoint directory must also
-// resume.
+// TestGoldenFixtures reads the fixture of every durable format,
+// re-encodes the decoded value and requires the fixture's bytes back:
+// the byte layouts of docs/FORMATS.md do not change. Every checkpoint
+// directory must also resume, except the warp fixture, whose retired
+// wshd shards must be refused.
 func TestGoldenFixtures(t *testing.T) {
 	mc, err := corpus.OpenMapped(filepath.Join(goldenDir, "corpus.warpcorpus"))
 	if err != nil {
@@ -98,7 +102,26 @@ func TestGoldenFixtures(t *testing.T) {
 		sameBytes(t, re.Bytes(), raw)
 	})
 
-	for _, name := range []string{"warp", "warp-dshd", "distributed"} {
+	// The warp fixture's shards are in the retired wshd layout: the
+	// restore must refuse them by their tag and leave the sampler as it
+	// was, and still able to iterate.
+	t.Run("WARPMANI+WARPSHRD/warp", func(t *testing.T) {
+		ck, err := train.Load(filepath.Join(goldenDir, "warp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := goldenSampler(t, ck, c)
+		before := sampler.CopyAssignments(s.Assignments())
+		if _, err := ck.RestoreInto(s); err == nil || !strings.Contains(err.Error(), `"wshd\x01"`) {
+			t.Fatalf("restore of wshd shards: err=%v, want a refusal naming the wshd tag", err)
+		}
+		if !reflect.DeepEqual(before, s.Assignments()) {
+			t.Fatal("refused restore mutated the sampler")
+		}
+		s.Iterate()
+	})
+
+	for _, name := range []string{"warp-dshd", "distributed"} {
 		t.Run("WARPMANI+WARPSHRD/"+name, func(t *testing.T) {
 			ck, err := train.Load(filepath.Join(goldenDir, name))
 			if err != nil {
@@ -108,20 +131,16 @@ func TestGoldenFixtures(t *testing.T) {
 			if reseeded, err := ck.RestoreInto(s); err != nil || reseeded {
 				t.Fatalf("restore: reseeded=%v err=%v", reseeded, err)
 			}
-			// The warp fixture's shards are legacy wshd, which core.Warp
-			// reads but no longer writes; warp-dshd holds what it writes.
-			if name != "warp" {
-				re := &train.Checkpoint{
-					Sampler: ck.Sampler, Cfg: ck.Cfg, Iter: ck.Iter, Elapsed: ck.Elapsed,
-					Trace: ck.Trace, Fingerprint: ck.Fingerprint,
-				}
-				reDir, err := re.WriteSharded(t.TempDir(), s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range append([]string{train.ManifestFileName}, ck.ShardFiles...) {
-					sameFile(t, filepath.Join(reDir, f), filepath.Join(ck.Dir, f))
-				}
+			re := &train.Checkpoint{
+				Sampler: ck.Sampler, Cfg: ck.Cfg, Iter: ck.Iter, Elapsed: ck.Elapsed,
+				Trace: ck.Trace, Fingerprint: ck.Fingerprint,
+			}
+			reDir, err := re.WriteSharded(t.TempDir(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range append([]string{train.ManifestFileName}, ck.ShardFiles...) {
+				sameFile(t, filepath.Join(reDir, f), filepath.Join(ck.Dir, f))
 			}
 			resumeGolden(t, ck, c)
 		})

@@ -26,10 +26,11 @@ func fuzzConfig() sampler.Config {
 // FuzzDecodeShard feeds the shard decoder hostile bytes. The seeds
 // (testdata/fuzz/FuzzDecodeShard) are the golden distributed fixture's
 // shard 0, a one-thread core.Warp shard, and the golden warp fixture's
-// legacy wshd shard 0. DecodeWorkerState must never panic, and a stream
-// it accepts must re-encode to the bytes it consumed (the layout has one
-// encoding). DecodeShards, over the stream as a one-shard set, must
-// never panic either, and a set it accepts must place every token.
+// shard 0, a stream of the retired wshd layout that must be refused.
+// DecodeWorkerState must never panic, and a stream it accepts must
+// re-encode to the bytes it consumed (the layout has one encoding).
+// DecodeShards, over the stream as a one-shard set, must never panic
+// either, and a set it accepts must place every token.
 func FuzzDecodeShard(f *testing.F) {
 	c, cfg := fuzzCorpus(), fuzzConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {

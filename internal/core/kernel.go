@@ -241,7 +241,6 @@ type Pass struct {
 	betas, alphas           []float64    // per-topic priors of the word and the doc phase
 	alphaTab                alias.Packed // q^doc smoothing part for asymmetric α (nil = uniform)
 	ckb                     []float64    // C_k + β̄
-	denseAlias, docAlias    bool         // the proposal-table ablations of Options
 }
 
 // NewPass builds the pass context of cfg over a vocabulary of v words,
@@ -273,12 +272,13 @@ func (p *Pass) Freeze(ck []int32) {
 }
 
 // Worker is one goroutine's scratch for phase runs: its generator, the
-// counts of the visited word or document and their recount, and the
-// proposal table with its build buffers. Only R's state outlives a run.
+// counts of the visited word or document, the word's recount, and the
+// word proposal table with its build buffers. Only R's state outlives a
+// run.
 type Worker struct {
 	R       *rng.RNG
 	cur     countRow  // c_w or c_d of the column or row being visited
-	next    countRow  // its recount after the chains, for the proposal table
+	next    countRow  // a word's recount after the chains, for the proposal table
 	spare   []int32   // touched list of lane rows, which nobody reads
 	topics  []int32   // outcomes of the proposal table being built
 	weights []float64 // matching weights
@@ -304,9 +304,10 @@ func (wk *Worker) proposalTable(dst alias.Packed, topics []int32, weights []floa
 	return wk.build.Pack(dst[:0], topics)
 }
 
-// appendSmooth adds the smoothing part of a proposal mixture (mass Kβ
-// or ᾱ) to a sparse table's input as the single outcome smoothTopic, so
-// that one alias draw decides both the mixture coin and the count part.
+// appendSmooth adds the smoothing part of the word proposal's mixture
+// (mass Kβ) to a sparse table's input as the single outcome smoothTopic,
+// so that one alias draw decides both the mixture coin and the count
+// part.
 func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []float64) {
 	return append(topics, smoothTopic), append(weights, mass)
 }
@@ -322,17 +323,8 @@ func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, acc
 	count(data, idx, stride, &wk.cur)
 	proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.betas, p.ckb, wk.R)
 
-	topics, weights := wk.topics[:0], wk.weights[:0]
-	if p.denseAlias {
-		// Ablation: a table over all K topics, O(K) per word.
-		for t, c := range wk.next.c {
-			topics = append(topics, int32(t))
-			weights = append(weights, float64(c)+p.beta)
-		}
-	} else {
-		topics, weights = wk.next.appendNonZero(topics, weights)
-		topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
-	}
+	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
+	topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
 	wk.topics, wk.weights = topics, weights
 	wk.tab = wk.proposalTable(wk.tab, topics, weights)
 	drawAlias(data, idx, stride, wk.tab, nil, p.k, wk.R)
@@ -350,26 +342,8 @@ func (p *Pass) DocRun(wk *Worker, data, idx []int32, stride int, lane []int32) (
 	wk.cur.reset()
 	count(data, idx, stride, &wk.cur)
 	acc := wk.laneRow(lane)
-	next := &acc
-	if p.docAlias {
-		wk.next.reset()
-		next = &wk.next
-	}
-	proposed, accepted = chain(data, idx, stride, wk.cur, next, p.alphas, p.ckb, wk.R)
-
-	if !p.docAlias {
-		ld := float64(len(idx))
-		drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, wk.R)
-		return proposed, accepted
-	}
-	// Ablation: a sparse alias table over the recounted c_d instead of
-	// random positioning (Section 4.3 lists both as O(1) options).
-	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
-	for i, t := range topics {
-		lane[t] += int32(weights[i])
-	}
-	wk.topics, wk.weights = appendSmooth(topics, weights, p.alphaBar)
-	wk.tab = wk.proposalTable(wk.tab, wk.topics, wk.weights)
-	drawAlias(data, idx, stride, wk.tab, p.alphaTab, p.k, wk.R)
+	proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, wk.R)
+	ld := float64(len(idx))
+	drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, wk.R)
 	return proposed, accepted
 }

@@ -262,8 +262,7 @@ func (pt *proposalTally) check(t *testing.T, what string) {
 // assignments the phase left behind. Mixing long and short documents
 // makes both the count part and the smoothing part carry real mass (the
 // priors scale with 1/K, so they do at every K); the cases cover small
-// and large K, the asymmetric prior, the proposal ablations and the
-// staged heavy path.
+// and large K, the asymmetric prior at both, and the staged heavy path.
 func TestProposalsFollowTheirDistributions(t *testing.T) {
 	c := &corpus.Corpus{V: 40}
 	for d := 0; d < 400; d++ {
@@ -280,17 +279,13 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 	cases := []struct {
 		name     string
 		k        int // 0 means 6
-		opts     Options
 		alphaVec bool
 		threads  int
 	}{
 		{name: "dense"},
 		{name: "K2048", k: 2048},
 		{name: "alphavec", alphaVec: true},
-		{name: "dense-alias", opts: Options{DisableSparseAlias: true}},
-		{name: "doc-alias", opts: Options{DocProposalAlias: true}},
-		{name: "doc-alias-alphavec", opts: Options{DocProposalAlias: true}, alphaVec: true},
-		{name: "doc-alias-alphavec-K2048", k: 2048, opts: Options{DocProposalAlias: true}, alphaVec: true},
+		{name: "alphavec-K2048", k: 2048, alphaVec: true},
 		{name: "heavy", threads: 3},
 	}
 	alphaPattern := []float64{0.05, 0.2, 0.5, 1, 2, 4}
@@ -305,7 +300,7 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 					cfg.AlphaVec[i] = alphaPattern[i%6] * scale
 				}
 			}
-			w, err := NewWithOptions(c, cfg, tc.opts)
+			w, err := New(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,28 +350,23 @@ func heavyMixCorpus() *corpus.Corpus {
 	return c
 }
 
-// After every Iterate, whatever the topic count, prior, ablation option
-// or thread count, the global counts must be the histogram of the
-// assignments and account for every token, and the pass statistics must
-// describe the pass.
+// After every Iterate, whatever the topic count, prior or thread count,
+// the global counts must be the histogram of the assignments and
+// account for every token, and the pass statistics must describe the
+// pass.
 func TestIterateKeepsCountsConsistent(t *testing.T) {
 	c := heavyMixCorpus()
 	total := int32(c.NumTokens())
 	cases := []struct {
 		name     string
 		k        int // 0 means 12
-		opts     Options
 		alphaVec bool
 	}{
 		{name: "dense"},
 		{name: "K2048", k: 2048},
 		{name: "K65536", k: 65536},
 		{name: "alphavec", alphaVec: true},
-		{name: "dense-alias", opts: Options{DisableSparseAlias: true}},
-		{name: "doc-alias", opts: Options{DocProposalAlias: true}},
-		{name: "doc-alias-alphavec-K2048", k: 2048, opts: Options{DocProposalAlias: true}, alphaVec: true},
-		{name: "shuffled", opts: Options{ShuffleTokens: true}},
-		{name: "no-intra-word", opts: Options{DisableIntraWord: true}},
+		{name: "alphavec-K2048", k: 2048, alphaVec: true},
 	}
 	for _, tc := range cases {
 		for _, threads := range []int{1, 3} {
@@ -389,13 +379,13 @@ func TestIterateKeepsCountsConsistent(t *testing.T) {
 						cfg.AlphaVec[k] = 0.05 * float64(k%12+1)
 					}
 				}
-				w, err := NewWithOptions(c, cfg, tc.opts)
+				w, err := New(c, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Word 0 occurs 1920 times: heavy while that exceeds max(K, 1024).
 				wantHeavy := 0
-				if threads > 1 && !tc.opts.DisableIntraWord && cfg.K < 1920 {
+				if threads > 1 && cfg.K < 1920 {
 					wantHeavy = 1
 				}
 				for it := 0; it < 6; it++ {

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -131,17 +130,6 @@ func EncodeWorkerState(w io.Writer, st *WorkerState) error {
 	return sw.flush()
 }
 
-// decodeHeader reads what follows the tag in both dshd and the legacy
-// wshd: shard index, worker count, M (which must be m), RNG state.
-func decodeHeader(dec *sampler.Dec, m int) *WorkerState {
-	st := &WorkerState{Index: dec.Int(), Workers: dec.Int(), M: dec.Int()}
-	if dec.Err() == nil && st.M != m {
-		dec.Failf("core: shard has M=%d, sampler has M=%d", st.M, m)
-	}
-	st.RNGState = dec.RNGState()
-	return st
-}
-
 // DecodeWorkerState reads one dshd stream and validates it structurally
 // against the given corpus shape: M must match m, every payload topic
 // must be in [0,k), every token cell must lie inside (numDocs, v), and
@@ -151,7 +139,11 @@ func decodeHeader(dec *sampler.Dec, m int) *WorkerState {
 func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerState, error) {
 	dec := sampler.NewDec(r)
 	dec.Tag(shardTag)
-	st := decodeHeader(dec, m)
+	st := &WorkerState{Index: dec.Int(), Workers: dec.Int(), M: dec.Int()}
+	if dec.Err() == nil && st.M != m {
+		dec.Failf("core: shard has M=%d, sampler has M=%d", st.M, m)
+	}
+	st.RNGState = dec.RNGState()
 	n := dec.Int()
 	if dec.Err() == nil && (n < 0 || n > maxTokens) {
 		dec.Failf("core: shard has implausible %d tokens", n)
@@ -183,7 +175,7 @@ func DecodeShards(cfg sampler.Config, c corpus.Provider, words func(d int) []int
 	}
 	left := c.NumTokens()
 	for i, r := range shards {
-		st, err := decodeShard(bufio.NewReader(r), cfg, c, words, left)
+		st, err := DecodeWorkerState(r, cfg.K, cfg.M, c.NumDocs(), c.NumWords(), left)
 		if err == nil && (st.Index != i || st.Workers != len(shards)) {
 			err = fmt.Errorf("core: shard in position %d of %d identifies as shard %d of %d (foreign or reordered shard file)", i, len(shards), st.Index, st.Workers)
 		}
@@ -195,45 +187,6 @@ func DecodeShards(cfg sampler.Config, c corpus.Provider, words func(d int) []int
 	}
 	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), words)
 	return states, pos, err
-}
-
-// decodeShard reads one stream of a set: dshd, or the legacy wshd that
-// core.Warp once wrote, read so older checkpoints still resume. wshd
-// has dshd's header, then the worker's doc-phase row ranges (ascending)
-// and their rows' payloads in row order. A row of the writer's matrix
-// holds its document's tokens in corpus order, so words must list them
-// in that order: core.Warp's own rows and the corpus's documents both do.
-func decodeShard(br *bufio.Reader, cfg sampler.Config, c corpus.Provider, words func(int) []int32, maxTokens int) (*WorkerState, error) {
-	if tag, _ := br.Peek(len(shardTag)); string(tag) != "wshd\x01" {
-		return DecodeWorkerState(br, cfg.K, cfg.M, c.NumDocs(), c.NumWords(), maxTokens)
-	}
-	_, _ = br.Discard(len(shardTag)) // cannot fail: Peek buffered the tag
-	dec := sampler.NewDec(br)
-	st, docs := decodeHeader(dec, cfg.M), c.NumDocs()
-	ranges := dec.Int()
-	if dec.Err() == nil && (ranges < 0 || ranges > docs) {
-		dec.Failf("core: shard has implausible %d row ranges", ranges)
-	}
-	t, next := &st.Tokens, 0
-	for ; ranges > 0 && dec.Err() == nil; ranges-- {
-		lo, hi := dec.Int(), dec.Int()
-		if dec.Err() == nil && (lo < next || lo >= hi || hi > docs) {
-			dec.Failf("core: shard row range [%d,%d) out of order or outside corpus of %d docs", lo, hi, docs)
-		}
-		for row := lo; row < hi && dec.Err() == nil; row++ {
-			if ws := words(row); t.Len()+len(ws) <= maxTokens {
-				for _, w := range ws {
-					t.D, t.W = append(t.D, int32(row)), append(t.W, w)
-				}
-			} else {
-				dec.Failf("core: shard holds more tokens than the corpus")
-			}
-		}
-		next = hi
-	}
-	t.Data = dec.I32sLen("shard token payloads", t.Len()*(cfg.M+1))
-	dec.CheckTopics("shard token payloads", t.Data, cfg.K)
-	return st, dec.Err()
 }
 
 // matchTokens checks that the tokens of states are exactly the cells of

@@ -63,40 +63,12 @@ const (
 	heavyBatchBytes = 8 << 20
 )
 
-// Options tune implementation details of the sampler. The zero value is
-// the paper's configuration with one departure: Section 5.4 keeps c_d
-// and c_w in a hash table, and here they are a K-sized array with a
-// touched list at every K (countRow in kernel.go), which was faster in
-// every cell of a sweep up to K = 2²⁰ (docs/PERFORMANCE.md).
-type Options struct {
-	// DisableSparseAlias replaces the sparse alias table for the word
-	// proposal with a dense K-sized table (ablation; O(K) per word).
-	DisableSparseAlias bool
-	// DocProposalAlias draws the doc proposal from a per-document sparse
-	// alias table over c_d instead of random positioning (the paper's
-	// Section 4.3 lists both as O(1) options; positioning avoids the
-	// build). Ablation knob.
-	DocProposalAlias bool
-	// ShuffleTokens randomizes the CSC entry order, defeating the sorted
-	// within-column layout of Section 5.2 (cache ablation). Assignments()
-	// then reports per-document topic multisets in scrambled token order,
-	// so it is for performance measurements only.
-	ShuffleTokens bool
-	// DisableIntraWord turns off Section 5.4's intra-word parallelism:
-	// with multiple threads, columns whose term frequency exceeds
-	// max(K, 1024) are by default processed by all workers together
-	// through the staged passes in heavy.go, which keeps only one c_w in
-	// cache and balances the load the heaviest words would otherwise skew.
-	DisableIntraWord bool
-}
-
 // Warp is the WarpLDA sampler bound to one corpus. The corpus may be
 // any Provider: in-memory, or a memory-mapped .warpcorpus cache whose
 // token array lives in page cache instead of heap (corpus.OpenMapped).
 type Warp struct {
-	cfg  sampler.Config
-	opts Options
-	c    corpus.Provider
+	cfg sampler.Config
+	c   corpus.Provider
 
 	// m holds one entry per token at (doc, word); the payload is the
 	// current assignment z followed by M proposals.
@@ -127,13 +99,12 @@ type worker struct {
 }
 
 // New builds a WarpLDA sampler. The corpus must be valid; cfg.M ≥ 1 is
-// required (the paper uses M between 1 and 4).
+// required (the paper uses M between 1 and 4). The sampler is the
+// paper's design with one departure: Section 5.4 keeps c_d and c_w in a
+// hash table, and here they are a K-sized array with a touched list at
+// every K (countRow in kernel.go), which was faster in every cell of a
+// sweep up to K = 2²⁰ (docs/PERFORMANCE.md).
 func New(c corpus.Provider, cfg sampler.Config) (*Warp, error) {
-	return NewWithOptions(c, cfg, Options{})
-}
-
-// NewWithOptions is New with implementation knobs exposed for ablations.
-func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,13 +120,11 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 
 	w := &Warp{
 		cfg:    cfg,
-		opts:   opts,
 		c:      c,
 		ck:     make([]int32, cfg.K),
 		ckNext: make([]int32, cfg.K),
 		pass:   NewPass(cfg, c.NumWords()),
 	}
-	w.pass.denseAlias, w.pass.docAlias = opts.DisableSparseAlias, opts.DocProposalAlias
 
 	b := sparse.NewBuilder(max(1, c.NumDocs()), c.NumWords(), cfg.M+1)
 	for d, nd := 0, c.NumDocs(); d < nd; d++ {
@@ -163,11 +132,7 @@ func NewWithOptions(c corpus.Provider, cfg sampler.Config, opts Options) (*Warp,
 			b.AddEntry(d, int(word))
 		}
 	}
-	if opts.ShuffleTokens {
-		w.m = b.FreezeShuffled(cfg.Seed)
-	} else {
-		w.m = b.Freeze()
-	}
+	w.m = b.Freeze()
 
 	// Random initialization: z uniform; proposals start equal to z so the
 	// first word phase's chains are no-ops.
@@ -200,10 +165,11 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	// Balance the phase work: columns by term frequency, rows by length.
 	tf := corpus.TermFreqsOf(w.c)
 	// Section 5.4: the most frequent words (Lw > K) are processed with
-	// all workers cooperating; they are excluded from the per-worker
-	// chunks by zeroing their weight.
+	// all workers cooperating, which keeps one c_w in cache and balances
+	// the load those words would otherwise skew; they are excluded from
+	// the per-worker chunks by zeroing their weight.
 	w.isHeavy = make([]bool, w.c.NumWords())
-	if n > 1 && !w.opts.DisableIntraWord {
+	if n > 1 {
 		threshold := w.cfg.K
 		if threshold < 1024 {
 			threshold = 1024 // avoid barrier overhead on toy columns

@@ -224,23 +224,6 @@ func TestParallelMatchesInvariants(t *testing.T) {
 	}
 }
 
-func TestDenseAliasAblationConverges(t *testing.T) {
-	c := testCorpus(10)
-	cfg := defaultCfg(8)
-	w, err := NewWithOptions(c, cfg, Options{DisableSparseAlias: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	for i := 0; i < 20; i++ {
-		w.Iterate()
-	}
-	after := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	if after <= before {
-		t.Fatalf("dense-alias path did not converge: %.1f -> %.1f", before, after)
-	}
-}
-
 func TestLargeKConverges(t *testing.T) {
 	c := testCorpus(11)
 	cfg := sampler.PaperDefaults(2048) // more topics than any row has tokens
@@ -307,44 +290,6 @@ func BenchmarkIterate(b *testing.B) {
 		w.Iterate()
 	}
 	b.ReportMetric(float64(tokens*b.N)/b.Elapsed().Seconds(), "tokens/s")
-}
-
-func TestDocProposalAliasAblationConverges(t *testing.T) {
-	c := testCorpus(13)
-	cfg := defaultCfg(8)
-	w, err := NewWithOptions(c, cfg, Options{DocProposalAlias: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	for i := 0; i < 20; i++ {
-		w.Iterate()
-	}
-	after := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-	if after <= before {
-		t.Fatalf("doc-alias path did not converge: %.1f -> %.1f", before, after)
-	}
-	want := countsFromAssignments(w.Assignments(), cfg.K)
-	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
-		t.Fatal("doc-alias ck inconsistent")
-	}
-}
-
-func TestShuffledTokensStillRun(t *testing.T) {
-	c := testCorpus(14)
-	cfg := defaultCfg(8)
-	w, err := NewWithOptions(c, cfg, Options{ShuffleTokens: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		w.Iterate()
-	}
-	// Global counts must still match the assignment multiset.
-	want := countsFromAssignments(w.Assignments(), cfg.K)
-	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
-		t.Fatal("shuffled ck inconsistent")
-	}
 }
 
 func TestAsymmetricAlphaConverges(t *testing.T) {
@@ -441,13 +386,14 @@ func TestIntraWordParallelism(t *testing.T) {
 	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatal("intra-word ck inconsistent")
 	}
-	// Disabled variant must not classify anything heavy.
-	w2, err := NewWithOptions(c, cfg, Options{DisableIntraWord: true})
+	// One thread has no one to cooperate with: nothing is heavy.
+	cfg.Threads = 1
+	w1, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w2.heavyCols) != 0 {
-		t.Fatal("DisableIntraWord ignored")
+	if len(w1.heavyCols) != 0 {
+		t.Fatalf("heavy columns = %v with one thread, want none", w1.heavyCols)
 	}
 }
 

@@ -205,14 +205,14 @@ func TestResumeAcrossFourHops(t *testing.T) {
 	resume(warp1(), withThreads(1), ck, 16)
 }
 
-// TestLegacyShardsRestoreIntoEitherSampler restores legacy wshd shards
-// of a corpus whose documents are not in word order into core.Warp and
-// Distributed, and requires every token back with its own saved (d, w,
-// z, proposals). The wshd streams are rebuilt from a core.Warp's dshd
-// streams: both hold a worker's doc-phase rows in row order, and wshd
-// has the rows' ranges in place of the docs and words sections. Both
-// restores reseed: one changes the worker count, the other the sampler.
-func TestLegacyShardsRestoreIntoEitherSampler(t *testing.T) {
+// TestWarpShardsRestoreIntoEitherSampler restores the dshd shards of a
+// 2-thread core.Warp, over a corpus whose documents are not in word
+// order, into core.Warp and Distributed, and requires every token back
+// with its own saved (d, w, z, proposals). core.Warp writes a worker's
+// doc-phase rows in row order, which the decoder must match to the
+// corpus's token order however the words fall. Both restores reseed:
+// one changes the worker count, the other the sampler.
+func TestWarpShardsRestoreIntoEitherSampler(t *testing.T) {
 	c, err := corpus.GenerateLDA(corpus.SyntheticConfig{D: 40, V: 60, K: 4, MeanLen: 12, Alpha: 0.1, Beta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -236,35 +236,6 @@ func TestLegacyShardsRestoreIntoEitherSampler(t *testing.T) {
 		if err := src.ShardTo(i, &b); err != nil {
 			t.Fatal(err)
 		}
-		st, err := core.DecodeWorkerState(&b, cfg.K, cfg.M, c.NumDocs(), c.V, c.NumTokens())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ranges [][2]int
-		for _, d := range st.Tokens.D {
-			if n := len(ranges); n > 0 && ranges[n-1][1] >= int(d) {
-				ranges[n-1][1] = int(d) + 1
-			} else {
-				ranges = append(ranges, [2]int{int(d), int(d) + 1})
-			}
-		}
-		e := sampler.NewEnc(&b)
-		e.Tag("wshd\x01")
-		for _, v := range []int{st.Index, st.Workers, st.M} {
-			e.Int(v)
-		}
-		for _, u := range st.RNGState {
-			e.U64(u)
-		}
-		e.Int(len(ranges))
-		for _, rg := range ranges {
-			e.Int(rg[0])
-			e.Int(rg[1])
-		}
-		e.I32s(st.Tokens.Data)
-		if e.Err() != nil {
-			t.Fatal(e.Err())
-		}
 		streams[i] = b.Bytes()
 	}
 	restore := func(s sampler.Sharded) {
@@ -275,7 +246,7 @@ func TestLegacyShardsRestoreIntoEitherSampler(t *testing.T) {
 		}
 		reseeded, err := s.RestoreShards(1, src.Name(), readers)
 		if err != nil || !reseeded {
-			t.Fatalf("%s: restore of legacy shards: reseeded=%v err=%v", s.Name(), reseeded, err)
+			t.Fatalf("%s: restore of core.Warp shards: reseeded=%v err=%v", s.Name(), reseeded, err)
 		}
 		if got := tokenMultiset(t, s, c, cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: restored tokens differ from the saved (d, w, z, proposals)", s.Name())

@@ -44,6 +44,7 @@ package infer
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -208,22 +209,19 @@ func (e *Engine) Beta() float64 { return e.p.Beta }
 // responsibility (0 <= w < V, 0 <= k < K).
 func (e *Engine) Count(w, k int) int32 { return e.p.Cw[w*e.p.K+k] }
 
-// TopicTokens returns the global token count C_k of topic k.
-func (e *Engine) TopicTokens(k int) int64 { return e.p.Ck[k] }
-
 // Phi evaluates the frozen point estimate Φ̂_wk = (C_wk+β)/(C_k+β̄).
 func (e *Engine) Phi(w, k int) float64 {
 	return (float64(e.p.Cw[w*e.p.K+k]) + e.p.Beta) / e.ckBar[k]
 }
 
 // MemoryBytes is the memory the engine owns: the C_k+β̄ row, the
-// smoothing table, and per word one slice header plus 16 bytes per
-// alias bin (its support and the smoothTopic outcome). It excludes the
+// smoothing table, and per word one slice header (three words) plus 16
+// bytes per alias bin (its support and the smoothTopic outcome). It excludes the
 // Params count slices, which the engine retains but does not own
 // (Model.SizeBytes accounts for those). Multi-model serving layers use
 // the sum of both to enforce an LRU byte budget.
 func (e *Engine) MemoryBytes() int64 {
-	const binBytes, sliceHeader = 16, 24
+	const binBytes, sliceHeader = 16, 3 * strconv.IntSize / 8
 	n := int64(len(e.ckBar))*8 + int64(len(e.smooth))*binBytes
 	n += int64(len(e.words)) * sliceHeader
 	for _, tab := range e.words {

@@ -3,6 +3,7 @@ package infer
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -183,7 +184,7 @@ func TestMemoryBytesIsExact(t *testing.T) {
 		t.Errorf("MemoryBytes() = %d, the engine's slices hold %d", got, want)
 	}
 	// 4 words with 2+2+2+0 supported topics and one smoothing bin each.
-	if got, want := e.MemoryBytes(), int64(3*8+3*16+4*24+(6+4)*16); got != want {
+	if got, want := e.MemoryBytes(), int64(3*8+3*16+4*(3*strconv.IntSize/8)+(6+4)*16); got != want {
 		t.Errorf("MemoryBytes() = %d, want %d", got, want)
 	}
 

@@ -122,23 +122,6 @@ func AcceptMask(x uint64, num, den float64) uint64 {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 { return Unit(r.Uint64()) }
 
-// Bernoulli returns true with probability p (clamped to [0,1]).
-func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// Exponential returns an exponentially distributed value with rate 1.
-func (r *RNG) Exponential() float64 {
-	// -log(1-U) with U in [0,1); 1-U is in (0,1] so the log is finite.
-	return -math.Log(1 - r.Float64())
-}
-
 // Gamma returns a Gamma(shape, 1) distributed value using the
 // Marsaglia–Tsang method (for shape >= 1) with the standard boost for
 // shape < 1. Used by the synthetic corpus generator to draw Dirichlet

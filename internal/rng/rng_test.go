@@ -202,33 +202,6 @@ func TestAcceptMask(t *testing.T) {
 	}
 }
 
-func TestBernoulliEdges(t *testing.T) {
-	r := New(9)
-	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
-func TestBernoulliMean(t *testing.T) {
-	r := New(13)
-	const p, draws = 0.3, 100000
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if r.Bernoulli(p) {
-			hits++
-		}
-	}
-	got := float64(hits) / draws
-	if math.Abs(got-p) > 0.01 {
-		t.Fatalf("Bernoulli(%g) empirical mean %g", p, got)
-	}
-}
-
 func TestGammaMean(t *testing.T) {
 	r := New(17)
 	for _, shape := range []float64{0.1, 0.5, 1, 2.5, 10} {

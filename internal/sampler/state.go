@@ -23,13 +23,13 @@ import (
 	"warplda/internal/rng"
 )
 
-// maxStateElems caps any single length prefix read by Dec; 1<<31
-// entries is far above any corpus this in-memory implementation can
+// maxStateElems caps any single length prefix read by Dec; 1<<31 - 1
+// entries (the largest int on a 32-bit platform) is far above any corpus this in-memory implementation can
 // hold. Below the cap, slices are read through fsio.ReadSlice, so a
 // corrupt or hostile prefix — in a checkpoint before its checksum is
 // checked, or in a wire payload, which no checksum authenticates —
 // allocates in proportion to the bytes actually present.
-const maxStateElems = 1 << 31
+const maxStateElems = 1<<31 - 1
 
 // Enc writes binary sampler state. The first error sticks; check Err
 // once at the end.

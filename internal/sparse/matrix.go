@@ -62,37 +62,12 @@ func (b *Builder) AddEntry(row, col int) {
 // NNZ returns the number of entries added so far.
 func (b *Builder) NNZ() int { return len(b.entryRow) }
 
-// FreezeShuffled is Freeze with the entry order randomly permuted first
-// (seeded deterministically). Columns then hold their entries in a
-// scrambled row order, defeating the cache-line reuse that Section 5.2's
-// sorted layout provides — the "unsorted CSC" ablation. Note that row
-// views then no longer preserve token insertion order.
-func (b *Builder) FreezeShuffled(seed uint64) *Matrix {
-	// xorshift-style shuffle without importing the rng package (avoids a
-	// dependency cycle risk and keeps sparse self-contained).
-	s := seed*2862933555777941757 + 3037000493
-	next := func(n int) int {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		return int(s % uint64(n))
-	}
-	for i := len(b.entryRow) - 1; i > 0; i-- {
-		j := next(i + 1)
-		b.entryRow[i], b.entryRow[j] = b.entryRow[j], b.entryRow[i]
-		b.entryCol[i], b.entryCol[j] = b.entryCol[j], b.entryCol[i]
-	}
-	return b.freeze(false)
-}
-
 // Freeze builds the Matrix. The builder should not be reused afterwards.
 //
 // Entries are placed in CSC order sorted by (col, row) using two stable
 // counting passes (sort by row, then by column), which is O(NNZ + D + V)
 // and yields the within-column row ordering Section 5.2 requires.
-func (b *Builder) Freeze() *Matrix { return b.freeze(true) }
-
-func (b *Builder) freeze(sortRows bool) *Matrix {
+func (b *Builder) Freeze() *Matrix {
 	nnz := len(b.entryRow)
 	m := &Matrix{
 		Rows: b.rows, Cols: b.cols, Stride: b.stride,
@@ -104,8 +79,7 @@ func (b *Builder) freeze(sortRows bool) *Matrix {
 		rowPtr:   make([]int32, nnz),
 	}
 
-	// Pass 1: stable counting sort of entry indices by row (skipped for
-	// the unsorted-CSC ablation, where insertion order is used directly).
+	// Pass 1: stable counting sort of entry indices by row.
 	rowCount := make([]int32, b.rows+1)
 	for _, r := range b.entryRow {
 		rowCount[r+1]++
@@ -115,18 +89,12 @@ func (b *Builder) freeze(sortRows bool) *Matrix {
 	}
 	copy(m.rowStart, rowCount)
 	byRow := make([]int32, nnz)
-	if sortRows {
-		next := make([]int32, b.rows)
-		copy(next, rowCount[:b.rows])
-		for i := 0; i < nnz; i++ {
-			r := b.entryRow[i]
-			byRow[next[r]] = int32(i)
-			next[r]++
-		}
-	} else {
-		for i := range byRow {
-			byRow[i] = int32(i)
-		}
+	next := make([]int32, b.rows)
+	copy(next, rowCount[:b.rows])
+	for i := 0; i < nnz; i++ {
+		r := b.entryRow[i]
+		byRow[next[r]] = int32(i)
+		next[r]++
 	}
 
 	// Pass 2: stable counting sort of byRow by column → CSC order with
@@ -209,7 +177,7 @@ func (v ColView) Payload() []int32 {
 }
 
 // RowView is the indirect view of a row's entries, in the order they
-// were added (Freeze keeps it; FreezeShuffled scrambles it).
+// were added.
 type RowView struct {
 	m     *Matrix
 	start int32

@@ -36,7 +36,8 @@ func TestColumnsSortedByRow(t *testing.T) {
 
 // TestRowsKeepInsertionOrder pins that Freeze lists a row's entries in
 // the order they were added, not by column: a document's tokens keep
-// their corpus order, which the legacy wshd checkpoint reader relies on.
+// their corpus order, which core.Warp's Assignments relies on to report
+// topic [d][n] for token n of document d.
 func TestRowsKeepInsertionOrder(t *testing.T) {
 	m, ref := buildRandom(4, 10, 30, 200, 1)
 	want := make([][]int32, m.Rows)
@@ -356,43 +357,5 @@ func BenchmarkGreedyPartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GreedyPartition(w, 64)
-	}
-}
-
-func TestFreezeShuffledPreservesMultiset(t *testing.T) {
-	r := rng.New(31)
-	b := NewBuilder(10, 12, 1)
-	want := map[[2]int32]int{}
-	for i := 0; i < 120; i++ {
-		row, col := r.Intn(10), r.Intn(12)
-		b.AddEntry(row, col)
-		want[[2]int32{int32(row), int32(col)}]++
-	}
-	m := b.FreezeShuffled(5)
-	got := map[[2]int32]int{}
-	m.VisitByColumn(func(col int, v ColView) {
-		for i := 0; i < v.Len(); i++ {
-			got[[2]int32{v.Row(i), int32(col)}]++
-		}
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("shuffled freeze lost entries")
-	}
-	// Row and column views must still agree on entry payloads.
-	id := int32(0)
-	m.VisitByColumn(func(_ int, v ColView) {
-		for i := 0; i < v.Len(); i++ {
-			v.Data(i)[0] = id
-			id++
-		}
-	})
-	seen := map[int32]bool{}
-	m.VisitByRow(func(_ int, v RowView) {
-		for i := 0; i < v.Len(); i++ {
-			seen[v.Data(i)[0]] = true
-		}
-	})
-	if len(seen) != m.NNZ() {
-		t.Fatalf("row views reach %d entries, want %d", len(seen), m.NNZ())
 	}
 }

@@ -16,7 +16,7 @@ func exercise(t *testing.T, c Counter, k int, seed uint64, ops int) {
 	for i := 0; i < ops; i++ {
 		topic := int32(r.Intn(k))
 		switch {
-		case ref[topic] > 0 && r.Bernoulli(0.4):
+		case ref[topic] > 0 && r.Float64() < 0.4:
 			c.Decr(topic)
 			ref[topic]--
 		default:
@@ -143,7 +143,7 @@ func TestHashSumProperty(t *testing.T) {
 		ref := map[int32]int32{}
 		for i := 0; i < 400; i++ {
 			k := int32(r.Intn(64))
-			if ref[k] > 0 && r.Bernoulli(0.3) {
+			if ref[k] > 0 && r.Float64() < 0.3 {
 				h.Decr(k)
 				ref[k]--
 				balance--

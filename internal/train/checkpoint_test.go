@@ -18,13 +18,14 @@ import (
 // the repository root).
 const goldenDir = "../../testdata/golden"
 
-// goldenWarp copies the committed `warp` checkpoint fixture — iteration
-// 2 of a 2-thread WarpLDA run on the golden corpus, written by an
-// earlier release (testdata/golden/generate.go) — into a directory the
-// test may damage, and returns it with the corpus it belongs to.
+// goldenWarp copies the committed `warp-dshd` checkpoint fixture —
+// iteration 2 of a 2-thread WarpLDA run on the golden corpus, in the
+// dshd shard layout core.Warp writes (testdata/golden/generate.go) —
+// into a directory the test may damage, and returns it with the corpus
+// it belongs to.
 func goldenWarp(t *testing.T) (string, *corpus.Corpus) {
 	t.Helper()
-	src := filepath.Join(goldenDir, "warp", "checkpoint-00000002")
+	src := filepath.Join(goldenDir, "warp-dshd", "checkpoint-00000002")
 	dir := t.TempDir()
 	des, err := os.ReadDir(src)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"warplda/internal/eval"
 	"warplda/internal/fsio"
 )
 
@@ -177,10 +178,7 @@ func (m *Model) HeldOutPerplexity(docs [][]int32, sweeps int, seed uint64) float
 			tokens++
 		}
 	}
-	if tokens == 0 {
-		return math.Inf(1)
-	}
-	return math.Exp(-logp / float64(tokens))
+	return eval.Perplexity(logp, tokens)
 }
 
 // Split partitions a corpus into train and test halves by document,

@@ -7,8 +7,10 @@
 //	mkdir gen && cp <this repository>/testdata/golden/generate.go gen/main.go
 //	go run ./gen <this repository>/testdata/golden
 //
-// The one exception is warp-dshd. At ba1d440 core.Warp wrote its legacy
-// wshd shards (the warp fixture); warp-dshd holds the same run written
+// The one exception is warp-dshd. At ba1d440 core.Warp wrote shards in
+// the wshd layout (the warp fixture), which has since been retired: no
+// writer or reader of it is left, and golden_test.go keeps the fixture
+// as input a restore must refuse. warp-dshd holds the same run written
 // by core.Warp's dshd writer, so it was written by this program inside
 // a checkout of the commit that added that directory, which has that
 // writer, and only that directory was kept.
