@@ -2,6 +2,9 @@ package warplda
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,30 +124,83 @@ func TestGoldenFixtures(t *testing.T) {
 		s.Iterate()
 	})
 
-	for _, name := range []string{"warp-dshd", "distributed"} {
-		t.Run("WARPMANI+WARPSHRD/"+name, func(t *testing.T) {
-			ck, err := train.Load(filepath.Join(goldenDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := goldenSampler(t, ck, c)
-			if reseeded, err := ck.RestoreInto(s); err != nil || reseeded {
-				t.Fatalf("restore: reseeded=%v err=%v", reseeded, err)
-			}
-			re := &train.Checkpoint{
-				Sampler: ck.Sampler, Cfg: ck.Cfg, Iter: ck.Iter, Elapsed: ck.Elapsed,
-				Trace: ck.Trace, Fingerprint: ck.Fingerprint,
-			}
-			reDir, err := re.WriteSharded(t.TempDir(), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range append([]string{train.ManifestFileName}, ck.ShardFiles...) {
-				sameFile(t, filepath.Join(reDir, f), filepath.Join(ck.Dir, f))
-			}
-			resumeGolden(t, ck, c)
-		})
+	t.Run("WARPMANI+WARPSHRD/warp-dshd", func(t *testing.T) {
+		ck, s := restoreGolden(t, "warp-dshd", c)
+		reDir := rewriteGolden(t, ck, s)
+		for _, f := range append([]string{train.ManifestFileName}, ck.ShardFiles...) {
+			sameFile(t, filepath.Join(reDir, f), filepath.Join(ck.Dir, f))
+		}
+		resumeGolden(t, ck, c)
+	})
+
+	// The distributed fixture's shards hold each worker's tokens by
+	// sender window, as the exchange of the fixture's commit left them;
+	// a restore lays them out by (key, sender), so they re-write in that
+	// order. The re-written set must restore to the same state, and two
+	// iterations from the fixture must reach the assignments commit
+	// 57bbbf1, the last to group shards with a counting sort, reached
+	// from it: the layout is the order that grouping gave.
+	t.Run("WARPMANI+WARPSHRD/distributed", func(t *testing.T) {
+		ck, s := restoreGolden(t, "distributed", c)
+		reDir := rewriteGolden(t, ck, s)
+		reCk, re := restoreGolden(t, reDir, c)
+		if !reflect.DeepEqual(re.Assignments(), s.Assignments()) {
+			t.Fatal("the re-written shards restore to other assignments")
+		}
+		if !reflect.DeepEqual(re.(*cluster.Distributed).GlobalCounts(), s.(*cluster.Distributed).GlobalCounts()) {
+			t.Fatal("the re-written shards restore to other global counts")
+		}
+		// The shard streams carry the RNG states: a second re-write of
+		// the same state is byte for byte the first.
+		reDir2 := rewriteGolden(t, reCk, re)
+		for _, f := range append([]string{train.ManifestFileName}, ck.ShardFiles...) {
+			sameFile(t, filepath.Join(reDir2, f), filepath.Join(reDir, f))
+		}
+
+		s.Iterate()
+		s.Iterate()
+		h := sha256.New()
+		for _, zd := range s.Assignments() {
+			binary.Write(h, binary.LittleEndian, zd)
+		}
+		if got, want := fmt.Sprintf("%x", h.Sum(nil)), "bb18b51ea52b24f750a3e5ebc5b1791964965223cbb01e4ab9e9aff85f175afb"; got != want {
+			t.Fatalf("assignments two iterations after the fixture hash to %s, want %s", got, want)
+		}
+		resumeGolden(t, ck, c)
+	})
+}
+
+// restoreGolden restores the checkpoint in goldenDir/name (or at the
+// absolute path name) into the sampler that wrote it, exactly.
+func restoreGolden(t *testing.T, name string, c *corpus.Corpus) (*train.Checkpoint, sampler.Sharded) {
+	t.Helper()
+	if !filepath.IsAbs(name) {
+		name = filepath.Join(goldenDir, name)
 	}
+	ck, err := train.Load(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := goldenSampler(t, ck, c)
+	if reseeded, err := ck.RestoreInto(s); err != nil || reseeded {
+		t.Fatalf("restore: reseeded=%v err=%v", reseeded, err)
+	}
+	return ck, s
+}
+
+// rewriteGolden writes s as a checkpoint of ck's metadata and returns
+// its directory.
+func rewriteGolden(t *testing.T, ck *train.Checkpoint, s sampler.Sharded) string {
+	t.Helper()
+	re := &train.Checkpoint{
+		Sampler: ck.Sampler, Cfg: ck.Cfg, Iter: ck.Iter, Elapsed: ck.Elapsed,
+		Trace: ck.Trace, Fingerprint: ck.Fingerprint,
+	}
+	reDir, err := re.WriteSharded(t.TempDir(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reDir
 }
 
 // goldenSampler builds the sampler a checkpoint fixture was written by.

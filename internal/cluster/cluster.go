@@ -90,8 +90,14 @@ func (d *Distributed) Model(perPhaseTokenSec float64, net NetworkModel) Stats {
 }
 
 // load returns how many tokens each worker samples in phase ph (0 word,
-// 1 doc): what the exchange after the other phase delivers to it.
-func (d *Distributed) load(ph int) []int { return d.recv[1-ph] }
+// 1 doc): the size of its slab in the topology's layout.
+func (d *Distributed) load(ph int) []int {
+	n := make([]int, d.p)
+	for o := range n {
+		n[o] = d.top.Size(ph, o)
+	}
+	return n
+}
 
 // imbalance is sparse.ImbalanceIndex of per-worker token counts.
 func imbalance(loads []int) float64 {

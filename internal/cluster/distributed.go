@@ -16,9 +16,9 @@ import (
 // execution model of Section 5.3: each of P workers owns a disjoint set
 // of token entries; the word phase runs with entries partitioned by
 // column owner, the doc phase with entries partitioned by row owner, and
-// between unlike phases every off-diagonal block is shipped to its next
-// owner (the in-process MPI_Ialltoall: the sender copies each finished
-// block into its own window of the receiver's next slab). The only
+// between unlike phases every finished token goes to its next owner
+// (the in-process MPI_Ialltoall: each receiver copies every token once,
+// to its final offset in its next slab). The only
 // replicated state is the K-dim global count vector, allreduced once per
 // iteration — exactly the paper's claim that nothing else is shared.
 //
@@ -27,8 +27,8 @@ import (
 // and TestTwoPassLawMatchesExact holds both to one exact law. core.Warp
 // is the shared-memory path, Distributed the sharded one; the Figure 6
 // and 9 experiments run Distributed and price its topology with Model.
-// The live multi-process mode (internal/dist) runs the same Worker with
-// TCP in place of the windows.
+// The live multi-process mode (internal/dist) runs the same Worker and
+// the same layout with TCP between the workers.
 type Distributed struct {
 	cfg  sampler.Config
 	c    *corpus.Corpus
@@ -36,28 +36,30 @@ type Distributed struct {
 	top  *Topology
 	pass *core.Pass
 
-	// shards[i] holds worker i's tokens in word-phase position (grouped
-	// by column owner); next[i] is the slab the exchange fills for the
-	// coming phase, and the two swap after every phase.
-	shards, next []Slab
-	ck           []int32
+	// shards[i] holds worker i's tokens laid out for the coming phase
+	// (for the word phase between passes). next[i] is the slab a
+	// restore lays out for it, and between phases the payloads the
+	// exchange copies for it, swapped in after every phase. Laying a
+	// slab out by sender makes a run a function of its seed whatever the
+	// schedule.
+	shards []Slab
+	next   []Next
+	ck     []int32
 
-	// win[ph][i][j] is where sender i's tokens start in receiver j's slab
-	// after phase ph (0 word, 1 doc), and recv[ph][j] is receiver j's
-	// token count — both known from the partition. Laying the blocks out
-	// by sender makes a run a function of its seed whatever the schedule.
-	win  [2][][]int
-	recv [2][]int
+	// from[ph][j][x] is where in its sender's slab the token comes from
+	// that the exchange after phase ph (0 word, 1 doc) writes at offset
+	// x of receiver j's next slab; the sender is the one whose region
+	// holds x. Every slab keeps the cells of the initial layout at the
+	// same offsets (routes), so the index is a constant of the topology,
+	// and so are the documents and words of receiver j's slab for phase
+	// ph, cells[ph][j]: an exchange moves payloads only.
+	from  [2][][]int32
+	cells [2][]Slab
 
 	// ship[ph][i] is how many of the tokens worker i samples in phase ph
 	// go to another worker after it: the off-diagonal blocks of the
 	// partition, which Model prices.
 	ship [2][]int
-
-	// blockTokens is the send-block granularity of the pipelined
-	// exchange: Section 5.3.2 divides each partition into B×B blocks
-	// (B ∈ [2,10]) so finished blocks ship while later ones compute.
-	blockTokens int
 
 	workers []*Worker
 
@@ -92,7 +94,7 @@ func NewDistributed(c *corpus.Corpus, cfg sampler.Config, p int) (*Distributed, 
 		pass:   core.NewPass(cfg, c.V),
 		ck:     make([]int32, cfg.K),
 		shards: make([]Slab, p),
-		next:   make([]Slab, p),
+		next:   make([]Next, p),
 	}
 
 	dl := make([]int, c.NumDocs())
@@ -101,72 +103,133 @@ func NewDistributed(c *corpus.Corpus, cfg sampler.Config, p int) (*Distributed, 
 	}
 	cols := sparse.GreedyPartition(c.TermFrequencies(), p)
 	rows := sparse.GreedyPartition(dl, p)
-	d.top = NewTopology(rows.Assign, cols.Assign, p)
+	d.top = NewTopology(rows.Assign, cols.Assign, p, c.Docs)
 
-	// cross[i][j] counts the tokens of column owner i and row owner j.
-	cross := make([][]int, p)
-	for i := range cross {
-		cross[i] = make([]int, p)
-	}
-	for di, doc := range c.Docs {
-		for _, w := range doc {
-			cross[cols.Assign[w]][rows.Assign[di]]++
-		}
-	}
-	d.win[0], d.recv[0] = windows(p, func(i, j int) int { return cross[i][j] })
-	d.win[1], d.recv[1] = windows(p, func(i, j int) int { return cross[j][i] })
+	// A slab's tokens from sender s go back to s after the phase.
 	d.ship = [2][]int{make([]int, p), make([]int, p)}
-	for i := range cross {
-		for j, n := range cross[i] {
-			if i != j {
-				d.ship[0][i] += n
-				d.ship[1][j] += n
+	for ph, ship := range d.ship {
+		for i, at := range d.top.lay[ph] {
+			for c := 0; c+1 < len(at); c++ {
+				if c%p != i {
+					ship[i] += int(at[c+1] - at[c])
+				}
 			}
 		}
 	}
 
-	// Shard tokens by column owner with random initial assignments;
-	// proposals start equal to z so the first word phase's chains are
-	// no-ops.
-	stride := cfg.M + 1
-	for i := range d.shards {
-		d.shards[i] = makeSlab(d.recv[1][i], stride)
-	}
+	// Random initial assignments, in corpus order; proposals start equal
+	// to z so the first word phase's chains are no-ops.
 	r := rng.New(cfg.Seed)
+	var all Slab
 	for di, doc := range c.Docs {
 		for _, w := range doc {
 			z := int32(r.Intn(cfg.K))
-			d.ck[z]++
-			sh := &d.shards[cols.Assign[w]]
-			sh.D = append(sh.D, int32(di))
-			sh.W = append(sh.W, w)
-			for j := 0; j < stride; j++ {
-				sh.Data = append(sh.Data, z)
+			all.D, all.W = append(all.D, int32(di)), append(all.W, w)
+			for range cfg.M + 1 {
+				all.Data = append(all.Data, z)
 			}
 		}
 	}
+	if err := d.layOut(&all, nil); err != nil {
+		return nil, err
+	}
+	if err := d.routes(); err != nil {
+		return nil, err
+	}
 
-	d.blockTokens = BlockTokens(c.NumTokens(), p)
 	d.workers = make([]*Worker, p)
 	for i := range d.workers {
-		d.workers[i] = NewWorker(i, p, cfg.K, cfg.M, r.Split())
+		d.workers[i] = NewWorker(i, cfg.K, cfg.M, r.Split())
 	}
 	return d, nil
 }
 
-// windows lays out, for every receiver j, the tokens of the senders i
-// in sender order, where n(i, j) is how many i sends j: it returns each
-// sender's start offset per receiver, and each receiver's total.
-func windows(p int, n func(i, j int) int) (win [][]int, total []int) {
-	win, total = make([][]int, p), make([]int, p)
-	for i := range win {
-		win[i] = make([]int, p)
-		for j := range win[i] {
-			win[i][j] = total[j]
-			total[j] += n(i, j)
+// routes fills from and cells by a dry run of both exchanges: each
+// sender puts its tokens, in slab order, into the receivers' next slabs,
+// as Phase hands them on. The token at offset x of a word-phase slab
+// always lies in the cell it lies in now: each (word, sender) region
+// holds its documents in ascending order, each (document, sender)
+// region its words, and a cell's tokens keep their order; the initial
+// layout and every restore (corpus order) and exchange (emission order)
+// keep that. So two exchanges return every token to its offset, and the
+// offsets and cells recorded are those of every later exchange.
+func (d *Distributed) routes() error {
+	for ph := range d.from {
+		d.reset(1 - ph)
+		d.from[ph] = make([][]int32, d.p)
+		for j := range d.from[ph] {
+			d.from[ph][j] = make([]int32, d.top.Size(1-ph, j))
+		}
+		for i := range d.shards {
+			sh := &d.shards[i]
+			route, dest := sh.D, d.top.Rows
+			if ph == 1 {
+				route, dest = sh.W, d.top.Cols
+			}
+			for x, key := range route {
+				o := dest[key]
+				y, err := d.next[o].Put(i, sh, x)
+				if err != nil {
+					return err
+				}
+				d.from[ph][o][y] = int32(x)
+			}
+		}
+		if err := d.adopt(); err != nil {
+			return err
+		}
+		d.cells[1-ph] = make([]Slab, d.p)
+		for j, sh := range d.shards {
+			d.cells[1-ph][j] = Slab{D: sh.D, W: sh.W}
 		}
 	}
-	return win, total
+	return nil
+}
+
+// layOut puts the tokens of all, in corpus order — all's own, or the
+// order order lists them in — into the word-phase slabs, each as its
+// document's owner would send it, and counts their topics into ck.
+func (d *Distributed) layOut(all *Slab, order []int32) error {
+	d.reset(0)
+	for k := range all.D {
+		j := k
+		if order != nil {
+			j = int(order[k])
+		}
+		if _, err := d.next[d.top.Cols[all.W[j]]].Put(int(d.top.Rows[all.D[j]]), all, j); err != nil {
+			return err
+		}
+	}
+	if err := d.adopt(); err != nil {
+		return err
+	}
+	clear(d.ck)
+	for j := range all.D {
+		d.ck[all.Data[j*(d.cfg.M+1)]]++
+	}
+	return nil
+}
+
+// reset empties the next slabs for phase ph (0 word, 1 doc).
+func (d *Distributed) reset(ph int) {
+	for j := range d.next {
+		d.next[j].Reset(d.top, ph, j, d.cfg.M+1)
+	}
+}
+
+// adopt makes the filled next slabs the shards, and fails, changing
+// nothing, unless every one is full. The shards' arrays are not reused:
+// their documents and words may be cells.
+func (d *Distributed) adopt() error {
+	for j := range d.next {
+		if err := d.next[j].Full(); err != nil {
+			return err
+		}
+	}
+	for j := range d.next {
+		d.shards[j], d.next[j].Slab = d.next[j].Slab, Slab{}
+	}
+	return nil
 }
 
 // BlockTokens returns the send-block granularity of the pipelined
@@ -195,6 +258,13 @@ func (d *Distributed) Partitions() (rows, cols []int32) {
 	return d.top.Rows, d.top.Cols
 }
 
+// Counts returns how many tokens of each of slot's words and documents
+// each worker sends it (Topology.Counts): with Partitions, what a live
+// worker needs to lay out its slabs as this sampler does.
+func (d *Distributed) Counts(slot int) (words, docs []int32) {
+	return d.top.Counts(slot)
+}
+
 // Iterate implements sampler.Sampler: a pipelined word phase streaming
 // its finished blocks to the row owners, then a pipelined doc phase
 // streaming back to the column owners, then the ck allreduce.
@@ -210,35 +280,54 @@ func (d *Distributed) Iterate() {
 	}
 }
 
-// exchange runs phase ph (0 word, 1 doc) on every worker at once. Each
-// ships its finished blocks straight into its windows of the receivers'
-// next slabs, which then become the shards.
+// exchange runs phase ph (0 word, 1 doc) on every worker at once, then
+// has every receiver copy each of its tokens' payloads from its sender's
+// slab to its offset in its next slab — one write per token, in offset
+// order — and the next slabs, with the cells of the next phase, become
+// the shards.
 func (d *Distributed) exchange(ph int) {
-	stride := d.cfg.M + 1
-	for j := range d.next {
-		resize(&d.next[j], d.recv[ph][j], stride)
-	}
-	var wg sync.WaitGroup
-	for i, wk := range d.workers {
-		wg.Add(1)
-		go func(i int, wk *Worker) {
-			defer wg.Done()
-			at := slices.Clone(d.win[ph][i])
-			err := wk.Phase(d.pass, d.top, &d.shards[i], ph == 0, d.blockTokens, func(o int, b *Slab) error {
-				n := &d.next[o]
-				copy(n.D[at[o]:], b.D)
-				copy(n.W[at[o]:], b.W)
-				copy(n.Data[at[o]*stride:], b.Data)
-				at[o] += b.Len()
-				return nil
-			})
-			if err != nil {
-				panic(err) // every way into the shards checks ownership
+	d.each(func(i int) {
+		if err := d.workers[i].Phase(d.pass, d.top, &d.shards[i], ph == 0, nil); err != nil {
+			panic(err) // a nil put cannot fail
+		}
+	})
+	s := d.cfg.M + 1
+	d.each(func(j int) {
+		at, from, data := d.top.lay[1-ph][j], d.from[ph][j], d.next[j].Data
+		if cap(data) < len(from)*s {
+			data = make([]int32, len(from)*s)
+		}
+		data = data[:len(from)*s]
+		for c := 0; c+1 < len(at); c++ {
+			src := d.shards[c%d.p].Data
+			for x := at[c]; x < at[c+1]; x++ {
+				// A loop, not copy: a payload is a few words, under the
+				// cost of a call.
+				to, y := data[int(x)*s:int(x)*s+s], int(from[x])*s
+				for k := range to {
+					to[k] = src[y+k]
+				}
 			}
-		}(i, wk)
+		}
+		d.next[j].Data = data
+	})
+	for j := range d.next {
+		d.shards[j].Data, d.next[j].Data = d.next[j].Data, d.shards[j].Data
+		d.shards[j].D, d.shards[j].W = d.cells[1-ph][j].D, d.cells[1-ph][j].W
+	}
+}
+
+// each runs f(0), …, f(p-1) at once and waits for all of them.
+func (d *Distributed) each(f func(i int)) {
+	var wg sync.WaitGroup
+	for i := range d.p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
 	}
 	wg.Wait()
-	d.shards, d.next = d.next, d.shards
 }
 
 // GlobalCounts returns a copy of the replicated ck vector.

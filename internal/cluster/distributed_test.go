@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -174,38 +175,90 @@ func TestDistributedRejectsBadInput(t *testing.T) {
 	}
 }
 
-// The counting sort behind a phase: it must copy every token of a
-// worker's shard into the group of its key's rank — each group complete
-// and holding one key, the groups in key order, the offsets tiling the
-// shard — and keep shard order within a group.
-func TestGroupingIsStableAndTiles(t *testing.T) {
+// The layout of a slab: each key's tokens contiguous and in key order,
+// within a key by sender, each sender's in emission order, whatever way
+// the senders' tokens interleave — each written once, at its final
+// offset. A foreign key, a sender out of range and an overfilled region
+// are refused and write nothing; a region left unfilled fails Full.
+func TestNextLaysOutByKeyAndSender(t *testing.T) {
 	// Documents 0, 2, 3, 5 belong to worker 1 (ranks 0..3); 1 and 4 to 0.
-	rows := []int32{1, 0, 1, 1, 0, 1}
-	top := NewTopology(rows, []int32{0}, 2)
-	sh := Slab{D: []int32{5, 0, 3, 5, 0, 0, 3, 2, 5}, W: make([]int32, 9)}
-	for i := range sh.W {
-		sh.W[i] = int32(i) // the token's shard position, to check the order
+	// Word 0 belongs to worker 0, word 1 to worker 1.
+	rows, cols := []int32{1, 0, 1, 1, 0, 1}, []int32{0, 1}
+	docs := [][]int32{{0, 1, 1}, {0}, {1}, {0, 0, 1}, {1}, {0, 1}}
+	top := NewTopology(rows, cols, 2, docs)
+	words, docCounts := top.Counts(1)
+	if want := []int32{1, 2, 0, 1, 2, 1, 1, 1}; !reflect.DeepEqual(docCounts, want) {
+		t.Fatalf("doc-phase counts of worker 1 %v, want %v", docCounts, want)
 	}
-	sh.Data = append([]int32(nil), sh.W...)
-	wk := NewWorker(1, 2, 4, 0, nil)
-	if err := wk.group(&sh, sh.D, top.Rows, top.rowRank, top.rowKeys[1]); err != nil {
+	slot, err := NewSlotTopology(rows, cols, 2, 1, words, docCounts, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := wk.start, []int32{0, 3, 4, 6, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("group offsets %v, want %v", got, want)
+	if !reflect.DeepEqual(slot.lay[1][1], top.lay[1][1]) || !reflect.DeepEqual(slot.lay[0][1], top.lay[0][1]) {
+		t.Fatal("the layout rebuilt from its counts differs")
 	}
+
+	// The word phase's tokens bound for worker 1, each sender's in
+	// emission order; the payload names the token.
+	tok := func(d, w, id int32) Slab { return Slab{D: []int32{d}, W: []int32{w}, Data: []int32{id}} }
+	from0 := []Slab{tok(0, 0, 10), tok(3, 0, 11), tok(5, 0, 12), tok(3, 0, 13)}
+	from1 := []Slab{tok(0, 1, 20), tok(2, 1, 21), tok(0, 1, 22), tok(3, 1, 23), tok(5, 1, 24)}
 	want := Slab{
-		D:    []int32{0, 0, 0, 2, 3, 3, 5, 5, 5},
-		W:    []int32{1, 4, 5, 7, 2, 6, 0, 3, 8},
-		Data: []int32{1, 4, 5, 7, 2, 6, 0, 3, 8},
+		D:    []int32{0, 0, 0, 2, 3, 3, 3, 5, 5},
+		W:    []int32{0, 1, 1, 1, 0, 0, 1, 0, 1},
+		Data: []int32{10, 20, 22, 21, 11, 13, 23, 12, 24},
 	}
-	if !reflect.DeepEqual(wk.grouped, want) {
-		t.Fatalf("grouped shard %+v, want %+v", wk.grouped, want)
+	for _, order := range [][]int{{0, 0, 0, 0, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 0, 0, 0, 0}, {1, 0, 1, 0, 1, 0, 1, 0, 1}} {
+		var n Next
+		n.Reset(top, 1, 1, 1)
+		next := [2]int{}
+		for _, s := range order {
+			if err := n.Full(); err == nil {
+				t.Fatal("a slab with regions left unfilled is full")
+			}
+			src := [2][]Slab{from0, from1}[s][next[s]]
+			next[s]++
+			if _, err := n.Put(s, &src, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.Full(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(n.Slab, want) {
+			t.Fatalf("senders in order %v: slab %+v, want %+v", order, n.Slab, want)
+		}
+		for _, bad := range []struct {
+			name string
+			from int
+			tok  Slab
+		}{
+			{"foreign key", 0, tok(1, 0, 99)},
+			{"sender out of range", 2, tok(0, 0, 99)},
+			{"overfilled region", 1, tok(2, 1, 99)},
+		} {
+			if _, err := n.Put(bad.from, &bad.tok, 0); err == nil {
+				t.Fatalf("%s accepted", bad.name)
+			}
+			if !reflect.DeepEqual(n.Slab, want) {
+				t.Fatalf("%s written into the slab", bad.name)
+			}
+		}
 	}
-	// A key another worker owns is refused, not grouped.
-	foreign := Slab{D: []int32{0, 4}, W: make([]int32, 2), Data: make([]int32, 2)}
-	if err := wk.group(&foreign, foreign.D, top.Rows, top.rowRank, top.rowKeys[1]); err == nil {
-		t.Fatal("a foreign key was grouped")
+
+	for _, bad := range []struct {
+		name  string
+		words []int32
+		docs  []int32
+		max   int
+	}{
+		{"wrong length", words, docCounts[1:], 100},
+		{"negative count", words, []int32{1, 2, 0, 1, 2, 1, 1, -1}, 100},
+		{"counts past the token bound", words, docCounts, 8},
+	} {
+		if _, err := NewSlotTopology(rows, cols, 2, 1, bad.words, bad.docs, bad.max); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
 	}
 }
 
@@ -245,6 +298,77 @@ func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
 		cut := bytes.NewBuffer(full[:n])
 		if _, err := mk(cfg, 2).RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
 			t.Errorf("shard truncated to %d of %d bytes accepted", n, len(full))
+		}
+	}
+}
+
+// The in-process exchange copies by an index built once from the initial
+// layout (routes), which is right only while every slab holds the cells
+// of that layout at the same offsets. Cells at fixed offsets follow from
+// each (key, sender) region listing its tokens by the other coordinate
+// — documents ascending in a word's region, words in a document's — so
+// that must hold after every phase, and after restoring shards of this
+// sampler at the same or another worker count, or of core.Warp.
+func TestSlabsKeepTheirCells(t *testing.T) {
+	c := simCorpus()
+	cfg := sampler.PaperDefaults(6)
+	cfg.M = 2
+	mk := func(p int) *Distributed {
+		d, err := NewDistributed(c, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	laidOut := func(what string, d *Distributed, ph int) {
+		t.Helper()
+		for o, sh := range d.shards {
+			keys, other, owner, rank, sender := sh.W, sh.D, d.top.Cols, d.top.colRank, d.top.Rows
+			if ph == 1 {
+				keys, other, owner, rank, sender = sh.D, sh.W, d.top.Rows, d.top.rowRank, d.top.Cols
+			}
+			at := d.top.lay[ph][o]
+			for c := 0; c+1 < len(at); c++ {
+				for x := at[c]; x < at[c+1]; x++ {
+					key := keys[x]
+					if int(owner[key]) != o || int(rank[key]) != c/d.p || int(sender[other[x]]) != c%d.p ||
+						x > at[c] && other[x] < other[x-1] {
+						t.Fatalf("%s: slab %d, offset %d: cell (%d, %d) out of its place", what, o, x, sh.D[x], sh.W[x])
+					}
+				}
+			}
+		}
+	}
+	warp, err := core.New(c, sampler.Config{K: cfg.K, Alpha: cfg.Alpha, Beta: cfg.Beta, M: cfg.M, Seed: 5, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warp.Iterate()
+	other := mk(2)
+	other.Iterate()
+	for _, p := range []int{1, 3} {
+		d := mk(p)
+		laidOut(fmt.Sprintf("p=%d, initial", p), d, 0)
+		for i := 0; i < 3; i++ {
+			d.pass.Freeze(d.ck)
+			for ph := 0; ph < 2; ph++ {
+				d.exchange(ph)
+				laidOut(fmt.Sprintf("p=%d, pass %d, phase %d", p, i, ph), d, 1-ph)
+			}
+		}
+		for _, src := range []sampler.Sharded{d, other, warp} {
+			bufs := make([]*bytes.Buffer, src.NumShards())
+			for i := range bufs {
+				bufs[i] = &bytes.Buffer{}
+				if err := src.ShardTo(i, bufs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dst := mk(p)
+			if _, err := dst.RestoreShards(1, src.Name(), readers(bufs)); err != nil {
+				t.Fatal(err)
+			}
+			laidOut(fmt.Sprintf("p=%d, restored from %d shards of %s", p, src.NumShards(), src.Name()), dst, 0)
 		}
 	}
 }

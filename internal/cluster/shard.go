@@ -36,35 +36,39 @@ func (d *Distributed) ShardTo(i int, w io.Writer) error {
 
 // RestoreShards implements sampler.Sharded for the streams of either
 // WarpLDA sampler (from) under any worker count. core.DecodeShards
-// validates the whole set before any state changes; the tokens are then
-// repartitioned by the current column partition, which reproduces the
-// saved shards byte for byte when this sampler wrote them at this worker
-// count (the greedy partition is deterministic in corpus and count), and
-// only then are the saved RNG streams adopted. Otherwise worker w
-// reseeds from rng.Derive(cfg.Seed, salt, workers, w) and reseeded
-// reports true so the caller can log the loss of bit-exactness.
+// validates the whole set before any state changes; every token is then
+// put at its offset in the word-phase layout of the current topology,
+// each as its document's owner would send it, in corpus order as
+// NewDistributed puts them (a cell's tokens in shard order). That
+// reproduces the saved shards byte for byte when this sampler wrote them
+// at this worker count (the greedy partition is deterministic in corpus
+// and count), and only then are the saved RNG streams adopted. Otherwise
+// worker w reseeds from rng.Derive(cfg.Seed, salt, workers, w) and
+// reseeded reports true so the caller can log the loss of
+// bit-exactness.
 func (d *Distributed) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
-	states, _, err := core.DecodeShards(d.cfg, d.c, d.c.Doc, shards)
+	states, pos, err := core.DecodeShards(d.cfg, d.c, d.c.Doc, shards)
 	if err != nil {
 		return false, err
 	}
 	adopt := from == d.Name() && len(states) == d.p
 
-	// Rebalance: route every token to its owner under the CURRENT column
-	// partition, into the shards' own arrays. Shard order is preserved
-	// within each new owner, so an unchanged topology reproduces the
-	// saved shards exactly.
-	stride := d.cfg.M + 1
-	for i := range d.shards {
-		d.shards[i].Reset()
-	}
-	clear(d.ck)
+	// Token j of the set is word pos[j] of its document: order lists the
+	// set in corpus order.
+	var all Slab
 	for _, st := range states {
-		sh := &st.Tokens
-		for j, w := range sh.W {
-			appendToken(&d.shards[d.top.Cols[w]], sh, j, stride)
-			d.ck[sh.Data[j*stride]]++
-		}
+		all.Append(st.Tokens)
+	}
+	docOff := make([]int32, len(d.c.Docs)+1)
+	for di, doc := range d.c.Docs {
+		docOff[di+1] = docOff[di] + int32(len(doc))
+	}
+	order := make([]int32, len(pos))
+	for j, t := range pos {
+		order[docOff[all.D[j]]+t] = int32(j)
+	}
+	if err := d.layOut(&all, order); err != nil {
+		return false, err
 	}
 	for i, wk := range d.workers {
 		if adopt {

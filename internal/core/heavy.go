@@ -223,7 +223,7 @@ func (w *Warp) heavyPhase() {
 		// Stage 5: proposal draws. The alias tables are read-only here.
 		w.parallelWorkers(func(wi int, wk *worker) {
 			for _, s := range b.segs[wi] {
-				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], nil, K, wk.R)
+				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], K, wk.R)
 			}
 		})
 	}

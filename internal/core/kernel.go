@@ -162,9 +162,9 @@ func differs(a, b int32) int {
 
 // drawAlias overwrites the M proposals of every entry with draws from
 // tab, one generator word each. Where tab yields smoothTopic the
-// proposal comes from the smoothing part instead: smooth if non-nil,
-// else uniform over k topics.
-func drawAlias(data, idx []int32, stride int, tab, smooth alias.Packed, k int, r *rng.RNG) {
+// proposal comes from the smoothing part instead: uniform over k
+// topics, from the high half of the next word.
+func drawAlias(data, idx []int32, stride int, tab alias.Packed, k int, r *rng.RNG) {
 	g := *r
 	for i, n := 0, entries(data, idx, stride); i < n; i++ {
 		p := entryAt(idx, i)
@@ -172,21 +172,12 @@ func drawAlias(data, idx []int32, stride int, tab, smooth alias.Packed, k int, r
 		for j := range e {
 			t := tab.Draw(g.Uint64())
 			if t == smoothTopic {
-				t = drawSmooth(g.Uint64(), smooth, k)
+				t = int32((g.Uint64() >> 32) * uint64(k) >> 32)
 			}
 			e[j] = t
 		}
 	}
 	*r = g
-}
-
-// drawSmooth draws from the smoothing part of a proposal with the
-// word x: the alias table over α when there is one, else uniform.
-func drawSmooth(x uint64, smooth alias.Packed, k int) int32 {
-	if smooth != nil {
-		return smooth.Draw(x)
-	}
-	return int32((x >> 32) * uint64(k) >> 32)
 }
 
 // drawPositions overwrites the M proposals of every entry of a row with
@@ -327,7 +318,7 @@ func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, acc
 	topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
 	wk.topics, wk.weights = topics, weights
 	wk.tab = wk.proposalTable(wk.tab, topics, weights)
-	drawAlias(data, idx, stride, wk.tab, nil, p.k, wk.R)
+	drawAlias(data, idx, stride, wk.tab, p.k, wk.R)
 	return proposed, accepted
 }
 

@@ -92,10 +92,6 @@ func (cc CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	if cc.Cfg.M < 1 {
 		return cc, fmt.Errorf("dist: M = %d, want >= 1", cc.Cfg.M)
 	}
-	if cc.Cfg.AlphaVec != nil {
-		// Assign carries one scalar α; a vector would need a new protocol.
-		return cc, errors.New("dist: the live cluster trains with a symmetric prior; AlphaVec is not supported")
-	}
 	if cc.Iters < 1 {
 		return cc, fmt.Errorf("dist: %d iterations", cc.Iters)
 	}
@@ -269,7 +265,12 @@ func (co *Coordinator) readLoop(c net.Conn) {
 		return
 	}
 	hello, err := DecodeHello(payload)
-	if err != nil || hello.Version != ProtoVersion {
+	if err != nil {
+		c.Close()
+		return
+	}
+	if hello.Version != ProtoVersion {
+		co.logf("worker %s: refused: it speaks protocol revision %d, this coordinator %d", hello.ID, hello.Version, ProtoVersion)
 		c.Close()
 		return
 	}
@@ -489,7 +490,7 @@ func (co *Coordinator) runEpoch(ctx context.Context, hb *time.Ticker) (done bool
 	co.logf("epoch %d: %d workers, resuming at iteration %d/%d", co.epoch, p, startIter, co.cfg.Iters)
 
 	// Distribute: every worker gets its slot's shard plus the routing
-	// tables, as of the restored state.
+	// tables and its slabs' layout, as of the restored state.
 	rows, cols := shadow.Partitions()
 	blockTokens := cluster.BlockTokens(co.cfg.Corpus.NumTokens(), p)
 	for i, id := range members {
@@ -499,12 +500,13 @@ func (co *Coordinator) runEpoch(ctx context.Context, hb *time.Ticker) (done bool
 		}
 		a := &Assign{
 			Epoch: co.epoch, Slot: i, P: p, Iter: startIter,
-			K: co.cfg.Cfg.K, Alpha: co.cfg.Cfg.Alpha, Beta: co.cfg.Cfg.Beta,
+			K: co.cfg.Cfg.K, Alpha: co.cfg.Cfg.Alpha, Beta: co.cfg.Cfg.Beta, AlphaVec: co.cfg.Cfg.AlphaVec,
 			M: co.cfg.Cfg.M, Seed: co.cfg.Cfg.Seed,
 			V: co.cfg.Corpus.V, NumDocs: co.cfg.Corpus.NumDocs(),
 			NumTokens: co.cfg.Corpus.NumTokens(), BlockTokens: blockTokens,
 			Rows: rows, Cols: cols, Shard: sb.Bytes(),
 		}
+		a.WordCounts, a.DocCounts = shadow.Counts(i)
 		co.send(co.conns[id], MsgAssign, a.Encode())
 	}
 
@@ -569,79 +571,78 @@ func (co *Coordinator) checkMembership() error {
 	return nil
 }
 
+// collect pumps events until it has one typ message from every member
+// and returns their payloads by slot. from decodes a payload and returns
+// its sender's slot, or false for stale or malformed traffic, which is
+// dropped; every other message goes to other when it is set.
+func (co *Coordinator) collect(ctx context.Context, hb *time.Ticker, members []string, typ MsgType, from func([]byte) (int, bool), other func(*evMsg)) ([][]byte, error) {
+	got := make([][]byte, len(members))
+	for left := len(members); left > 0; {
+		if err := co.checkMembership(); err != nil {
+			return nil, err
+		}
+		ev, err := co.step(ctx, hb)
+		switch {
+		case err != nil:
+			return nil, err
+		case ev == nil:
+		case ev.typ == typ:
+			if i, ok := from(ev.payload); ok && i >= 0 && i < len(got) && got[i] == nil {
+				got[i] = ev.payload
+				left--
+			}
+		case other != nil:
+			other(ev)
+		}
+	}
+	return got, co.checkMembership()
+}
+
 // phaseBarrier relays token blocks between workers until every member
 // reports the phase done. Blocks are relayed from their raw payloads —
 // the coordinator decodes only the routing header.
 func (co *Coordinator) phaseBarrier(ctx context.Context, hb *time.Ticker, members []string, iter, phase int) error {
-	done := make([]bool, len(members))
-	n := 0
-	for n < len(members) {
-		if err := co.checkMembership(); err != nil {
-			return err
+	_, err := co.collect(ctx, hb, members, MsgPhaseDone, func(p []byte) (int, bool) {
+		sy, err := DecodeSync(p)
+		if err != nil || sy.Epoch != co.epoch || sy.Phase != phase {
+			return 0, false
 		}
-		ev, err := co.step(ctx, hb)
-		if err != nil {
-			return err
+		return sy.From, true
+	}, func(ev *evMsg) {
+		if ev.typ != MsgBlock {
+			return
 		}
-		if ev == nil {
-			continue
+		h, err := DecodeBlockHeader(ev.payload)
+		if err != nil || h.Epoch != co.epoch || h.Phase != phase || h.To < 0 || h.To >= len(members) {
+			return // stale or malformed; the phase barrier will catch real loss
 		}
-		switch ev.typ {
-		case MsgBlock:
-			h, err := DecodeBlockHeader(ev.payload)
-			if err != nil || h.Epoch != co.epoch || h.Phase != phase ||
-				h.To < 0 || h.To >= len(members) {
-				continue // stale or malformed; the phase barrier will catch real loss
-			}
-			if w := co.conns[members[h.To]]; w != nil {
-				co.send(w, MsgBlock, ev.payload)
-			}
-		case MsgPhaseDone:
-			sy, err := DecodeSync(ev.payload)
-			if err != nil || sy.Epoch != co.epoch || sy.Phase != phase {
-				continue
-			}
-			if sy.From >= 0 && sy.From < len(members) && !done[sy.From] {
-				done[sy.From] = true
-				n++
-			}
+		if w := co.conns[members[h.To]]; w != nil {
+			co.send(w, MsgBlock, ev.payload)
 		}
-	}
-	return co.checkMembership()
+	})
+	return err
 }
 
 // collectPassEnds gathers every member's ck delta and aggregates the
 // next pass's global count vector (the once-per-pass allreduce).
 func (co *Coordinator) collectPassEnds(ctx context.Context, hb *time.Ticker, members []string, iter int) ([]int32, error) {
-	ck := make([]int32, co.cfg.Cfg.K)
-	got := make([]bool, len(members))
-	n := 0
-	for n < len(members) {
-		if err := co.checkMembership(); err != nil {
-			return nil, err
-		}
-		ev, err := co.step(ctx, hb)
-		if err != nil {
-			return nil, err
-		}
-		if ev == nil || ev.typ != MsgPassEnd {
-			continue
-		}
-		pe, err := DecodePassEnd(ev.payload, co.cfg.Cfg.K)
+	k := co.cfg.Cfg.K
+	got, err := co.collect(ctx, hb, members, MsgPassEnd, func(p []byte) (int, bool) {
+		pe, err := DecodePassEnd(p, k)
 		if err != nil || pe.Epoch != co.epoch || pe.Iter != iter {
-			continue
+			return 0, false
 		}
-		if pe.From < 0 || pe.From >= len(members) || got[pe.From] {
-			continue
-		}
-		got[pe.From] = true
-		n++
-		for k, v := range pe.CkAcc {
-			ck[k] += v
-		}
-	}
-	if err := co.checkMembership(); err != nil {
+		return pe.From, true
+	}, nil)
+	if err != nil {
 		return nil, err
+	}
+	ck := make([]int32, k)
+	for _, p := range got {
+		pe, _ := DecodePassEnd(p, k)
+		for t, v := range pe.CkAcc {
+			ck[t] += v
+		}
 	}
 	return ck, nil
 }
@@ -656,35 +657,20 @@ func (co *Coordinator) syncCheckpoint(ctx context.Context, hb *time.Ticker, shad
 			co.send(w, MsgShardReq, req)
 		}
 	}
-	blobs := make([][]byte, len(members))
-	n := 0
-	for n < len(members) {
-		if err := co.checkMembership(); err != nil {
-			return err
-		}
-		ev, err := co.step(ctx, hb)
-		if err != nil {
-			return err
-		}
-		if ev == nil || ev.typ != MsgShardState {
-			continue
-		}
-		st, err := DecodeShardState(ev.payload)
+	got, err := co.collect(ctx, hb, members, MsgShardState, func(p []byte) (int, bool) {
+		st, err := DecodeShardState(p)
 		if err != nil || st.Epoch != co.epoch || st.Iter != iter {
-			continue
+			return 0, false
 		}
-		if st.From < 0 || st.From >= len(members) || blobs[st.From] != nil {
-			continue
-		}
-		blobs[st.From] = st.Shard
-		n++
-	}
-	if err := co.checkMembership(); err != nil {
+		return st.From, true
+	}, nil)
+	if err != nil {
 		return err
 	}
-	readers := make([]io.Reader, len(blobs))
-	for i, b := range blobs {
-		readers[i] = bytes.NewReader(b)
+	readers := make([]io.Reader, len(got))
+	for i, p := range got {
+		st, _ := DecodeShardState(p)
+		readers[i] = bytes.NewReader(st.Shard)
 	}
 	if _, err := shadow.RestoreShards(uint64(iter), shadow.Name(), readers); err != nil {
 		// A worker uploaded state that fails validation: don't trust this

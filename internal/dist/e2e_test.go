@@ -103,44 +103,17 @@ func testWorkerConfig(t *testing.T, addr, id string) WorkerConfig {
 	}
 }
 
-// Assign carries a scalar α, so a coordinator must refuse an asymmetric
-// prior by name rather than train the workers on the scalar one.
-func TestCoordinatorRefusesAlphaVec(t *testing.T) {
-	cfg := e2eConfig()
-	cfg.AlphaVec = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	_, err := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Corpus: e2eCorpus(t), Cfg: cfg, Iters: 1, CheckpointDir: t.TempDir(),
-	})
-	if err == nil || !strings.Contains(err.Error(), "AlphaVec") {
-		t.Fatalf("coordinator with AlphaVec: err = %v, want a refusal naming AlphaVec", err)
-	}
-}
-
-// TestTwoWorkersMatchInProcess is the acceptance criterion: a
-// coordinator plus two workers over loopback TCP reach a log likelihood
-// within the elastic tolerance of the single-process distributed
-// sampler on the same corpus, seed, and iteration budget.
-func TestTwoWorkersMatchInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-goroutine training run")
-	}
-	c := e2eCorpus(t)
-	cfg := e2eConfig()
-	// Long enough to compare plateaus: both runs are functions of the
-	// seed, and at 20 iterations a chain on this corpus is still
-	// climbing (over 30 seeds the in-process LL spreads by 1.5% with a
-	// tail past 5%; this seed's sits 6% under the live run's at 20
-	// iterations and 2.4% at 40).
-	const iters = 40
-	want := referenceLL(t, c, cfg, 2, iters)
-
-	co := testCoordinator(t, c, cfg, iters, 2)
+// liveRun trains c on a loopback coordinator with p workers and returns
+// the coordinator's trace.
+func liveRun(t *testing.T, c *corpus.Corpus, cfg sampler.Config, p, iters int) sampler.Run {
+	t.Helper()
+	co := testCoordinator(t, c, cfg, iters, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	var wg sync.WaitGroup
-	workerErr := make([]error, 2)
-	for i := 0; i < 2; i++ {
+	workerErr := make([]error, p)
+	for i := 0; i < p; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -160,11 +133,74 @@ func TestTwoWorkersMatchInProcess(t *testing.T) {
 	if len(run.Points) == 0 {
 		t.Fatal("no evaluation points in trace")
 	}
-	last := run.Points[len(run.Points)-1]
-	if last.Iter != iters {
+	if last := run.Points[len(run.Points)-1]; last.Iter != iters {
 		t.Fatalf("final trace point at iteration %d, want %d", last.Iter, iters)
 	}
-	requireWithinElasticTolerance(t, last.LogLik, want)
+	return run
+}
+
+// requireReplaysInProcess requires every point of a live trace to equal
+// the log joint of the in-process Distributed sampler at the same
+// iteration, seed and worker count: the live workers lay out every
+// token as Distributed does, so the two run one chain.
+func requireReplaysInProcess(t *testing.T, c *corpus.Corpus, cfg sampler.Config, p int, run sampler.Run) {
+	t.Helper()
+	d, err := cluster.NewDistributed(c, cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := 0
+	for _, pt := range run.Points {
+		for ; iter < pt.Iter; iter++ {
+			d.Iterate()
+		}
+		if want := eval.LogJoint(c, d.Assignments(), cfg.K, cfg.Alpha, cfg.Beta); pt.LogLik != want {
+			t.Fatalf("p=%d: live log joint %v at iteration %d, in-process %v", p, pt.LogLik, pt.Iter, want)
+		}
+	}
+}
+
+// TestTwoWorkersMatchInProcess: a coordinator plus two workers over
+// loopback TCP reach, at every trace point, exactly the log joint of
+// the in-process distributed sampler on the same corpus, seed and
+// worker count.
+func TestTwoWorkersMatchInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-goroutine training run")
+	}
+	c, cfg := e2eCorpus(t), e2eConfig()
+	requireReplaysInProcess(t, c, cfg, 2, liveRun(t, c, cfg, 2, 12))
+}
+
+// TestThreeWorkersReplayInProcess: with three workers the blocks of
+// three senders interleave at every receiver in whatever order the
+// network delivers them, yet two live runs give one trace, and it is
+// in-process Distributed's.
+func TestThreeWorkersReplayInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-goroutine training run")
+	}
+	c, cfg := e2eCorpus(t), e2eConfig()
+	first := liveRun(t, c, cfg, 3, 12)
+	requireReplaysInProcess(t, c, cfg, 3, first)
+	second := liveRun(t, c, cfg, 3, 12)
+	for i, pt := range second.Points {
+		if i >= len(first.Points) || pt.Iter != first.Points[i].Iter || pt.LogLik != first.Points[i].LogLik {
+			t.Fatalf("two live runs differ at trace point %d: %+v vs %+v", i, pt, first.Points)
+		}
+	}
+}
+
+// TestAlphaVecMatchesInProcess: Assign carries an asymmetric prior, and
+// two live workers train under it exactly as in-process Distributed
+// does.
+func TestAlphaVecMatchesInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-goroutine training run")
+	}
+	c, cfg := e2eCorpus(t), e2eConfig()
+	cfg.AlphaVec = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	requireReplaysInProcess(t, c, cfg, 2, liveRun(t, c, cfg, 2, 8))
 }
 
 // TestWorkerDeathElasticRecovery kills one of two workers mid-run and

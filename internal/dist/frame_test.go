@@ -3,8 +3,16 @@ package dist
 import (
 	"bytes"
 	"io"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"warplda/internal/cluster"
+	"warplda/internal/core"
+	"warplda/internal/corpus"
+	"warplda/internal/sampler"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -119,14 +127,37 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAssignRoundTrip(t *testing.T) {
-	m := &Assign{
-		Epoch: 3, Slot: 1, P: 2, Iter: 40,
-		K: 8, Alpha: 0.6, Beta: 0.01, M: 2, Seed: 99,
-		V: 5, NumDocs: 4, NumTokens: 17, BlockTokens: 3,
-		Rows: []int32{0, 1, 0, 1}, Cols: []int32{1, 0, 1, 0, 1},
-		Shard: []byte("raw-dshd-stream-stand-in"),
+// testAssign returns a valid Assign for slot 1 of 2 over a small
+// corpus, built as the coordinator builds it from its shadow sampler,
+// and the global topic counts of the pass it starts.
+func testAssign(t testing.TB) (*Assign, []int32) {
+	t.Helper()
+	c := &corpus.Corpus{V: 5, Docs: [][]int32{{0, 1, 1, 4}, {2, 3}, {0, 4, 4}, {1, 2, 3, 3}, {4, 0}}}
+	cfg := sampler.PaperDefaults(8)
+	cfg.M, cfg.Seed = 2, 99
+	cfg.AlphaVec = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	d, err := cluster.NewDistributed(c, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	d.Iterate()
+	var sb bytes.Buffer
+	if err := d.ShardTo(1, &sb); err != nil {
+		t.Fatal(err)
+	}
+	rows, cols := d.Partitions()
+	m := &Assign{
+		Epoch: 3, Slot: 1, P: 2, Iter: 1,
+		K: cfg.K, Alpha: cfg.Alpha, Beta: cfg.Beta, AlphaVec: cfg.AlphaVec, M: cfg.M, Seed: cfg.Seed,
+		V: c.V, NumDocs: c.NumDocs(), NumTokens: c.NumTokens(), BlockTokens: 3,
+		Rows: rows, Cols: cols, Shard: sb.Bytes(),
+	}
+	m.WordCounts, m.DocCounts = d.Counts(1)
+	return m, d.GlobalCounts()
+}
+
+func TestAssignRoundTrip(t *testing.T) {
+	m, _ := testAssign(t)
 	got, err := DecodeAssign(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -137,19 +168,62 @@ func TestAssignRoundTrip(t *testing.T) {
 		got.NumTokens != m.NumTokens || got.BlockTokens != m.BlockTokens {
 		t.Fatalf("scalar mismatch: got %+v", got)
 	}
+	if !slices.Equal(got.AlphaVec, m.AlphaVec) || !equalI32(got.WordCounts, m.WordCounts) || !equalI32(got.DocCounts, m.DocCounts) {
+		t.Fatalf("α vector or layout counts: got %v %v %v", got.AlphaVec, got.WordCounts, got.DocCounts)
+	}
 	if !bytes.Equal(got.Shard, m.Shard) {
 		t.Fatalf("shard bytes: got %q", got.Shard)
 	}
-
-	bad := *m
-	bad.Cols = []int32{1, 0, 5, 0, 1} // owner outside [0, P)
-	if _, err := DecodeAssign(bad.Encode()); err == nil {
-		t.Fatal("out-of-range column owner accepted")
+	// The coordinator's shard is already laid out: DecodeAssign puts
+	// every token back where it was.
+	st, err := core.DecodeWorkerState(bytes.NewReader(m.Shard), m.K, m.M, m.NumDocs, m.V, m.NumTokens)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = *m
-	bad.Slot = 2 // slot == P
-	if _, err := DecodeAssign(bad.Encode()); err == nil {
-		t.Fatal("slot >= P accepted")
+	if !reflect.DeepEqual(got.State, st) {
+		t.Fatal("the decoded shard is not laid out as the coordinator's")
+	}
+
+	// Each case edits a copy; the shard stays the valid one.
+	for _, tc := range []struct {
+		name string
+		edit func(a *Assign)
+	}{
+		{"column owner outside [0, P)", func(a *Assign) { a.Cols[2] = 5 }},
+		{"slot >= P", func(a *Assign) { a.Slot = 2 }},
+		{"α vector of the wrong length", func(a *Assign) { a.AlphaVec = a.AlphaVec[1:] }},
+		{"zero α entry", func(a *Assign) { a.AlphaVec[3] = 0 }},
+		{"NaN α entry", func(a *Assign) { a.AlphaVec[3] = math.NaN() }},
+		{"infinite α entry", func(a *Assign) { a.AlphaVec[3] = math.Inf(1) }},
+		{"word counts of the wrong length", func(a *Assign) { a.WordCounts = a.WordCounts[1:] }},
+		{"doc counts of the wrong length", func(a *Assign) { a.DocCounts = append(a.DocCounts, 0) }},
+		{"negative count", func(a *Assign) { a.DocCounts[0] = -1 }},
+		{"word counts summing past the shard", func(a *Assign) { a.WordCounts[0]++ }},
+		{"word counts disagreeing with the shard's key sizes", func(a *Assign) {
+			moveCount(a.WordCounts)
+		}},
+		{"doc counts summing past NumTokens", func(a *Assign) { a.DocCounts[0] = int32(a.NumTokens) + 1 }},
+	} {
+		bad := *m
+		bad.AlphaVec = slices.Clone(m.AlphaVec)
+		bad.Cols = slices.Clone(m.Cols)
+		bad.WordCounts, bad.DocCounts = slices.Clone(m.WordCounts), slices.Clone(m.DocCounts)
+		tc.edit(&bad)
+		if _, err := DecodeAssign(bad.Encode()); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// moveCount moves one token of the first non-empty region of counts to
+// the region after it, keeping the total.
+func moveCount(counts []int32) {
+	for c := range counts {
+		if counts[c] > 0 {
+			counts[c]--
+			counts[(c+1)%len(counts)]++
+			return
+		}
 	}
 }
 

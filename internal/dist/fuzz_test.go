@@ -11,7 +11,8 @@ import (
 // FuzzDecodeFrame feeds ReadFrame hostile bytes: the decoder must never
 // panic, never allocate proportionally to a forged length prefix, and
 // every frame it accepts must re-encode to the exact bytes it consumed
-// (the format has one canonical encoding).
+// (the format has one canonical encoding). An accepted Assign frame must
+// also decode or fail without a panic.
 func FuzzDecodeFrame(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteFrame(&valid, MsgHello, []byte("worker-1")); err != nil {
@@ -32,6 +33,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	// A maximal length claim with no payload behind it.
 	huge := []byte(frameMagic + "\x05\xff\xff\xff\x3f")
 	f.Add(huge)
+	// An Assign whose layout counts are negative: well framed, refused
+	// by DecodeAssign.
+	a, _ := testAssign(f)
+	a.DocCounts[0] = -1
+	var assign bytes.Buffer
+	if err := WriteFrame(&assign, MsgAssign, a.Encode()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(assign.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))
@@ -44,6 +54,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
 			t.Fatalf("re-encoded frame differs from the consumed bytes:\n got %x\nwant %x", re.Bytes(), data[:re.Len()])
+		}
+		if typ == MsgAssign {
+			DecodeAssign(payload)
 		}
 	})
 }

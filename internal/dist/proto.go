@@ -9,13 +9,17 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"math"
 
+	"warplda/internal/cluster"
+	"warplda/internal/core"
 	"warplda/internal/sampler"
 )
 
 // ProtoVersion is the protocol revision carried in the handshake; a
-// coordinator refuses workers speaking a different revision.
-const ProtoVersion = 1
+// coordinator refuses workers speaking a different revision. Revision 2
+// added the α vector and the slot's layout counts to Assign.
+const ProtoVersion = 2
 
 // Phase identifiers inside Block / PhaseDone / Barrier messages.
 const (
@@ -57,20 +61,29 @@ func DecodeHello(p []byte) (*Hello, error) {
 // Assign hands a worker its place in a new epoch: the topology (slot,
 // worker count), the sampler configuration and corpus dimensions it
 // needs to run phase bodies and validate its shard, the routing tables
-// (row and column owner maps), the block granularity of the pipelined
+// (row and column owner maps), the layout counts of the slot's two slabs
+// (cluster.Topology.Counts), the block granularity of the pipelined
 // exchange, and finally the worker's token-shard state as a raw dshd
 // stream.
 type Assign struct {
-	Epoch, Slot, P, Iter int
-	K                    int
-	Alpha, Beta          float64
-	M                    int
-	Seed                 uint64
-	V, NumDocs           int
-	NumTokens            int
-	BlockTokens          int
-	Rows, Cols           []int32
-	Shard                []byte // raw dshd stream, trailing
+	Epoch, Slot, P, Iter  int
+	K                     int
+	Alpha, Beta           float64
+	AlphaVec              []float64 // asymmetric prior of length K, or nil
+	M                     int
+	Seed                  uint64
+	V, NumDocs            int
+	NumTokens             int
+	BlockTokens           int
+	Rows, Cols            []int32
+	WordCounts, DocCounts []int32
+	Shard                 []byte // raw dshd stream, trailing
+
+	// Set by DecodeAssign, not encoded: the topology as the slot sees
+	// it, and the shard's state with its tokens laid out for the word
+	// phase.
+	Top   *cluster.Topology
+	State *core.WorkerState
 }
 
 // Encode serializes the message payload.
@@ -84,6 +97,7 @@ func (m *Assign) Encode() []byte {
 	e.Int(m.K)
 	e.F64(m.Alpha)
 	e.F64(m.Beta)
+	e.F64s(m.AlphaVec)
 	e.Int(m.M)
 	e.U64(m.Seed)
 	e.Int(m.V)
@@ -92,41 +106,77 @@ func (m *Assign) Encode() []byte {
 	e.Int(m.BlockTokens)
 	e.I32s(m.Rows)
 	e.I32s(m.Cols)
+	e.I32s(m.WordCounts)
+	e.I32s(m.DocCounts)
 	b.Write(m.Shard)
 	return b.Bytes()
 }
 
-// DecodeAssign parses an Assign payload.
+// DecodeAssign parses an Assign payload and checks it as a whole: the
+// α vector, the owner maps and the layout counts (NewSlotTopology), then
+// the shard, whose tokens it lays out for the word phase — so counts
+// that disagree with the shard's key sizes fail here, before the worker
+// adopts anything.
 func DecodeAssign(p []byte) (*Assign, error) {
 	r := bytes.NewReader(p)
 	d := sampler.NewDec(r)
 	m := &Assign{
 		Epoch: d.Int(), Slot: d.Int(), P: d.Int(), Iter: d.Int(),
-		K: d.Int(), Alpha: d.F64(), Beta: d.F64(), M: d.Int(), Seed: d.U64(),
-		V: d.Int(), NumDocs: d.Int(), NumTokens: d.Int(), BlockTokens: d.Int(),
+		K: d.Int(), Alpha: d.F64(), Beta: d.F64(),
 	}
+	m.AlphaVec = d.F64s("alpha vector")
+	m.M, m.Seed = d.Int(), d.U64()
+	m.V, m.NumDocs, m.NumTokens, m.BlockTokens = d.Int(), d.Int(), d.Int(), d.Int()
 	if d.Err() == nil {
+		// More workers than keys of both kinds would own nothing; the
+		// bound keeps the per-worker tables proportional to the payload.
 		if m.K < 1 || m.M < 1 || m.P < 1 || m.Slot < 0 || m.Slot >= m.P ||
-			m.V < 1 || m.NumDocs < 1 || m.NumTokens < 0 || m.BlockTokens < 1 {
+			m.V < 1 || m.NumDocs < 1 || m.NumTokens < 0 || m.BlockTokens < 1 || m.P > m.V+m.NumDocs {
 			return nil, fmt.Errorf("dist: assign with implausible dimensions")
+		}
+		if m.AlphaVec != nil && len(m.AlphaVec) != m.K {
+			return nil, fmt.Errorf("dist: assign α vector of length %d for %d topics", len(m.AlphaVec), m.K)
+		}
+		for _, a := range m.AlphaVec {
+			if !(a > 0) || math.IsInf(a, 0) {
+				return nil, fmt.Errorf("dist: assign α vector entry %g", a)
+			}
 		}
 	}
 	m.Rows = d.I32sLen("row owners", m.NumDocs)
 	m.Cols = d.I32sLen("column owners", m.V)
+	m.WordCounts = d.I32s("word layout counts")
+	m.DocCounts = d.I32s("doc layout counts")
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	for _, o := range m.Rows {
-		if o < 0 || int(o) >= m.P {
-			return nil, fmt.Errorf("dist: assign row owner %d outside %d workers", o, m.P)
-		}
-	}
-	for _, o := range m.Cols {
-		if o < 0 || int(o) >= m.P {
-			return nil, fmt.Errorf("dist: assign column owner %d outside %d workers", o, m.P)
-		}
-	}
 	m.Shard = p[len(p)-r.Len():]
+	top, err := cluster.NewSlotTopology(m.Rows, m.Cols, m.P, m.Slot, m.WordCounts, m.DocCounts, m.NumTokens)
+	if err != nil {
+		return nil, err
+	}
+	st, err := core.DecodeWorkerState(bytes.NewReader(m.Shard), m.K, m.M, m.NumDocs, m.V, m.NumTokens)
+	if err != nil {
+		return nil, err
+	}
+	if st.Index != m.Slot || st.Workers != m.P {
+		return nil, fmt.Errorf("dist: assign for slot %d/%d carries shard %d/%d", m.Slot, m.P, st.Index, st.Workers)
+	}
+	if n := top.Size(PhaseWord, m.Slot); st.Tokens.Len() != n {
+		return nil, fmt.Errorf("dist: assign lays out %d tokens for a shard of %d", n, st.Tokens.Len())
+	}
+	var n cluster.Next
+	n.Reset(top, PhaseWord, m.Slot, m.M+1)
+	for j, di := range st.Tokens.D {
+		if _, err := n.Put(int(m.Rows[di]), &st.Tokens, j); err != nil {
+			return nil, err
+		}
+	}
+	if err := n.Full(); err != nil {
+		return nil, err
+	}
+	st.Tokens = n.Slab
+	m.Top, m.State = top, st
 	return m, nil
 }
 

@@ -1,9 +1,12 @@
 // The worker process runtime. A worker is a pure compute node: it never
 // sees the corpus, only its token shard (delivered as a dshd stream in
-// Assign), the routing tables, and the pass-by-pass global counts. It
-// is a cluster.Worker — the Section 5.3 phase driver the in-process
-// Distributed sampler runs, over internal/core's kernels — whose
-// finished off-diagonal blocks ship through the coordinator.
+// Assign), the routing tables and its slabs' layout, and the
+// pass-by-pass global counts. It is a cluster.Worker — the Section 5.3
+// phase driver the in-process Distributed sampler runs, over
+// internal/core's kernels — whose finished off-diagonal blocks ship
+// through the coordinator, and it lays out every token it keeps or
+// receives as Distributed does, so a live run replays Distributed's
+// chain at the same seed and worker count.
 //
 // Resilience model: the worker retries its connection with bounded
 // exponential backoff and re-registers under the same ID (idempotent —
@@ -42,8 +45,10 @@ type WorkerConfig struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the backoff growth.
 	MaxBackoff time.Duration
-	// MaxRetries bounds CONSECUTIVE failed connection attempts before
-	// the worker gives up (default 60; one success resets the count).
+	// MaxRetries bounds CONSECUTIVE failed attempts to register — a
+	// failed dial, or a connection closed before the coordinator's
+	// Welcome — before the worker gives up (default 60; a Welcome resets
+	// the count).
 	MaxRetries int
 	// ReadTimeout is the per-frame read deadline. The coordinator's
 	// heartbeats guarantee traffic well inside it; expiry means the
@@ -94,10 +99,12 @@ var (
 )
 
 // RunWorker runs one worker until the coordinator broadcasts Shutdown
-// (returns nil), ctx is cancelled, or MaxRetries consecutive connection
-// attempts fail. Every disconnect — network error, coordinator restart,
-// protocol violation — is retried with backoff and a fresh idempotent
-// registration.
+// (returns nil), ctx is cancelled, or MaxRetries consecutive attempts to
+// register fail. A session that ends after the coordinator's Welcome —
+// network error, coordinator restart, protocol violation — re-registers
+// at once; a failed dial or a connection closed before the Welcome (a
+// coordinator that refuses this worker's protocol revision) is retried
+// with backoff.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	wc, err := wc.withDefaults()
 	if err != nil {
@@ -109,40 +116,38 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		welcomed := false
 		conn, err := net.DialTimeout("tcp", wc.Coordinator, wc.DialTimeout)
-		if err != nil {
-			fails++
-			if fails >= wc.MaxRetries {
-				return fmt.Errorf("dist: worker %s: %d consecutive connect failures: %w", wc.ID, fails, err)
-			}
-			wc.Logf("dist: worker %s: connect: %v (retry %d in %v)", wc.ID, err, fails, backoff)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > wc.MaxBackoff {
-				backoff = wc.MaxBackoff
-			}
-			continue
+		if err == nil {
+			welcomed, err = runSession(ctx, conn, wc)
+			conn.Close()
 		}
-		fails, backoff = 0, wc.RetryBackoff
-		err = runSession(ctx, conn, wc)
-		conn.Close()
 		switch {
 		case errors.Is(err, errShutdown):
 			wc.Logf("dist: worker %s: run complete, shutting down", wc.ID)
 			return nil
 		case ctx.Err() != nil:
 			return ctx.Err()
-		default:
+		case welcomed:
 			wc.Logf("dist: worker %s: session ended: %v; re-registering", wc.ID, err)
+			fails, backoff = 0, wc.RetryBackoff
+			continue
 		}
+		if fails++; fails >= wc.MaxRetries {
+			return fmt.Errorf("dist: worker %s: %d consecutive failed registrations: %w", wc.ID, fails, err)
+		}
+		wc.Logf("dist: worker %s: register: %v (retry %d in %v)", wc.ID, err, fails, backoff)
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, wc.MaxBackoff)
 	}
 }
 
-// wsession is one connection's protocol state: the epoch assignment
-// (slot, topology, config, routing tables) and the live token shard.
+// wsession is one connection's protocol state: the epoch's assignment
+// and the live token slabs.
 type wsession struct {
 	wc   WorkerConfig
 	ctx  context.Context
@@ -150,32 +155,31 @@ type wsession struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	epoch       int
-	slot, p     int
-	scfg        sampler.Config
-	v, numDocs  int
-	blockTokens int
-	top         *cluster.Topology
-	pass        *core.Pass
-	shard, recv cluster.Slab // the tokens held, and the next phase's being received
-	wk          *cluster.Worker
+	a       *Assign
+	pass    *core.Pass
+	shard   cluster.Slab   // the tokens held, laid out for the phase
+	inbox   cluster.Next   // the next phase's slab, filled as tokens arrive
+	buckets []cluster.Slab // per owner: finished tokens not shipped yet
+	wk      *cluster.Worker
 }
 
-func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
+// runSession registers and serves one connection; welcomed reports
+// whether the coordinator admitted the worker.
+func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) (welcomed bool, err error) {
 	s := &wsession{
 		wc: wc, ctx: ctx, conn: conn,
 		br: bufio.NewReaderSize(conn, 1<<16),
 		bw: bufio.NewWriterSize(conn, 1<<16),
 	}
 	if err := s.send(MsgHello, (&Hello{Version: ProtoVersion, ID: wc.ID}).Encode()); err != nil {
-		return err
+		return false, err
 	}
 	typ, _, err := s.read()
 	if err != nil {
-		return err
+		return false, err
 	}
 	if typ != MsgWelcome {
-		return fmt.Errorf("dist: expected welcome, got %s", typ)
+		return false, fmt.Errorf("dist: expected welcome, got %s", typ)
 	}
 	wc.Logf("dist: worker %s: registered with %s", wc.ID, wc.Coordinator)
 	for {
@@ -185,12 +189,12 @@ func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
 				s.reset()
 				continue
 			}
-			return err
+			return true, err
 		}
 		switch typ {
 		case MsgAssign:
 			if err := s.handleAssign(payload); err != nil {
-				return err
+				return true, err
 			}
 		case MsgPassStart:
 			if err := s.runPass(payload); err != nil {
@@ -198,11 +202,11 @@ func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
 					s.reset()
 					continue
 				}
-				return err
+				return true, err
 			}
 		case MsgShardReq:
 			if err := s.handleShardReq(payload); err != nil {
-				return err
+				return true, err
 			}
 		default:
 			// Stale traffic from a superseded epoch (blocks, barriers)
@@ -213,9 +217,8 @@ func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) error {
 
 // reset discards epoch state; the worker idles until the next Assign.
 func (s *wsession) reset() {
-	s.wk = nil
-	s.shard, s.recv = cluster.Slab{}, cluster.Slab{}
-	s.top, s.pass = nil, nil
+	s.a, s.pass, s.wk = nil, nil, nil
+	s.shard, s.inbox, s.buckets = cluster.Slab{}, cluster.Next{}, nil
 }
 
 // send writes one frame under the write deadline and flushes it.
@@ -264,34 +267,23 @@ func (s *wsession) next() (MsgType, []byte, error) {
 	}
 }
 
-// handleAssign adopts a new epoch: decode and validate the shard
-// stream, rebuild the worker around the assigned RNG stream, and rank
-// the routing tables.
+// handleAssign adopts a new epoch: DecodeAssign validates the whole
+// assignment and lays the shard out; the worker is rebuilt around the
+// assigned RNG stream.
 func (s *wsession) handleAssign(payload []byte) error {
 	a, err := DecodeAssign(payload)
 	if err != nil {
 		return err
 	}
-	st, err := core.DecodeWorkerState(bytes.NewReader(a.Shard), a.K, a.M, a.NumDocs, a.V, a.NumTokens)
-	if err != nil {
-		return err
-	}
-	if st.Index != a.Slot || st.Workers != a.P {
-		return fmt.Errorf("dist: assign for slot %d/%d carries shard %d/%d", a.Slot, a.P, st.Index, st.Workers)
-	}
-	s.epoch = a.Epoch
-	s.slot, s.p = a.Slot, a.P
-	s.scfg = sampler.Config{K: a.K, Alpha: a.Alpha, Beta: a.Beta, M: a.M, Seed: a.Seed}
-	s.v, s.numDocs = a.V, a.NumDocs
-	s.blockTokens = a.BlockTokens
-	s.top = cluster.NewTopology(a.Rows, a.Cols, a.P)
-	s.pass = core.NewPass(s.scfg, a.V)
-	s.shard = st.Tokens
+	s.a, s.shard = a, a.State.Tokens
+	s.pass = core.NewPass(sampler.Config{K: a.K, Alpha: a.Alpha, Beta: a.Beta, AlphaVec: a.AlphaVec, M: a.M, Seed: a.Seed}, a.V)
+	s.buckets = make([]cluster.Slab, a.P)
 	r := rng.New(a.Seed)
-	r.SetState(st.RNGState)
-	s.wk = cluster.NewWorker(a.Slot, a.P, a.K, a.M, r)
+	r.SetState(a.State.RNGState)
+	s.wk = cluster.NewWorker(a.Slot, a.K, a.M, r)
+	a.Shard, a.State = nil, nil // adopted: keep no second reference
 	s.wc.Logf("dist: worker %s: assigned slot %d/%d at iter %d (epoch %d, %d tokens)",
-		s.wc.ID, a.Slot, a.P, a.Iter, a.Epoch, st.Tokens.Len())
+		s.wc.ID, a.Slot, a.P, a.Iter, a.Epoch, s.shard.Len())
 	return nil
 }
 
@@ -301,20 +293,20 @@ func (s *wsession) handleShardReq(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if s.wk == nil || sy.Epoch != s.epoch {
+	if s.wk == nil || sy.Epoch != s.a.Epoch {
 		return nil // stale request from a superseded epoch
 	}
 	var b bytes.Buffer
 	if err := core.EncodeWorkerState(&b, &core.WorkerState{
-		Index:    s.slot,
-		Workers:  s.p,
-		M:        s.scfg.M,
+		Index:    s.a.Slot,
+		Workers:  s.a.P,
+		M:        s.a.M,
 		RNGState: s.wk.R.State(),
 		Tokens:   s.shard,
 	}); err != nil {
 		return err
 	}
-	return s.send(MsgShardState, (&ShardState{Epoch: s.epoch, Iter: sy.Iter, From: s.slot, Shard: b.Bytes()}).Encode())
+	return s.send(MsgShardState, (&ShardState{Epoch: s.a.Epoch, Iter: sy.Iter, From: s.a.Slot, Shard: b.Bytes()}).Encode())
 }
 
 // runPass executes one full training pass: word phase with the
@@ -324,11 +316,11 @@ func (s *wsession) runPass(payload []byte) error {
 	if s.wk == nil {
 		return fmt.Errorf("dist: pass-start before assign")
 	}
-	ps, err := DecodePassStart(payload, s.scfg.K)
+	ps, err := DecodePassStart(payload, s.a.K)
 	if err != nil {
 		return err
 	}
-	if ps.Epoch != s.epoch {
+	if ps.Epoch != s.a.Epoch {
 		return nil // stale
 	}
 	s.pass.Freeze(ps.CK)
@@ -337,29 +329,48 @@ func (s *wsession) runPass(payload []byte) error {
 			return err
 		}
 	}
-	return s.send(MsgPassEnd, (&PassEnd{Epoch: s.epoch, Iter: ps.Iter, From: s.slot, CkAcc: s.wk.CkAcc}).Encode())
+	return s.send(MsgPassEnd, (&PassEnd{Epoch: s.a.Epoch, Iter: ps.Iter, From: s.a.Slot, CkAcc: s.wk.CkAcc}).Encode())
 }
 
-// phase runs one phase of cluster.Worker's driver over the local shard,
-// sending each block bound for another worker as soon as it fills (the
-// paper's compute/communication overlap) and keeping its own, then
-// drains incoming blocks into the next shard until the coordinator's
-// barrier.
+// phase runs one phase of cluster.Worker's driver over the local shard.
+// It puts its own finished tokens straight into the next slab and sends
+// each block bound for another worker as soon as it fills (the paper's
+// compute/communication overlap), then puts every token of the incoming
+// blocks at its offset as it decodes them, until the coordinator's
+// barrier, by which every region of the next slab must be full.
 func (s *wsession) phase(iter, phase int) error {
-	recv := &s.recv
-	recv.Reset()
-	err := s.wk.Phase(s.pass, s.top, &s.shard, phase == PhaseWord, s.blockTokens, func(o int, b *cluster.Slab) error {
-		if o == s.slot {
-			recv.Append(*b)
+	inbox, stride := &s.inbox, s.a.M+1
+	inbox.Reset(s.a.Top, 1-phase, s.a.Slot, stride)
+	ship := func(o int) error {
+		b := &s.buckets[o]
+		msg := &Block{Epoch: s.a.Epoch, Iter: iter, Phase: phase, From: s.a.Slot, To: o, DS: b.D, WS: b.W, Payload: b.Data}
+		b.Reset()
+		return s.send(MsgBlock, msg.Encode())
+	}
+	err := s.wk.Phase(s.pass, s.a.Top, &s.shard, phase == PhaseWord, func(o int, sh *cluster.Slab, i int) error {
+		if o == s.a.Slot {
+			_, err := inbox.Put(o, sh, i)
+			return err
+		}
+		b := &s.buckets[o]
+		b.D, b.W = append(b.D, sh.D[i]), append(b.W, sh.W[i])
+		b.Data = append(b.Data, sh.Data[i*stride:(i+1)*stride]...)
+		if b.Len() < s.a.BlockTokens {
 			return nil
 		}
-		msg := &Block{Epoch: s.epoch, Iter: iter, Phase: phase, From: s.slot, To: o, DS: b.D, WS: b.W, Payload: b.Data}
-		return s.send(MsgBlock, msg.Encode())
+		return ship(o)
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.send(MsgPhaseDone, (&Sync{Epoch: s.epoch, Iter: iter, Phase: phase, From: s.slot}).Encode()); err != nil {
+	for o := range s.buckets {
+		if s.buckets[o].Len() > 0 {
+			if err := ship(o); err != nil {
+				return err
+			}
+		}
+	}
+	if err := s.send(MsgPhaseDone, (&Sync{Epoch: s.a.Epoch, Iter: iter, Phase: phase, From: s.a.Slot}).Encode()); err != nil {
 		return err
 	}
 	// Drain incoming blocks until the barrier. The coordinator sends the
@@ -372,23 +383,31 @@ func (s *wsession) phase(iter, phase int) error {
 		}
 		switch typ {
 		case MsgBlock:
-			b, err := DecodeBlock(payload, s.scfg.K, s.scfg.M, s.numDocs, s.v)
+			b, err := DecodeBlock(payload, s.a.K, s.a.M, s.a.NumDocs, s.a.V)
 			if err != nil {
 				return err
 			}
-			if b.Epoch != s.epoch || b.Phase != phase {
+			if b.Epoch != s.a.Epoch || b.Phase != phase {
 				continue // stale
 			}
-			recv.Append(cluster.Slab{D: b.DS, W: b.WS, Data: b.Payload})
+			src := cluster.Slab{D: b.DS, W: b.WS, Data: b.Payload}
+			for i := range src.D {
+				if _, err := inbox.Put(b.From, &src, i); err != nil {
+					return err
+				}
+			}
 		case MsgBarrier:
 			sy, err := DecodeSync(payload)
 			if err != nil {
 				return err
 			}
-			if sy.Epoch != s.epoch || sy.Phase != phase {
+			if sy.Epoch != s.a.Epoch || sy.Phase != phase {
 				continue // stale
 			}
-			s.shard, s.recv = s.recv, s.shard
+			if err := inbox.Full(); err != nil {
+				return err
+			}
+			s.shard, inbox.Slab = inbox.Slab, s.shard
 			return nil
 		default:
 			return fmt.Errorf("dist: unexpected %s while draining %d-phase blocks", typ, phase)
