@@ -364,8 +364,9 @@ func run() int {
 		},
 		Progress: func(ev warplda.TrainEvent) {
 			if p := ev.Eval; p != nil {
-				fmt.Printf("iter %4d  logLik %.6e  time %8.2fs  %6.2f Mtoken/s (interval %6.2f)%s\n",
-					p.Iter, p.LogLik, p.Elapsed.Seconds(), p.TokensSec/1e6, p.IntervalTokensSec/1e6, acceptRates(s))
+				fmt.Printf("iter %4d  logLik %.6e  time %8.2fs  %6.2f Mtoken/s (interval %6.2f)  eval %7.1fms%s\n",
+					p.Iter, p.LogLik, p.Elapsed.Seconds(), p.TokensSec/1e6, p.IntervalTokensSec/1e6,
+					float64(ev.EvalTime.Microseconds())/1e3, acceptRates(s))
 			}
 			if ev.Checkpoint != "" {
 				fmt.Printf("checkpoint: iter %d -> %s\n", ev.Iter, ev.Checkpoint)

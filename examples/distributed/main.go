@@ -17,7 +17,6 @@ import (
 
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 )
 
@@ -65,7 +64,7 @@ func main() {
 	fmt.Printf("%4s %14s %16s\n", "iter", "logLik", "modeled time(s)")
 	for it := 1; it <= 10; it++ {
 		sharded.Iterate()
-		ll := eval.LogJoint(c, sharded.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
+		ll := sampler.LogJoint(c, sharded.Assignments(), cfg)
 		fmt.Printf("%4d %14.4e %16.6f\n", it, ll, float64(it)*step)
 	}
 }

@@ -63,9 +63,15 @@ type Distributed struct {
 
 	workers []*Worker
 
+	// evalNext asks the coming Iterate to sum the log joint (EvalNext);
+	// summed says the last one did and nothing has changed the state
+	// since, and docSum holds its doc terms.
+	evalNext, summed bool
+	docSum           float64
+
 	// Assignments regroup scratch, built lazily on first call and reused
-	// by every later one (the eval loop calls Assignments every reporting
-	// interval; rebuilding a tokens-sized map each time dominated eval).
+	// by every later one (publishing and the tests call it; evaluation
+	// does not, see LogJoint).
 	asgBuf   [][]int32
 	docOff   []int     // cumulative doc offsets into the flat gather buffer
 	docOrder [][]int32 // per doc, token positions ordered by word id
@@ -269,6 +275,9 @@ func (d *Distributed) Counts(slot int) (words, docs []int32) {
 // its finished blocks to the row owners, then a pipelined doc phase
 // streaming back to the column owners, then the ck allreduce.
 func (d *Distributed) Iterate() {
+	due := d.evalNext
+	d.evalNext = false
+	d.pass.Evaluate(due)
 	d.pass.Freeze(d.ck)
 	d.exchange(0)
 	d.exchange(1)
@@ -278,6 +287,36 @@ func (d *Distributed) Iterate() {
 			d.ck[k] += v
 		}
 	}
+	d.summed, d.docSum = due, 0
+	if due {
+		for _, wk := range d.workers {
+			d.docSum += wk.TakeSum()
+		}
+	}
+}
+
+// EvalNext implements sampler.PhaseEvaluator: the coming Iterate's doc
+// phase adds the doc terms of the log joint as each worker counts its
+// documents.
+func (d *Distributed) EvalNext() { d.evalNext = true }
+
+// LogJoint implements sampler.PhaseEvaluator: the log joint of the
+// current state, from the doc terms the last Iterate summed, one
+// sequential pass over every worker's word-phase slab (what the
+// exchange after the doc phase leaves), and the reduced C_k. Partial
+// sums are added in worker order, so the value is a function of the
+// state and the worker count. It reports false unless the last Iterate
+// was asked to sum (EvalNext).
+func (d *Distributed) LogJoint() (float64, bool) {
+	if !d.summed {
+		return 0, false
+	}
+	d.each(func(i int) { d.workers[i].WordTerms(d.pass, d.top, &d.shards[i]) })
+	ll := d.docSum
+	for _, wk := range d.workers {
+		ll += wk.TakeSum()
+	}
+	return ll + d.pass.TopicTerms(d.ck), true
 }
 
 // exchange runs phase ph (0 word, 1 doc) on every worker at once, then

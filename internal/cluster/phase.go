@@ -284,6 +284,18 @@ func (wk *Worker) Phase(pass *core.Pass, top *Topology, sh *Slab, word bool, put
 	return nil
 }
 
+// WordTerms adds the word terms of the log joint of the worker's slab
+// sh, laid out by top for the word phase, to its sum: one sequential
+// pass over its word runs (core.Pass.WordTerms).
+func (wk *Worker) WordTerms(pass *core.Pass, top *Topology, sh *Slab) {
+	at, p, s := top.lay[0][wk.slot], top.p, wk.stride
+	for r := p; r < len(at); r += p {
+		if lo, hi := int(at[r-p]), int(at[r]); lo < hi {
+			pass.WordTerms(wk.Worker, sh.Data[lo*s:hi*s], s)
+		}
+	}
+}
+
 // rowIndex returns 0, 1, …, n-1: a key's tokens as the row index
 // through which DocRun's positioning draw picks a token.
 func (wk *Worker) rowIndex(n int) []int32 {

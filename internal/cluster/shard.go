@@ -70,6 +70,7 @@ func (d *Distributed) RestoreShards(salt uint64, from string, shards []io.Reader
 	if err := d.layOut(&all, order); err != nil {
 		return false, err
 	}
+	d.summed = false
 	for i, wk := range d.workers {
 		if adopt {
 			wk.R.SetState(states[i].RNGState)

@@ -109,9 +109,10 @@ func (w *Warp) buildHeavyPlan() *heavyPlan {
 			b.segs[o] = append(b.segs[o], s)
 		}
 		colOwner := sparse.GreedyPartition(colW, n)
-		for c := range cols {
+		for c, col := range cols {
 			o := colOwner.Assign[c]
 			b.colsOf[o] = append(b.colsOf[o], c)
+			w.workers[o].heavyOwn = append(w.workers[o].heavyOwn, col)
 		}
 		p.batches = append(p.batches, b)
 	}

@@ -232,6 +232,12 @@ type Pass struct {
 	betas, alphas           []float64    // per-topic priors of the word and the doc phase
 	alphaTab                alias.Packed // q^doc smoothing part for asymmetric α (nil = uniform)
 	ckb                     []float64    // C_k + β̄
+
+	// evalDue makes the pass's doc runs add the doc terms of the log
+	// joint to their worker's sum (Evaluate); lj holds the terms' tables,
+	// built by the first pass that evaluates.
+	evalDue bool
+	lj      *logJoint
 }
 
 // NewPass builds the pass context of cfg over a vocabulary of v words,
@@ -255,6 +261,18 @@ func NewPass(cfg sampler.Config, v int) *Pass {
 	return p
 }
 
+// Evaluate sets whether the coming pass's doc runs add the doc terms of
+// the log joint to their worker's sum, so that the state the pass
+// leaves can be evaluated without a pass over the assignments (DocRun,
+// WordTerms, TopicTerms). Only a pass after which an evaluation is due
+// sets it; the others pay nothing.
+func (p *Pass) Evaluate(due bool) {
+	if due && p.lj == nil {
+		p.lj = newLogJoint(p)
+	}
+	p.evalDue = due
+}
+
 // Freeze sets the global topic counts C_k the coming pass reads.
 func (p *Pass) Freeze(ck []int32) {
 	for k, c := range ck {
@@ -268,6 +286,7 @@ func (p *Pass) Freeze(ck []int32) {
 // run.
 type Worker struct {
 	R       *rng.RNG
+	sum     float64   // log-joint terms added since the last TakeSum
 	cur     countRow  // c_w or c_d of the column or row being visited
 	next    countRow  // a word's recount after the chains, for the proposal table
 	spare   []int32   // touched list of lane rows, which nobody reads
@@ -280,6 +299,14 @@ type Worker struct {
 // NewWorker returns the scratch for k topics drawing from r.
 func NewWorker(k int, r *rng.RNG) *Worker {
 	return &Worker{R: r, cur: newCountRow(k), next: newCountRow(k), spare: make([]int32, 0, k+1)}
+}
+
+// TakeSum returns the log-joint terms the worker's runs have added since
+// the last call, and starts a new sum.
+func (wk *Worker) TakeSum() float64 {
+	s := wk.sum
+	wk.sum = 0
+	return s
 }
 
 // laneRow views a plain K-sized count lane (a C_k contribution lane, a
@@ -327,14 +354,139 @@ func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, acc
 // entries through it): count c_d, finish the word-proposal chains
 // against it with the doc acceptance rate (Eq. 7, π^word) while adding
 // the new assignments to lane (the caller's C_k contribution), then draw
-// M fresh doc proposals per entry from q^doc ∝ C_dk + α_k. It returns
-// chain's statistics.
+// M fresh doc proposals per entry from q^doc ∝ C_dk + α_k. When the pass
+// evaluates, the chains count the new assignments into a row of their
+// own instead, which is folded into lane while the document's terms of
+// the log joint are added to the worker's sum. It returns chain's
+// statistics.
 func (p *Pass) DocRun(wk *Worker, data, idx []int32, stride int, lane []int32) (proposed, accepted int) {
 	wk.cur.reset()
 	count(data, idx, stride, &wk.cur)
-	acc := wk.laneRow(lane)
-	proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, wk.R)
+	if p.evalDue {
+		wk.next.reset()
+		proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.alphas, p.ckb, wk.R)
+		wk.sum += p.lj.docTerms(wk.next, lane)
+	} else {
+		acc := wk.laneRow(lane)
+		proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, wk.R)
+	}
 	ld := float64(len(idx))
 	drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, wk.R)
 	return proposed, accepted
+}
+
+// The log joint of Section 6.1,
+//
+//	L = Σ_d [ lnΓ(ᾱ) − lnΓ(ᾱ+L_d) + Σ_k lnΓ(α_k+C_dk) − lnΓ(α_k) ]
+//	  + Σ_w Σ_k [ lnΓ(β+C_wk) − lnΓ(β) ] + Σ_k [ lnΓ(β̄) − lnΓ(β̄+C_k) ],
+//
+// is a sum over the nonzero entries of the doc rows, of the word rows and
+// of C_k, which the phases count anyway: an evaluating pass's doc runs
+// add the doc terms as they count each document (DocRun), one
+// sequential pass over the word runs adds the word terms after it
+// (WordTerms), and TopicTerms adds the C_k terms of the merged counts.
+// internal/eval's LogJoint, which counts from the assignments, is the
+// oracle these sums are tested against.
+
+// lgDiffSize is the number of counts an lgDiff tabulates: most counts
+// of a row are small.
+const lgDiffSize = 1024
+
+// lgDiff is lnΓ(a+n) − lnΓ(a) for integer n ≥ 0, tabulated below
+// lgDiffSize.
+type lgDiff struct {
+	a, lga float64
+	tab    []float64
+}
+
+func newLgDiff(a float64) lgDiff {
+	d := lgDiff{a: a, lga: lgamma(a), tab: make([]float64, lgDiffSize)}
+	for n := range d.tab {
+		d.tab[n] = lgamma(a+float64(n)) - d.lga
+	}
+	return d
+}
+
+func (d *lgDiff) at(n int32) float64 {
+	if uint32(n) < lgDiffSize {
+		return d.tab[n]
+	}
+	return lgamma(d.a+float64(n)) - d.lga
+}
+
+// lgamma drops the sign math.Lgamma returns; every argument here is > 0.
+func lgamma(x float64) float64 {
+	v, _ := math.Lgamma(x)
+	return v
+}
+
+// logJoint holds the tables of the log joint's terms for one Pass.
+type logJoint struct {
+	alpha, alphaBar, beta, betaBar lgDiff
+	alphas, lgAlphas               []float64 // an α vector and its lnΓ(α_k); nil when symmetric
+}
+
+func newLogJoint(p *Pass) *logJoint {
+	lj := &logJoint{
+		alphaBar: newLgDiff(p.alphaBar),
+		beta:     newLgDiff(p.beta),
+		betaBar:  newLgDiff(p.betaBar),
+	}
+	if p.alphaTab == nil {
+		lj.alpha = newLgDiff(p.alphas[0])
+		return lj
+	}
+	lj.alphas = p.alphas
+	lj.lgAlphas = make([]float64, len(p.alphas))
+	for k, a := range p.alphas {
+		lj.lgAlphas[k] = lgamma(a)
+	}
+	return lj
+}
+
+// docTerms folds the counts of one document's new assignments, row,
+// into lane and returns the document's terms of the log joint.
+func (lj *logJoint) docTerms(row countRow, lane []int32) float64 {
+	var ld int32
+	s := 0.0
+	if lj.alphas == nil {
+		for _, t := range row.touched {
+			c := row.c[t]
+			lane[t] += c
+			ld += c
+			s += lj.alpha.at(c)
+		}
+	} else {
+		for _, t := range row.touched {
+			c := row.c[t]
+			lane[t] += c
+			ld += c
+			s += lgamma(lj.alphas[t]+float64(c)) - lj.lgAlphas[t]
+		}
+	}
+	return s - lj.alphaBar.at(ld)
+}
+
+// WordTerms adds the terms of one word to wk's sum: Σ_k lnΓ(β+C_wk) −
+// lnΓ(β) over the current assignments of the contiguous entries data.
+// It reads the tables of an earlier Evaluate(true).
+func (p *Pass) WordTerms(wk *Worker, data []int32, stride int) {
+	wk.cur.reset()
+	count(data, nil, stride, &wk.cur)
+	s := 0.0
+	for _, t := range wk.cur.touched {
+		s += p.lj.beta.at(wk.cur.c[t])
+	}
+	wk.sum += s
+}
+
+// TopicTerms returns the C_k terms of the log joint, Σ_k lnΓ(β̄) −
+// lnΓ(β̄+C_k), of the merged counts ck. It reads the tables of an
+// earlier Evaluate(true).
+func (p *Pass) TopicTerms(ck []int32) float64 {
+	s := 0.0
+	for _, c := range ck {
+		s -= p.lj.betaBar.at(c)
+	}
+	return s
 }

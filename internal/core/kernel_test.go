@@ -521,3 +521,34 @@ func TestSerialIterateDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluatedIterateDoesNotAllocate: an iteration flagged for
+// evaluation and the log joint summed from it allocate nothing in steady
+// state either, with a symmetric α and with an α vector.
+func TestEvaluatedIterateDoesNotAllocate(t *testing.T) {
+	c := testCorpus(21)
+	vec := defaultCfg(16)
+	vec.AlphaVec = make([]float64, 16)
+	for k := range vec.AlphaVec {
+		vec.AlphaVec[k] = 0.1 + 0.05*float64(k%3)
+	}
+	for _, cfg := range []sampler.Config{defaultCfg(16), defaultCfg(65536), vec} {
+		w, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			w.EvalNext()
+			w.Iterate()
+			if _, ok := w.LogJoint(); !ok {
+				t.Fatal("no phase sum after a flagged iteration")
+			}
+		}
+		for i := 0; i < 5; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+			t.Errorf("K=%d, α vector %v: an evaluated pass allocates %v times in steady state", cfg.K, cfg.AlphaVec != nil, allocs)
+		}
+	}
+}

@@ -92,3 +92,48 @@ func BenchmarkIterateAcrossK(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEval times an iteration followed by its evaluation, in ns per
+// token: plain runs Iterate alone; oracle follows it with eval's
+// LogJoint over Assignments, as every evaluation did before the phases
+// summed it; phase flags the iteration and asks the sampler for its own
+// sum. The cost of an evaluation is the difference from plain.
+func BenchmarkEval(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		get  func(*testing.B) (*corpus.Corpus, sampler.Config)
+	}{{"nyt", nytShape}, {"zipf", zipfShape}} {
+		for _, mode := range []string{"plain", "oracle", "phase"} {
+			b.Run(shape.name+"/"+mode, func(b *testing.B) {
+				c, cfg := shape.get(b)
+				w, err := New(c, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				step := func() {
+					switch mode {
+					case "plain":
+						w.Iterate()
+					case "oracle":
+						w.Iterate()
+						sampler.LogJoint(c, w.Assignments(), cfg)
+					case "phase":
+						w.EvalNext()
+						w.Iterate()
+						if _, ok := w.LogJoint(); !ok {
+							b.Fatal("no phase sum after a flagged iteration")
+						}
+					}
+				}
+				for i := 0; i < 3; i++ {
+					step()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.NumTokens()), "ns/token")
+			})
+		}
+	}
+}

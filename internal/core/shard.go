@@ -323,6 +323,7 @@ func (w *Warp) RestoreShards(salt uint64, from string, shards []io.Reader) (rese
 		}
 	}
 	w.pass.Freeze(w.ck)
+	w.summed = false
 	for i, wk := range w.workers {
 		if adopt {
 			wk.R.SetState(states[i].RNGState)

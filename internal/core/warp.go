@@ -85,6 +85,12 @@ type Warp struct {
 	heavyCols []int      // columns processed with intra-word parallelism
 	isHeavy   []bool     // per column
 	heavy     *heavyPlan // staged schedule for heavyCols (nil if none)
+
+	// evalNext asks the coming Iterate to sum the log joint (EvalNext);
+	// summed says the last one did and nothing has changed the state
+	// since, and docSum holds its doc terms.
+	evalNext, summed bool
+	docSum           float64
 }
 
 // worker carries the per-goroutine state: the phase-run scratch and
@@ -96,6 +102,7 @@ type worker struct {
 
 	colChunks [][2]int // column ranges [start, end) owned in the word phase
 	rowChunks [][2]int // row ranges owned in the doc phase
+	heavyOwn  []int    // heavy columns it merges in the staged passes
 }
 
 // New builds a WarpLDA sampler. The corpus must be valid; cfg.M ≥ 1 is
@@ -344,10 +351,63 @@ func (w *Warp) Iterate() {
 	for _, wk := range w.workers {
 		wk.stats = PassStats{}
 	}
+	due := w.evalNext
+	w.evalNext = false
+	w.pass.Evaluate(due)
 	w.heavyPhase()
 	w.wordPhase()
 	w.docPhase()
 	w.merge()
+	w.summed, w.docSum = due, 0
+	if due {
+		for _, wk := range w.workers {
+			w.docSum += wk.TakeSum()
+		}
+	}
+}
+
+// EvalNext implements sampler.PhaseEvaluator: the coming Iterate adds
+// the doc terms of the log joint as its doc phase counts each row.
+func (w *Warp) EvalNext() { w.evalNext = true }
+
+// LogJoint implements sampler.PhaseEvaluator: the log joint of the
+// current state, from the doc terms the last Iterate summed, one
+// sequential pass over the CSC columns split as the word phase splits
+// them (each heavy column goes whole to the worker that merges it), and
+// the merged C_k. Partial sums are added in worker order, so the value
+// is a function of the state and the thread count. It reports false
+// unless the last Iterate was asked to sum (EvalNext).
+func (w *Warp) LogJoint() (float64, bool) {
+	if !w.summed {
+		return 0, false
+	}
+	w.runPhase((*Warp).wordSums)
+	ll := w.docSum
+	for _, wk := range w.workers {
+		ll += wk.TakeSum()
+	}
+	return ll + w.pass.TopicTerms(w.ck), true
+}
+
+// wordSums is one worker's share of LogJoint's pass over the columns.
+func (w *Warp) wordSums(wk *worker) {
+	for _, rg := range wk.colChunks {
+		for col := rg[0]; col < rg[1]; col++ {
+			if !w.isHeavy[col] {
+				w.wordTerms(wk, col)
+			}
+		}
+	}
+	for _, col := range wk.heavyOwn {
+		w.wordTerms(wk, col)
+	}
+}
+
+// wordTerms adds one column's word terms to the worker's sum.
+func (w *Warp) wordTerms(wk *worker, col int) {
+	if seg := w.m.Column(col).Payload(); len(seg) > 0 {
+		w.pass.WordTerms(&wk.Worker, seg, w.m.Stride)
+	}
 }
 
 func (w *Warp) wordPhase() { w.runPhase((*Warp).wordChunks) }

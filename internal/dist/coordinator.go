@@ -34,7 +34,6 @@ import (
 
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 	"warplda/internal/train"
 )
@@ -679,7 +678,7 @@ func (co *Coordinator) syncCheckpoint(ctx context.Context, hb *time.Ticker, shad
 		co.abortEpoch()
 		return errMembership
 	}
-	ll := eval.LogJoint(co.cfg.Corpus, shadow.Assignments(), co.cfg.Cfg.K, co.cfg.Cfg.Alpha, co.cfg.Cfg.Beta)
+	ll := sampler.LogJoint(co.cfg.Corpus, shadow.Assignments(), co.cfg.Cfg)
 	tps := 0.0
 	if sec := co.elapsed.Seconds(); sec > 0 {
 		tps = float64(co.cfg.Corpus.NumTokens()*iter) / sec

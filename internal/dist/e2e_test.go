@@ -12,7 +12,6 @@ import (
 
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 )
 
@@ -48,7 +47,7 @@ func referenceLL(t *testing.T, c *corpus.Corpus, cfg sampler.Config, p, iters in
 	for i := 0; i < iters; i++ {
 		d.Iterate()
 	}
-	return eval.LogJoint(c, d.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
+	return sampler.LogJoint(c, d.Assignments(), cfg)
 }
 
 // requireWithinElasticTolerance matches internal/cluster's elastic
@@ -154,7 +153,7 @@ func requireReplaysInProcess(t *testing.T, c *corpus.Corpus, cfg sampler.Config,
 		for ; iter < pt.Iter; iter++ {
 			d.Iterate()
 		}
-		if want := eval.LogJoint(c, d.Assignments(), cfg.K, cfg.Alpha, cfg.Beta); pt.LogLik != want {
+		if want := sampler.LogJoint(c, d.Assignments(), cfg); pt.LogLik != want {
 			t.Fatalf("p=%d: live log joint %v at iteration %d, in-process %v", p, pt.LogLik, pt.Iter, want)
 		}
 	}

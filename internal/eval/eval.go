@@ -9,6 +9,13 @@
 // are recomputed from the assignment state so the metric is independent
 // of any sampler's internal bookkeeping — a sampler with corrupted
 // incremental counts cannot hide it from the evaluator.
+//
+// That makes LogJoint and LogJointAsym the oracle: the WarpLDA samplers
+// sum the same terms from the count rows their phases build
+// (core.Pass.DocRun, WordTerms, TopicTerms), and their tests hold those
+// sums to these functions on the same state. Training evaluates the
+// baselines, the live coordinator and any state without a phase sum
+// (sampler.LogJoint) with them.
 package eval
 
 import (
@@ -55,12 +62,8 @@ func LogJoint(c corpus.Provider, z [][]int32, k int, alpha, beta float64) float6
 		panic("eval: z shape mismatch")
 	}
 	alphaBar := alpha * float64(k)
-	betaBar := beta * float64(c.NumWords())
-
 	lgA := newLgammaCache(alpha, 1024)
-	lgB := newLgammaCache(beta, 1024)
 	lgAlpha := lgamma(alpha)
-	lgBeta := lgamma(beta)
 	lgAlphaBar := lgamma(alphaBar)
 
 	var ll float64
@@ -88,42 +91,7 @@ func LogJoint(c corpus.Provider, z [][]int32, k int, alpha, beta float64) float6
 		}
 		touched = touched[:0]
 	}
-
-	// Word side: scatter topics into word-major order, then one pass per
-	// word with the same touched-list trick; accumulate C_k along the way.
-	v := c.NumWords()
-	wm := corpus.BuildWordMajorOf(c)
-	topics := make([]int32, c.NumTokens())
-	next := make([]int32, v)
-	copy(next, wm.Start[:v])
-	for d, nd := 0, c.NumDocs(); d < nd; d++ {
-		for n, w := range c.Doc(d) {
-			topics[next[w]] = z[d][n]
-			next[w]++
-		}
-	}
-	ck := make([]int64, k)
-	cw := make([]int32, k)
-	for w := 0; w < v; w++ {
-		col := topics[wm.Start[w]:wm.Start[w+1]]
-		for _, t := range col {
-			if cw[t] == 0 {
-				touched = append(touched, t)
-			}
-			cw[t]++
-			ck[t]++
-		}
-		for _, t := range touched {
-			ll += lgB.at(cw[t]) - lgBeta
-			cw[t] = 0
-		}
-		touched = touched[:0]
-	}
-	lgBetaBar := lgamma(betaBar)
-	for _, c := range ck {
-		ll += lgBetaBar - lgamma(betaBar+float64(c))
-	}
-	return ll
+	return wordSideLL(c, z, k, beta, ll)
 }
 
 // LogJointAsym is LogJoint for an asymmetric document-topic prior: the
@@ -164,12 +132,13 @@ func LogJointAsym(c corpus.Provider, z [][]int32, alphas []float64, beta float64
 		}
 		touched = touched[:0]
 	}
-	return ll + wordSideLL(c, z, k, beta)
+	return wordSideLL(c, z, k, beta, ll)
 }
 
-// wordSideLL computes the word-topic portion of the joint likelihood
-// (identical for symmetric and asymmetric α).
-func wordSideLL(c corpus.Provider, z [][]int32, k int, beta float64) float64 {
+// wordSideLL adds the word-topic portion of the joint likelihood
+// (identical for symmetric and asymmetric α) to the doc side ll, term by
+// term.
+func wordSideLL(c corpus.Provider, z [][]int32, k int, beta, ll float64) float64 {
 	v := c.NumWords()
 	betaBar := beta * float64(v)
 	lgB := newLgammaCache(beta, 1024)
@@ -184,7 +153,6 @@ func wordSideLL(c corpus.Provider, z [][]int32, k int, beta float64) float64 {
 			next[w]++
 		}
 	}
-	var ll float64
 	ck := make([]int64, k)
 	cw := make([]int32, k)
 	var touched []int32

@@ -7,7 +7,6 @@ import (
 	"warplda/internal/cluster"
 	"warplda/internal/core"
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 )
 
@@ -59,7 +58,7 @@ func Fig6(o Options) (*Report, error) {
 		sharded.Iterate()
 		warpT += warpStep
 		if it%every == 0 || it == iters {
-			ll := eval.LogJoint(c, sharded.Assignments(), k, warpCfg.Alpha, warpCfg.Beta)
+			ll := sampler.LogJoint(c, sharded.Assignments(), warpCfg)
 			r.addf("%-10s %6d %14.4e %14.4f", "WarpLDA", it, ll, warpT)
 		}
 	}
@@ -81,7 +80,7 @@ func Fig6(o Options) (*Report, error) {
 		}
 		lightT += step
 		if it%every == 0 || it == iters {
-			ll := eval.LogJoint(c, light.Assignments(), k, lightCfg.Alpha, lightCfg.Beta)
+			ll := sampler.LogJoint(c, light.Assignments(), lightCfg)
 			r.addf("%-10s %6d %14.4e %14.4f", "LightLDA", it, ll, lightT)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"warplda/internal/cluster"
 	"warplda/internal/core"
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 	"warplda/internal/sparse"
 )
@@ -171,7 +170,7 @@ func Fig9cd(o Options) (*Report, error) {
 		sharded.Iterate()
 		t += st.ModeledSeconds
 		if it%every == 0 || it == iters {
-			ll := eval.LogJoint(c, sharded.Assignments(), k, cfg.Alpha, cfg.Beta)
+			ll := sampler.LogJoint(c, sharded.Assignments(), cfg)
 			r.addf("%6d %14.4e %16.4f %18.4f", it, ll, t, st.ModeledThroughput(tokens)/1e9)
 		}
 	}

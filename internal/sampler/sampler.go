@@ -98,6 +98,30 @@ type Sampler interface {
 	Assignments() [][]int32
 }
 
+// PhaseEvaluator is implemented by samplers that sum the log joint
+// from the count rows their phases build instead of from Assignments:
+// the WarpLDA samplers. Loop calls EvalNext before every Iterate after
+// which an evaluation is due, so the other iterations pay nothing.
+type PhaseEvaluator interface {
+	// EvalNext asks the coming Iterate to sum the doc terms of the log
+	// joint while its doc phase counts each document.
+	EvalNext()
+	// LogJoint returns log p(W, Z | α, β) of the current state, and
+	// false unless the last Iterate was asked to sum it and the state
+	// has not changed since (a restore, say).
+	LogJoint() (float64, bool)
+}
+
+// LogJoint is the log joint of the assignments z of c under cfg's
+// priors, the α vector when one is set: internal/eval's oracle, which
+// counts from the assignments.
+func LogJoint(c corpus.Provider, z [][]int32, cfg Config) float64 {
+	if cfg.AlphaVec != nil {
+		return eval.LogJointAsym(c, z, cfg.AlphaVec, cfg.Beta)
+	}
+	return eval.LogJoint(c, z, cfg.K, cfg.Alpha, cfg.Beta)
+}
+
 // Sharded is implemented by samplers whose mutable state is divided
 // among workers — physically partitioned tokens in the distributed
 // execution model, or per-worker row ranges of a shared token matrix
@@ -163,6 +187,9 @@ type Loop struct {
 	Corpus    corpus.Provider
 	Cfg       Config
 	EvalEvery int
+	// Iters, when > 0, is the run's last iteration, which is evaluated
+	// whatever EvalEvery says.
+	Iters int
 
 	// Iter is the number of completed iterations; Elapsed the cumulative
 	// sampling time; Trace the recorded evaluation points.
@@ -211,8 +238,16 @@ func (l *Loop) SetProgress(iter int, elapsed time.Duration, trace Run) {
 	}
 }
 
-// Step runs one timed iteration.
+// due reports whether an evaluation follows iteration iter: every
+// EvalEvery-th, and the run's last.
+func (l *Loop) due(iter int) bool { return iter%l.EvalEvery == 0 || iter == l.Iters }
+
+// Step runs one timed iteration. When an evaluation will follow it, a
+// PhaseEvaluator is asked to sum the log joint as it goes.
 func (l *Loop) Step() {
+	if e, ok := l.Sampler.(PhaseEvaluator); ok && l.due(l.Iter+1) {
+		e.EvalNext()
+	}
 	start := time.Now()
 	l.Sampler.Iterate()
 	l.Elapsed += time.Since(start)
@@ -220,21 +255,21 @@ func (l *Loop) Step() {
 }
 
 // Eval records an evaluation point if one is due after the current
-// iteration — every EvalEvery iterations, plus (when final is true) the
-// run's last iteration. It returns the point and whether one was
-// recorded; an iteration already evaluated is never evaluated twice.
-func (l *Loop) Eval(final bool) (Point, bool) {
-	if l.Iter%l.EvalEvery != 0 && !final {
+// iteration — every EvalEvery iterations, plus the run's last (Iters).
+// It returns the point and whether one was recorded; an iteration
+// already evaluated is never evaluated twice. The log joint is the
+// sampler's own sum when it is a PhaseEvaluator that summed this state,
+// else LogJoint over its Assignments.
+func (l *Loop) Eval() (Point, bool) {
+	if !l.due(l.Iter) || l.Iter == l.lastEvalIter {
 		return Point{}, false
 	}
-	if l.Iter == l.lastEvalIter {
-		return Point{}, false
+	ll, ok := 0.0, false
+	if e, is := l.Sampler.(PhaseEvaluator); is {
+		ll, ok = e.LogJoint()
 	}
-	var ll float64
-	if l.Cfg.AlphaVec != nil {
-		ll = eval.LogJointAsym(l.Corpus, l.Sampler.Assignments(), l.Cfg.AlphaVec, l.Cfg.Beta)
-	} else {
-		ll = eval.LogJoint(l.Corpus, l.Sampler.Assignments(), l.Cfg.K, l.Cfg.Alpha, l.Cfg.Beta)
+	if !ok {
+		ll = LogJoint(l.Corpus, l.Sampler.Assignments(), l.Cfg)
 	}
 	tps := 0.0
 	if sec := l.Elapsed.Seconds(); sec > 0 {
@@ -257,9 +292,10 @@ func (l *Loop) Eval(final bool) (Point, bool) {
 // training lives in the internal/train orchestrator.
 func Train(s Sampler, c corpus.Provider, cfg Config, iters, evalEvery int) Run {
 	l := NewLoop(s, c, cfg, evalEvery)
+	l.Iters = iters
 	for l.Iter < iters {
 		l.Step()
-		l.Eval(l.Iter == iters)
+		l.Eval()
 	}
 	return l.Trace
 }

@@ -192,7 +192,7 @@ func TestLoopResumeMatchesUninterrupted(t *testing.T) {
 	half := NewLoop(newFake(c), c, cfg, 3)
 	for half.Iter < 5 {
 		half.Step()
-		half.Eval(false)
+		half.Eval()
 	}
 	var buf bytes.Buffer
 	if err := half.Sampler.(*fakeSampler).StateTo(&buf); err != nil {
@@ -203,10 +203,11 @@ func TestLoopResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := NewLoop(fresh, c, cfg, 3)
+	resumed.Iters = 10
 	resumed.SetProgress(half.Iter, half.Elapsed, half.Trace)
 	for resumed.Iter < 10 {
 		resumed.Step()
-		resumed.Eval(resumed.Iter == 10)
+		resumed.Eval()
 	}
 
 	if len(resumed.Trace.Points) != len(full.Points) {
@@ -223,13 +224,14 @@ func TestLoopResumeMatchesUninterrupted(t *testing.T) {
 func TestLoopEvalNeverDuplicates(t *testing.T) {
 	c := fakeCorpus()
 	l := NewLoop(newFake(c), c, PaperDefaults(2), 2)
+	l.Iters = 2
 	l.Step()
 	l.Step()
-	if _, ok := l.Eval(false); !ok {
+	if _, ok := l.Eval(); !ok {
 		t.Fatal("eval due at iter 2 not recorded")
 	}
-	// Final flag on an already-evaluated iteration must not duplicate.
-	if _, ok := l.Eval(true); ok {
+	// The last iteration, already evaluated, must not be evaluated again.
+	if _, ok := l.Eval(); ok {
 		t.Fatal("iteration evaluated twice")
 	}
 	if len(l.Trace.Points) != 1 {

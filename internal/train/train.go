@@ -85,8 +85,10 @@ type Options struct {
 type Event struct {
 	// Iter is the just-completed iteration; Iters the run target.
 	Iter, Iters int
-	// Eval is the evaluation recorded after this iteration, if any.
-	Eval *sampler.Point
+	// Eval is the evaluation recorded after this iteration, if any, and
+	// EvalTime the wall time it took (0 when there was none).
+	Eval     *sampler.Point
+	EvalTime time.Duration
 	// Checkpoint is the path of the checkpoint written after this
 	// iteration, if any.
 	Checkpoint string
@@ -124,6 +126,7 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		return Result{}, fmt.Errorf("train: Iters = %d, want > 0", opts.Iters)
 	}
 	loop := sampler.NewLoop(s, c, cfg, opts.EvalEvery)
+	loop.Iters = opts.Iters
 	fingerprint := CorpusFingerprint(c)
 
 	var sh sampler.Sharded
@@ -196,8 +199,9 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 
 		var ev Event
 		ev.Iter, ev.Iters = loop.Iter, opts.Iters
-		if p, ok := loop.Eval(final); ok {
-			ev.Eval = &p
+		evalStart := time.Now()
+		if p, ok := loop.Eval(); ok {
+			ev.Eval, ev.EvalTime = &p, time.Since(evalStart)
 		}
 
 		if stopped() {

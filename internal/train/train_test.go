@@ -1,6 +1,7 @@
 package train_test
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -291,4 +292,82 @@ func TestResumeVerifies(t *testing.T) {
 			t.Fatalf("completed=%v iter=%d", res.Completed, res.Iter)
 		}
 	})
+}
+
+// oracleless is a WarpLDA sampler whose evaluations must come from its
+// own phase sums: a call of Assignments fails the test.
+type oracleless struct {
+	*core.Warp
+	t *testing.T
+}
+
+func (o oracleless) Assignments() [][]int32 {
+	o.t.Error("evaluation fell back to the oracle over Assignments")
+	return o.Warp.Assignments()
+}
+
+// TestEvaluationsUsePhaseSums: train.Run and sampler.Train flag every
+// iteration that is evaluated, the last one included when Iters is not a
+// multiple of EvalEvery, so no evaluation of core falls back to the
+// oracle, and each equals the oracle on the same state.
+func TestEvaluationsUsePhaseSums(t *testing.T) {
+	c := testCorpus(5)
+	cfg := testCfg(8)
+	s := oracleless{newWarp(t, c, cfg), t}
+	var iters []int
+	_, err := train.Run(s, c, cfg, train.Options{
+		Iters: 7, EvalEvery: 2,
+		Progress: func(ev train.Event) {
+			if ev.Eval == nil {
+				return
+			}
+			iters = append(iters, ev.Iter)
+			want := sampler.LogJoint(c, s.Warp.Assignments(), cfg)
+			if rel := math.Abs(ev.Eval.LogLik-want) / math.Abs(want); !(rel <= 1e-9) {
+				t.Errorf("iteration %d: log joint %v, oracle %v", ev.Iter, ev.Eval.LogLik, want)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(iters, []int{2, 4, 6, 7}) {
+		t.Fatalf("evaluated iterations %v, want [2 4 6 7]", iters)
+	}
+	run := sampler.Train(oracleless{newWarp(t, c, cfg), t}, c, cfg, 7, 2)
+	if n := len(run.Points); n != 4 || run.Points[n-1].Iter != 7 {
+		t.Fatalf("sampler.Train trace %+v, want points at 2, 4, 6 and 7", run.Points)
+	}
+}
+
+// TestEvalTimeOnlyWithEval: an event carries an evaluation's wall time
+// exactly when it carries the evaluation, for a sampler that sums its
+// own log joint and for one the oracle evaluates.
+func TestEvalTimeOnlyWithEval(t *testing.T) {
+	c := testCorpus(6)
+	cfg := testCfg(6)
+	cgs, err := baselines.NewCGS(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sampler.Sampler{newWarp(t, c, cfg), cgs} {
+		evals := 0
+		_, err := train.Run(s, c, cfg, train.Options{
+			Iters: 5, EvalEvery: 2,
+			Progress: func(ev train.Event) {
+				if (ev.EvalTime > 0) != (ev.Eval != nil) {
+					t.Errorf("%s iteration %d: eval time %v with eval %v", s.Name(), ev.Iter, ev.EvalTime, ev.Eval != nil)
+				}
+				if ev.Eval != nil {
+					evals++
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if evals != 3 {
+			t.Fatalf("%s: %d evaluations, want 3", s.Name(), evals)
+		}
+	}
 }

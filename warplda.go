@@ -266,7 +266,7 @@ func ListCheckpoints(dir string) ([]train.CheckpointEntry, error) {
 // LogLikelihood computes log p(W, Z | α, β) for the sampler's current
 // state.
 func LogLikelihood(c CorpusProvider, s Sampler, cfg Config) float64 {
-	return eval.LogJoint(c, s.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
+	return sampler.LogJoint(c, s.Assignments(), cfg)
 }
 
 // Model is a trained LDA model: the MAP point estimates of Eq. 4 derived
@@ -318,7 +318,7 @@ func Snapshot(c CorpusProvider, s Sampler, cfg Config) *Model {
 			m.Ck[t]++
 		}
 	}
-	m.LogLik = eval.LogJoint(c, z, cfg.K, cfg.Alpha, cfg.Beta)
+	m.LogLik = sampler.LogJoint(c, z, cfg)
 	return m
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"warplda/internal/eval"
 )
 
 func apiCorpus(t testing.TB) *Corpus {
@@ -237,6 +239,32 @@ func TestAsymmetricAlphaThroughFacade(t *testing.T) {
 	}
 	if run.Final().LogLik <= run.Points[0].LogLik {
 		t.Fatal("asymmetric facade run did not improve")
+	}
+}
+
+// TestAlphaVecLogLikelihood: with an α vector, the facade's
+// LogLikelihood and a Snapshot's LogLik are the α-vector log joint of
+// the sampler's state, not the symmetric one of cfg.Alpha.
+func TestAlphaVecLogLikelihood(t *testing.T) {
+	c := apiCorpus(t)
+	cfg := Defaults(5)
+	cfg.AlphaVec = []float64{1, 0.5, 0.3, 0.2, 0.1}
+	s, err := NewSampler(WarpLDA, c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		s.Iterate()
+	}
+	want := eval.LogJointAsym(c, s.Assignments(), cfg.AlphaVec, cfg.Beta)
+	if sym := eval.LogJoint(c, s.Assignments(), cfg.K, cfg.Alpha, cfg.Beta); sym == want {
+		t.Fatal("the α vector does not change the log joint; the test cannot tell the two apart")
+	}
+	if got := LogLikelihood(c, s, cfg); got != want {
+		t.Errorf("LogLikelihood %v, want the α-vector log joint %v", got, want)
+	}
+	if got := Snapshot(c, s, cfg).LogLik; got != want {
+		t.Errorf("Snapshot LogLik %v, want the α-vector log joint %v", got, want)
 	}
 }
 
