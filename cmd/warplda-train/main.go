@@ -176,7 +176,7 @@ func run() int {
 		budget     = flag.Duration("budget", 0, "wall-clock sampling budget (e.g. 2h30m); 0 = none")
 		stream     = flag.Bool("stream", false, "out-of-core ingestion: build (or reuse) a .warpcorpus cache and memory-map it instead of loading the corpus into RAM")
 		cacheDir   = flag.String("corpus-cache", "", "directory for the .warpcorpus cache (with -stream; default: the corpus file's directory)")
-		maxResMB   = flag.Int("max-resident-mb", 0, "ingestion buffer budget in MiB while building the cache (with -stream; 0 = 64)")
+		maxResMB   = flag.Int("max-resident-mb", 0, "cap in MiB on the buffers that build the cache (with -stream; each takes a quarter, at most 1 MiB; 0 = no cap)")
 	)
 	flag.Parse()
 

@@ -47,7 +47,7 @@ func (d *Distributed) ShardTo(i int, w io.Writer) error {
 // reseeded reports true so the caller can log the loss of
 // bit-exactness.
 func (d *Distributed) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
-	states, pos, err := core.DecodeShards(d.cfg, d.c, d.c.Doc, shards)
+	states, pos, err := core.DecodeShards(d.cfg, d.c, shards)
 	if err != nil {
 		return false, err
 	}

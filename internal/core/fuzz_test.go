@@ -44,7 +44,7 @@ func FuzzDecodeShard(f *testing.F) {
 				t.Fatalf("accepted stream does not re-encode to its bytes:\n got %x\nwant %x", re.Bytes(), data)
 			}
 		}
-		states, pos, err := DecodeShards(cfg, c, c.Doc, []io.Reader{bytes.NewReader(data)})
+		states, pos, err := DecodeShards(cfg, c, []io.Reader{bytes.NewReader(data)})
 		if err == nil && (len(states) != 1 || len(pos) != c.NumTokens()) {
 			t.Fatalf("accepted a set of %d shards placing %d of %d tokens", len(states), len(pos), c.NumTokens())
 		}

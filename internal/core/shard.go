@@ -167,9 +167,9 @@ func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerSta
 // it whole before the caller commits anything: each stream as
 // DecodeWorkerState does, each in its own slot of one topology, all
 // tokens exactly the corpus's multiset. Token j of the set takes word
-// pos[j] of its document as words(d) lists them, the k-th token of a
+// pos[j] of its document as c.Doc lists them, the k-th token of a
 // (d, w) cell the cell's k-th occurrence.
-func DecodeShards(cfg sampler.Config, c corpus.Provider, words func(d int) []int32, shards []io.Reader) (states []*WorkerState, pos []int32, err error) {
+func DecodeShards(cfg sampler.Config, c corpus.Provider, shards []io.Reader) (states []*WorkerState, pos []int32, err error) {
 	if len(shards) < 1 {
 		return nil, nil, fmt.Errorf("core: restore with %d shards", len(shards))
 	}
@@ -185,7 +185,7 @@ func DecodeShards(cfg sampler.Config, c corpus.Provider, words func(d int) []int
 		left -= st.Tokens.Len()
 		states = append(states, st)
 	}
-	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), words)
+	pos, err = matchTokens(states, c.NumDocs(), c.NumWords(), c.Doc)
 	return states, pos, err
 }
 
@@ -251,7 +251,9 @@ func (w *Warp) NumShards() int { return len(w.workers) }
 
 // ShardTo implements sampler.Sharded: worker i's doc-phase rows in row
 // order as a dshd stream, with worker i's RNG stream. The document
-// section is each row id repeated, so it reads no token. Distinct shards
+// section is each row id repeated and the words section each row's
+// document as the corpus holds it (a row keeps its document's token
+// order), so only the payloads section reads the matrix. Distinct shards
 // may be written concurrently: ShardTo only reads frozen state and
 // worker i's RNG.
 func (w *Warp) ShardTo(i int, out io.Writer) error {
@@ -269,13 +271,17 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 		sw.int(n * width)
 		for _, rg := range wk.rowChunks {
 			for row := rg[0]; row < rg[1]; row++ {
-				for v, t := w.m.RowOf(row), 0; t < v.Len(); t++ {
-					switch sec {
-					case 0:
+				switch sec {
+				case 0:
+					for t := w.m.RowOf(row).Len(); t > 0; t-- {
 						sw.put(int32(row))
-					case 1:
-						sw.put(v.Col(t))
-					default:
+					}
+				case 1:
+					for _, x := range w.c.Doc(row) {
+						sw.put(x)
+					}
+				default:
+					for v, t := w.m.RowOf(row), 0; t < v.Len(); t++ {
 						for _, x := range v.Data(t) {
 							sw.put(x)
 						}
@@ -297,15 +303,7 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 // threads, wi) and reseeded reports true so the caller can log the loss
 // of bit-exactness.
 func (w *Warp) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
-	var row []int32
-	rowWords := func(d int) []int32 {
-		row = row[:0]
-		for v, t := w.m.RowOf(d), 0; t < v.Len(); t++ {
-			row = append(row, v.Col(t))
-		}
-		return row
-	}
-	states, pos, err := DecodeShards(w.cfg, w.c, rowWords, shards)
+	states, pos, err := DecodeShards(w.cfg, w.c, shards)
 	if err != nil {
 		return false, err
 	}

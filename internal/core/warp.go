@@ -133,13 +133,7 @@ func New(c corpus.Provider, cfg sampler.Config) (*Warp, error) {
 		pass:   NewPass(cfg, c.NumWords()),
 	}
 
-	b := sparse.NewBuilder(max(1, c.NumDocs()), c.NumWords(), cfg.M+1)
-	for d, nd := 0, c.NumDocs(); d < nd; d++ {
-		for _, word := range c.Doc(d) {
-			b.AddEntry(d, int(word))
-		}
-	}
-	w.m = b.Freeze()
+	w.m = sparse.FromRows(c.NumDocs(), c.NumWords(), cfg.M+1, c.Doc)
 
 	// Random initialization: z uniform; proposals start equal to z so the
 	// first word phase's chains are no-ops.

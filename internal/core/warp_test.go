@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"warplda/internal/corpus"
@@ -39,6 +40,44 @@ func TestNewValidates(t *testing.T) {
 	bad := &corpus.Corpus{V: 2, Docs: [][]int32{{5}}}
 	if _, err := New(bad, defaultCfg(4)); err == nil {
 		t.Error("invalid corpus accepted")
+	}
+}
+
+// TestNewAllocatesPerTokenOnlyTheLayout bounds what New allocates on a
+// corpus with many tokens per document and per word: per token only the
+// Section 5.2 layout, (M+1) payload words and one PCSR pointer, 4 bytes
+// each; everything else is O(D+V+K). A layout built through per-entry
+// (row, col) copies or that keeps an entry's row or column breaks the
+// bound by 8 or more bytes per token.
+func TestNewAllocatesPerTokenOnlyTheLayout(t *testing.T) {
+	const d, v, k, docLen = 100, 1000, 16, 2000
+	c := &corpus.Corpus{V: v, Docs: make([][]int32, d)}
+	for i := range c.Docs {
+		c.Docs[i] = make([]int32, docLen)
+		for n := range c.Docs[i] {
+			c.Docs[i][n] = int32((i*7919 + n*n) % v)
+		}
+	}
+	tokens := d * docLen
+	for _, m := range []int{1, 2} {
+		cfg := defaultCfg(k)
+		cfg.M = m
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := New(c, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		// The O(D+V+K) slack: offsets, term frequencies, document
+		// lengths, chunk lists, count rows and lanes, with room to spare
+		// (64 B per document, word and topic, plus 16 KiB).
+		want := int64(4*(m+1)+4)*int64(tokens) + 64*int64(d+v+k) + 16<<10
+		t.Logf("M=%d: New allocated %d bytes, %.2f B/token (bound %d)", m, got, float64(got)/float64(tokens), want)
+		if got > want {
+			t.Errorf("M=%d: New allocated %d bytes for %d tokens, want <= %d (%.1f B/token beyond the layout)",
+				m, got, tokens, want, float64(got-int64(4*(m+1)+4)*int64(tokens))/float64(tokens))
+		}
 	}
 }
 

@@ -43,11 +43,14 @@ const (
 
 // StreamOptions tunes BuildCache.
 type StreamOptions struct {
-	// MaxResidentBytes bounds the builder's buffer memory (spill-file
-	// write buffers and the current-document token buffer). <= 0 means
-	// 64 MiB. The bound is on buffers, not total process memory: the
-	// parse additionally holds one document's tokens at a time, so the
-	// effective floor is the longest document.
+	// MaxResidentBytes caps the builder's write buffers: the two spill
+	// writers and the writer that assembles the cache each take a
+	// quarter of it, but never more than 1 MiB (a larger buffer saves
+	// no write worth its allocation) nor less than 64 KiB. <= 0 means
+	// no cap: three 1 MiB buffers. The cap is on buffers, not total
+	// process memory: the parse also holds its 1 MiB line buffer and
+	// one document's tokens at a time, so the effective floor is the
+	// longest document.
 	MaxResidentBytes int64
 	// TmpDir receives the spill files; "" means the cache file's
 	// directory (keeping spills on the same filesystem as the result).
@@ -79,14 +82,9 @@ func (ci CacheInfo) Stats() Stats { return newStats(ci.D, ci.T, ci.V) }
 // materialized training runs are bit-identical. A decreasing doc id is
 // an error naming the offending line's doc pair.
 func BuildCache(docword io.Reader, cachePath string, opts StreamOptions) (*CacheInfo, error) {
-	budget := opts.MaxResidentBytes
-	if budget <= 0 {
-		budget = 64 << 20
-	}
-	// Two spill writers and one scanner line buffer share the budget.
-	bufSize := int(budget / 4)
-	if bufSize < 1<<16 {
-		bufSize = 1 << 16
+	bufSize := 1 << 20
+	if b := opts.MaxResidentBytes / 4; opts.MaxResidentBytes > 0 && b < int64(bufSize) {
+		bufSize = max(int(b), 1<<16)
 	}
 	tmpDir := opts.TmpDir
 	if tmpDir == "" {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,6 +133,32 @@ func TestBuildCacheBoundedBuffers(t *testing.T) {
 		if strings.HasPrefix(e.Name(), "warpcorpus-") {
 			t.Errorf("leftover spill file %s", e.Name())
 		}
+	}
+}
+
+// TestBuildCacheAllocatesItsBuffers bounds what one cache build
+// allocates under default options: three write buffers of at most
+// 1 MiB, the parser's 1 MiB line buffer and the longest document, with
+// 1 MiB to spare, however large the corpus. Buffers sized by the
+// default budget instead (16 MiB each) break it several times over.
+func TestBuildCacheAllocatesItsBuffers(t *testing.T) {
+	c := GenerateZipf(2000, 5000, 100, 1.0, 4)
+	var uci bytes.Buffer
+	if err := WriteUCI(&uci, c); err != nil {
+		t.Fatal(err)
+	}
+	path, size := filepath.Join(t.TempDir(), "corpus"+CacheExt), uci.Len()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := BuildCache(&uci, path, StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const want = 5 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("BuildCache of %d tokens (%d UCI bytes) allocated %d bytes", c.NumTokens(), size, got)
+	if got > want {
+		t.Errorf("BuildCache allocated %d bytes under default options, want <= %d", got, want)
 	}
 }
 

@@ -1,14 +1,18 @@
 // Package sparse implements the distributed sparse-matrix framework of
-// the WarpLDA paper (Section 5): a D×V matrix of per-token entries with
-// exactly three operations — AddEntry at initialization, VisitByRow and
-// VisitByColumn during training.
+// the WarpLDA paper (Section 5): a D×V matrix of per-token entries,
+// laid out once at initialization and then visited by row and by
+// column during training.
 //
-// The data layout follows Section 5.2: only the CSC (column-major) copy
-// of the entry data is stored, plus a pointer array (PCSR) that lets row
-// visits reach their entries by indirection. Entries within each column
-// are sorted by row id, so a row-order sweep touches every column's
+// The data layout follows Section 5.2: per entry only the CSC
+// (column-major) copy of its payload is stored, plus one pointer
+// (PCSR) that lets row visits reach it by indirection; neither an
+// entry's row nor its column is stored. Entries within each column are
+// sorted by row id, so a row-order sweep touches every column's
 // entries front to back and each fetched cache line is fully consumed
-// before eviction.
+// before eviction. FromRows builds that layout straight from the rows,
+// one pass counting and one placing; a row's column ids are whatever
+// the caller passes for it (for WarpLDA, the document's words in the
+// corpus).
 //
 // The package also provides the column partitioners of Section 5.3.2
 // (greedy, static-random, dynamic-contiguous) and the imbalance index of
@@ -19,22 +23,65 @@ import "fmt"
 
 // Matrix is the frozen sparse matrix. Each entry carries Stride int32
 // values of user data (for WarpLDA: the topic assignment plus M
-// proposals). Build one with a Builder.
+// proposals). Build one with FromRows.
 type Matrix struct {
 	Rows, Cols, Stride int
 
 	// CSC storage: entries are ordered by (column, row).
 	colStart []int32 // len Cols+1; entry indices of each column
-	rowID    []int32 // len NNZ; row of each entry, ascending within a column
-	colID    []int32 // len NNZ; column of each entry (for O(1) RowView.Col)
 	data     []int32 // len NNZ*Stride; entry payloads in CSC order
 
-	// PCSR: for each row, the CSC indices of its entries in insertion order.
+	// PCSR: for each row, the CSC indices of its entries in the order
+	// the row listed them.
 	rowStart []int32 // len Rows+1
 	rowPtr   []int32 // len NNZ; CSC index of each row entry
 }
 
-// Builder accumulates entries before freezing them into a Matrix.
+// FromRows lays out a rows×cols matrix whose row r holds one entry per
+// value of row(r), in that order; every value must lie in [0, cols),
+// and a repeated value is a repeated entry. Payloads start zeroed.
+//
+// row is called twice per row: one pass counts the column and row
+// sizes, the next walks the rows in increasing order and gives each
+// entry the next free slot of its column. So every column lists its
+// entries in ascending row order, and every row keeps the order row
+// gave. Per entry it allocates (Stride+1)·4 bytes; beyond that only
+// the two offset arrays and one column cursor.
+func FromRows(rows, cols, stride int, row func(r int) []int32) *Matrix {
+	if rows < 0 || cols <= 0 || stride <= 0 {
+		panic(fmt.Sprintf("sparse: FromRows(%d, %d, %d)", rows, cols, stride))
+	}
+	m := &Matrix{
+		Rows: rows, Cols: cols, Stride: stride,
+		colStart: make([]int32, cols+1),
+		rowStart: make([]int32, rows+1),
+	}
+	for r := 0; r < rows; r++ {
+		cs := row(r)
+		m.rowStart[r+1] = m.rowStart[r] + int32(len(cs))
+		for _, c := range cs {
+			m.colStart[c+1]++
+		}
+	}
+	for c := 0; c < cols; c++ {
+		m.colStart[c+1] += m.colStart[c]
+	}
+	nnz := int(m.rowStart[rows])
+	m.data = make([]int32, nnz*stride)
+	m.rowPtr = make([]int32, nnz)
+	next := append([]int32(nil), m.colStart[:cols]...)
+	for r, e := 0, 0; r < rows; r++ {
+		for _, c := range row(r) {
+			m.rowPtr[e] = next[c]
+			next[c]++
+			e++
+		}
+	}
+	return m
+}
+
+// Builder accumulates entries in any order before freezing them into a
+// Matrix.
 type Builder struct {
 	rows, cols, stride int
 	entryRow, entryCol []int32
@@ -64,82 +111,30 @@ func (b *Builder) NNZ() int { return len(b.entryRow) }
 
 // Freeze builds the Matrix. The builder should not be reused afterwards.
 //
-// Entries are placed in CSC order sorted by (col, row) using two stable
-// counting passes (sort by row, then by column), which is O(NNZ + D + V)
-// and yields the within-column row ordering Section 5.2 requires.
+// A stable counting sort groups the entries' columns by row, keeping
+// the order they were added in; FromRows lays the groups out.
 func (b *Builder) Freeze() *Matrix {
-	nnz := len(b.entryRow)
-	m := &Matrix{
-		Rows: b.rows, Cols: b.cols, Stride: b.stride,
-		colStart: make([]int32, b.cols+1),
-		rowID:    make([]int32, nnz),
-		colID:    make([]int32, nnz),
-		data:     make([]int32, nnz*b.stride),
-		rowStart: make([]int32, b.rows+1),
-		rowPtr:   make([]int32, nnz),
-	}
-
-	// Pass 1: stable counting sort of entry indices by row.
-	rowCount := make([]int32, b.rows+1)
+	// start[r+2] counts row r's entries; after the prefix sum
+	// start[r+1] is row r's fill cursor, and once every entry is
+	// placed, its end: row r is byRow[start[r]:start[r+1]].
+	start := make([]int32, b.rows+2)
 	for _, r := range b.entryRow {
-		rowCount[r+1]++
+		start[r+2]++
 	}
-	for r := 0; r < b.rows; r++ {
-		rowCount[r+1] += rowCount[r]
+	for r := 2; r < len(start); r++ {
+		start[r] += start[r-1]
 	}
-	copy(m.rowStart, rowCount)
-	byRow := make([]int32, nnz)
-	next := make([]int32, b.rows)
-	copy(next, rowCount[:b.rows])
-	for i := 0; i < nnz; i++ {
-		r := b.entryRow[i]
-		byRow[next[r]] = int32(i)
-		next[r]++
+	byRow := make([]int32, len(b.entryRow))
+	for i, r := range b.entryRow {
+		byRow[start[r+1]] = b.entryCol[i]
+		start[r+1]++
 	}
-
-	// Pass 2: stable counting sort of byRow by column → CSC order with
-	// rows ascending inside each column.
-	colCount := make([]int32, b.cols+1)
-	for _, c := range b.entryCol {
-		colCount[c+1]++
-	}
-	for c := 0; c < b.cols; c++ {
-		colCount[c+1] += colCount[c]
-	}
-	copy(m.colStart, colCount)
-	nextC := make([]int32, b.cols)
-	copy(nextC, colCount[:b.cols])
-	for _, i := range byRow {
-		c := b.entryCol[i]
-		pos := nextC[c]
-		nextC[c]++
-		m.rowID[pos] = b.entryRow[i]
-		m.colID[pos] = c
-	}
-
-	// Pass 3: PCSR pointers. Walk entries in row-major order; for each
-	// row the CSC positions are discovered column by column.
-	// Re-walk byRow and, for each entry, claim the next free CSC slot of
-	// its column — but slots were just assigned in the same order, so we
-	// can redo the scan with fresh per-column cursors.
-	copy(nextC, colCount[:b.cols])
-	nextR := make([]int32, b.rows)
-	copy(nextR, m.rowStart[:b.rows])
-	for _, i := range byRow {
-		c := b.entryCol[i]
-		r := b.entryRow[i]
-		pos := nextC[c]
-		nextC[c]++
-		m.rowPtr[nextR[r]] = pos
-		nextR[r]++
-	}
-
 	b.entryRow, b.entryCol = nil, nil
-	return m
+	return FromRows(b.rows, b.cols, b.stride, func(r int) []int32 { return byRow[start[r]:start[r+1]] })
 }
 
 // NNZ returns the number of entries.
-func (m *Matrix) NNZ() int { return len(m.rowID) }
+func (m *Matrix) NNZ() int { return len(m.rowPtr) }
 
 // Payloads returns the backing payload array — NNZ()*Stride int32
 // values in CSC entry order, the same storage the row and column views
@@ -159,9 +154,6 @@ type ColView struct {
 // Len returns the number of entries in the column.
 func (v ColView) Len() int { return int(v.n) }
 
-// Row returns the row id of the i-th entry (ascending in i).
-func (v ColView) Row(i int) int32 { return v.m.rowID[v.start+int32(i)] }
-
 // Data returns the mutable payload of the i-th entry.
 func (v ColView) Data(i int) []int32 {
 	s := (v.start + int32(i)) * int32(v.m.Stride)
@@ -176,8 +168,8 @@ func (v ColView) Payload() []int32 {
 	return v.m.data[int(v.start)*s : int(v.start+v.n)*s]
 }
 
-// RowView is the indirect view of a row's entries, in the order they
-// were added.
+// RowView is the indirect view of a row's entries, in the order the
+// row listed them.
 type RowView struct {
 	m     *Matrix
 	start int32
@@ -186,11 +178,6 @@ type RowView struct {
 
 // Len returns the number of entries in the row.
 func (v RowView) Len() int { return int(v.n) }
-
-// Col returns the column id of the i-th entry.
-func (v RowView) Col(i int) int32 {
-	return v.m.colID[v.m.rowPtr[v.start+int32(i)]]
-}
 
 // Data returns the mutable payload of the i-th entry. The access is
 // indirect (through PCSR) into the CSC array.
@@ -207,7 +194,7 @@ func (v RowView) EntryIndex(i int) int {
 	return int(v.m.rowPtr[v.start+int32(i)])
 }
 
-// Entries returns the CSC entry indices of the row's entries, in column
+// Entries returns the CSC entry indices of the row's entries, in row
 // order: EntryIndex(i) for every i as one slice of the PCSR array. The
 // payload of entry e occupies Payloads()[e*Stride : (e+1)*Stride].
 // Callers must not modify it.

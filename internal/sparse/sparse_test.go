@@ -22,12 +22,42 @@ func buildRandom(seed uint64, rows, cols, nnz, stride int) (*Matrix, [][2]int32)
 	return b.Freeze(), ref
 }
 
+// cells rebuilds every entry's row and column from the layout itself
+// (the matrix stores neither): row from the PCSR pointers, column from
+// the column offsets.
+type cells struct {
+	m        *Matrix
+	row, col []int32 // by CSC entry index
+}
+
+func cellsOf(m *Matrix) cells {
+	c := cells{m, make([]int32, m.NNZ()), make([]int32, m.NNZ())}
+	for r := 0; r < m.Rows; r++ {
+		for _, e := range m.RowOf(r).Entries() {
+			c.row[e] = int32(r)
+		}
+	}
+	for col := 0; col < m.Cols; col++ {
+		for e := m.colStart[col]; e < m.colStart[col+1]; e++ {
+			c.col[e] = int32(col)
+		}
+	}
+	return c
+}
+
+// colRow is the row of the i-th entry of column col.
+func (c cells) colRow(col, i int) int32 { return c.row[int(c.m.colStart[col])+i] }
+
+// rowCol is the column of the i-th entry of row view v.
+func (c cells) rowCol(v RowView, i int) int32 { return c.col[v.EntryIndex(i)] }
+
 func TestColumnsSortedByRow(t *testing.T) {
 	m, _ := buildRandom(1, 40, 30, 500, 2)
+	cl := cellsOf(m)
 	for c := 0; c < m.Cols; c++ {
 		v := m.Column(c)
 		for i := 1; i < v.Len(); i++ {
-			if v.Row(i) < v.Row(i-1) {
+			if cl.colRow(c, i) < cl.colRow(c, i-1) {
 				t.Fatalf("column %d not sorted by row", c)
 			}
 		}
@@ -40,6 +70,7 @@ func TestColumnsSortedByRow(t *testing.T) {
 // topic [d][n] for token n of document d.
 func TestRowsKeepInsertionOrder(t *testing.T) {
 	m, ref := buildRandom(4, 10, 30, 200, 1)
+	cl := cellsOf(m)
 	want := make([][]int32, m.Rows)
 	for _, e := range ref {
 		want[e[0]] = append(want[e[0]], e[1])
@@ -47,7 +78,7 @@ func TestRowsKeepInsertionOrder(t *testing.T) {
 	m.VisitByRow(func(row int, v RowView) {
 		got := []int32(nil)
 		for i := 0; i < v.Len(); i++ {
-			got = append(got, v.Col(i))
+			got = append(got, cl.rowCol(v, i))
 		}
 		if !reflect.DeepEqual(got, want[row]) {
 			t.Fatalf("row %d lists columns %v, added as %v", row, got, want[row])
@@ -60,6 +91,7 @@ func TestEntriesPreserved(t *testing.T) {
 	if m.NNZ() != len(ref) {
 		t.Fatalf("NNZ = %d, want %d", m.NNZ(), len(ref))
 	}
+	cl := cellsOf(m)
 	// Multiset of (row, col) pairs must match.
 	want := map[[2]int32]int{}
 	for _, e := range ref {
@@ -68,7 +100,7 @@ func TestEntriesPreserved(t *testing.T) {
 	got := map[[2]int32]int{}
 	m.VisitByColumn(func(col int, v ColView) {
 		for i := 0; i < v.Len(); i++ {
-			got[[2]int32{v.Row(i), int32(col)}]++
+			got[[2]int32{cl.colRow(col, i), int32(col)}]++
 		}
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -77,7 +109,7 @@ func TestEntriesPreserved(t *testing.T) {
 	got = map[[2]int32]int{}
 	m.VisitByRow(func(row int, v RowView) {
 		for i := 0; i < v.Len(); i++ {
-			got[[2]int32{int32(row), v.Col(i)}]++
+			got[[2]int32{int32(row), cl.rowCol(v, i)}]++
 		}
 	})
 	if !reflect.DeepEqual(got, want) {
@@ -87,6 +119,7 @@ func TestEntriesPreserved(t *testing.T) {
 
 func TestRowAndColumnSeeSameData(t *testing.T) {
 	m, _ := buildRandom(3, 15, 15, 200, 3)
+	cl := cellsOf(m)
 	// Stamp every entry with a unique id via column views.
 	id := int32(0)
 	m.VisitByColumn(func(col int, v ColView) {
@@ -94,7 +127,7 @@ func TestRowAndColumnSeeSameData(t *testing.T) {
 			d := v.Data(i)
 			d[0] = id
 			d[1] = int32(col)
-			d[2] = v.Row(i)
+			d[2] = cl.colRow(col, i)
 			id++
 		}
 	})
@@ -110,8 +143,8 @@ func TestRowAndColumnSeeSameData(t *testing.T) {
 			if d[2] != int32(row) {
 				t.Fatalf("entry stamped row %d visited from row %d", d[2], row)
 			}
-			if d[1] != v.Col(i) {
-				t.Fatalf("entry stamped col %d but Col(i) = %d", d[1], v.Col(i))
+			if d[1] != cl.rowCol(v, i) {
+				t.Fatalf("entry stamped col %d but Col(i) = %d", d[1], cl.rowCol(v, i))
 			}
 		}
 	})
@@ -199,6 +232,7 @@ func TestFreezeProperty(t *testing.T) {
 		rows, cols := r.Intn(12)+1, r.Intn(12)+1
 		nnz := r.Intn(60)
 		m, ref := buildRandom(seed, rows, cols, nnz, 1)
+		cl := cellsOf(m)
 		want := map[[2]int32]int{}
 		for _, e := range ref {
 			want[e]++
@@ -207,8 +241,8 @@ func TestFreezeProperty(t *testing.T) {
 		ok := true
 		m.VisitByColumn(func(col int, v ColView) {
 			for i := 0; i < v.Len(); i++ {
-				got[[2]int32{v.Row(i), int32(col)}]++
-				if i > 0 && v.Row(i) < v.Row(i-1) {
+				got[[2]int32{cl.colRow(col, i), int32(col)}]++
+				if i > 0 && cl.colRow(col, i) < cl.colRow(col, i-1) {
 					ok = false
 				}
 			}
@@ -217,6 +251,38 @@ func TestFreezeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Freeze over entries added in random order lays out the same
+// matrix as FromRows over the same entries grouped by row (each row in
+// the order its entries were added): one layout algorithm, not two.
+func TestFreezeMatchesFromRows(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		rows, cols := r.Intn(12)+1, r.Intn(12)+1
+		nnz, stride := r.Intn(80), r.Intn(3)+1
+		m, ref := buildRandom(seed, rows, cols, nnz, stride)
+		byRow := make([][]int32, rows)
+		for _, e := range ref {
+			byRow[e[0]] = append(byRow[e[0]], e[1])
+		}
+		want := FromRows(rows, cols, stride, func(r int) []int32 { return byRow[r] })
+		return reflect.DeepEqual(m.colStart, want.colStart) &&
+			reflect.DeepEqual(m.rowStart, want.rowStart) &&
+			reflect.DeepEqual(m.rowPtr, want.rowPtr) &&
+			len(m.data) == len(want.data) && m.Stride == want.Stride
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FromRows takes a matrix with no rows (an empty corpus) as it is.
+func TestFromRowsNoRows(t *testing.T) {
+	m := FromRows(0, 3, 2, func(int) []int32 { panic("row of an empty matrix") })
+	if m.NNZ() != 0 || m.Rows != 0 || m.Column(2).Len() != 0 {
+		t.Fatalf("empty FromRows: NNZ %d, Rows %d", m.NNZ(), m.Rows)
 	}
 }
 

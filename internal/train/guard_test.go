@@ -1,10 +1,13 @@
 package train_test
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"warplda/internal/baselines"
+	"warplda/internal/corpus"
 	"warplda/internal/eval"
 	"warplda/internal/sampler"
 	"warplda/internal/train"
@@ -12,7 +15,9 @@ import (
 
 // TestResumeSamplerGuard is Checkpoint.Verify's sampler guard as a
 // table over every pair of samplers. The two WarpLDA samplers resume
-// each other's checkpoints both ways, carrying the state over; at an
+// each other's checkpoints both ways, carrying the state over (every
+// document's (word, topic) multiset and C_k exactly, so the oracle's
+// log joint up to rounding); at an
 // unchanged worker count the reseed they report is the sampler change's
 // alone. Every other pair of different samplers is refused: each
 // baseline refuses both WarpLDA samplers, both refuse each baseline, and
@@ -40,9 +45,10 @@ func TestResumeSamplerGuard(t *testing.T) {
 		return s
 	}
 	type written struct {
-		ck   *train.Checkpoint
-		ll   float64
-		hist []int32
+		ck    *train.Checkpoint
+		ll    float64
+		hist  []int32    // C_k as the assignments imply it
+		cells [][]uint64 // per document, its sorted (word, topic) pairs
 	}
 	cks := make([]written, len(builders))
 	for i := range builders {
@@ -55,7 +61,8 @@ func TestResumeSamplerGuard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cks[i] = written{ck, eval.LogJoint(c, s.Assignments(), cfg.K, cfg.Alpha, cfg.Beta), countsOf(s.Assignments(), cfg.K)}
+		asg := s.Assignments()
+		cks[i] = written{ck, eval.LogJoint(c, asg, cfg.K, cfg.Alpha, cfg.Beta), countsOf(asg, cfg.K), cellsOf(c, asg)}
 	}
 	fp := train.CorpusFingerprint(c)
 
@@ -85,15 +92,37 @@ func TestResumeSamplerGuard(t *testing.T) {
 				if !reseeded {
 					t.Fatal("cross-sampler restore kept the other sampler's RNG streams")
 				}
-				if got := countsOf(r.Assignments(), cfg.K); !reflect.DeepEqual(got, w.hist) {
-					t.Fatalf("topic histogram %v, want %v", got, w.hist)
+				asg := r.Assignments()
+				if got := cellsOf(c, asg); !reflect.DeepEqual(got, w.cells) {
+					t.Fatal("restored documents hold other (word, topic) multisets than the saved ones")
 				}
-				if got := eval.LogJoint(c, r.Assignments(), cfg.K, cfg.Alpha, cfg.Beta); got != w.ll {
-					t.Fatalf("log joint %v after restore, want %v", got, w.ll)
+				if got := r.(interface{ GlobalCounts() []int32 }).GlobalCounts(); !reflect.DeepEqual(got, w.hist) {
+					t.Fatalf("restored C_k %v, want %v", got, w.hist)
+				}
+				// The same multiset, summed by the oracle in another order
+				// (the samplers list a cell's topics differently): only
+				// rounding may separate the two log joints.
+				const ulps = 8
+				if got := eval.LogJoint(c, asg, cfg.K, cfg.Alpha, cfg.Beta); math.Abs(got-w.ll) > ulps*0x1p-52*math.Abs(w.ll) {
+					t.Fatalf("log joint %v after restore, want %v within %d ulps", got, w.ll, ulps)
 				}
 			})
 		}
 	}
+}
+
+// cellsOf lists each document's tokens as (word, topic) pairs in
+// ascending order: the state up to the order of topics within a
+// (document, word) cell, which no sampler fixes.
+func cellsOf(c corpus.Provider, asg [][]int32) [][]uint64 {
+	out := make([][]uint64, len(asg))
+	for d, zs := range asg {
+		for n, z := range zs {
+			out[d] = append(out[d], uint64(c.Doc(d)[n])<<32|uint64(z))
+		}
+		slices.Sort(out[d])
+	}
+	return out
 }
 
 // countsOf is the topic histogram of assignments.
