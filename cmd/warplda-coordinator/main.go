@@ -102,34 +102,24 @@ func run() int {
 	// failed publish is logged, never fatal — the next sync retries.
 	var onSync func(iter int, s sampler.Sampler)
 	if *publish != "" {
-		if _, _, err := warplda.PublishModelPath(*publish); err != nil {
+		chain := 0
+		if *pubDelta {
+			chain = *deltaChain
+		}
+		pub, err := warplda.NewDeltaPublisher(*publish, chain, *pubKeep)
+		if err != nil {
 			return fatal(err)
 		}
-		if *pubDelta {
-			deltaPub, err := warplda.NewDeltaPublisher(*publish, *deltaChain, *pubKeep)
+		onSync = func(iter int, s sampler.Sampler) {
+			r, err := pub.Publish(warplda.Snapshot(c, s, cfg), iter)
 			if err != nil {
-				return fatal(err)
+				log.Printf("publish at iteration %d: %v", iter, err)
+				return
 			}
-			onSync = func(iter int, s sampler.Sampler) {
-				r, err := deltaPub.Publish(warplda.Snapshot(c, s, cfg), iter)
-				if err != nil {
-					log.Printf("publish at iteration %d: %v", iter, err)
-					return
-				}
-				if r.Full {
-					log.Printf("published base snapshot: iter %d -> %s", iter, r.Path)
-				} else {
-					log.Printf("published delta: iter %d -> %s (gen %d, %d cells)", iter, r.Path, r.Gen, r.Cells)
-				}
-			}
-		} else {
-			onSync = func(iter int, s sampler.Sampler) {
-				path, err := publishFull(warplda.Snapshot(c, s, cfg), *publish, iter, *pubKeep)
-				if err != nil {
-					log.Printf("publish at iteration %d: %v", iter, err)
-					return
-				}
-				log.Printf("published model: iter %d -> %s", iter, path)
+			if r.Full {
+				log.Printf("published base snapshot: iter %d -> %s", iter, r.Path)
+			} else {
+				log.Printf("published delta: iter %d -> %s (gen %d, %d cells)", iter, r.Path, r.Gen, r.Cells)
 			}
 		}
 	}
@@ -172,28 +162,6 @@ func run() int {
 	}
 	log.Printf("training complete")
 	return 0
-}
-
-// publishFull installs m as the versioned snapshot <spec>@<iter>.bin
-// and repoints the latest marker at it, in that order — a crash between
-// the two leaves the previous version served, never a missing target.
-func publishFull(m *warplda.Model, spec string, iter, keep int) (string, error) {
-	vPath, _, err := warplda.PublishModelVersionPath(spec, iter)
-	if err != nil {
-		return "", err
-	}
-	if _, err := m.WriteFile(vPath); err != nil {
-		return "", err
-	}
-	if _, err := warplda.PublishModelLatest(spec, iter); err != nil {
-		return "", err
-	}
-	if keep > 0 {
-		if _, err := warplda.PruneModelVersions(spec, keep); err != nil {
-			return "", err
-		}
-	}
-	return vPath, nil
 }
 
 func fatal(err error) int {

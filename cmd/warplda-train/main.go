@@ -65,7 +65,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -74,24 +74,52 @@ import (
 
 func main() { os.Exit(run()) }
 
-// trainFlags carries the flag values validateFlags checks (split out so
-// the validation is unit-testable).
+// trainFlags carries the value of every flag, bound by defineFlags
+// (split out so validateFlags and resumeCommand are unit-testable).
 type trainFlags struct {
-	corpusPath     string
-	algo           string
-	topics         int
-	m              int
-	iters          int
-	threads        int
-	budget         time.Duration
-	publish        string
-	publishKeep    int
-	publishDelta   bool
-	deltaMaxChain  int
-	stream         bool
-	corpusCache    string
-	maxResidentMB  int
-	checkpointKeep int
+	corpusPath, vocabPath, algo          string
+	topics, m, iters, evalEvery, threads int
+	seed                                 uint64
+	topWords, printTopics                int
+	savePath, checkpointDir, resumePath  string
+	checkpointEvery, checkpointKeep      int
+	budget                               time.Duration
+	publish                              string
+	publishKeep, deltaMaxChain           int
+	publishDelta, stream                 bool
+	corpusCache                          string
+	maxResidentMB                        int
+}
+
+// defineFlags binds every flag of fs to a field of the returned
+// trainFlags.
+func defineFlags(fs *flag.FlagSet) *trainFlags {
+	f := new(trainFlags)
+	fs.StringVar(&f.corpusPath, "corpus", "", "UCI bag-of-words file (required)")
+	fs.StringVar(&f.vocabPath, "vocab", "", "optional vocabulary file (one word per line)")
+	fs.StringVar(&f.algo, "algo", warplda.WarpLDA, "sampler: warplda|cgs|sparselda|aliaslda|flda|lightlda|distributed")
+	fs.IntVar(&f.topics, "topics", 100, "number of topics K")
+	fs.IntVar(&f.m, "m", 2, "MH steps per token (MH-based samplers)")
+	fs.IntVar(&f.iters, "iters", 100, "training iterations (total, including resumed ones)")
+	fs.IntVar(&f.evalEvery, "eval-every", 10, "log-likelihood evaluation interval")
+	fs.IntVar(&f.threads, "threads", 1, "worker threads/shards (parallel samplers: warplda, distributed)")
+	fs.Uint64Var(&f.seed, "seed", 42, "random seed")
+	fs.IntVar(&f.topWords, "top-words", 10, "top words to print per topic")
+	fs.IntVar(&f.printTopics, "print-topics", 10, "number of topics to print")
+	fs.StringVar(&f.savePath, "save", "", "write the trained model snapshot here (for warplda-serve)")
+	fs.StringVar(&f.checkpointDir, "checkpoint-dir", "", "write resumable checkpoints into this directory")
+	fs.IntVar(&f.checkpointEvery, "checkpoint-every", 10, "checkpoint interval in iterations (<= 0: only at interruption and completion)")
+	fs.IntVar(&f.checkpointKeep, "checkpoint-keep", 1, "keep the newest N iteration-stamped checkpoints (older ones are deleted after each successful checkpoint)")
+	fs.StringVar(&f.resumePath, "resume", "", "resume from this checkpoint file (or its directory); reuses the checkpoint's configuration — pass the same -algo (warplda and distributed resume each other)")
+	fs.StringVar(&f.publish, "publish", "", "after training, atomically install the model as <model-dir>/<name> for a running warplda-serve")
+	fs.IntVar(&f.publishKeep, "publish-keep", 0, "keep only the newest N published @version snapshots, never the one latest points at (0 = keep all)")
+	fs.BoolVar(&f.publishDelta, "publish-delta", false, "with -publish: publish incrementally during training — a full base snapshot once, then a WARPDLT delta file per -checkpoint-every interval that a watching warplda-serve folds into the live engine")
+	fs.IntVar(&f.deltaMaxChain, "delta-max-chain", 16, "with -publish-delta: rebase onto a fresh full snapshot after this many chained deltas")
+	fs.DurationVar(&f.budget, "budget", 0, "wall-clock sampling budget (e.g. 2h30m); 0 = none")
+	fs.BoolVar(&f.stream, "stream", false, "out-of-core ingestion: build (or reuse) a .warpcorpus cache and memory-map it instead of loading the corpus into RAM")
+	fs.StringVar(&f.corpusCache, "corpus-cache", "", "directory for the .warpcorpus cache (with -stream; default: the corpus file's directory)")
+	fs.IntVar(&f.maxResidentMB, "max-resident-mb", 0, "cap in MiB on the buffers that build the cache (with -stream; each takes a quarter, at most 1 MiB; 0 = no cap)")
+	return f
 }
 
 // validateFlags rejects configurations that would previously misbehave
@@ -152,69 +180,38 @@ func validateFlags(f trainFlags) error {
 }
 
 func run() int {
-	var (
-		corpusPath = flag.String("corpus", "", "UCI bag-of-words file (required)")
-		vocabPath  = flag.String("vocab", "", "optional vocabulary file (one word per line)")
-		algo       = flag.String("algo", warplda.WarpLDA, "sampler: warplda|cgs|sparselda|aliaslda|flda|lightlda|distributed")
-		topics     = flag.Int("topics", 100, "number of topics K")
-		m          = flag.Int("m", 2, "MH steps per token (MH-based samplers)")
-		iters      = flag.Int("iters", 100, "training iterations (total, including resumed ones)")
-		evalEvery  = flag.Int("eval-every", 10, "log-likelihood evaluation interval")
-		threads    = flag.Int("threads", 1, "worker threads/shards (parallel samplers: warplda, distributed)")
-		seed       = flag.Uint64("seed", 42, "random seed")
-		topWords   = flag.Int("top-words", 10, "top words to print per topic")
-		maxTopics  = flag.Int("print-topics", 10, "number of topics to print")
-		savePath   = flag.String("save", "", "write the trained model snapshot here (for warplda-serve)")
-		ckptDir    = flag.String("checkpoint-dir", "", "write resumable checkpoints into this directory")
-		ckptEvery  = flag.Int("checkpoint-every", 10, "checkpoint interval in iterations (<= 0: only at interruption and completion)")
-		ckptKeep   = flag.Int("checkpoint-keep", 1, "keep the newest N iteration-stamped checkpoints (older ones are deleted after each successful checkpoint)")
-		resumePath = flag.String("resume", "", "resume from this checkpoint file (or its directory); reuses the checkpoint's configuration — pass the same -algo (warplda and distributed resume each other)")
-		publish    = flag.String("publish", "", "after training, atomically install the model as <model-dir>/<name> for a running warplda-serve")
-		pubKeep    = flag.Int("publish-keep", 0, "keep only the newest N published @version snapshots, never the one latest points at (0 = keep all)")
-		pubDelta   = flag.Bool("publish-delta", false, "with -publish: publish incrementally during training — a full base snapshot once, then a WARPDLT delta file per -checkpoint-every interval that a watching warplda-serve folds into the live engine")
-		deltaChain = flag.Int("delta-max-chain", 16, "with -publish-delta: rebase onto a fresh full snapshot after this many chained deltas")
-		budget     = flag.Duration("budget", 0, "wall-clock sampling budget (e.g. 2h30m); 0 = none")
-		stream     = flag.Bool("stream", false, "out-of-core ingestion: build (or reuse) a .warpcorpus cache and memory-map it instead of loading the corpus into RAM")
-		cacheDir   = flag.String("corpus-cache", "", "directory for the .warpcorpus cache (with -stream; default: the corpus file's directory)")
-		maxResMB   = flag.Int("max-resident-mb", 0, "cap in MiB on the buffers that build the cache (with -stream; each takes a quarter, at most 1 MiB; 0 = no cap)")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := validateFlags(trainFlags{
-		corpusPath: *corpusPath, algo: *algo, topics: *topics, m: *m,
-		iters: *iters, threads: *threads, budget: *budget, publish: *publish,
-		publishKeep: *pubKeep, publishDelta: *pubDelta, deltaMaxChain: *deltaChain,
-		stream: *stream, corpusCache: *cacheDir, maxResidentMB: *maxResMB,
-		checkpointKeep: *ckptKeep,
-	}); err != nil {
+	if err := validateFlags(*f); err != nil {
 		fmt.Fprintf(os.Stderr, "warplda-train: %v\n", err)
 		flag.Usage()
 		return 2
 	}
 
 	var c warplda.CorpusProvider
-	if *stream {
-		mc, err := openOrBuildCache(*corpusPath, *cacheDir, *maxResMB)
+	if f.stream {
+		mc, err := openOrBuildCache(f.corpusPath, f.corpusCache, f.maxResidentMB)
 		if err != nil {
 			return fatal(err)
 		}
 		defer mc.Close()
 		c = mc
 	} else {
-		f, err := os.Open(*corpusPath)
+		cf, err := os.Open(f.corpusPath)
 		if err != nil {
 			return fatal(err)
 		}
-		cm, err := warplda.ReadUCI(f)
-		f.Close()
+		cm, err := warplda.ReadUCI(cf)
+		cf.Close()
 		if err != nil {
 			return fatal(err)
 		}
 		c = cm
 	}
 	var vocab []string
-	if *vocabPath != "" {
-		vf, err := os.Open(*vocabPath)
+	if f.vocabPath != "" {
+		vf, err := os.Open(f.vocabPath)
 		if err != nil {
 			return fatal(err)
 		}
@@ -232,14 +229,14 @@ func run() int {
 	}
 	fmt.Printf("corpus: %s\n", warplda.CorpusStats(c))
 
-	cfg := warplda.Defaults(*topics)
-	cfg.M = *m
-	cfg.Seed = *seed
-	cfg.Threads = *threads
+	cfg := warplda.Defaults(f.topics)
+	cfg.M = f.m
+	cfg.Seed = f.seed
+	cfg.Threads = f.threads
 
 	var resume *warplda.Checkpoint
-	if *resumePath != "" {
-		ck, err := warplda.LoadCheckpoint(*resumePath)
+	if f.resumePath != "" {
+		ck, err := warplda.LoadCheckpoint(f.resumePath)
 		if err != nil {
 			return fatal(err)
 		}
@@ -251,16 +248,16 @@ func run() int {
 		// topology is exactly what elastic resume may change.
 		set := map[string]bool{}
 		flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-		elasticThreads := set["threads"] && *threads != ck.Cfg.Threads
+		elasticThreads := set["threads"] && f.threads != ck.Cfg.Threads
 		for _, conflict := range []struct {
 			flag string
 			bad  bool
 			got  any
 			want any
 		}{
-			{"topics", *topics != ck.Cfg.K, *topics, ck.Cfg.K},
-			{"m", *m != ck.Cfg.M, *m, ck.Cfg.M},
-			{"seed", *seed != ck.Cfg.Seed, *seed, ck.Cfg.Seed},
+			{"topics", f.topics != ck.Cfg.K, f.topics, ck.Cfg.K},
+			{"m", f.m != ck.Cfg.M, f.m, ck.Cfg.M},
+			{"seed", f.seed != ck.Cfg.Seed, f.seed, ck.Cfg.Seed},
 		} {
 			if set[conflict.flag] && conflict.bad {
 				return fatal(fmt.Errorf("-%s %v conflicts with the checkpoint's %v; drop the flag to resume (checkpoints carry their hyper-parameters; only -threads may change)",
@@ -269,7 +266,7 @@ func run() int {
 		}
 		cfg = ck.Cfg
 		if elasticThreads {
-			cfg.Threads = *threads
+			cfg.Threads = f.threads
 		}
 		resume = ck
 		fmt.Printf("resuming %s from iteration %d (%s sampling time so far; K=%d M=%d seed=%d threads=%d)\n",
@@ -281,29 +278,53 @@ func run() int {
 		}
 	}
 
-	s, err := warplda.NewSampler(*algo, c, cfg)
+	s, err := warplda.NewSampler(f.algo, c, cfg)
 	if err != nil {
 		return fatal(err)
 	}
+	snapshot := func() *warplda.Model {
+		model := warplda.Snapshot(c, s, cfg)
+		if model.Vocab == nil && vocab != nil {
+			// A mapped corpus carries no vocabulary; attach the one loaded
+			// from -vocab so published snapshots and topic listings use words.
+			model.Vocab = vocab
+		}
+		return model
+	}
 
-	// Create the checkpoint directory up front: discovering it is
-	// missing at the first mid-run checkpoint would abort the run and
-	// lose the progress the flag existed to protect. Same for the
-	// publish target's directory — failing after hours of training
-	// because the model dir was never created would waste the run.
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+	// Create the checkpoint directory up front (the publisher creates
+	// its own): discovering it is missing at the first mid-run
+	// checkpoint would abort the run and lose the progress the flag
+	// existed to protect.
+	if f.checkpointDir != "" {
+		if err := os.MkdirAll(f.checkpointDir, 0o755); err != nil {
 			return fatal(err)
 		}
 	}
-	if *publish != "" {
-		path, _, err := warplda.PublishModelPath(*publish)
+	// One publisher: every snapshot in full (chain length 0), or with
+	// -publish-delta a base, then one WARPDLT delta per -checkpoint-every
+	// interval, rebased onto a fresh base every -delta-max-chain links.
+	var pub *warplda.DeltaPublisher
+	if f.publish != "" {
+		chain := 0
+		if f.publishDelta {
+			chain = f.deltaMaxChain
+		}
+		if pub, err = warplda.NewDeltaPublisher(f.publish, chain, f.publishKeep); err != nil {
+			return fatal(err)
+		}
+	}
+	publish := func(model *warplda.Model, iter int) error {
+		r, err := pub.Publish(model, iter)
 		if err != nil {
-			return fatal(err)
+			return fmt.Errorf("publish at iteration %d: %w", iter, err)
 		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return fatal(err)
+		if r.Full {
+			fmt.Printf("published base snapshot: iter %d -> %s\n", iter, r.Path)
+		} else {
+			fmt.Printf("published delta: iter %d -> %s (gen %d, %d cells)\n", iter, r.Path, r.Gen, r.Cells)
 		}
+		return nil
 	}
 
 	// First signal: finish the current iteration, checkpoint, exit
@@ -319,49 +340,19 @@ func run() int {
 		os.Exit(130)
 	}()
 
-	// Incremental publishing: a base snapshot on the first interval,
-	// then one WARPDLT delta per -checkpoint-every interval, rebased
-	// onto a fresh base every -delta-max-chain links. A failed interval
-	// publish is reported but never kills the training run — the next
-	// interval (or the final publish) retries.
-	var deltaPub *warplda.DeltaPublisher
-	lastPublished := -1
-	if *pubDelta {
-		var err error
-		if deltaPub, err = warplda.NewDeltaPublisher(*publish, *deltaChain, *pubKeep); err != nil {
-			return fatal(err)
-		}
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "warplda-train: "+format+"\n", args...)
 	}
-	publishIncremental := func(iter int) {
-		model := warplda.Snapshot(c, s, cfg)
-		if model.Vocab == nil && vocab != nil {
-			model.Vocab = vocab
-		}
-		r, err := deltaPub.Publish(model, iter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "warplda-train: publish at iteration %d: %v\n", iter, err)
-			return
-		}
-		lastPublished = iter
-		if r.Full {
-			fmt.Printf("published base snapshot: iter %d -> %s\n", iter, r.Path)
-		} else {
-			fmt.Printf("published delta: iter %d -> %s (gen %d, %d cells)\n", iter, r.Path, r.Gen, r.Cells)
-		}
-	}
-
 	res, err := warplda.TrainCheckpointed(s, c, cfg, warplda.TrainOptions{
-		Iters:           *iters,
-		EvalEvery:       *evalEvery,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		CheckpointKeep:  *ckptKeep,
-		Budget:          *budget,
+		Iters:           f.iters,
+		EvalEvery:       f.evalEvery,
+		CheckpointDir:   f.checkpointDir,
+		CheckpointEvery: f.checkpointEvery,
+		CheckpointKeep:  f.checkpointKeep,
+		Budget:          f.budget,
 		Stop:            stop,
 		ResumeFrom:      resume,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "warplda-train: "+format+"\n", args...)
-		},
+		Logf:            logf,
 		Progress: func(ev warplda.TrainEvent) {
 			if p := ev.Eval; p != nil {
 				fmt.Printf("iter %4d  logLik %.6e  time %8.2fs  %6.2f Mtoken/s (interval %6.2f)  eval %7.1fms%s\n",
@@ -372,9 +363,12 @@ func run() int {
 				fmt.Printf("checkpoint: iter %d -> %s\n", ev.Iter, ev.Checkpoint)
 			}
 			// Progress runs between iterations, so the sampler state is
-			// quiescent and snapshotting here is safe.
-			if deltaPub != nil && *ckptEvery > 0 && ev.Iter%*ckptEvery == 0 && ev.Iter < ev.Iters {
-				publishIncremental(ev.Iter)
+			// quiescent and snapshotting here is safe. A failed interval
+			// publish never kills the run: the next one retries.
+			if f.publishDelta && f.checkpointEvery > 0 && ev.Iter%f.checkpointEvery == 0 && ev.Iter < ev.Iters {
+				if err := publish(snapshot(), ev.Iter); err != nil {
+					logf("%v", err)
+				}
 			}
 		},
 	})
@@ -386,120 +380,73 @@ func run() int {
 	if !res.Completed {
 		reason := "interrupted"
 		if res.OverBudget {
-			reason = fmt.Sprintf("budget of %v exhausted", *budget)
+			reason = fmt.Sprintf("budget of %v exhausted", f.budget)
 		}
-		fmt.Fprintf(os.Stderr, "warplda-train: %s at iteration %d/%d\n", reason, res.Iter, *iters)
+		fmt.Fprintf(os.Stderr, "warplda-train: %s at iteration %d/%d\n", reason, res.Iter, f.iters)
 		if res.CheckpointPath != "" {
-			// Reconstruct the full invocation so copy-pasting it resumes the
-			// run exactly: same outputs, same eval schedule, checkpointing
-			// still on. Hyper-parameters travel inside the checkpoint.
-			cmd := fmt.Sprintf("warplda-train -corpus %s -algo %s -iters %d -eval-every %d -checkpoint-dir %s -checkpoint-every %d",
-				*corpusPath, *algo, *iters, *evalEvery, *ckptDir, *ckptEvery)
-			if *ckptKeep != 1 {
-				cmd += fmt.Sprintf(" -checkpoint-keep %d", *ckptKeep)
-			}
-			if *vocabPath != "" {
-				cmd += " -vocab " + *vocabPath
-			}
-			if *stream {
-				// Resuming with -stream reuses the cache: the checkpoint's
-				// fingerprint is validated against the cache header, no
-				// source re-read.
-				cmd += " -stream"
-				if *cacheDir != "" {
-					cmd += " -corpus-cache " + *cacheDir
-				}
-				if *maxResMB != 0 {
-					cmd += fmt.Sprintf(" -max-resident-mb %d", *maxResMB)
-				}
-			}
-			// Elapsed sampling time is cumulative across resumes, so after a
-			// budget stop the same -budget would halt again immediately —
-			// suggest it only for signal interruptions.
-			if *budget > 0 && !res.OverBudget {
-				cmd += " -budget " + budget.String()
-			}
-			if *savePath != "" {
-				cmd += " -save " + *savePath
-			}
-			if *publish != "" {
-				cmd += " -publish " + *publish
-			}
-			if *pubDelta {
-				cmd += fmt.Sprintf(" -publish-delta -delta-max-chain %d", *deltaChain)
-			}
-			fmt.Fprintf(os.Stderr, "warplda-train: resume with: %s -resume %s\n", cmd, res.CheckpointPath)
+			fmt.Fprintf(os.Stderr, "warplda-train: resume with: %s\n", resumeCommand(flag.CommandLine, res.OverBudget, res.CheckpointPath))
 		} else {
 			fmt.Fprintln(os.Stderr, "warplda-train: no checkpoint written (set -checkpoint-dir); progress lost")
 		}
 		return 3
 	}
 
-	model := warplda.Snapshot(c, s, cfg)
-	if model.Vocab == nil && vocab != nil {
-		// A mapped corpus carries no vocabulary; attach the one loaded
-		// from -vocab so saved snapshots and topic listings use words.
-		model.Vocab = vocab
+	model := snapshot()
+	if f.savePath != "" {
+		n, err := model.WriteFile(f.savePath)
+		if err != nil {
+			return fatal(err)
+		}
+		fmt.Printf("model saved to %s (%d bytes, checksummed snapshot v2)\n", f.savePath, n)
 	}
-	if *savePath != "" {
-		n, err := model.WriteFile(*savePath)
-		if err != nil {
+	// The final state goes out in full, or in delta mode as one more
+	// chain link (a rebase when the chain is full) so a watching server
+	// folds it instead of paying a full reload; interval publishes stop
+	// short of the last iteration. Unlike an interval publish, a failed
+	// final publish fails the run.
+	if pub != nil {
+		if err := publish(model, res.Iter); err != nil {
 			return fatal(err)
-		}
-		fmt.Printf("model saved to %s (%d bytes, checksummed snapshot v2)\n", *savePath, n)
-	}
-	if deltaPub != nil {
-		// Delta mode owns the publish target: the final state goes out
-		// as one more chain link (or a rebase when the chain is full) so
-		// a watching server folds it instead of paying a full reload.
-		if res.Iter != lastPublished {
-			publishIncremental(res.Iter)
-		}
-	} else if *publish != "" {
-		// The pinned version first (servable forever as <name>@<iter>),
-		// then the atomically-swapped "latest" pointer the bare <name>
-		// follows — the order matters: a crash between the two leaves the
-		// registry serving the previous version, never a missing target.
-		vPath, vName, err := warplda.PublishModelVersionPath(*publish, res.Iter)
-		if err != nil {
-			return fatal(err)
-		}
-		n, err := model.WriteFile(vPath)
-		if err != nil {
-			return fatal(err)
-		}
-		latest, err := warplda.PublishModelLatest(*publish, res.Iter)
-		if err != nil {
-			return fatal(err)
-		}
-		_, name, err := warplda.PublishModelPath(*publish)
-		if err != nil {
-			return fatal(err)
-		}
-		fmt.Printf("model published as %q (%d bytes) and as latest %q -> %s (a watching warplda-serve hot-reloads it; roll back by re-pointing %s at an older @version)\n",
-			vName, n, name, vPath, latest)
-		if *pubKeep > 0 {
-			pruned, err := warplda.PruneModelVersions(*publish, *pubKeep)
-			if err != nil {
-				return fatal(err)
-			}
-			for _, p := range pruned {
-				fmt.Printf("pruned old version %s\n", p)
-			}
 		}
 	}
-	nTop := *maxTopics
+	nTop := f.printTopics
 	if nTop > cfg.K {
 		nTop = cfg.K
 	}
 	for k := 0; k < nTop; k++ {
 		fmt.Printf("topic %3d:", k)
-		for _, w := range model.TopWords(k, *topWords) {
+		for _, w := range model.TopWords(k, f.topWords) {
 			fmt.Printf(" %s", w)
 		}
 		fmt.Println()
 	}
 	return 0
+}
+
+// resumeCommand is the invocation that continues an interrupted run
+// from its checkpoint ckpt: every flag of fs whose value differs from
+// its default, as given, so the resumed run writes the same outputs on
+// the same schedule (the hyper-parameters repeated agree with the
+// checkpoint). -budget is left out after a budget stop: sampling time
+// is cumulative across resumes, so the same budget would halt at once.
+func resumeCommand(fs *flag.FlagSet, overBudget bool, ckpt string) string {
+	args := []string{"warplda-train"}
+	fs.VisitAll(func(fl *flag.Flag) {
+		v := fl.Value.String()
+		switch {
+		case v == fl.DefValue, fl.Name == "resume", fl.Name == "budget" && overBudget:
+		case isBool(fl.Value):
+			args = append(args, "-"+fl.Name)
+		default:
+			args = append(args, "-"+fl.Name, v)
+		}
+	})
+	return strings.Join(append(args, "-resume", ckpt), " ")
+}
+
+func isBool(v flag.Value) bool {
+	b, ok := v.(interface{ IsBoolFlag() bool })
+	return ok && b.IsBoolFlag()
 }
 
 // sourceStamp is the source-file identity recorded beside a cache

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,5 +146,77 @@ func TestOpenOrBuildCache(t *testing.T) {
 	}
 	if mc4.NumDocs() != 1 || mc4.NumTokens() != 3 {
 		t.Fatalf("rebuilt corpus D=%d T=%d, want 1/3", mc4.NumDocs(), mc4.NumTokens())
+	}
+}
+
+// TestResumeCommandRepeatsFlags: every flag of the run reappears in the
+// resume hint with the value it was given, so the resumed run writes
+// the same outputs (a hint that dropped -publish-keep made the resumed
+// run keep every published version). -resume is replaced by the
+// checkpoint, and -budget is dropped after a budget stop.
+func TestResumeCommandRepeatsFlags(t *testing.T) {
+	given := map[string][]string{
+		"corpus":           {"-corpus", "c.uci"},
+		"vocab":            {"-vocab", "v.txt"},
+		"algo":             {"-algo", "distributed"},
+		"topics":           {"-topics", "8"},
+		"m":                {"-m", "1"},
+		"iters":            {"-iters", "77"},
+		"eval-every":       {"-eval-every", "3"},
+		"threads":          {"-threads", "2"},
+		"seed":             {"-seed", "9"},
+		"top-words":        {"-top-words", "4"},
+		"print-topics":     {"-print-topics", "3"},
+		"save":             {"-save", "model.bin"},
+		"checkpoint-dir":   {"-checkpoint-dir", "ck"},
+		"checkpoint-every": {"-checkpoint-every", "4"},
+		"checkpoint-keep":  {"-checkpoint-keep", "5"},
+		"publish":          {"-publish", "models/news"},
+		"publish-keep":     {"-publish-keep", "2"},
+		"publish-delta":    {"-publish-delta"},
+		"delta-max-chain":  {"-delta-max-chain", "6"},
+		"budget":           {"-budget", "1h30m0s"},
+		"stream":           {"-stream"},
+		"corpus-cache":     {"-corpus-cache", "cache"},
+		"max-resident-mb":  {"-max-resident-mb", "9"},
+	}
+	fs := flag.NewFlagSet("warplda-train", flag.ContinueOnError)
+	defineFlags(fs)
+	fs.VisitAll(func(fl *flag.Flag) {
+		if fl.Name == "resume" {
+			return
+		}
+		args, ok := given[fl.Name]
+		if !ok {
+			t.Errorf("flag -%s has no row here: give it a value and check that the resume hint repeats it", fl.Name)
+			return
+		}
+		t.Run(fl.Name, func(t *testing.T) {
+			fs := flag.NewFlagSet("warplda-train", flag.ContinueOnError)
+			defineFlags(fs)
+			if err := fs.Parse(append(args, "-resume", "old")); err != nil {
+				t.Fatal(err)
+			}
+			hint := resumeCommand(fs, false, "ck/checkpoint-00000040")
+			want := " " + strings.Join(args, " ") + " "
+			if !strings.Contains(hint+" ", want) {
+				t.Fatalf("hint %q does not repeat %q", hint, want)
+			}
+			if !strings.HasSuffix(hint, " -resume ck/checkpoint-00000040") || strings.Contains(hint, "old") {
+				t.Fatalf("hint %q does not resume from the new checkpoint alone", hint)
+			}
+		})
+	})
+
+	fs = flag.NewFlagSet("warplda-train", flag.ContinueOnError)
+	defineFlags(fs)
+	if err := fs.Parse([]string{"-corpus", "c.uci", "-budget", "2h0m0s"}); err != nil {
+		t.Fatal(err)
+	}
+	if hint := resumeCommand(fs, true, "ck"); strings.Contains(hint, "-budget") {
+		t.Fatalf("hint after a budget stop repeats the budget: %q", hint)
+	}
+	if hint := resumeCommand(fs, false, "ck"); !strings.Contains(hint, "-budget 2h0m0s") {
+		t.Fatalf("hint after a signal drops the budget: %q", hint)
 	}
 }

@@ -382,3 +382,59 @@ func TestOverBudgetDeltaRejectedOnce(t *testing.T) {
 		t.Fatalf("info = %+v, want generation 0 and a last_error naming the budget", mi)
 	}
 }
+
+// TestFullPublishClearsStaleChain: a full publish into a target that a
+// delta-mode writer left a chain in must serve exactly the full
+// snapshot. Here the chain's delta is valid against the republished
+// state, so a registry that found it would fold it silently.
+func TestFullPublishClearsStaleChain(t *testing.T) {
+	dir, r := openTestRegistry(t, Options{})
+	spec := filepath.Join(dir, "news")
+	full, err := warplda.NewDeltaPublisher(spec, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained, err := warplda.NewDeltaPublisher(spec, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0 := tinyModel(t, 3, 1)
+	if _, err := full.Publish(m0, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Acquire("news"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A delta-mode writer: a base, then one delta.
+	if res, err := chained.Publish(m0, 20); err != nil || !res.Full {
+		t.Fatalf("chained base publish = %+v, %v", res, err)
+	}
+	if res, err := chained.Publish(perturbModel(t, m0, 5), 30); err != nil || res.Full {
+		t.Fatalf("chained delta publish = %+v, %v", res, err)
+	}
+
+	// The full publisher installs the base's state again.
+	if res, err := full.Publish(m0, 40); err != nil || !res.Full {
+		t.Fatalf("full publish = %+v, %v", res, err)
+	}
+	r.pollOnce()
+
+	snap, err := r.Acquire("news")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap.Model.Cw, m0.Cw) || !reflect.DeepEqual(snap.Model.Ck, m0.Ck) {
+		t.Fatal("served counts differ from the full publish")
+	}
+	st := r.RegistryStats()
+	if st.DeltasApplied != 0 || st.DeltaRejected != 0 {
+		t.Fatalf("stats = %+v, want 0 applied / 0 rejected", st)
+	}
+	if mi, _ := r.Info("news"); mi.LastError != "" || mi.Generation != 0 {
+		t.Fatalf("info = %+v, want generation 0 and no last_error", mi)
+	}
+	if files, _ := train.ListDeltaFiles(dir, "news"); len(files) != 0 {
+		t.Fatalf("%d delta files survived the full publish", len(files))
+	}
+}

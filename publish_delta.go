@@ -1,51 +1,61 @@
 package warplda
 
-// Incremental publishing facade: the -publish-delta mode of
-// cmd/warplda-train and cmd/warplda-coordinator. A DeltaPublisher
-// turns a sequence of model snapshots into (a) one full versioned base
-// publish and (b) a chain of WARPDLT delta files a serving registry
-// folds into the live engine without a full reload — rebasing onto a
-// fresh full snapshot whenever the chain grows past MaxChain.
+// Publishing facade: the one publisher of cmd/warplda-train and
+// cmd/warplda-coordinator, for -publish and -publish-delta alike. A
+// DeltaPublisher turns a sequence of model snapshots into full
+// versioned base publishes and, when its chain length is 1 or more, a
+// chain of WARPDLT delta files a serving registry folds into the live
+// engine without a full reload.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"warplda/internal/train"
 )
 
-// DeltaPublisher publishes successive snapshots of one model
-// incrementally. The first Publish call writes a full versioned
-// snapshot (<name>@<iter>.bin + latest pointer, exactly like -publish)
-// and starts a delta chain; each later call emits <name>.dlt.<gen>.
-// When the chain reaches MaxChain deltas, the next call rebases:
-// deltas are deleted first, then a fresh full snapshot is published
-// and a new chain starts — the delete-then-repoint order a polling
-// registry relies on. Not safe for concurrent use.
+// DeltaPublisher publishes successive snapshots of one model. Every
+// base publish runs in one order: the target's delta files are deleted,
+// the versioned snapshot <name>@<iter>.bin is written, the latest
+// pointer is repointed at it, and old versions are pruned — so a
+// polling registry never pairs a base with deltas of another chain.
+// With a chain length of 0 every Publish is a base publish. With a
+// chain length n ≥ 1 the first Publish is a base publish and starts a
+// delta chain, each later call emits <name>.dlt.<gen>, and the call
+// after the n-th delta rebases onto a fresh base. Not safe for
+// concurrent use.
 type DeltaPublisher struct {
 	spec string
-	// MaxChain bounds the chain length before a rebase; <= 0 means 16.
-	// Longer chains mean cheaper publishes but a longer replay for a
-	// registry that starts cold.
+	// maxChain is the number of deltas before a rebase; 0 publishes
+	// every snapshot in full. Longer chains mean cheaper publishes but a
+	// longer replay for a registry that starts cold.
 	maxChain int
-	// Keep is the PruneModelVersions retention applied after every full
-	// publish; <= 0 disables pruning.
+	// keep is the PrunePublishedVersions retention applied after every
+	// base publish; <= 0 disables pruning.
 	keep  int
 	chain *train.DeltaChain
 }
 
-// NewDeltaPublisher validates the publish spec and returns a publisher
-// with an empty chain (the first Publish writes the base).
+// NewDeltaPublisher validates the publish spec, creates its model
+// directory, and returns a publisher whose first Publish writes a base.
+// maxChain is the delta chain length (0 = full publishing only; a
+// negative length is refused).
 func NewDeltaPublisher(spec string, maxChain, keep int) (*DeltaPublisher, error) {
-	if _, _, err := train.PublishPath(spec); err != nil {
+	path, _, err := train.PublishPath(spec)
+	if err != nil {
 		return nil, err
 	}
-	if maxChain <= 0 {
-		maxChain = 16
+	if maxChain < 0 {
+		return nil, fmt.Errorf("warplda: delta chain length %d, want >= 0", maxChain)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
 	}
 	return &DeltaPublisher{spec: spec, maxChain: maxChain, keep: keep}, nil
 }
 
-// DeltaPublishResult describes one incremental publish.
+// DeltaPublishResult describes one publish.
 type DeltaPublishResult struct {
 	// Path is the file installed: the versioned snapshot for a full
 	// publish, the delta file otherwise.
@@ -57,8 +67,8 @@ type DeltaPublishResult struct {
 	Cells int
 }
 
-// Publish installs snapshot m at iteration iter: the base snapshot on
-// the first call or on a rebase, a delta file otherwise.
+// Publish installs snapshot m at iteration iter: a base snapshot in
+// full mode, on the first call and on a rebase; a delta file otherwise.
 func (p *DeltaPublisher) Publish(m *Model, iter int) (DeltaPublishResult, error) {
 	if p.chain != nil && p.chain.Gen() < int64(p.maxChain) {
 		r, err := p.chain.Publish(m.Cw, m.Ck, int64(iter), m.LogLik)
@@ -67,9 +77,9 @@ func (p *DeltaPublisher) Publish(m *Model, iter int) (DeltaPublishResult, error)
 		}
 		return DeltaPublishResult{Path: r.Path, Gen: r.Gen, Cells: r.Cells}, nil
 	}
-	// Base publish (first call or rebase). Deltas of any previous chain
-	// go away BEFORE the base repoints, so a watcher never pairs the
-	// new base with them.
+	// Base publish. Deltas of any previous chain — this publisher's or
+	// another writer's — go away BEFORE the base repoints, so a watcher
+	// never pairs the new base with them.
 	if _, err := train.RemoveDeltaFiles(p.spec); err != nil {
 		return DeltaPublishResult{}, err
 	}
@@ -88,10 +98,12 @@ func (p *DeltaPublisher) Publish(m *Model, iter int) (DeltaPublishResult, error)
 			return DeltaPublishResult{}, err
 		}
 	}
-	chain, err := train.NewDeltaChain(p.spec, m.V, m.Cfg.K, m.Cw, m.Ck)
-	if err != nil {
-		return DeltaPublishResult{}, err
+	if p.maxChain > 0 {
+		chain, err := train.NewDeltaChain(p.spec, m.V, m.Cfg.K, m.Cw, m.Ck)
+		if err != nil {
+			return DeltaPublishResult{}, err
+		}
+		p.chain = chain
 	}
-	p.chain = chain
 	return DeltaPublishResult{Path: vPath, Full: true}, nil
 }

@@ -1,8 +1,10 @@
 package warplda
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"warplda/internal/train"
@@ -103,5 +105,55 @@ func TestDeltaPublisherRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := NewDeltaPublisher(filepath.Join(t.TempDir(), "bad name!"), 0, 0); err == nil {
 		t.Fatal("NewDeltaPublisher accepted an unservable name")
+	}
+	if _, err := NewDeltaPublisher(filepath.Join(t.TempDir(), "news"), -1, 0); err == nil {
+		t.Fatal("NewDeltaPublisher accepted a negative chain length")
+	}
+}
+
+// TestFullPublisher pins chain length 0, the -publish mode of both
+// binaries: every Publish is a base publish — versioned snapshot,
+// latest pointer, pruning — into a directory the publisher creates.
+func TestFullPublisher(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "models", "fresh")
+	spec := filepath.Join(dir, "news")
+	pub, err := NewDeltaPublisher(spec, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := testModelForPublish(t, 1)
+	for _, iter := range []int{10, 20, 30} {
+		m.Cw[iter/10]++
+		m.Ck[iter/10]++
+		r, err := pub.Publish(m, iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := filepath.Join(dir, fmt.Sprintf("news@%d.bin", iter))
+		if !r.Full || r.Path != want || r.Gen != 0 || r.Cells != 0 {
+			t.Fatalf("publish at %d = %+v, want a full publish of %s", iter, r, want)
+		}
+		lf, err := os.Open(filepath.Join(dir, "news.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		latest, err := ReadModel(lf)
+		lf.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(latest.Cw, m.Cw) {
+			t.Fatalf("latest after the publish at %d does not hold its counts", iter)
+		}
+		if files, _ := train.ListDeltaFiles(dir, "news"); len(files) != 0 {
+			t.Fatalf("full publish at %d wrote %d delta files", iter, len(files))
+		}
+	}
+	// keep = 2: the newest two versions survive, the oldest is pruned.
+	for iter, want := range map[int]bool{10: false, 20: true, 30: true} {
+		_, err := os.Stat(filepath.Join(dir, fmt.Sprintf("news@%d.bin", iter)))
+		if got := err == nil; got != want {
+			t.Errorf("news@%d.bin present = %v, want %v", iter, got, want)
+		}
 	}
 }

@@ -233,29 +233,6 @@ func PublishModelPath(spec string) (path, name string, err error) {
 	return train.PublishPath(spec)
 }
 
-// PublishModelVersionPath resolves a publish spec to the
-// iteration-stamped snapshot path and registry name <name>@<iter> —
-// the pinned version a registry can roll back to.
-func PublishModelVersionPath(spec string, iter int) (path, name string, err error) {
-	return train.VersionedPublishPath(spec, iter)
-}
-
-// PublishModelLatest atomically points the bare <name>.bin the
-// registry serves as <name> at the already-published <name>@<iter>.bin
-// snapshot; a watching warplda-serve hot-reloads the swap without a
-// restart. It returns the pointer's path.
-func PublishModelLatest(spec string, iter int) (string, error) {
-	return train.PublishLatest(spec, iter)
-}
-
-// PruneModelVersions deletes a publish target's oldest pinned
-// <name>@<iter>.bin snapshots, keeping the newest keep versions plus —
-// always — the one the latest pointer targets. It returns the removed
-// paths.
-func PruneModelVersions(spec string, keep int) ([]string, error) {
-	return train.PrunePublishedVersions(spec, keep)
-}
-
 // ListCheckpoints returns the iteration-stamped checkpoints retained in
 // a checkpoint directory (oldest first), each entry naming its
 // iteration and path. See docs/FORMATS.md for the on-disk layout.
