@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -166,16 +167,22 @@ func TestHotReloadUnderLoad(t *testing.T) {
 // resident bytes never exceed the budget and the evictions are visible
 // via GET /v1/models.
 func TestEvictionsObservableUnderLoad(t *testing.T) {
-	m := trainStressModel(t, 2, 3)
-	eng, err := warplda.NewInferEngine(m, warplda.InferOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := m.SizeBytes() + eng.MemoryBytes()
-
+	// one is the largest accounted size of a model: what the registry
+	// loads (C_k and vocabulary, no C_wk) plus its engine.
+	var one int64
 	models := map[string]*warplda.Model{}
 	for i := 0; i < 4; i++ {
-		models[fmt.Sprintf("m%d", i)] = trainStressModel(t, 2, uint64(40+i))
+		m := trainStressModel(t, 2, uint64(40+i))
+		models[fmt.Sprintf("m%d", i)] = m
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		served, eng, err := warplda.ReadInferEngine(&buf, warplda.InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one = max(one, served.SizeBytes()+eng.MemoryBytes())
 	}
 	// Room for two resident models.
 	h, reg := newTestServer(t, ServeOptions{Sweeps: 3},

@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzReadModel feeds ReadModel hostile bytes. The decoder must never
-// panic and never allocate proportionally to a forged header (the
-// harness's -fuzzminimizetime memory limits catch over-allocation as a
-// crash); every input it does accept must describe a servable model and
-// survive a write/read round trip unchanged.
+// FuzzReadModel feeds ReadModel and ReadInferEngine hostile bytes. The
+// decoder must never panic and never allocate proportionally to a
+// forged header (the harness's -fuzzminimizetime memory limits catch
+// over-allocation as a crash); every input it does accept must describe
+// a servable model and survive a write/read round trip unchanged. The
+// served loader must refuse exactly what ReadModel refuses, and
+// otherwise hold the same counts, cell by cell.
 func FuzzReadModel(f *testing.F) {
 	// A real v2 model with vocabulary, as WriteTo produces it.
 	m := &Model{
@@ -35,8 +37,21 @@ func FuzzReadModel(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadModel(bytes.NewReader(data))
+		served, eng, serr := ReadInferEngine(bytes.NewReader(data), InferOptions{Workers: 1})
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("ReadModel error %v, ReadInferEngine error %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		if served.Cw != nil || served.V != got.V || served.Cfg.K != got.Cfg.K || served.Cfg.Alpha != got.Cfg.Alpha ||
+			served.Cfg.Beta != got.Cfg.Beta || served.LogLik != got.LogLik || !equalI64(served.Ck, got.Ck) || len(served.Vocab) != len(got.Vocab) {
+			t.Fatalf("served model %+v differs from the read one %+v", served, got)
+		}
+		for i, c := range got.Cw {
+			if e := eng.Count(i/got.Cfg.K, i%got.Cfg.K); e != c {
+				t.Fatalf("served count C[%d,%d] = %d, ReadModel read %d", i/got.Cfg.K, i%got.Cfg.K, e, c)
+			}
 		}
 		if got.V <= 0 || got.Cfg.K <= 0 || len(got.Cw) != got.V*got.Cfg.K || len(got.Ck) != got.Cfg.K {
 			t.Fatalf("accepted model has inconsistent dims: V=%d K=%d |Cw|=%d |Ck|=%d",

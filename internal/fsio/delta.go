@@ -105,10 +105,50 @@ func fnvU64(h, v uint64) uint64 {
 // published snapshot starts its delta chain from. It is FNV-1a over the
 // little-endian encoding of (v, k, cw..., ck...).
 func ModelFingerprint(v, k int, cw []int32, ck []int64) uint64 {
-	h := fnvU64(fnvU64(uint64(fnvOffset), uint64(v)), uint64(k))
+	h := NewModelHasher(v, k)
+	h.Counts(cw)
+	return h.Sum(ck)
+}
+
+// ModelHasher computes ModelFingerprint from C_wk in pieces, for a
+// holder of sparse rows: NewModelHasher, then every cell in row-major
+// order through Counts and Zeros, then Sum.
+type ModelHasher struct{ h uint64 }
+
+// NewModelHasher starts the fingerprint of a V×K model.
+func NewModelHasher(v, k int) ModelHasher {
+	return ModelHasher{fnvU64(fnvU64(uint64(fnvOffset), uint64(v)), uint64(k))}
+}
+
+// Counts hashes the next cells of C_wk.
+func (m *ModelHasher) Counts(cw []int32) {
+	h := m.h
 	for _, c := range cw {
 		h = fnvU64(h, uint64(uint32(c)))
 	}
+	m.h = h
+}
+
+// Zeros hashes the next n cells of C_wk, all zero, in O(log n): FNV-1a
+// over eight zero bytes multiplies by the prime eight times, so n zero
+// cells multiply by fnvPrime^(8n) mod 2⁶⁴.
+func (m *ModelHasher) Zeros(n int) {
+	f := uint64(1)
+	for p := uint64(fnvPrime8); n > 0; n >>= 1 {
+		if n&1 != 0 {
+			f *= p
+		}
+		p *= p
+	}
+	m.h *= f
+}
+
+// fnvPrime8 is fnvPrime^8 mod 2⁶⁴: what one zero cell multiplies by.
+const fnvPrime8 = fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime * fnvPrime & (1<<64 - 1)
+
+// Sum hashes C_k after the last cell and returns the fingerprint.
+func (m *ModelHasher) Sum(ck []int64) uint64 {
+	h := m.h
 	for _, c := range ck {
 		h = fnvU64(h, uint64(c))
 	}

@@ -204,6 +204,31 @@ func TestModelFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// Zeros(n) hashes exactly what n zero cells through Counts do, and a
+// fingerprint hashed in pieces is ModelFingerprint's.
+func TestModelHasherZeros(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 31, 1000, 65537} {
+		a, b := NewModelHasher(7, 9), NewModelHasher(7, 9)
+		a.Counts([]int32{5})
+		b.Counts([]int32{5})
+		a.Zeros(n)
+		b.Counts(make([]int32, n))
+		if got, want := a.Sum([]int64{1, 2}), b.Sum([]int64{1, 2}); got != want {
+			t.Fatalf("Zeros(%d) = %016x, %d zero cells hash to %016x", n, got, n, want)
+		}
+	}
+	cw, ck := []int32{0, 0, 3, 0, 1, 0, 0, 0}, []int64{0, 0, 3, 1}
+	h := NewModelHasher(2, 4)
+	h.Zeros(2)
+	h.Counts([]int32{3})
+	h.Zeros(1)
+	h.Counts([]int32{1})
+	h.Zeros(3)
+	if got, want := h.Sum(ck), ModelFingerprint(2, 4, cw, ck); got != want {
+		t.Fatalf("pieces hash to %016x, ModelFingerprint = %016x", got, want)
+	}
+}
+
 func TestDiffCounts(t *testing.T) {
 	old := []int32{1, 0, 2, 5, 0, 0}
 	new := []int32{1, 3, 2, 4, 0, 7}

@@ -16,7 +16,8 @@
 //   - ImageBody and CheckImage: the same checks over an in-memory or
 //     mapped image;
 //   - ReadSlice: arrays grown as bytes arrive, so a hostile length
-//     fails at the end of the input, not at make();
+//     fails at the end of the input, not at make() (Grow is that growth,
+//     for a decoder that appends what it reads);
 //   - AtomicWriteFile: temp file, fsync, rename, fsync of the directory.
 //
 // A durability or hostile-input fix therefore lands once, for every
@@ -224,10 +225,7 @@ func ReadSlice[T any](r io.Reader, n int) ([]T, error) {
 	for len(s) < n {
 		off := len(s)
 		c := min(n-off, AllocChunk)
-		if cap(s) < off+c {
-			s = append(make([]T, 0, min(n, max(2*cap(s), off+c))), s...)
-		}
-		s = s[:off+c]
+		s = Grow(s, n, c)[:off+c]
 		var err error
 		if b, ok := any(s[off:]).([]byte); ok {
 			_, err = io.ReadFull(r, b)
@@ -239,4 +237,15 @@ func ReadSlice[T any](r io.Reader, n int) ([]T, error) {
 		}
 	}
 	return s, nil
+}
+
+// Grow returns s with room for add more elements, growing it the way
+// ReadSlice does: by doubling, capped at n, the total a length field
+// declares. An appender that meets the data in chunks grows with it
+// and fails at the end of the input, not at make().
+func Grow[T any](s []T, n, add int) []T {
+	if cap(s) < len(s)+add {
+		s = append(make([]T, 0, min(n, max(2*cap(s), len(s)+add))), s...)
+	}
+	return s
 }

@@ -61,7 +61,7 @@ func deltaBetween(v, k int, oldCw []int32, oldCk []int64, newCw []int32, newCk [
 
 // assertEngineIdentical asserts the two engines are byte-identical in
 // every query-visible structure: params, denominators, smoothing table,
-// and every per-word alias table. This is strictly stronger than
+// and every word's row (entries and rank blocks) and alias table. This is strictly stronger than
 // comparing inference outputs — identical tables make every future draw
 // sequence identical for any (doc, seed, sweeps).
 func assertEngineIdentical(t *testing.T, got, want *Engine) {
@@ -78,10 +78,15 @@ func assertEngineIdentical(t *testing.T, got, want *Engine) {
 	if !reflect.DeepEqual(got.smooth, want.smooth) {
 		t.Fatal("smoothing alias table differs")
 	}
-	if !reflect.DeepEqual(got.words, want.words) {
-		for w := range got.words {
-			if !reflect.DeepEqual(got.words[w], want.words[w]) {
-				t.Fatalf("word %d alias table differs:\n got %+v\nwant %+v", w, got.words[w], want.words[w])
+	if !reflect.DeepEqual(got.start, want.start) || !reflect.DeepEqual(got.rank, want.rank) || got.nb != want.nb {
+		t.Fatal("row offsets or rank blocks differ")
+	}
+	if !reflect.DeepEqual(got.bins, want.bins) {
+		for w := 0; w < want.p.V; w++ {
+			g, _ := got.row(w)
+			x, _ := want.row(w)
+			if !reflect.DeepEqual(g, x) {
+				t.Fatalf("word %d alias table differs:\n got %+v\nwant %+v", w, g, x)
 			}
 		}
 		t.Fatal("word tables differ")

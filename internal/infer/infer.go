@@ -23,13 +23,19 @@
 //     acceptance ratio collapses to Φ̂_wt/Φ̂_ws: no c_d lookups at all.
 //
 // The tables and the per-token loop are the training kernel's
-// (internal/core/kernel.go). A word owns one alias.Packed of 16-byte
-// bins over its support C_wk/(C_k+β̄) plus one smoothTopic outcome that
-// carries the mass Σ_k β/(C_k+β̄) all words share; that outcome redirects
-// the draw to the engine's one K-bin table over β/(C_k+β̄). A proposal
-// costs one generator word (doc: mixture coin in the high half, token
-// position or uniform topic in the low half; word: bin and threshold)
-// and an acceptance test cross-multiplies instead of dividing; runChain
+// (internal/core/kernel.go). The counts C_wk are compact per-word rows
+// (rows.go), never a V×K array. A word's row is its alias table: one
+// 24-byte bin per topic of its support, weighted C_wk/(C_k+β̄), plus one
+// for the smoothTopic outcome that carries the mass Σ_k β/(C_k+β̄) all
+// words share; that outcome redirects the draw to the engine's one
+// K-bin table over β/(C_k+β̄). Each bin carries its topic and count and
+// those of its alias, so a word proposal brings its count along, and a
+// rank index answers C_wt for any other t without a branch. The chain
+// carries C_w,cur with its state, so an MH step looks up one count. A
+// proposal costs one generator word (doc: mixture coin in the high
+// half, token position or uniform topic in the low half; word: bin and
+// threshold) and an acceptance test cross-multiplies instead of
+// dividing; runChain
 // derives the rates. The chain a given (doc, sweeps, seed) follows is
 // therefore a property of the build: answers are reproducible between
 // engines of one build, not across builds that change how the
@@ -43,6 +49,7 @@ package infer
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strconv"
 	"sync"
@@ -52,9 +59,9 @@ import (
 	"warplda/internal/rng"
 )
 
-// Params are the frozen point estimates of a trained LDA model. The
-// slices are retained (not copied) and must not be mutated while the
-// engine is in use.
+// Params are the frozen point estimates of a trained LDA model. NewEngine
+// reads Cw into the engine's rows and does not retain it; Ck is retained
+// (not copied) and must not be mutated while the engine is in use.
 type Params struct {
 	V, K  int
 	Alpha float64 // symmetric document-topic prior
@@ -82,15 +89,20 @@ const DefaultSweeps = 5
 // smoothing part β/(C_k+β̄) instead", which is the same for every word.
 const smoothTopic = -1
 
-// Engine answers fold-in queries against one frozen model. Construction
-// is O(V·K); queries are O(MHSteps) per token. Safe for concurrent use.
+// Engine answers fold-in queries against one frozen model. It holds
+// O(nnz + V·K/32) words of counts and tables, where nnz is the number of
+// nonzero C_wk; queries are O(MHSteps) per token. Safe for concurrent
+// use.
 type Engine struct {
-	p        Params
+	p        Params   // dims, priors and C_k; Cw is nil, the counts are rows
+	start    []int    // start[w]: word w's first bin
+	bins     []bin    // per word its table: C_wk/(C_k+β̄) over its support, zbSmooth on smoothTopic
+	rank     []uint64 // per word nb rank blocks
+	nb       int      // ⌈K/32⌉
 	alphaBar float64
-	ckBar    []float64      // C_k + β̄
-	words    []alias.Packed // word w: C_wk/(C_k+β̄) over its support, zbSmooth on smoothTopic
-	smooth   alias.Packed   // β/(C_k+β̄) over all K topics
-	zbSmooth float64        // Σ_k β/(C_k+β̄)
+	ckBar    []float64    // C_k + β̄
+	smooth   alias.Packed // β/(C_k+β̄) over all K topics
+	zbSmooth float64      // Σ_k β/(C_k+β̄)
 	mh       int
 	workers  int
 
@@ -119,49 +131,82 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{Dispatches: e.statDispatches.Load(), Docs: e.statDocs.Load()}
 }
 
-// NewEngine validates p and precomputes the per-word proposal tables.
+// NewEngine validates p, writes p.Cw into Rows and builds the engine
+// over them as Rows.Engine does.
 func NewEngine(p Params, opts Options) (*Engine, error) {
-	if p.V <= 0 || p.K <= 0 {
-		return nil, fmt.Errorf("infer: dims V=%d K=%d, want > 0", p.V, p.K)
-	}
-	if p.Alpha <= 0 || p.Beta <= 0 {
-		return nil, fmt.Errorf("infer: non-positive priors α=%g β=%g", p.Alpha, p.Beta)
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	if len(p.Cw) != p.V*p.K {
 		return nil, fmt.Errorf("infer: len(Cw) = %d, want V·K = %d", len(p.Cw), p.V*p.K)
 	}
-	if len(p.Ck) != p.K {
-		return nil, fmt.Errorf("infer: len(Ck) = %d, want K = %d", len(p.Ck), p.K)
-	}
-	for k, c := range p.Ck {
+	for i, c := range p.Cw {
 		if c < 0 {
-			return nil, fmt.Errorf("infer: negative topic count Ck[%d] = %d", k, c)
+			return nil, fmt.Errorf("infer: negative word-topic count Cw[%d] = %d", i, c)
 		}
 	}
-	e := &Engine{p: p, words: make([]alias.Packed, p.V), mh: opts.MHSteps, workers: opts.Workers}
+	rows := NewRows(p.V, p.K)
+	rows.Write(p.Cw)
+	return rows.Engine(p, opts)
+}
+
+// Engine builds an engine over the rows and p's dims, priors and C_k
+// (p.Cw is not read), and precomputes the per-word proposal tables. The
+// rows must hold exactly p.V complete rows of p.K topics. The engine
+// takes the rows' storage over: r must not be written again.
+func (r *Rows) Engine(p Params, opts Options) (*Engine, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	p.Cw = nil
+	if r.v != p.V || r.k != p.K {
+		return nil, fmt.Errorf("infer: rows of %d×%d for a %d×%d model", r.v, r.k, p.V, p.K)
+	}
+	if err := r.complete(); err != nil {
+		return nil, err
+	}
+	e := &Engine{p: p, mh: opts.MHSteps, workers: opts.Workers}
 	if e.mh < 1 {
 		e.mh = 2
 	}
 	if e.workers < 1 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.buildTables()
+	e.build(r, nil)
 	return e, nil
 }
 
-// buildTables derives everything the chain reads from e.p: C_k+β̄, the
-// smoothing table, and the table of every word whose entry in e.words
-// is still nil (ApplyDelta fills in the ones it shares beforehand). It
-// returns the number of word tables built. Every table goes through one
-// scratch alias.Table, so the engine retains only the packed bins.
-func (e *Engine) buildTables() (built int) {
+// check validates everything of p but the counts C_wk.
+func (p *Params) check() error {
+	if p.V <= 0 || p.K <= 0 {
+		return fmt.Errorf("infer: dims V=%d K=%d, want > 0", p.V, p.K)
+	}
+	if p.Alpha <= 0 || p.Beta <= 0 {
+		return fmt.Errorf("infer: non-positive priors α=%g β=%g", p.Alpha, p.Beta)
+	}
+	if len(p.Ck) != p.K {
+		return fmt.Errorf("infer: len(Ck) = %d, want K = %d", len(p.Ck), p.K)
+	}
+	for k, c := range p.Ck {
+		if c < 0 {
+			return fmt.Errorf("infer: negative topic count Ck[%d] = %d", k, c)
+		}
+	}
+	return nil
+}
+
+// build derives everything the chain reads from e.p and rows: C_k+β̄,
+// the smoothing table, the rows' offsets and rank blocks, and the table
+// of every word w but those with keep[w], whose bins ApplyDelta has
+// put in e.bins beforehand. It returns the number of word tables built.
+func (e *Engine) build(rows *Rows, keep []bool) (built int) {
 	p := e.p
 	e.alphaBar = p.Alpha * float64(p.K)
 	e.ckBar = make([]float64, p.K)
 
 	var tab alias.Table
 	betaBar := p.Beta * float64(p.V)
-	weights := make([]float64, p.K, p.K+1)
+	weights := make([]float64, p.K)
 	for k := range weights {
 		e.ckBar[k] = float64(p.Ck[k]) + betaBar
 		weights[k] = p.Beta / e.ckBar[k]
@@ -170,25 +215,11 @@ func (e *Engine) buildTables() (built int) {
 	tab.Build(weights)
 	e.smooth = tab.Pack(make(alias.Packed, 0, p.K), nil)
 
-	topics := make([]int32, 0, p.K+1)
-	for w := range e.words {
-		if e.words[w] != nil {
-			continue
-		}
-		built++
-		topics, weights = topics[:0], weights[:0]
-		for k, c := range p.Cw[w*p.K : (w+1)*p.K] {
-			if c > 0 {
-				topics = append(topics, int32(k))
-				weights = append(weights, float64(c)/e.ckBar[k])
-			}
-		}
-		topics = append(topics, smoothTopic)
-		weights = append(weights, e.zbSmooth)
-		tab.Build(weights)
-		e.words[w] = tab.Pack(make(alias.Packed, 0, len(topics)), topics)
+	e.start, e.rank, e.nb = rows.start, rows.rank, rows.blocks()
+	if e.bins == nil {
+		e.bins = make([]bin, len(rows.ents))
 	}
-	return built
+	return rows.pack(e.bins, keep, e.ckBar, e.zbSmooth)
 }
 
 // K returns the engine's topic count.
@@ -203,31 +234,58 @@ func (e *Engine) Alpha() float64 { return e.p.Alpha }
 // Beta returns the engine's symmetric topic-word prior.
 func (e *Engine) Beta() float64 { return e.p.Beta }
 
-// Count returns the frozen word-topic count C_wk. It is the sparse
-// structure analytics queries iterate: a topic's top words are the
-// words with the largest counts in its column. Bounds are the caller's
+// row returns word w's table and where its rank blocks start in e.rank.
+func (e *Engine) row(w int) (table, int) {
+	return e.bins[e.start[w]:e.start[w+1]], w * e.nb
+}
+
+// Count returns the frozen word-topic count C_wk in O(1), from word w's
+// row. Analytics queries iterate it: a topic's top words are the words
+// with the largest counts in its column. Bounds are the caller's
 // responsibility (0 <= w < V, 0 <= k < K).
-func (e *Engine) Count(w, k int) int32 { return e.p.Cw[w*e.p.K+k] }
+func (e *Engine) Count(w, k int) int32 {
+	tab, rk := e.row(w)
+	return count(tab, e.rank, rk, int32(k))
+}
+
+// Column calls visit(w, C_wk) for every word w with C_wk > 0, in word
+// order: a topic's column costs one rank-block test per word and one
+// lookup per nonzero.
+func (e *Engine) Column(k int, visit func(w int, c int32)) {
+	blk, bit := k>>5, uint32(1)<<(k&31)
+	for w := 0; w < e.p.V; w++ {
+		if b := e.rank[w*e.nb+blk]; uint32(b)&bit != 0 {
+			visit(w, int32(e.bins[e.start[w]+int(b>>32)+bits.OnesCount32(uint32(b)&(bit-1))].hit>>32))
+		}
+	}
+}
+
+// Tokens returns word w's training token count Σ_k C_wk, in O(its
+// support).
+func (e *Engine) Tokens(w int) int64 {
+	var n int64
+	for _, b := range e.bins[e.start[w] : e.start[w+1]-1] {
+		n += int64(b.hit >> 32)
+	}
+	return n
+}
 
 // Phi evaluates the frozen point estimate Φ̂_wk = (C_wk+β)/(C_k+β̄).
 func (e *Engine) Phi(w, k int) float64 {
-	return (float64(e.p.Cw[w*e.p.K+k]) + e.p.Beta) / e.ckBar[k]
+	return (float64(e.Count(w, k)) + e.p.Beta) / e.ckBar[k]
 }
 
 // MemoryBytes is the memory the engine owns: the C_k+β̄ row, the
-// smoothing table, and per word one slice header (three words) plus 16
-// bytes per alias bin (its support and the smoothTopic outcome). It excludes the
-// Params count slices, which the engine retains but does not own
-// (Model.SizeBytes accounts for those). Multi-model serving layers use
-// the sum of both to enforce an LRU byte budget.
+// smoothing table, and the rows — per word one start offset and
+// ⌈K/32⌉ 8-byte rank blocks, and per entry (its support and the
+// smoothing entry) one 24-byte bin. It excludes Params.Ck, which the
+// engine retains but does not own (Model.SizeBytes accounts for it).
+// Multi-model serving layers use the sum of both to enforce an LRU byte
+// budget.
 func (e *Engine) MemoryBytes() int64 {
-	const binBytes, sliceHeader = 16, 3 * strconv.IntSize / 8
-	n := int64(len(e.ckBar))*8 + int64(len(e.smooth))*binBytes
-	n += int64(len(e.words)) * sliceHeader
-	for _, tab := range e.words {
-		n += int64(len(tab)) * binBytes
-	}
-	return n
+	const smoothBin, rowBin, block, offset = 16, 24, 8, strconv.IntSize / 8
+	return int64(len(e.ckBar))*8 + int64(len(e.smooth))*smoothBin +
+		int64(len(e.start))*offset + int64(len(e.rank))*block + int64(len(e.bins))*rowBin
 }
 
 func (e *Engine) validateDoc(doc []int32) error {
@@ -287,12 +345,15 @@ func (e *Engine) inferInto(doc []int32, sweeps int, seed uint64, sc *scratch, th
 // proposal is drawn by random positioning over z, and z[n] always holds
 // cur, so q_doc(k | cur) ∝ c_dk + α + [k==cur]: between two different
 // topics the proposal ratio is exactly the target's document factor and
-// the acceptance rate is Φ̂_wt/Φ̂_wcur. (Leaving the token's old topic in
+// the acceptance rate is Φ̂_wt/Φ̂_wcur: C_wt is the one count lookup of
+// a step, as C_w,cur rides along with cur. (Leaving the token's old topic in
 // z for all its steps and correcting the rate with [k==old] terms, as
 // LightLDA does, makes the proposal depend on the state the step
 // started from without the rate knowing; its stationary distribution is
 // off by O(1/L_d), which TestFoldInMatchesExactPosterior sees.) The
-// word proposal is ∝ Φ̂_wk exactly, so its rate is (c_dt+α)/(c_dcur+α).
+// word proposal is ∝ Φ̂_wk exactly, so its rate is (c_dt+α)/(c_dcur+α);
+// its outcome is an entry of the word's row, so the count comes with
+// the topic.
 // Both are decided by rng.AcceptMask on one generator word per step,
 // whether or not the proposal equals cur: accept iff u·den ≤ num. The
 // mask selects the next state, and the doc proposal's mixture coin
@@ -322,12 +383,14 @@ func (e *Engine) runChain(doc []int32, sweeps int, seed uint64, sc *scratch) {
 	}
 	alpha, beta := e.p.Alpha, e.p.Beta
 	ckb, smooth, mh := e.ckBar, e.smooth, e.mh
+	start, bins, rank, nb := e.start, e.bins, e.rank, e.nb
 	coin := uint64(float64(ld) / (float64(ld) + e.alphaBar) * (1 << 32))
 	for s := 0; s < sweeps; s++ {
 		for n, w := range doc {
-			cw, tab := e.p.Cw[int(w)*k:(int(w)+1)*k], e.words[w]
+			tab, rk := table(bins[start[w]:start[w+1]]), int(w)*nb
 			cur := z[n]
-			cd[cur]-- // counts exclude the token being resampled
+			ccur := count(tab, rank, rk, cur) // C_w,cur, kept with cur
+			cd[cur]--                         // counts exclude the token being resampled
 			for step := 0; step < mh; step++ {
 				// Doc proposal: coin in the high half of one word,
 				// position or uniform topic in the low half. The coin is
@@ -337,17 +400,24 @@ func (e *Engine) runChain(doc []int32, sweeps int, seed uint64, sc *scratch) {
 				lo := x & (1<<32 - 1)
 				t := int32(lo * uk >> 32)
 				t ^= (t ^ z[lo*uld>>32]) & int32(int64(x>>32-coin)>>63)
-				num := (float64(cw[t]) + beta) * ckb[cur]
-				den := (float64(cw[cur]) + beta) * ckb[t]
-				cur ^= (cur ^ t) & int32(rng.AcceptMask(g.Uint64(), num, den))
+				ct := count(tab, rank, rk, t)
+				num := (float64(ct) + beta) * ckb[cur]
+				den := (float64(ccur) + beta) * ckb[t]
+				acc := int32(rng.AcceptMask(g.Uint64(), num, den))
+				cur ^= (cur ^ t) & acc
+				ccur ^= (ccur ^ ct) & acc
 				// Word proposal. z[n] need not hold cur yet: only the
 				// next doc proposal reads it.
-				t = tab.Draw(g.Uint64())
+				en := tab.draw(g.Uint64())
+				t, ct = int32(en), int32(en>>32)
 				if t == smoothTopic {
 					t = smooth.Draw(g.Uint64())
+					ct = countOff(tab, rank, rk, t)
 				}
 				num, den = float64(cd[t])+alpha, float64(cd[cur])+alpha
-				cur ^= (cur ^ t) & int32(rng.AcceptMask(g.Uint64(), num, den))
+				acc = int32(rng.AcceptMask(g.Uint64(), num, den))
+				cur ^= (cur ^ t) & acc
+				ccur ^= (ccur ^ ct) & acc
 				z[n] = cur
 			}
 			cd[cur]++

@@ -17,18 +17,23 @@ import (
 // whole proposal).
 func tinyModel(t *testing.T, mh int) *Engine {
 	t.Helper()
-	cw := []int32{
-		5, 1, 0,
-		0, 3, 2,
-		1, 0, 30,
-		0, 0, 0,
-	}
-	e, err := NewEngine(Params{V: 4, K: 3, Alpha: 0.3, Beta: 0.2, Cw: cw, Ck: []int64{6, 4, 32}},
+	cw, ck := tinyCounts()
+	e, err := NewEngine(Params{V: 4, K: 3, Alpha: 0.3, Beta: 0.2, Cw: cw, Ck: ck},
 		Options{MHSteps: mh, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// tinyCounts are tinyModel's counts C_wk (V=4, K=3) and C_k.
+func tinyCounts() ([]int32, []int64) {
+	return []int32{
+		5, 1, 0,
+		0, 3, 2,
+		1, 0, 30,
+		0, 0, 0,
+	}, []int64{6, 4, 32}
 }
 
 // exactPosterior enumerates p(z | w, Φ̂, α) ∝ Π_n Φ̂_{w_n z_n} · Π_k
@@ -134,8 +139,13 @@ func TestWordProposalFollowsPhi(t *testing.T) {
 	g := rng.New(11)
 	for w := 0; w < e.V(); w++ {
 		observed := make([]float64, e.K()+1)
+		tab, _ := e.row(w)
 		for i := 0; i < draws; i++ {
-			topic := e.words[w].Draw(g.Uint64())
+			en := tab.draw(g.Uint64())
+			topic := int32(en)
+			if c := int32(en >> 32); topic != smoothTopic && c != e.Count(w, int(topic)) {
+				t.Fatalf("word %d: a proposal of topic %d brings count %d, C_wk is %d", w, topic, c, e.Count(w, int(topic)))
+			}
 			if topic == smoothTopic {
 				observed[e.K()]++
 				topic = e.smooth.Draw(g.Uint64())
@@ -169,26 +179,31 @@ func TestWordProposalFollowsPhi(t *testing.T) {
 func TestMemoryBytesIsExact(t *testing.T) {
 	e := tinyModel(t, 2)
 	sizeOf := func(e *Engine) int64 {
-		n := int64(len(e.ckBar))*int64(unsafe.Sizeof(e.ckBar[0])) +
-			int64(len(e.smooth))*int64(unsafe.Sizeof(alias.Bin{})) +
-			int64(len(e.words))*int64(unsafe.Sizeof(e.words[0]))
-		for _, tab := range e.words {
-			if len(tab) != cap(tab) {
-				t.Errorf("a word table of %d bins holds room for %d", len(tab), cap(tab))
+		for name, lc := range map[string][2]int{
+			"start": {len(e.start), cap(e.start)},
+			"rank":  {len(e.rank), cap(e.rank)},
+			"bins":  {len(e.bins), cap(e.bins)},
+		} {
+			if lc[0] != lc[1] {
+				t.Errorf("the engine's %s of %d holds room for %d", name, lc[0], lc[1])
 			}
-			n += int64(len(tab)) * int64(unsafe.Sizeof(alias.Bin{}))
 		}
-		return n
+		return int64(len(e.ckBar))*int64(unsafe.Sizeof(e.ckBar[0])) +
+			int64(len(e.smooth))*int64(unsafe.Sizeof(alias.Bin{})) +
+			int64(len(e.start))*int64(unsafe.Sizeof(e.start[0])) +
+			int64(len(e.rank))*int64(unsafe.Sizeof(e.rank[0])) +
+			int64(len(e.bins))*int64(unsafe.Sizeof(bin{}))
 	}
 	if got, want := e.MemoryBytes(), sizeOf(e); got != want {
 		t.Errorf("MemoryBytes() = %d, the engine's slices hold %d", got, want)
 	}
-	// 4 words with 2+2+2+0 supported topics and one smoothing bin each.
-	if got, want := e.MemoryBytes(), int64(3*8+3*16+4*(3*strconv.IntSize/8)+(6+4)*16); got != want {
+	// 4 words with 2+2+2+0 supported topics and one smoothing entry each;
+	// K=3 is one rank block per word.
+	if got, want := e.MemoryBytes(), int64(3*8+3*16+5*(strconv.IntSize/8)+4*8+(6+4)*24); got != want {
 		t.Errorf("MemoryBytes() = %d, want %d", got, want)
 	}
 
-	cw, ck := e.Counts()
+	cw, ck := tinyCounts()
 	newCw, newCk := append([]int32(nil), cw...), append([]int64(nil), ck...)
 	newCw[3*3+1], newCk[1] = 2, ck[1]+2 // the unsupported word gains a topic
 	folded, _, err := e.ApplyDelta(deltaBetween(4, 3, cw, ck, newCw, newCk, 1))
@@ -203,7 +218,7 @@ func TestMemoryBytesIsExact(t *testing.T) {
 		t.Errorf("folded engine reports %d bytes and holds %d, a fresh one reports %d",
 			folded.MemoryBytes(), sizeOf(folded), fresh.MemoryBytes())
 	}
-	if folded.MemoryBytes() != e.MemoryBytes()+16 {
-		t.Errorf("one more supported topic took the engine from %d to %d bytes, want +16", e.MemoryBytes(), folded.MemoryBytes())
+	if folded.MemoryBytes() != e.MemoryBytes()+24 {
+		t.Errorf("one more supported topic took the engine from %d to %d bytes, want +24", e.MemoryBytes(), folded.MemoryBytes())
 	}
 }

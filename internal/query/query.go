@@ -163,7 +163,8 @@ type WordRow struct {
 
 // TopWords ranks topic k's words by their frozen word-topic count
 // (ties by word id), retaining only the best depth candidates during
-// the O(V) column scan. The scan runs lazily, on the first pull.
+// the column scan (Engine.Column: O(V) bit tests plus the column's
+// nonzeros). The scan runs lazily, on the first pull.
 func TopWords(m Model, topic, depth int) (*Iter[WordRow], error) {
 	e := m.Engine
 	if topic < 0 || topic >= e.K() {
@@ -176,11 +177,7 @@ func TopWords(m Model, topic, depth int) (*Iter[WordRow], error) {
 	}
 	build := func() ([]ranked, error) {
 		t := topHeap{depth: depth}
-		for w := 0; w < e.V(); w++ {
-			if c := e.Count(w, topic); c > 0 {
-				t.offer(ranked{id: int32(w), score: float64(c)})
-			}
-		}
+		e.Column(topic, func(w int, c int32) { t.offer(ranked{id: int32(w), score: float64(c)}) })
 		return t.drain(), nil
 	}
 	return emitRanked(build, func(r ranked) WordRow {
@@ -218,8 +215,8 @@ type VocabRow struct {
 
 // VocabSlice iterates the model's vocabulary in id order, keeping only
 // words whose label starts with prefix (empty prefix keeps all). Each
-// row's per-word work (the O(K) count sum) runs on pull; skipped
-// non-matching words cost only the prefix test.
+// row's per-word work (the count sum over the word's support) runs on
+// pull; skipped non-matching words cost only the prefix test.
 func VocabSlice(m Model, prefix string) *Iter[VocabRow] {
 	e := m.Engine
 	w := 0
@@ -229,11 +226,7 @@ func VocabSlice(m Model, prefix string) *Iter[VocabRow] {
 			if !strings.HasPrefix(label, prefix) {
 				continue
 			}
-			var tokens int64
-			for k := 0; k < e.K(); k++ {
-				tokens += int64(e.Count(w, k))
-			}
-			row := VocabRow{ID: int32(w), Word: label, Tokens: tokens}
+			row := VocabRow{ID: int32(w), Word: label, Tokens: e.Tokens(w)}
 			w++
 			return row, true, nil
 		}

@@ -95,11 +95,10 @@ func (r *Registry) fold(name string, from *Snapshot, path string) (*Snapshot, in
 	if err != nil {
 		return nil, 0, err
 	}
-	cw, ck := eng.Counts()
 	om := from.Model
 	nm := &warplda.Model{
 		Cfg: om.Cfg, V: om.V, Vocab: om.Vocab,
-		Cw: cw, Ck: ck, LogLik: d.LogLik,
+		Ck: d.Ck, LogLik: d.LogLik,
 	}
 	newFP := d.NewFP // copied out, so the snapshot does not keep the delta's cells alive
 	snap := &Snapshot{

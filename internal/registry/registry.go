@@ -5,8 +5,10 @@
 //
 // A Registry is rooted at a directory; every model is either a
 // `<name>.bin` file or a `<name>/model.bin` subdirectory. Models load
-// lazily on first Acquire, each load building the model's O(V·K)
-// inference engine and vocabulary index exactly once. Loaded models are
+// lazily on first Acquire, each load streaming the file's V·K counts
+// into the compact rows of the model's inference engine
+// (warplda.ReadInferEngine, which never holds a V×K array) and building
+// its vocabulary index exactly once. Loaded models are
 // kept under an LRU byte budget: acquiring a cold model evicts the
 // least-recently-used resident models until the newcomer fits, and a
 // model that cannot fit even alone is refused (ErrOverCapacity → 503 at
@@ -45,7 +47,6 @@ import (
 	"time"
 
 	"warplda"
-	"warplda/internal/fsio"
 	"warplda/internal/train"
 )
 
@@ -93,6 +94,9 @@ type Options struct {
 // request, so a concurrent hot swap can never change the model
 // mid-request.
 type Snapshot struct {
+	// Model holds the model's dims, priors, C_k, log likelihood and
+	// vocabulary. Its Cw is nil: the word-topic counts live only in
+	// Engine's compact rows (Engine.Count).
 	Model  *warplda.Model
 	Engine *warplda.InferEngine
 	// Vocab maps vocabulary words to token ids; nil when the model has
@@ -105,11 +109,11 @@ type Snapshot struct {
 	Version int
 
 	// fp returns the chain fingerprint of the snapshot's count state
-	// (fsio.ModelFingerprint for a file load, the delta's NewFP for a
-	// folded snapshot) — the value the next delta's BaseFP must match.
-	// A file load hashes its V·K cells only when the poller first meets
-	// a delta for it (sync.OnceValue), not while a start or a reload is
-	// waiting for the snapshot.
+	// (fsio.ModelFingerprint for a file load, streamed from the engine's
+	// rows, the delta's NewFP for a folded snapshot) — the value the
+	// next delta's BaseFP must match. A file load hashes its counts only
+	// when the poller first meets a delta for it (sync.OnceValue), not
+	// while a start or a reload is waiting for the snapshot.
 	fp func() uint64
 	// id identifies the model file the snapshot was loaded from, and
 	// gen counts the WARPDLT deltas folded into it since (0 = the file
@@ -401,18 +405,15 @@ func (r *Registry) build(e *entry, name, path string, id fileID) (*Snapshot, tim
 }
 
 // readAndBuild reads and validates the model file and builds its
-// engine and vocabulary index.
+// engine, from rows decoded as the file streams past, and its
+// vocabulary index.
 func (r *Registry) readAndBuild(name, path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
 	}
-	m, err := warplda.ReadModel(f)
+	m, eng, err := warplda.ReadInferEngine(f, r.opts.Infer)
 	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
-	}
-	eng, err := warplda.NewInferEngine(m, r.opts.Infer)
 	if err != nil {
 		return nil, fmt.Errorf("registry: loading %q: %w", name, err)
 	}
@@ -422,7 +423,7 @@ func (r *Registry) readAndBuild(name, path string) (*Snapshot, error) {
 		Bytes:  m.SizeBytes() + eng.MemoryBytes(),
 		// The chain fingerprint anchors delta folding: the first delta's
 		// BaseFP must equal it.
-		fp: sync.OnceValue(func() uint64 { return fsio.ModelFingerprint(m.V, m.Cfg.K, m.Cw, m.Ck) }),
+		fp: sync.OnceValue(eng.Fingerprint),
 	}
 	if m.Vocab != nil {
 		snap.Vocab = make(map[string]int32, len(m.Vocab))

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"warplda"
+	"warplda/internal/train"
 )
 
 // tinyModel trains a small model with the given topic count. Different
@@ -123,13 +126,7 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	var one int64
 	for name, m := range models {
 		writeModel(t, filepath.Join(dir, name+".bin"), m)
-		eng, err := warplda.NewInferEngine(m, warplda.InferOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := m.SizeBytes() + eng.MemoryBytes(); s > one {
-			one = s
-		}
+		one = max(one, snapshotBytes(t, m))
 	}
 	// Budget for two models, not three.
 	budget := one*2 + one/2
@@ -522,14 +519,19 @@ func TestWarmPrefetchSteadyStateIsIdle(t *testing.T) {
 }
 
 // snapshotBytes is the accounted resident size the registry gives m:
-// its counts plus its inference engine's tables.
+// the model as ReadInferEngine loads it (C_k and vocabulary, no C_wk)
+// plus its inference engine's rows and tables.
 func snapshotBytes(t *testing.T, m *warplda.Model) int64 {
 	t.Helper()
-	eng, err := warplda.NewInferEngine(m, warplda.InferOptions{})
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	served, eng, err := warplda.ReadInferEngine(&buf, warplda.InferOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.SizeBytes() + eng.MemoryBytes()
+	return served.SizeBytes() + eng.MemoryBytes()
 }
 
 // A hot reload that grows a model past the room left in the budget
@@ -590,7 +592,7 @@ func TestReloadGrowthEvictsLRUTail(t *testing.T) {
 // A reload whose model alone exceeds the budget is refused: the old
 // snapshot keeps serving at its version and last_error names the budget.
 func TestOverBudgetReloadKeepsOldSnapshot(t *testing.T) {
-	m0, big := tinyModel(t, 2, 1), tinyModel(t, 16, 2)
+	m0, big := tinyModel(t, 2, 1), tinyModel(t, 64, 2)
 	budget := snapshotBytes(t, m0) * 2
 	if snapshotBytes(t, big) <= budget {
 		t.Fatal("grown model fits the budget; the test needs a larger one")
@@ -645,6 +647,17 @@ func TestRejectedFileIsReadOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The registry accounts a model by its rows, 24 bytes per nonzero
+	// count and a file holds 4 per cell, so only a dense model outgrows
+	// a budget its file fits: dense is big with every count at least 1.
+	dense := *big
+	dense.Cw, dense.Ck = append([]int32(nil), big.Cw...), append([]int64(nil), big.Ck...)
+	for i, c := range dense.Cw {
+		if c == 0 {
+			dense.Cw[i] = 1
+			dense.Ck[i%dense.Cfg.K]++
+		}
+	}
 	good := tinyModel(t, 3, 9)
 
 	cases := []struct {
@@ -672,14 +685,14 @@ func TestRejectedFileIsReadOnce(t *testing.T) {
 		{
 			name: "over-budget reload",
 			// The file fits by size, so it is read once; its engine does not.
-			maxBytes: snapshotBytes(t, big) - 1,
+			maxBytes: snapshotBytes(t, &dense) - 1,
 			setup: func(t *testing.T, dir string) string {
 				writeModel(t, filepath.Join(dir, "m.bin"), tinyModel(t, 2, 1))
 				return "m"
 			},
 			reject: func(t *testing.T, dir string) string {
 				p := filepath.Join(dir, "m.bin")
-				writeModel(t, p, big)
+				writeModel(t, p, &dense)
 				return p
 			},
 			recover: func(t *testing.T, dir string) { writeModel(t, filepath.Join(dir, "m.bin"), good) },
@@ -754,5 +767,56 @@ func TestRejectedFileIsReadOnce(t *testing.T) {
 				t.Fatalf("%d refusals survived the good load", refusals)
 			}
 		})
+	}
+}
+
+// The serving path holds a model as compact rows: a cold load, a delta
+// fold and the chain fingerprint it checks allocate far less than one
+// V×K int32 matrix on a model with a large V·K and few nonzeros (here
+// 32 MiB of cells, about 20,000 of them nonzero).
+func TestServedPathAllocatesNoDenseMatrix(t *testing.T) {
+	const v, k = 512, 16384
+	dir, r := openTestRegistry(t, Options{})
+	func() {
+		rng := rand.New(rand.NewSource(1))
+		m := &warplda.Model{Cfg: warplda.Config{K: k, Alpha: 0.1, Beta: 0.01}, V: v,
+			Cw: make([]int32, v*k), Ck: make([]int64, k)}
+		for i := 0; i < 20000; i++ {
+			m.Cw[rng.Intn(v*k)] += int32(rng.Intn(9) + 1)
+		}
+		for i, c := range m.Cw {
+			m.Ck[i%k] += int64(c)
+		}
+		writeModel(t, filepath.Join(dir, "big.bin"), m)
+		dc, err := train.NewDeltaChain(filepath.Join(dir, "big"), v, k, m.Cw, m.Ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			j := rng.Intn(v * k)
+			m.Cw[j]++
+			m.Ck[j%k]++
+		}
+		if _, err := dc.Publish(m.Cw, m.Ck, 20, -1); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := r.Acquire("big"); err != nil {
+		t.Fatal(err)
+	}
+	r.pollOnce()
+	runtime.ReadMemStats(&after)
+
+	if mi, _ := r.Info("big"); mi.Generation != 1 || mi.LastError != "" {
+		t.Fatalf("info = %+v, want the delta folded", mi)
+	}
+	alloc, dense := after.TotalAlloc-before.TotalAlloc, uint64(v*k*4)
+	t.Logf("cold load and fold allocated %d bytes; one V×K int32 matrix is %d", alloc, dense)
+	if alloc >= dense {
+		t.Fatalf("cold load and fold allocated %d bytes, at least one V×K int32 matrix (%d)", alloc, dense)
 	}
 }

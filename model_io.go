@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"warplda/internal/eval"
 	"warplda/internal/fsio"
@@ -66,7 +67,53 @@ func (m *Model) WriteFile(path string) (int64, error) {
 // mismatch (torn write, bit rot) is an error before any model is
 // returned. The pre-checksum v1 layout is refused by name: with no
 // trailer, a damaged v1 file could not be told from a sound one.
+//
+// Cw is allocated once when r is a file (or an in-memory reader) whose
+// remaining bytes cover it; otherwise it grows as its bytes arrive, so
+// a forged length fails at the end of the input.
 func ReadModel(r io.Reader) (*Model, error) {
+	avail := remaining(r)
+	var cw []int32
+	m, err := readModel(r, func(m *Model) func([]int32) {
+		n := m.V * m.Cfg.K
+		if avail >= 4*int64(n) {
+			cw = make([]int32, 0, n)
+		}
+		return func(c []int32) { cw = append(fsio.Grow(cw, n, len(c)), c...) }
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.Cw = cw
+	return m, nil
+}
+
+// remaining returns the bytes left in r when r can tell — a regular
+// file or a reader with a Len — and -1 otherwise.
+func remaining(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
+}
+
+// readModel decodes a v2 model from r and returns it without Cw: the
+// header is handed to sink, which returns where the V·K cells of Cw go,
+// in row-major chunks of at most countChunk. The cells are checked
+// non-negative before a chunk is handed on, and the returned model has
+// passed the trailer check.
+func readModel(r io.Reader, sink func(*Model) func([]int32)) (*Model, error) {
 	br := bufio.NewReader(r)
 	if magic, _ := br.Peek(len(modelMagic)); string(magic) == "WARPLDA\x01" {
 		return nil, fmt.Errorf("warplda: pre-checksum v1 snapshot: re-save with a current warplda-train")
@@ -75,7 +122,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("warplda: reading model header: %w", err)
 	}
-	m, err := readModelBody(er)
+	m, err := readModelBody(er, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +135,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 // readModelBody parses the post-magic body and validates that the
 // result can be served: plausible dims, finite positive priors (a
 // NaN/Inf prior would make every Φ̂ entry NaN), and non-negative counts.
-func readModelBody(r io.Reader) (*Model, error) {
+func readModelBody(r io.Reader, sink func(*Model) func([]int32)) (*Model, error) {
 	read := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
 	var v64, k64 int64
 	var alpha, beta, logLik float64
@@ -101,6 +148,10 @@ func readModelBody(r io.Reader) (*Model, error) {
 	if v64 <= 0 || k64 <= 0 || v64 > maxDim || k64 > maxDim || v64*k64 > maxDim {
 		return nil, fmt.Errorf("warplda: implausible model dims V=%d K=%d", v64, k64)
 	}
+	cells := int(v64 * k64)
+	if int64(cells) != v64*k64 {
+		return nil, fmt.Errorf("warplda: model of V=%d K=%d exceeds this platform's int", v64, k64)
+	}
 	if !(alpha > 0) || !(beta > 0) || math.IsInf(alpha, 0) || math.IsInf(beta, 0) {
 		return nil, fmt.Errorf("warplda: corrupt model hyper-parameters α=%g β=%g (Φ̂ would be NaN or non-normalizable)", alpha, beta)
 	}
@@ -112,17 +163,12 @@ func readModelBody(r io.Reader) (*Model, error) {
 		V:      int(v64),
 		LogLik: logLik,
 	}
-	var err error
-	if m.Cw, err = fsio.ReadSlice[int32](r, int(v64*k64)); err != nil {
-		return nil, fmt.Errorf("warplda: reading counts: %w", err)
+	if err := readCounts(r, cells, sink(m)); err != nil {
+		return nil, err
 	}
+	var err error
 	if m.Ck, err = fsio.ReadSlice[int64](r, int(k64)); err != nil {
 		return nil, fmt.Errorf("warplda: reading counts: %w", err)
-	}
-	for i, c := range m.Cw {
-		if c < 0 {
-			return nil, fmt.Errorf("warplda: negative word-topic count Cw[%d] = %d", i, c)
-		}
 	}
 	for k, c := range m.Ck {
 		if c < 0 {
@@ -155,6 +201,31 @@ func readModelBody(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("warplda: corrupt vocabulary flag %d", hasVocab)
 	}
 	return m, nil
+}
+
+// countChunk is the number of cells readCounts decodes at a time.
+const countChunk = 16 << 10
+
+// readCounts reads the n cells of Cw in chunks of countChunk through one
+// buffer, so what it allocates beyond its sink is 8 bytes a cell of one
+// chunk, and hands each chunk, checked non-negative, to cells.
+func readCounts(r io.Reader, n int, cells func([]int32)) error {
+	chunk := min(n, countChunk)
+	raw, buf := make([]byte, 4*chunk), make([]int32, chunk)
+	for off := 0; off < n; off += chunk {
+		c := buf[:min(chunk, n-off)]
+		b := raw[:4*len(c)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return fmt.Errorf("warplda: reading counts: %w", err)
+		}
+		for i := range c {
+			if c[i] = int32(binary.LittleEndian.Uint32(b[4*i:])); c[i] < 0 {
+				return fmt.Errorf("warplda: negative word-topic count Cw[%d] = %d", off+i, c[i])
+			}
+		}
+		cells(c)
+	}
+	return nil
 }
 
 // HeldOutPerplexity evaluates the model on unseen documents: each test

@@ -2,8 +2,12 @@ package warplda
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -225,4 +229,48 @@ func TestHeldOutPerplexity(t *testing.T) {
 	if inf := trained.HeldOutPerplexity(nil, 5, 1); !math.IsInf(inf, 1) {
 		t.Fatal("no-docs perplexity not +inf")
 	}
+}
+
+// ReadModel allocates Cw once when it reads a file that holds it, and
+// grows it with its bytes when the reader cannot tell its size; either
+// way the counts arrive intact.
+func TestReadModelAllocatesCwOnce(t *testing.T) {
+	const v, k = 256, 1024
+	m := &Model{Cfg: Config{K: k, Alpha: 0.1, Beta: 0.01}, V: v, Cw: make([]int32, v*k), Ck: make([]int64, k)}
+	for i := range m.Cw {
+		if i%7 == 0 {
+			m.Cw[i] = int32(i % 5)
+			m.Ck[i%k] += int64(i % 5)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "m.bin")
+	if _, err := m.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	read := func(wrap func(*os.File) io.Reader) (*Model, uint64) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadModel(wrap(f))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Cw, m.Cw) || !reflect.DeepEqual(got.Ck, m.Ck) {
+			t.Fatal("counts changed across a write/read round trip")
+		}
+		return got, after.TotalAlloc - before.TotalAlloc
+	}
+	cw := uint64(4 * v * k)
+	got, alloc := read(func(f *os.File) io.Reader { return f })
+	t.Logf("from a file: %d bytes allocated for a %d-byte Cw", alloc, cw)
+	if cap(got.Cw) != v*k || alloc > cw+cw/4 {
+		t.Errorf("from a file: cap(Cw) = %d, %d bytes allocated; want %d and about %d", cap(got.Cw), alloc, v*k, cw)
+	}
+	_, alloc = read(func(f *os.File) io.Reader { return io.MultiReader(f) })
+	t.Logf("from a reader of unknown size: %d bytes allocated", alloc)
 }

@@ -252,7 +252,7 @@ type Model struct {
 	Cfg    Config
 	V      int
 	Vocab  []string // may be nil
-	Cw     []int32  // V×K word-topic counts
+	Cw     []int32  // V×K word-topic counts; nil from ReadInferEngine
 	Ck     []int64  // K global topic counts
 	LogLik float64
 
