@@ -1,0 +1,7 @@
+//go:build !race
+
+package main
+
+// raceEnabled reports a -race build, whose sync.Pool drops a share of
+// its puts on purpose.
+const raceEnabled = false

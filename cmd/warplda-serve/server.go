@@ -394,19 +394,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request, name string
 	s.served.Add(int64(len(docs)))
 	s.latency.Record(time.Since(start).Microseconds())
 
-	top := make([]int, len(topics))
-	for i, theta := range topics {
-		for k, p := range theta {
-			if p > theta[top[i]] {
-				top[i] = k
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, inferResponse{
+	writeInferReply(w, &inferResponse{
 		Model:   name,
 		Version: snap.Version,
 		Topics:  topics,
-		Top:     top,
 		TookMs:  float64(time.Since(start).Microseconds()) / 1000,
 	})
 }
