@@ -27,9 +27,11 @@
 // distributed samplers writes its own shard, any other sampler writes
 // one. Resume is elastic — a checkpoint written at one -threads count
 // resumes at another; the warplda and distributed samplers repartition
-// the state and deterministically reseed the worker RNG streams
-// (bit-identical when the count matches, statistically equivalent and
-// explicitly logged when not), the others ignore -threads:
+// the state, the others ignore -threads. The warplda sampler runs one
+// chain at every -threads, so its resumed run is bit-identical to the
+// uninterrupted one whatever the two counts; the distributed sampler's
+// chain depends on its worker count, so its resume is bit-identical
+// only at an unchanged -threads:
 //
 //	warplda-train -corpus c.uci -threads 2 -checkpoint-dir ckpt/
 //	warplda-train -corpus c.uci -threads 8 -checkpoint-dir ckpt/ -resume ckpt/

@@ -145,7 +145,7 @@ func NewDistributed(c *corpus.Corpus, cfg sampler.Config, p int) (*Distributed, 
 
 	d.workers = make([]*Worker, p)
 	for i := range d.workers {
-		d.workers[i] = NewWorker(i, cfg.K, cfg.M, r.Split())
+		d.workers[i] = NewWorker(i, cfg.K, cfg.M)
 	}
 	return d, nil
 }
@@ -281,6 +281,7 @@ func (d *Distributed) Iterate() {
 	d.pass.Freeze(d.ck)
 	d.exchange(0)
 	d.exchange(1)
+	d.pass.Advance()
 	clear(d.ck)
 	for _, wk := range d.workers {
 		for k, v := range wk.CkAcc {

@@ -283,20 +283,20 @@ func TestDistributedRestoreRejectsCorruptState(t *testing.T) {
 
 	// Worker-count mismatch: shard 1 was written under 3 workers.
 	mixed := []*bytes.Buffer{blobs2[0], blobs3[1]}
-	if _, err := mk(cfg, 2).RestoreShards(1, "WarpLDA-sharded", readers(mixed)); err == nil {
+	if err := mk(cfg, 2).RestoreShards(1, readers(mixed)); err == nil {
 		t.Error("shards from saves with different worker counts accepted")
 	}
 	// Wrong M.
 	cfg2 := cfg
 	cfg2.M = 2
-	if _, err := mk(cfg2, 2).RestoreShards(1, "WarpLDA-sharded", readers(blobs2)); err == nil {
+	if err := mk(cfg2, 2).RestoreShards(1, readers(blobs2)); err == nil {
 		t.Error("M mismatch accepted")
 	}
 	// Truncated, at the start, inside the header, mid-body and by one byte.
 	full := blobs2[1].Bytes()
 	for _, n := range []int{0, 5, len(full) / 2, len(full) - 1} {
 		cut := bytes.NewBuffer(full[:n])
-		if _, err := mk(cfg, 2).RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
+		if err := mk(cfg, 2).RestoreShards(1, readers([]*bytes.Buffer{blobs2[0], cut})); err == nil {
 			t.Errorf("shard truncated to %d of %d bytes accepted", n, len(full))
 		}
 	}
@@ -365,7 +365,7 @@ func TestSlabsKeepTheirCells(t *testing.T) {
 				}
 			}
 			dst := mk(p)
-			if _, err := dst.RestoreShards(1, src.Name(), readers(bufs)); err != nil {
+			if err := dst.RestoreShards(1, readers(bufs)); err != nil {
 				t.Fatal(err)
 			}
 			laidOut(fmt.Sprintf("p=%d, restored from %d shards of %s", p, src.NumShards(), src.Name()), dst, 0)

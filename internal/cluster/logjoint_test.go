@@ -94,7 +94,7 @@ func TestPhaseLogJointMatchesOracle(t *testing.T) {
 				}
 				shards = append(shards, &b)
 			}
-			if _, err := s.RestoreShards(0, s.Name(), shards); err != nil {
+			if err := s.RestoreShards(0, shards); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := s.LogJoint(); ok {

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"warplda/internal/core"
-	"warplda/internal/rng"
 )
 
 // Slab is a worker's run of tokens: core's slab, the body of a dshd
@@ -222,9 +221,9 @@ func (n *Next) Full() error {
 	return nil
 }
 
-// Worker is one Section 5.3 worker: core's phase-run scratch — whose R
-// is the worker's RNG stream, part of the sampler's checkpointed state —
-// and its contribution to the next global topic counts.
+// Worker is one Section 5.3 worker: core's phase-run scratch, whose
+// runs key their draws by word or document (core.Pass), and its
+// contribution to the next global topic counts.
 type Worker struct {
 	*core.Worker
 	// CkAcc is the histogram of the assignments the last doc phase left
@@ -236,10 +235,10 @@ type Worker struct {
 }
 
 // NewWorker returns the worker in slot for k topics and m proposals per
-// token, drawing from r.
-func NewWorker(slot, k, m int, r *rng.RNG) *Worker {
+// token.
+func NewWorker(slot, k, m int) *Worker {
 	return &Worker{
-		Worker: core.NewWorker(k, r),
+		Worker: core.NewWorker(k),
 		CkAcc:  make([]int32, k),
 		slot:   slot,
 		stride: m + 1,
@@ -268,9 +267,9 @@ func (wk *Worker) Phase(pass *core.Pass, top *Topology, sh *Slab, word bool, put
 			continue
 		}
 		if data := sh.Data[lo*s : hi*s]; word {
-			pass.WordRun(wk.Worker, data, nil, s)
+			pass.WordRun(wk.Worker, int(sh.W[lo]), data, nil, s)
 		} else {
-			pass.DocRun(wk.Worker, data, wk.rowIndex(hi-lo), s, wk.CkAcc)
+			pass.DocRun(wk.Worker, int(sh.D[lo]), data, wk.rowIndex(hi-lo), s, wk.CkAcc)
 		}
 		if put == nil {
 			continue

@@ -66,12 +66,8 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reseeded, err := dst.RestoreShards(4, dst.Name(), readers(shardBlobs(t, src)))
-			if err != nil {
+			if err := dst.RestoreShards(4, readers(shardBlobs(t, src))); err != nil {
 				t.Fatal(err)
-			}
-			if want := tc.oldP != tc.newP; reseeded != want {
-				t.Fatalf("reseeded = %v, want %v", reseeded, want)
 			}
 			if !reflect.DeepEqual(dst.GlobalCounts(), wantCk) {
 				t.Fatal("restored global counts differ")
@@ -115,11 +111,11 @@ func TestElasticRestoreAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// Same worker count: the restore must be exact — shards byte-for-byte,
-// RNG streams included — so a p→p resume continues precisely the saved
-// trajectory. With several workers the blocks of the exchange arrive in
-// any order, but a receiver lays them out by sender, so this holds at
-// p > 1 as well as at p = 1.
+// Same worker count: the restore must be exact — shards byte-for-byte —
+// so a p→p resume continues precisely the saved trajectory. With
+// several workers the blocks of the exchange arrive in any order, but a
+// receiver lays them out by sender, so this holds at p > 1 as well as
+// at p = 1.
 func TestSameTopologyRestoreIsExact(t *testing.T) {
 	c := simCorpus()
 	cfg := sampler.PaperDefaults(6)
@@ -137,19 +133,14 @@ func TestSameTopologyRestoreIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if reseeded, err := dst.RestoreShards(3, dst.Name(), readers(shardBlobs(t, src))); err != nil || reseeded {
-				t.Fatalf("reseeded=%v err=%v, want false/nil", reseeded, err)
+			if err := dst.RestoreShards(3, readers(shardBlobs(t, src))); err != nil {
+				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(dst.shards, src.shards) {
 				t.Fatal("restored shards differ from saved shards")
 			}
 			if !reflect.DeepEqual(dst.GlobalCounts(), src.GlobalCounts()) {
 				t.Fatal("restored global counts differ")
-			}
-			for i := range src.workers {
-				if dst.workers[i].R.State() != src.workers[i].R.State() {
-					t.Fatalf("worker %d RNG stream not restored", i)
-				}
 			}
 			// And end to end: continuation is bit-identical.
 			for i := 0; i < 3; i++ {
@@ -186,23 +177,23 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 	}
 
 	t.Run("reordered shards", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[1], blobs[0]})); err == nil {
+		if err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[1], blobs[0]})); err == nil {
 			t.Fatal("swapped shard order accepted")
 		}
 	})
 	t.Run("missing shard", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers(blobs[:1])); err == nil {
+		if err := fresh().RestoreShards(1, readers(blobs[:1])); err == nil {
 			t.Fatal("missing shard accepted (shard claims 2 workers)")
 		}
 	})
 	t.Run("duplicated shard", func(t *testing.T) {
-		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[0], blobs[0]})); err == nil {
+		if err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[0], blobs[0]})); err == nil {
 			t.Fatal("duplicated shard accepted")
 		}
 	})
 	t.Run("truncated shard", func(t *testing.T) {
 		cut := bytes.NewBuffer(blobs[1].Bytes()[:blobs[1].Len()-9])
-		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers([]*bytes.Buffer{blobs[0], cut})); err == nil {
+		if err := fresh().RestoreShards(1, readers([]*bytes.Buffer{blobs[0], cut})); err == nil {
 			t.Fatal("truncated shard accepted")
 		}
 	})
@@ -213,7 +204,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d2.RestoreShards(1, d2.Name(), readers(blobs)); err == nil {
+		if err := d2.RestoreShards(1, readers(blobs)); err == nil {
 			t.Fatal("M mismatch accepted")
 		}
 	})
@@ -240,7 +231,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 		if !tampered {
 			t.Fatal("could not tamper (degenerate corpus)")
 		}
-		if _, err := fresh().RestoreShards(1, "WarpLDA-sharded", readers(shardBlobs(t, d))); err == nil {
+		if err := fresh().RestoreShards(1, readers(shardBlobs(t, d))); err == nil {
 			t.Fatal("wrong token multiset accepted")
 		}
 	})
@@ -253,7 +244,7 @@ func TestRestoreShardsRejectsBadInput(t *testing.T) {
 	t.Run("failure leaves sampler intact", func(t *testing.T) {
 		d := fresh()
 		before := sampler.CopyAssignments(d.Assignments())
-		if _, err := d.RestoreShards(1, d.Name(), readers(blobs[:1])); err == nil {
+		if err := d.RestoreShards(1, readers(blobs[:1])); err == nil {
 			t.Fatal("partial restore accepted")
 		}
 		if !reflect.DeepEqual(before, d.Assignments()) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"warplda/internal/corpus"
@@ -25,16 +26,21 @@ func fuzzConfig() sampler.Config {
 
 // FuzzDecodeShard feeds the shard decoder hostile bytes. The seeds
 // (testdata/fuzz/FuzzDecodeShard) are the golden distributed fixture's
-// shard 0, a one-thread core.Warp shard, and the golden warp fixture's
-// shard 0, a stream of the retired wshd layout that must be refused.
-// DecodeWorkerState must never panic, and a stream it accepts must
-// re-encode to the bytes it consumed (the layout has one encoding).
-// DecodeShards, over the stream as a one-shard set, must never panic
-// either, and a set it accepts must place every token.
+// shard 0 and a one-thread core.Warp shard, both dshd\x02; the same
+// core.Warp shard in the legacy dshd\x01 layout, which carried RNG
+// state; and the golden warp fixture's shard 0, a stream of the retired
+// wshd layout. DecodeWorkerState must never panic, must refuse every
+// dshd\x01 stream with the way to upgrade it, and a stream it accepts
+// must re-encode to the bytes it consumed (the layout has one
+// encoding). DecodeShards, over the stream as a one-shard set, must
+// never panic either, and a set it accepts must place every token.
 func FuzzDecodeShard(f *testing.F) {
 	c, cfg := fuzzCorpus(), fuzzConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeWorkerState(bytes.NewReader(data), cfg.K, cfg.M, c.NumDocs(), c.V, c.NumTokens())
+		if bytes.HasPrefix(data, []byte(legacyShardTag)) && (err == nil || !strings.Contains(err.Error(), "last version that reads")) {
+			t.Fatalf("legacy stream: err=%v, want a refusal naming the upgrade route", err)
+		}
 		if err == nil {
 			var re bytes.Buffer
 			if err := EncodeWorkerState(&re, st); err != nil {

@@ -21,15 +21,17 @@
 // The stages hold no sampling code of their own: a segment is a
 // contiguous run of entries, and stages 1, 3 and 5 hand it to the same
 // count, chain and drawAlias kernels (kernel.go) that wordColumn runs
-// on a whole column, with a lane as the count row.
+// on a whole column, with a lane as the count row. Stage 3's chains and
+// stage 5's draws of a segment each reseed from (column, the segment's
+// first entry, stage), and the segment cut depends on the corpus and M
+// only, so which worker runs a segment changes no draw. One thread runs
+// the same five stages inline.
 //
 // The whole schedule is precomputed once at construction and is
 // deterministic in (corpus, Config), preserving bit-exact resume.
 package core
 
 import (
-	"sync"
-
 	"warplda/internal/alias"
 	"warplda/internal/sparse"
 )
@@ -62,6 +64,8 @@ type heavyPlan struct {
 	// Per batch-column proposal samplers, rebuilt each word phase by the
 	// column's owner.
 	tabs []alias.Packed
+
+	b *heavyBatch // the batch the stages are running
 }
 
 // buildHeavyPlan cuts w.heavyCols into batches and L2-sized segments
@@ -119,20 +123,6 @@ func (w *Warp) buildHeavyPlan() *heavyPlan {
 	return p
 }
 
-// parallelWorkers runs fn once per worker and waits: the barrier
-// primitive between the staged passes.
-func (w *Warp) parallelWorkers(fn func(wi int, wk *worker)) {
-	var wg sync.WaitGroup
-	for i, wk := range w.workers {
-		wg.Add(1)
-		go func(i int, wk *worker) {
-			defer wg.Done()
-			fn(i, wk)
-		}(i, wk)
-	}
-	wg.Wait()
-}
-
 // lane returns worker wi's padded partial-count lane for batch column c.
 func (p *heavyPlan) lane(wi, c int) []int32 {
 	off := (wi*p.batchCap + c) * p.stride
@@ -168,65 +158,76 @@ func (w *Warp) heavyPhase() {
 	if p == nil {
 		return
 	}
-	n := len(w.workers)
-	K, stride := w.cfg.K, w.m.Stride
-
 	for bi := range p.batches {
-		b := &p.batches[bi]
+		p.b = &p.batches[bi]
+		w.runPhase((*Warp).heavyCount)
+		w.runPhase((*Warp).heavyMerge)
+		w.runPhase((*Warp).heavyChains)
+		w.runPhase((*Warp).heavyTables)
+		w.runPhase((*Warp).heavyDraws)
+	}
+}
 
-		// Stage 1: partial counts of the current assignments. Each worker
-		// writes only its own padded lanes.
-		w.parallelWorkers(func(wi int, wk *worker) {
-			zeroLanes(p, wi, len(b.cols))
-			for _, s := range b.segs[wi] {
-				part := wk.laneRow(p.lane(wi, s.c))
-				count(w.segment(b, s), nil, stride, &part)
-			}
-		})
+// heavyCount is stage 1: partial counts of the current assignments.
+// Each worker writes only its own padded lanes.
+func (w *Warp) heavyCount(wk *worker) {
+	p := w.heavy
+	zeroLanes(p, wk.i, len(p.b.cols))
+	for _, s := range p.b.segs[wk.i] {
+		part := wk.laneRow(p.lane(wk.i, s.c))
+		count(w.segment(p.b, s), nil, w.m.Stride, &part)
+	}
+}
 
-		// Stage 2: per-column owners merge the lanes into c_w.
-		w.parallelWorkers(func(wi int, wk *worker) {
-			for _, c := range b.colsOf[wi] {
-				p.mergeInto(c, n, K)
-			}
-		})
+// heavyMerge is stage 2: per-column owners merge the lanes into c_w.
+func (w *Warp) heavyMerge(wk *worker) {
+	p := w.heavy
+	for _, c := range p.b.colsOf[wk.i] {
+		p.mergeInto(c, len(w.workers), w.cfg.K)
+	}
+}
 
-		// Stage 3: MH chains against the frozen merged counts, recounting
-		// the updated assignments into the partial lanes.
-		w.parallelWorkers(func(wi int, wk *worker) {
-			zeroLanes(p, wi, len(b.cols))
-			for _, s := range b.segs[wi] {
-				cw := countRow{c: p.merged[s.c*p.stride : s.c*p.stride+K]}
-				part := wk.laneRow(p.lane(wi, s.c))
-				proposed, accepted := chain(w.segment(b, s), nil, stride, cw, &part, w.pass.betas, w.pass.ckb, wk.R)
-				wk.stats.WordProposals += int64(proposed)
-				wk.stats.WordAccepts += int64(accepted)
-			}
-		})
+// heavyChains is stage 3: MH chains against the frozen merged counts,
+// recounting the updated assignments into the partial lanes.
+func (w *Warp) heavyChains(wk *worker) {
+	p, K := w.heavy, w.cfg.K
+	zeroLanes(p, wk.i, len(p.b.cols))
+	for _, s := range p.b.segs[wk.i] {
+		cw := countRow{c: p.merged[s.c*p.stride : s.c*p.stride+K]}
+		part := wk.laneRow(p.lane(wk.i, s.c))
+		w.pass.key(&wk.r, streamHeavyChain, uint64(p.b.cols[s.c]), uint64(s.lo))
+		proposed, accepted := chain(w.segment(p.b, s), nil, w.m.Stride, cw, &part, w.pass.betas, w.pass.ckb, &wk.r)
+		wk.stats.WordProposals += int64(proposed)
+		wk.stats.WordAccepts += int64(accepted)
+	}
+}
 
-		// Stage 4: merge again and build each column's proposal sampler
-		// q^word ∝ C_wk + β (sparse count part + uniform smoothing part).
-		w.parallelWorkers(func(wi int, wk *worker) {
-			for _, c := range b.colsOf[wi] {
-				m := p.mergeInto(c, n, K)
-				topics, weights := wk.topics[:0], wk.weights[:0]
-				for t := 0; t < K; t++ {
-					if m[t] != 0 {
-						topics = append(topics, int32(t))
-						weights = append(weights, float64(m[t]))
-					}
-				}
-				wk.topics, wk.weights = appendSmooth(topics, weights, float64(K)*w.cfg.Beta)
-				p.tabs[c] = wk.proposalTable(p.tabs[c], wk.topics, wk.weights)
+// heavyTables is stage 4: merge again and build each column's proposal
+// sampler q^word ∝ C_wk + β (sparse count part + uniform smoothing
+// part), its topics in topic order.
+func (w *Warp) heavyTables(wk *worker) {
+	p, K := w.heavy, w.cfg.K
+	for _, c := range p.b.colsOf[wk.i] {
+		m := p.mergeInto(c, len(w.workers), K)
+		topics, weights := wk.topics[:0], wk.weights[:0]
+		for t := 0; t < K; t++ {
+			if m[t] != 0 {
+				topics = append(topics, int32(t))
+				weights = append(weights, float64(m[t]))
 			}
-		})
+		}
+		wk.topics, wk.weights = appendSmooth(topics, weights, float64(K)*w.cfg.Beta)
+		p.tabs[c] = wk.proposalTable(p.tabs[c], wk.topics, wk.weights)
+	}
+}
 
-		// Stage 5: proposal draws. The alias tables are read-only here.
-		w.parallelWorkers(func(wi int, wk *worker) {
-			for _, s := range b.segs[wi] {
-				drawAlias(w.segment(b, s), nil, stride, p.tabs[s.c], K, wk.R)
-			}
-		})
+// heavyDraws is stage 5: proposal draws. The alias tables are read-only
+// here.
+func (w *Warp) heavyDraws(wk *worker) {
+	p := w.heavy
+	for _, s := range p.b.segs[wk.i] {
+		w.pass.key(&wk.r, streamHeavyDraw, uint64(p.b.cols[s.c]), uint64(s.lo))
+		drawAlias(w.segment(p.b, s), nil, w.m.Stride, p.tabs[s.c], w.cfg.K, &wk.r)
 	}
 }
 

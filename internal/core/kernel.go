@@ -17,6 +17,13 @@
 // priors and C_k + β̄) and a Worker (one goroutine's scratch). Warp's
 // wordColumn and docRow call them, and so does internal/cluster's phase
 // driver; the staged heavy path (heavy.go) calls the kernels directly.
+//
+// Every run draws from a generator keyed by what it samples: the run
+// of key x in pass i of phase ph reseeds its worker's generator from
+// (seed, i, ph, x) before its first draw (Pass.key). Within a pass a
+// key's run reads only its own entries, its own counts and the frozen
+// C_k, so with keyed draws the state a pass leaves does not depend on
+// which worker ran which key, nor in what order.
 package core
 
 import (
@@ -232,6 +239,7 @@ type Pass struct {
 	betas, alphas           []float64    // per-topic priors of the word and the doc phase
 	alphaTab                alias.Packed // q^doc smoothing part for asymmetric α (nil = uniform)
 	ckb                     []float64    // C_k + β̄
+	seed, iter              uint64       // what every run's draws are keyed by, with its phase and key
 
 	// evalDue makes the pass's doc runs add the doc terms of the log
 	// joint to their worker's sum (Evaluate); lj holds the terms' tables,
@@ -241,10 +249,12 @@ type Pass struct {
 }
 
 // NewPass builds the pass context of cfg over a vocabulary of v words,
-// honouring cfg.AlphaVec. Freeze must set C_k before the first run.
+// honouring cfg.AlphaVec, for pass 0 (SetIteration). Freeze must set C_k
+// before the first run.
 func NewPass(cfg sampler.Config, v int) *Pass {
 	p := &Pass{
 		k:        cfg.K,
+		seed:     cfg.Seed,
 		beta:     cfg.Beta,
 		alphaBar: cfg.AlphaBar(),
 		betaBar:  cfg.Beta * float64(v),
@@ -273,6 +283,29 @@ func (p *Pass) Evaluate(due bool) {
 	p.evalDue = due
 }
 
+// SetIteration sets the number of the coming pass, the passes completed
+// before it, which keys its runs' draws.
+func (p *Pass) SetIteration(iter int) { p.iter = uint64(iter) }
+
+// Advance keys the coming runs' draws by the next pass: a sampler calls
+// it as a pass ends.
+func (p *Pass) Advance() { p.iter++ }
+
+// The streams of a pass's draws: a word's or a document's run, and the
+// chains and the draws of a heavy column's segment (heavy.go).
+const (
+	streamWord = iota
+	streamDoc
+	streamHeavyChain
+	streamHeavyDraw
+)
+
+// key reseeds r for the draws of one run of the coming pass: stream's
+// run on key, from entry seg of the key (0 but for a heavy segment).
+func (p *Pass) key(r *rng.RNG, stream, key, seg uint64) {
+	r.Reseed(p.seed, p.iter, stream, key, seg)
+}
+
 // Freeze sets the global topic counts C_k the coming pass reads.
 func (p *Pass) Freeze(ck []int32) {
 	for k, c := range ck {
@@ -282,10 +315,10 @@ func (p *Pass) Freeze(ck []int32) {
 
 // Worker is one goroutine's scratch for phase runs: its generator, the
 // counts of the visited word or document, the word's recount, and the
-// word proposal table with its build buffers. Only R's state outlives a
-// run.
+// word proposal table with its build buffers. Nothing outlives a run:
+// each run reseeds the generator (Pass.key).
 type Worker struct {
-	R       *rng.RNG
+	r       rng.RNG
 	sum     float64   // log-joint terms added since the last TakeSum
 	cur     countRow  // c_w or c_d of the column or row being visited
 	next    countRow  // a word's recount after the chains, for the proposal table
@@ -296,9 +329,9 @@ type Worker struct {
 	tab     alias.Packed // the proposal table the draws read
 }
 
-// NewWorker returns the scratch for k topics drawing from r.
-func NewWorker(k int, r *rng.RNG) *Worker {
-	return &Worker{R: r, cur: newCountRow(k), next: newCountRow(k), spare: make([]int32, 0, k+1)}
+// NewWorker returns the scratch for k topics.
+func NewWorker(k int) *Worker {
+	return &Worker{cur: newCountRow(k), next: newCountRow(k), spare: make([]int32, 0, k+1)}
 }
 
 // TakeSum returns the log-joint terms the worker's runs have added since
@@ -330,26 +363,27 @@ func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []f
 	return append(topics, smoothTopic), append(weights, mass)
 }
 
-// WordRun is the word phase of one word, whose entries are the
-// non-empty run (data, idx): count c_w, finish the doc-proposal chains
-// against it with the word acceptance rate (Eq. 7, π^doc) while
-// recounting, then draw M fresh word proposals per entry from
-// q^word ∝ C_wk + β of the recount. It returns chain's statistics.
-func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, accepted int) {
+// WordRun is the word phase of word w, whose entries are the non-empty
+// run (data, idx): count c_w, finish the doc-proposal chains against it
+// with the word acceptance rate (Eq. 7, π^doc) while recounting, then
+// draw M fresh word proposals per entry from q^word ∝ C_wk + β of the
+// recount. It returns chain's statistics.
+func (p *Pass) WordRun(wk *Worker, w int, data, idx []int32, stride int) (proposed, accepted int) {
+	p.key(&wk.r, streamWord, uint64(w), 0)
 	wk.cur.reset()
 	wk.next.reset()
 	count(data, idx, stride, &wk.cur)
-	proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.betas, p.ckb, wk.R)
+	proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.betas, p.ckb, &wk.r)
 
 	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
 	topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
 	wk.topics, wk.weights = topics, weights
 	wk.tab = wk.proposalTable(wk.tab, topics, weights)
-	drawAlias(data, idx, stride, wk.tab, p.k, wk.R)
+	drawAlias(data, idx, stride, wk.tab, p.k, &wk.r)
 	return proposed, accepted
 }
 
-// DocRun is the doc phase of one document, whose entries are the
+// DocRun is the doc phase of document d, whose entries are the
 // non-empty run (data, idx) with idx not nil (the positioning draw picks
 // entries through it): count c_d, finish the word-proposal chains
 // against it with the doc acceptance rate (Eq. 7, π^word) while adding
@@ -359,19 +393,20 @@ func (p *Pass) WordRun(wk *Worker, data, idx []int32, stride int) (proposed, acc
 // own instead, which is folded into lane while the document's terms of
 // the log joint are added to the worker's sum. It returns chain's
 // statistics.
-func (p *Pass) DocRun(wk *Worker, data, idx []int32, stride int, lane []int32) (proposed, accepted int) {
+func (p *Pass) DocRun(wk *Worker, d int, data, idx []int32, stride int, lane []int32) (proposed, accepted int) {
+	p.key(&wk.r, streamDoc, uint64(d), 0)
 	wk.cur.reset()
 	count(data, idx, stride, &wk.cur)
 	if p.evalDue {
 		wk.next.reset()
-		proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.alphas, p.ckb, wk.R)
+		proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.alphas, p.ckb, &wk.r)
 		wk.sum += p.lj.docTerms(wk.next, lane)
 	} else {
 		acc := wk.laneRow(lane)
-		proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, wk.R)
+		proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, &wk.r)
 	}
 	ld := float64(len(idx))
-	drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, wk.R)
+	drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, &wk.r)
 	return proposed, accepted
 }
 

@@ -304,8 +304,8 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (tc.threads > 1) != (len(w.heavyCols) > 0) {
-				t.Fatalf("heavy columns %v with %d threads", w.heavyCols, tc.threads)
+			if tc.name == "heavy" && len(w.heavyCols) == 0 {
+				t.Fatalf("no heavy columns with %d threads", tc.threads)
 			}
 			w.Iterate()
 			w.Iterate()
@@ -342,8 +342,8 @@ func groupOf(data, idx []int32, stride int, prior []float64) ([]int32, []float64
 	return counts, prior, proposals
 }
 
-// heavyMixCorpus has one word heavy enough for the staged path at
-// Threads > 1 (Lw > max(K, 1024)), a long tail, and empty documents.
+// heavyMixCorpus has one word heavy enough for the staged path
+// (Lw > max(K, 1024)), a long tail, and empty documents.
 func heavyMixCorpus() *corpus.Corpus {
 	c := heavyTailCorpus()
 	c.Docs = append(c.Docs, nil, []int32{3}, nil)
@@ -385,7 +385,7 @@ func TestIterateKeepsCountsConsistent(t *testing.T) {
 				}
 				// Word 0 occurs 1920 times: heavy while that exceeds max(K, 1024).
 				wantHeavy := 0
-				if threads > 1 && cfg.K < 1920 {
+				if cfg.K < 1920 {
 					wantHeavy = 1
 				}
 				for it := 0; it < 6; it++ {
@@ -443,7 +443,7 @@ func TestRowsCleanBetweenVisits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (threads > 1) != (len(w.heavyCols) == 1) {
+		if len(w.heavyCols) != 1 {
 			t.Fatalf("threads=%d: heavy columns %v", threads, w.heavyCols)
 		}
 		for i := 0; i < 3; i++ {
@@ -506,18 +506,30 @@ func TestRowsCleanBetweenVisits(t *testing.T) {
 
 // The serial pass must not allocate once its scratch has grown: every
 // buffer the kernels use belongs to the worker.
+// The heavy corpus's column runs the staged path, which one thread runs
+// inline.
 func TestSerialIterateDoesNotAllocate(t *testing.T) {
-	c := testCorpus(21)
-	for _, k := range []int{16, 65536} {
-		w, err := New(c, defaultCfg(k))
+	for _, tc := range []struct {
+		name string
+		c    *corpus.Corpus
+		k    int
+	}{
+		{"lda", testCorpus(21), 16},
+		{"lda", testCorpus(21), 65536},
+		{"heavy", heavyCorpus(), 16},
+	} {
+		w, err := New(tc.c, defaultCfg(tc.k))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.name == "heavy" && heavySegments(w) < 2 {
+			t.Fatalf("heavy corpus has %d heavy segments, want two or more", heavySegments(w))
 		}
 		for i := 0; i < 5; i++ {
 			w.Iterate()
 		}
 		if allocs := testing.AllocsPerRun(5, w.Iterate); allocs != 0 {
-			t.Errorf("K=%d: Iterate allocates %v times per pass in steady state", k, allocs)
+			t.Errorf("%s K=%d: Iterate allocates %v times per pass in steady state", tc.name, tc.k, allocs)
 		}
 	}
 }
@@ -532,8 +544,13 @@ func TestEvaluatedIterateDoesNotAllocate(t *testing.T) {
 	for k := range vec.AlphaVec {
 		vec.AlphaVec[k] = 0.1 + 0.05*float64(k%3)
 	}
-	for _, cfg := range []sampler.Config{defaultCfg(16), defaultCfg(65536), vec} {
-		w, err := New(c, cfg)
+	heavy := heavyCorpus()
+	for _, tc := range []struct {
+		c   *corpus.Corpus
+		cfg sampler.Config
+	}{{c, defaultCfg(16)}, {c, defaultCfg(65536)}, {c, vec}, {heavy, defaultCfg(16)}, {heavy, vec}} {
+		cfg := tc.cfg
+		w, err := New(tc.c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,7 +565,7 @@ func TestEvaluatedIterateDoesNotAllocate(t *testing.T) {
 			step()
 		}
 		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
-			t.Errorf("K=%d, α vector %v: an evaluated pass allocates %v times in steady state", cfg.K, cfg.AlphaVec != nil, allocs)
+			t.Errorf("K=%d, α vector %v, %d heavy segments: an evaluated pass allocates %v times in steady state", cfg.K, cfg.AlphaVec != nil, heavySegments(w), allocs)
 		}
 	}
 }

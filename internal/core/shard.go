@@ -1,7 +1,9 @@
 // The shard stream of both WarpLDA samplers, and core.Warp's side of it.
 // A dshd stream is one worker's complete state: its place in the
-// topology, its RNG stream, and its tokens, each with its cell (document,
-// word) and payload. Warp writes a worker's doc-phase rows;
+// topology and its tokens, each with its cell (document, word) and
+// payload. No generator state is saved: every run of a pass reseeds from
+// its key (kernel.go), so the tokens and the iteration a checkpoint is
+// at determine the rest of the run. Warp writes a worker's doc-phase rows;
 // cluster.Distributed and the live workers write the tokens a worker
 // holds. Any shard set of either sampler, under any worker count,
 // restores into either: DecodeShards checks the set as a whole, and each
@@ -14,12 +16,16 @@ import (
 	"io"
 
 	"warplda/internal/corpus"
-	"warplda/internal/rng"
 	"warplda/internal/sampler"
 )
 
 // shardTag versions the shard stream layout (docs/FORMATS.md).
-const shardTag = "dshd\x01"
+// legacyShardTag is the layout before it, whose header also held the
+// worker's RNG state; it is refused by name.
+const (
+	shardTag       = "dshd\x02"
+	legacyShardTag = "dshd\x01"
+)
 
 // Slab is a run of tokens as three flat arrays, in the section order of
 // the dshd stream: token i sits at cell (D[i], W[i]) of the D×V matrix
@@ -43,7 +49,7 @@ func (s *Slab) Append(o Slab) {
 func (s *Slab) Reset() { s.D, s.W, s.Data = s.D[:0], s.W[:0], s.Data[:0] }
 
 // WorkerState is one worker's complete mutable state: its position in
-// the topology, its RNG stream, and the tokens it owns. It is the unit
+// the topology and the tokens it owns. It is the unit
 // both of sharded checkpoints (ShardTo / RestoreShards) and of the live
 // mode's shard transfer — the coordinator assigns a WorkerState to each
 // joining worker and collects one back at every sync point.
@@ -55,8 +61,6 @@ type WorkerState struct {
 	Workers int
 	// M is the proposals-per-token count the payloads were written under.
 	M int
-	// RNGState is the owning worker's RNG stream.
-	RNGState [4]uint64
 	// Tokens is the shard body, in shard order.
 	Tokens Slab
 }
@@ -78,25 +82,18 @@ type shardWriter struct {
 // newShardWriter writes the header of st's stream of n tokens.
 func newShardWriter(out io.Writer, st *WorkerState, n int) *shardWriter {
 	s := &shardWriter{out: out, buf: append(make([]byte, 0, shardChunk), shardTag...)}
-	for _, v := range []int{st.Index, st.Workers, st.M} {
+	for _, v := range []int{st.Index, st.Workers, st.M, n} {
 		s.int(v)
 	}
-	for _, u := range st.RNGState {
-		s.u64(u)
-	}
-	s.int(n)
 	return s
 }
 
 // int appends an int64: a header field or a section's length.
-func (s *shardWriter) int(v int) { s.u64(uint64(v)) }
-
-// u64 appends one 8-byte word.
-func (s *shardWriter) u64(v uint64) {
+func (s *shardWriter) int(v int) {
 	if len(s.buf)+8 > cap(s.buf) {
 		s.flush()
 	}
-	s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
+	s.buf = binary.LittleEndian.AppendUint64(s.buf, uint64(v))
 }
 
 // put appends a section value.
@@ -135,15 +132,25 @@ func EncodeWorkerState(w io.Writer, st *WorkerState) error {
 // must be in [0,k), every token cell must lie inside (numDocs, v), and
 // the token count must not exceed maxTokens. Cross-shard invariants —
 // index/topology agreement, the exact corpus token multiset — are
-// DecodeShards' (or, on the wire, the coordinator's sync point's).
+// DecodeShards' (or, on the wire, the coordinator's sync point's). A
+// stream of the legacy layout is refused with the way to upgrade it.
 func DecodeWorkerState(r io.Reader, k, m, numDocs, v, maxTokens int) (*WorkerState, error) {
+	tag := make([]byte, len(shardTag))
+	if _, err := io.ReadFull(r, tag); err != nil {
+		return nil, fmt.Errorf("core: reading shard tag: %w", err)
+	}
+	switch string(tag) {
+	case shardTag:
+	case legacyShardTag:
+		return nil, fmt.Errorf("core: shard stream %q holds per-worker RNG state, which this version no longer reads: resume the run with the last version that reads %q, a build of commit d5d0b8b", tag, tag)
+	default:
+		return nil, fmt.Errorf("core: shard tag %q, want %q (state saved by a different sampler or version)", tag, shardTag)
+	}
 	dec := sampler.NewDec(r)
-	dec.Tag(shardTag)
 	st := &WorkerState{Index: dec.Int(), Workers: dec.Int(), M: dec.Int()}
 	if dec.Err() == nil && st.M != m {
 		dec.Failf("core: shard has M=%d, sampler has M=%d", st.M, m)
 	}
-	st.RNGState = dec.RNGState()
 	n := dec.Int()
 	if dec.Err() == nil && (n < 0 || n > maxTokens) {
 		dec.Failf("core: shard has implausible %d tokens", n)
@@ -250,12 +257,11 @@ func matchTokens(states []*WorkerState, numDocs, v int, words func(int) []int32)
 func (w *Warp) NumShards() int { return len(w.workers) }
 
 // ShardTo implements sampler.Sharded: worker i's doc-phase rows in row
-// order as a dshd stream, with worker i's RNG stream. The document
-// section is each row id repeated and the words section each row's
-// document as the corpus holds it (a row keeps its document's token
-// order), so only the payloads section reads the matrix. Distinct shards
-// may be written concurrently: ShardTo only reads frozen state and
-// worker i's RNG.
+// order as a dshd stream. The document section is each row id repeated
+// and the words section each row's document as the corpus holds it (a
+// row keeps its document's token order), so only the payloads section
+// reads the matrix. Distinct shards may be written concurrently:
+// ShardTo only reads frozen state.
 func (w *Warp) ShardTo(i int, out io.Writer) error {
 	if i < 0 || i >= len(w.workers) {
 		return fmt.Errorf("core: shard %d of %d", i, len(w.workers))
@@ -266,7 +272,7 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 			n += w.m.RowOf(row).Len()
 		}
 	}
-	sw := newShardWriter(out, &WorkerState{Index: i, Workers: len(w.workers), M: w.cfg.M, RNGState: wk.R.State()}, n)
+	sw := newShardWriter(out, &WorkerState{Index: i, Workers: len(w.workers), M: w.cfg.M}, n)
 	for sec, width := range []int{1, 1, w.cfg.M + 1} {
 		sw.int(n * width)
 		for _, rg := range wk.rowChunks {
@@ -294,20 +300,16 @@ func (w *Warp) ShardTo(i int, out io.Writer) error {
 }
 
 // RestoreShards implements sampler.Sharded for the streams of either
-// WarpLDA sampler (from) under any worker count. DecodeShards validates
-// the whole set before any live state is replaced; each token's payload
-// then goes to the CSC entry of the row position it was matched to. RNG
-// streams are restored exactly when this sampler wrote them at this
-// thread count (the chunk schedule is deterministic in corpus and
-// Config); otherwise worker wi reseeds from rng.Derive(cfg.Seed, salt,
-// threads, wi) and reseeded reports true so the caller can log the loss
-// of bit-exactness.
-func (w *Warp) RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error) {
+// WarpLDA sampler under any worker count, taken after iter passes.
+// DecodeShards validates the whole set before any live state is
+// replaced; each token's payload then goes to the CSC entry of the row
+// position it was matched to. The coming pass is pass iter, so the run
+// continues exactly as an uninterrupted one at any thread count.
+func (w *Warp) RestoreShards(iter int, shards []io.Reader) error {
 	states, pos, err := DecodeShards(w.cfg, w.c, shards)
 	if err != nil {
-		return false, err
+		return err
 	}
-	adopt := from == w.Name() && len(states) == len(w.workers)
 	// Commit: payloads, and the global counts recomputed from the
 	// restored assignments.
 	stride, j := w.cfg.M+1, 0
@@ -321,13 +323,7 @@ func (w *Warp) RestoreShards(salt uint64, from string, shards []io.Reader) (rese
 		}
 	}
 	w.pass.Freeze(w.ck)
+	w.pass.SetIteration(iter)
 	w.summed = false
-	for i, wk := range w.workers {
-		if adopt {
-			wk.R.SetState(states[i].RNGState)
-		} else {
-			wk.R = rng.Derive(w.cfg.Seed, salt, uint64(len(w.workers)), uint64(i))
-		}
-	}
-	return !adopt, nil
+	return nil
 }

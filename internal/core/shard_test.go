@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
-	"warplda/internal/eval"
 	"warplda/internal/sampler"
 )
 
@@ -49,9 +49,8 @@ func newThreaded(t *testing.T, seed uint64, threads int) *Warp {
 	return w
 }
 
-// TestWarpSameTopologyRestoreIsExact pins the bit-exact half of the
-// elastic contract: a sharded round trip with an unchanged thread count
-// adopts the saved RNG streams and continues the chain exactly as an
+// TestWarpSameTopologyRestoreIsExact: a sharded round trip with an
+// unchanged thread count continues the chain exactly as an
 // uninterrupted run.
 func TestWarpSameTopologyRestoreIsExact(t *testing.T) {
 	for _, threads := range []int{1, 3, 4} {
@@ -66,12 +65,8 @@ func TestWarpSameTopologyRestoreIsExact(t *testing.T) {
 			for i := 0; i < n; i++ {
 				half.Iterate()
 			}
-			reseeded, err := fresh.RestoreShards(uint64(n), fresh.Name(), shardsOf(t, half))
-			if err != nil {
+			if err := fresh.RestoreShards(n, shardsOf(t, half)); err != nil {
 				t.Fatal(err)
-			}
-			if reseeded {
-				t.Fatal("same-topology restore reported a reseed")
 			}
 			if !reflect.DeepEqual(fresh.GlobalCounts(), half.GlobalCounts()) {
 				t.Fatal("global counts differ immediately after restore")
@@ -87,10 +82,9 @@ func TestWarpSameTopologyRestoreIsExact(t *testing.T) {
 }
 
 // TestWarpElasticRestoreAcrossThreadCounts is the elastic resume table:
-// shards written under one thread count restore under another. The
-// assignments and global counts must carry over exactly; the RNG
-// streams are reseeded (reported via the return), and the resumed
-// sampler must remain consistent and keep converging.
+// shards written under one thread count restore under another, and the
+// resumed run is the uninterrupted run of the thread count it resumes
+// at — which is every thread count's run — to the bit.
 func TestWarpElasticRestoreAcrossThreadCounts(t *testing.T) {
 	cases := []struct{ from, to int }{
 		{1, 4},
@@ -101,16 +95,14 @@ func TestWarpElasticRestoreAcrossThreadCounts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%d_to_%d", tc.from, tc.to), func(t *testing.T) {
 			donor := newThreaded(t, 31, tc.from)
+			full := newThreaded(t, 31, tc.to)
 			for i := 0; i < 5; i++ {
 				donor.Iterate()
+				full.Iterate()
 			}
 			target := newThreaded(t, 31, tc.to)
-			reseeded, err := target.RestoreShards(5, target.Name(), shardsOf(t, donor))
-			if err != nil {
+			if err := target.RestoreShards(5, shardsOf(t, donor)); err != nil {
 				t.Fatal(err)
-			}
-			if !reseeded {
-				t.Fatalf("restore %d->%d threads did not report a reseed", tc.from, tc.to)
 			}
 			if !reflect.DeepEqual(target.Assignments(), donor.Assignments()) {
 				t.Fatal("assignments not carried over")
@@ -118,42 +110,12 @@ func TestWarpElasticRestoreAcrossThreadCounts(t *testing.T) {
 			if !reflect.DeepEqual(target.GlobalCounts(), donor.GlobalCounts()) {
 				t.Fatal("global counts not carried over")
 			}
-			// The repartitioned sampler must stay consistent and improve.
-			c := testCorpus(31)
-			cfg := defaultCfg(8)
-			before := eval.LogJoint(c, target.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-			for i := 0; i < 15; i++ {
+			for i := 0; i < 5; i++ {
 				target.Iterate()
+				full.Iterate()
 			}
-			want := countsFromAssignments(target.Assignments(), cfg.K)
-			if got := target.GlobalCounts(); !reflect.DeepEqual(got, want) {
-				t.Fatal("ck inconsistent after elastic restore")
-			}
-			after := eval.LogJoint(c, target.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-			if after <= before {
-				t.Fatalf("elastically resumed run did not converge: %.1f -> %.1f", before, after)
-			}
+			samePayloads(t, target, full)
 		})
-	}
-}
-
-// Distinct salts must derive distinct reseeded streams — two elastic
-// resumes of the same checkpoint at different iterations diverge.
-func TestWarpElasticReseedDependsOnSalt(t *testing.T) {
-	donor := newThreaded(t, 32, 2)
-	donor.Iterate()
-	a := newThreaded(t, 32, 3)
-	b := newThreaded(t, 32, 3)
-	if _, err := a.RestoreShards(1, a.Name(), shardsOf(t, donor)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.RestoreShards(2, b.Name(), shardsOf(t, donor)); err != nil {
-		t.Fatal(err)
-	}
-	a.Iterate()
-	b.Iterate()
-	if reflect.DeepEqual(a.Assignments(), b.Assignments()) {
-		t.Fatal("different salts produced identical trajectories")
 	}
 }
 
@@ -206,7 +168,7 @@ func TestWarpRestoreShardsRejectsBadInput(t *testing.T) {
 			}
 			target := newThreaded(t, 33, 3)
 			before := sampler.CopyAssignments(target.Assignments())
-			if _, err := target.RestoreShards(1, target.Name(), readers); err == nil {
+			if err := target.RestoreShards(1, readers); err == nil {
 				t.Fatal("corrupt shards accepted")
 			}
 			if !reflect.DeepEqual(before, target.Assignments()) {
@@ -227,7 +189,7 @@ func TestWarpRestoreShardsRejectsWrongM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := target.RestoreShards(0, target.Name(), shardsOf(t, donor)); err == nil {
+	if err := target.RestoreShards(0, shardsOf(t, donor)); err == nil {
 		t.Fatal("shards with mismatched M accepted")
 	}
 }
@@ -242,13 +204,11 @@ func TestWarpShardToBounds(t *testing.T) {
 	}
 }
 
-// TestWorkerStateRoundTrip encodes a worker state whose RNG words use
-// all 64 bits and decodes it back unchanged: the writer must not pass
-// them through int, which is 32 bits on some platforms.
+// TestWorkerStateRoundTrip encodes a worker state and decodes it back
+// unchanged, and refuses the same state under the legacy tag by name.
 func TestWorkerStateRoundTrip(t *testing.T) {
 	st := &WorkerState{Index: 1, Workers: 2, M: 1,
-		RNGState: [4]uint64{1<<63 | 5, 1<<40 | 3, ^uint64(0), 7},
-		Tokens:   Slab{D: []int32{0, 2}, W: []int32{3, 1}, Data: []int32{0, 1, 2, 2}},
+		Tokens: Slab{D: []int32{0, 2}, W: []int32{3, 1}, Data: []int32{0, 1, 2, 2}},
 	}
 	var b bytes.Buffer
 	if err := EncodeWorkerState(&b, st); err != nil {
@@ -260,5 +220,12 @@ func TestWorkerStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, st) {
 		t.Fatalf("round trip gave %+v, want %+v", got, st)
+	}
+	if err := EncodeWorkerState(&b, st); err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(legacyShardTag), b.Bytes()[len(shardTag):]...)
+	if _, err := DecodeWorkerState(bytes.NewReader(legacy), 3, 1, 3, 4, 2); err == nil || !strings.Contains(err.Error(), "last version that reads") {
+		t.Fatalf("legacy stream: err=%v, want a refusal naming the upgrade route", err)
 	}
 }

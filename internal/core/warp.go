@@ -33,7 +33,11 @@
 // workers with the deterministic greedy partitioner; each worker
 // accumulates global-count updates into a cache-line-padded per-thread
 // delta buffer that is merged exactly once per pass. Columns too heavy
-// for one worker go through the staged cooperative passes in heavy.go.
+// for one worker go through the staged cooperative passes in heavy.go,
+// at every thread count. Draws are keyed by (seed, iteration, phase,
+// key) (kernel.go), counts merge by integer sums and the log joint adds
+// its terms in key order, so the state and the log joint after any pass
+// are the same bits at every thread count.
 package core
 
 import (
@@ -88,15 +92,19 @@ type Warp struct {
 
 	// evalNext asks the coming Iterate to sum the log joint (EvalNext);
 	// summed says the last one did and nothing has changed the state
-	// since, and docSum holds its doc terms.
+	// since. terms holds the log joint's terms by key: one slot per
+	// document, which the doc runs of an evaluating pass fill, then one
+	// per word, which LogJoint fills. They are added in that order, so
+	// the sum does not depend on the thread count.
 	evalNext, summed bool
-	docSum           float64
+	terms            []float64
 }
 
 // worker carries the per-goroutine state: the phase-run scratch and
 // what the thread schedule gives it.
 type worker struct {
 	Worker
+	i     int       // its index, which picks its heavy lanes
 	ckAcc []int32   // view into Warp.ckDeltas, one padded lane per worker
 	stats PassStats // this worker's share of the current pass
 
@@ -150,16 +158,16 @@ func New(c corpus.Provider, cfg sampler.Config) (*Warp, error) {
 	})
 
 	w.pass.Freeze(w.ck)
-	w.buildWorkers(r)
+	w.buildWorkers()
 	return w, nil
 }
 
 // buildWorkers derives the whole static thread schedule from the corpus
 // and the Config: the per-worker chunk lists, the padded delta buffers,
-// and the staged plan for heavy columns. Everything here is
-// deterministic in (corpus, Config), which is what lets a restore with
-// an unchanged thread count reproduce the saved trajectory bit for bit.
-func (w *Warp) buildWorkers(r *rng.RNG) {
+// and the staged plan for heavy columns. Which columns are heavy and how
+// they are cut into segments depends on the corpus and M only, so the
+// runs a pass makes are the same at every thread count.
+func (w *Warp) buildWorkers() {
 	n := w.cfg.Threads
 	w.workers = make([]*worker, n)
 
@@ -168,24 +176,20 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	// Section 5.4: the most frequent words (Lw > K) are processed with
 	// all workers cooperating, which keeps one c_w in cache and balances
 	// the load those words would otherwise skew; they are excluded from
-	// the per-worker chunks by zeroing their weight.
+	// the per-worker chunks by zeroing their weight. One thread takes the
+	// same staged path, inline, so that a pass does not depend on T.
 	w.isHeavy = make([]bool, w.c.NumWords())
-	if n > 1 {
-		threshold := w.cfg.K
-		if threshold < 1024 {
-			threshold = 1024 // avoid barrier overhead on toy columns
+	threshold := max(w.cfg.K, 1024) // avoid barrier overhead on toy columns
+	balanced := make([]int, len(tf))
+	copy(balanced, tf)
+	for col, f := range tf {
+		if f > threshold {
+			w.isHeavy[col] = true
+			w.heavyCols = append(w.heavyCols, col)
+			balanced[col] = 0
 		}
-		balanced := make([]int, len(tf))
-		copy(balanced, tf)
-		for col, f := range tf {
-			if f > threshold {
-				w.isHeavy[col] = true
-				w.heavyCols = append(w.heavyCols, col)
-				balanced[col] = 0
-			}
-		}
-		tf = balanced
 	}
+	tf = balanced
 	dl := make([]int, w.c.NumDocs())
 	for d := range dl {
 		dl[d] = len(w.c.Doc(d))
@@ -200,7 +204,8 @@ func (w *Warp) buildWorkers(r *rng.RNG) {
 	w.ckDeltas = make([]int32, n*stride)
 	for i := 0; i < n; i++ {
 		w.workers[i] = &worker{
-			Worker: *NewWorker(w.cfg.K, r.Split()),
+			Worker: *NewWorker(w.cfg.K),
+			i:      i,
 			ckAcc:  w.ckDeltas[i*stride : i*stride+w.cfg.K : i*stride+w.cfg.K],
 		}
 	}
@@ -347,17 +352,15 @@ func (w *Warp) Iterate() {
 	}
 	due := w.evalNext
 	w.evalNext = false
+	if due && w.terms == nil {
+		w.terms = make([]float64, w.c.NumDocs()+w.c.NumWords())
+	}
 	w.pass.Evaluate(due)
 	w.heavyPhase()
 	w.wordPhase()
 	w.docPhase()
 	w.merge()
-	w.summed, w.docSum = due, 0
-	if due {
-		for _, wk := range w.workers {
-			w.docSum += wk.TakeSum()
-		}
-	}
+	w.summed = due
 }
 
 // EvalNext implements sampler.PhaseEvaluator: the coming Iterate adds
@@ -365,20 +368,20 @@ func (w *Warp) Iterate() {
 func (w *Warp) EvalNext() { w.evalNext = true }
 
 // LogJoint implements sampler.PhaseEvaluator: the log joint of the
-// current state, from the doc terms the last Iterate summed, one
-// sequential pass over the CSC columns split as the word phase splits
+// current state, from the doc terms the last Iterate kept, the word
+// terms of one pass over the CSC columns split as the word phase splits
 // them (each heavy column goes whole to the worker that merges it), and
-// the merged C_k. Partial sums are added in worker order, so the value
-// is a function of the state and the thread count. It reports false
-// unless the last Iterate was asked to sum (EvalNext).
+// the merged C_k. The terms are added in key order, so the value is a
+// function of the state alone. It reports false unless the last Iterate
+// was asked to sum (EvalNext).
 func (w *Warp) LogJoint() (float64, bool) {
 	if !w.summed {
 		return 0, false
 	}
 	w.runPhase((*Warp).wordSums)
-	ll := w.docSum
-	for _, wk := range w.workers {
-		ll += wk.TakeSum()
+	ll := 0.0
+	for _, t := range w.terms {
+		ll += t
 	}
 	return ll + w.pass.TopicTerms(w.ck), true
 }
@@ -397,10 +400,11 @@ func (w *Warp) wordSums(wk *worker) {
 	}
 }
 
-// wordTerms adds one column's word terms to the worker's sum.
+// wordTerms puts one column's word terms in its slot.
 func (w *Warp) wordTerms(wk *worker, col int) {
 	if seg := w.m.Column(col).Payload(); len(seg) > 0 {
 		w.pass.WordTerms(&wk.Worker, seg, w.m.Stride)
+		w.terms[w.c.NumDocs()+col] = wk.TakeSum()
 	}
 }
 
@@ -429,7 +433,8 @@ func (w *Warp) docChunks(wk *worker) {
 }
 
 // merge is the M-step: the per-worker delta lanes summed into the next
-// iteration's ck, the single cross-thread merge point of the pass.
+// iteration's ck, the single cross-thread merge point of the pass, which
+// ends the pass: the coming one keys its draws by the next iteration.
 func (w *Warp) merge() {
 	clear(w.ckNext)
 	for _, wk := range w.workers {
@@ -439,11 +444,12 @@ func (w *Warp) merge() {
 	}
 	w.ck, w.ckNext = w.ckNext, w.ck
 	w.pass.Freeze(w.ck)
+	w.pass.Advance()
 }
 
 // runPhase runs fn for every worker, concurrently when there are
-// several. (fn is a method expression, not a closure, so the serial
-// pass allocates nothing.)
+// several: a phase, or a stage of the heavy passes. (fn is a method
+// expression, not a closure, so the serial pass allocates nothing.)
 func (w *Warp) runPhase(fn func(*Warp, *worker)) {
 	if len(w.workers) == 1 {
 		fn(w, w.workers[0])
@@ -466,19 +472,23 @@ func (w *Warp) wordColumn(wk *worker, col int) {
 	if len(seg) == 0 {
 		return
 	}
-	proposed, accepted := w.pass.WordRun(&wk.Worker, seg, nil, w.m.Stride)
+	proposed, accepted := w.pass.WordRun(&wk.Worker, col, seg, nil, w.m.Stride)
 	wk.stats.WordProposals += int64(proposed)
 	wk.stats.WordAccepts += int64(accepted)
 }
 
 // docRow runs the doc phase of one row (DocRun), accumulating the new
-// assignments into the worker's delta lane.
+// assignments into the worker's delta lane and, when the pass
+// evaluates, the row's terms of the log joint into its slot.
 func (w *Warp) docRow(wk *worker, row int) {
 	idx := w.m.RowOf(row).Entries()
 	if len(idx) == 0 {
 		return
 	}
-	proposed, accepted := w.pass.DocRun(&wk.Worker, w.m.Payloads(), idx, w.m.Stride, wk.ckAcc)
+	proposed, accepted := w.pass.DocRun(&wk.Worker, row, w.m.Payloads(), idx, w.m.Stride, wk.ckAcc)
+	if w.pass.evalDue {
+		w.terms[row] = wk.TakeSum()
+	}
 	wk.stats.DocProposals += int64(proposed)
 	wk.stats.DocAccepts += int64(accepted)
 }
@@ -517,11 +527,4 @@ func (w *Warp) StateTo(out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -425,14 +425,14 @@ func TestIntraWordParallelism(t *testing.T) {
 	if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
 		t.Fatal("intra-word ck inconsistent")
 	}
-	// One thread has no one to cooperate with: nothing is heavy.
+	// One thread takes the same staged path, alone.
 	cfg.Threads = 1
 	w1, err := New(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w1.heavyCols) != 0 {
-		t.Fatalf("heavy columns = %v with one thread, want none", w1.heavyCols)
+	if !reflect.DeepEqual(w1.heavyCols, w.heavyCols) {
+		t.Fatalf("heavy columns = %v with one thread, want %v", w1.heavyCols, w.heavyCols)
 	}
 }
 
@@ -456,12 +456,8 @@ func resumePair(t *testing.T, c *corpus.Corpus, cfg sampler.Config, n int) {
 	for i := 0; i < n; i++ {
 		half.Iterate()
 	}
-	reseeded, err := fresh.RestoreShards(uint64(n), fresh.Name(), shardsOf(t, half))
-	if err != nil {
+	if err := fresh.RestoreShards(n, shardsOf(t, half)); err != nil {
 		t.Fatal(err)
-	}
-	if reseeded {
-		t.Fatal("same-topology restore reported a reseed")
 	}
 	if !reflect.DeepEqual(fresh.GlobalCounts(), half.GlobalCounts()) {
 		t.Fatal("global counts differ immediately after restore")
@@ -556,7 +552,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		for i, b := range tc.shards {
 			readers[i] = bytes.NewReader(b)
 		}
-		if _, err := target.RestoreShards(1, target.Name(), readers); err == nil {
+		if err := target.RestoreShards(1, readers); err == nil {
 			t.Errorf("%s: corrupt state accepted", tc.name)
 			continue
 		}

@@ -26,7 +26,7 @@ type SyntheticConfig struct {
 // factor (Heaps' law: V ∝ T^β with β ≈ 0.5), so scaled-down corpora keep
 // a realistic type/token ratio instead of collapsing to a toy alphabet.
 func heapsV(fullV int, scale float64) int {
-	return imax(100, int(float64(fullV)*math.Sqrt(scale)))
+	return max(100, int(float64(fullV)*math.Sqrt(scale)))
 }
 
 // NYTimesLike returns a configuration whose shape statistics (T/D ≈ 332)
@@ -35,7 +35,7 @@ func heapsV(fullV int, scale float64) int {
 // by Heaps' law.
 func NYTimesLike(scale float64) SyntheticConfig {
 	return SyntheticConfig{
-		D:       imax(50, int(300000*scale)),
+		D:       max(50, int(300000*scale)),
 		V:       heapsV(102000, scale),
 		K:       50,
 		MeanLen: 332,
@@ -49,7 +49,7 @@ func NYTimesLike(scale float64) SyntheticConfig {
 // (short documents, T/D ≈ 90, large D).
 func PubMedLike(scale float64) SyntheticConfig {
 	return SyntheticConfig{
-		D:       imax(50, int(8200000*scale)),
+		D:       max(50, int(8200000*scale)),
 		V:       heapsV(141000, scale),
 		K:       80,
 		MeanLen: 90,
@@ -63,7 +63,7 @@ func PubMedLike(scale float64) SyntheticConfig {
 // shape (long web documents, T/D ≈ 378, V = 1M at full scale).
 func ClueWebLike(scale float64) SyntheticConfig {
 	return SyntheticConfig{
-		D:       imax(50, int(639000000*scale)),
+		D:       max(50, int(639000000*scale)),
 		V:       heapsV(1000000, scale),
 		K:       100,
 		MeanLen: 378,
@@ -71,13 +71,6 @@ func ClueWebLike(scale float64) SyntheticConfig {
 		Beta:    0.01,
 		Seed:    3,
 	}
-}
-
-func imax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // visitLDADocs runs the LDA generative process — φk ~ Dir(β),
@@ -135,7 +128,7 @@ func visitLDADocs(cfg SyntheticConfig, visit func(d int, doc []int32)) error {
 // Memory is O(K·V + T); for corpora that should never be materialized
 // use StreamLDAUCI.
 func GenerateLDA(cfg SyntheticConfig) (*Corpus, error) {
-	c := &Corpus{V: cfg.V, Docs: make([][]int32, imax(cfg.D, 0))}
+	c := &Corpus{V: cfg.V, Docs: make([][]int32, max(cfg.D, 0))}
 	if err := visitLDADocs(cfg, func(d int, doc []int32) {
 		c.Docs[d] = append([]int32(nil), doc...)
 	}); err != nil {

@@ -9,9 +9,8 @@
 //
 // Membership is epoch-based. Every epoch starts from the last committed
 // checkpoint: the coordinator restores it into a fresh shadow sized to
-// the CURRENT worker count (elastic resume — rng.Derive reseeding and
-// all — exercised by internal/cluster's tests) and distributes the
-// resulting shards. A worker dying mid-pass aborts the epoch; survivors
+// the CURRENT worker count (elastic resume, exercised by
+// internal/cluster's tests) and distributes the resulting shards. A worker dying mid-pass aborts the epoch; survivors
 // discard state and the next epoch reforms from the checkpoint. A
 // worker joining requests the same thing at the next sync point. A
 // coordinator restart IS an epoch start: workers re-register and the
@@ -671,7 +670,7 @@ func (co *Coordinator) syncCheckpoint(ctx context.Context, hb *time.Ticker, shad
 		st, _ := DecodeShardState(p)
 		readers[i] = bytes.NewReader(st.Shard)
 	}
-	if _, err := shadow.RestoreShards(uint64(iter), shadow.Name(), readers); err != nil {
+	if err := shadow.RestoreShards(iter, readers); err != nil {
 		// A worker uploaded state that fails validation: don't trust this
 		// epoch; reform from the last committed checkpoint instead.
 		co.logf("sync at iteration %d rejected: %v; aborting epoch", iter, err)
@@ -727,18 +726,12 @@ func (co *Coordinator) loadOrInit(p int) (*cluster.Distributed, int, error) {
 	if err := ckpt.Verify(shadow.Name(), co.fp, cfgP); err != nil {
 		return nil, 0, err
 	}
-	reseeded, err := ckpt.RestoreInto(shadow)
-	if err != nil {
+	if err := ckpt.RestoreInto(shadow); err != nil {
 		return nil, 0, err
 	}
 	co.trace = ckpt.Trace
 	co.elapsed = ckpt.Elapsed
-	if reseeded {
-		co.logf("elastic resume from iteration %d: %d saved shards repartitioned across %d workers (worker RNG streams reseeded)",
-			ckpt.Iter, len(ckpt.ShardFiles), p)
-	} else {
-		co.logf("resume from iteration %d with %d workers (exact)", ckpt.Iter, p)
-	}
+	co.logf("resume from iteration %d: %d saved shards across %d workers", ckpt.Iter, len(ckpt.ShardFiles), p)
 	return shadow, ckpt.Iter, nil
 }
 

@@ -18,8 +18,10 @@ import (
 
 // ProtoVersion is the protocol revision carried in the handshake; a
 // coordinator refuses workers speaking a different revision. Revision 2
-// added the α vector and the slot's layout counts to Assign.
-const ProtoVersion = 2
+// added the α vector and the slot's layout counts to Assign; revision 3
+// carries dshd\x02 shards, which hold no RNG state (a worker keys its
+// draws by the pass's iteration instead).
+const ProtoVersion = 3
 
 // Phase identifiers inside Block / PhaseDone / Barrier messages.
 const (

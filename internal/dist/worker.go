@@ -28,7 +28,6 @@ import (
 
 	"warplda/internal/cluster"
 	"warplda/internal/core"
-	"warplda/internal/rng"
 	"warplda/internal/sampler"
 )
 
@@ -268,8 +267,7 @@ func (s *wsession) next() (MsgType, []byte, error) {
 }
 
 // handleAssign adopts a new epoch: DecodeAssign validates the whole
-// assignment and lays the shard out; the worker is rebuilt around the
-// assigned RNG stream.
+// assignment and lays the shard out, and the worker is rebuilt.
 func (s *wsession) handleAssign(payload []byte) error {
 	a, err := DecodeAssign(payload)
 	if err != nil {
@@ -278,9 +276,7 @@ func (s *wsession) handleAssign(payload []byte) error {
 	s.a, s.shard = a, a.State.Tokens
 	s.pass = core.NewPass(sampler.Config{K: a.K, Alpha: a.Alpha, Beta: a.Beta, AlphaVec: a.AlphaVec, M: a.M, Seed: a.Seed}, a.V)
 	s.buckets = make([]cluster.Slab, a.P)
-	r := rng.New(a.Seed)
-	r.SetState(a.State.RNGState)
-	s.wk = cluster.NewWorker(a.Slot, a.K, a.M, r)
+	s.wk = cluster.NewWorker(a.Slot, a.K, a.M)
 	a.Shard, a.State = nil, nil // adopted: keep no second reference
 	s.wc.Logf("dist: worker %s: assigned slot %d/%d at iter %d (epoch %d, %d tokens)",
 		s.wc.ID, a.Slot, a.P, a.Iter, a.Epoch, s.shard.Len())
@@ -297,13 +293,7 @@ func (s *wsession) handleShardReq(payload []byte) error {
 		return nil // stale request from a superseded epoch
 	}
 	var b bytes.Buffer
-	if err := core.EncodeWorkerState(&b, &core.WorkerState{
-		Index:    s.a.Slot,
-		Workers:  s.a.P,
-		M:        s.a.M,
-		RNGState: s.wk.R.State(),
-		Tokens:   s.shard,
-	}); err != nil {
+	if err := core.EncodeWorkerState(&b, &core.WorkerState{Index: s.a.Slot, Workers: s.a.P, M: s.a.M, Tokens: s.shard}); err != nil {
 		return err
 	}
 	return s.send(MsgShardState, (&ShardState{Epoch: s.a.Epoch, Iter: sy.Iter, From: s.a.Slot, Shard: b.Bytes()}).Encode())
@@ -324,6 +314,7 @@ func (s *wsession) runPass(payload []byte) error {
 		return nil // stale
 	}
 	s.pass.Freeze(ps.CK)
+	s.pass.SetIteration(ps.Iter)
 	for _, phase := range []int{PhaseWord, PhaseDoc} {
 		if err := s.phase(ps.Iter, phase); err != nil {
 			return err

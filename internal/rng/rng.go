@@ -191,30 +191,29 @@ func (r *RNG) Dirichlet(alpha float64, out []float64) {
 	}
 }
 
-// Split returns a new generator seeded from this one's stream. Use it to
-// hand independent streams to worker goroutines.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
+// Derive returns a generator deterministically derived from seed and a
+// sequence of salts: New of the value the salts fold seed into (see
+// Reseed). Identical inputs always yield the identical stream, and
+// streams of distinct inputs are statistically independent.
+func Derive(seed uint64, salts ...uint64) *RNG {
+	r := &RNG{}
+	r.Reseed(seed, salts...)
+	return r
 }
 
-// Derive returns a generator deterministically derived from seed and a
-// sequence of salts. It is the documented reseeding strategy for
-// *elastic* checkpoint resume: when a run restarts with a different
-// worker count, the saved per-worker streams no longer map one-to-one
-// onto workers, so each new worker w of p total resuming at iteration i
-// draws its stream from Derive(seed, i, p, w). The derivation folds
-// every salt through one splitmix64 step (the same mixer New uses), so
-// streams for different (iteration, worker-count, worker) triples are
-// statistically independent of each other and of every Split stream,
-// while identical inputs always yield the identical stream — resuming
-// the same checkpoint into the same topology twice is deterministic.
-func Derive(seed uint64, salts ...uint64) *RNG {
+// Reseed resets r in place to the generator Derive(seed, salts...)
+// returns, allocating nothing. It folds every salt through one
+// splitmix64 step (the same mixer New uses), so the stream is a pure
+// function of its inputs: WarpLDA keys the draws of each word and
+// document of a pass by (seed, iteration, phase, key) this way, which
+// makes them independent of the worker that runs the key.
+func (r *RNG) Reseed(seed uint64, salts ...uint64) {
 	x := seed
 	for _, s := range salts {
 		x ^= s + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
 		x = splitmix64(&x)
 	}
-	return New(x)
+	r.Seed(x)
 }
 
 // State returns the generator's four state words. Together with SetState

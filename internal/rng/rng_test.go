@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// Derive is the elastic-resume reseeding strategy: deterministic in
-// (seed, salts...), and distinct for distinct inputs.
+// Derive is deterministic in (seed, salts...), and distinct for
+// distinct inputs.
 func TestDerive(t *testing.T) {
 	a := Derive(42, 10, 3, 0)
 	b := Derive(42, 10, 3, 0)
@@ -256,20 +256,18 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(29)
-	child := parent.Split()
-	// The child stream must not be a shifted copy of the parent stream.
-	a := make([]uint64, 64)
-	for i := range a {
-		a[i] = parent.Uint64()
+// Reseed in place is Derive without the allocation: after it, the
+// generator draws exactly what Derive's would, whatever it drew before.
+func TestReseedMatchesDerive(t *testing.T) {
+	r := New(29)
+	r.Uint64()
+	if allocs := testing.AllocsPerRun(10, func() { r.Reseed(42, 7, 1, 5) }); allocs != 0 {
+		t.Errorf("Reseed allocates %v times", allocs)
 	}
+	want := Derive(42, 7, 1, 5)
 	for i := 0; i < 64; i++ {
-		v := child.Uint64()
-		for _, x := range a {
-			if v == x {
-				t.Fatalf("child draw %d equals a parent draw", i)
-			}
+		if got, w := r.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("draw %d: reseeded %x, derived %x", i, got, w)
 		}
 	}
 }

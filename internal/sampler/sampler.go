@@ -130,29 +130,25 @@ func LogJoint(c corpus.Provider, z [][]int32, cfg Config) float64 {
 // across topology changes (a different -threads).
 //
 // The shard streams written by ShardTo together hold the sampler's
-// complete mutable state — assignments, pending proposals, RNG
-// streams — so restoring all of them via RestoreShards continues the
-// run where it stood.
+// complete mutable state — assignments and pending proposals; the
+// WarpLDA samplers key every draw by (seed, iteration, phase, key) and
+// keep no generator state — so restoring all of them via RestoreShards
+// continues the run where it stood.
 type Sharded interface {
 	Sampler
 	// NumShards returns the number of state shards (the worker count).
 	NumShards() int
-	// ShardTo serializes shard i's state (its tokens or rows plus the
-	// owning worker's RNG stream). It must only be called between
-	// Iterate calls. Distinct shards may be written concurrently.
+	// ShardTo serializes shard i's state (its tokens or rows). It must
+	// only be called between Iterate calls. Distinct shards may be
+	// written concurrently.
 	ShardTo(i int, w io.Writer) error
 	// RestoreShards replaces the sampler's state with the union of the
-	// given shard streams, written by ShardTo on the sampler named from
-	// — this algorithm, or one that shares its shard stream — over the
-	// same corpus and config and ANY worker count. When this sampler
-	// wrote them and the shard count equals NumShards, every worker
-	// adopts its saved RNG stream and the restore is exact; otherwise
-	// the state is repartitioned across the current topology and worker
-	// streams are reseeded deterministically from (cfg.Seed, salt,
-	// worker) — see rng.Derive — which the returned reseeded flag
-	// reports so callers can surface the loss of bit-exactness. On
-	// error the sampler's prior state is left untouched.
-	RestoreShards(salt uint64, from string, shards []io.Reader) (reseeded bool, err error)
+	// given shard streams, written by ShardTo after iter iterations on
+	// this algorithm, or one that shares its shard stream, over the
+	// same corpus and config and ANY worker count; the next Iterate is
+	// then iteration iter. On error the sampler's prior state is left
+	// untouched.
+	RestoreShards(iter int, shards []io.Reader) error
 }
 
 // Point is one evaluation of a training run.

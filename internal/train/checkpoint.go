@@ -106,8 +106,7 @@ func Load(path string) (*Checkpoint, error) {
 // written under; sampler.Sharded.RestoreShards owns the rebalancing,
 // and a sampler that never reads Threads restores its one shard
 // unchanged. The two WarpLDA samplers resume each other's checkpoints:
-// they write one shard stream and run one chain law, and such a restore
-// reseeds the worker RNG streams as a topology change does.
+// they write one shard stream and run one chain law.
 func (ck *Checkpoint) Verify(samplerName string, fingerprint uint32, cfg sampler.Config) error {
 	if ck.Sampler != samplerName && !(warpLDA[ck.Sampler] && warpLDA[samplerName]) {
 		return fmt.Errorf("train: checkpoint was written by sampler %q, resuming %q", ck.Sampler, samplerName)

@@ -305,8 +305,7 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 // and checked — magic, CRC trailer, the manifest's recorded CRC (which
 // catches a self-consistent shard swapped in from a *different*
 // checkpoint), and the header's iteration / corpus fingerprint / shard
-// position — before any state reaches the sampler. It returns whether
-// worker RNG streams were reseeded (worker count or sampler changed).
+// position — before any state reaches the sampler.
 //
 // Shards are handed to RestoreShards as lazy readers that verify each
 // file in a streaming pass when first read and only then serve its
@@ -317,7 +316,7 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 // Validate-then-commit is preserved: the file-level checks run before
 // a shard's first byte reaches the decoder, and RestoreShards itself
 // validates the union of all shards before committing any state.
-func (ck *Checkpoint) RestoreInto(sh sampler.Sharded) (reseeded bool, err error) {
+func (ck *Checkpoint) RestoreInto(sh sampler.Sharded) error {
 	readers := make([]io.Reader, len(ck.ShardFiles))
 	shards := make([]*lazyShardReader, len(ck.ShardFiles))
 	for i := range ck.ShardFiles {
@@ -329,7 +328,7 @@ func (ck *Checkpoint) RestoreInto(sh sampler.Sharded) (reseeded bool, err error)
 			s.close()
 		}
 	}()
-	return sh.RestoreShards(uint64(ck.Iter), ck.Sampler, readers)
+	return sh.RestoreShards(ck.Iter, readers)
 }
 
 // lazyShardReader serves one shard file's sampler-level stream (the
@@ -483,11 +482,11 @@ type oneShard struct{ stateful }
 
 func (oneShard) NumShards() int                     { return 1 }
 func (o oneShard) ShardTo(_ int, w io.Writer) error { return o.StateTo(w) }
-func (o oneShard) RestoreShards(_ uint64, _ string, shards []io.Reader) (bool, error) {
+func (o oneShard) RestoreShards(_ int, shards []io.Reader) error {
 	if len(shards) != 1 {
-		return false, fmt.Errorf("train: %d shards, sampler %q restores from one", len(shards), o.Name())
+		return fmt.Errorf("train: %d shards, sampler %q restores from one", len(shards), o.Name())
 	}
-	return false, o.RestoreFrom(shards[0])
+	return o.RestoreFrom(shards[0])
 }
 
 // asSharded returns s itself when it has sharded state, s as one shard

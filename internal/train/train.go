@@ -56,11 +56,10 @@ type Options struct {
 	// of the pre-retention single-file behavior, with a stamped name).
 	CheckpointKeep int
 	// Logf, when non-nil, receives operational notices that are not
-	// errors but that an operator should see — most importantly the
-	// elastic-resume notice that worker RNG streams were reseeded
-	// because the worker count changed (the resumed run is then
-	// statistically equivalent to, not bit-identical with, the
-	// uninterrupted one).
+	// errors but that an operator should see. A resume logs none: a
+	// WarpLDA run resumed at any -threads is bit-identical to the
+	// uninterrupted one (core.Warp), as is a distributed run resumed at
+	// the same worker count.
 	Logf func(format string, args ...any)
 	// Budget, when > 0, bounds cumulative *sampling* time: the run stops
 	// (and checkpoints) after the first iteration that crosses it.
@@ -143,13 +142,8 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		if err := ck.Verify(s.Name(), fingerprint, cfg); err != nil {
 			return Result{}, err
 		}
-		reseeded, err := ck.RestoreInto(sh)
-		if err != nil {
+		if err := ck.RestoreInto(sh); err != nil {
 			return Result{}, fmt.Errorf("train: restoring sharded state: %w", err)
-		}
-		if reseeded && opts.Logf != nil {
-			opts.Logf("elastic resume: repartitioned %d-shard %s checkpoint across %d %s workers; worker RNG streams reseeded (run is statistically equivalent, not bit-identical, to an uninterrupted one)",
-				len(ck.ShardFiles), ck.Sampler, sh.NumShards(), s.Name())
 		}
 		loop.SetProgress(ck.Iter, ck.Elapsed, ck.Trace)
 	}

@@ -7,13 +7,15 @@
 //	mkdir gen && cp <this repository>/testdata/golden/generate.go gen/main.go
 //	go run ./gen <this repository>/testdata/golden
 //
-// The one exception is warp-dshd. At ba1d440 core.Warp wrote shards in
-// the wshd layout (the warp fixture), which has since been retired: no
-// writer or reader of it is left, and golden_test.go keeps the fixture
-// as input a restore must refuse. warp-dshd holds the same run written
-// by core.Warp's dshd writer, so it was written by this program inside
-// a checkout of the commit that added that directory, which has that
-// writer, and only that directory was kept.
+// Two directories are exceptions, warp-dshd and distributed: the
+// shard streams of both WarpLDA samplers, in the dshd\x02 layout, which
+// holds no RNG state (the samplers key every draw by iteration, phase
+// and key). They were written by this program inside a checkout of the
+// commit that introduced that layout, and only those two directories
+// were kept. At ba1d440 core.Warp wrote shards in the wshd layout (the
+// warp fixture), which has since been retired: no writer or reader of
+// it is left, and golden_test.go keeps the fixture as input a restore
+// must refuse.
 //
 // Every input is fixed: a 3-document corpus over V=4 words, K=3 topics,
 // M=1, seed 7. Training wall-clock times land in the checkpoint
