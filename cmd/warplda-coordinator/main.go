@@ -1,16 +1,17 @@
 // Command warplda-coordinator runs the coordinator side of multi-node
 // distributed training (internal/dist): it owns the corpus, partitions
 // it across whatever workers register, relays token blocks between
-// them, aggregates the per-pass global count deltas, and commits
-// sharded checkpoints that double as the recovery log. Workers are
-// separate warplda-worker processes connecting over TCP.
+// them and aggregates the per-pass global count deltas. The training
+// schedule — evaluation, sharded checkpoints, retention, resume — is
+// warplda-train's own train.Run. Workers are separate warplda-worker
+// processes connecting over TCP.
 //
-// Fault tolerance is elastic: a worker dying mid-pass, a worker
-// joining mid-run, or this process itself restarting all land on the
-// same path — reform the cluster from the newest committed checkpoint
-// in -checkpoint-dir. Restarting the coordinator with live workers
-// requires no flags beyond the originals; the workers reconnect and
-// training resumes where the last checkpoint left it.
+// Fault tolerance is elastic. Every epoch starts from a restore: a
+// worker dying mid-pass rewinds the run to the newest checkpoint in
+// -checkpoint-dir, a worker joining is admitted from the current state
+// at the next pass, and a restarted coordinator resumes the newest
+// checkpoint. Restarting the coordinator with live workers requires no
+// flags beyond the originals; the workers reconnect on their own.
 //
 // Usage:
 //

@@ -7,16 +7,20 @@ import (
 	"testing"
 
 	"warplda/internal/corpus"
-	"warplda/internal/eval"
 )
 
 // TestThreadSweepConvergenceEquivalence runs the 1/2/4/8-thread matrix
-// over one corpus: every thread count must keep the count invariants
-// and converge to statistically equivalent likelihood — threads change
-// the schedule and the RNG streams, never the model.
+// over one corpus. Every draw is keyed by (seed, iteration, phase, key)
+// and the log joint adds its terms in key order, so threads change the
+// schedule and never the state: after the same passes, T = 2, 4 and 8
+// hold T = 1's payloads, global counts and log joint to the bit, and
+// every run keeps ck equal to the histogram of its assignments. Three
+// passes take every token through both phases' MH chains.
 func TestThreadSweepConvergenceEquivalence(t *testing.T) {
+	const passes = 3
 	c := testCorpus(40)
-	lls := make(map[int]float64)
+	var serial *Warp
+	var serialLL float64
 	for _, threads := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			cfg := defaultCfg(8)
@@ -25,29 +29,26 @@ func TestThreadSweepConvergenceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-			for i := 0; i < 40; i++ {
+			for i := 0; i < passes; i++ {
+				w.EvalNext()
 				w.Iterate()
 			}
-			want := countsFromAssignments(w.Assignments(), cfg.K)
-			if got := w.GlobalCounts(); !reflect.DeepEqual(got, want) {
+			ll, ok := w.LogJoint()
+			if !ok {
+				t.Fatal("no log joint after a flagged pass")
+			}
+			if got, want := w.GlobalCounts(), countsFromAssignments(w.Assignments(), cfg.K); !reflect.DeepEqual(got, want) {
 				t.Fatalf("threads=%d: ck inconsistent", threads)
 			}
-			after := eval.LogJoint(c, w.Assignments(), cfg.K, cfg.Alpha, cfg.Beta)
-			if after <= before {
-				t.Fatalf("threads=%d did not converge: %.1f -> %.1f", threads, before, after)
+			if serial == nil {
+				serial, serialLL = w, ll
+				return
 			}
-			lls[threads] = after
+			samePayloads(t, w, serial)
+			if math.Float64bits(ll) != math.Float64bits(serialLL) {
+				t.Fatalf("log joint %v at T=%d, %v at T=1", ll, threads, serialLL)
+			}
 		})
-	}
-	base, ok := lls[1]
-	if !ok {
-		t.Fatal("serial sweep entry missing")
-	}
-	for threads, ll := range lls {
-		if math.Abs(ll-base) > 0.05*math.Abs(base) {
-			t.Fatalf("threads=%d converged to %.1f, serial to %.1f (gap over 5%%)", threads, ll, base)
-		}
 	}
 }
 

@@ -1,26 +1,30 @@
 // The coordinator process. It owns everything the workers must not:
-// the corpus, the partitions, the evaluation loop, and the sharded
-// checkpoint directory. Training state lives in a "shadow" in-process
-// Distributed sampler that is only touched at sync points: worker
-// uploads flow into RestoreShards (the same validate-then-commit gate
-// checkpoint restore uses), the log likelihood is evaluated, and the
-// checkpoint is written with the same WriteSharded path the
-// single-process trainer uses.
+// the corpus, the partitions and the training driver. A Coordinator is
+// a sampler.Sharded that train.Run drives as it drives any in-process
+// sampler — evaluation, checkpoints, retention and resume are
+// train.Run's. Iterate is one pass across the members of the current
+// epoch. The state lives in a "shadow" in-process Distributed sampler
+// that is brought up to date only when it is read, at most once per
+// iteration: every member uploads its shard, and the uploads flow into
+// the shadow's RestoreShards (the validate-then-commit gate checkpoint
+// restore uses).
 //
-// Membership is epoch-based. Every epoch starts from the last committed
-// checkpoint: the coordinator restores it into a fresh shadow sized to
-// the CURRENT worker count (elastic resume, exercised by
-// internal/cluster's tests) and distributes the resulting shards. A worker dying mid-pass aborts the epoch; survivors
-// discard state and the next epoch reforms from the checkpoint. A
-// worker joining requests the same thing at the next sync point. A
-// coordinator restart IS an epoch start: workers re-register and the
-// first epoch reforms from disk. Fault path and restart path are the
-// same tested code.
+// Membership is epoch-based, and every epoch starts at RestoreShards:
+// the shadow is restored at the current worker count (elastic resume,
+// exercised by internal/cluster's tests) and each member is assigned
+// its shard at the next pass. A member dying mid-pass, or an upload
+// failing validation, loses the passes since the newest checkpoint: the
+// coordinator reports the loss (sampler.Rewinder) and train.Run rewinds
+// to that checkpoint. A worker joining is admitted at the next pass
+// boundary, by restoring the shadow's current shards at the new count.
+// A coordinator restart resumes the newest checkpoint, as -resume does;
+// the workers re-register on their own.
 package dist
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -50,8 +54,8 @@ type CoordinatorConfig struct {
 	Iters int
 	// MinWorkers is the membership an epoch needs to form (default 1).
 	MinWorkers int
-	// CheckpointDir receives the sharded checkpoints every sync point
-	// commits; it is also where every epoch resumes from. Required.
+	// CheckpointDir receives the sharded checkpoints; the newest is
+	// where a restart resumes and a lost pass rewinds to. Required.
 	CheckpointDir string
 	// CheckpointEvery is the sync-point cadence in iterations
 	// (default 5). Each sync collects worker shards, evaluates the log
@@ -72,11 +76,9 @@ type CoordinatorConfig struct {
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 	// OnSync, when non-nil, is called after every committed checkpoint
-	// with the synced iteration and the coordinator's shadow sampler
-	// (valid for the duration of the call only — the driver goroutine
-	// blocks until it returns, so keep it short; snapshot what you need
-	// and return). It is the hook serving-side publishers use to emit a
-	// model or WARPDLT delta per sync point.
+	// with its iteration and the coordinator as a sampler, valid for the
+	// duration of the call only (the driver blocks until it returns): the
+	// hook publishers use to emit a model or WARPDLT delta per sync point.
 	OnSync func(iter int, s sampler.Sampler)
 }
 
@@ -84,48 +86,40 @@ func (cc CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	if cc.Corpus == nil {
 		return cc, errors.New("dist: coordinator needs a corpus")
 	}
-	if err := cc.Cfg.Validate(); err != nil {
-		return cc, err
-	}
-	if cc.Cfg.M < 1 {
-		return cc, fmt.Errorf("dist: M = %d, want >= 1", cc.Cfg.M)
-	}
 	if cc.Iters < 1 {
 		return cc, fmt.Errorf("dist: %d iterations", cc.Iters)
 	}
 	if cc.CheckpointDir == "" {
 		return cc, errors.New("dist: coordinator needs a checkpoint directory (it is the recovery log)")
 	}
-	if cc.MinWorkers < 1 {
-		cc.MinWorkers = 1
-	}
-	if cc.CheckpointEvery < 1 {
-		cc.CheckpointEvery = 5
-	}
-	if cc.CheckpointKeep < 1 {
-		cc.CheckpointKeep = 3
-	}
-	if cc.HeartbeatInterval <= 0 {
-		cc.HeartbeatInterval = time.Second
-	}
-	if cc.HeartbeatTimeout <= 0 {
-		cc.HeartbeatTimeout = 30 * time.Second
-	}
-	if cc.ReadTimeout <= 0 {
-		cc.ReadTimeout = 60 * time.Second
-	}
-	if cc.WriteTimeout <= 0 {
-		cc.WriteTimeout = 30 * time.Second
-	}
+	cc.MinWorkers = orDefault(cc.MinWorkers, 1)
+	cc.CheckpointEvery = orDefault(cc.CheckpointEvery, 5)
+	cc.CheckpointKeep = orDefault(cc.CheckpointKeep, 3)
+	cc.HeartbeatInterval = orDefault(cc.HeartbeatInterval, time.Second)
+	cc.HeartbeatTimeout = orDefault(cc.HeartbeatTimeout, 30*time.Second)
+	cc.ReadTimeout = orDefault(cc.ReadTimeout, 60*time.Second)
+	cc.WriteTimeout = orDefault(cc.WriteTimeout, 30*time.Second)
 	if cc.Logf == nil {
 		cc.Logf = func(string, ...any) {}
 	}
 	return cc, nil
 }
 
-// errMembership aborts an epoch whose membership changed; the serve
-// loop reforms from the last committed checkpoint.
-var errMembership = errors.New("dist: membership changed")
+// orDefault returns v when it is positive, else def: a configuration
+// field left at zero (or set below it) takes its default.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
+}
+
+// errMembership ends an epoch whose membership changed; errLost is
+// every state read's answer once passes are lost.
+var (
+	errMembership = errors.New("dist: membership changed")
+	errLost       = errors.New("dist: the passes since the newest checkpoint are lost")
+)
 
 // connHandle identifies one accepted connection across goroutines; the
 // pointer itself disambiguates a reconnected worker from its dead
@@ -161,7 +155,7 @@ type wconn struct {
 }
 
 // Coordinator runs the distributed training driver. Build with
-// NewCoordinator, run with Serve.
+// NewCoordinator, run with Serve, which trains it through train.Run.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	ln      net.Listener
@@ -169,20 +163,38 @@ type Coordinator struct {
 	quit    chan struct{}
 	writers sync.WaitGroup
 
-	// Driver-owned state (single goroutine).
+	// Driver-owned state: one goroutine at a time — Serve's, or a
+	// checkpoint shard writer holding mu while it syncs.
+	ctx        context.Context
+	hb         *time.Ticker
 	conns      map[string]*wconn
 	epoch      int
+	members    []string // the epoch's workers by slot; nil between epochs
 	memberLost bool
 	joined     bool
-	trace      sampler.Run
-	elapsed    time.Duration
-	fp         uint32
+
+	// shadow holds the state after iter iterations once fresh (synced,
+	// or just restored); ck is the next pass's global count vector. lost
+	// reports passes lost since the last RestoreShards. mu serializes
+	// sync: of the checkpoint writer's concurrent ShardTo calls, the
+	// first pumps events while the rest wait for the shadow it fills.
+	mu     sync.Mutex
+	shadow *cluster.Distributed
+	iter   int
+	ck     []int32
+	fresh  bool
+	lost   bool
 }
 
-// NewCoordinator validates the configuration, creates the checkpoint
-// directory, and starts listening. Serve runs the cluster.
+// NewCoordinator validates the configuration, builds the initial
+// state, creates the checkpoint directory, and starts listening. Serve
+// runs the cluster.
 func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 	cc, err := cc.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	shadow, err := cluster.NewDistributed(cc.Corpus, cc.Cfg, cc.MinWorkers)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +211,9 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 		events: make(chan any, 4096),
 		quit:   make(chan struct{}),
 		conns:  make(map[string]*wconn),
-		fp:     train.CorpusFingerprint(cc.Corpus),
+		shadow: shadow,
+		ck:     shadow.GlobalCounts(),
+		fresh:  true,
 	}, nil
 }
 
@@ -207,35 +221,63 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 // port 0).
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
-// Serve accepts workers and drives training to completion, reforming
-// the cluster from the last committed checkpoint on every membership
-// change. It returns the run's evaluation trace.
+// Serve accepts workers, waits for MinWorkers, trains the coordinator
+// through train.Run — resuming the newest checkpoint in CheckpointDir
+// when there is one, and stopping when ctx is done — then tells the
+// workers to shut down. It returns the run's evaluation trace.
 func (co *Coordinator) Serve(ctx context.Context) (sampler.Run, error) {
 	defer co.ln.Close()
 	defer close(co.quit)
 	defer co.closeAll()
 	go co.acceptLoop()
-	hb := time.NewTicker(co.cfg.HeartbeatInterval)
-	defer hb.Stop()
-	for {
-		if err := co.waitForWorkers(ctx, hb); err != nil {
-			return co.trace, err
-		}
-		done, err := co.runEpoch(ctx, hb)
-		switch {
-		case err == nil && done:
-			co.logf("training complete at iteration %d; shutting down workers", co.cfg.Iters)
-			for _, w := range co.conns {
-				co.send(w, MsgShutdown, nil)
-			}
-			return co.trace, nil
-		case err == nil:
-			co.logf("reforming to admit joined workers")
-		case errors.Is(err, errMembership):
-			co.logf("epoch %d aborted (membership changed); reforming from last checkpoint", co.epoch)
-		default:
-			return co.trace, err
-		}
+	co.ctx, co.hb = ctx, time.NewTicker(co.cfg.HeartbeatInterval)
+	defer co.hb.Stop()
+	if err := co.waitForWorkers(); err != nil {
+		return sampler.Run{}, err
+	}
+	ck, err := train.Load(co.cfg.CheckpointDir)
+	if errors.Is(err, train.ErrNoCheckpoint) {
+		ck, err = nil, nil
+	} else if err == nil {
+		co.logf("resume from iteration %d: %d saved shards across %d workers", ck.Iter, len(ck.ShardFiles), len(co.conns))
+	}
+	if err != nil {
+		return sampler.Run{}, err
+	}
+	// Checkpoints record the starting worker count as Threads, the
+	// topology warplda-train -resume takes by default.
+	cfg := co.cfg.Cfg
+	cfg.Threads = len(co.conns)
+	res, err := train.Run(co, co.cfg.Corpus, cfg, train.Options{
+		Iters:           co.cfg.Iters,
+		EvalEvery:       co.cfg.CheckpointEvery,
+		CheckpointDir:   co.cfg.CheckpointDir,
+		CheckpointEvery: co.cfg.CheckpointEvery,
+		CheckpointKeep:  co.cfg.CheckpointKeep,
+		Logf:            co.logf,
+		Stop:            ctx.Done(),
+		Progress:        co.progress,
+		ResumeFrom:      ck,
+	})
+	if err != nil || !res.Completed {
+		return res.Run, cmp.Or(err, ctx.Err())
+	}
+	co.logf("training complete at iteration %d; shutting down workers", res.Iter)
+	for _, w := range co.conns {
+		co.send(w, MsgShutdown, nil)
+	}
+	return res.Run, nil
+}
+
+// progress logs every sync point — an evaluation and a committed
+// checkpoint — and hands it to OnSync.
+func (co *Coordinator) progress(ev train.Event) {
+	if ev.Checkpoint == "" || ev.Eval == nil {
+		return
+	}
+	co.logf("iteration %d: log likelihood %.1f, checkpoint committed", ev.Iter, ev.Eval.LogLik)
+	if co.cfg.OnSync != nil {
+		co.cfg.OnSync(ev.Iter, co)
 	}
 }
 
@@ -352,11 +394,11 @@ func (co *Coordinator) send(w *wconn, typ MsgType, payload []byte) {
 // step services exactly one event — registration, death, heartbeat tick
 // — and returns the message events the caller's wait loop cares about.
 // It returns (nil, nil) for plumbing events.
-func (co *Coordinator) step(ctx context.Context, hb *time.Ticker) (*evMsg, error) {
+func (co *Coordinator) step() (*evMsg, error) {
 	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-hb.C:
+	case <-co.ctx.Done():
+		return nil, co.ctx.Err()
+	case <-co.hb.C:
 		now := time.Now()
 		for id, w := range co.conns {
 			if now.Sub(w.lastSeen) > co.cfg.HeartbeatTimeout {
@@ -437,119 +479,221 @@ func (co *Coordinator) dropConn(w *wconn) {
 func (co *Coordinator) closeAll() {
 	for id, w := range co.conns {
 		delete(co.conns, id)
-		if !w.closed {
-			w.closed = true
-			close(w.out)
-		}
+		co.dropConn(w)
 	}
 	co.writers.Wait()
 }
 
-// waitForWorkers pumps events until MinWorkers are registered, then
-// clears the membership flags for the next epoch.
-func (co *Coordinator) waitForWorkers(ctx context.Context, hb *time.Ticker) error {
+// waitForWorkers pumps events until MinWorkers are registered.
+func (co *Coordinator) waitForWorkers() error {
 	logged := -1
 	for len(co.conns) < co.cfg.MinWorkers {
 		if n := len(co.conns); n != logged {
 			co.logf("forming: %d/%d workers", n, co.cfg.MinWorkers)
 			logged = n
 		}
-		if _, err := co.step(ctx, hb); err != nil {
+		if _, err := co.step(); err != nil {
 			return err
 		}
 	}
-	co.memberLost, co.joined = false, false
 	return nil
 }
 
-// runEpoch forms one epoch over the current membership and trains until
-// the iteration budget, a membership change, or an error. It returns
-// done=true when training reached Iters, (false, nil) to request a
-// reform that admits joined workers, or errMembership after an abort.
-func (co *Coordinator) runEpoch(ctx context.Context, hb *time.Ticker) (done bool, err error) {
-	co.epoch++
-	members := make([]string, 0, len(co.conns))
-	for id, w := range co.conns {
-		members = append(members, id)
-		w.member = -1
-	}
-	sort.Strings(members)
-	p := len(members)
-	for i, id := range members {
-		co.conns[id].member = i
-	}
-	shadow, startIter, err := co.loadOrInit(p)
-	if err != nil {
-		return false, err
-	}
-	if startIter >= co.cfg.Iters {
-		return true, nil
-	}
-	co.logf("epoch %d: %d workers, resuming at iteration %d/%d", co.epoch, p, startIter, co.cfg.Iters)
+// Name implements sampler.Sampler: the shadow's, so the coordinator's
+// checkpoints and those of either in-process WarpLDA sampler resume in
+// one another.
+func (co *Coordinator) Name() string { return co.shadow.Name() }
 
-	// Distribute: every worker gets its slot's shard plus the routing
-	// tables and its slabs' layout, as of the restored state.
-	rows, cols := shadow.Partitions()
+// NumShards implements sampler.Sharded: the shadow's worker count.
+func (co *Coordinator) NumShards() int { return co.shadow.NumShards() }
+
+// Lost implements sampler.Rewinder.
+func (co *Coordinator) Lost() bool { return co.lost }
+
+// Assignments implements sampler.Sampler from the synced shadow. After
+// a loss they are the stale shadow's, which the trainer discards.
+func (co *Coordinator) Assignments() [][]int32 {
+	co.sync()
+	return co.shadow.Assignments()
+}
+
+// GlobalCounts returns the synced shadow's global count vector.
+func (co *Coordinator) GlobalCounts() []int32 {
+	co.sync()
+	return co.shadow.GlobalCounts()
+}
+
+// ShardTo implements sampler.Sharded from the synced shadow. The
+// checkpoint writer calls it for every shard at once; the first call
+// syncs and the rest find the shadow fresh.
+func (co *Coordinator) ShardTo(i int, w io.Writer) error {
+	if err := co.sync(); err != nil {
+		return err
+	}
+	return co.shadow.ShardTo(i, w)
+}
+
+// RestoreShards implements sampler.Sharded, and is where every epoch
+// starts — a resume, a rewind, a join: the shadow takes the union of
+// the shards at the current worker count (at least MinWorkers), the
+// current epoch ends, and the next pass forms one over the shadow's
+// state. On error nothing changes.
+func (co *Coordinator) RestoreShards(iter int, shards []io.Reader) error {
+	d := co.shadow
+	if p := max(len(co.conns), co.cfg.MinWorkers); p != d.NumShards() {
+		var err error
+		if d, err = cluster.NewDistributed(co.cfg.Corpus, co.cfg.Cfg, p); err != nil {
+			return err
+		}
+	}
+	if err := d.RestoreShards(iter, shards); err != nil {
+		return err
+	}
+	co.abortEpoch()
+	co.shadow, co.iter, co.ck = d, iter, d.GlobalCounts()
+	co.fresh, co.lost = true, false
+	return nil
+}
+
+// Iterate implements sampler.Sampler: one pass across the epoch's
+// members, forming the epoch first when it needs to be. A pass that
+// cannot finish is lost.
+func (co *Coordinator) Iterate() {
+	if err := co.pass(); err != nil && !co.lost {
+		co.lose(err)
+	}
+}
+
+func (co *Coordinator) pass() error {
+	if co.lost {
+		return errLost
+	}
+	if err := co.form(); err != nil {
+		return err
+	}
+	co.broadcast(MsgPassStart, (&PassStart{Epoch: co.epoch, Iter: co.iter, CK: co.ck}).Encode())
+	for _, phase := range []int{PhaseWord, PhaseDoc} {
+		if err := co.phaseBarrier(phase); err != nil {
+			return err
+		}
+		co.broadcast(MsgBarrier, (&Sync{Epoch: co.epoch, Iter: co.iter, Phase: phase}).Encode())
+	}
+	ck, err := co.collectPassEnds()
+	if err != nil {
+		return err
+	}
+	co.ck, co.iter, co.fresh = ck, co.iter+1, false
+	return nil
+}
+
+// form readies an epoch of the registered workers before a pass. Joined
+// workers are admitted from the members' current state (between epochs
+// the shadow is fresh, and sync does nothing); once MinWorkers are
+// registered, the shadow is restored at their count if it differs, and
+// every member gets its slot's shard, the routing tables and its slabs'
+// layout.
+func (co *Coordinator) form() error {
+	if co.members != nil && !co.joined {
+		return nil
+	}
+	if err := co.sync(); err != nil {
+		return err
+	}
+	if err := co.waitForWorkers(); err != nil {
+		return err
+	}
+	if len(co.conns) != co.shadow.NumShards() {
+		shards := make([]io.Reader, co.shadow.NumShards())
+		for i := range shards {
+			var b bytes.Buffer
+			if err := co.shadow.ShardTo(i, &b); err != nil {
+				return err
+			}
+			shards[i] = &b
+		}
+		if err := co.RestoreShards(co.iter, shards); err != nil {
+			return err
+		}
+	}
+	co.abortEpoch()
+	co.epoch++
+	co.members = make([]string, 0, len(co.conns))
+	for id := range co.conns {
+		co.members = append(co.members, id)
+	}
+	sort.Strings(co.members)
+	co.memberLost, co.joined = false, false
+	p := len(co.members)
+	co.logf("epoch %d: %d workers, resuming at iteration %d/%d", co.epoch, p, co.iter, co.cfg.Iters)
+	rows, cols := co.shadow.Partitions()
 	blockTokens := cluster.BlockTokens(co.cfg.Corpus.NumTokens(), p)
-	for i, id := range members {
+	for i, id := range co.members {
 		var sb bytes.Buffer
-		if err := shadow.ShardTo(i, &sb); err != nil {
-			return false, err
+		if err := co.shadow.ShardTo(i, &sb); err != nil {
+			return err
 		}
 		a := &Assign{
-			Epoch: co.epoch, Slot: i, P: p, Iter: startIter,
+			Epoch: co.epoch, Slot: i, P: p, Iter: co.iter,
 			K: co.cfg.Cfg.K, Alpha: co.cfg.Cfg.Alpha, Beta: co.cfg.Cfg.Beta, AlphaVec: co.cfg.Cfg.AlphaVec,
 			M: co.cfg.Cfg.M, Seed: co.cfg.Cfg.Seed,
 			V: co.cfg.Corpus.V, NumDocs: co.cfg.Corpus.NumDocs(),
 			NumTokens: co.cfg.Corpus.NumTokens(), BlockTokens: blockTokens,
 			Rows: rows, Cols: cols, Shard: sb.Bytes(),
 		}
-		a.WordCounts, a.DocCounts = shadow.Counts(i)
-		co.send(co.conns[id], MsgAssign, a.Encode())
+		a.WordCounts, a.DocCounts = co.shadow.Counts(i)
+		w := co.conns[id]
+		w.member = i
+		co.send(w, MsgAssign, a.Encode())
 	}
-
-	ck := shadow.GlobalCounts()
-	for iter := startIter; iter < co.cfg.Iters; {
-		passStart := time.Now()
-		ps := (&PassStart{Epoch: co.epoch, Iter: iter, CK: ck}).Encode()
-		for _, id := range members {
-			if w := co.conns[id]; w != nil {
-				co.send(w, MsgPassStart, ps)
-			}
-		}
-		for _, phase := range []int{PhaseWord, PhaseDoc} {
-			if err := co.phaseBarrier(ctx, hb, members, iter, phase); err != nil {
-				return false, err
-			}
-			bar := (&Sync{Epoch: co.epoch, Iter: iter, Phase: phase}).Encode()
-			for _, id := range members {
-				if w := co.conns[id]; w != nil {
-					co.send(w, MsgBarrier, bar)
-				}
-			}
-		}
-		newCK, err := co.collectPassEnds(ctx, hb, members, iter)
-		if err != nil {
-			return false, err
-		}
-		ck = newCK
-		iter++
-		co.elapsed += time.Since(passStart)
-
-		if co.joined || iter%co.cfg.CheckpointEvery == 0 || iter == co.cfg.Iters {
-			if err := co.syncCheckpoint(ctx, hb, shadow, members, iter); err != nil {
-				return false, err
-			}
-			ck = shadow.GlobalCounts()
-			if co.joined && iter < co.cfg.Iters {
-				return false, nil // reform to admit the joiners
-			}
-		}
-	}
-	return true, nil
+	return nil
 }
 
-// abortEpoch tells surviving members to discard epoch state.
+// sync brings the shadow up to date with the members' state, at most
+// once per iteration: every member uploads its shard, and the uploads
+// go through the shadow's RestoreShards. A failed upload or a lost
+// member loses the passes since the newest checkpoint.
+func (co *Coordinator) sync() error {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	if co.lost {
+		return errLost
+	}
+	if co.fresh {
+		return nil
+	}
+	co.broadcast(MsgShardReq, (&Sync{Epoch: co.epoch, Iter: co.iter}).Encode())
+	got, err := co.collect(MsgShardState, func(p []byte) (int, bool) {
+		st, err := DecodeShardState(p)
+		if err != nil || st.Epoch != co.epoch || st.Iter != co.iter {
+			return 0, false
+		}
+		return st.From, true
+	}, nil)
+	readers := make([]io.Reader, len(got))
+	for i, p := range got {
+		st, _ := DecodeShardState(p)
+		readers[i] = bytes.NewReader(st.Shard)
+	}
+	if err == nil {
+		err = co.shadow.RestoreShards(co.iter, readers)
+	}
+	if err != nil {
+		co.lose(err)
+		return err
+	}
+	co.fresh = true
+	return nil
+}
+
+// lose ends the epoch on a lost pass or upload: the members discard
+// their state, and the trainer rewinds to the newest checkpoint.
+func (co *Coordinator) lose(err error) {
+	co.logf("epoch %d aborted at iteration %d (%v); reforming from last checkpoint", co.epoch, co.iter, err)
+	co.abortEpoch()
+	co.lost = true
+}
+
+// abortEpoch tells the members to discard epoch state.
 func (co *Coordinator) abortEpoch() {
 	ab := (&Sync{Epoch: co.epoch}).Encode()
 	for _, w := range co.conns {
@@ -558,28 +702,26 @@ func (co *Coordinator) abortEpoch() {
 			w.member = -1
 		}
 	}
+	co.members = nil
 }
 
-// checkMembership aborts the epoch if a member died.
-func (co *Coordinator) checkMembership() error {
-	if co.memberLost {
-		co.abortEpoch()
-		return errMembership
+// broadcast sends one frame to every member still connected.
+func (co *Coordinator) broadcast(typ MsgType, payload []byte) {
+	for _, id := range co.members {
+		if w := co.conns[id]; w != nil && w.member >= 0 {
+			co.send(w, typ, payload)
+		}
 	}
-	return nil
 }
 
 // collect pumps events until it has one typ message from every member
 // and returns their payloads by slot. from decodes a payload and returns
 // its sender's slot, or false for stale or malformed traffic, which is
 // dropped; every other message goes to other when it is set.
-func (co *Coordinator) collect(ctx context.Context, hb *time.Ticker, members []string, typ MsgType, from func([]byte) (int, bool), other func(*evMsg)) ([][]byte, error) {
-	got := make([][]byte, len(members))
-	for left := len(members); left > 0; {
-		if err := co.checkMembership(); err != nil {
-			return nil, err
-		}
-		ev, err := co.step(ctx, hb)
+func (co *Coordinator) collect(typ MsgType, from func([]byte) (int, bool), other func(*evMsg)) ([][]byte, error) {
+	got := make([][]byte, len(co.members))
+	for left := len(got); left > 0 && !co.memberLost; {
+		ev, err := co.step()
 		switch {
 		case err != nil:
 			return nil, err
@@ -593,14 +735,17 @@ func (co *Coordinator) collect(ctx context.Context, hb *time.Ticker, members []s
 			other(ev)
 		}
 	}
-	return got, co.checkMembership()
+	if co.memberLost {
+		return nil, errMembership
+	}
+	return got, nil
 }
 
 // phaseBarrier relays token blocks between workers until every member
 // reports the phase done. Blocks are relayed from their raw payloads —
 // the coordinator decodes only the routing header.
-func (co *Coordinator) phaseBarrier(ctx context.Context, hb *time.Ticker, members []string, iter, phase int) error {
-	_, err := co.collect(ctx, hb, members, MsgPhaseDone, func(p []byte) (int, bool) {
+func (co *Coordinator) phaseBarrier(phase int) error {
+	_, err := co.collect(MsgPhaseDone, func(p []byte) (int, bool) {
 		sy, err := DecodeSync(p)
 		if err != nil || sy.Epoch != co.epoch || sy.Phase != phase {
 			return 0, false
@@ -611,10 +756,10 @@ func (co *Coordinator) phaseBarrier(ctx context.Context, hb *time.Ticker, member
 			return
 		}
 		h, err := DecodeBlockHeader(ev.payload)
-		if err != nil || h.Epoch != co.epoch || h.Phase != phase || h.To < 0 || h.To >= len(members) {
+		if err != nil || h.Epoch != co.epoch || h.Phase != phase || h.To < 0 || h.To >= len(co.members) {
 			return // stale or malformed; the phase barrier will catch real loss
 		}
-		if w := co.conns[members[h.To]]; w != nil {
+		if w := co.conns[co.members[h.To]]; w != nil {
 			co.send(w, MsgBlock, ev.payload)
 		}
 	})
@@ -623,11 +768,11 @@ func (co *Coordinator) phaseBarrier(ctx context.Context, hb *time.Ticker, member
 
 // collectPassEnds gathers every member's ck delta and aggregates the
 // next pass's global count vector (the once-per-pass allreduce).
-func (co *Coordinator) collectPassEnds(ctx context.Context, hb *time.Ticker, members []string, iter int) ([]int32, error) {
+func (co *Coordinator) collectPassEnds() ([]int32, error) {
 	k := co.cfg.Cfg.K
-	got, err := co.collect(ctx, hb, members, MsgPassEnd, func(p []byte) (int, bool) {
+	got, err := co.collect(MsgPassEnd, func(p []byte) (int, bool) {
 		pe, err := DecodePassEnd(p, k)
-		if err != nil || pe.Epoch != co.epoch || pe.Iter != iter {
+		if err != nil || pe.Epoch != co.epoch || pe.Iter != co.iter {
 			return 0, false
 		}
 		return pe.From, true
@@ -643,118 +788,4 @@ func (co *Coordinator) collectPassEnds(ctx context.Context, hb *time.Ticker, mem
 		}
 	}
 	return ck, nil
-}
-
-// syncCheckpoint collects every member's shard, commits it to the
-// shadow sampler through the validate-then-commit restore gate,
-// evaluates the log likelihood, and writes the sharded checkpoint.
-func (co *Coordinator) syncCheckpoint(ctx context.Context, hb *time.Ticker, shadow *cluster.Distributed, members []string, iter int) error {
-	req := (&Sync{Epoch: co.epoch, Iter: iter}).Encode()
-	for _, id := range members {
-		if w := co.conns[id]; w != nil {
-			co.send(w, MsgShardReq, req)
-		}
-	}
-	got, err := co.collect(ctx, hb, members, MsgShardState, func(p []byte) (int, bool) {
-		st, err := DecodeShardState(p)
-		if err != nil || st.Epoch != co.epoch || st.Iter != iter {
-			return 0, false
-		}
-		return st.From, true
-	}, nil)
-	if err != nil {
-		return err
-	}
-	readers := make([]io.Reader, len(got))
-	for i, p := range got {
-		st, _ := DecodeShardState(p)
-		readers[i] = bytes.NewReader(st.Shard)
-	}
-	if err := shadow.RestoreShards(iter, readers); err != nil {
-		// A worker uploaded state that fails validation: don't trust this
-		// epoch; reform from the last committed checkpoint instead.
-		co.logf("sync at iteration %d rejected: %v; aborting epoch", iter, err)
-		co.abortEpoch()
-		return errMembership
-	}
-	ll := sampler.LogJoint(co.cfg.Corpus, shadow.Assignments(), co.cfg.Cfg)
-	tps := 0.0
-	if sec := co.elapsed.Seconds(); sec > 0 {
-		tps = float64(co.cfg.Corpus.NumTokens()*iter) / sec
-	}
-	co.trace.Points = append(co.trace.Points, sampler.Point{
-		Iter: iter, Elapsed: co.elapsed, LogLik: ll, TokensSec: tps,
-	})
-	if err := co.writeCheckpoint(shadow, iter); err != nil {
-		return err
-	}
-	co.logf("iteration %d: log likelihood %.1f, checkpoint committed", iter, ll)
-	if co.cfg.OnSync != nil {
-		co.cfg.OnSync(iter, shadow)
-	}
-	return nil
-}
-
-// loadOrInit builds the epoch's shadow sampler over p workers: restored
-// elastically from the newest committed checkpoint when one exists,
-// freshly initialized (and immediately checkpointed, so a crash before
-// the first sync has a resume point) otherwise.
-func (co *Coordinator) loadOrInit(p int) (*cluster.Distributed, int, error) {
-	shadow, err := cluster.NewDistributed(co.cfg.Corpus, co.cfg.Cfg, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	entries, err := train.ListCheckpoints(co.cfg.CheckpointDir)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(entries) == 0 {
-		co.trace = sampler.Run{Sampler: shadow.Name()}
-		co.elapsed = 0
-		if err := co.writeCheckpoint(shadow, 0); err != nil {
-			return nil, 0, err
-		}
-		co.logf("fresh start: initial checkpoint committed at iteration 0")
-		return shadow, 0, nil
-	}
-	ckpt, err := train.Load(co.cfg.CheckpointDir)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfgP := co.cfg.Cfg
-	cfgP.Threads = p
-	if err := ckpt.Verify(shadow.Name(), co.fp, cfgP); err != nil {
-		return nil, 0, err
-	}
-	if err := ckpt.RestoreInto(shadow); err != nil {
-		return nil, 0, err
-	}
-	co.trace = ckpt.Trace
-	co.elapsed = ckpt.Elapsed
-	co.logf("resume from iteration %d: %d saved shards across %d workers", ckpt.Iter, len(ckpt.ShardFiles), p)
-	return shadow, ckpt.Iter, nil
-}
-
-// writeCheckpoint commits the shadow's state as a sharded checkpoint —
-// same envelope, format, and retention the single-process trainer uses,
-// so `warplda-train -resume` can pick up a coordinator's run and vice
-// versa.
-func (co *Coordinator) writeCheckpoint(shadow *cluster.Distributed, iter int) error {
-	cfgP := co.cfg.Cfg
-	cfgP.Threads = shadow.NumShards()
-	ckpt := &train.Checkpoint{
-		Sampler:     shadow.Name(),
-		Cfg:         cfgP,
-		Iter:        iter,
-		Elapsed:     co.elapsed,
-		Trace:       co.trace,
-		Fingerprint: co.fp,
-	}
-	if _, err := ckpt.WriteSharded(co.cfg.CheckpointDir, shadow); err != nil {
-		return fmt.Errorf("dist: writing checkpoint at iteration %d: %w", iter, err)
-	}
-	if err := train.PruneCheckpoints(co.cfg.CheckpointDir, co.cfg.CheckpointKeep, iter); err != nil {
-		co.logf("checkpoint retention sweep: %v", err)
-	}
-	return nil
 }

@@ -1,20 +1,22 @@
 // Package dist is the live multi-process execution mode of the
-// Section 5.3 design: a coordinator process owns the corpus, the
-// partitions, and the sharded checkpoint directory; worker processes
-// own disjoint token shards and run the SAME phase driver as the
-// in-process sampler (internal/cluster's Worker, over internal/core's
-// kernels), exchanging off-diagonal token blocks over TCP instead of
-// shared memory. The only
-// replicated state is the K-dim global count vector, aggregated from
-// per-worker deltas once per pass — exactly the paper's claim.
+// Section 5.3 design: a coordinator process owns the corpus and the
+// partitions; worker processes own disjoint token shards and run the
+// SAME phase driver as the in-process sampler (internal/cluster's
+// Worker, over internal/core's kernels), exchanging off-diagonal token
+// blocks over TCP instead of shared memory. The only replicated state
+// is the K-dim global count vector, aggregated from per-worker deltas
+// once per pass — exactly the paper's claim.
 //
-// Fault tolerance is elastic resume, not protocol recovery: every
-// membership change — a worker dying mid-pass, a worker joining, the
-// coordinator itself restarting — is handled by reforming the cluster
-// from the last manifest-committed sharded checkpoint, the same tested
-// path internal/train uses for -resume. The transport below is
-// therefore allowed to fail fast and simply: any connection error
-// aborts the epoch and the coordinator reforms.
+// The coordinator is a sampler.Sharded that internal/train's Run
+// drives, as it drives every in-process sampler: evaluation, sharded
+// checkpoints, retention and resume are the trainer's. Fault tolerance
+// is elastic resume, not protocol recovery: every epoch starts at
+// RestoreShards. A worker dying mid-pass rewinds the run to the newest
+// checkpoint (sampler.Rewinder), through the path -resume takes; a
+// worker joining reforms the cluster from the current shards; a
+// restarted coordinator resumes the newest checkpoint. The transport
+// below is therefore allowed to fail fast and simply: any connection
+// error ends the epoch.
 //
 // Wire format: every message is one frame —
 //
@@ -69,37 +71,18 @@ const (
 	MsgShutdown
 )
 
+// msgNames names the message types for logs and errors.
+var msgNames = [...]string{
+	MsgHello: "hello", MsgWelcome: "welcome", MsgAssign: "assign", MsgPassStart: "pass-start",
+	MsgBlock: "block", MsgPhaseDone: "phase-done", MsgBarrier: "barrier", MsgPassEnd: "pass-end",
+	MsgShardReq: "shard-req", MsgShardState: "shard-state", MsgPing: "ping", MsgPong: "pong",
+	MsgAbort: "abort", MsgShutdown: "shutdown",
+}
+
 // String names the message type for logs and errors.
 func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgWelcome:
-		return "welcome"
-	case MsgAssign:
-		return "assign"
-	case MsgPassStart:
-		return "pass-start"
-	case MsgBlock:
-		return "block"
-	case MsgPhaseDone:
-		return "phase-done"
-	case MsgBarrier:
-		return "barrier"
-	case MsgPassEnd:
-		return "pass-end"
-	case MsgShardReq:
-		return "shard-req"
-	case MsgShardState:
-		return "shard-state"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
-	case MsgAbort:
-		return "abort"
-	case MsgShutdown:
-		return "shutdown"
+	if int(t) < len(msgNames) && msgNames[t] != "" {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("msg-%d", uint8(t))
 }

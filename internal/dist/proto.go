@@ -92,20 +92,13 @@ type Assign struct {
 func (m *Assign) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Slot)
-	e.Int(m.P)
-	e.Int(m.Iter)
-	e.Int(m.K)
+	e.Ints(m.Epoch, m.Slot, m.P, m.Iter, m.K)
 	e.F64(m.Alpha)
 	e.F64(m.Beta)
 	e.F64s(m.AlphaVec)
 	e.Int(m.M)
 	e.U64(m.Seed)
-	e.Int(m.V)
-	e.Int(m.NumDocs)
-	e.Int(m.NumTokens)
-	e.Int(m.BlockTokens)
+	e.Ints(m.V, m.NumDocs, m.NumTokens, m.BlockTokens)
 	e.I32s(m.Rows)
 	e.I32s(m.Cols)
 	e.I32s(m.WordCounts)
@@ -193,8 +186,7 @@ type PassStart struct {
 func (m *PassStart) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Iter)
+	e.Ints(m.Epoch, m.Iter)
 	e.I32s(m.CK)
 	return b.Bytes()
 }
@@ -205,10 +197,7 @@ func DecodePassStart(p []byte, k int) (*PassStart, error) {
 	d := sampler.NewDec(bytes.NewReader(p))
 	m := &PassStart{Epoch: d.Int(), Iter: d.Int()}
 	m.CK = d.I32sLen("global counts", k)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decoded(m, d)
 }
 
 // Block ships a batch of finished tokens to their next owner. From and
@@ -224,11 +213,7 @@ type Block struct {
 func (m *Block) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Iter)
-	e.Int(m.Phase)
-	e.Int(m.From)
-	e.Int(m.To)
+	e.Ints(m.Epoch, m.Iter, m.Phase, m.From, m.To)
 	e.I32s(m.DS)
 	e.I32s(m.WS)
 	e.I32s(m.Payload)
@@ -267,11 +252,7 @@ type BlockHeader struct {
 // DecodeBlockHeader parses just the routing prefix of a Block payload.
 func DecodeBlockHeader(p []byte) (*BlockHeader, error) {
 	d := sampler.NewDec(bytes.NewReader(p))
-	h := &BlockHeader{Epoch: d.Int(), Iter: d.Int(), Phase: d.Int(), From: d.Int(), To: d.Int()}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return decoded(&BlockHeader{Epoch: d.Int(), Iter: d.Int(), Phase: d.Int(), From: d.Int(), To: d.Int()}, d)
 }
 
 // Sync is the shared shape of the small control messages: PhaseDone,
@@ -284,21 +265,14 @@ type Sync struct {
 func (m *Sync) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Iter)
-	e.Int(m.Phase)
-	e.Int(m.From)
+	e.Ints(m.Epoch, m.Iter, m.Phase, m.From)
 	return b.Bytes()
 }
 
 // DecodeSync parses a Sync-shaped payload.
 func DecodeSync(p []byte) (*Sync, error) {
 	d := sampler.NewDec(bytes.NewReader(p))
-	m := &Sync{Epoch: d.Int(), Iter: d.Int(), Phase: d.Int(), From: d.Int()}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decoded(&Sync{Epoch: d.Int(), Iter: d.Int(), Phase: d.Int(), From: d.Int()}, d)
 }
 
 // PassEnd reports a worker's completed pass along with its delta
@@ -313,9 +287,7 @@ type PassEnd struct {
 func (m *PassEnd) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Iter)
-	e.Int(m.From)
+	e.Ints(m.Epoch, m.Iter, m.From)
 	e.I32s(m.CkAcc)
 	return b.Bytes()
 }
@@ -325,16 +297,14 @@ func DecodePassEnd(p []byte, k int) (*PassEnd, error) {
 	d := sampler.NewDec(bytes.NewReader(p))
 	m := &PassEnd{Epoch: d.Int(), Iter: d.Int(), From: d.Int()}
 	m.CkAcc = d.I32sLen("ck delta", k)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return decoded(m, d)
 }
 
-// ShardState uploads a worker's current shard as a raw dshd stream at a
-// sync point. The coordinator feeds the streams of all workers straight
-// into RestoreShards — the same validate-then-commit gate checkpoint
-// restore uses — before writing the checkpoint.
+// ShardState uploads a worker's current shard as a raw dshd stream when
+// the coordinator's state is read (an evaluation, a checkpoint, a
+// join). The coordinator feeds the streams of all workers straight into
+// RestoreShards — the same validate-then-commit gate checkpoint restore
+// uses.
 type ShardState struct {
 	Epoch, Iter, From int
 	Shard             []byte // raw dshd stream, trailing
@@ -344,9 +314,7 @@ type ShardState struct {
 func (m *ShardState) Encode() []byte {
 	var b bytes.Buffer
 	e := sampler.NewEnc(&b)
-	e.Int(m.Epoch)
-	e.Int(m.Iter)
-	e.Int(m.From)
+	e.Ints(m.Epoch, m.Iter, m.From)
 	b.Write(m.Shard)
 	return b.Bytes()
 }
@@ -356,9 +324,14 @@ func DecodeShardState(p []byte) (*ShardState, error) {
 	r := bytes.NewReader(p)
 	d := sampler.NewDec(r)
 	m := &ShardState{Epoch: d.Int(), Iter: d.Int(), From: d.Int()}
+	m.Shard = p[len(p)-r.Len():]
+	return decoded(m, d)
+}
+
+// decoded returns m, or nil and d's error when decoding it failed.
+func decoded[T any](m *T, d *sampler.Dec) (*T, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	m.Shard = p[len(p)-r.Len():]
 	return m, nil
 }

@@ -12,9 +12,8 @@
 // exponential backoff and re-registers under the same ID (idempotent —
 // the coordinator treats a returning ID as the same worker). It keeps
 // no durable state: after any disconnect or abort it simply waits for
-// a fresh Assign, because the coordinator reforms every epoch from the
-// last committed checkpoint. Crash recovery and reconnect are the same
-// code path.
+// a fresh Assign, because every epoch starts from the coordinator's
+// restored state. Crash recovery and reconnect are the same code path.
 package dist
 
 import (
@@ -66,24 +65,12 @@ func (wc WorkerConfig) withDefaults() (WorkerConfig, error) {
 	if wc.ID == "" {
 		return wc, errors.New("dist: worker needs an ID")
 	}
-	if wc.DialTimeout <= 0 {
-		wc.DialTimeout = 5 * time.Second
-	}
-	if wc.RetryBackoff <= 0 {
-		wc.RetryBackoff = 200 * time.Millisecond
-	}
-	if wc.MaxBackoff <= 0 {
-		wc.MaxBackoff = 3 * time.Second
-	}
-	if wc.MaxRetries <= 0 {
-		wc.MaxRetries = 60
-	}
-	if wc.ReadTimeout <= 0 {
-		wc.ReadTimeout = 60 * time.Second
-	}
-	if wc.WriteTimeout <= 0 {
-		wc.WriteTimeout = 30 * time.Second
-	}
+	wc.DialTimeout = orDefault(wc.DialTimeout, 5*time.Second)
+	wc.RetryBackoff = orDefault(wc.RetryBackoff, 200*time.Millisecond)
+	wc.MaxBackoff = orDefault(wc.MaxBackoff, 3*time.Second)
+	wc.MaxRetries = orDefault(wc.MaxRetries, 60)
+	wc.ReadTimeout = orDefault(wc.ReadTimeout, 60*time.Second)
+	wc.WriteTimeout = orDefault(wc.WriteTimeout, 30*time.Second)
 	if wc.Logf == nil {
 		wc.Logf = func(string, ...any) {}
 	}
@@ -183,33 +170,21 @@ func runSession(ctx context.Context, conn net.Conn, wc WorkerConfig) (welcomed b
 	wc.Logf("dist: worker %s: registered with %s", wc.ID, wc.Coordinator)
 	for {
 		typ, payload, err := s.next()
-		if err != nil {
-			if errors.Is(err, errAborted) {
-				s.reset()
-				continue
-			}
-			return true, err
+		switch {
+		case err != nil:
+		case typ == MsgAssign:
+			err = s.handleAssign(payload)
+		case typ == MsgPassStart:
+			err = s.runPass(payload)
+		case typ == MsgShardReq:
+			err = s.handleShardReq(payload)
 		}
-		switch typ {
-		case MsgAssign:
-			if err := s.handleAssign(payload); err != nil {
-				return true, err
-			}
-		case MsgPassStart:
-			if err := s.runPass(payload); err != nil {
-				if errors.Is(err, errAborted) {
-					s.reset()
-					continue
-				}
-				return true, err
-			}
-		case MsgShardReq:
-			if err := s.handleShardReq(payload); err != nil {
-				return true, err
-			}
-		default:
-			// Stale traffic from a superseded epoch (blocks, barriers)
-			// can trail an abort; drop it.
+		// Any other frame is stale traffic from a superseded epoch
+		// (blocks, barriers) trailing an abort; it is dropped.
+		if errors.Is(err, errAborted) {
+			s.reset()
+		} else if err != nil {
+			return true, err
 		}
 	}
 }

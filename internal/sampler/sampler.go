@@ -151,6 +151,16 @@ type Sharded interface {
 	RestoreShards(iter int, shards []io.Reader) error
 }
 
+// Rewinder is implemented by samplers that can lose passes: the live
+// cluster (internal/dist), whose members may die mid-pass or upload
+// state that fails validation. Lost reports whether state was lost
+// since the last RestoreShards; nothing may then be evaluated or
+// checkpointed until the trainer restores the newest checkpoint.
+type Rewinder interface {
+	Sharded
+	Lost() bool
+}
+
 // Point is one evaluation of a training run.
 type Point struct {
 	Iter    int

@@ -60,6 +60,13 @@ func (e *Enc) Tag(s string) {
 // Int writes an int as int64.
 func (e *Enc) Int(v int) { e.write(int64(v)) }
 
+// Ints writes each of vs as Int does.
+func (e *Enc) Ints(vs ...int) {
+	for _, v := range vs {
+		e.Int(v)
+	}
+}
+
 // U64 writes a uint64.
 func (e *Enc) U64(v uint64) { e.write(v) }
 

@@ -100,10 +100,6 @@ func (d *Dense) Reset() {
 // K returns the dimension of the counter.
 func (d *Dense) K() int { return len(d.counts) }
 
-// Raw exposes the backing array for O(K) scans (e.g. building a dense
-// alias table). Callers must not modify it.
-func (d *Dense) Raw() []int32 { return d.counts }
-
 // Hash is a Counter backed by an open-addressing hash table with linear
 // probing. Keys are topics (int32 ≥ 0); the hash is key & mask, exactly
 // the "simple and function" from the paper. Empty slots hold key -1.

@@ -8,10 +8,12 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"warplda/internal/corpus"
@@ -76,6 +78,10 @@ func CorpusFingerprint(c corpus.Provider) uint32 {
 	return corpus.FingerprintOf(c)
 }
 
+// ErrNoCheckpoint is Load's error for a collection directory that holds
+// no complete checkpoint yet.
+var ErrNoCheckpoint = errors.New("no complete checkpoint")
+
 // Load reads a checkpoint from path, which may be a checkpoint
 // directory (it contains ManifestFileName), its manifest file, or a
 // checkpoint *collection* directory — what -checkpoint-dir accumulates
@@ -93,7 +99,7 @@ func Load(path string) (*Checkpoint, error) {
 		return nil, err
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("%s: no complete checkpoint", path)
+		return nil, fmt.Errorf("%s: %w", path, ErrNoCheckpoint)
 	}
 	return ReadManifest(entries[len(entries)-1].Path)
 }
@@ -154,13 +160,11 @@ func validateCheckpoint(ck *Checkpoint) error {
 func encodeEnvelope(e *sampler.Enc, ck *Checkpoint) {
 	e.Str(ck.Sampler)
 	encodeConfig(e, ck.Cfg)
-	e.Int(ck.Iter)
-	e.Int(int(ck.Elapsed))
+	e.Ints(ck.Iter, int(ck.Elapsed))
 	e.Str(ck.Trace.Sampler)
 	e.Int(len(ck.Trace.Points))
 	for _, p := range ck.Trace.Points {
-		e.Int(p.Iter)
-		e.Int(int(p.Elapsed))
+		e.Ints(p.Iter, int(p.Elapsed))
 		e.F64(p.LogLik)
 		e.F64(p.TokensSec)
 		e.F64(p.IntervalTokensSec)
@@ -237,17 +241,6 @@ func decodeConfig(d *sampler.Dec) sampler.Config {
 
 // configsEqual compares two configs field by field (AlphaVec by value).
 func configsEqual(a, b sampler.Config) bool {
-	if a.K != b.K || a.Alpha != b.Alpha || a.Beta != b.Beta ||
-		a.M != b.M || a.Seed != b.Seed || a.Threads != b.Threads {
-		return false
-	}
-	if len(a.AlphaVec) != len(b.AlphaVec) || (a.AlphaVec == nil) != (b.AlphaVec == nil) {
-		return false
-	}
-	for i := range a.AlphaVec {
-		if a.AlphaVec[i] != b.AlphaVec[i] {
-			return false
-		}
-	}
-	return true
+	return a.K == b.K && a.Alpha == b.Alpha && a.Beta == b.Beta && a.M == b.M && a.Seed == b.Seed &&
+		a.Threads == b.Threads && (a.AlphaVec == nil) == (b.AlphaVec == nil) && slices.Equal(a.AlphaVec, b.AlphaVec)
 }

@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -78,11 +79,22 @@ type CheckpointEntry struct {
 // iteration (oldest first). A directory counts only when its manifest
 // exists — a directory without one is a torn write, not a checkpoint.
 func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
-	des, err := os.ReadDir(dir)
+	stamped, torn, err := stampedDirs(dir)
 	if err != nil {
 		return nil, err
 	}
+	return slices.DeleteFunc(stamped, func(e CheckpointEntry) bool { return torn[e.Path] }), nil
+}
+
+// stampedDirs returns dir's iteration-stamped directories sorted by
+// iteration, and the set of those without a manifest.
+func stampedDirs(dir string) ([]CheckpointEntry, map[string]bool, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 	var out []CheckpointEntry
+	torn := map[string]bool{}
 	for _, de := range des {
 		m := stampedRE.FindStringSubmatch(de.Name())
 		if m == nil || !de.IsDir() {
@@ -94,57 +106,39 @@ func ListCheckpoints(dir string) ([]CheckpointEntry, error) {
 		}
 		path := filepath.Join(dir, de.Name())
 		if _, err := os.Stat(filepath.Join(path, ManifestFileName)); err != nil {
-			continue // torn: no manifest
+			torn[path] = true
 		}
 		out = append(out, CheckpointEntry{Iter: iter, Path: path})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Iter < out[j].Iter })
-	return out, nil
+	return out, torn, nil
 }
 
 // PruneCheckpoints enforces keep-last-N retention in dir after a
-// successful checkpoint at iteration current — the trainer and the
-// live coordinator run it after every checkpoint they write: all but
-// the newest keep stamped checkpoints are deleted, as are torn
-// directories (no manifest) other than the current iteration's. The
-// checkpoint just written is never deleted. Removal failures are
-// reported but the checkpoint itself already committed, so the caller
-// may choose to continue training.
+// successful checkpoint at iteration current — train.Run runs it after
+// every checkpoint it writes: all but the newest keep stamped
+// checkpoints are deleted, as are torn directories (no manifest) other
+// than the current iteration's. The checkpoint just written is never
+// deleted. Removal failures are reported but the checkpoint itself
+// already committed, so the caller may choose to continue training.
 func PruneCheckpoints(dir string, keep, current int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	entries, err := ListCheckpoints(dir)
+	stamped, torn, err := stampedDirs(dir)
 	if err != nil {
 		return err
 	}
+	keep = max(keep, 1)
 	var firstErr error
-	rm := func(path string) {
-		if err := os.RemoveAll(path); err != nil && firstErr == nil {
+	for i := len(stamped) - 1; i >= 0; i-- {
+		e := stamped[i]
+		if !torn[e.Path] && keep > 0 {
+			keep--
+			continue
+		}
+		if e.Iter == current {
+			continue
+		}
+		if err := os.RemoveAll(e.Path); err != nil && firstErr == nil {
 			firstErr = err
-		}
-	}
-	for i, e := range entries {
-		if len(entries)-i <= keep || e.Iter == current {
-			continue
-		}
-		rm(e.Path)
-	}
-	// Torn directories: stamped dirs ListCheckpoints skipped.
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return firstErr
-	}
-	for _, de := range des {
-		m := stampedRE.FindStringSubmatch(de.Name())
-		if m == nil || !de.IsDir() {
-			continue
-		}
-		if iter, err := strconv.Atoi(m[1]); err != nil || iter == current {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, de.Name(), ManifestFileName)); os.IsNotExist(err) {
-			rm(filepath.Join(dir, de.Name()))
 		}
 	}
 	return firstErr
@@ -155,8 +149,7 @@ func PruneCheckpoints(dir string, keep, current int) error {
 // every shard concurrently through fsio.AtomicWriteFile, then the
 // manifest, atomically, last (the commit point). The caller fills the
 // checkpoint's envelope — Sampler, Cfg, Iter, Elapsed, Trace,
-// Fingerprint; the trainer's own checkpoint step, the live coordinator
-// and recovery tooling all write through it.
+// Fingerprint; train.Run and recovery tooling write through it.
 func (ck *Checkpoint) WriteSharded(dir string, sh sampler.Sharded) (string, error) {
 	ckDir := filepath.Join(dir, stampedDirName(ck.Iter))
 	if err := os.MkdirAll(ckDir, 0o755); err != nil {
@@ -214,8 +207,7 @@ func writeShardFile(path string, ck *Checkpoint, i, p int, sh sampler.Sharded) (
 			e := sampler.NewEnc(w)
 			e.Int(ck.Iter)
 			e.U64(uint64(ck.Fingerprint))
-			e.Int(i)
-			e.Int(p)
+			e.Ints(i, p)
 			if err := e.Err(); err != nil {
 				return err
 			}
@@ -311,8 +303,6 @@ func ReadManifest(dir string) (*Checkpoint, error) {
 // file in a streaming pass when first read and only then serve its
 // body: the sampler consumes shards one at a time, so at most one
 // shard's file buffer is resident beyond the decoded state itself.
-// (An earlier version materialized every raw shard body up front,
-// holding ~2× the full sampler state at the worst moment.)
 // Validate-then-commit is preserved: the file-level checks run before
 // a shard's first byte reaches the decoder, and RestoreShards itself
 // validates the union of all shards before committing any state.

@@ -118,6 +118,14 @@ type Result struct {
 // that checkpoints or resumes needs s to have checkpointable state
 // (sampler.Sharded, or the StateTo/RestoreFrom pair of a one-shard
 // checkpoint); one without it fails here, before its first iteration.
+//
+// A sampler.Rewinder needs a CheckpointDir: when it reports lost passes
+// it is rewound to the newest checkpoint this run wrote or resumed
+// from, by the same restore a resume runs, and the lost passes leave no
+// trace point and no checkpoint behind. So that an early loss has a
+// point to rewind to, a fresh Rewinder run checkpoints its initial
+// state.
+//
 // The returned Result is valid (trace so far, stop reason) for every
 // non-error return.
 func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options) (Result, error) {
@@ -127,6 +135,11 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 	loop := sampler.NewLoop(s, c, cfg, opts.EvalEvery)
 	loop.Iters = opts.Iters
 	fingerprint := CorpusFingerprint(c)
+	rw, _ := s.(sampler.Rewinder)
+	if rw != nil && opts.CheckpointDir == "" {
+		return Result{}, fmt.Errorf("train: %s can lose passes and needs a CheckpointDir to rewind to", s.Name())
+	}
+	lost := func() bool { return rw != nil && rw.Lost() }
 
 	var sh sampler.Sharded
 	if opts.CheckpointDir != "" || opts.ResumeFrom != nil {
@@ -135,6 +148,18 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			return Result{}, err
 		}
 	}
+	res := Result{}
+	// last is the checkpoint a lost pass rewinds to: the newest this run
+	// wrote or resumed from.
+	var last *Checkpoint
+	restore := func(ck *Checkpoint) error {
+		if err := ck.RestoreInto(sh); err != nil {
+			return fmt.Errorf("train: restoring sharded state: %w", err)
+		}
+		loop.SetProgress(ck.Iter, ck.Elapsed, ck.Trace)
+		last = ck
+		return nil
+	}
 	if ck := opts.ResumeFrom; ck != nil {
 		if ck.Iter > opts.Iters {
 			return Result{}, fmt.Errorf("train: checkpoint is at iteration %d, past the %d-iteration target", ck.Iter, opts.Iters)
@@ -142,10 +167,9 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		if err := ck.Verify(s.Name(), fingerprint, cfg); err != nil {
 			return Result{}, err
 		}
-		if err := ck.RestoreInto(sh); err != nil {
-			return Result{}, fmt.Errorf("train: restoring sharded state: %w", err)
+		if err := restore(ck); err != nil {
+			return Result{}, err
 		}
-		loop.SetProgress(ck.Iter, ck.Elapsed, ck.Trace)
 	}
 
 	stopped := func() bool {
@@ -157,12 +181,24 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		}
 	}
 
-	res := Result{}
+	// save snapshots the sampler into CheckpointDir under an
+	// iteration-stamped directory: one shard file per worker of a
+	// sharded sampler, written concurrently, or one shard holding
+	// StateTo's stream, then the manifest (manifest.go) — either way
+	// streamed, O(1) extra memory regardless of state size.
 	save := func() (string, error) {
 		if opts.CheckpointDir == "" {
 			return "", nil
 		}
-		path, err := writeCheckpoint(loop, sh, fingerprint, opts.CheckpointDir)
+		ck := &Checkpoint{
+			Sampler:     s.Name(),
+			Cfg:         cfg,
+			Iter:        loop.Iter,
+			Elapsed:     loop.Elapsed,
+			Trace:       loop.Trace,
+			Fingerprint: fingerprint,
+		}
+		path, err := ck.WriteSharded(opts.CheckpointDir, sh)
 		if err != nil {
 			res.Run, res.Iter = loop.Trace, loop.Iter
 			return "", fmt.Errorf("train: writing checkpoint at iteration %d: %w", loop.Iter, err)
@@ -172,16 +208,32 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			// disk, not progress.
 			opts.Logf("checkpoint retention: %v", err)
 		}
-		res.CheckpointPath = path
+		last, res.CheckpointPath = ck, path
 		return path, nil
 	}
-	for loop.Iter < opts.Iters {
+	if rw != nil && last == nil {
+		if _, err := save(); err != nil {
+			return res, err
+		}
+	}
+	for {
+		// A lost pass, or a state read that lost it, rewinds here, before
+		// anything is taken from it.
+		rewound := lost()
+		if rewound {
+			if err := restore(last); err != nil {
+				return res, err
+			}
+		}
+		if loop.Iter >= opts.Iters {
+			break
+		}
 		// A stop that lands outside Step (during eval, checkpoint I/O, or
 		// a progress callback) is noticed here: checkpoint what we have
 		// and leave without starting another iteration.
 		if stopped() {
 			res.Interrupted = true
-			if loop.Iter > 0 {
+			if loop.Iter > 0 && !rewound {
 				if _, err := save(); err != nil {
 					return res, err
 				}
@@ -189,28 +241,26 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 			break
 		}
 		loop.Step()
-		final := loop.Iter == opts.Iters
-
-		var ev Event
-		ev.Iter, ev.Iters = loop.Iter, opts.Iters
+		if lost() {
+			continue
+		}
+		ev := Event{Iter: loop.Iter, Iters: opts.Iters}
 		evalStart := time.Now()
 		if p, ok := loop.Eval(); ok {
 			ev.Eval, ev.EvalTime = &p, time.Since(evalStart)
 		}
-
-		if stopped() {
-			res.Interrupted = true
-		}
-		if opts.Budget > 0 && loop.Elapsed >= opts.Budget {
-			res.OverBudget = true
-		}
+		res.Interrupted = stopped()
+		res.OverBudget = opts.Budget > 0 && loop.Elapsed >= opts.Budget
 		periodic := opts.CheckpointEvery > 0 && loop.Iter%opts.CheckpointEvery == 0
-		if periodic || final || res.Interrupted || res.OverBudget {
+		if !lost() && (periodic || loop.Iter == opts.Iters || res.Interrupted || res.OverBudget) {
 			path, err := save()
-			if err != nil {
+			if err != nil && !lost() {
 				return res, err
 			}
 			ev.Checkpoint = path
+		}
+		if lost() {
+			continue
 		}
 		if opts.Progress != nil {
 			opts.Progress(ev)
@@ -226,23 +276,6 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 		res.Interrupted, res.OverBudget = false, false
 	}
 	return res, nil
-}
-
-// writeCheckpoint snapshots the loop's sampler, as sh, into
-// CheckpointDir under an iteration-stamped directory: one shard file per
-// worker of a sharded sampler, written concurrently, or one shard
-// holding StateTo's stream, then the manifest (manifest.go) — either way
-// streamed, O(1) extra memory regardless of state size.
-func writeCheckpoint(loop *sampler.Loop, sh sampler.Sharded, fingerprint uint32, dir string) (string, error) {
-	ck := &Checkpoint{
-		Sampler:     loop.Sampler.Name(),
-		Cfg:         loop.Cfg,
-		Iter:        loop.Iter,
-		Elapsed:     loop.Elapsed,
-		Trace:       loop.Trace,
-		Fingerprint: fingerprint,
-	}
-	return ck.WriteSharded(dir, sh)
 }
 
 // publishNameRE is the set of *base* model names -publish accepts. It

@@ -116,11 +116,6 @@ func CorpusCachePath(sourcePath, cacheDir string) string {
 	return corpus.CachePathFor(sourcePath, cacheDir)
 }
 
-// MaterializeCorpus copies any provider into an in-memory *Corpus (a
-// *Corpus is returned as-is). The baseline samplers need it; WarpLDA
-// and the evaluator work on any provider directly.
-func MaterializeCorpus(p CorpusProvider) *Corpus { return corpus.Materialize(p) }
-
 // CorpusStats summarizes any provider the way Corpus.Stats does.
 func CorpusStats(p CorpusProvider) Stats { return corpus.StatsOf(p) }
 
