@@ -152,7 +152,7 @@ func TestGoldenFixtures(t *testing.T) {
 		for _, zd := range s.Assignments() {
 			binary.Write(h, binary.LittleEndian, zd)
 		}
-		if got, want := fmt.Sprintf("%x", h.Sum(nil)), "c6837e32c6c50fbb7100b37d7ad20672c40f1ccfa28beff19d44ab2f947cdb69"; got != want {
+		if got, want := fmt.Sprintf("%x", h.Sum(nil)), "fc7c3e64b8290e86820788184e4129f537172a815cd9c40b34825df8e2dd4492"; got != want {
 			t.Fatalf("assignments two iterations after the fixture hash to %s, want %s", got, want)
 		}
 		fresh := goldenSampler(t, ck, c)

@@ -2,39 +2,39 @@
 //
 // A column whose term frequency exceeds max(K, 1024) would skew any
 // per-worker column partition, so all workers cooperate on it. One
-// column at a time would cost two barriers per column and leave the
-// counting and the alias build to a lead worker; on corpora with
-// thousands of heavy words that serial fraction and barrier storm
-// erase the gain of adding threads. So:
+// column at a time would cost a barrier per stage per column and leave
+// the count merge to a lead worker; on corpora with thousands of heavy
+// words that serial fraction and barrier storm erase the gain of adding
+// threads. So:
 //
 //   - heavy columns are processed in batches, so each barrier is
-//     amortized over every column in the batch (five barriers per
+//     amortized over every column in the batch (four barriers per
 //     batch);
 //   - each column is cut into L2-sized segments that are greedy-
 //     partitioned across workers (sparse.GreedyPartition), so no
-//     stage has a serial section: counting, chains with their recount,
-//     alias builds, and draws all run on all workers;
+//     stage has a serial section: counting, chains and draws all run
+//     on all workers;
 //   - partial counts live in per-worker cache-line-padded lanes of
 //     one backing array, merged by per-column owners — the same
 //     false-sharing discipline as the ckAcc delta buffers.
 //
 // The stages hold no sampling code of their own: a segment is a
-// contiguous run of entries, and stages 1, 3 and 5 hand it to the same
-// count, chain and drawAlias kernels (kernel.go) that wordColumn runs
-// on a whole column, with a lane as the count row. Stage 3's chains and
-// stage 5's draws of a segment each reseed from (column, the segment's
-// first entry, stage), and the segment cut depends on the corpus and M
-// only, so which worker runs a segment changes no draw. One thread runs
-// the same five stages inline.
+// contiguous run of entries, and stages 1, 3 and 4 hand it to the same
+// count, chain and drawPositions kernels (kernel.go) that wordColumn
+// runs on a whole column, with a lane as the count row. The draws of
+// stage 4 position over the whole column, whose assignments are final
+// once stage 3 has run, so a segment's proposals follow q^word of the
+// column's counts and no stage recounts. Stage 3's chains and stage 4's
+// draws of a segment each reseed from (column, the segment's first
+// entry, stage), and the segment cut depends on the corpus and M only,
+// so which worker runs a segment changes no draw. One thread runs the
+// same four stages inline.
 //
 // The whole schedule is precomputed once at construction and is
 // deterministic in (corpus, Config), preserving bit-exact resume.
 package core
 
-import (
-	"warplda/internal/alias"
-	"warplda/internal/sparse"
-)
+import "warplda/internal/sparse"
 
 // heavySeg is one contiguous run of a heavy column's CSC entries,
 // processed by a single worker during the staged passes.
@@ -43,12 +43,12 @@ type heavySeg struct {
 	lo, hi int // entry range within the column view
 }
 
-// heavyBatch groups heavy columns whose five staged passes run
+// heavyBatch groups heavy columns whose four staged passes run
 // together under shared barriers.
 type heavyBatch struct {
 	cols   []int        // global column ids
 	segs   [][]heavySeg // per worker: owned segments, in schedule order
-	colsOf [][]int      // per worker: batch-column indices it merges/builds
+	colsOf [][]int      // per worker: batch-column indices it merges
 }
 
 // heavyPlan is the precomputed schedule plus the reusable scratch the
@@ -61,16 +61,12 @@ type heavyPlan struct {
 	partial  []int32 // threads × batchCap padded lanes of partial counts
 	merged   []int32 // batchCap padded lanes of merged c_w
 
-	// Per batch-column proposal samplers, rebuilt each word phase by the
-	// column's owner.
-	tabs []alias.Packed
-
 	b *heavyBatch // the batch the stages are running
 }
 
 // buildHeavyPlan cuts w.heavyCols into batches and L2-sized segments
-// and greedy-assigns both the segments (chain/draw work) and the
-// columns (merge/alias work) to workers.
+// and greedy-assigns both the segments (count/chain/draw work) and the
+// columns (merge work) to workers.
 func (w *Warp) buildHeavyPlan() *heavyPlan {
 	n := len(w.workers)
 	stride := ckLaneStride(w.cfg.K)
@@ -85,7 +81,6 @@ func (w *Warp) buildHeavyPlan() *heavyPlan {
 		batchCap: batchCap,
 		partial:  make([]int32, n*batchCap*stride),
 		merged:   make([]int32, batchCap*stride),
-		tabs:     make([]alias.Packed, batchCap),
 	}
 	for start := 0; start < len(w.heavyCols); start += batchCap {
 		end := min(start+batchCap, len(w.heavyCols))
@@ -129,20 +124,6 @@ func (p *heavyPlan) lane(wi, c int) []int32 {
 	return p.partial[off : off+p.stride]
 }
 
-// mergeInto sums every worker's partial lane for batch column c into
-// that column's merged c_w.
-func (p *heavyPlan) mergeInto(c, workers, k int) []int32 {
-	m := p.merged[c*p.stride : c*p.stride+k]
-	clear(m)
-	for wi := 0; wi < workers; wi++ {
-		part := p.lane(wi, c)
-		for t := 0; t < k; t++ {
-			m[t] += part[t]
-		}
-	}
-	return m
-}
-
 // segment returns the payloads of heavy segment s of batch b.
 func (w *Warp) segment(b *heavyBatch, s heavySeg) []int32 {
 	stride := w.m.Stride
@@ -163,7 +144,6 @@ func (w *Warp) heavyPhase() {
 		w.runPhase((*Warp).heavyCount)
 		w.runPhase((*Warp).heavyMerge)
 		w.runPhase((*Warp).heavyChains)
-		w.runPhase((*Warp).heavyTables)
 		w.runPhase((*Warp).heavyDraws)
 	}
 }
@@ -179,55 +159,42 @@ func (w *Warp) heavyCount(wk *worker) {
 	}
 }
 
-// heavyMerge is stage 2: per-column owners merge the lanes into c_w.
+// heavyMerge is stage 2: per-column owners sum every worker's partial
+// lane into the column's c_w.
 func (w *Warp) heavyMerge(wk *worker) {
-	p := w.heavy
+	p, K := w.heavy, w.cfg.K
 	for _, c := range p.b.colsOf[wk.i] {
-		p.mergeInto(c, len(w.workers), w.cfg.K)
+		m := p.merged[c*p.stride : c*p.stride+K]
+		clear(m)
+		for wi := range w.workers {
+			for t, n := range p.lane(wi, c)[:K] {
+				m[t] += n
+			}
+		}
 	}
 }
 
-// heavyChains is stage 3: MH chains against the frozen merged counts,
-// recounting the updated assignments into the partial lanes.
+// heavyChains is stage 3: MH chains against the frozen merged counts.
 func (w *Warp) heavyChains(wk *worker) {
 	p, K := w.heavy, w.cfg.K
-	zeroLanes(p, wk.i, len(p.b.cols))
 	for _, s := range p.b.segs[wk.i] {
 		cw := countRow{c: p.merged[s.c*p.stride : s.c*p.stride+K]}
-		part := wk.laneRow(p.lane(wk.i, s.c))
 		w.pass.key(&wk.r, streamHeavyChain, uint64(p.b.cols[s.c]), uint64(s.lo))
-		proposed, accepted := chain(w.segment(p.b, s), nil, w.m.Stride, cw, &part, w.pass.betas, w.pass.ckb, &wk.r)
+		proposed, accepted := chain(w.segment(p.b, s), nil, w.m.Stride, cw, nil, w.pass.betas, w.pass.ckb, &wk.r)
 		wk.stats.WordProposals += int64(proposed)
 		wk.stats.WordAccepts += int64(accepted)
 	}
 }
 
-// heavyTables is stage 4: merge again and build each column's proposal
-// sampler q^word ∝ C_wk + β (sparse count part + uniform smoothing
-// part), its topics in topic order.
-func (w *Warp) heavyTables(wk *worker) {
-	p, K := w.heavy, w.cfg.K
-	for _, c := range p.b.colsOf[wk.i] {
-		m := p.mergeInto(c, len(w.workers), K)
-		topics, weights := wk.topics[:0], wk.weights[:0]
-		for t := 0; t < K; t++ {
-			if m[t] != 0 {
-				topics = append(topics, int32(t))
-				weights = append(weights, float64(m[t]))
-			}
-		}
-		wk.topics, wk.weights = appendSmooth(topics, weights, float64(K)*w.cfg.Beta)
-		p.tabs[c] = wk.proposalTable(p.tabs[c], wk.topics, wk.weights)
-	}
-}
-
-// heavyDraws is stage 5: proposal draws. The alias tables are read-only
-// here.
+// heavyDraws is stage 4: proposal draws for each segment, positioned
+// over its whole column, which every worker only reads the assignments
+// of here.
 func (w *Warp) heavyDraws(wk *worker) {
 	p := w.heavy
 	for _, s := range p.b.segs[wk.i] {
-		w.pass.key(&wk.r, streamHeavyDraw, uint64(p.b.cols[s.c]), uint64(s.lo))
-		drawAlias(w.segment(p.b, s), nil, w.m.Stride, p.tabs[s.c], w.cfg.K, &wk.r)
+		col := p.b.cols[s.c]
+		w.pass.key(&wk.r, streamHeavyDraw, uint64(col), uint64(s.lo))
+		w.pass.wordDraws(w.m.Column(col).Payload(), nil, w.m.Stride, s.lo, s.hi, &wk.r)
 	}
 }
 

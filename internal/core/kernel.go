@@ -1,10 +1,11 @@
 // The per-token kernels: every phase, serial, threaded, staged or
-// sharded, is a sequence of calls to chain ("finish the pending MH chains
-// of these entries") and to one of the two draw routines ("draw M fresh
-// proposals for these entries"). They work on concrete data — the
-// matrix's payload array, a row's entry-index slice, a countRow held by
-// value, a copy of the generator — so the token loops contain no
-// interface call, no per-entry view construction and no division.
+// sharded, is a sequence of calls to count ("count these entries'
+// assignments"), chain ("finish the pending MH chains of these entries")
+// and drawPositions ("draw M fresh proposals for these entries"). They
+// work on concrete data — the matrix's payload array, a row's
+// entry-index slice, a countRow held by value, a copy of the generator —
+// so the token loops contain no interface call, no per-entry view
+// construction and no division.
 //
 // A run of entries is (data, idx): with idx nil, the entries are the
 // contiguous payloads data[i*stride:(i+1)*stride] of a column or a
@@ -12,9 +13,9 @@
 // PCSR indirection of a row into the whole payload array, or of a word's
 // or document's group into a Section 5.3 worker's token slab.
 //
-// WordRun and DocRun are the two phase runs — count, chain, table, draw
-// for one word's or one document's entries — over a Pass (the frozen
-// priors and C_k + β̄) and a Worker (one goroutine's scratch). Warp's
+// WordRun and DocRun are the two phase runs — count, chain, draw for
+// one word's or one document's entries — over a Pass (the frozen priors
+// and C_k + β̄) and a Worker (one goroutine's scratch). Warp's
 // wordColumn and docRow call them, and so does internal/cluster's phase
 // driver; the staged heavy path (heavy.go) calls the kernels directly.
 //
@@ -38,8 +39,8 @@ import (
 // visited (c_d or c_w): a direct-indexed array of K counts and the list
 // of topics touched since the last reset, at every K. The list is what
 // the paper's Section 5.4 hash table is for — clearing costs O(topics
-// touched) and the support comes out in O(K_w) for the sparse alias
-// build — without probe loops in the token loops; an MH step reads
+// touched) and the support comes out in O(K_w) for the log joint's
+// terms — without probe loops in the token loops; an MH step reads
 // C_k + β̄ and the prior at two random topics anyway, so the randomly
 // accessed scope is O(K) with either (docs/PERFORMANCE.md has the
 // sweep over K that decided it). The kernels take a countRow apart into
@@ -76,16 +77,6 @@ func (r *countRow) reset() {
 	r.touched = r.touched[:0]
 }
 
-// appendNonZero appends the row's support to topics and the matching
-// counts to weights, the input of a sparse alias build.
-func (r countRow) appendNonZero(topics []int32, weights []float64) ([]int32, []float64) {
-	for _, k := range r.touched {
-		topics = append(topics, k)
-		weights = append(weights, float64(r.c[k]))
-	}
-	return topics, weights
-}
-
 // entries returns the number of entries in the run (data, idx).
 func entries(data, idx []int32, stride int) int {
 	if idx != nil {
@@ -112,10 +103,6 @@ func count(data, idx []int32, stride int, row *countRow) {
 	row.touched = touched[:nt]
 }
 
-// smoothTopic is the outcome a proposal table reserves for "draw from
-// the smoothing part of the mixture instead" (uniform, or α-weighted).
-const smoothTopic = -1
-
 // chain finishes the MH chains of a run of entries: for each entry it
 // walks the M pending proposals from the current assignment s, moving
 // to proposal t with the acceptance rate of Eq. 7,
@@ -129,15 +116,20 @@ const smoothTopic = -1
 // mask that selects the next state (s and the bits of C_xs + prior_s)
 // and the statistics, so the loop has no data-dependent branch: each
 // decision is a coin toss the predictor would miss. The resulting
-// assignment is stored and counted into next (the recount of a column,
-// or a plain count lane). It returns the number of proposals that
-// differed from the state they were offered to, and how many of those
-// were accepted.
+// assignment is stored and, unless next is nil (the word phase, whose
+// draws need no count of it), counted into next: a plain count lane, or
+// a document's row. It returns the number of proposals that differed
+// from the state they were offered to, and how many of those were
+// accepted.
 func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, ckb []float64, r *rng.RNG) (proposed, accepted int) {
 	g := *r // the generator state stays in registers over the loop
-	cc, nc := cur.c, next.c
+	cc := cur.c
 	prior, ckb = prior[:len(cc)], ckb[:len(cc)] // one bounds check per topic read
-	touched, nt := next.touched[:cap(next.touched)], len(next.touched)
+	var nc, touched []int32
+	nt := 0
+	if next != nil {
+		nc, touched, nt = next.c, next.touched[:cap(next.touched)], len(next.touched)
+	}
 	for i, n := 0, entries(data, idx, stride); i < n; i++ {
 		p := entryAt(idx, i)
 		e := data[p*stride : (p+1)*stride]
@@ -155,9 +147,14 @@ func chain(data, idx []int32, stride int, cur countRow, next *countRow, prior, c
 		proposed += int(st >> 32)
 		accepted += int(uint32(st))
 		e[0] = s
-		nt = tally(nc, touched, nt, s)
+		if nc != nil {
+			nt = tally(nc, touched, nt, s)
+		}
 	}
-	*r, next.touched = g, touched[:nt]
+	*r = g
+	if next != nil {
+		next.touched = touched[:nt]
+	}
 	return proposed, accepted
 }
 
@@ -167,64 +164,58 @@ func differs(a, b int32) int {
 	return int((d | -d) >> 31)
 }
 
-// drawAlias overwrites the M proposals of every entry with draws from
-// tab, one generator word each. Where tab yields smoothTopic the
-// proposal comes from the smoothing part instead: uniform over k
-// topics, from the high half of the next word.
-func drawAlias(data, idx []int32, stride int, tab alias.Packed, k int, r *rng.RNG) {
-	g := *r
-	for i, n := 0, entries(data, idx, stride); i < n; i++ {
-		p := entryAt(idx, i)
-		e := data[p*stride+1 : (p+1)*stride]
-		for j := range e {
-			t := tab.Draw(g.Uint64())
-			if t == smoothTopic {
-				t = int32((g.Uint64() >> 32) * uint64(k) >> 32)
-			}
-			e[j] = t
-		}
-	}
-	*r = g
-}
-
-// drawPositions overwrites the M proposals of every entry of a row with
-// draws from q^doc ∝ C_dk + α_k by random positioning (Section 4.3): one
-// generator word per proposal, whose high half is the mixture coin —
-// with probability pCount = L_d/(L_d + ᾱ) copy the assignment of a
-// uniformly chosen token of the row — and whose low half is that
-// token's position, or the uniform topic of the smoothing part. With a
-// symmetric α the coin selects between the positioned token's topic and
-// the uniform topic, both computed from the low half (the position is
-// always in range), so the loop has no data-dependent branch. An
-// asymmetric α's smoothing part is an alias draw on a second word, which
-// only the coin's losers pay; that loop keeps its branch.
-func drawPositions(data, idx []int32, stride int, pCount float64, smooth alias.Packed, k int, r *rng.RNG) {
+// drawPositions overwrites the M proposals of entries lo..hi-1 of the
+// run (data, idx) with draws from q ∝ C_k + prior_k, where C_k counts
+// the assignments of the whole run, by random positioning (Section 4.3):
+// one generator word per proposal, whose high half is the mixture coin —
+// with probability pCount = L/(L + prior mass), L the run's length, copy
+// the assignment of a uniformly chosen entry of the run — and whose low
+// half is that entry's position, or the uniform topic of the smoothing
+// part. It serves q^word ∝ C_wk + β over a word's run (a column, or a
+// heavy column whose segment is lo..hi-1) and q^doc ∝ C_dk + α_k over a
+// row. With a symmetric prior the coin selects between the
+// positioned entry's topic and the uniform topic, both computed from the
+// low half (the position is always in range), so the loop has no
+// data-dependent branch. An α vector's smoothing part, smooth, is an
+// alias draw on a second word, which only the coin's losers pay; that
+// loop keeps its branch, and needs idx.
+func drawPositions(data, idx []int32, stride, lo, hi int, pCount float64, smooth alias.Packed, k int, r *rng.RNG) {
 	g := *r
 	coin := uint64(pCount * (1 << 32))
-	ld, uk := uint64(len(idx)), uint64(k)
-	if smooth != nil {
-		for _, p := range idx {
+	n, uk := uint64(entries(data, idx, stride)), uint64(k)
+	switch {
+	case smooth != nil:
+		for _, p := range idx[lo:hi] {
 			e := data[int(p)*stride+1 : (int(p)+1)*stride]
 			for j := range e {
 				x := g.Uint64()
 				if x>>32 < coin {
-					e[j] = data[int(idx[(x&(1<<32-1))*ld>>32])*stride]
+					e[j] = data[int(idx[(x&(1<<32-1))*n>>32])*stride]
 				} else {
 					e[j] = smooth.Draw(g.Uint64())
 				}
 			}
 		}
-		*r = g
-		return
-	}
-	for _, p := range idx {
-		e := data[int(p)*stride+1 : (int(p)+1)*stride]
-		for j := range e {
-			x := g.Uint64()
-			lo := x & (1<<32 - 1)
-			t := int32(lo * uk >> 32)
-			// The coin as a mask: all ones iff x>>32 < coin.
-			e[j] = t ^ (t^data[int(idx[lo*ld>>32])*stride])&int32(int64(x>>32-coin)>>63)
+	case idx != nil:
+		for _, p := range idx[lo:hi] {
+			e := data[int(p)*stride+1 : (int(p)+1)*stride]
+			for j := range e {
+				x := g.Uint64()
+				u := x & (1<<32 - 1)
+				t := int32(u * uk >> 32)
+				// The coin as a mask: all ones iff x>>32 < coin.
+				e[j] = t ^ (t^data[int(idx[u*n>>32])*stride])&int32(int64(x>>32-coin)>>63)
+			}
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			e := data[i*stride+1 : (i+1)*stride]
+			for j := range e {
+				x := g.Uint64()
+				u := x & (1<<32 - 1)
+				t := int32(u * uk >> 32)
+				e[j] = t ^ (t^data[int(u*n>>32)*stride])&int32(int64(x>>32-coin)>>63)
+			}
 		}
 	}
 	*r = g
@@ -306,6 +297,14 @@ func (p *Pass) key(r *rng.RNG, stream, key, seg uint64) {
 	r.Reseed(p.seed, p.iter, stream, key, seg)
 }
 
+// wordDraws draws the M word proposals of entries lo..hi-1 of a word's
+// whole run (data, idx) from q^word ∝ C_wk + β of the run's assignments,
+// a mixture of mass L_w + Kβ.
+func (p *Pass) wordDraws(data, idx []int32, stride, lo, hi int, r *rng.RNG) {
+	lw := float64(entries(data, idx, stride))
+	drawPositions(data, idx, stride, lo, hi, lw/(lw+float64(p.k)*p.beta), nil, p.k, r)
+}
+
 // Freeze sets the global topic counts C_k the coming pass reads.
 func (p *Pass) Freeze(ck []int32) {
 	for k, c := range ck {
@@ -314,19 +313,15 @@ func (p *Pass) Freeze(ck []int32) {
 }
 
 // Worker is one goroutine's scratch for phase runs: its generator, the
-// counts of the visited word or document, the word's recount, and the
-// word proposal table with its build buffers. Nothing outlives a run:
-// each run reseeds the generator (Pass.key).
+// counts of the visited word or document, and the counts of a
+// document's new assignments. Nothing outlives a run: each run reseeds
+// the generator (Pass.key).
 type Worker struct {
-	r       rng.RNG
-	sum     float64   // log-joint terms added since the last TakeSum
-	cur     countRow  // c_w or c_d of the column or row being visited
-	next    countRow  // a word's recount after the chains, for the proposal table
-	spare   []int32   // touched list of lane rows, which nobody reads
-	topics  []int32   // outcomes of the proposal table being built
-	weights []float64 // matching weights
-	build   alias.Table
-	tab     alias.Packed // the proposal table the draws read
+	r     rng.RNG
+	sum   float64  // log-joint terms added since the last TakeSum
+	cur   countRow // c_w or c_d of the column or row being visited
+	next  countRow // a document's new assignments, when the pass evaluates
+	spare []int32  // touched list of lane rows, which nobody reads
 }
 
 // NewWorker returns the scratch for k topics.
@@ -349,37 +344,18 @@ func (wk *Worker) laneRow(lane []int32) countRow {
 	return countRow{c: lane, touched: wk.spare[:0]}
 }
 
-// proposalTable builds the alias table over (topics, weights) into dst.
-func (wk *Worker) proposalTable(dst alias.Packed, topics []int32, weights []float64) alias.Packed {
-	wk.build.Build(weights)
-	return wk.build.Pack(dst[:0], topics)
-}
-
-// appendSmooth adds the smoothing part of the word proposal's mixture
-// (mass Kβ) to a sparse table's input as the single outcome smoothTopic,
-// so that one alias draw decides both the mixture coin and the count
-// part.
-func appendSmooth(topics []int32, weights []float64, mass float64) ([]int32, []float64) {
-	return append(topics, smoothTopic), append(weights, mass)
-}
-
 // WordRun is the word phase of word w, whose entries are the non-empty
 // run (data, idx): count c_w, finish the doc-proposal chains against it
-// with the word acceptance rate (Eq. 7, π^doc) while recounting, then
-// draw M fresh word proposals per entry from q^word ∝ C_wk + β of the
-// recount. It returns chain's statistics.
+// with the word acceptance rate (Eq. 7, π^doc), then draw M fresh word
+// proposals per entry from q^word ∝ C_wk + β of the new assignments by
+// positioning over the run (wordDraws), which needs no count of them. It
+// returns chain's statistics.
 func (p *Pass) WordRun(wk *Worker, w int, data, idx []int32, stride int) (proposed, accepted int) {
 	p.key(&wk.r, streamWord, uint64(w), 0)
 	wk.cur.reset()
-	wk.next.reset()
 	count(data, idx, stride, &wk.cur)
-	proposed, accepted = chain(data, idx, stride, wk.cur, &wk.next, p.betas, p.ckb, &wk.r)
-
-	topics, weights := wk.next.appendNonZero(wk.topics[:0], wk.weights[:0])
-	topics, weights = appendSmooth(topics, weights, float64(p.k)*p.beta)
-	wk.topics, wk.weights = topics, weights
-	wk.tab = wk.proposalTable(wk.tab, topics, weights)
-	drawAlias(data, idx, stride, wk.tab, p.k, &wk.r)
+	proposed, accepted = chain(data, idx, stride, wk.cur, nil, p.betas, p.ckb, &wk.r)
+	p.wordDraws(data, idx, stride, 0, entries(data, idx, stride), &wk.r)
 	return proposed, accepted
 }
 
@@ -406,7 +382,7 @@ func (p *Pass) DocRun(wk *Worker, d int, data, idx []int32, stride int, lane []i
 		proposed, accepted = chain(data, idx, stride, wk.cur, &acc, p.alphas, p.ckb, &wk.r)
 	}
 	ld := float64(len(idx))
-	drawPositions(data, idx, stride, ld/(ld+p.alphaBar), p.alphaTab, p.k, &wk.r)
+	drawPositions(data, idx, stride, 0, len(idx), ld/(ld+p.alphaBar), p.alphaTab, p.k, &wk.r)
 	return proposed, accepted
 }
 

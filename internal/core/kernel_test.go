@@ -329,6 +329,56 @@ func TestProposalsFollowTheirDistributions(t *testing.T) {
 	}
 }
 
+// A heavy column's segments are drawn by different workers, each after
+// every segment's chains have run, so each segment's proposals must
+// follow q^word ∝ C_wk + β of the whole column: positioned over the
+// column, not the segment, with the coin of the column's length. The
+// column here spans two segments whose assignments share no topic, with
+// every proposal equal to its assignment so that the chains keep them,
+// and β puts a third of the mixture's mass on the smoothing part. Pooled
+// over the segments, draws confined to each segment would follow the
+// column's law, so each segment is checked on its own.
+func TestHeavySegmentsDrawFromTheirColumn(t *testing.T) {
+	c := heavyCorpus()
+	cfg := defaultCfg(16)
+	cfg.Threads = 2
+	cfg.Beta = 50000 / float64(2*cfg.K) // Kβ = L_w/2
+	w, err := New(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.heavyCols) != 1 || heavySegments(w) < 2 {
+		t.Fatalf("heavy columns %v in %d segments, want one in two or more", w.heavyCols, heavySegments(w))
+	}
+	w.Iterate()
+
+	b := &w.heavy.batches[0]
+	col, stride := w.m.Column(b.cols[0]).Payload(), w.m.Stride
+	for _, segs := range b.segs {
+		for _, s := range segs {
+			for i := s.lo; i < s.hi; i++ {
+				topic := int32(i % (cfg.K / 2)) // the first segment's topics
+				if s.lo > 0 {
+					topic += int32(cfg.K / 2)
+				}
+				for j := i * stride; j < (i+1)*stride; j++ {
+					col[j] = topic
+				}
+			}
+		}
+	}
+	w.heavyPhase()
+	counts, prior, _ := groupOf(col, nil, stride, w.pass.betas)
+	for _, segs := range b.segs {
+		for _, s := range segs {
+			_, _, proposals := groupOf(w.segment(b, s), nil, stride, prior)
+			pt := newProposalTally(cfg.K)
+			pt.add(counts, prior, proposals)
+			pt.check(t, fmt.Sprintf("segment %d..%d", s.lo, s.hi))
+		}
+	}
+}
+
 // groupOf splits a run of entries into its assignment counts and its
 // pending proposals.
 func groupOf(data, idx []int32, stride int, prior []float64) ([]int32, []float64, []int32) {
@@ -419,12 +469,13 @@ func TestIterateKeepsCountsConsistent(t *testing.T) {
 	}
 }
 
-// Every visit counts into the same two K-sized rows, so each must start
+// Every visit counts into the same K-sized rows, so each must start
 // all-zero: a count left behind would leak one column's c_w into the
-// next column's acceptance rates and proposal table, and no check on
-// c_k would see it. At a K far above any row's length, with and without
-// the staged heavy path: during a pass a row holds exactly the visited
-// column's or document's tokens, and after it a reset leaves nothing.
+// next column's acceptance rates, and no check on c_k would see it. At a
+// K far above any row's length, with and without the staged heavy path:
+// during a pass a row holds exactly the visited column's or document's
+// tokens, and after it a reset leaves nothing. A column counts into cur
+// only; its proposals are drawn without a recount.
 func TestRowsCleanBetweenVisits(t *testing.T) {
 	const k = 65536
 	// Word 0 occurs 1100·60 > K times; the other 79 words about 55 times.
@@ -469,7 +520,7 @@ func TestRowsCleanBetweenVisits(t *testing.T) {
 				for col := rg[0]; col < rg[1]; col++ {
 					if lw := w.m.Column(col).Len(); lw > 0 && !w.isHeavy[col] {
 						w.wordColumn(wk, col)
-						holds("a column", lw, wk.cur, wk.next)
+						holds("a column", lw, wk.cur)
 					}
 				}
 			}

@@ -24,9 +24,10 @@
 //
 // Iterate runs heavy → wordPhase → docPhase → merge. A phase hands each
 // of its columns or rows to WordRun or DocRun (kernel.go), which visit
-// it in three sweeps — count, finish chains (recounting as it goes),
-// draw — each one kernel over the raw payload array; this file only
-// schedules the columns and rows across the workers.
+// it in three sweeps — count, finish chains (a document's counting its
+// new assignments as it goes), draw by positioning — each one kernel
+// over the raw payload array; this file only schedules the columns and
+// rows across the workers.
 //
 // Threading model (docs/PERFORMANCE.md): work is cut into contiguous
 // chunks whose token payloads fit in a per-core L2 budget, assigned to
@@ -59,7 +60,7 @@ const (
 	cacheLineI32 = 16
 	// l2ChunkBytes is the token-payload budget of one work chunk: half of
 	// a typical 1 MiB per-core L2, leaving the other half for the row
-	// counter, the alias scratch, and the structure arrays.
+	// counters, the C_k + β̄ table, and the structure arrays.
 	l2ChunkBytes = 512 << 10
 	// heavyBatchBytes bounds the partial-count scratch of the staged
 	// intra-word passes (heavy.go): one batch needs

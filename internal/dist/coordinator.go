@@ -244,11 +244,7 @@ func (co *Coordinator) Serve(ctx context.Context) (sampler.Run, error) {
 	if err != nil {
 		return sampler.Run{}, err
 	}
-	// Checkpoints record the starting worker count as Threads, the
-	// topology warplda-train -resume takes by default.
-	cfg := co.cfg.Cfg
-	cfg.Threads = len(co.conns)
-	res, err := train.Run(co, co.cfg.Corpus, cfg, train.Options{
+	res, err := train.Run(co, co.cfg.Corpus, co.cfg.Cfg, train.Options{
 		Iters:           co.cfg.Iters,
 		EvalEvery:       co.cfg.CheckpointEvery,
 		CheckpointDir:   co.cfg.CheckpointDir,

@@ -13,6 +13,7 @@ import (
 	"warplda/internal/cluster"
 	"warplda/internal/corpus"
 	"warplda/internal/sampler"
+	"warplda/internal/train"
 )
 
 // e2eCorpus is shared by the end-to-end tests: big enough that two
@@ -335,6 +336,7 @@ func TestLateJoinerTriggersReform(t *testing.T) {
 	cfg := e2eConfig()
 	const iters = 16
 	want := referenceLL(t, c, cfg, 1, iters)
+	dir := t.TempDir()
 
 	var logMu sync.Mutex
 	var logLines []string
@@ -348,7 +350,7 @@ func TestLateJoinerTriggersReform(t *testing.T) {
 	co, err := NewCoordinator(CoordinatorConfig{
 		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg,
 		Iters: iters, MinWorkers: 1,
-		CheckpointDir: t.TempDir(), CheckpointEvery: 3, CheckpointKeep: 2,
+		CheckpointDir: dir, CheckpointEvery: 3, CheckpointKeep: 2,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -405,6 +407,17 @@ func TestLateJoinerTriggersReform(t *testing.T) {
 		t.Fatalf("final trace point at iteration %d, want %d", last.Iter, iters)
 	}
 	requireWithinElasticTolerance(t, last.LogLik, want)
+
+	// The newest checkpoint was written after the join: it must record
+	// the worker count it has shards for, the topology a resume takes.
+	ck, err := train.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Iter != iters || ck.Cfg.Threads != 2 || len(ck.ShardFiles) != 2 {
+		t.Errorf("newest checkpoint: iteration %d, threads %d, %d shards; want iteration %d, threads 2, 2 shards",
+			ck.Iter, ck.Cfg.Threads, len(ck.ShardFiles), iters)
+	}
 
 	logMu.Lock()
 	defer logMu.Unlock()

@@ -185,14 +185,20 @@ func Run(s sampler.Sampler, c corpus.Provider, cfg sampler.Config, opts Options)
 	// iteration-stamped directory: one shard file per worker of a
 	// sharded sampler, written concurrently, or one shard holding
 	// StateTo's stream, then the manifest (manifest.go) — either way
-	// streamed, O(1) extra memory regardless of state size.
+	// streamed, O(1) extra memory regardless of state size. The
+	// checkpoint records its shard count as Threads, the topology
+	// warplda-train -resume takes by default, which a sampler whose
+	// worker count changes mid-run (a live cluster after a join) no
+	// longer shares with cfg.
 	save := func() (string, error) {
 		if opts.CheckpointDir == "" {
 			return "", nil
 		}
+		ckCfg := cfg
+		ckCfg.Threads = sh.NumShards()
 		ck := &Checkpoint{
 			Sampler:     s.Name(),
-			Cfg:         cfg,
+			Cfg:         ckCfg,
 			Iter:        loop.Iter,
 			Elapsed:     loop.Elapsed,
 			Trace:       loop.Trace,

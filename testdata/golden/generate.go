@@ -12,7 +12,10 @@
 // holds no RNG state (the samplers key every draw by iteration, phase
 // and key). They were written by this program inside a checkout of the
 // commit that introduced that layout, and only those two directories
-// were kept. At ba1d440 core.Warp wrote shards in the wshd layout (the
+// were kept. distributed was written once more, and alone, inside a
+// checkout of the commit that draws q^word by positioning over the
+// column: its state is two passes old, and golden_test.go requires two
+// passes from it to equal a fresh four-pass run. At ba1d440 core.Warp wrote shards in the wshd layout (the
 // warp fixture), which has since been retired: no writer or reader of
 // it is left, and golden_test.go keeps the fixture as input a restore
 // must refuse.
