@@ -1,7 +1,8 @@
 // Multi-process failure injection: these tests build the real
-// coordinator and worker binaries, run them against each other over
-// loopback TCP, and recover from kill -9 — the fault model the elastic
-// design promises to absorb without operator intervention.
+// warplda-train (with -listen, the coordinator) and warplda-worker
+// binaries, run them against each other over loopback TCP, and recover
+// from kill -9 — the fault model the elastic design promises to absorb
+// without operator intervention.
 package main
 
 import (
@@ -28,10 +29,10 @@ import (
 // cache makes repeat builds cheap.
 func buildBinaries(t *testing.T, dir string) (coordBin, workerBin string) {
 	t.Helper()
-	coordBin = filepath.Join(dir, "warplda-coordinator")
+	coordBin = filepath.Join(dir, "warplda-train")
 	workerBin = filepath.Join(dir, "warplda-worker")
 	for bin, pkg := range map[string]string{
-		coordBin:  "warplda/cmd/warplda-coordinator",
+		coordBin:  "warplda/cmd/warplda-train",
 		workerBin: "warplda/cmd/warplda-worker",
 	} {
 		cmd := exec.Command("go", "build", "-o", bin, pkg)
@@ -160,7 +161,7 @@ func (p *proc) waitExit(timeout time.Duration) error {
 
 var (
 	listenRe = regexp.MustCompile(`listening on (\S+)`)
-	logLikRe = regexp.MustCompile(`iter\s+(\d+)\s+elapsed.*logLik (\S+)`)
+	logLikRe = regexp.MustCompile(`iter\s+(\d+)\s+logLik (\S+)`)
 )
 
 // listenAddr extracts the coordinator's bound address from its logs.
@@ -178,8 +179,8 @@ func (p *proc) listenAddr() string {
 	return ""
 }
 
-// finalLogLik extracts the trace line for the final iteration from the
-// coordinator's exit summary.
+// finalLogLik extracts the progress line for the final iteration from
+// the coordinator's output.
 func (p *proc) finalLogLik(iter int) float64 {
 	p.t.Helper()
 	p.mu.Lock()
@@ -198,7 +199,7 @@ func (p *proc) finalLogLik(iter int) float64 {
 		}
 		return ll
 	}
-	p.t.Fatalf("no trace line for iteration %d in coordinator output", iter)
+	p.t.Fatalf("no progress line for iteration %d in coordinator output", iter)
 	return 0
 }
 
@@ -226,10 +227,9 @@ func checkTolerance(t *testing.T, got, want float64) {
 
 func coordArgs(corpusPath, ckptDir, addr string, iters int) []string {
 	return []string{
-		"-addr", addr, "-corpus", corpusPath, "-checkpoint-dir", ckptDir,
+		"-algo", "distributed", "-listen", addr, "-corpus", corpusPath, "-checkpoint-dir", ckptDir,
 		"-topics", "5", "-m", "2", "-seed", "1234", "-iters", fmt.Sprint(iters),
-		"-min-workers", "2", "-checkpoint-every", "3", "-checkpoint-keep", "2",
-		"-heartbeat-interval", "100ms", "-heartbeat-timeout", "5s",
+		"-threads", "2", "-eval-every", "3", "-checkpoint-every", "3", "-checkpoint-keep", "2",
 	}
 }
 

@@ -48,6 +48,18 @@
 //
 //	warplda-train -corpus huge.uci -stream -corpus-cache /fast-ssd/cache -iters 100
 //
+// With -listen the distributed sampler's workers are warplda-worker
+// processes on other machines (the cluster of the paper's Section 5.3),
+// trained on the same schedule as an in-process run. This process owns
+// the corpus and relays the workers' token blocks; -threads is the
+// membership an epoch needs, and -checkpoint-dir is the recovery log: a
+// worker's death rewinds the run to the newest checkpoint, a joiner is
+// admitted at the next pass, and a restart with the same command line
+// resumes the newest checkpoint.
+//
+//	warplda-train -corpus c.uci -algo distributed -threads 2 -listen :7077 -checkpoint-dir ckpt/
+//	warplda-worker -coordinator host:7077   # on each worker machine
+//
 // A model saved with -save is the snapshot cmd/warplda-serve loads,
 // written in the versioned, CRC32-checksummed format (WARPLDA v2) via
 // temp-file + atomic rename. -publish <model-dir>/<name> installs the
@@ -63,6 +75,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -72,6 +85,8 @@ import (
 	"time"
 
 	"warplda"
+	"warplda/internal/corpus"
+	"warplda/internal/dist"
 )
 
 func main() { os.Exit(run()) }
@@ -89,7 +104,7 @@ type trainFlags struct {
 	publish                              string
 	publishKeep, deltaMaxChain           int
 	publishDelta, stream                 bool
-	corpusCache                          string
+	corpusCache, listen                  string
 	maxResidentMB                        int
 }
 
@@ -104,7 +119,7 @@ func defineFlags(fs *flag.FlagSet) *trainFlags {
 	fs.IntVar(&f.m, "m", 2, "MH steps per token (MH-based samplers)")
 	fs.IntVar(&f.iters, "iters", 100, "training iterations (total, including resumed ones)")
 	fs.IntVar(&f.evalEvery, "eval-every", 10, "log-likelihood evaluation interval")
-	fs.IntVar(&f.threads, "threads", 1, "worker threads/shards (parallel samplers: warplda, distributed)")
+	fs.IntVar(&f.threads, "threads", 1, "worker threads/shards (parallel samplers: warplda, distributed); with -listen, the workers an epoch waits for")
 	fs.Uint64Var(&f.seed, "seed", 42, "random seed")
 	fs.IntVar(&f.topWords, "top-words", 10, "top words to print per topic")
 	fs.IntVar(&f.printTopics, "print-topics", 10, "number of topics to print")
@@ -121,6 +136,7 @@ func defineFlags(fs *flag.FlagSet) *trainFlags {
 	fs.BoolVar(&f.stream, "stream", false, "out-of-core ingestion: build (or reuse) a .warpcorpus cache and memory-map it instead of loading the corpus into RAM")
 	fs.StringVar(&f.corpusCache, "corpus-cache", "", "directory for the .warpcorpus cache (with -stream; default: the corpus file's directory)")
 	fs.IntVar(&f.maxResidentMB, "max-resident-mb", 0, "cap in MiB on the buffers that build the cache (with -stream; each takes a quarter, at most 1 MiB; 0 = no cap)")
+	fs.StringVar(&f.listen, "listen", "", "with -algo distributed and -checkpoint-dir: listen on this address for warplda-worker processes, which then run the workers")
 	return f
 }
 
@@ -171,6 +187,9 @@ func validateFlags(f trainFlags) error {
 	}
 	if f.publishDelta && f.deltaMaxChain < 1 {
 		return fmt.Errorf("-delta-max-chain = %d, want >= 1", f.deltaMaxChain)
+	}
+	if f.listen != "" && (f.algo != warplda.Distributed || f.checkpointDir == "") {
+		return fmt.Errorf("-listen only applies with -algo distributed and -checkpoint-dir (the recovery log)")
 	}
 	known := append(append([]string(nil), warplda.Algorithms...), warplda.Distributed)
 	for _, a := range known {
@@ -280,7 +299,20 @@ func run() int {
 		}
 	}
 
-	s, err := warplda.NewSampler(f.algo, c, cfg)
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "warplda-train: "+format+"\n", args...)
+	}
+	var s warplda.Sampler
+	var co *dist.Coordinator
+	var err error
+	if f.listen == "" {
+		s, err = warplda.NewSampler(f.algo, c, cfg)
+	} else if co, err = dist.NewCoordinator(dist.CoordinatorConfig{
+		Addr: f.listen, Corpus: corpus.Materialize(c), Cfg: cfg, MinWorkers: cfg.Threads, Logf: logf,
+	}); err == nil {
+		fmt.Printf("listening on %s\n", co.Addr())
+		s = co
+	}
 	if err != nil {
 		return fatal(err)
 	}
@@ -330,29 +362,28 @@ func run() int {
 	}
 
 	// First signal: finish the current iteration, checkpoint, exit
-	// cleanly. Second signal: abort now.
-	stop := make(chan struct{})
+	// cleanly (a live cluster drops the pass in flight instead, and stops
+	// at its newest checkpoint). Second signal: abort now.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		sig := <-sigs
 		fmt.Fprintf(os.Stderr, "warplda-train: %v: finishing current iteration and checkpointing (signal again to abort)\n", sig)
-		close(stop)
+		cancel()
 		<-sigs
 		os.Exit(130)
 	}()
 
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "warplda-train: "+format+"\n", args...)
-	}
-	res, err := warplda.TrainCheckpointed(s, c, cfg, warplda.TrainOptions{
+	opts := warplda.TrainOptions{
 		Iters:           f.iters,
 		EvalEvery:       f.evalEvery,
 		CheckpointDir:   f.checkpointDir,
 		CheckpointEvery: f.checkpointEvery,
 		CheckpointKeep:  f.checkpointKeep,
 		Budget:          f.budget,
-		Stop:            stop,
+		Stop:            ctx.Done(),
 		ResumeFrom:      resume,
 		Logf:            logf,
 		Progress: func(ev warplda.TrainEvent) {
@@ -373,7 +404,13 @@ func run() int {
 				}
 			}
 		},
-	})
+	}
+	var res warplda.TrainResult
+	if co != nil {
+		res, err = co.Serve(ctx, opts)
+	} else {
+		res, err = warplda.TrainCheckpointed(s, c, cfg, opts)
+	}
 	signal.Stop(sigs)
 	if err != nil {
 		return fatal(err)

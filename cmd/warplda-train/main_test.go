@@ -42,6 +42,8 @@ func TestValidateFlags(t *testing.T) {
 		{"negative max-resident-mb", func(f *trainFlags) { f.stream = true; f.maxResidentMB = -1 }, "-max-resident-mb"},
 		{"corpus-cache without stream", func(f *trainFlags) { f.corpusCache = "cache/" }, "-stream"},
 		{"max-resident-mb without stream", func(f *trainFlags) { f.maxResidentMB = 128 }, "-stream"},
+		{"listen without distributed", func(f *trainFlags) { f.listen = ":7077"; f.checkpointDir = "ck" }, "-listen"},
+		{"listen without checkpoint-dir", func(f *trainFlags) { f.listen = ":7077"; f.algo = "distributed" }, "-listen"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +65,13 @@ func TestValidateFlags(t *testing.T) {
 	dist.threads = 4
 	if err := validateFlags(dist); err != nil {
 		t.Fatalf("distributed rejected: %v", err)
+	}
+	// The live cluster: distributed, with its recovery log.
+	live := dist
+	live.listen = ":7077"
+	live.checkpointDir = "ck"
+	if err := validateFlags(live); err != nil {
+		t.Fatalf("-listen with -algo distributed and -checkpoint-dir rejected: %v", err)
 	}
 	// m = 0 is legal for the non-MH samplers.
 	cgs := ok
@@ -179,6 +188,7 @@ func TestResumeCommandRepeatsFlags(t *testing.T) {
 		"stream":           {"-stream"},
 		"corpus-cache":     {"-corpus-cache", "cache"},
 		"max-resident-mb":  {"-max-resident-mb", "9"},
+		"listen":           {"-listen", ":7077"},
 	}
 	fs := flag.NewFlagSet("warplda-train", flag.ContinueOnError)
 	defineFlags(fs)

@@ -1,9 +1,10 @@
 // Command warplda-worker runs one worker of a multi-node distributed
 // training cluster (internal/dist). A worker is a pure compute node:
 // it never reads the corpus — it receives its token shard, routing
-// tables, and per-pass global counts from the coordinator and runs the
-// same phase bodies as the in-process sampler, shipping finished token
-// blocks back through the coordinator.
+// tables, and per-pass global counts from the coordinator (warplda-train
+// -algo distributed -listen) and runs the same phase bodies as the
+// in-process sampler, shipping finished token blocks back through the
+// coordinator.
 //
 // Workers keep no durable state. Killing one (even kill -9) and
 // starting a fresh one is the supported recovery procedure: the
@@ -14,7 +15,8 @@
 //
 // Usage:
 //
-//	warplda-worker -coordinator host:7077
+//	warplda-train -algo distributed -threads 2 -listen :7077 -checkpoint-dir ckpt/ -corpus c.uci
+//	warplda-worker -coordinator host:7077   # on each worker machine
 package main
 
 import (

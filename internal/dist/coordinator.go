@@ -24,13 +24,10 @@ package dist
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -41,7 +38,9 @@ import (
 	"warplda/internal/train"
 )
 
-// CoordinatorConfig configures NewCoordinator.
+// CoordinatorConfig configures NewCoordinator. The training schedule —
+// iterations, evaluation, checkpoints, retention — is the train.Options
+// that Serve is given.
 type CoordinatorConfig struct {
 	// Addr is the listen address (host:port; port 0 picks one).
 	Addr string
@@ -50,19 +49,8 @@ type CoordinatorConfig struct {
 	// Cfg is the sampler configuration (M >= 1; Threads is ignored —
 	// the worker count is the live membership).
 	Cfg sampler.Config
-	// Iters is the total number of training iterations.
-	Iters int
 	// MinWorkers is the membership an epoch needs to form (default 1).
 	MinWorkers int
-	// CheckpointDir receives the sharded checkpoints; the newest is
-	// where a restart resumes and a lost pass rewinds to. Required.
-	CheckpointDir string
-	// CheckpointEvery is the sync-point cadence in iterations
-	// (default 5). Each sync collects worker shards, evaluates the log
-	// likelihood, and commits a checkpoint.
-	CheckpointEvery int
-	// CheckpointKeep is the keep-last-N retention (default 3).
-	CheckpointKeep int
 	// HeartbeatInterval is the ping cadence (default 1s);
 	// HeartbeatTimeout the silence after which a worker is declared dead
 	// (default 30s).
@@ -75,26 +63,13 @@ type CoordinatorConfig struct {
 	WriteTimeout time.Duration
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// OnSync, when non-nil, is called after every committed checkpoint
-	// with its iteration and the coordinator as a sampler, valid for the
-	// duration of the call only (the driver blocks until it returns): the
-	// hook publishers use to emit a model or WARPDLT delta per sync point.
-	OnSync func(iter int, s sampler.Sampler)
 }
 
 func (cc CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	if cc.Corpus == nil {
 		return cc, errors.New("dist: coordinator needs a corpus")
 	}
-	if cc.Iters < 1 {
-		return cc, fmt.Errorf("dist: %d iterations", cc.Iters)
-	}
-	if cc.CheckpointDir == "" {
-		return cc, errors.New("dist: coordinator needs a checkpoint directory (it is the recovery log)")
-	}
 	cc.MinWorkers = orDefault(cc.MinWorkers, 1)
-	cc.CheckpointEvery = orDefault(cc.CheckpointEvery, 5)
-	cc.CheckpointKeep = orDefault(cc.CheckpointKeep, 3)
 	cc.HeartbeatInterval = orDefault(cc.HeartbeatInterval, time.Second)
 	cc.HeartbeatTimeout = orDefault(cc.HeartbeatTimeout, 30*time.Second)
 	cc.ReadTimeout = orDefault(cc.ReadTimeout, 60*time.Second)
@@ -187,8 +162,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the configuration, builds the initial
-// state, creates the checkpoint directory, and starts listening. Serve
-// runs the cluster.
+// state, and starts listening. Serve runs the cluster.
 func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 	cc, err := cc.withDefaults()
 	if err != nil {
@@ -196,9 +170,6 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 	}
 	shadow, err := cluster.NewDistributed(cc.Corpus, cc.Cfg, cc.MinWorkers)
 	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(cc.CheckpointDir, 0o755); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cc.Addr)
@@ -222,59 +193,54 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
 // Serve accepts workers, waits for MinWorkers, trains the coordinator
-// through train.Run — resuming the newest checkpoint in CheckpointDir
-// when there is one, and stopping when ctx is done — then tells the
-// workers to shut down. It returns the run's evaluation trace.
-func (co *Coordinator) Serve(ctx context.Context) (sampler.Run, error) {
+// through train.Run on the schedule opts gives, then tells the workers
+// to shut down. opts.CheckpointDir is required: it is the recovery log.
+// With no opts.ResumeFrom, the newest checkpoint in it is resumed, so a
+// restarted coordinator continues its run from the same arguments.
+// ctx is the run's Stop: when it is done, the run stops as train.Run's
+// Stop stops it. opts.Progress sees every event after the coordinator
+// has logged it.
+func (co *Coordinator) Serve(ctx context.Context, opts train.Options) (train.Result, error) {
 	defer co.ln.Close()
 	defer close(co.quit)
 	defer co.closeAll()
+	if opts.CheckpointDir == "" {
+		return train.Result{}, errors.New("dist: coordinator needs a checkpoint directory (it is the recovery log)")
+	}
 	go co.acceptLoop()
 	co.ctx, co.hb = ctx, time.NewTicker(co.cfg.HeartbeatInterval)
 	defer co.hb.Stop()
 	if err := co.waitForWorkers(); err != nil {
-		return sampler.Run{}, err
+		return train.Result{}, err
 	}
-	ck, err := train.Load(co.cfg.CheckpointDir)
-	if errors.Is(err, train.ErrNoCheckpoint) {
-		ck, err = nil, nil
-	} else if err == nil {
-		co.logf("resume from iteration %d: %d saved shards across %d workers", ck.Iter, len(ck.ShardFiles), len(co.conns))
+	if opts.ResumeFrom == nil {
+		ck, err := train.Load(opts.CheckpointDir)
+		switch {
+		case err == nil:
+			co.logf("resume from iteration %d: %d saved shards across %d workers", ck.Iter, len(ck.ShardFiles), len(co.conns))
+			opts.ResumeFrom = ck
+		case !errors.Is(err, train.ErrNoCheckpoint):
+			return train.Result{}, err
+		}
 	}
-	if err != nil {
-		return sampler.Run{}, err
+	progress := opts.Progress
+	opts.Stop, opts.Progress = ctx.Done(), func(ev train.Event) {
+		if ev.Checkpoint != "" && ev.Eval != nil {
+			co.logf("iteration %d: log likelihood %.1f, checkpoint committed", ev.Iter, ev.Eval.LogLik)
+		}
+		if progress != nil {
+			progress(ev)
+		}
 	}
-	res, err := train.Run(co, co.cfg.Corpus, co.cfg.Cfg, train.Options{
-		Iters:           co.cfg.Iters,
-		EvalEvery:       co.cfg.CheckpointEvery,
-		CheckpointDir:   co.cfg.CheckpointDir,
-		CheckpointEvery: co.cfg.CheckpointEvery,
-		CheckpointKeep:  co.cfg.CheckpointKeep,
-		Logf:            co.logf,
-		Stop:            ctx.Done(),
-		Progress:        co.progress,
-		ResumeFrom:      ck,
-	})
+	res, err := train.Run(co, co.cfg.Corpus, co.cfg.Cfg, opts)
 	if err != nil || !res.Completed {
-		return res.Run, cmp.Or(err, ctx.Err())
+		return res, err
 	}
 	co.logf("training complete at iteration %d; shutting down workers", res.Iter)
 	for _, w := range co.conns {
 		co.send(w, MsgShutdown, nil)
 	}
-	return res.Run, nil
-}
-
-// progress logs every sync point — an evaluation and a committed
-// checkpoint — and hands it to OnSync.
-func (co *Coordinator) progress(ev train.Event) {
-	if ev.Checkpoint == "" || ev.Eval == nil {
-		return
-	}
-	co.logf("iteration %d: log likelihood %.1f, checkpoint committed", ev.Iter, ev.Eval.LogLik)
-	if co.cfg.OnSync != nil {
-		co.cfg.OnSync(ev.Iter, co)
-	}
+	return res, nil
 }
 
 func (co *Coordinator) logf(format string, args ...any) { co.cfg.Logf("dist: "+format, args...) }
@@ -406,24 +372,29 @@ func (co *Coordinator) step() (*evMsg, error) {
 		}
 		return nil, nil
 	case ev := <-co.events:
-		switch e := ev.(type) {
-		case evHello:
-			co.onHello(e)
-		case evDead:
-			co.onDead(e)
-		case evMsg:
-			w := co.conns[e.h.id]
-			if w == nil || w.h != e.h {
-				return nil, nil // frame from a superseded connection
-			}
-			w.lastSeen = time.Now()
-			if e.typ == MsgPong {
-				return nil, nil
-			}
-			return &e, nil
-		}
-		return nil, nil
+		return co.handle(ev), nil
 	}
+}
+
+// handle services one event from the event channel and returns it when
+// it is a message the caller's wait loop cares about.
+func (co *Coordinator) handle(ev any) *evMsg {
+	switch e := ev.(type) {
+	case evHello:
+		co.onHello(e)
+	case evDead:
+		co.onDead(e)
+	case evMsg:
+		w := co.conns[e.h.id]
+		if w == nil || w.h != e.h {
+			return nil // frame from a superseded connection
+		}
+		w.lastSeen = time.Now()
+		if e.typ != MsgPong {
+			return &e
+		}
+	}
+	return nil
 }
 
 func (co *Coordinator) onHello(e evHello) {
@@ -582,13 +553,18 @@ func (co *Coordinator) pass() error {
 	return nil
 }
 
-// form readies an epoch of the registered workers before a pass. Joined
-// workers are admitted from the members' current state (between epochs
-// the shadow is fresh, and sync does nothing); once MinWorkers are
-// registered, the shadow is restored at their count if it differs, and
-// every member gets its slot's shard, the routing tables and its slabs'
-// layout.
+// form readies an epoch of the registered workers before a pass. It
+// first services the events already queued (any message among them is
+// stale), so that no epoch forms around a worker whose death is known.
+// Joined workers are admitted from the members' current state (between
+// epochs the shadow is fresh, and sync does nothing); once MinWorkers
+// are registered, the shadow is restored at their count if it differs,
+// and every member gets its slot's shard, the routing tables and its
+// slabs' layout.
 func (co *Coordinator) form() error {
+	for len(co.events) > 0 {
+		co.handle(<-co.events)
+	}
 	if co.members != nil && !co.joined {
 		return nil
 	}
@@ -620,7 +596,7 @@ func (co *Coordinator) form() error {
 	sort.Strings(co.members)
 	co.memberLost, co.joined = false, false
 	p := len(co.members)
-	co.logf("epoch %d: %d workers, resuming at iteration %d/%d", co.epoch, p, co.iter, co.cfg.Iters)
+	co.logf("epoch %d: %d workers, resuming at iteration %d", co.epoch, p, co.iter)
 	rows, cols := co.shadow.Partitions()
 	blockTokens := cluster.BlockTokens(co.cfg.Corpus.NumTokens(), p)
 	for i, id := range co.members {

@@ -66,17 +66,13 @@ func requireWithinElasticTolerance(t *testing.T, got, want float64) {
 
 // testCoordinator builds a loopback coordinator with test-scale
 // heartbeat timings.
-func testCoordinator(t *testing.T, c *corpus.Corpus, cfg sampler.Config, iters, minWorkers int) *Coordinator {
+func testCoordinator(t *testing.T, c *corpus.Corpus, cfg sampler.Config, minWorkers int) *Coordinator {
 	t.Helper()
 	co, err := NewCoordinator(CoordinatorConfig{
 		Addr:              "127.0.0.1:0",
 		Corpus:            c,
 		Cfg:               cfg,
-		Iters:             iters,
 		MinWorkers:        minWorkers,
-		CheckpointDir:     t.TempDir(),
-		CheckpointEvery:   4,
-		CheckpointKeep:    2,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -87,6 +83,13 @@ func testCoordinator(t *testing.T, c *corpus.Corpus, cfg sampler.Config, iters, 
 		t.Fatal(err)
 	}
 	return co
+}
+
+// schedule is the tests' training schedule: iters iterations, an
+// evaluation and a checkpoint into dir every `every` of them, the
+// newest two checkpoints kept.
+func schedule(dir string, iters, every int) train.Options {
+	return train.Options{Iters: iters, EvalEvery: every, CheckpointDir: dir, CheckpointEvery: every, CheckpointKeep: 2}
 }
 
 func testWorkerConfig(t *testing.T, addr, id string) WorkerConfig {
@@ -107,7 +110,7 @@ func testWorkerConfig(t *testing.T, addr, id string) WorkerConfig {
 // the coordinator's trace.
 func liveRun(t *testing.T, c *corpus.Corpus, cfg sampler.Config, p, iters int) sampler.Run {
 	t.Helper()
-	co := testCoordinator(t, c, cfg, iters, p)
+	co := testCoordinator(t, c, cfg, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
@@ -120,10 +123,11 @@ func liveRun(t *testing.T, c *corpus.Corpus, cfg sampler.Config, p, iters int) s
 			workerErr[i] = RunWorker(ctx, testWorkerConfig(t, co.Addr(), fmt.Sprintf("w%d", i)))
 		}(i)
 	}
-	run, err := co.Serve(ctx)
+	res, err := co.Serve(ctx, schedule(t.TempDir(), iters, 4))
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	run := res.Run
 	wg.Wait()
 	for i, err := range workerErr {
 		if err != nil {
@@ -227,9 +231,7 @@ func TestWorkerDeathElasticRecovery(t *testing.T) {
 		t.Log(line)
 	}
 	co, err := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg,
-		Iters: iters, MinWorkers: 2,
-		CheckpointDir: t.TempDir(), CheckpointEvery: 3, CheckpointKeep: 2,
+		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg, MinWorkers: 2,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -297,10 +299,11 @@ func TestWorkerDeathElasticRecovery(t *testing.T) {
 		}()
 	}()
 
-	run, err := co.Serve(ctx)
+	res, err := co.Serve(ctx, schedule(t.TempDir(), iters, 3))
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	run := res.Run
 	wg.Wait()
 	if len(run.Points) == 0 {
 		t.Fatal("no evaluation points in trace")
@@ -348,9 +351,7 @@ func TestLateJoinerTriggersReform(t *testing.T) {
 		t.Log(line)
 	}
 	co, err := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg,
-		Iters: iters, MinWorkers: 1,
-		CheckpointDir: dir, CheckpointEvery: 3, CheckpointKeep: 2,
+		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg, MinWorkers: 1,
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatTimeout:  5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -397,10 +398,11 @@ func TestLateJoinerTriggersReform(t *testing.T) {
 		}
 	}()
 
-	run, err := co.Serve(ctx)
+	res, err := co.Serve(ctx, schedule(dir, iters, 3))
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+	run := res.Run
 	wg.Wait()
 	last := run.Points[len(run.Points)-1]
 	if last.Iter != iters {

@@ -147,15 +147,10 @@ func TestResumeAcrossFourHops(t *testing.T) {
 	var notices []string
 	var final map[string]int
 	co, err := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg, Iters: 12, MinWorkers: 2,
-		CheckpointDir: dir, CheckpointEvery: 4, CheckpointKeep: 2,
+		Addr: "127.0.0.1:0", Corpus: c, Cfg: cfg, MinWorkers: 2,
 		HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 5 * time.Second,
 		ReadTimeout: 10 * time.Second, WriteTimeout: 10 * time.Second,
 		Logf: func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) },
-		OnSync: func(iter int, s sampler.Sampler) {
-			requireCountsMatch(t, s, cfg.K)
-			final = tokenMultiset(t, s.(sampler.Sharded), c, cfg)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +166,14 @@ func TestResumeAcrossFourHops(t *testing.T) {
 			workerErr[i] = RunWorker(ctx, testWorkerConfig(t, co.Addr(), fmt.Sprintf("w%d", i)))
 		}(i)
 	}
-	_, err = co.Serve(ctx)
+	opts := schedule(dir, 12, 4)
+	opts.Progress = func(ev train.Event) {
+		if ev.Checkpoint != "" {
+			requireCountsMatch(t, co, cfg.K)
+			final = tokenMultiset(t, co, c, cfg)
+		}
+	}
+	_, err = co.Serve(ctx, opts)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("serve: %v", err)

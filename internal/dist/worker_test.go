@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"warplda/internal/cluster"
+	"warplda/internal/train"
 )
 
 // A worker puts each received token at its (key, sender) offset as it
@@ -195,8 +196,7 @@ func TestCoordinatorLogsRefusedRevision(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
 	co, err := NewCoordinator(CoordinatorConfig{
-		Addr: "127.0.0.1:0", Corpus: e2eCorpus(t), Cfg: e2eConfig(), Iters: 1,
-		CheckpointDir: t.TempDir(),
+		Addr: "127.0.0.1:0", Corpus: e2eCorpus(t), Cfg: e2eConfig(),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			lines = append(lines, fmt.Sprintf(format, args...))
@@ -209,7 +209,7 @@ func TestCoordinatorLogsRefusedRevision(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		co.Serve(ctx)
+		co.Serve(ctx, train.Options{Iters: 1, CheckpointDir: t.TempDir()})
 		close(done)
 	}()
 	defer func() { cancel(); <-done }()

@@ -1,7 +1,8 @@
 package warplda
 
-// Publishing facade: the one publisher of cmd/warplda-train and
-// cmd/warplda-coordinator, for -publish and -publish-delta alike. A
+// Publishing facade: the one publisher of cmd/warplda-train, in process
+// or as a live cluster's coordinator, for -publish and -publish-delta
+// alike. A
 // DeltaPublisher turns a sequence of model snapshots into full
 // versioned base publishes and, when its chain length is 1 or more, a
 // chain of WARPDLT delta files a serving registry folds into the live
